@@ -16,14 +16,14 @@
 // Common flags: -trials, -workers, -seed, -csv, -engine.
 //
 // -engine selects the Monte Carlo execution engine for the hot sweeps
-// (recovery, levels, local, adder): "scalar" runs one trial at a time,
-// "lanes" packs 64 bit-sliced trials per batch for roughly hardware-word
-// speedup at identical statistics, and "lanes256"/"lanes512" run 4- or
-// 8-word lane blocks through the fused word-program compiler — adjacent
-// CNOT/CNOT/Toffoli triples collapse into single MAJ/UMA kernels and
-// fault points sharing a probability share one geometric sampler, giving
-// a further per-trial speedup on top of the wider batches. Experiments
-// without a lane path ignore the flag.
+// (recovery, levels, local, adder): "scalar" runs one trial at a time;
+// "lanes", "lanes256" and "lanes512" run 1-, 4- or 8-word lane blocks
+// (64, 256 or 512 bit-sliced trials per batch) through the fused
+// word-program compiler — adjacent CNOT/CNOT/Toffoli triples collapse
+// into single MAJ/UMA kernels and fault points sharing a probability
+// share one geometric sampler. All engines sample the same noise process;
+// wider blocks amortize more dispatch per trial. Experiments without a
+// lane path ignore the flag.
 //
 // The sweep experiments (recovery, levels, local, adder) also run on a
 // resilient runtime with these flags:
@@ -102,6 +102,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -140,7 +141,7 @@ func run(args []string) error {
 		trials   = fs.Int("trials", 200000, "Monte Carlo trials per data point")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		engine   = fs.String("engine", exp.EngineScalar, "execution engine: scalar|lanes|lanes256|lanes512")
+		engine   = fs.String("engine", exp.EngineScalar, "execution engine: "+strings.Join(exp.EngineNames(), "|"))
 		gmin     = fs.Float64("gmin", 1e-4, "smallest gate error rate in the sweep")
 		gmax     = fs.Float64("gmax", 3e-2, "largest gate error rate in the sweep")
 		points   = fs.Int("points", 7, "number of sweep points")
@@ -169,8 +170,8 @@ func run(args []string) error {
 		return err
 	}
 
-	if !exp.ValidEngine(*engine) {
-		return fmt.Errorf("unknown engine %q (want scalar, lanes, lanes256, or lanes512)", *engine)
+	if err := exp.CheckEngine(*engine); err != nil {
+		return err
 	}
 	// Validate everything flag-reachable here so bad values come back as
 	// usage errors, never as library panics.

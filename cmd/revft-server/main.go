@@ -90,8 +90,8 @@ func main() {
 func drivers() map[string]server.Driver {
 	mk := func(name string) server.Driver {
 		return func(spec server.JobSpec, grid []float64) (sweep.PointFunc, int, error) {
-			if !exp.ValidEngine(spec.Engine) {
-				return nil, 0, fmt.Errorf("unknown engine %q (want scalar, lanes, lanes256, or lanes512)", spec.Engine)
+			if err := exp.CheckEngine(spec.Engine); err != nil {
+				return nil, 0, err
 			}
 			p := exp.MCParams{Trials: spec.Trials, Workers: spec.Workers, Seed: spec.Seed, Engine: spec.Engine}
 			return exp.ShardableSweep(name, grid, spec.MaxLevel, spec.Bits, p)

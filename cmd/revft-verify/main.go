@@ -20,11 +20,12 @@
 //	               71/32), the level-1 gadget's A₂ against the independent
 //	               pair enumeration and against Eq. 1's 3·C(G,2) bound, and
 //	               a closed-form NOT-chain cross-check
-//	-differential  run the Monte Carlo engines (scalar, 64-lane, and the
-//	               fused 256-lane wide engine) against the oracle's exact
-//	               P(ε) on the recovery and the level-1 MAJ gadget, failing
-//	               if any estimate's 3σ Wilson interval misses the exact
-//	               value; -trials, -workers, and -seed control the runs
+//	-differential  run the Monte Carlo engines (scalar, and the lane engine
+//	               at 64 and 256 lanes: lanes, lanes256) against the
+//	               oracle's exact P(ε) on the recovery and the level-1 MAJ
+//	               gadget, failing if any estimate's 3σ Wilson interval
+//	               misses the exact value; -trials, -workers, and -seed
+//	               control the runs
 //	-trace f.jsonl write a JSONL event stream: a manifest header, one event
 //	               per check, one per (ε, engine) differential verdict, and
 //	               a closing summary
@@ -279,11 +280,11 @@ func checkOracleNOTChain() error {
 	return nil
 }
 
-// runDifferential checks the three Monte Carlo engines — scalar, 64-lane,
-// and the fused 4-word (256-lane) wide engine — against the oracle on two
-// targets: the recovery with its fully enumerated polynomial, and the
-// level-1 MAJ gadget with a weight-3 truncation whose tail bound widens
-// the acceptance interval. It prints the verdict tables and returns the
+// runDifferential checks the three Monte Carlo engines — scalar, the
+// 64-lane lanes, and the 4-word (256-lane) lanes256 — against the oracle
+// on two targets: the recovery with its fully enumerated polynomial, and
+// the level-1 MAJ gadget with a weight-3 truncation whose tail bound
+// widens the acceptance interval. It prints the verdict tables and returns the
 // number of (ε, engine) disagreements.
 func runDifferential(p exp.MCParams, tr *telemetry.Trace) (int, error) {
 	fmt.Println()

@@ -5,6 +5,7 @@ package revft_test
 // parallel-2D cycle.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,45 +16,49 @@ func TestLanesThroughFacade(t *testing.T) {
 	// Compile the Figure 1 decomposition of MAJ for the 64-lane engine
 	// and check it noiselessly matches the MAJ table in every lane.
 	c := revft.NewCircuit(3).CNOT(0, 1).CNOT(0, 2).Toffoli(1, 2, 0)
-	prog := revft.CompileLanes(c, revft.Noiseless)
-	st := revft.NewLaneState(3)
+	prog := revft.CompileWideLanes(c, revft.Noiseless, 1)
+	st := revft.NewWideLaneState(3, 1)
 	for j := uint64(0); j < 8; j++ {
 		for w := 0; w < 3; w++ {
-			st[w] |= j >> uint(w) & 1 << uint(j)
+			st.W[w] |= j >> uint(w) & 1 << uint(j)
 		}
 	}
 	prog.Run(st, revft.NewRNG(1))
 	for j := uint64(0); j < 8; j++ {
 		var got uint64
 		for w := 0; w < 3; w++ {
-			got |= st[w] >> uint(j) & 1 << uint(w)
+			got |= st.W[w] >> uint(j) & 1 << uint(w)
 		}
 		if want := revft.MAJ.Eval(j); got != want {
 			t.Fatalf("lane %d: Figure 1 program gave %03b, MAJ table %03b", j, got, want)
 		}
 	}
 
-	// MonteCarloLanes through the facade: count-all mask, exact trials.
-	est := revft.MonteCarloLanes(100, 4, 1, func(r *revft.RNG) uint64 {
-		return revft.LaneBroadcast(true)
+	// MonteCarloWide through the facade: count-all mask, exact trials.
+	est := revft.MonteCarloWide(100, 4, 1, 1, func(r *revft.RNG, hit []uint64) {
+		hit[0] = revft.LaneBroadcast(true)
 	})
 	if est.Trials != 100 || est.Successes != 100 {
-		t.Fatalf("MonteCarloLanes gave %v", est)
+		t.Fatalf("MonteCarloWide gave %v", est)
 	}
 
-	// Encode/decode helpers: a level-1 block survives one corrupted wire.
-	cw := revft.NewLaneState(3)
-	vals := revft.NewRNG(2).Uint64()
-	revft.EncodeBitLanes(cw, []int{0, 1, 2}, vals)
-	cw[1] = ^cw[1]
-	if got := revft.DecodeBitLanes(cw, []int{0, 1, 2}); got != vals {
-		t.Fatalf("lane decode = %x, want %x", got, vals)
+	// Block coder: a level-1 block survives one corrupted wire.
+	cw := revft.NewWideLaneState(3, 1)
+	vals := []uint64{revft.NewRNG(2).Uint64()}
+	cw.EncodeBlock([]int{0, 1, 2}, vals)
+	cw.W[1] = ^cw.W[1]
+	got := make([]uint64, 1)
+	if cw.DecodeBlock([]int{0, 1, 2}, got); got[0] != vals[0] {
+		t.Fatalf("lane decode = %x, want %x", got[0], vals[0])
 	}
 
 	// The gadget estimator: below threshold the level-1 logical rate must
 	// beat the physical rate.
 	g := revft.NewGadget(revft.MAJ, 1)
-	lane := g.LogicalErrorRateLanes(revft.UniformNoise(2e-3), 50000, 0, 7)
+	lane, err := g.LogicalErrorRateWideCtx(context.Background(), revft.UniformNoise(2e-3), 1, 50000, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, hi := lane.Wilson(1.96); hi >= 2e-3 {
 		t.Fatalf("lanes level-1 rate %v not below g", lane)
 	}

@@ -1,12 +1,14 @@
 package core
 
-// Wide-engine estimators: the K-word lane-block counterparts of the
-// 64-lane methods in lanes.go, advancing 64·words trials per batch
-// through the fused word-program compiler (lanes.CompileWide). Estimates
-// are statistically equivalent to both other engines but not
-// bit-identical, since each engine consumes randomness in its own order.
-// Fault telemetry stays keyed by source op index, so per-gate-location
-// counters are comparable across engines regardless of fusion.
+// Lane-engine estimators: the bit-sliced counterparts of the scalar
+// Monte Carlo methods, advancing 64·words trials per batch through the
+// fused word-program compiler (lanes.CompileWide); words = 1 is the
+// 64-lane engine. Estimates are statistically equivalent to the scalar
+// path (same noise channel, same jumped RNG streams) but not
+// bit-identical to it, nor across block widths, since each consumes
+// randomness in its own order. Fault telemetry stays keyed by source op
+// index, so per-gate-location counters are comparable across engines
+// regardless of fusion.
 
 import (
 	"context"
@@ -17,8 +19,24 @@ import (
 	"revft/internal/noise"
 	"revft/internal/rng"
 	"revft/internal/sim"
-	"revft/internal/stats"
+	"revft/internal/telemetry"
 )
+
+// lanesInstr builds the fault-injection telemetry handles for a compiled
+// circuit from the context's registry: a total fault counter and a per-
+// gate-location vector keyed by circuit.OpLabels under
+// "lanes.op_faults.<label>". A context without an active registry yields
+// nil, which WideProgram.RunInstr treats as no instrumentation at all.
+func lanesInstr(ctx context.Context, label string, c *circuit.Circuit) *lanes.Instr {
+	reg := telemetry.Active(ctx)
+	if reg == nil {
+		return nil
+	}
+	return &lanes.Instr{
+		Faults:   reg.Counter("lanes.faults"),
+		OpFaults: reg.CounterVec("lanes.op_faults."+label, c.OpLabels()),
+	}
+}
 
 // wideBatch compiles the gadget once for a words-wide lane block and
 // returns the wide batch trial: encode 64·words uniformly random logical
@@ -59,15 +77,9 @@ func (g *Gadget) wideBatch(ctx context.Context, m noise.Model, words int) sim.Wi
 	}
 }
 
-// LogicalErrorRateWide estimates g_logical like LogicalErrorRateLanes,
-// but on the fused words-wide lane-block engine (64·words trials per
-// batch).
-func (g *Gadget) LogicalErrorRateWide(m noise.Model, words, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarloWide(trials, workers, seed, words, g.wideBatch(context.Background(), m, words))
-}
-
-// LogicalErrorRateWideCtx is LogicalErrorRateWide on the cancellable
-// engine, with partial results and panic isolation.
+// LogicalErrorRateWideCtx estimates g_logical like LogicalErrorRateCtx,
+// but on the words-wide lane-block engine (64·words trials per batch),
+// with the same cancellation, partial results, and panic isolation.
 func (g *Gadget) LogicalErrorRateWideCtx(ctx context.Context, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
 	return sim.MonteCarloWideCtx(ctx, trials, workers, seed, words, g.wideBatch(ctx, m, words))
 }
@@ -104,13 +116,9 @@ func (m *Module) wideModuleBatch(ctx context.Context, in uint64, nm noise.Model,
 	}
 }
 
-// ErrorRateWide estimates the module's logical failure probability on the
-// given input like ErrorRateLanes, but on the wide engine.
-func (m *Module) ErrorRateWide(in uint64, nm noise.Model, words, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarloWide(trials, workers, seed, words, m.wideModuleBatch(context.Background(), in, nm, words))
-}
-
-// ErrorRateWideCtx is ErrorRateWide on the cancellable engine.
+// ErrorRateWideCtx estimates the module's logical failure probability on
+// the given input like ErrorRateCtx, but on the words-wide lane-block
+// engine.
 func (m *Module) ErrorRateWideCtx(ctx context.Context, in uint64, nm noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
 	return sim.MonteCarloWideCtx(ctx, trials, workers, seed, words, m.wideModuleBatch(ctx, in, nm, words))
 }
@@ -145,14 +153,22 @@ func wideUnprotectedBatch(ctx context.Context, logical *circuit.Circuit, in uint
 	}
 }
 
-// UnprotectedErrorRateWide is UnprotectedErrorRateLanes on the wide
-// engine.
-func UnprotectedErrorRateWide(logical *circuit.Circuit, in uint64, nm noise.Model, words, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarloWide(trials, workers, seed, words, wideUnprotectedBatch(context.Background(), logical, in, nm, words))
-}
-
-// UnprotectedErrorRateWideCtx is UnprotectedErrorRateWide on the
-// cancellable engine.
+// UnprotectedErrorRateWideCtx is UnprotectedErrorRateCtx on the
+// words-wide lane-block engine.
 func UnprotectedErrorRateWideCtx(ctx context.Context, logical *circuit.Circuit, in uint64, nm noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
 	return sim.MonteCarloWideCtx(ctx, trials, workers, seed, words, wideUnprotectedBatch(ctx, logical, in, nm, words))
+}
+
+// LogicalErrorRateLanesCtx is LogicalErrorRateWideCtx with words = 1, the
+// 64-lane engine. It is kept only for the benchmark module, whose
+// perfbench/layers.go calls it.
+func (g *Gadget) LogicalErrorRateLanesCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
+	return g.LogicalErrorRateWideCtx(ctx, m, 1, trials, workers, seed)
+}
+
+// ErrorRateLanesCtx is ErrorRateWideCtx with words = 1, the 64-lane
+// engine. It is kept only for the benchmark module, whose
+// perfbench/layers.go calls it.
+func (m *Module) ErrorRateLanesCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
+	return m.ErrorRateWideCtx(ctx, in, nm, 1, trials, workers, seed)
 }

@@ -2,8 +2,8 @@ package exp
 
 // Differential verification: the Monte Carlo engines against the exact
 // fault-enumeration oracle. For a grid of ε values the harness runs the
-// scalar and the 64-lane engines — and, when requested, a fused K-word
-// wide engine — on the same target and requires each estimate's 3σ Wilson
+// scalar and the 64-lane engines — and, when requested, a wider K-word
+// lane engine — on the same target and requires each estimate's 3σ Wilson
 // interval to intersect the oracle's exact interval [P_W(ε), P_W(ε)+tail]
 // — a point for full enumerations. One engine disagreeing fingers that
 // engine; all disagreeing fingers the model or the oracle. revft-verify
@@ -54,47 +54,11 @@ func TargetTrial(t exact.Target, m noise.Model) func(*rng.RNG) bool {
 	}
 }
 
-// TargetBatch returns the 64-lane engine's batch trial for the same
-// experiment: uniform logical inputs per lane, one compiled noisy run per
-// batch, word-parallel decode. The ideal reference is computed per lane
-// through t.Logical, so any logical function — not just single gates —
-// can be verified.
-func TargetBatch(t exact.Target, m noise.Model) sim.BatchTrial {
-	prog := lanes.Compile(t.Circuit, m)
-	nin, nout := len(t.In), len(t.Out)
-	return func(r *rng.RNG) uint64 {
-		st := lanes.NewState(t.Circuit.Width())
-		ins := make([]uint64, nin)
-		for i := range ins {
-			ins[i] = r.Uint64()
-		}
-		for i, wires := range t.In {
-			lanes.Encode(st, wires, ins[i])
-		}
-		prog.Run(st, r)
-		want := make([]uint64, nout)
-		for lane := 0; lane < 64; lane++ {
-			var in uint64
-			for i := 0; i < nin; i++ {
-				in |= ins[i] >> uint(lane) & 1 << uint(i)
-			}
-			w := t.Logical(in)
-			for o := 0; o < nout; o++ {
-				want[o] |= w >> uint(o) & 1 << uint(lane)
-			}
-		}
-		var fail uint64
-		for i, wires := range t.Out {
-			fail |= lanes.Decode(st, wires) ^ want[i]
-		}
-		return fail
-	}
-}
-
-// TargetBatchWide is TargetBatch on a words-wide lane block: the target
-// is compiled through the fused word-program compiler and each batch
-// covers 64·words lanes, with the per-lane ideal reference computed
-// through t.Logical word by word.
+// TargetBatchWide returns the lane engine's batch trial for the same
+// experiment on a words-wide lane block: uniform logical inputs per lane,
+// one compiled noisy run per batch, word-parallel decode. The ideal
+// reference is computed per lane through t.Logical, so any logical
+// function — not just single gates — can be verified.
 func TargetBatchWide(t exact.Target, m noise.Model, words int) sim.WideBatchTrial {
 	prog := lanes.CompileWide(t.Circuit, m, words)
 	nin, nout := len(t.In), len(t.Out)
@@ -149,34 +113,39 @@ func blockLevels(blocks [][]int) []int {
 	return out
 }
 
-// DiffPoint is the differential verdict at one ε: the oracle's exact
-// interval, each engine's estimate, and whether each engine's 3σ Wilson
-// interval intersects the exact one. Wide/WideOK are only meaningful when
-// the run requested a wide engine; WideLanes records its lane count
-// (64·words) then, and is 0 otherwise.
-type DiffPoint struct {
-	Eps               float64
-	ExactLo, ExactHi  float64
-	Scalar, Lanes     stats.Bernoulli
-	ScalarOK, LanesOK bool
-	Wide              stats.Bernoulli
-	WideOK            bool
-	WideLanes         int
+// DiffEngine is one engine's verdict at one ε: its estimate and whether
+// its 3σ Wilson interval intersects the oracle's exact interval.
+type DiffEngine struct {
+	Name string
+	Est  stats.Bernoulli
+	OK   bool
 }
+
+// DiffPoint is the differential verdict at one ε: the oracle's exact
+// interval and one verdict per engine, in the order the engines ran.
+type DiffPoint struct {
+	Eps              float64
+	ExactLo, ExactHi float64
+	Engines          []DiffEngine
+}
+
+// diffStride is how many seeds each ε reserves: engine j at point i runs
+// on p.Seed + diffStride·i + j, so adding or dropping the third engine
+// never shifts the others' streams.
+const diffStride = 3
 
 // Differential runs the engines against poly at every ε in eps and
 // returns the per-ε verdicts. poly must come from Enumerate on t (its
-// SkipInit flag selects the matching noise accounting). wideWords > 0
-// adds a third run per ε on the fused wideWords-word lane-block engine;
-// 0 keeps the original two-engine check and its exact seed streams
-// (seed strides 2 per ε without the wide engine, 3 with it). Each
-// (ε, engine) verdict is also emitted as a "differential" trace event
-// when tr is non-nil. The run is cancellable; on cancellation the
-// completed points are returned with the error.
+// SkipInit flag selects the matching noise accounting). The scalar and
+// the 64-lane engines always run; wideWords > 0 adds a third run per ε on
+// the wideWords-word lane engine. Each (ε, engine) verdict is also
+// emitted as a "differential" trace event when tr is non-nil. The run is
+// cancellable; on cancellation the completed points are returned with
+// the error.
 func Differential(ctx context.Context, t exact.Target, poly *exact.Poly, eps []float64, p MCParams, wideWords int, tr *telemetry.Trace) ([]DiffPoint, error) {
-	stride := 2
+	words := []int{0, 1}
 	if wideWords > 0 {
-		stride = 3
+		words = append(words, wideWords)
 	}
 	var out []DiffPoint
 	for i, e := range eps {
@@ -188,37 +157,36 @@ func Differential(ctx context.Context, t exact.Target, poly *exact.Poly, eps []f
 		}
 		lo, hi := poly.Bounds(e)
 		pt := DiffPoint{Eps: e, ExactLo: lo, ExactHi: hi}
-
-		scalar, err := sim.MonteCarloCtx(ctx, p.Trials, p.Workers, p.Seed+uint64(stride*i), TargetTrial(t, m))
-		pt.Scalar = scalar.Bernoulli
-		pt.ScalarOK = overlapsExact(pt.Scalar, lo, hi)
-		emitDifferential(tr, t.Name, pt, "scalar", pt.Scalar, pt.ScalarOK)
-		if err != nil {
-			out = append(out, pt)
-			return out, err
-		}
-		lanesRes, err := sim.MonteCarloLanesCtx(ctx, p.Trials, p.Workers, p.Seed+uint64(stride*i+1), TargetBatch(t, m))
-		pt.Lanes = lanesRes.Bernoulli
-		pt.LanesOK = overlapsExact(pt.Lanes, lo, hi)
-		emitDifferential(tr, t.Name, pt, "lanes", pt.Lanes, pt.LanesOK)
-		if err != nil {
-			out = append(out, pt)
-			return out, err
-		}
-		if wideWords > 0 {
-			wideRes, werr := sim.MonteCarloWideCtx(ctx, p.Trials, p.Workers, p.Seed+uint64(stride*i+2), wideWords, TargetBatchWide(t, m, wideWords))
-			pt.Wide = wideRes.Bernoulli
-			pt.WideOK = overlapsExact(pt.Wide, lo, hi)
-			pt.WideLanes = 64 * wideWords
-			emitDifferential(tr, t.Name, pt, fmt.Sprintf("lanes%d", pt.WideLanes), pt.Wide, pt.WideOK)
-			err = werr
+		for j, w := range words {
+			seed := p.Seed + uint64(diffStride*i+j)
+			var res sim.Result
+			var err error
+			if w == 0 {
+				res, err = sim.MonteCarloCtx(ctx, p.Trials, p.Workers, seed, TargetTrial(t, m))
+			} else {
+				res, err = sim.MonteCarloWideCtx(ctx, p.Trials, p.Workers, seed, w, TargetBatchWide(t, m, w))
+			}
+			v := DiffEngine{Name: engineName(w), Est: res.Bernoulli, OK: overlapsExact(res.Bernoulli, lo, hi)}
+			pt.Engines = append(pt.Engines, v)
+			emitDifferential(tr, t.Name, pt, v)
+			if err != nil {
+				return append(out, pt), err
+			}
 		}
 		out = append(out, pt)
-		if err != nil {
-			return out, err
-		}
 	}
 	return out, nil
+}
+
+// engineName names the lane engine of the given block width after the
+// engine table, or "lanes<N>" for a width the table does not list.
+func engineName(words int) string {
+	for _, e := range engines {
+		if e.words == words {
+			return e.name
+		}
+	}
+	return fmt.Sprintf("lanes%d", 64*words)
 }
 
 // overlapsExact reports whether the estimate's 3σ Wilson interval
@@ -228,39 +196,33 @@ func overlapsExact(b stats.Bernoulli, lo, hi float64) bool {
 	return whi >= lo && wlo <= hi
 }
 
-func emitDifferential(tr *telemetry.Trace, target string, pt DiffPoint, engine string, b stats.Bernoulli, ok bool) {
+func emitDifferential(tr *telemetry.Trace, target string, pt DiffPoint, v DiffEngine) {
 	if tr == nil {
 		return
 	}
-	wlo, whi := b.Wilson(DifferentialZ)
+	wlo, whi := v.Est.Wilson(DifferentialZ)
 	tr.Emit("differential", map[string]any{
-		"target": target, "engine": engine, "eps": pt.Eps,
-		"trials": b.Trials, "successes": b.Successes,
+		"target": target, "engine": v.Name, "eps": pt.Eps,
+		"trials": v.Est.Trials, "successes": v.Est.Successes,
 		"wilson_lo": wlo, "wilson_hi": whi,
 		"exact_lo": pt.ExactLo, "exact_hi": pt.ExactHi,
-		"ok": ok,
+		"ok": v.OK,
 	})
 }
 
-// DifferentialTable renders the verdicts, with one note per disagreement
-// and the count of failing (ε, engine) checks in the returned int. When
-// the points carry wide-engine results (WideLanes > 0), the table grows a
-// column pair for that engine.
+// DifferentialTable renders the verdicts, one column pair per engine,
+// with one note per disagreement and the count of failing (ε, engine)
+// checks in the returned int.
 func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Table, int) {
 	kind := "exact"
 	if !poly.Exact() {
 		kind = fmt.Sprintf("weight ≤ %d of %d", poly.MaxWeight, poly.N)
 	}
-	wideName := ""
-	for _, pt := range pts {
-		if pt.WideLanes > 0 {
-			wideName = fmt.Sprintf("lanes%d", pt.WideLanes)
-			break
+	header := []string{"eps", "exact P(eps)"}
+	if len(pts) > 0 {
+		for _, v := range pts[0].Engines {
+			header = append(header, v.Name, v.Name+" ok")
 		}
-	}
-	header := []string{"eps", "exact P(eps)", "scalar", "scalar ok", "lanes", "lanes ok"}
-	if wideName != "" {
-		header = append(header, wideName, wideName+" ok")
 	}
 	tab := &Table{
 		ID:     "DIFF",
@@ -273,27 +235,17 @@ func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Tabl
 		if pt.ExactHi > pt.ExactLo {
 			ex = fmt.Sprintf("[%.4g, %.4g]", pt.ExactLo, pt.ExactHi)
 		}
-		row := []any{pt.Eps, ex, pt.Scalar.Rate(), pt.ScalarOK, pt.Lanes.Rate(), pt.LanesOK}
-		engines := []struct {
-			name string
-			b    stats.Bernoulli
-			ok   bool
-		}{{"scalar", pt.Scalar, pt.ScalarOK}, {"lanes", pt.Lanes, pt.LanesOK}}
-		if wideName != "" {
-			row = append(row, pt.Wide.Rate(), pt.WideOK)
-			engines = append(engines, struct {
-				name string
-				b    stats.Bernoulli
-				ok   bool
-			}{wideName, pt.Wide, pt.WideOK})
+		row := []any{pt.Eps, ex}
+		for _, v := range pt.Engines {
+			row = append(row, v.Est.Rate(), v.OK)
 		}
 		tab.AddRow(row...)
-		for _, e := range engines {
-			if !e.ok {
+		for _, v := range pt.Engines {
+			if !v.OK {
 				bad++
-				wlo, whi := e.b.Wilson(DifferentialZ)
+				wlo, whi := v.Est.Wilson(DifferentialZ)
 				tab.AddNote("DISAGREE at ε=%g: %s %d/%d → 3σ [%.4g, %.4g] misses exact [%.4g, %.4g]",
-					pt.Eps, e.name, e.b.Successes, e.b.Trials, wlo, whi, pt.ExactLo, pt.ExactHi)
+					pt.Eps, v.Name, v.Est.Successes, v.Est.Trials, wlo, whi, pt.ExactLo, pt.ExactHi)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"revft/internal/circuit"
@@ -14,20 +15,20 @@ import (
 )
 
 // TestLanesKernelsMatchScalarLaneForLane drives random circuits through
-// the lanes word kernels noiselessly and compares every lane against the
-// scalar table-driven evaluation — trial-for-trial bit equality, the
+// the 64-lane word kernels noiselessly and compares every lane against
+// the scalar table-driven evaluation — trial-for-trial bit equality, the
 // strictest engine-equivalence statement short of noise.
 func TestLanesKernelsMatchScalarLaneForLane(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		width := 1 + r.Intn(8)
 		c := circuit.Random(r, width, 1+r.Intn(12), nil)
-		prog := lanes.Compile(c, noise.Uniform(0))
-		st := lanes.NewState(width)
-		for w := range st {
-			st[w] = r.Uint64()
+		prog := lanes.CompileWide(c, noise.Uniform(0), 1)
+		st := lanes.NewWideState(width, 1)
+		for w := range st.W {
+			st.W[w] = r.Uint64()
 		}
-		orig := append(lanes.State(nil), st...)
+		orig := append([]uint64(nil), st.W...)
 		prog.RunNoiseless(st)
 		for lane := 0; lane < 64; lane++ {
 			var in uint64
@@ -37,7 +38,7 @@ func TestLanesKernelsMatchScalarLaneForLane(t *testing.T) {
 			want := c.Eval(in)
 			var got uint64
 			for w := 0; w < width; w++ {
-				got |= st[w] >> uint(lane) & 1 << uint(w)
+				got |= st.W[w] >> uint(lane) & 1 << uint(w)
 			}
 			if got != want {
 				t.Fatalf("seed %d lane %d: in %0*b → lanes %0*b, scalar %0*b",
@@ -73,26 +74,23 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			pt := pts[0]
-			if pt.Scalar.Trials != trials || pt.Lanes.Trials != trials || pt.Wide.Trials != trials {
-				t.Fatalf("seed %d: trial counts %d/%d/%d, want %d",
-					seed, pt.Scalar.Trials, pt.Lanes.Trials, pt.Wide.Trials, trials)
-			}
-			if pt.WideLanes != 256 {
-				t.Fatalf("seed %d: WideLanes = %d, want 256", seed, pt.WideLanes)
-			}
-			// z = 4 (≈6e-5 two-sided) keeps the deterministic seeds far
-			// from the boundary while still detecting real estimator bias.
-			for _, e := range []struct {
-				name string
-				b    interface {
-					Wilson(float64) (float64, float64)
+			var names []string
+			for _, e := range pt.Engines {
+				names = append(names, e.Name)
+				if e.Est.Trials != trials {
+					t.Fatalf("seed %d: %s ran %d trials, want %d", seed, e.Name, e.Est.Trials, trials)
 				}
-			}{{"scalar", pt.Scalar}, {"lanes", pt.Lanes}, {"lanes256", pt.Wide}} {
-				lo, hi := e.b.Wilson(4)
+				// z = 4 (≈6e-5 two-sided) keeps the deterministic seeds
+				// far from the boundary while still detecting real
+				// estimator bias.
+				lo, hi := e.Est.Wilson(4)
 				if p < lo || p > hi {
 					t.Errorf("seed %d ε=%v %s: exact %v outside 4σ Wilson [%v, %v]",
-						seed, eps, e.name, p, lo, hi)
+						seed, eps, e.Name, p, lo, hi)
 				}
+			}
+			if got := strings.Join(names, ","); got != "scalar,lanes,lanes256" {
+				t.Fatalf("seed %d: engines %s, want scalar,lanes,lanes256", seed, got)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"revft/internal/adder"
@@ -8,10 +9,12 @@ import (
 	"revft/internal/gate"
 	"revft/internal/lattice"
 	"revft/internal/noise"
+	"revft/internal/sim"
 	"revft/internal/stats"
 )
 
-// Lane-vs-scalar equivalence: on identical sweeps the two engines must
+// Lane-vs-scalar equivalence: on identical sweeps the 64-lane and the
+// scalar engine must
 // produce estimates whose 95% Wilson intervals overlap at every point.
 // The engines consume randomness differently, so bit-identical agreement
 // is neither expected nor required.
@@ -26,6 +29,18 @@ func requireOverlap(t *testing.T, what string, g float64, scalar, lane stats.Ber
 	}
 }
 
+// mustRate unwraps a context estimator's result, failing the test on
+// error: must := mustRate(t); est := must(g.LogicalErrorRateWideCtx(...)).
+func mustRate(t *testing.T) func(sim.Result, error) stats.Bernoulli {
+	return func(res sim.Result, err error) stats.Bernoulli {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Bernoulli
+	}
+}
+
 func TestGadgetEnginesEquivalentSweep(t *testing.T) {
 	gad := core.NewGadget(gate.MAJ, 1)
 	const trials = 40000
@@ -33,7 +48,7 @@ func TestGadgetEnginesEquivalentSweep(t *testing.T) {
 		m := noise.Uniform(g)
 		seed := uint64(100 + i)
 		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
-		lane := gad.LogicalErrorRateLanes(m, trials, 4, seed)
+		lane := mustRate(t)(gadgetRateCtx(context.Background(), gad, m, MCParams{Workers: 4, Engine: EngineLanes}, trials, seed))
 		if lane.Trials != trials {
 			t.Fatalf("lane engine ran %d trials, want %d", lane.Trials, trials)
 		}
@@ -54,7 +69,7 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 			m := noise.Uniform(g)
 			seed := uint64(200 + i)
 			scalar := cycleErrorRate(tc.cycle, m, trials, 4, seed)
-			lane := cycleErrorRateLanes(tc.cycle, m, trials, 4, seed)
+			lane := mustRate(t)(cycleRateCtx(context.Background(), "cycle", tc.cycle, m, MCParams{Workers: 4, Engine: EngineLanes}, trials, seed))
 			requireOverlap(t, tc.name+" cycle", g, scalar, lane)
 		}
 	}
@@ -65,15 +80,17 @@ func TestModuleEnginesEquivalent(t *testing.T) {
 	m := core.CompileModule(logical, 1)
 	const trials = 20000
 	const in = uint64(0b0110)
+	must := mustRate(t)
+	ctx := context.Background()
 	for i, g := range []float64{1e-3, 5e-3} {
 		nm := noise.Uniform(g)
 		seed := uint64(300 + i)
 		requireOverlap(t, "FT adder module", g,
 			m.ErrorRate(in, nm, trials, 4, seed),
-			m.ErrorRateLanes(in, nm, trials, 4, seed))
+			must(m.ErrorRateWideCtx(ctx, in, nm, 1, trials, 4, seed)))
 		requireOverlap(t, "bare adder", g,
 			core.UnprotectedErrorRate(logical, in, nm, trials, 4, seed),
-			core.UnprotectedErrorRateLanes(logical, in, nm, trials, 4, seed))
+			must(core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, 1, trials, 4, seed)))
 	}
 }
 
@@ -81,8 +98,8 @@ func TestModuleEnginesEquivalent(t *testing.T) {
 // Engine set, checking table shape and the paper's qualitative claims.
 func TestDriversAcceptLanesEngine(t *testing.T) {
 	p := MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes}
-	if !p.useLanes() {
-		t.Fatal("EngineLanes not recognized")
+	if w := p.wideWords(); w != 1 {
+		t.Fatalf("lanes runs %d-word blocks, want 1", w)
 	}
 
 	tb := Recovery([]float64{2e-3}, p)

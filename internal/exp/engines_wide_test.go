@@ -2,19 +2,19 @@ package exp
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"revft/internal/adder"
 	"revft/internal/core"
 	"revft/internal/gate"
 	"revft/internal/noise"
-	"revft/internal/sim"
 	"revft/internal/telemetry"
 )
 
-// Wide-vs-scalar equivalence: the fused K-word engines must agree with
-// the scalar engine under the same 95% Wilson overlap criterion as the
-// 64-lane engine.
+// Wide-vs-scalar equivalence: the 4- and 8-word lane engines must agree
+// with the scalar engine under the same 95% Wilson overlap criterion as
+// the 64-lane engine.
 
 func TestGadgetWideEnginesEquivalentSweep(t *testing.T) {
 	gad := core.NewGadget(gate.MAJ, 1)
@@ -24,7 +24,7 @@ func TestGadgetWideEnginesEquivalentSweep(t *testing.T) {
 		seed := uint64(400 + i)
 		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
 		for _, words := range []int{4, 8} {
-			wide := gad.LogicalErrorRateWide(m, words, trials, 4, seed)
+			wide := mustRate(t)(gad.LogicalErrorRateWideCtx(context.Background(), m, words, trials, 4, seed))
 			if wide.Trials != trials {
 				t.Fatalf("words=%d: wide engine ran %d trials, want %d", words, wide.Trials, trials)
 			}
@@ -38,15 +38,17 @@ func TestModuleWideEnginesEquivalent(t *testing.T) {
 	m := core.CompileModule(logical, 1)
 	const trials = 20000
 	const in = uint64(0b0110)
+	must := mustRate(t)
+	ctx := context.Background()
 	for i, g := range []float64{1e-3, 5e-3} {
 		nm := noise.Uniform(g)
 		seed := uint64(500 + i)
 		requireOverlap(t, "FT adder module (wide)", g,
 			m.ErrorRate(in, nm, trials, 4, seed),
-			m.ErrorRateWide(in, nm, 4, trials, 4, seed))
+			must(m.ErrorRateWideCtx(ctx, in, nm, 4, trials, 4, seed)))
 		requireOverlap(t, "bare adder (wide)", g,
 			core.UnprotectedErrorRate(logical, in, nm, trials, 4, seed),
-			core.UnprotectedErrorRateWide(logical, in, nm, 4, trials, 4, seed))
+			must(core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, 4, trials, 4, seed)))
 	}
 }
 
@@ -59,16 +61,29 @@ func TestDriversAcceptWideEngines(t *testing.T) {
 	if w := (MCParams{Engine: EngineLanes512}).wideWords(); w != 8 {
 		t.Fatalf("lanes512 wideWords = %d, want 8", w)
 	}
-	if w := (MCParams{Engine: EngineLanes}).wideWords(); w != 0 {
-		t.Fatalf("lanes wideWords = %d, want 0", w)
+	if w := (MCParams{Engine: EngineLanes}).wideWords(); w != 1 {
+		t.Fatalf("lanes wideWords = %d, want 1", w)
 	}
-	for _, name := range []string{"", EngineScalar, EngineLanes, EngineLanes256, EngineLanes512} {
-		if !ValidEngine(name) {
-			t.Fatalf("ValidEngine(%q) = false", name)
+	for _, name := range []string{"", EngineScalar} {
+		if w := (MCParams{Engine: name}).wideWords(); w != 0 {
+			t.Fatalf("%q wideWords = %d, want 0", name, w)
 		}
 	}
-	if ValidEngine("lanes128") {
-		t.Fatal("ValidEngine accepted an unknown engine")
+	for _, name := range []string{"", EngineScalar, EngineLanes, EngineLanes256, EngineLanes512} {
+		if !ValidEngine(name) || CheckEngine(name) != nil {
+			t.Fatalf("engine %q rejected", name)
+		}
+	}
+	if got := strings.Join(EngineNames(), "|"); got != "scalar|lanes|lanes256|lanes512" {
+		t.Fatalf("EngineNames = %s, want scalar|lanes|lanes256|lanes512", got)
+	}
+	for _, bad := range []string{"lanes128", "Lanes", "lanes64"} {
+		if ValidEngine(bad) {
+			t.Fatalf("ValidEngine accepted unknown engine %q", bad)
+		}
+		if err := CheckEngine(bad); err == nil || !strings.Contains(err.Error(), "scalar, lanes, lanes256, lanes512") {
+			t.Fatalf("CheckEngine(%q) = %v, want an error listing the engines", bad, err)
+		}
 	}
 
 	tb := Recovery([]float64{2e-3}, MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes256})
@@ -107,22 +122,15 @@ func TestLaneFaultTelemetryCountsSlots(t *testing.T) {
 	const trials = 65
 	for _, tc := range []struct {
 		engine string
-		words  int
 		slots  int64
 	}{
-		{"lanes", 0, 128},    // two 64-lane batches
-		{"lanes256", 4, 256}, // one 256-lane block
-		{"lanes512", 8, 512}, // one 512-lane block
+		{"lanes", 128},    // two 64-lane batches
+		{"lanes256", 256}, // one 256-lane block
+		{"lanes512", 512}, // one 512-lane block
 	} {
 		reg := telemetry.New()
 		ctx := telemetry.NewContext(context.Background(), reg)
-		var res sim.Result
-		var err error
-		if tc.words > 0 {
-			res, err = gad.LogicalErrorRateWideCtx(ctx, noise.Uniform(1), tc.words, trials, 1, 3)
-		} else {
-			res, err = gad.LogicalErrorRateLanesCtx(ctx, noise.Uniform(1), trials, 1, 3)
-		}
+		res, err := gadgetRateCtx(ctx, gad, noise.Uniform(1), MCParams{Workers: 1, Engine: tc.engine}, trials, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}

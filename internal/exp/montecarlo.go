@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"revft/internal/bitvec"
 	"revft/internal/code"
@@ -20,27 +21,63 @@ import (
 
 // Engine names for MCParams.Engine.
 const (
-	// EngineScalar runs one trial at a time (sim.MonteCarlo). The empty
-	// string selects it too.
+	// EngineScalar runs one trial at a time (sim.MonteCarloCtx). The
+	// empty string selects it too.
 	EngineScalar = "scalar"
-	// EngineLanes runs 64 bit-sliced trials per batch
-	// (sim.MonteCarloLanes with the internal/lanes word kernels).
+	// EngineLanes runs 64 bit-sliced trials per batch: one 64-lane word
+	// per wire through the fused word-program compiler
+	// (lanes.CompileWide with words = 1).
 	EngineLanes = "lanes"
-	// EngineLanes256 runs 256 bit-sliced trials per batch on 4-word lane
-	// blocks through the fused word-program compiler (lanes.CompileWide).
+	// EngineLanes256 runs 256 trials per batch on 4-word lane blocks.
 	EngineLanes256 = "lanes256"
-	// EngineLanes512 is the 8-word, 512-lane variant of EngineLanes256.
+	// EngineLanes512 runs 512 trials per batch on 8-word lane blocks.
 	EngineLanes512 = "lanes512"
 )
+
+// engines is the engine table: every accepted name with its lane-block
+// width in 64-lane words, 0 for the scalar engine. ValidEngine,
+// CheckEngine, EngineNames, and every driver's dispatch derive from it.
+var engines = []struct {
+	name  string
+	words int
+}{{EngineScalar, 0}, {EngineLanes, 1}, {EngineLanes256, 4}, {EngineLanes512, 8}}
+
+// engineWords looks name up in the engine table ("" is EngineScalar).
+func engineWords(name string) (words int, ok bool) {
+	if name == "" {
+		name = EngineScalar
+	}
+	for _, e := range engines {
+		if e.name == name {
+			return e.words, true
+		}
+	}
+	return 0, false
+}
 
 // ValidEngine reports whether name selects a known engine ("" selects
 // EngineScalar).
 func ValidEngine(name string) bool {
-	switch name {
-	case "", EngineScalar, EngineLanes, EngineLanes256, EngineLanes512:
-		return true
+	_, ok := engineWords(name)
+	return ok
+}
+
+// EngineNames returns the accepted engine names in table order.
+func EngineNames() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
 	}
-	return false
+	return names
+}
+
+// CheckEngine returns nil for a known engine name and otherwise an error
+// naming the accepted ones.
+func CheckEngine(name string) error {
+	if ValidEngine(name) {
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q (want %s)", name, strings.Join(EngineNames(), ", "))
 }
 
 // MCParams controls the Monte Carlo experiment drivers.
@@ -59,19 +96,12 @@ type MCParams struct {
 	Engine string
 }
 
-// useLanes reports whether the 64-lane engine was requested.
-func (p MCParams) useLanes() bool { return p.Engine == EngineLanes }
-
-// wideWords returns the lane-block word count of the wide engines (4 for
-// EngineLanes256, 8 for EngineLanes512) and 0 for every other engine.
+// wideWords returns the lane-block width of the selected engine in
+// 64-lane words, or 0 for the scalar engine (and unknown names, which the
+// drivers' callers reject with CheckEngine).
 func (p MCParams) wideWords() int {
-	switch p.Engine {
-	case EngineLanes256:
-		return 4
-	case EngineLanes512:
-		return 8
-	}
-	return 0
+	w, _ := engineWords(p.Engine)
+	return w
 }
 
 // DefaultMCParams returns sensible defaults for interactive runs.
@@ -134,51 +164,11 @@ func cycleErrorRate(c *lattice.Cycle, m noise.Model, trials, workers int, seed u
 	return sim.MonteCarlo(trials, workers, seed, cycleTrial(c, m))
 }
 
-// cycleBatch compiles the cycle once and returns the 64-lane batch trial:
-// random logical inputs per lane, one compiled noisy run per batch,
-// word-parallel majority decode. When ctx carries a telemetry registry,
-// fault events are tallied per gate location under
+// cycleBatchWide compiles the cycle once for a words-wide lane block and
+// returns the batch trial: random logical inputs per lane, one compiled
+// noisy run per batch, word-parallel majority decode. When ctx carries a
+// telemetry registry, fault events are tallied per gate location under
 // "lanes.op_faults.<label>" (label is "cycle2d" or "cycle1d").
-func cycleBatch(ctx context.Context, label string, c *lattice.Cycle, m noise.Model) sim.BatchTrial {
-	prog := lanes.Compile(c.Circuit, m)
-	var instr *lanes.Instr
-	if reg := telemetry.Active(ctx); reg != nil {
-		instr = &lanes.Instr{
-			Faults:   reg.Counter("lanes.faults"),
-			OpFaults: reg.CounterVec("lanes.op_faults."+label, c.Circuit.OpLabels()),
-		}
-	}
-	nin := len(c.In)
-	return func(r *rng.RNG) uint64 {
-		st := lanes.NewState(c.Circuit.Width())
-		ins := make([]uint64, nin)
-		for i := range ins {
-			ins[i] = r.Uint64()
-		}
-		for i, wires := range c.In {
-			lanes.Encode(st, wires, ins[i])
-		}
-		prog.RunInstr(st, r, instr)
-		want := make([]uint64, nin)
-		copy(want, ins)
-		lanes.Eval(c.Kind, want)
-		var fail uint64
-		for i, wires := range c.Out {
-			fail |= lanes.Decode(st, wires) ^ want[i]
-		}
-		return fail
-	}
-}
-
-// cycleErrorRateLanes is cycleErrorRate on the 64-lane engine.
-func cycleErrorRateLanes(c *lattice.Cycle, m noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarloLanes(trials, workers, seed, cycleBatch(context.Background(), "cycle", c, m))
-}
-
-// cycleBatchWide is cycleBatch on a words-wide lane block: the cycle is
-// compiled once through the fused word-program compiler and each batch
-// advances 64·words trials. Telemetry keys match cycleBatch — per-source-op
-// fault counters are unaffected by fusion.
 func cycleBatchWide(ctx context.Context, label string, c *lattice.Cycle, m noise.Model, words int) sim.WideBatchTrial {
 	prog := lanes.CompileWide(c.Circuit, m, words)
 	var instr *lanes.Instr

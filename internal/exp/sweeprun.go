@@ -181,9 +181,6 @@ func gadgetRateCtx(ctx context.Context, g *core.Gadget, m noise.Model, p MCParam
 	if w := p.wideWords(); w > 0 {
 		return g.LogicalErrorRateWideCtx(ctx, m, w, trials, p.Workers, seed)
 	}
-	if p.useLanes() {
-		return g.LogicalErrorRateLanesCtx(ctx, m, trials, p.Workers, seed)
-	}
 	return g.LogicalErrorRateCtx(ctx, m, trials, p.Workers, seed)
 }
 
@@ -193,9 +190,6 @@ func gadgetRateCtx(ctx context.Context, g *core.Gadget, m noise.Model, p MCParam
 func cycleRateCtx(ctx context.Context, label string, c *lattice.Cycle, m noise.Model, p MCParams, trials int, seed uint64) (sim.Result, error) {
 	if w := p.wideWords(); w > 0 {
 		return sim.MonteCarloWideCtx(ctx, trials, p.Workers, seed, w, cycleBatchWide(ctx, label, c, m, w))
-	}
-	if p.useLanes() {
-		return sim.MonteCarloLanesCtx(ctx, trials, p.Workers, seed, cycleBatch(ctx, label, c, m))
 	}
 	return sim.MonteCarloCtx(ctx, trials, p.Workers, seed, cycleTrial(c, m))
 }
@@ -465,23 +459,18 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[strin
 		sf := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltAdder+1), chunk)
 		var bare, ft sim.Result
 		var rerr error
-		switch {
-		case p.wideWords() > 0:
-			bare, rerr = core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, p.wideWords(), trials, p.Workers, sb)
-		case p.useLanes():
-			bare, rerr = core.UnprotectedErrorRateLanesCtx(ctx, logical, in, nm, trials, p.Workers, sb)
-		default:
+		w := p.wideWords()
+		if w > 0 {
+			bare, rerr = core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, w, trials, p.Workers, sb)
+		} else {
 			bare, rerr = core.UnprotectedErrorRateCtx(ctx, logical, in, nm, trials, p.Workers, sb)
 		}
 		if rerr != nil {
 			return []stats.Bernoulli{bare.Bernoulli, {}}, rerr
 		}
-		switch {
-		case p.wideWords() > 0:
-			ft, rerr = m.ErrorRateWideCtx(ctx, in, nm, p.wideWords(), trials, p.Workers, sf)
-		case p.useLanes():
-			ft, rerr = m.ErrorRateLanesCtx(ctx, in, nm, trials, p.Workers, sf)
-		default:
+		if w > 0 {
+			ft, rerr = m.ErrorRateWideCtx(ctx, in, nm, w, trials, p.Workers, sf)
+		} else {
 			ft, rerr = m.ErrorRateCtx(ctx, in, nm, trials, p.Workers, sf)
 		}
 		return []stats.Bernoulli{bare.Bernoulli, ft.Bernoulli}, rerr

@@ -1,52 +1,32 @@
-// Package lanes implements a 64-lane bit-sliced execution engine for
-// reversible circuits under the paper's randomizing fault channel.
+// Package lanes implements the bit-sliced execution engine for reversible
+// circuits under the paper's randomizing fault channel.
 //
 // Where package sim advances one Monte Carlo trial at a time — a table
-// lookup and a per-op uniform draw per gate — this engine packs 64
-// independent trials into machine words: wire w of the simulated computer
-// is one uint64 whose bit j is wire w's value in trial lane j. Every gate
-// in the set compiles to a short branch-free boolean word kernel (MAJ, per
-// Figure 1, is two CNOT word-ops followed by a Toffoli word-op; Init3
-// clears its three words), so one kernel application advances all 64
-// trials at once.
+// lookup and a per-op uniform draw per gate — this engine packs 64·K
+// independent trials into K machine words per wire: bit j of word k of
+// wire w is wire w's value in trial lane 64k+j. Every gate in the set
+// compiles to a short branch-free boolean word kernel (MAJ, per Figure 1,
+// is two CNOT word-ops followed by a Toffoli word-op; Init3 clears its
+// three wires), so one kernel application advances all 64·K trials at
+// once. The shipped engines are K = 1 ("lanes", 64 lanes), K = 4
+// ("lanes256") and K = 8 ("lanes512"); see wide.go for the compiler.
 //
 // Faults keep the exact semantics of sim.RunNoisy, vectorized: after each
-// op, a Bernoulli(p) mask selects the lanes in which that op faulted, and
-// the masked lanes of every target wire are replaced with uniform random
-// bits. The mask is drawn by geometric skips, so for the small fault
-// probabilities the experiments sweep (g ~ 1e-4..3e-2) the expected RNG
-// cost is ~1 draw per op per 64 lanes instead of 64 — the engine saves on
-// randomness exactly where the scalar path spends most of its time.
+// op every lane independently faults with the op's probability, and a
+// faulting lane's bits on the op's target wires are replaced with uniform
+// random bits. Faulting lanes are found by geometric skips, so for the
+// small fault probabilities the experiments sweep (g ~ 1e-4..3e-2) the
+// engine spends randomness only where faults actually land.
 //
 // Randomness comes from the same jumped xoshiro256** streams as the scalar
-// harness, so a fixed (seed, workers) pair reproduces results exactly.
+// harness, so a fixed (seed, workers, K) reproduces results exactly.
 package lanes
 
 import (
-	"fmt"
-	"math"
-	"math/bits"
-
 	"revft/internal/circuit"
-	"revft/internal/gate"
 	"revft/internal/noise"
-	"revft/internal/rng"
 	"revft/internal/telemetry"
 )
-
-// State holds one uint64 per wire; bit j of word w is wire w's value in
-// trial lane j. The zero value of each word is the all-zero wire.
-type State []uint64
-
-// NewState returns an all-zero state of width wires.
-func NewState(width int) State { return make(State, width) }
-
-// Reset zeroes every lane of every wire.
-func (s State) Reset() {
-	for i := range s {
-		s[i] = 0
-	}
-}
 
 // Broadcast returns the word holding v in all 64 lanes.
 func Broadcast(v bool) uint64 {
@@ -56,252 +36,9 @@ func Broadcast(v bool) uint64 {
 	return 0
 }
 
-// opcode selects a word kernel. Kernels are indexed by gate.Kind directly:
-// the gate set is closed and small, so no separate opcode space is needed.
-type op struct {
-	kind    gate.Kind
-	a, b, c int     // target wires; b, c unused below the op's arity
-	arity   uint8   // number of target wires
-	p       float64 // per-lane fault probability
-	logq    float64 // log1p(-p), precomputed for the geometric sampler
-}
-
-// Program is a circuit compiled for the lanes engine under a fixed noise
-// model: every op carries its word kernel and its precomputed fault
-// parameters. A Program is immutable after Compile and safe for concurrent
-// use by multiple goroutines (each with its own State and RNG).
-type Program struct {
-	width int
-	ops   []op
-}
-
-// Compile lowers c to a lane program under noise model m. Fault
-// probabilities outside [0, 1] clamp, matching rng.Bool.
-func Compile(c *circuit.Circuit, m noise.Model) *Program {
-	prog := &Program{width: c.Width(), ops: make([]op, 0, c.Len())}
-	c.Each(func(_ int, k gate.Kind, targets []int) {
-		o := op{kind: k, arity: uint8(len(targets))}
-		o.a = targets[0]
-		if len(targets) > 1 {
-			o.b = targets[1]
-		}
-		if len(targets) > 2 {
-			o.c = targets[2]
-		}
-		switch k {
-		case gate.NOT, gate.CNOT, gate.SWAP, gate.Toffoli, gate.Fredkin,
-			gate.MAJ, gate.MAJInv, gate.SWAP3, gate.SWAP3Inv, gate.Init3:
-			// All kinds have kernels; the switch pins compile-time coverage.
-		default:
-			panic(fmt.Sprintf("lanes: no word kernel for %s", k))
-		}
-		p := m.FaultProb(k)
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-		o.p = p
-		o.logq = math.Log1p(-p)
-		prog.ops = append(prog.ops, o)
-	})
-	return prog
-}
-
-// Width returns the number of wires the program expects.
-func (p *Program) Width() int { return p.width }
-
-// Len returns the number of compiled ops.
-func (p *Program) Len() int { return len(p.ops) }
-
-// step applies o's word kernel to st, advancing all 64 lanes at once.
-func step(st []uint64, o *op) {
-	switch o.kind {
-	case gate.NOT:
-		st[o.a] = ^st[o.a]
-	case gate.CNOT:
-		st[o.b] ^= st[o.a]
-	case gate.SWAP:
-		st[o.a], st[o.b] = st[o.b], st[o.a]
-	case gate.Toffoli:
-		st[o.c] ^= st[o.a] & st[o.b]
-	case gate.Fredkin:
-		d := (st[o.b] ^ st[o.c]) & st[o.a]
-		st[o.b] ^= d
-		st[o.c] ^= d
-	case gate.MAJ:
-		// Figure 1: CNOT, CNOT, then Toffoli back onto the first bit.
-		st[o.b] ^= st[o.a]
-		st[o.c] ^= st[o.a]
-		st[o.a] ^= st[o.b] & st[o.c]
-	case gate.MAJInv:
-		st[o.a] ^= st[o.b] & st[o.c]
-		st[o.b] ^= st[o.a]
-		st[o.c] ^= st[o.a]
-	case gate.SWAP3:
-		// Left rotation (a, b, c) -> (b, c, a).
-		st[o.a], st[o.b], st[o.c] = st[o.b], st[o.c], st[o.a]
-	case gate.SWAP3Inv:
-		st[o.a], st[o.b], st[o.c] = st[o.c], st[o.a], st[o.b]
-	case gate.Init3:
-		st[o.a], st[o.b], st[o.c] = 0, 0, 0
-	}
-}
-
-// RunNoiseless executes the program on st with every fault suppressed.
-func (p *Program) RunNoiseless(st State) {
-	if len(st) < p.width {
-		panic(fmt.Sprintf("lanes: state width %d < program width %d", len(st), p.width))
-	}
-	for i := range p.ops {
-		step(st, &p.ops[i])
-	}
-}
-
-// Instr carries the optional fault-injection instrumentation for
-// RunInstr. Faults accumulates total (op, lane) fault events; OpFaults
-// tallies them by gate location (slot i = op i, labelled by
-// circuit.OpLabels). Either field may be nil.
-//
-// The counts are per lane SLOT, not per counted trial: the engine always
-// simulates all 64 lanes of a batch, so when a harness discards excess
-// lanes of a partial final batch (sim.MonteCarloLanes masks them out of
-// the hit count), faults that fired in those discarded slots are still
-// tallied here. Per-trial fault rates must therefore be normalized by the
-// harness's simulated-slot count ("lanes.slots" in the sim telemetry),
-// never by its counted-trial count ("lanes.trials"); the two differ
-// whenever trials is not a multiple of the lane count.
-//
-// The counters are touched only when a fault event actually occurs, so at
-// the small fault probabilities the experiments sweep the expected cost is
-// a few atomic adds per 64-lane batch — the same place the engine already
-// pays for fresh randomness — and the no-fault fast path is unchanged.
-type Instr struct {
-	Faults   *telemetry.Counter
-	OpFaults *telemetry.CounterVec
-}
-
-// Run executes the program on st under the compiled noise model, drawing
-// randomness from r. After each op a Bernoulli mask selects the faulted
-// lanes, whose target bits are replaced with uniform random values. It
-// returns the total number of (op, lane) fault events across all 64 lane
-// slots — including slots a harness later discards as excess of a partial
-// final batch; see Instr for the slot-vs-trial accounting.
-func (p *Program) Run(st State, r *rng.RNG) int {
-	return p.RunInstr(st, r, nil)
-}
-
-// RunInstr is Run with optional fault telemetry: when in is non-nil, every
-// fault event is also tallied into in's counters (per lane slot, per
-// Instr). A nil in is exactly Run.
-func (p *Program) RunInstr(st State, r *rng.RNG, in *Instr) int {
-	if len(st) < p.width {
-		panic(fmt.Sprintf("lanes: state width %d < program width %d", len(st), p.width))
-	}
-	faults := 0
-	for i := range p.ops {
-		o := &p.ops[i]
-		step(st, o)
-		if o.p <= 0 {
-			continue
-		}
-		m := bernoulliMask(r, o.p, o.logq)
-		if m == 0 {
-			continue
-		}
-		k := bits.OnesCount64(m)
-		faults += k
-		if in != nil {
-			in.OpFaults.Add(i, int64(k))
-		}
-		st[o.a] = st[o.a]&^m | r.Uint64()&m
-		if o.arity > 1 {
-			st[o.b] = st[o.b]&^m | r.Uint64()&m
-		}
-		if o.arity > 2 {
-			st[o.c] = st[o.c]&^m | r.Uint64()&m
-		}
-	}
-	// The total is published once per run, not per event, so the counter
-	// costs one atomic add per faulting batch regardless of fault count.
-	if in != nil && faults > 0 {
-		in.Faults.Add(int64(faults))
-	}
-	return faults
-}
-
-// BernoulliMask returns a word whose 64 bits are independent Bernoulli(p)
-// draws from r. Probabilities outside [0, 1] clamp to always-clear /
-// always-set.
-func BernoulliMask(r *rng.RNG, p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	return bernoulliMask(r, p, math.Log1p(-p))
-}
-
-// bernoulliMask is the hot path: logq = log1p(-p) is precomputed at compile
-// time. Rather than 64 uniform draws, it walks the set lanes directly with
-// geometric skips — the gap to the next set lane is Geometric(p), sampled
-// by inversion as floor(log(1-u)/log(1-p)) — so the expected cost is
-// 1 + 64p draws. Bits beyond lane 63 are discarded, which is exactly the
-// truncation of the iid process to 64 lanes.
-func bernoulliMask(r *rng.RNG, p, logq float64) uint64 {
-	if p >= 1 {
-		return ^uint64(0)
-	}
-	var m uint64
-	lane := 0
-	for {
-		// 1 - Float64() is uniform in (0, 1]; Log1p keeps precision for
-		// the tiny p this engine exists to sweep.
-		f := math.Log1p(-r.Float64()) / logq
-		if f >= float64(64-lane) {
-			return m
-		}
-		lane += int(f)
-		m |= 1 << uint(lane)
-		lane++
-		if lane >= 64 {
-			return m
-		}
-	}
-}
-
-// Encode writes the logical values vals (lane j in bit j) onto every wire
-// of a codeword block: in a noiseless repetition codeword all 3^L wires
-// carry the logical bit, so each wire's word is just vals.
-func Encode(st State, wires []int, vals uint64) {
-	for _, w := range wires {
-		st[w] = vals
-	}
-}
-
 // Majority returns the lane-wise majority of three words.
 func Majority(a, b, c uint64) uint64 {
 	return a&b | b&c | a&c
-}
-
-// Decode recursively majority-decodes a level-L block of 3^L wires,
-// lane-wise: bit j of the result is the decoded logical value in lane j.
-func Decode(st State, wires []int) uint64 {
-	if !isPowerOfThree(len(wires)) {
-		panic(fmt.Sprintf("lanes: Decode got %d wires, not a power of three", len(wires)))
-	}
-	return decode(st, wires)
-}
-
-func decode(st State, wires []int) uint64 {
-	if len(wires) == 1 {
-		return st[wires[0]]
-	}
-	third := len(wires) / 3
-	return Majority(
-		decode(st, wires[:third]),
-		decode(st, wires[third:2*third]),
-		decode(st, wires[2*third:]),
-	)
 }
 
 func isPowerOfThree(n int) bool {
@@ -314,20 +51,33 @@ func isPowerOfThree(n int) bool {
 	return n == 1
 }
 
-// Eval applies gate k's word kernel to the packed local words w, where
-// w[i] holds the 64 lanes of local bit i. It is the lane-wise analogue of
-// gate.Kind.Eval, used to compute ideal reference outputs for whole
-// batches. len(w) must equal the gate's arity.
-func Eval(k gate.Kind, w []uint64) {
-	if len(w) != k.Arity() {
-		panic(fmt.Sprintf("lanes: Eval of %s wants %d words, got %d", k, k.Arity(), len(w)))
-	}
-	o := op{kind: k, a: 0, arity: uint8(len(w))}
-	if len(w) > 1 {
-		o.b = 1
-	}
-	if len(w) > 2 {
-		o.c = 2
-	}
-	step(w, &o)
+// Instr carries the optional fault-injection instrumentation for
+// WideProgram.RunInstr. Faults accumulates total (op, lane) fault events;
+// OpFaults tallies them by gate location (slot i = source op i, labelled
+// by circuit.OpLabels). Either field may be nil.
+//
+// The counts are per lane SLOT, not per counted trial: the engine always
+// simulates every lane of a block, so when a harness discards excess
+// lanes of a partial final block (sim.MonteCarloWideCtx masks them out of
+// the hit count), faults that fired in those discarded slots are still
+// tallied here. Per-trial fault rates must therefore be normalized by the
+// harness's simulated-slot count ("lanes.slots" in the sim telemetry),
+// never by its counted-trial count ("lanes.trials"); the two differ
+// whenever trials is not a multiple of the block's lane count.
+//
+// The counters are touched only when a fault event actually occurs, so at
+// the small fault probabilities the experiments sweep the expected cost is
+// a few atomic adds per block — the same place the engine already pays
+// for fresh randomness — and the no-fault fast path is unchanged.
+type Instr struct {
+	Faults   *telemetry.Counter
+	OpFaults *telemetry.CounterVec
 }
+
+// Compile is CompileWide(c, m, 1), the 64-lane program. It is kept
+// only for the benchmark module, whose perfbench/layers.go calls it.
+func Compile(c *circuit.Circuit, m noise.Model) *WideProgram { return CompileWide(c, m, 1) }
+
+// NewState is NewWideState(width, 1), the 64-lane state. It is kept
+// only for the benchmark module, whose perfbench/layers.go calls it.
+func NewState(width int) WideState { return NewWideState(width, 1) }

@@ -1,13 +1,10 @@
 package lanes
 
-// The wide engine: the second compilation stage of this package. Where
-// Program advances 64 trials per batch — one uint64 per wire, one
-// interpreter dispatch and one Bernoulli mask draw per op — WideProgram
-// lowers the same circuit further:
+// The compiler and interpreter of the engine. CompileWide lowers a
+// circuit for a block of K words per wire (64·K trial lanes):
 //
-//   - Lane blocks widen from one word to K words per wire (K = 4 and 8 in
-//     the shipped engines: 256 and 512 trial lanes), so each dispatch
-//     advances K·64 trials and the interpreter walk amortizes K-fold.
+//   - Each dispatch advances all K·64 trials, so the interpreter walk
+//     amortizes K-fold; K = 1 is the 64-lane engine.
 //   - Adjacent word ops are fused: the Figure 1 decomposition
 //     CNOT·CNOT·Toffoli (a MAJ), its inverse, and the Cuccaro adder's
 //     UMA triple each collapse to a single kernel. A fused op keeps one
@@ -41,10 +38,9 @@ import (
 	"revft/internal/rng"
 )
 
-// WideState is the K-word generalization of State: wire w occupies the
-// Words consecutive uint64s starting at w·Words, and bit j of word k of a
-// wire is the wire's value in trial lane 64k+j. Words = 1 is layout-
-// identical to State.
+// WideState is a K-word lane block: wire w occupies the Words
+// consecutive uint64s starting at w·Words, and bit j of word k of a wire
+// is the wire's value in trial lane 64k+j.
 type WideState struct {
 	Words int
 	W     []uint64
@@ -76,9 +72,8 @@ func (s WideState) Reset() {
 func (s WideState) Wire(w int) []uint64 { return s.W[w*s.Words : (w+1)*s.Words] }
 
 // EncodeBlock writes the logical lane values vals (lane 64k+j in bit j of
-// vals[k]) onto every wire of a codeword block, the K-word analogue of
-// Encode: in a noiseless repetition codeword every wire carries the
-// logical bit.
+// vals[k]) onto every wire of a codeword block: in a noiseless repetition
+// codeword every wire carries the logical bit.
 func (s WideState) EncodeBlock(wires []int, vals []uint64) {
 	for _, w := range wires {
 		copy(s.Wire(w), vals[:s.Words])
@@ -86,8 +81,9 @@ func (s WideState) EncodeBlock(wires []int, vals []uint64) {
 }
 
 // DecodeBlock recursively majority-decodes a level-L block of 3^L wires
-// lane-wise into out, the K-word analogue of Decode. out must have Words
-// words.
+// lane-wise into out: bit j of out[k] is the decoded logical value in
+// lane 64k+j. out must have Words words. It panics unless the block size
+// is a power of three.
 func (s WideState) DecodeBlock(wires []int, out []uint64) {
 	if !isPowerOfThree(len(wires)) {
 		panic(fmt.Sprintf("lanes: DecodeBlock got %d wires, not a power of three", len(wires)))
@@ -109,22 +105,53 @@ func (s WideState) decodeWord(wires []int, k int) uint64 {
 	)
 }
 
-// EvalWide applies gate k's kernel to the packed local words w, where
-// w[i] holds the lanes of local bit i — the K-word analogue of Eval, used
-// to compute ideal reference outputs for whole wide batches. Every w[i]
-// must have the same length.
+// EvalWide applies gate k's word kernel to the packed local words w, where
+// w[i] holds the lanes of local bit i — the lane-wise analogue of
+// gate.Kind.Eval, used to compute ideal reference outputs for whole
+// blocks. len(w) must equal the gate's arity and every w[i] must have the
+// same length.
 func EvalWide(k gate.Kind, w [][]uint64) {
 	if len(w) != k.Arity() {
 		panic(fmt.Sprintf("lanes: EvalWide of %s wants %d wires, got %d", k, k.Arity(), len(w)))
 	}
-	tmp := make([]uint64, len(w))
-	for j := range w[0] {
-		for i := range tmp {
-			tmp[i] = w[i][j]
-		}
-		Eval(k, tmp)
-		for i := range tmp {
-			w[i][j] = tmp[i]
+	a := w[0]
+	var b, c []uint64
+	if len(w) > 1 {
+		b = w[1][:len(a)]
+	}
+	if len(w) > 2 {
+		c = w[2][:len(a)]
+	}
+	for j := range a {
+		switch k {
+		case gate.NOT:
+			a[j] = ^a[j]
+		case gate.CNOT:
+			b[j] ^= a[j]
+		case gate.SWAP:
+			a[j], b[j] = b[j], a[j]
+		case gate.Toffoli:
+			c[j] ^= a[j] & b[j]
+		case gate.Fredkin:
+			d := (b[j] ^ c[j]) & a[j]
+			b[j] ^= d
+			c[j] ^= d
+		case gate.MAJ:
+			b[j] ^= a[j]
+			c[j] ^= a[j]
+			a[j] ^= b[j] & c[j]
+		case gate.MAJInv:
+			a[j] ^= b[j] & c[j]
+			b[j] ^= a[j]
+			c[j] ^= a[j]
+		case gate.SWAP3:
+			a[j], b[j], c[j] = b[j], c[j], a[j]
+		case gate.SWAP3Inv:
+			a[j], b[j], c[j] = c[j], a[j], b[j]
+		case gate.Init3:
+			a[j], b[j], c[j] = 0, 0, 0
+		default:
+			panic(fmt.Sprintf("lanes: no word kernel for %s", k))
 		}
 	}
 }
@@ -160,7 +187,7 @@ const (
 // widePoint is one fault-injection point of a wide op: after its sub-step
 // executes, each lane independently faults with its sampler's probability,
 // and a faulting lane's bits on the wmask-selected targets are replaced
-// with uniform random bits — the same randomizing channel as Program.
+// with uniform random bits — the paper's randomizing channel.
 type widePoint struct {
 	sampler int32 // index into WideProgram.samplers; -1 when p = 0
 	src     int32 // source-circuit op index, for per-location telemetry
@@ -185,10 +212,10 @@ type wideSampler struct {
 	logq float64 // log1p(-p), -Inf at p = 1
 }
 
-// WideProgram is a circuit compiled for the wide engine under a fixed
-// noise model and block width. Like Program it is immutable after
-// CompileWide and safe for concurrent use by multiple goroutines, each
-// with its own WideState and RNG.
+// WideProgram is a circuit compiled for the engine under a fixed noise
+// model and block width. It is immutable after CompileWide and safe for
+// concurrent use by multiple goroutines, each with its own WideState and
+// RNG.
 type WideProgram struct {
 	width, words int
 	ops          []wideOp
@@ -227,10 +254,9 @@ type srcOp struct {
 	n    int
 }
 
-// CompileWide lowers c for the wide engine under noise model m with words
+// CompileWide lowers c for the engine under noise model m with words
 // 64-lane words per wire. Fault probabilities outside [0, 1] clamp,
-// matching Compile. CompileWide(c, m, 1) computes the same process as
-// Compile(c, m), just through the fused interpreter.
+// matching rng.Bool.
 func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 	if words < 1 {
 		panic(fmt.Sprintf("lanes: CompileWide needs at least 1 word per wire, got %d", words))
@@ -487,9 +513,9 @@ func (p *WideProgram) RunNoiseless(st WideState) {
 
 // Run executes the program on st under the compiled noise model, drawing
 // randomness from r, and returns the total number of (source op, lane)
-// fault events. Like Program.RunInstr, the count covers every simulated
-// lane slot of the block, including slots a harness later discards as
-// excess — see Instr for the slot-vs-trial distinction.
+// fault events. The count covers every simulated lane slot of the block,
+// including slots a harness later discards as excess — see Instr for the
+// slot-vs-trial distinction.
 func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	return p.RunInstr(st, r, nil)
 }
@@ -518,8 +544,7 @@ func geomGap(r *rng.RNG, logq float64) int64 {
 // have countdowns ≥ the block length takes the fast path — the whole
 // (possibly fused) kernel in one dispatch, countdowns decremented by one
 // block each. Otherwise the op replays sub-step by sub-step, walking each
-// fault point's faulting lanes with geometric skips exactly like the
-// 64-lane engine.
+// fault point's faulting lanes with geometric skips.
 func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
 	p.check(st)
 	w := st.W

@@ -77,11 +77,12 @@ func TestCompileWideFusesAdderUMA(t *testing.T) {
 // TestWideNoiselessMatchesNarrow runs random circuits — seeded with the
 // fusible Figure 1 triples so both fused and plain kernels execute — on
 // random states and demands bit-identical results against the 64-lane
-// engine, word for word and lane for lane, at K = 1, 4, and 8.
+// (K = 1) program run word by word, at K = 4 and 8. The K = 1 program is
+// itself pinned to the scalar evaluator by TestRunNoiselessMatchesScalar.
 func TestWideNoiselessMatchesNarrow(t *testing.T) {
 	const width = 9
 	kinds := gate.Kinds()
-	for _, words := range []int{1, 4, 8} {
+	for _, words := range []int{4, 8} {
 		r := rng.New(uint64(23 + words))
 		for trial := 0; trial < 30; trial++ {
 			c := circuit.New(width)
@@ -104,22 +105,21 @@ func TestWideNoiselessMatchesNarrow(t *testing.T) {
 				wst.W[i] = r.Uint64()
 			}
 			narrow := Compile(c, noise.Noiseless)
-			want := make([][]uint64, words)
-			for k := 0; k < words; k++ {
-				st := NewState(width)
+			want := make([]WideState, words)
+			for k := range want {
+				want[k] = NewState(width)
 				for w := 0; w < width; w++ {
-					st[w] = wst.Wire(w)[k]
+					want[k].W[w] = wst.Wire(w)[k]
 				}
-				narrow.RunNoiseless(st)
-				want[k] = st
+				narrow.RunNoiseless(want[k])
 			}
 			wide := CompileWide(c, noise.Noiseless, words)
 			wide.RunNoiseless(wst)
 			for w := 0; w < width; w++ {
 				for k := 0; k < words; k++ {
-					if got := wst.Wire(w)[k]; got != want[k][w] {
+					if got := wst.Wire(w)[k]; got != want[k].W[w] {
 						t.Fatalf("K=%d trial %d wire %d word %d: wide %016x, narrow %016x",
-							words, trial, w, k, got, want[k][w])
+							words, trial, w, k, got, want[k].W[w])
 					}
 				}
 			}
@@ -179,7 +179,7 @@ func TestWideFaultRate(t *testing.T) {
 	}
 }
 
-// TestWideAlwaysFaultsUniform mirrors TestRunAlwaysFaultsUniform: at
+// TestWideAlwaysFaultsUniform is TestRunAlwaysFaultsUniform at K = 4: at
 // g = 1 every lane of every word faults on the single op and the 3-bit
 // outputs must be uniform.
 func TestWideAlwaysFaultsUniform(t *testing.T) {
@@ -244,7 +244,8 @@ func TestWideSamplerGrouping(t *testing.T) {
 	}
 }
 
-// TestCompileWideClampsProbabilities mirrors TestCompileClampsProbabilities.
+// TestCompileWideClampsProbabilities is TestCompileClampsProbabilities at
+// K = 4.
 func TestCompileWideClampsProbabilities(t *testing.T) {
 	prog := CompileWide(circuit.New(1).NOT(0), noise.IID{Gate: 7}, 4)
 	if len(prog.samplers) != 1 || prog.samplers[0].p != 1 {
@@ -291,7 +292,7 @@ func TestWideEncodeDecodeBlock(t *testing.T) {
 				}
 			}
 		}
-		// Cross-check per word against the narrow decoder on random states.
+		// Cross-check per word against the 64-lane decoder on random states.
 		for i := range st.W {
 			st.W[i] = r.Uint64()
 		}
@@ -299,41 +300,43 @@ func TestWideEncodeDecodeBlock(t *testing.T) {
 		for k := 0; k < words; k++ {
 			narrow := NewState(n)
 			for w := 0; w < n; w++ {
-				narrow[w] = st.Wire(w)[k]
+				narrow.W[w] = st.Wire(w)[k]
 			}
-			if want := Decode(narrow, wires); out[k] != want {
-				t.Fatalf("level %d word %d: wide decode %x, narrow %x", level, k, out[k], want)
+			want := make([]uint64, 1)
+			if narrow.DecodeBlock(wires, want); out[k] != want[0] {
+				t.Fatalf("level %d word %d: wide decode %x, narrow %x", level, k, out[k], want[0])
 			}
 		}
 	}
 }
 
-// TestEvalWideMatchesEval checks the wide reference evaluator word by
-// word against the 64-lane one.
+// TestEvalWideMatchesEval checks the wide reference evaluator lane by
+// lane against gate.Kind.Eval on random multi-word inputs.
 func TestEvalWideMatchesEval(t *testing.T) {
 	r := rng.New(17)
+	const words = 4
 	for _, k := range gate.Kinds() {
 		arity := k.Arity()
-		const words = 4
-		wide := make([][]uint64, arity)
-		narrow := make([][]uint64, words)
-		for w := range narrow {
-			narrow[w] = make([]uint64, arity)
-		}
-		for i := 0; i < arity; i++ {
-			wide[i] = make([]uint64, words)
-			for w := 0; w < words; w++ {
-				v := r.Uint64()
-				wide[i][w] = v
-				narrow[w][i] = v
+		in := make([][]uint64, arity)
+		out := make([][]uint64, arity)
+		for i := range in {
+			in[i] = make([]uint64, words)
+			for w := range in[i] {
+				in[i][w] = r.Uint64()
 			}
+			out[i] = append([]uint64(nil), in[i]...)
 		}
-		EvalWide(k, wide)
+		EvalWide(k, out)
 		for w := 0; w < words; w++ {
-			Eval(k, narrow[w])
-			for i := 0; i < arity; i++ {
-				if wide[i][w] != narrow[w][i] {
-					t.Fatalf("%s word %d wire %d: wide %x, narrow %x", k, w, i, wide[i][w], narrow[w][i])
+			for lane := uint(0); lane < 64; lane++ {
+				var x, got uint64
+				for i := 0; i < arity; i++ {
+					x |= in[i][w] >> lane & 1 << uint(i)
+					got |= out[i][w] >> lane & 1 << uint(i)
+				}
+				if want := k.Eval(x); got != want {
+					t.Fatalf("%s word %d lane %d: input %0*b -> %0*b, table says %0*b",
+						k, w, lane, arity, x, arity, got, arity, want)
 				}
 			}
 		}

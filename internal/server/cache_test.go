@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -328,5 +330,80 @@ func TestReplayReusedRecord(t *testing.T) {
 	_, want := runToResult(t, plain, spec)
 	if !bytes.Equal(data, want) {
 		t.Fatalf("replayed reuse result differs from direct computation:\n%s\nvs\n%s", data, want)
+	}
+}
+
+// formatV1Digest is spec's digest under sweep format 1, the bare SHA-256
+// of its normalized canonical JSON — what a server before the format-2
+// migration keyed jobs and cache entries by.
+func formatV1Digest(t *testing.T, spec JobSpec) string {
+	t.Helper()
+	spec.normalize()
+	spec.Priority = ""
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestCacheIgnoresFormatV1Entries: a lanes result stored before the
+// format-2 migration — under its format-1 digest and family — was computed
+// by an engine that consumed randomness differently. It must be neither
+// served as an exact hit for the same spec nor grafted as a near miss
+// into a subset spec; both are recomputed from scratch.
+func TestCacheIgnoresFormatV1Entries(t *testing.T) {
+	plain := newTestServer(t, func(c *Config) {
+		c.Drivers = map[string]Driver{"value": valueDriver}
+	})
+	super := cacheSpec()
+	super.Engine = "lanes"
+	sub := super
+	sub.Points, sub.Shards = 2, 1
+
+	// A well-formed result for super, relabelled with its format-1 digest
+	// and stored the way a pre-migration server stored it. Its points
+	// differ from any current computation, so serving or grafting them
+	// would show in the result bytes.
+	_, data := runToResult(t, plain, super)
+	var old Result
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old.SpecDigest = formatV1Digest(t, super)
+	for i := range old.Points {
+		old.Points[i].Ests[0].Successes++
+	}
+	payload, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := super
+	fam.GMin, fam.GMax, fam.Points, fam.Shards = 0, 0, 0, 0
+	meta := resultcache.Meta{Family: formatV1Digest(t, fam), Experiment: super.Experiment, Tool: "revft-server"}
+	if old.SpecDigest == super.Digest() || meta.Family == familyDigest(super) {
+		t.Fatal("format-1 digests collide with current ones")
+	}
+
+	// The same spec (exact-hit candidate) and a subset grid (near-miss
+	// candidate), each against a cache holding only the old entry.
+	for _, spec := range []JobSpec{super, sub} {
+		reg := telemetry.New()
+		cache := &resultcache.Store{Dir: t.TempDir(), Metrics: reg}
+		if err := cache.Put(context.Background(), old.SpecDigest, meta, payload, telemetry.Span{}); err != nil {
+			t.Fatal(err)
+		}
+		st, got := runToResult(t, newCacheServer(t, cache, reg), spec)
+		if st.Cache != CacheMiss || st.ReusedPoints != 0 {
+			t.Fatalf("%d-point lanes spec: status %+v, want a clean miss", spec.Points, st)
+		}
+		if n := reg.Counter("server.cache_hits").Load() + reg.Counter("server.cache_near_hits").Load(); n != 0 {
+			t.Fatalf("%d-point lanes spec: %d cache hits or near hits, want 0", spec.Points, n)
+		}
+		_, want := runToResult(t, plain, spec)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-point lanes spec: result differs from a fresh computation:\n%s\nvs\n%s", spec.Points, got, want)
+		}
 	}
 }

@@ -22,8 +22,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -189,9 +187,9 @@ func (s JobSpec) Validate() error {
 // Grid returns the job's log-spaced gate-error grid.
 func (s JobSpec) Grid() []float64 { return stats.LogSpace(s.GMin, s.GMax, s.Points) }
 
-// Digest returns the hex SHA-256 of the spec's canonical JSON encoding
-// (after normalization), the identity job IDs and shard checkpoint specs
-// derive from.
+// Digest returns the digest of the spec's canonical JSON encoding (after
+// normalization) under sweep.FormatVersion — see sweep.DigestBytes — the
+// identity job IDs, cache entries, and shard checkpoint specs derive from.
 func (s JobSpec) Digest() string {
 	s.normalize()
 	// Priority shapes scheduling, never results: two submissions that
@@ -204,8 +202,7 @@ func (s JobSpec) Digest() string {
 		// JobSpec holds only scalars; Marshal cannot fail on it.
 		panic(fmt.Sprintf("server: spec digest: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return sweep.DigestBytes(b)
 }
 
 // State is a job's lifecycle position. Transitions are journaled:

@@ -501,12 +501,17 @@ func TestGarbagePriorityRejectedBeforeMetrics(t *testing.T) {
 // results whatever priority class it runs under — the invariance that
 // makes preemption and weighted scheduling safe. The digest agrees:
 // priority is excluded, so all classes share one cache/checkpoint
-// identity, and the zero-priority digest is pinned against drift.
+// identity, and the zero-priority digest is pinned against drift — and
+// against its format-1 value, which pre-migration entries carry.
 func TestPrioritySchedulingSeedStable(t *testing.T) {
 	base := testSpec()
-	const golden = "32a71f8505152a06251b36aeade83a41f8f76b65ff56170643d0f0d2ba306511"
+	const golden = "8f0b6ae8e70d95c5361dd74e81f1eba49c99c01917266672ba5e23d0f0754167"
+	const goldenV1 = "32a71f8505152a06251b36aeade83a41f8f76b65ff56170643d0f0d2ba306511"
 	if d := base.Digest(); d != golden {
 		t.Errorf("baseline spec digest = %s, want pinned %s (digests are identities: checkpoints and cache entries churn on drift)", d, golden)
+	}
+	if d := formatV1Digest(t, base); d != goldenV1 || d == golden {
+		t.Errorf("format-1 digest = %s, want pinned %s, distinct from the current %s", d, goldenV1, golden)
 	}
 	for _, p := range []string{"", PriorityInteractive, PriorityBatch, PriorityBulk} {
 		spec := base

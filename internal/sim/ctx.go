@@ -1,11 +1,11 @@
 package sim
 
 // Context-aware Monte Carlo engines: the cancellable, panic-isolating
-// counterparts of MonteCarlo, MonteCarloLanes, and MonteCarloWide. Long
-// sweeps near threshold run minutes to hours, so these variants let a
-// deadline or SIGINT stop a run between trial batches and still hand back
-// the partial estimate accumulated so far, and they convert a panicking
-// trial into a typed, reproducible error instead of crashing the process.
+// scalar harness behind MonteCarlo and the lane-block harness. Long
+// sweeps near threshold run minutes to hours, so these let a deadline or
+// SIGINT stop a run between trial batches and still hand back the partial
+// estimate accumulated so far, and they convert a panicking trial into a
+// typed, reproducible error instead of crashing the process.
 //
 // The engines are instrumented through the telemetry registry resolved
 // from the context (telemetry.Active): completed trials globally and per
@@ -13,7 +13,7 @@ package sim
 // utilization, and panic counts keyed by worker and seed. With telemetry
 // disabled the registry is nil and every metric call is a pointer-test
 // no-op; the counters a worker does keep are accumulated locally and
-// flushed at batch (lanes) or chunk (scalar) granularity, so the hot trial
+// flushed at block (lanes) or chunk (scalar) granularity, so the hot trial
 // loop never takes a shared atomic per trial.
 
 import (
@@ -130,21 +130,22 @@ func MonteCarloCtx(ctx context.Context, trials, workers int, seed uint64, trial 
 		})
 }
 
-// MonteCarloLanesCtx is MonteCarloLanes under a context, with the same
-// cancellation, partial-result, and panic-isolation semantics as
-// MonteCarloCtx. The context is checked between 64-lane batches. It is
-// the words = 1 case of the shared lane-block body, so its RNG
-// consumption, counting, and telemetry are exactly the pre-wide engine's.
-func MonteCarloLanesCtx(ctx context.Context, trials, workers int, seed uint64, batch BatchTrial) (Result, error) {
-	return monteCarloCtx(ctx, trials, workers, 64, seed,
-		wideBody(1, func(r *rng.RNG, hit []uint64) { hit[0] = batch(r) }))
-}
+// WideBatchTrial simulates 64·len(hit) independent trial lanes at once on
+// a K-word lane block, writing a hit mask into hit: bit j of hit[k] set
+// means lane 64k+j's trial observed the counted event — for these
+// experiments, a logical failure. It must draw all randomness from r and
+// overwrite every word of hit — the harness reuses the block across
+// batches.
+type WideBatchTrial func(r *rng.RNG, hit []uint64)
 
 // MonteCarloWideCtx runs trials independent lanes of batch on K-word lane
 // blocks (words words of 64 lanes each, so one batch call advances
 // 64·words trials), with MonteCarloCtx's cancellation, partial-result,
 // and panic-isolation semantics. Worker seeding follows MonteCarlo
 // exactly, so results are reproducible for a fixed (seed, workers, words).
+// The final batch of each worker may cover fewer trials than the block
+// holds; its excess lanes are simulated but not counted, so every counted
+// trial runs exactly once. words < 1 is an error.
 func MonteCarloWideCtx(ctx context.Context, trials, workers int, seed uint64, words int, batch WideBatchTrial) (Result, error) {
 	if words < 1 {
 		return Result{}, fmt.Errorf("sim: wide engine needs at least 1 word per block, got %d", words)

@@ -20,12 +20,13 @@ func cheapTrial(r *rng.RNG) bool {
 	return r.Uint64()&0xff == 0
 }
 
-func cheapBatch(r *rng.RNG) uint64 {
-	return r.Uint64() & r.Uint64() & r.Uint64()
+// cheapBatch is the 64-lane (words = 1) analogue of cheapTrial.
+func cheapBatch(r *rng.RNG, hit []uint64) {
+	hit[0] = r.Uint64() & r.Uint64() & r.Uint64()
 }
 
 // TestCtxEnginesMatchLegacy: a completed context run is bit-identical to
-// the legacy engines for the same (trials, workers, seed).
+// the context-free MonteCarlo for the same (trials, workers, seed).
 func TestCtxEnginesMatchLegacy(t *testing.T) {
 	const trials = 30000
 	for _, w := range []int{1, 3, 8} {
@@ -39,15 +40,6 @@ func TestCtxEnginesMatchLegacy(t *testing.T) {
 		}
 		if res.Bernoulli != legacy {
 			t.Errorf("workers=%d: ctx %v != legacy %v", w, res.Bernoulli, legacy)
-		}
-
-		legacyL := MonteCarloLanes(trials, w, 42, cheapBatch)
-		resL, err := MonteCarloLanesCtx(context.Background(), trials, w, 42, cheapBatch)
-		if err != nil {
-			t.Fatalf("lanes workers=%d: unexpected error %v", w, err)
-		}
-		if resL.Bernoulli != legacyL {
-			t.Errorf("lanes workers=%d: ctx %v != legacy %v", w, resL.Bernoulli, legacyL)
 		}
 	}
 }
@@ -105,15 +97,15 @@ func TestMonteCarloCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestMonteCarloLanesCtxDeadline: a deadline cancels the lanes engine
+// TestLanesHarnessCtxDeadline: a deadline cancels the 64-lane engine
 // between batches.
-func TestMonteCarloLanesCtxDeadline(t *testing.T) {
+func TestLanesHarnessCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	const trials = 1 << 40
-	res, err := MonteCarloLanesCtx(ctx, trials, 2, 3, func(r *rng.RNG) uint64 {
+	res, err := MonteCarloWideCtx(ctx, trials, 2, 3, 1, func(r *rng.RNG, hit []uint64) {
 		time.Sleep(100 * time.Microsecond)
-		return cheapBatch(r)
+		cheapBatch(r, hit)
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -213,12 +205,12 @@ func TestTrialPanicNoDeadlock(t *testing.T) {
 
 // TestLanesTrialPanicError: panic isolation works on the lanes engine too.
 func TestLanesTrialPanicError(t *testing.T) {
-	_, err := MonteCarloLanesCtx(context.Background(), 1<<20, 3, 9, func(r *rng.RNG) uint64 {
+	_, err := MonteCarloWideCtx(context.Background(), 1<<20, 3, 9, 1, func(r *rng.RNG, hit []uint64) {
 		v := r.Uint64()
 		if panicValue(v) {
 			panic(v)
 		}
-		return v
+		hit[0] = v
 	})
 	var pe *TrialPanicError
 	if !errors.As(err, &pe) {
@@ -246,8 +238,8 @@ func TestLegacyEnginePanicPropagates(t *testing.T) {
 // under ctx: a full run counts every trial exactly once.
 func TestCtxPartialMaskTruncation(t *testing.T) {
 	// 100 trials = one full batch + a 36-lane tail on one worker.
-	res, err := MonteCarloLanesCtx(context.Background(), 100, 1, 2, func(r *rng.RNG) uint64 {
-		return ^uint64(0) // every lane fails
+	res, err := MonteCarloWideCtx(context.Background(), 100, 1, 2, 1, func(r *rng.RNG, hit []uint64) {
+		hit[0] = ^uint64(0) // every lane fails
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +266,7 @@ func TestTelemetryCountsMatchResultOnCancel(t *testing.T) {
 			return MonteCarloCtx(ctx, trials, workers, 7, cheapTrial)
 		}},
 		{"lanes", func(ctx context.Context, trials, workers int) (Result, error) {
-			return MonteCarloLanesCtx(ctx, trials, workers, 7, cheapBatch)
+			return MonteCarloWideCtx(ctx, trials, workers, 7, 1, cheapBatch)
 		}},
 	} {
 		for _, workers := range []int{1, 4} {
@@ -312,7 +304,7 @@ func TestTelemetryCountsMatchResultComplete(t *testing.T) {
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
 	const trials = 100000
-	res, err := MonteCarloLanesCtx(ctx, trials, 3, 7, cheapBatch)
+	res, err := MonteCarloWideCtx(ctx, trials, 3, 7, 1, cheapBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"revft/internal/bitvec"
@@ -71,31 +72,45 @@ func TestMonteCarloDeterminismContract(t *testing.T) {
 	})
 }
 
-func TestMonteCarloLanesDeterminismContract(t *testing.T) {
-	c := determinismCircuit()
-	m := noise.Uniform(0.02)
-	prog := lanes.Compile(c, m)
+// lanesFailBatch is the 64-lane (K = 1) batch trial of c under m:
+// every lane starts at input 0 and fails when any wire ends off c.Eval(0).
+func lanesFailBatch(c *circuit.Circuit, m noise.Model) WideBatchTrial {
+	prog := lanes.CompileWide(c, m, 1)
 	want := c.Eval(0)
-	checkHarnessDeterminism(t, "MonteCarloLanes", func(trials, workers int, seed uint64) stats.Bernoulli {
-		return MonteCarloLanes(trials, workers, seed, func(r *rng.RNG) uint64 {
-			st := lanes.NewState(c.Width())
-			prog.Run(st, r)
-			var fail uint64
-			for w := 0; w < c.Width(); w++ {
-				fail |= st[w] ^ lanes.Broadcast(want>>uint(w)&1 == 1)
-			}
-			return fail
-		})
+	return func(r *rng.RNG, hit []uint64) {
+		st := lanes.NewWideState(c.Width(), 1)
+		prog.Run(st, r)
+		hit[0] = 0
+		for w := 0; w < c.Width(); w++ {
+			hit[0] |= st.W[w] ^ lanes.Broadcast(want>>uint(w)&1 == 1)
+		}
+	}
+}
+
+// lanesRun is MonteCarloWideCtx at words = 1 under a background context,
+// failing the test on error.
+func lanesRun(t *testing.T, trials, workers int, seed uint64, batch WideBatchTrial) stats.Bernoulli {
+	t.Helper()
+	res, err := MonteCarloWideCtx(context.Background(), trials, workers, seed, 1, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Bernoulli
+}
+
+func TestLanesHarnessDeterminismContract(t *testing.T) {
+	batch := lanesFailBatch(determinismCircuit(), noise.Uniform(0.02))
+	checkHarnessDeterminism(t, "MonteCarloWideCtx(words=1)", func(trials, workers int, seed uint64) stats.Bernoulli {
+		return lanesRun(t, trials, workers, seed, batch)
 	})
 }
 
 // TestMonteCarloEnginesAgree pins the two harnesses against each other on
-// the same trial semantics: the scalar and lane estimates of one noisy
+// the same trial semantics: the scalar and 64-lane estimates of one noisy
 // circuit's failure rate must have overlapping 95% Wilson intervals.
 func TestMonteCarloEnginesAgree(t *testing.T) {
 	c := determinismCircuit()
 	m := noise.Uniform(0.02)
-	prog := lanes.Compile(c, m)
 	want := c.Eval(0)
 	const trials = 60000
 	scalar := MonteCarlo(trials, 4, 42, func(r *rng.RNG) bool {
@@ -103,15 +118,7 @@ func TestMonteCarloEnginesAgree(t *testing.T) {
 		RunNoisy(c, st, m, r)
 		return st.Uint(0, c.Width()) != want
 	})
-	lane := MonteCarloLanes(trials, 4, 42, func(r *rng.RNG) uint64 {
-		st := lanes.NewState(c.Width())
-		prog.Run(st, r)
-		var fail uint64
-		for w := 0; w < c.Width(); w++ {
-			fail |= st[w] ^ lanes.Broadcast(want>>uint(w)&1 == 1)
-		}
-		return fail
-	})
+	lane := lanesRun(t, trials, 4, 42, lanesFailBatch(c, m))
 	lo1, hi1 := scalar.Wilson(1.96)
 	lo2, hi2 := lane.Wilson(1.96)
 	if lo1 > hi2 || lo2 > hi1 {
@@ -119,23 +126,23 @@ func TestMonteCarloEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestMonteCarloLanesEdges(t *testing.T) {
-	allFail := func(*rng.RNG) uint64 { return ^uint64(0) }
-	if got := MonteCarloLanes(0, 4, 1, allFail); got.Trials != 0 {
+func TestLanesHarnessEdges(t *testing.T) {
+	allFail := func(_ *rng.RNG, hit []uint64) { hit[0] = ^uint64(0) }
+	if got := lanesRun(t, 0, 4, 1, allFail); got.Trials != 0 {
 		t.Fatalf("zero trials gave %v", got)
 	}
 	// Partial final batch: only the counted lanes contribute.
-	got := MonteCarloLanes(3, 16, 1, allFail)
+	got := lanesRun(t, 3, 16, 1, allFail)
 	if got.Trials != 3 || got.Successes != 3 {
 		t.Fatalf("tiny run gave %v", got)
 	}
 	// workers <= 0 uses GOMAXPROCS.
-	got = MonteCarloLanes(100, 0, 1, func(*rng.RNG) uint64 { return 0 })
+	got = lanesRun(t, 100, 0, 1, func(_ *rng.RNG, hit []uint64) { hit[0] = 0 })
 	if got.Trials != 100 || got.Successes != 0 {
 		t.Fatalf("auto workers gave %v", got)
 	}
 	// 7 workers, 1000 trials: remainder spread; every trial counted once.
-	got = MonteCarloLanes(1000, 7, 9, allFail)
+	got = lanesRun(t, 1000, 7, 9, allFail)
 	if got.Successes != 1000 {
 		t.Fatalf("counted %d trials, want 1000", got.Successes)
 	}

@@ -6,13 +6,14 @@
 //   - RunInjected: deterministic fault injection from a noise.Plan, used to
 //     prove fault-tolerance claims exhaustively;
 //   - MonteCarlo: a parallel trial harness with per-worker RNG streams;
-//   - MonteCarloLanes: the same harness for 64-lane bit-sliced batch trials
-//     (see package lanes), for runs where trial count dominates.
+//   - MonteCarloWideCtx: the same harness for bit-sliced lane blocks of
+//     64·K trials (see package lanes), for runs where trial count
+//     dominates.
 //
-// MonteCarloCtx and MonteCarloLanesCtx are the context-aware variants for
-// long-running sweeps: cancellable between trial batches, returning the
-// partial estimate accumulated so far, and recovering trial panics into
-// typed, reproducible *TrialPanicError values.
+// MonteCarloCtx and MonteCarloWideCtx are context-aware, for long-running
+// sweeps: cancellable between trial batches, returning the partial
+// estimate accumulated so far, and recovering trial panics into typed,
+// reproducible *TrialPanicError values.
 package sim
 
 import (

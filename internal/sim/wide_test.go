@@ -2,38 +2,72 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 
 	"revft/internal/rng"
+	"revft/internal/stats"
 	"revft/internal/telemetry"
 )
 
-// TestMonteCarloWideMatchesLanesAtOneWord pins the rerouting of the
-// 64-lane engine through the shared lane-block body: a words = 1 wide run
-// must be bit-identical to MonteCarloLanes for the same batch, seed, and
-// workers — same RNG stream, same counting, same partial-tail masking.
+// wideRun is MonteCarloWideCtx under a background context, failing the
+// test on error.
+func wideRun(t *testing.T, trials, workers int, seed uint64, words int, batch WideBatchTrial) stats.Bernoulli {
+	t.Helper()
+	res, err := MonteCarloWideCtx(context.Background(), trials, workers, seed, words, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Bernoulli
+}
+
+// TestMonteCarloWideMatchesLanesAtOneWord pins the 64-lane harness
+// contract against a reference written out by hand: no more workers than
+// 64-lane batches, worker w runs its share of trials on the (w+1)-th Jump
+// of rng.New(seed), one batch per 64 trials, and its final batch counts
+// only the lanes that are left. The words = 1 block harness must
+// reproduce that bit for bit.
 func TestMonteCarloWideMatchesLanesAtOneWord(t *testing.T) {
-	batch := func(r *rng.RNG) uint64 { return r.Uint64() }
+	batch := func(r *rng.RNG, hit []uint64) { hit[0] = r.Uint64() }
+	reference := func(trials, workers int, seed uint64) (hits int) {
+		if batches := (trials + 63) / 64; workers > batches {
+			workers = batches
+		}
+		master := rng.New(seed)
+		for w := 0; w < workers; w++ {
+			r := master.Jump()
+			n := trials / workers
+			if w < trials%workers {
+				n++
+			}
+			hit := make([]uint64, 1)
+			for ; n > 0; n -= 64 {
+				batch(r, hit)
+				if n < 64 {
+					hit[0] &= 1<<uint(n) - 1
+				}
+				hits += bits.OnesCount64(hit[0])
+			}
+		}
+		return hits
+	}
 	for _, trials := range []int{64, 130, 1000, 20011} {
 		for _, workers := range []int{1, 3} {
-			narrow := MonteCarloLanes(trials, workers, 42, batch)
-			wide := MonteCarloWide(trials, workers, 42, 1, func(r *rng.RNG, hit []uint64) {
-				hit[0] = batch(r)
-			})
-			if narrow != wide {
-				t.Fatalf("trials=%d workers=%d: lanes %+v, wide(1) %+v", trials, workers, narrow, wide)
+			got := wideRun(t, trials, workers, 42, 1, batch)
+			if want := reference(trials, workers, 42); got.Trials != trials || got.Successes != want {
+				t.Fatalf("trials=%d workers=%d: harness %+v, reference %d hits", trials, workers, got, want)
 			}
 		}
 	}
 }
 
-// TestMonteCarloLanesPartialBatchCountsExactTrials is the satellite
-// regression: with trials not a multiple of 64 and an all-hits batch, the
-// excess lanes of the final partial batch must be masked out, so the hit
+// TestLanesHarnessPartialBatchCountsExactTrials: with trials not a
+// multiple of 64 and an all-hits batch on the 64-lane (words = 1) engine,
+// the excess lanes of the final partial batch are masked out, so the hit
 // count equals the trial count exactly.
-func TestMonteCarloLanesPartialBatchCountsExactTrials(t *testing.T) {
+func TestLanesHarnessPartialBatchCountsExactTrials(t *testing.T) {
 	for _, trials := range []int{1, 63, 65, 130, 20011} {
-		res := MonteCarloLanes(trials, 1, 7, func(r *rng.RNG) uint64 { return ^uint64(0) })
+		res := wideRun(t, trials, 1, 7, 1, func(r *rng.RNG, hit []uint64) { hit[0] = ^uint64(0) })
 		if res.Trials != trials || res.Successes != trials {
 			t.Fatalf("trials=%d: counted %d trials, %d hits; want %d of each",
 				trials, res.Trials, res.Successes, trials)
@@ -42,8 +76,8 @@ func TestMonteCarloLanesPartialBatchCountsExactTrials(t *testing.T) {
 }
 
 // TestMonteCarloWidePartialBlockCountsExactTrials is the same property on
-// the K-word engines: the partial final block's excess words and partial
-// word are both masked.
+// the K-word engines: the partial final block's excess words and the
+// excess lanes of its partial word are both masked.
 func TestMonteCarloWidePartialBlockCountsExactTrials(t *testing.T) {
 	allHits := func(r *rng.RNG, hit []uint64) {
 		for i := range hit {
@@ -52,7 +86,7 @@ func TestMonteCarloWidePartialBlockCountsExactTrials(t *testing.T) {
 	}
 	for _, words := range []int{4, 8} {
 		for _, trials := range []int{1, 63, 64, 65, 64*words - 1, 64*words + 1, 1000, 20011} {
-			res := MonteCarloWide(trials, 1, 7, words, allHits)
+			res := wideRun(t, trials, 1, 7, words, allHits)
 			if res.Trials != trials || res.Successes != trials {
 				t.Fatalf("words=%d trials=%d: counted %d trials, %d hits; want %d of each",
 					words, trials, res.Trials, res.Successes, trials)
@@ -61,7 +95,7 @@ func TestMonteCarloWidePartialBlockCountsExactTrials(t *testing.T) {
 	}
 }
 
-// TestMonteCarloWideDeterminismContract mirrors the lanes contract: fixed
+// TestMonteCarloWideDeterminismContract: fixed
 // (seed, workers, words) reproduces exactly; changing the seed moves the
 // estimate.
 func TestMonteCarloWideDeterminismContract(t *testing.T) {
@@ -70,12 +104,12 @@ func TestMonteCarloWideDeterminismContract(t *testing.T) {
 			hit[i] = r.Uint64() & r.Uint64() & r.Uint64() // p = 1/8 per lane
 		}
 	}
-	a := MonteCarloWide(30000, 4, 11, 4, batch)
-	b := MonteCarloWide(30000, 4, 11, 4, batch)
+	a := wideRun(t, 30000, 4, 11, 4, batch)
+	b := wideRun(t, 30000, 4, 11, 4, batch)
 	if a != b {
 		t.Fatalf("same spec, different results: %+v vs %+v", a, b)
 	}
-	if c := MonteCarloWide(30000, 4, 12, 4, batch); c == a {
+	if c := wideRun(t, 30000, 4, 12, 4, batch); c == a {
 		t.Fatal("different seeds produced identical counts")
 	}
 }

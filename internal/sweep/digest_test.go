@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,17 +19,26 @@ import (
 //
 // If one of these golden values ever changes on purpose, that is a
 // cache- and checkpoint-breaking format migration and must be treated as
-// such — not just a constant update.
+// such — bump FormatVersion, not just a constant here. The format-1
+// digests (the bare SHA-256 of the canonical JSON) are kept to prove
+// that no current digest can collide with an entry written before the
+// last migration.
+
+// goldenPrefix is what FormatVersion 2 hashes ahead of the canonical JSON.
+const goldenPrefix = "revft spec v2\n"
 
 const (
-	goldenFullJSON   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
-	goldenFullDigest = "331545346ecdd049c904e84290b98987db2a3639aee305e57db929c302fdaec0"
+	goldenFullJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
+	goldenFullDigest   = "cf6dc2d5a3cf7a78f2bc199a525252c6305f01cb35e9c731bb0be7a33675461b"
+	goldenFullDigestV1 = "331545346ecdd049c904e84290b98987db2a3639aee305e57db929c302fdaec0"
 
-	goldenZeroScaleJSON   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
-	goldenZeroScaleDigest = "60075829486e628466a580a5f3fd2a78e4bc361597ff612ddb8f961cc174ab13"
+	goldenZeroScaleJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
+	goldenZeroScaleDigest   = "eb3cc3c5e8b76cd6ab0aae7d1e23006a461601e7587307e0e36631d46a479bb0"
+	goldenZeroScaleDigestV1 = "60075829486e628466a580a5f3fd2a78e4bc361597ff612ddb8f961cc174ab13"
 
-	goldenMinimalJSON   = `{"experiment":"levels","points":8,"trials":100,"workers":1,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
-	goldenMinimalDigest = "a6357f3c2b9abfd3d5ea6d8383bdcc6c0e29dfab10031ee63181b90f41c106bf"
+	goldenMinimalJSON     = `{"experiment":"levels","points":8,"trials":100,"workers":1,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
+	goldenMinimalDigest   = "577643248f187c3d36f4d5788ad2fbfadd6d57050109a412947ac4d7b70a9965"
+	goldenMinimalDigestV1 = "a6357f3c2b9abfd3d5ea6d8383bdcc6c0e29dfab10031ee63181b90f41c106bf"
 )
 
 func goldenFullSpec() Spec {
@@ -48,20 +58,23 @@ func goldenFullSpec() Spec {
 }
 
 func TestSpecDigestGolden(t *testing.T) {
+	if FormatVersion != 2 {
+		t.Fatalf("FormatVersion = %d: re-pin the golden digests for the new format", FormatVersion)
+	}
 	cases := []struct {
-		name       string
-		spec       Spec
-		wantJSON   string
-		wantDigest string
+		name                 string
+		spec                 Spec
+		wantJSON             string
+		wantDigest, formerV1 string
 	}{
-		{"full", goldenFullSpec(), goldenFullJSON, goldenFullDigest},
+		{"full", goldenFullSpec(), goldenFullJSON, goldenFullDigest, goldenFullDigestV1},
 		{"zeroscale", func() Spec {
 			s := goldenFullSpec()
 			s.Stop.ZeroScale = 2.5e-7
 			return s
-		}(), goldenZeroScaleJSON, goldenZeroScaleDigest},
+		}(), goldenZeroScaleJSON, goldenZeroScaleDigest, goldenZeroScaleDigestV1},
 		{"minimal", Spec{Experiment: "levels", Points: 8, Trials: 100, Workers: 1, Seed: 1, Engine: "scalar"},
-			goldenMinimalJSON, goldenMinimalDigest},
+			goldenMinimalJSON, goldenMinimalDigest, goldenMinimalDigestV1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,13 +85,23 @@ func TestSpecDigestGolden(t *testing.T) {
 			if string(b) != tc.wantJSON {
 				t.Errorf("canonical JSON changed — this invalidates every existing checkpoint and cache key\n got: %s\nwant: %s", b, tc.wantJSON)
 			}
-			if got := tc.spec.Digest(); got != tc.wantDigest {
+			got := tc.spec.Digest()
+			if got != tc.wantDigest {
 				t.Errorf("digest changed: got %s want %s", got, tc.wantDigest)
 			}
-			// The digest must be exactly SHA-256(canonical JSON).
-			sum := sha256.Sum256([]byte(tc.wantJSON))
+			// The digest must be exactly SHA-256(format prefix ‖ canonical
+			// JSON), and must not equal the format-1 digest of the same
+			// spec, which was SHA-256(canonical JSON) alone.
+			sum := sha256.Sum256([]byte(goldenPrefix + tc.wantJSON))
 			if want := hex.EncodeToString(sum[:]); tc.wantDigest != want {
-				t.Errorf("golden digest is not SHA-256 of golden JSON: %s vs %s", tc.wantDigest, want)
+				t.Errorf("golden digest is not SHA-256 of prefix+golden JSON: %s vs %s", tc.wantDigest, want)
+			}
+			v1 := sha256.Sum256([]byte(tc.wantJSON))
+			if want := hex.EncodeToString(v1[:]); tc.formerV1 != want {
+				t.Errorf("format-1 golden is not SHA-256 of golden JSON: %s vs %s", tc.formerV1, want)
+			}
+			if got == tc.formerV1 {
+				t.Errorf("digest %s equals the format-1 digest: pre-migration entries would be served", got)
 			}
 		})
 	}
@@ -158,5 +181,55 @@ func TestCorruptErrorFullLengthDigests(t *testing.T) {
 	// The display string truncates; the fields do not.
 	if msg := ce.Error(); len(msg) == 0 {
 		t.Error("empty Error string")
+	}
+}
+
+// TestResumeFormatV1CheckpointIsSpecMismatch: a checkpoint written before
+// the format-2 migration records the bare SHA-256 of its spec. It is
+// stale, not corrupt — it loads — and resuming it is refused as a spec
+// mismatch, so its points are never mixed into a format-2 run.
+func TestResumeFormatV1CheckpointIsSpecMismatch(t *testing.T) {
+	spec := testSpec(3)
+	spec.Engine = "lanes"
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	if _, err := (&Runner{Spec: spec, Point: fakePoint(42), CheckpointPath: ck}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	c.Digest = hex.EncodeToString(sum[:])
+	if err := c.Save(ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(ck); err != nil {
+		t.Fatalf("format-1 checkpoint failed to load: %v", err)
+	}
+
+	_, err = (&Runner{Spec: spec, Point: fakePoint(42), CheckpointPath: ck, Resume: true}).Run(context.Background())
+	var dm *DigestMismatchError
+	if !errors.As(err, &dm) {
+		t.Fatalf("resume of a format-1 checkpoint: err = %T %v, want *DigestMismatchError", err, err)
+	}
+	if dm.CheckpointDigest != c.Digest || dm.SpecDigest != spec.Digest() {
+		t.Errorf("mismatch fields wrong: %+v", dm)
+	}
+
+	// The format-1 digest of a different spec is still corruption.
+	other := spec
+	other.Seed++
+	c.Spec = other
+	if err := c.Save(ck); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Load(ck); !errors.As(err, &ce) {
+		t.Fatalf("format-1 digest of another spec: err = %T %v, want *CorruptError", err, err)
 	}
 }

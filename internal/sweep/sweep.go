@@ -151,18 +151,44 @@ type Spec struct {
 	Stop       StopRule  `json:"stop"`
 }
 
-// Digest returns the hex SHA-256 of the spec's canonical JSON encoding.
-// Checkpoints store it; Resume rejects a checkpoint whose digest differs.
-func (s Spec) Digest() string {
+// FormatVersion is the spec-digest format. It is hashed ahead of the
+// canonical spec bytes, so every digest — sweep.Spec's and the job
+// server's JobSpec's alike — names both the spec and the format that
+// computes it. A change that makes a fixed spec produce different result
+// bytes (an engine consuming randomness differently, a new seeding
+// scheme) bumps it, which retires every checkpoint and cache entry
+// written before: they can never match a current digest, so they are
+// never resumed or served as if the current code could recompute them.
+//
+// Version 1 hashed the canonical bytes alone. Version 2 runs the "lanes"
+// engine on the one bit-sliced compiler (words = 1).
+const FormatVersion = 2
+
+// DigestBytes returns the hex SHA-256 of "revft spec v<FormatVersion>\n"
+// followed by canonical, a spec's canonical JSON encoding.
+func DigestBytes(canonical []byte) string {
+	h := sha256.New()
+	h.Write(formatTag)
+	h.Write(canonical)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+var formatTag = []byte(fmt.Sprintf("revft spec v%d\n", FormatVersion))
+
+// canonical returns the spec's canonical JSON encoding.
+func (s Spec) canonical() []byte {
 	b, err := json.Marshal(s)
 	if err != nil {
 		// Spec contains only scalars and a float slice; Marshal cannot
 		// fail on it.
 		panic(fmt.Sprintf("sweep: spec digest: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
 }
+
+// Digest returns the spec's digest under FormatVersion (see DigestBytes).
+// Checkpoints store it; Resume rejects a checkpoint whose digest differs.
+func (s Spec) Digest() string { return DigestBytes(s.canonical()) }
 
 // PointResult is the outcome of one sweep point.
 type PointResult struct {
@@ -291,6 +317,7 @@ func Load(path string) (*Checkpoint, error) { return LoadFS(chaos.OS, path) }
 // parses and then that its internal digest matches its embedded spec —
 // rejecting truncated or otherwise corrupt files with a *CorruptError
 // (never a panic), and files hand-edited out of sync with their digest.
+// A checkpoint written under an older FormatVersion loads; see formatV1.
 func LoadFS(fsys chaos.FS, path string) (*Checkpoint, error) {
 	if fsys == nil {
 		fsys = chaos.OS
@@ -303,10 +330,19 @@ func LoadFS(fsys chaos.FS, path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(b, &c); err != nil {
 		return nil, &CorruptError{Path: path, Err: err}
 	}
-	if got := c.Spec.Digest(); got != c.Digest {
+	if got := c.Spec.Digest(); got != c.Digest && !c.formatV1() {
 		return nil, &CorruptError{Path: path, SpecDigest: got, RecordedDigest: c.Digest}
 	}
 	return &c, nil
+}
+
+// formatV1 reports whether the checkpoint is consistent under format
+// version 1, the bare SHA-256 of the canonical spec. Such a file is stale,
+// not corrupt: LoadFS returns it, and resuming it fails as a
+// *DigestMismatchError because its digest never equals a current one.
+func (c *Checkpoint) formatV1() bool {
+	sum := sha256.Sum256(c.Spec.canonical())
+	return c.Digest == hex.EncodeToString(sum[:])
 }
 
 // ChunkSeed derives the RNG seed for chunk c of an estimate whose base

@@ -1,6 +1,8 @@
 package revft
 
 import (
+	"context"
+
 	"revft/internal/adder"
 	"revft/internal/bennett"
 	"revft/internal/bitvec"
@@ -126,61 +128,40 @@ func MonteCarlo(trials, workers int, seed uint64, trial func(r *RNG) bool) Estim
 }
 
 // ---------------------------------------------------------------------------
-// 64-lane bit-sliced engine
+// Bit-sliced lane engine
 // ---------------------------------------------------------------------------
-
-// LaneState packs 64 Monte Carlo trials into one word per wire: bit j of
-// word w is wire w's value in trial lane j.
-type LaneState = lanes.State
-
-// NewLaneState returns an all-zero 64-lane state of width wires.
-func NewLaneState(width int) LaneState { return lanes.NewState(width) }
-
-// LaneProgram is a circuit compiled to branch-free boolean word kernels
-// for the 64-lane engine, with per-op fault parameters baked in.
-type LaneProgram = lanes.Program
-
-// CompileLanes lowers a circuit to a LaneProgram under a noise model.
-func CompileLanes(c *Circuit, m NoiseModel) *LaneProgram { return lanes.Compile(c, m) }
 
 // LaneBroadcast returns the word holding v in all 64 lanes.
 func LaneBroadcast(v bool) uint64 { return lanes.Broadcast(v) }
 
-// EncodeBitLanes writes 64 lanes of logical values onto a codeword block.
-func EncodeBitLanes(st LaneState, wires []int, vals uint64) { lanes.Encode(st, wires, vals) }
-
-// DecodeBitLanes majority-decodes a codeword block lane-wise.
-func DecodeBitLanes(st LaneState, wires []int) uint64 { return lanes.Decode(st, wires) }
-
-// MonteCarloLanes runs trials across 64-lane batches of batch, which
-// returns a hit mask per batch (bit j set: lane j's trial observed the
-// counted event). Worker and seeding semantics match MonteCarlo.
-func MonteCarloLanes(trials, workers int, seed uint64, batch func(r *RNG) uint64) Estimate {
-	return sim.MonteCarloLanes(trials, workers, seed, batch)
-}
-
 // WideLaneState is a K-word lane block: 64·K trial lanes, wire-major.
 type WideLaneState = lanes.WideState
 
-// WideLaneProgram is a circuit fused and lowered for a K-word lane block:
+// WideProgram is a circuit fused and lowered for a K-word lane block:
 // adjacent CNOT/CNOT/Toffoli triples collapse into single word kernels
 // and fault points sharing a probability share one geometric sampler.
-type WideLaneProgram = lanes.WideProgram
+// K = 1 is the 64-lane engine.
+type WideProgram = lanes.WideProgram
 
 // NewWideLaneState allocates a words-wide lane block for width wires.
 func NewWideLaneState(width, words int) WideLaneState { return lanes.NewWideState(width, words) }
 
-// CompileWideLanes lowers a circuit to a WideLaneProgram under a noise
-// model for a words-wide lane block.
-func CompileWideLanes(c *Circuit, m NoiseModel, words int) *WideLaneProgram {
+// CompileWideLanes lowers a circuit to a WideProgram under a noise model
+// for a words-wide lane block.
+func CompileWideLanes(c *Circuit, m NoiseModel, words int) *WideProgram {
 	return lanes.CompileWide(c, m, words)
 }
 
 // MonteCarloWide runs trials across 64·words-lane blocks of batch, which
-// writes a hit mask into its block argument. Worker and seeding semantics
-// match MonteCarlo.
+// writes a hit mask into its block argument (bit j of hit[k] set: lane
+// 64k+j's trial observed the counted event). Worker and seeding semantics
+// match MonteCarlo; a panic inside batch, or words < 1, panics.
 func MonteCarloWide(trials, workers int, seed uint64, words int, batch func(r *RNG, hit []uint64)) Estimate {
-	return sim.MonteCarloWide(trials, workers, seed, words, batch)
+	res, err := sim.MonteCarloWideCtx(context.Background(), trials, workers, seed, words, batch)
+	if err != nil {
+		panic(err)
+	}
+	return res.Bernoulli
 }
 
 // ---------------------------------------------------------------------------
