@@ -157,11 +157,11 @@ func BenchmarkFigure3ConcatenatedGate(b *testing.B) {
 	for _, level := range []int{1, 2} {
 		b.Run(map[int]string{1: "L1", 2: "L2"}[level], func(b *testing.B) {
 			g := revft.NewGadget(revft.MAJ, level)
-			m := revft.UniformNoise(1e-3)
+			trial := g.Trial(revft.UniformInput, revft.NoisyRun(revft.UniformNoise(1e-3)))
 			r := revft.NewRNG(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.Trial(m, r)
+				trial(r)
 			}
 		})
 	}
@@ -277,12 +277,12 @@ func BenchmarkUnprotectedModule(b *testing.B) {
 // under noise (the §2.3 trade in action).
 func BenchmarkFTAdderModule(b *testing.B) {
 	c, _ := revft.NewAdder(4)
-	mod := revft.CompileModule(c, 1)
-	m := revft.UniformNoise(1e-3)
+	mod := revft.CompileModule(c, 1).Target()
+	trial := mod.Trial(revft.FixedInput(0), revft.NoisyRun(revft.UniformNoise(1e-3)))
 	r := revft.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mod.Trial(0, m, r)
+		trial(r)
 	}
 }
 
@@ -310,10 +310,11 @@ func BenchmarkStorageCycle(b *testing.B) {
 func BenchmarkBurstNoiseGadget(b *testing.B) {
 	g := revft.NewGadget(revft.MAJ, 1)
 	p := revft.BurstNoise{Gate: 1e-3, Init: 1e-3, Corr: 0.5}
+	trial := g.Trial(revft.UniformInput, revft.ProcessRun(p))
 	r := revft.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.TrialProcess(p, r)
+		trial(r)
 	}
 }
 

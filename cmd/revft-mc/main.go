@@ -102,6 +102,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -207,11 +208,8 @@ func run(args []string) error {
 	p := exp.MCParams{Trials: *trials, Workers: *workers, Seed: *seed, Engine: *engine}
 	gs := stats.LogSpace(*gmin, *gmax, *points)
 
-	sweepExp := false
-	switch *expName {
-	case "recovery", "levels", "local", "adder":
-		sweepExp = true
-	}
+	sweepExp := slices.Contains(exp.SweepExperiments(), *expName)
+	sweepList := strings.Join(exp.SweepExperiments(), ", ")
 	if !sweepExp {
 		for name, set := range map[string]bool{
 			"-cache":      *cacheDir != "",
@@ -222,7 +220,7 @@ func run(args []string) error {
 			"-zeroscale":  *zeroscale != 0,
 		} {
 			if set {
-				return fmt.Errorf("%s only applies to the sweep experiments (recovery, levels, local, adder), not %q", name, *expName)
+				return fmt.Errorf("%s only applies to the sweep experiments (%s), not %q", name, sweepList, *expName)
 			}
 		}
 	}
@@ -241,7 +239,7 @@ func run(args []string) error {
 		}
 	} else {
 		if !sweepExp {
-			return fmt.Errorf("-server only applies to the sweep experiments (recovery, levels, local, adder), not %q", *expName)
+			return fmt.Errorf("-server only applies to the sweep experiments (%s), not %q", sweepList, *expName)
 		}
 		// The local runtime flags make no sense against a remote server,
 		// which has its own checkpoints, cache, chaos seams, and traces.

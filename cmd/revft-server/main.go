@@ -98,7 +98,7 @@ func drivers() map[string]server.Driver {
 		}
 	}
 	out := make(map[string]server.Driver)
-	for _, name := range []string{"recovery", "levels", "local", "adder"} {
+	for _, name := range exp.SweepExperiments() {
 		out[name] = mk(name)
 	}
 	return out

@@ -22,10 +22,10 @@
 //	               a closed-form NOT-chain cross-check
 //	-differential  run the Monte Carlo engines (scalar, and the lane engine
 //	               at 64 and 256 lanes: lanes, lanes256) against the
-//	               oracle's exact P(ε) on the recovery and the level-1 MAJ
-//	               gadget, failing if any estimate's 3σ Wilson interval
-//	               misses the exact value; -trials, -workers, and -seed
-//	               control the runs
+//	               oracle's exact P(ε) on the recovery, the level-1 MAJ
+//	               gadget and the 2D and 1D local cycles, failing if any
+//	               estimate's 3σ Wilson interval misses the exact value;
+//	               -trials, -workers, and -seed control the runs
 //	-trace f.jsonl write a JSONL event stream: a manifest header, one event
 //	               per check, one per (ε, engine) differential verdict, and
 //	               a closing summary
@@ -83,7 +83,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("revft-verify", flag.ContinueOnError)
 	var (
 		exactMode    = fs.Bool("exact", false, "add the exhaustive fault-enumeration oracle checks")
-		differential = fs.Bool("differential", false, "verify the Monte Carlo engines (scalar, lanes, lanes256) against the exact oracle (3σ Wilson)")
+		differential = fs.Bool("differential", false, "verify the Monte Carlo engines (scalar, lanes, lanes256) against the exact oracle on the recovery, the level-1 gadget and both local cycles (3σ Wilson)")
 		trials       = fs.Int("trials", 200000, "Monte Carlo trials per (ε, engine) differential point")
 		workers      = fs.Int("workers", 0, "parallel workers for the differential runs (0 = GOMAXPROCS)")
 		seed         = fs.Uint64("seed", 7, "base random seed for the differential runs")
@@ -267,7 +267,7 @@ func checkOracleNOTChain() error {
 	for i := 0; i < n; i++ {
 		c.NOT(0)
 	}
-	p, err := exact.Enumerate(exact.Plain("not-chain", c), exact.Options{})
+	p, err := exact.Enumerate(core.Plain("not-chain", c), exact.Options{})
 	if err != nil {
 		return err
 	}
@@ -282,20 +282,23 @@ func checkOracleNOTChain() error {
 
 // runDifferential checks the three Monte Carlo engines — scalar, the
 // 64-lane lanes, and the 4-word (256-lane) lanes256 — against the oracle
-// on two targets: the recovery with its fully enumerated polynomial, and
-// the level-1 MAJ gadget with a weight-3 truncation whose tail bound
-// widens the acceptance interval. It prints the verdict tables and returns the
+// on four targets: the recovery with its fully enumerated polynomial, the
+// level-1 MAJ gadget with a weight-3 truncation, and the 2D and 1D local
+// cycles with weight-2 truncations, whose tail bounds widen the
+// acceptance interval. It prints the verdict tables and returns the
 // number of (ε, engine) disagreements.
 func runDifferential(p exp.MCParams, tr *telemetry.Trace) (int, error) {
 	fmt.Println()
 	bad := 0
 	runs := []struct {
-		target exact.Target
+		target core.Target
 		opts   exact.Options
 		eps    []float64
 	}{
 		{exact.Recovery(), exact.Options{}, []float64{1e-3, 1e-2, 5e-2, 0.2}},
 		{exact.Gadget(core.NewGadget(gate.MAJ, 1)), exact.Options{MaxWeight: 3}, []float64{1e-3, 3e-3, 1e-2}},
+		{lattice.NewCycle2D(gate.MAJ).Target, exact.Options{MaxWeight: 2}, []float64{1e-3, 3e-3}},
+		{lattice.NewCycle1D(gate.MAJ).Target, exact.Options{MaxWeight: 2}, []float64{1e-3, 3e-3}},
 	}
 	for i, r := range runs {
 		poly, err := exact.Enumerate(r.target, r.opts)

@@ -44,15 +44,12 @@ func main() {
 		in |= uint64(b>>uint(i)&1) << uint(layout.B[i])
 	}
 
+	unprotected := revft.PlainTarget("unprotected", logical)
 	fmt.Printf("%-10s  %-22s  %-22s\n", "g", "bare adder error", "FT level-1 error")
 	const trials = 60000
 	for i, g := range []float64{5e-4, 2e-3, 5e-3} {
 		m := revft.UniformNoise(g)
-		bare := revft.MonteCarlo(trials, 0, uint64(10+i), func(r *revft.RNG) bool {
-			s := revft.StateFromUint(in, logical.Width())
-			revft.RunNoisy(logical, s, m, r)
-			return s.Uint(0, logical.Width()) != logical.Eval(in)
-		})
+		bare := revft.MonteCarlo(trials, 0, uint64(10+i), unprotected.Trial(revft.FixedInput(in), revft.NoisyRun(m)))
 		ft := mod.ErrorRate(in, m, trials, 0, uint64(20+i))
 		fmt.Printf("%-10.0e  %-22s  %-22s\n", g, bare.String(), ft.String())
 	}

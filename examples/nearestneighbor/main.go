@@ -65,19 +65,5 @@ func main() {
 }
 
 func cycleError(c *revft.Cycle, m revft.NoiseModel, trials int, seed uint64) revft.Estimate {
-	return revft.MonteCarlo(trials, 0, seed, func(r *revft.RNG) bool {
-		in := r.Bits(len(c.In))
-		st := revft.NewState(c.Circuit.Width())
-		for i, wires := range c.In {
-			revft.EncodeBit(st, wires, in>>uint(i)&1 == 1, 1)
-		}
-		revft.RunNoisy(c.Circuit, st, m, r)
-		want := c.Kind.Eval(in)
-		for i, wires := range c.Out {
-			if revft.DecodeBit(st, wires, 1) != (want>>uint(i)&1 == 1) {
-				return true
-			}
-		}
-		return false
-	})
+	return revft.MonteCarlo(trials, 0, seed, c.Trial(revft.UniformInput, revft.NoisyRun(m)))
 }

@@ -140,7 +140,7 @@ func TestGadgetTrialNoiseless(t *testing.T) {
 	g := NewGadget(gate.MAJ, 1)
 	r := rng.New(5)
 	for i := 0; i < 50; i++ {
-		if g.Trial(noise.Noiseless, r) {
+		if g.Trial(Uniform, Noisy(noise.Noiseless))(r) {
 			t.Fatal("noiseless trial reported a logical error")
 		}
 	}
@@ -186,29 +186,29 @@ func TestTrialInputDeterministicIdealPath(t *testing.T) {
 	g := NewGadget(gate.CNOT, 1)
 	r := rng.New(9)
 	for in := uint64(0); in < 4; in++ {
-		if g.TrialInput(in, noise.Noiseless, r) {
-			t.Fatalf("noiseless TrialInput(%02b) reported error", in)
+		if g.Trial(Fixed(in), Noisy(noise.Noiseless))(r) {
+			t.Fatalf("noiseless trial on input %02b reported error", in)
 		}
 	}
 }
 
 func BenchmarkGadgetTrialLevel1(b *testing.B) {
 	g := NewGadget(gate.MAJ, 1)
-	m := noise.Uniform(1e-3)
+	trial := g.Trial(Uniform, Noisy(noise.Uniform(1e-3)))
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Trial(m, r)
+		trial(r)
 	}
 }
 
 func BenchmarkGadgetTrialLevel2(b *testing.B) {
 	g := NewGadget(gate.MAJ, 2)
-	m := noise.Uniform(1e-3)
+	trial := g.Trial(Uniform, Noisy(noise.Uniform(1e-3)))
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Trial(m, r)
+		trial(r)
 	}
 }
 

@@ -2,33 +2,27 @@ package core
 
 import (
 	"context"
+	"fmt"
 
-	"revft/internal/bitvec"
-	"revft/internal/circuit"
-	"revft/internal/code"
 	"revft/internal/gate"
 	"revft/internal/noise"
-	"revft/internal/rng"
 	"revft/internal/sim"
 	"revft/internal/stats"
 )
 
 // Gadget is one fault-tolerant logical gate at a concatenation level,
-// packaged for threshold experiments: the flat physical circuit plus the
-// wire maps needed to encode ideal inputs and decode the outputs.
+// packaged for threshold experiments as a Target: the flat physical
+// circuit plus the wire maps needed to encode ideal inputs and decode the
+// outputs.
 //
 // The experiment it supports is the extended rectangle of §2.2: ideally
 // encoded inputs, one noisy logical gate followed by its recovery cycles,
 // then ideal decoding. The measured failure probability is the paper's
 // g_logical.
 type Gadget struct {
-	Kind    gate.Kind
-	Level   int
-	Circuit *circuit.Circuit
-	// In[i] and Out[i] list the physical wires of logical operand i's
-	// codeword before and after the circuit, in code.Decode order.
-	In  [][]int
-	Out [][]int
+	Target
+	Kind  gate.Kind
+	Level int
 }
 
 // NewGadget builds the fault-tolerant implementation of k at the given
@@ -50,79 +44,44 @@ func NewGadget(k gate.Kind, level int) *Gadget {
 		out[i] = b.DataWires(i)
 	}
 	return &Gadget{
-		Kind:    k,
-		Level:   level,
-		Circuit: b.Circuit(),
-		In:      in,
-		Out:     out,
+		Target: Target{
+			Name:    fmt.Sprintf("gadget.%s.L%d", k, level),
+			Circuit: b.Circuit(),
+			In:      in,
+			Out:     out,
+			Logical: GateCircuit(k),
+		},
+		Kind:  k,
+		Level: level,
 	}
-}
-
-// Trial runs one noisy execution on a uniformly random logical input and
-// reports whether any logical output decoded incorrectly.
-func (g *Gadget) Trial(m noise.Model, r *rng.RNG) bool {
-	in := r.Bits(len(g.In))
-	return g.TrialInput(in, m, r)
-}
-
-// TrialInput runs one noisy execution on the given packed logical input
-// (operand i in bit i) and reports whether the decoded logical output
-// differs from the ideal gate's output.
-func (g *Gadget) TrialInput(in uint64, m noise.Model, r *rng.RNG) bool {
-	st := bitvec.New(g.Circuit.Width())
-	for i, wires := range g.In {
-		code.EncodeInto(st, wires, in>>uint(i)&1 == 1, g.Level)
-	}
-	sim.RunNoisy(g.Circuit, st, m, r)
-	want := g.Kind.Eval(in)
-	for i, wires := range g.Out {
-		if code.Decode(st, wires, g.Level) != (want>>uint(i)&1 == 1) {
-			return true
-		}
-	}
-	return false
 }
 
 // LogicalErrorRate estimates g_logical by Monte Carlo: trials noisy
-// executions under model m, split across workers, seeded deterministically.
+// executions under model m on the scalar engine, split across workers,
+// seeded deterministically. A trial panic propagates.
 func (g *Gadget) LogicalErrorRate(m noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, func(r *rng.RNG) bool {
-		return g.Trial(m, r)
-	})
+	return sim.MonteCarlo(trials, workers, seed, g.Trial(Uniform, Noisy(m)))
 }
 
-// LogicalErrorRateCtx is LogicalErrorRate on the cancellable engine: it
-// stops between trial batches when ctx is done, returning the partial
-// estimate, and recovers trial panics into a *sim.TrialPanicError.
-// A completed run is bit-identical to LogicalErrorRate.
+// LogicalErrorRateCtx is ErrorRateCtx on the scalar engine.
 func (g *Gadget) LogicalErrorRateCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return sim.MonteCarloCtx(ctx, trials, workers, seed, func(r *rng.RNG) bool {
-		return g.Trial(m, r)
-	})
+	return g.ErrorRateCtx(ctx, m, 0, trials, workers, seed)
 }
 
-// TrialProcess runs one execution under a stateful fault process (e.g.
-// noise.Burst) on a uniformly random logical input.
-func (g *Gadget) TrialProcess(p noise.Process, r *rng.RNG) bool {
-	in := r.Bits(len(g.In))
-	st := bitvec.New(g.Circuit.Width())
-	for i, wires := range g.In {
-		code.EncodeInto(st, wires, in>>uint(i)&1 == 1, g.Level)
-	}
-	sim.RunProcess(g.Circuit, st, p.NewSampler(), r)
-	want := g.Kind.Eval(in)
-	for i, wires := range g.Out {
-		if code.Decode(st, wires, g.Level) != (want>>uint(i)&1 == 1) {
-			return true
-		}
-	}
-	return false
+// LogicalErrorRateWideCtx is ErrorRateCtx on the words-wide lane engine.
+func (g *Gadget) LogicalErrorRateWideCtx(ctx context.Context, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
+	return g.ErrorRateCtx(ctx, m, words, trials, workers, seed)
+}
+
+// LogicalErrorRateLanesCtx is ErrorRateCtx on the 64-lane engine. It is
+// kept only for the benchmark module, whose perfbench/layers.go calls it.
+func (g *Gadget) LogicalErrorRateLanesCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
+	return g.ErrorRateCtx(ctx, m, 1, trials, workers, seed)
 }
 
 // LogicalErrorRateProcess is LogicalErrorRate under a stateful fault
-// process.
+// process (e.g. noise.Burst): each trial runs the circuit with a fresh
+// sampler.
 func (g *Gadget) LogicalErrorRateProcess(p noise.Process, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, func(r *rng.RNG) bool {
-		return g.TrialProcess(p, r)
-	})
+	return sim.MonteCarlo(trials, workers, seed, g.Trial(Uniform, Process(p)))
 }

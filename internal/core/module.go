@@ -7,7 +7,6 @@ import (
 	"revft/internal/circuit"
 	"revft/internal/code"
 	"revft/internal/noise"
-	"revft/internal/rng"
 	"revft/internal/sim"
 	"revft/internal/stats"
 )
@@ -74,54 +73,34 @@ func (m *Module) DecodeOutputs(st *bitvec.Vector) uint64 {
 	return out
 }
 
-// Trial runs the module once under noise on the given logical input and
-// reports whether the decoded output differs from the logical circuit's
-// ideal output.
-func (m *Module) Trial(in uint64, nm noise.Model, r *rng.RNG) bool {
-	st := m.EncodeInputs(in)
-	sim.RunNoisy(m.Physical, st, nm, r)
-	return m.DecodeOutputs(st) != m.Logical.Eval(in)
+// Target returns the module as a Target named "module": the compiled
+// physical circuit between the logical wires' codewords, compared with
+// the logical source circuit.
+func (m *Module) Target() Target {
+	return Target{Name: "module", Circuit: m.Physical, In: m.In, Out: m.Out, Logical: m.Logical}
 }
 
 // ErrorRate estimates the module's logical failure probability on the given
-// input by parallel Monte Carlo.
+// input by parallel Monte Carlo on the scalar engine. A trial panic
+// propagates.
 func (m *Module) ErrorRate(in uint64, nm noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, func(r *rng.RNG) bool {
-		return m.Trial(in, nm, r)
-	})
+	return sim.MonteCarlo(trials, workers, seed, m.Target().Trial(Fixed(in), Noisy(nm)))
 }
 
-// ErrorRateCtx is ErrorRate on the cancellable engine: partial results on
-// cancellation, panic isolation, bit-identical when it completes.
+// ErrorRateCtx is Target().InputErrorRateCtx on the scalar engine.
 func (m *Module) ErrorRateCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return sim.MonteCarloCtx(ctx, trials, workers, seed, func(r *rng.RNG) bool {
-		return m.Trial(in, nm, r)
-	})
+	return m.Target().InputErrorRateCtx(ctx, in, nm, 0, trials, workers, seed)
 }
 
-// UnprotectedTrial runs the bare logical circuit once under the same noise
-// model (no encoding, no recovery) and reports whether its output is wrong —
-// the paper's 1−(1−g)^T reference point.
-func UnprotectedTrial(logical *circuit.Circuit, in uint64, nm noise.Model, r *rng.RNG) bool {
-	st := bitvec.New(logical.Width())
-	for i := 0; i < logical.Width(); i++ {
-		st.Set(i, in>>uint(i)&1 == 1)
-	}
-	sim.RunNoisy(logical, st, nm, r)
-	return st.Uint(0, logical.Width()) != logical.Eval(in)
-}
-
-// UnprotectedErrorRate estimates the bare circuit's failure probability.
-func UnprotectedErrorRate(logical *circuit.Circuit, in uint64, nm noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, func(r *rng.RNG) bool {
-		return UnprotectedTrial(logical, in, nm, r)
-	})
-}
-
-// UnprotectedErrorRateCtx is UnprotectedErrorRate on the cancellable
+// ErrorRateWideCtx is Target().InputErrorRateCtx on the words-wide lane
 // engine.
-func UnprotectedErrorRateCtx(ctx context.Context, logical *circuit.Circuit, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return sim.MonteCarloCtx(ctx, trials, workers, seed, func(r *rng.RNG) bool {
-		return UnprotectedTrial(logical, in, nm, r)
-	})
+func (m *Module) ErrorRateWideCtx(ctx context.Context, in uint64, nm noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
+	return m.Target().InputErrorRateCtx(ctx, in, nm, words, trials, workers, seed)
+}
+
+// ErrorRateLanesCtx is Target().InputErrorRateCtx on the 64-lane engine.
+// It is kept only for the benchmark module, whose perfbench/layers.go
+// calls it.
+func (m *Module) ErrorRateLanesCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
+	return m.Target().InputErrorRateCtx(ctx, in, nm, 1, trials, workers, seed)
 }

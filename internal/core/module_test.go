@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"revft/internal/adder"
@@ -118,7 +119,11 @@ func TestModuleBeatsUnprotected(t *testing.T) {
 	const g = 1e-3
 	nm := noise.Uniform(g)
 
-	bare := UnprotectedErrorRate(logical, 0b101, nm, 40000, 0, 21)
+	res, err := Plain("unprotected", logical).InputErrorRateCtx(context.Background(), 0b101, nm, 0, 40000, 0, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := res.Bernoulli
 	ft := CompileModule(logical, 1).ErrorRate(0b101, nm, 40000, 0, 22)
 
 	loBare, _ := bare.Wilson(1.96)
@@ -128,21 +133,21 @@ func TestModuleBeatsUnprotected(t *testing.T) {
 	}
 }
 
-func TestUnprotectedTrialNoiseless(t *testing.T) {
-	logical := buildTestLogical()
+func TestPlainTrialNoiseless(t *testing.T) {
+	bare := Plain("unprotected", buildTestLogical())
 	r := rng.New(1)
 	for in := uint64(0); in < 16; in++ {
-		if UnprotectedTrial(logical, in, noise.Noiseless, r) {
+		if bare.Trial(Fixed(in), Noisy(noise.Noiseless))(r) {
 			t.Fatal("noiseless unprotected trial failed")
 		}
 	}
 }
 
 func TestModuleTrialNoiseless(t *testing.T) {
-	m := CompileModule(buildTestLogical(), 1)
+	m := CompileModule(buildTestLogical(), 1).Target()
 	r := rng.New(2)
 	for in := uint64(0); in < 16; in++ {
-		if m.Trial(in, noise.Noiseless, r) {
+		if m.Trial(Fixed(in), Noisy(noise.Noiseless))(r) {
 			t.Fatal("noiseless module trial failed")
 		}
 	}
@@ -169,11 +174,11 @@ func BenchmarkCompileAdderLevel1(b *testing.B) {
 
 func BenchmarkModuleTrialAdderLevel1(b *testing.B) {
 	ac, _ := adder.New(4)
-	m := CompileModule(ac, 1)
-	nm := noise.Uniform(1e-3)
+	m := CompileModule(ac, 1).Target()
+	trial := m.Trial(Fixed(0), Noisy(noise.Uniform(1e-3)))
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Trial(0, nm, r)
+		trial(r)
 	}
 }

@@ -35,26 +35,9 @@ import (
 	"math"
 	"math/big"
 
-	"revft/internal/circuit"
+	"revft/internal/core"
 	"revft/internal/gate"
 )
-
-// Target is one experiment the oracle can enumerate: a circuit, the
-// codeword wire blocks of its logical inputs and outputs, and the ideal
-// logical function. It mirrors the shape of core.Gadget so gadgets,
-// recovery circuits, and arbitrary plain circuits all fit.
-type Target struct {
-	Name    string
-	Circuit *circuit.Circuit
-	// In[i] and Out[i] list the physical wires of logical operand i's
-	// codeword before and after the circuit, in code.Decode order. Block
-	// lengths must be powers of three (length 1 = an unencoded wire).
-	In  [][]int
-	Out [][]int
-	// Logical is the ideal function on packed logical values: bit i of
-	// the argument is operand i, bit j of the result is output j.
-	Logical func(in uint64) uint64
-}
 
 // Options configures an enumeration.
 type Options struct {
@@ -95,9 +78,6 @@ type Poly struct {
 	fail   [][]int64
 	leaves [][]int64
 }
-
-// Locations returns N, the number of fault locations enumerated over.
-func (p *Poly) Locations() int { return p.N }
 
 // Exact reports whether the enumeration covered all 2^N patterns, making
 // Eval exact with a zero tail bound.
@@ -254,7 +234,7 @@ type enum struct {
 
 // Enumerate walks every fault pattern of t up to o.MaxWeight, for every
 // logical input, and returns the failure polynomial.
-func Enumerate(t Target, o Options) (*Poly, error) {
+func Enumerate(t core.Target, o Options) (*Poly, error) {
 	c := t.Circuit
 	if c == nil {
 		return nil, fmt.Errorf("exact: %s: nil circuit", t.Name)
@@ -263,7 +243,7 @@ func Enumerate(t Target, o Options) (*Poly, error) {
 		return nil, fmt.Errorf("exact: %s: width %d exceeds the packed-state limit of 64 wires", t.Name, c.Width())
 	}
 	if t.Logical == nil {
-		return nil, fmt.Errorf("exact: %s: nil logical function", t.Name)
+		return nil, fmt.Errorf("exact: %s: nil logical circuit", t.Name)
 	}
 	nin := len(t.In)
 	if nin > 20 {
@@ -340,7 +320,7 @@ func Enumerate(t Target, o Options) (*Poly, error) {
 				}
 			}
 		}
-		e.want = t.Logical(in) & (1<<uint(nout) - 1)
+		e.want = t.Logical.Eval(in) & (1<<uint(nout) - 1)
 		e.walk(st, 0, 0, 0)
 	}
 

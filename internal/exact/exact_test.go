@@ -26,7 +26,7 @@ func TestNOTChainClosedForm(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.NOT(0)
 	}
-	p, err := Enumerate(Plain("not-chain", c), Options{})
+	p, err := Enumerate(core.Plain("not-chain", c), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRandomCircuitsMatchRunInjected(t *testing.T) {
 		width := 2 + r.Intn(4) // 2..5
 		nops := 2 + r.Intn(4)  // 2..5
 		c := circuit.Random(r, width, nops, nil)
-		tgt := Plain("rand", c)
+		tgt := core.Plain("rand", c)
 		p, err := Enumerate(tgt, Options{MaxWeight: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -221,16 +221,16 @@ func TestRandomCircuitsMatchRunInjected(t *testing.T) {
 }
 
 func TestEnumerateErrors(t *testing.T) {
-	if _, err := Enumerate(Plain("wide", circuit.New(65).NOT(64)), Options{}); err == nil {
+	if _, err := Enumerate(core.Plain("wide", circuit.New(65).NOT(64)), Options{}); err == nil {
 		t.Fatal("width 65 did not error")
 	}
-	if _, err := Enumerate(Target{Name: "nilfn", Circuit: circuit.New(1).NOT(0), In: [][]int{{0}}, Out: [][]int{{0}}}, Options{}); err == nil {
+	if _, err := Enumerate(core.Target{Name: "nilfn", Circuit: circuit.New(1).NOT(0), In: [][]int{{0}}, Out: [][]int{{0}}}, Options{}); err == nil {
 		t.Fatal("nil Logical did not error")
 	}
-	bad := Target{
+	bad := core.Target{
 		Name: "badblock", Circuit: circuit.New(2).NOT(0),
 		In: [][]int{{0, 1}}, Out: [][]int{{0, 1}},
-		Logical: func(in uint64) uint64 { return in },
+		Logical: circuit.New(1),
 	}
 	if _, err := Enumerate(bad, Options{}); err == nil {
 		t.Fatal("two-wire codeword block did not error")

@@ -1,8 +1,6 @@
 package exact
 
 import (
-	"fmt"
-
 	"revft/internal/circuit"
 	"revft/internal/core"
 )
@@ -11,40 +9,17 @@ import (
 // E: one logical bit encoded on the data wires, recovered onto the output
 // wires, ideal behaviour the identity. Its full enumeration (2·9^8 leaf
 // executions) is what proves §2.2's single-fault claim exhaustively.
-func Recovery() Target {
-	return Target{
+func Recovery() core.Target {
+	return core.Target{
 		Name:    "recovery",
 		Circuit: core.Recovery(),
 		In:      [][]int{append([]int(nil), core.RecoveryDataWires...)},
 		Out:     [][]int{append([]int(nil), core.RecoveryOutputWires...)},
-		Logical: func(in uint64) uint64 { return in & 1 },
+		Logical: circuit.New(1),
 	}
 }
 
-// Gadget wraps a fault-tolerant logical gate (the extended rectangle of
-// §2.2) as an oracle target. Level-1 gadgets (27 ops) enumerate fully up
-// to weight 2–3; deeper levels need tighter MaxWeight cutoffs.
-func Gadget(g *core.Gadget) Target {
-	return Target{
-		Name:    fmt.Sprintf("gadget-%s-L%d", g.Kind, g.Level),
-		Circuit: g.Circuit,
-		In:      g.In,
-		Out:     g.Out,
-		Logical: g.Kind.Eval,
-	}
-}
-
-// Plain wraps an arbitrary circuit as its own target: every wire is an
-// unencoded length-1 "codeword" and the ideal behaviour is the circuit's
-// noiseless action. This is the shape the property-based differential
-// tests use for random circuits.
-func Plain(name string, c *circuit.Circuit) Target {
-	w := c.Width()
-	in := make([][]int, w)
-	out := make([][]int, w)
-	for i := 0; i < w; i++ {
-		in[i] = []int{i}
-		out[i] = []int{i}
-	}
-	return Target{Name: name, Circuit: c, In: in, Out: out, Logical: c.Eval}
-}
+// Gadget returns a fault-tolerant logical gate's target (the extended
+// rectangle of §2.2). Level-1 gadgets (27 ops) enumerate fully up to
+// weight 2–3; deeper levels need tighter MaxWeight cutoffs.
+func Gadget(g *core.Gadget) core.Target { return g.Target }

@@ -6,6 +6,7 @@ import (
 	"revft/internal/irrev"
 	"revft/internal/lattice"
 	"revft/internal/noise"
+	"revft/internal/sim"
 	"revft/internal/synth"
 	"revft/internal/threshold"
 )
@@ -111,8 +112,8 @@ func InterleaveAblation(gs []float64, p MCParams) *Table {
 		audit := s.c.AuditSingleFaults()
 		danger := len(s.c.CrossingOps())
 		for i, g := range gs {
-			est := cycleErrorRate(s.c, noise.Uniform(g), p.Trials, p.Workers,
-				p.Seed+uint64(100*si+i))
+			est := sim.MonteCarlo(p.Trials, p.Workers, p.Seed+uint64(100*si+i),
+				s.c.Trial(core.Uniform, core.Noisy(noise.Uniform(g))))
 			t.AddRow(s.name, len(audit.Failures), danger, g, est.Rate())
 		}
 	}

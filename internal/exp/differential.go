@@ -3,115 +3,33 @@ package exp
 // Differential verification: the Monte Carlo engines against the exact
 // fault-enumeration oracle. For a grid of ε values the harness runs the
 // scalar and the 64-lane engines — and, when requested, a wider K-word
-// lane engine — on the same target and requires each estimate's 3σ Wilson
-// interval to intersect the oracle's exact interval [P_W(ε), P_W(ε)+tail]
-// — a point for full enumerations. One engine disagreeing fingers that
-// engine; all disagreeing fingers the model or the oracle. revft-verify
-// -differential and the exact-verify CI job run this; the property tests
-// in this package run it on random circuits.
+// lane engine — on the same core.Target and requires each estimate's 3σ
+// Wilson interval to intersect the oracle's exact interval
+// [P_W(ε), P_W(ε)+tail] — a point for full enumerations. The estimates
+// come from Target.ErrorRateCtx, the estimator the sweeps, the job server
+// and the benchmark run, so a pass here checks the production code path,
+// not a copy of it. One engine disagreeing fingers that engine; all
+// disagreeing fingers the model or the oracle. revft-verify -differential
+// and the exact-verify CI job run this on the recovery, the level-1
+// gadget and both local cycles; the property tests in this package run
+// it on random circuits.
 
 import (
 	"context"
 	"fmt"
 
-	"revft/internal/bitvec"
-	"revft/internal/code"
+	"revft/internal/core"
 	"revft/internal/exact"
-	"revft/internal/lanes"
 	"revft/internal/noise"
-	"revft/internal/rng"
-	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/telemetry"
 )
 
 // DifferentialZ is the Wilson z-value of the acceptance test: 3σ, the
-// tolerance the issue and the CI job fix. At z = 3 a correct engine is
+// tolerance the CI job fixes. At z = 3 a correct engine is
 // flagged on a given ε with probability ≈ 2.7e-3, and the check is
 // deterministic for a fixed (seed, workers, trials).
 const DifferentialZ = 3.0
-
-// TargetTrial returns the scalar engine's Monte Carlo trial for an oracle
-// target under model m: encode a uniform logical input, run noisily,
-// majority-decode every output block against the ideal logical function.
-func TargetTrial(t exact.Target, m noise.Model) func(*rng.RNG) bool {
-	nin, nout := len(t.In), len(t.Out)
-	levIn, levOut := blockLevels(t.In), blockLevels(t.Out)
-	return func(r *rng.RNG) bool {
-		in := r.Bits(nin)
-		st := bitvec.New(t.Circuit.Width())
-		for i, wires := range t.In {
-			code.EncodeInto(st, wires, in>>uint(i)&1 == 1, levIn[i])
-		}
-		sim.RunNoisy(t.Circuit, st, m, r)
-		want := t.Logical(in) & (1<<uint(nout) - 1)
-		for i, wires := range t.Out {
-			if code.Decode(st, wires, levOut[i]) != (want>>uint(i)&1 == 1) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// TargetBatchWide returns the lane engine's batch trial for the same
-// experiment on a words-wide lane block: uniform logical inputs per lane,
-// one compiled noisy run per batch, word-parallel decode. The ideal
-// reference is computed per lane through t.Logical, so any logical
-// function — not just single gates — can be verified.
-func TargetBatchWide(t exact.Target, m noise.Model, words int) sim.WideBatchTrial {
-	prog := lanes.CompileWide(t.Circuit, m, words)
-	nin, nout := len(t.In), len(t.Out)
-	return func(r *rng.RNG, hit []uint64) {
-		st := lanes.NewWideState(t.Circuit.Width(), words)
-		ins := make([][]uint64, nin)
-		for i := range ins {
-			ins[i] = make([]uint64, words)
-			for k := range ins[i] {
-				ins[i][k] = r.Uint64()
-			}
-		}
-		for i, wires := range t.In {
-			st.EncodeBlock(wires, ins[i])
-		}
-		prog.Run(st, r)
-		want := make([][]uint64, nout)
-		for o := range want {
-			want[o] = make([]uint64, words)
-		}
-		for k := 0; k < words; k++ {
-			for lane := 0; lane < 64; lane++ {
-				var in uint64
-				for i := 0; i < nin; i++ {
-					in |= ins[i][k] >> uint(lane) & 1 << uint(i)
-				}
-				w := t.Logical(in)
-				for o := 0; o < nout; o++ {
-					want[o][k] |= w >> uint(o) & 1 << uint(lane)
-				}
-			}
-		}
-		for k := range hit {
-			hit[k] = 0
-		}
-		dec := make([]uint64, words)
-		for i, wires := range t.Out {
-			st.DecodeBlock(wires, dec)
-			for k := range hit {
-				hit[k] |= dec[k] ^ want[i][k]
-			}
-		}
-	}
-}
-
-// blockLevels maps codeword block lengths (3^L wires) to their levels.
-func blockLevels(blocks [][]int) []int {
-	out := make([]int, len(blocks))
-	for i, wires := range blocks {
-		out[i] = code.Level(len(wires))
-	}
-	return out
-}
 
 // DiffEngine is one engine's verdict at one ε: its estimate and whether
 // its 3σ Wilson interval intersects the oracle's exact interval.
@@ -142,7 +60,7 @@ const diffStride = 3
 // emitted as a "differential" trace event when tr is non-nil. The run is
 // cancellable; on cancellation the completed points are returned with
 // the error.
-func Differential(ctx context.Context, t exact.Target, poly *exact.Poly, eps []float64, p MCParams, wideWords int, tr *telemetry.Trace) ([]DiffPoint, error) {
+func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []float64, p MCParams, wideWords int, tr *telemetry.Trace) ([]DiffPoint, error) {
 	words := []int{0, 1}
 	if wideWords > 0 {
 		words = append(words, wideWords)
@@ -158,14 +76,7 @@ func Differential(ctx context.Context, t exact.Target, poly *exact.Poly, eps []f
 		lo, hi := poly.Bounds(e)
 		pt := DiffPoint{Eps: e, ExactLo: lo, ExactHi: hi}
 		for j, w := range words {
-			seed := p.Seed + uint64(diffStride*i+j)
-			var res sim.Result
-			var err error
-			if w == 0 {
-				res, err = sim.MonteCarloCtx(ctx, p.Trials, p.Workers, seed, TargetTrial(t, m))
-			} else {
-				res, err = sim.MonteCarloWideCtx(ctx, p.Trials, p.Workers, seed, w, TargetBatchWide(t, m, w))
-			}
+			res, err := t.ErrorRateCtx(ctx, m, w, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
 			v := DiffEngine{Name: engineName(w), Est: res.Bernoulli, OK: overlapsExact(res.Bernoulli, lo, hi)}
 			pt.Engines = append(pt.Engines, v)
 			emitDifferential(tr, t.Name, pt, v)
@@ -213,7 +124,7 @@ func emitDifferential(tr *telemetry.Trace, target string, pt DiffPoint, v DiffEn
 // DifferentialTable renders the verdicts, one column pair per engine,
 // with one note per disagreement and the count of failing (ε, engine)
 // checks in the returned int.
-func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Table, int) {
+func DifferentialTable(t core.Target, poly *exact.Poly, pts []DiffPoint) (*Table, int) {
 	kind := "exact"
 	if !poly.Exact() {
 		kind = fmt.Sprintf("weight ≤ %d of %d", poly.MaxWeight, poly.N)
@@ -250,7 +161,11 @@ func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Tabl
 		}
 	}
 	if bad == 0 {
-		tab.AddNote("every engine agrees with the oracle at every ε (A1 = 0 proven exhaustively; A2 = %.6g)", poly.CoeffFloat(2))
+		a1 := "A1 = 0 proven exhaustively"
+		if poly.FailurePatterns(1) != 0 {
+			a1 = fmt.Sprintf("A1 = %v exactly", poly.Coeff(1).RatString())
+		}
+		tab.AddNote("every engine agrees with the oracle at every ε (%s; A2 = %.6g)", a1, poly.CoeffFloat(2))
 	}
 	return tab, bad
 }

@@ -61,7 +61,7 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 		width := 3 + r.Intn(3) // 3..5
 		nops := 3 + r.Intn(3)  // 3..5
 		c := circuit.Random(r, width, nops, nil)
-		tgt := exact.Plain("rand", c)
+		tgt := core.Plain("rand", c)
 		poly, err := exact.Enumerate(tgt, exact.Options{})
 		if err != nil {
 			t.Fatal(err)

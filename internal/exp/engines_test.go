@@ -48,7 +48,7 @@ func TestGadgetEnginesEquivalentSweep(t *testing.T) {
 		m := noise.Uniform(g)
 		seed := uint64(100 + i)
 		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
-		lane := mustRate(t)(gadgetRateCtx(context.Background(), gad, m, MCParams{Workers: 4, Engine: EngineLanes}, trials, seed))
+		lane := mustRate(t)(gad.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), trials, 4, seed))
 		if lane.Trials != trials {
 			t.Fatalf("lane engine ran %d trials, want %d", lane.Trials, trials)
 		}
@@ -68,8 +68,8 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 		for i, g := range []float64{2e-3, 1e-2} {
 			m := noise.Uniform(g)
 			seed := uint64(200 + i)
-			scalar := cycleErrorRate(tc.cycle, m, trials, 4, seed)
-			lane := mustRate(t)(cycleRateCtx(context.Background(), "cycle", tc.cycle, m, MCParams{Workers: 4, Engine: EngineLanes}, trials, seed))
+			scalar := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, 0, trials, 4, seed))
+			lane := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), trials, 4, seed))
 			requireOverlap(t, tc.name+" cycle", g, scalar, lane)
 		}
 	}
@@ -78,6 +78,7 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 func TestModuleEnginesEquivalent(t *testing.T) {
 	logical, _ := adder.New(2)
 	m := core.CompileModule(logical, 1)
+	bare := core.Plain("unprotected", logical)
 	const trials = 20000
 	const in = uint64(0b0110)
 	must := mustRate(t)
@@ -89,8 +90,8 @@ func TestModuleEnginesEquivalent(t *testing.T) {
 			m.ErrorRate(in, nm, trials, 4, seed),
 			must(m.ErrorRateWideCtx(ctx, in, nm, 1, trials, 4, seed)))
 		requireOverlap(t, "bare adder", g,
-			core.UnprotectedErrorRate(logical, in, nm, trials, 4, seed),
-			must(core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, 1, trials, 4, seed)))
+			must(bare.InputErrorRateCtx(ctx, in, nm, 0, trials, 4, seed)),
+			must(bare.InputErrorRateCtx(ctx, in, nm, 1, trials, 4, seed)))
 	}
 }
 

@@ -36,6 +36,7 @@ func TestGadgetWideEnginesEquivalentSweep(t *testing.T) {
 func TestModuleWideEnginesEquivalent(t *testing.T) {
 	logical, _ := adder.New(2)
 	m := core.CompileModule(logical, 1)
+	bare := core.Plain("unprotected", logical)
 	const trials = 20000
 	const in = uint64(0b0110)
 	must := mustRate(t)
@@ -47,8 +48,8 @@ func TestModuleWideEnginesEquivalent(t *testing.T) {
 			m.ErrorRate(in, nm, trials, 4, seed),
 			must(m.ErrorRateWideCtx(ctx, in, nm, 4, trials, 4, seed)))
 		requireOverlap(t, "bare adder (wide)", g,
-			core.UnprotectedErrorRate(logical, in, nm, trials, 4, seed),
-			must(core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, 4, trials, 4, seed)))
+			must(bare.InputErrorRateCtx(ctx, in, nm, 0, trials, 4, seed)),
+			must(bare.InputErrorRateCtx(ctx, in, nm, 4, trials, 4, seed)))
 	}
 }
 
@@ -130,7 +131,7 @@ func TestLaneFaultTelemetryCountsSlots(t *testing.T) {
 	} {
 		reg := telemetry.New()
 		ctx := telemetry.NewContext(context.Background(), reg)
-		res, err := gadgetRateCtx(ctx, gad, noise.Uniform(1), MCParams{Workers: 1, Engine: tc.engine}, trials, 3)
+		res, err := gad.ErrorRateCtx(ctx, noise.Uniform(1), MCParams{Engine: tc.engine}.wideWords(), trials, 1, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}

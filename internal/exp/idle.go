@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"revft/internal/bitvec"
-	"revft/internal/code"
+	"revft/internal/core"
 	"revft/internal/gate"
 	"revft/internal/lattice"
 	"revft/internal/noise"
-	"revft/internal/rng"
 	"revft/internal/sim"
-	"revft/internal/stats"
 )
 
 // IdleNoise measures the architecture/performance trade-off the paper's
@@ -28,8 +25,8 @@ func IdleNoise(g float64, idleFracs []float64, p MCParams) *Table {
 	s1 := sim.NewScheduled(c1.Circuit)
 	for i, f := range idleFracs {
 		m := noise.Idle{Gate: g, Init: g, Idle: f * g}
-		e2 := scheduledCycleError(c2, s2, m, p.Trials, p.Workers, p.Seed+uint64(2*i))
-		e1 := scheduledCycleError(c1, s1, m, p.Trials, p.Workers, p.Seed+uint64(2*i+1))
+		e2 := sim.MonteCarlo(p.Trials, p.Workers, p.Seed+uint64(2*i), c2.Trial(core.Uniform, core.Idle(s2, m)))
+		e1 := sim.MonteCarlo(p.Trials, p.Workers, p.Seed+uint64(2*i+1), c1.Trial(core.Uniform, core.Idle(s1, m)))
 		ratio := 0.0
 		if e2.Rate() > 0 {
 			ratio = e1.Rate() / e2.Rate()
@@ -39,22 +36,4 @@ func IdleNoise(g float64, idleFracs []float64, p MCParams) *Table {
 	t.AddNote("gate error g = %v; cycle depths: 2D = %d, 1D = %d time steps", g, s2.Depth(), s1.Depth())
 	t.AddNote("the paper's model has noiseless idle bits (idle/g = 0); positive idle noise is our ablation")
 	return t
-}
-
-func scheduledCycleError(c *lattice.Cycle, s *sim.Scheduled, m noise.Idle, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, func(r *rng.RNG) bool {
-		in := r.Bits(len(c.In))
-		st := bitvec.New(c.Circuit.Width())
-		for i, wires := range c.In {
-			code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-		}
-		s.Run(st, m, r)
-		want := c.Kind.Eval(in)
-		for i, wires := range c.Out {
-			if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-				return true
-			}
-		}
-		return false
-	})
 }

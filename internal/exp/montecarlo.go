@@ -5,17 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"revft/internal/bitvec"
-	"revft/internal/code"
 	"revft/internal/core"
 	"revft/internal/entropy"
-	"revft/internal/lanes"
-	"revft/internal/lattice"
-	"revft/internal/noise"
-	"revft/internal/rng"
-	"revft/internal/sim"
-	"revft/internal/stats"
-	"revft/internal/telemetry"
 	"revft/internal/vonneumann"
 )
 
@@ -36,7 +27,8 @@ const (
 
 // engines is the engine table: every accepted name with its lane-block
 // width in 64-lane words, 0 for the scalar engine. ValidEngine,
-// CheckEngine, EngineNames, and every driver's dispatch derive from it.
+// CheckEngine, EngineNames, and the words every driver passes to
+// core.Target's estimators derive from it.
 var engines = []struct {
 	name  string
 	words int
@@ -104,11 +96,6 @@ func (p MCParams) wideWords() int {
 	return w
 }
 
-// DefaultMCParams returns sensible defaults for interactive runs.
-func DefaultMCParams() MCParams {
-	return MCParams{Trials: 200000, Seed: 1}
-}
-
 // Recovery measures the Figure 2 extended rectangle: the level-1 logical
 // error rate of a MAJ gate followed by recovery, versus the paper's
 // Equation 1 bound 3·C(G,2)·g², across a sweep of gate error rates.
@@ -138,76 +125,6 @@ func mustSweep(t *Table, err error) *Table {
 		panic(err)
 	}
 	return t
-}
-
-// cycleTrial returns the scalar trial for one noisy cycle execution on a
-// uniformly random logical input.
-func cycleTrial(c *lattice.Cycle, m noise.Model) func(r *rng.RNG) bool {
-	return func(r *rng.RNG) bool {
-		in := r.Bits(len(c.In))
-		st := bitvec.New(c.Circuit.Width())
-		for i, wires := range c.In {
-			code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-		}
-		sim.RunNoisy(c.Circuit, st, m, r)
-		want := c.Kind.Eval(in)
-		for i, wires := range c.Out {
-			if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-func cycleErrorRate(c *lattice.Cycle, m noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, cycleTrial(c, m))
-}
-
-// cycleBatchWide compiles the cycle once for a words-wide lane block and
-// returns the batch trial: random logical inputs per lane, one compiled
-// noisy run per batch, word-parallel majority decode. When ctx carries a
-// telemetry registry, fault events are tallied per gate location under
-// "lanes.op_faults.<label>" (label is "cycle2d" or "cycle1d").
-func cycleBatchWide(ctx context.Context, label string, c *lattice.Cycle, m noise.Model, words int) sim.WideBatchTrial {
-	prog := lanes.CompileWide(c.Circuit, m, words)
-	var instr *lanes.Instr
-	if reg := telemetry.Active(ctx); reg != nil {
-		instr = &lanes.Instr{
-			Faults:   reg.Counter("lanes.faults"),
-			OpFaults: reg.CounterVec("lanes.op_faults."+label, c.Circuit.OpLabels()),
-		}
-	}
-	nin := len(c.In)
-	return func(r *rng.RNG, hit []uint64) {
-		st := lanes.NewWideState(c.Circuit.Width(), words)
-		ins := make([][]uint64, nin)
-		for i := range ins {
-			ins[i] = make([]uint64, words)
-			for k := range ins[i] {
-				ins[i][k] = r.Uint64()
-			}
-		}
-		for i, wires := range c.In {
-			st.EncodeBlock(wires, ins[i])
-		}
-		prog.RunInstr(st, r, instr)
-		want := make([][]uint64, nin)
-		for i := range want {
-			want[i] = append([]uint64(nil), ins[i]...)
-		}
-		lanes.EvalWide(c.Kind, want)
-		for k := range hit {
-			hit[k] = 0
-		}
-		dec := make([]uint64, words)
-		for i, wires := range c.Out {
-			st.DecodeBlock(wires, dec)
-			for k := range hit {
-				hit[k] |= dec[k] ^ want[i][k]
-			}
-		}
-	}
 }
 
 // EntropyMeasured measures the ancilla entropy of one noisy recovery cycle

@@ -9,9 +9,18 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"revft/internal/sweep"
 )
+
+// sweepExperiments is the list of checkpointable sweep experiments
+// ShardableSweep serves; SweepExperiments and every CLI's list of them
+// derive from it.
+var sweepExperiments = []string{"recovery", "levels", "local", "adder"}
+
+// SweepExperiments returns the sweep experiment names in list order.
+func SweepExperiments() []string { return append([]string(nil), sweepExperiments...) }
 
 // ShardableSweep returns the named sweep experiment's global point
 // function and total point count. gs is the swept gate-error grid;
@@ -43,5 +52,5 @@ func ShardableSweep(experiment string, gs []float64, maxLevel, bits int, p MCPar
 		fn, _ := adderPointFunc(bits, gs, p)
 		return fn, len(gs), nil
 	}
-	return nil, 0, fmt.Errorf("exp: %q is not a shardable sweep experiment (want recovery, levels, local, or adder)", experiment)
+	return nil, 0, fmt.Errorf("exp: %q is not a shardable sweep experiment (want %s)", experiment, strings.Join(sweepExperiments, ", "))
 }

@@ -21,7 +21,6 @@ import (
 	"revft/internal/lattice"
 	"revft/internal/noise"
 	"revft/internal/resultcache"
-	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/sweep"
 	"revft/internal/telemetry"
@@ -175,25 +174,6 @@ func sweepSpec(experiment string, grid []float64, points int, p MCParams, o Swee
 	}
 }
 
-// gadgetRateCtx dispatches a gadget's cancellable logical-error-rate
-// estimate to the selected engine.
-func gadgetRateCtx(ctx context.Context, g *core.Gadget, m noise.Model, p MCParams, trials int, seed uint64) (sim.Result, error) {
-	if w := p.wideWords(); w > 0 {
-		return g.LogicalErrorRateWideCtx(ctx, m, w, trials, p.Workers, seed)
-	}
-	return g.LogicalErrorRateCtx(ctx, m, trials, p.Workers, seed)
-}
-
-// cycleRateCtx dispatches a local cycle's cancellable error-rate estimate
-// to the selected engine. label keys the cycle's per-gate-location fault
-// telemetry ("cycle2d" or "cycle1d").
-func cycleRateCtx(ctx context.Context, label string, c *lattice.Cycle, m noise.Model, p MCParams, trials int, seed uint64) (sim.Result, error) {
-	if w := p.wideWords(); w > 0 {
-		return sim.MonteCarloWideCtx(ctx, trials, p.Workers, seed, w, cycleBatchWide(ctx, label, c, m, w))
-	}
-	return sim.MonteCarloCtx(ctx, trials, p.Workers, seed, cycleTrial(c, m))
-}
-
 // markSweepTable annotates an interrupted sweep's table: the title gains a
 // [PARTIAL] tag and notes record what is missing, so a truncated table can
 // never be mistaken for a finished run. Completed sweeps pass through
@@ -294,7 +274,7 @@ func recoveryPointFunc(gs []float64, p MCParams) (sweep.PointFunc, map[string]in
 	}
 	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
 		seed := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltRecovery), chunk)
-		res, rerr := gadgetRateCtx(ctx, gad, noise.Uniform(gs[pt]), p, trials, seed)
+		res, rerr := gad.ErrorRateCtx(ctx, noise.Uniform(gs[pt]), p.wideWords(), trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
@@ -345,7 +325,7 @@ func levelsPointFunc(gs []float64, maxLevel int, p MCParams) (sweep.PointFunc, m
 	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
 		l, i := pt/len(gs), pt%len(gs)
 		seed := sweep.ChunkSeed(pointSeed(p.Seed, gs[i], saltLevels+uint64(l)), chunk)
-		res, rerr := gadgetRateCtx(ctx, gads[l], noise.Uniform(gs[i]), p, trials, seed)
+		res, rerr := gads[l].ErrorRateCtx(ctx, noise.Uniform(gs[i]), p.wideWords(), trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
@@ -394,12 +374,12 @@ func localPointFunc(gs []float64, p MCParams) (sweep.PointFunc, map[string]int) 
 		"cycle1d.G_analytic":   threshold.G1DInit,
 	}
 	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
-		m := noise.Uniform(gs[pt])
-		e2, rerr := cycleRateCtx(ctx, "cycle2d", c2, m, p, trials, sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltLocal), chunk))
+		m, w := noise.Uniform(gs[pt]), p.wideWords()
+		e2, rerr := c2.ErrorRateCtx(ctx, m, w, trials, p.Workers, sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltLocal), chunk))
 		if rerr != nil {
 			return []stats.Bernoulli{e2.Bernoulli, {}}, rerr
 		}
-		e1, rerr := cycleRateCtx(ctx, "cycle1d", c1, m, p, trials, sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltLocal+1), chunk))
+		e1, rerr := c1.ErrorRateCtx(ctx, m, w, trials, p.Workers, sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltLocal+1), chunk))
 		return []stats.Bernoulli{e2.Bernoulli, e1.Bernoulli}, rerr
 	}, counts
 }
@@ -441,6 +421,7 @@ func LocalCtx(ctx context.Context, gs []float64, p MCParams, o SweepOptions) (*T
 func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[string]int) {
 	logical, l := adder.New(n)
 	m := core.CompileModule(logical, 1)
+	bare, ft := core.Plain("unprotected", logical), m.Target()
 	// Fixed representative operands.
 	var in uint64
 	a, b := uint64(0b1011)&((1<<uint(n))-1), uint64(0b0110)&((1<<uint(n))-1)
@@ -457,23 +438,12 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[strin
 		nm := noise.Uniform(gs[pt])
 		sb := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltAdder), chunk)
 		sf := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltAdder+1), chunk)
-		var bare, ft sim.Result
-		var rerr error
-		w := p.wideWords()
-		if w > 0 {
-			bare, rerr = core.UnprotectedErrorRateWideCtx(ctx, logical, in, nm, w, trials, p.Workers, sb)
-		} else {
-			bare, rerr = core.UnprotectedErrorRateCtx(ctx, logical, in, nm, trials, p.Workers, sb)
-		}
+		eb, rerr := bare.InputErrorRateCtx(ctx, in, nm, p.wideWords(), trials, p.Workers, sb)
 		if rerr != nil {
-			return []stats.Bernoulli{bare.Bernoulli, {}}, rerr
+			return []stats.Bernoulli{eb.Bernoulli, {}}, rerr
 		}
-		if w > 0 {
-			ft, rerr = m.ErrorRateWideCtx(ctx, in, nm, w, trials, p.Workers, sf)
-		} else {
-			ft, rerr = m.ErrorRateCtx(ctx, in, nm, trials, p.Workers, sf)
-		}
-		return []stats.Bernoulli{bare.Bernoulli, ft.Bernoulli}, rerr
+		ef, rerr := ft.InputErrorRateCtx(ctx, in, nm, p.wideWords(), trials, p.Workers, sf)
+		return []stats.Bernoulli{eb.Bernoulli, ef.Bernoulli}, rerr
 	}, counts
 }
 

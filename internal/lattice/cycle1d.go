@@ -4,20 +4,20 @@ import (
 	"fmt"
 
 	"revft/internal/circuit"
+	"revft/internal/core"
 	"revft/internal/gate"
 	"revft/internal/threshold"
 )
 
 // Cycle is a complete local logical-gate cycle: interleave the codewords,
 // apply the gate transversally, uninterleave, and run local error recovery
-// on every codeword. In and Out give each logical operand's data cells
-// before and after; for the schedules here Out equals In, so cycles chain.
+// on every codeword. Its Target's In and Out give each logical operand's
+// data cells before and after, and its Name keys the cycle's lane-engine
+// fault telemetry ("cycle2d", "cycle1d", "cycle2d-parallel").
 type Cycle struct {
-	Kind    gate.Kind
-	Circuit *circuit.Circuit
-	Layout  Layout
-	In      [][]int
-	Out     [][]int
+	core.Target
+	Kind   gate.Kind
+	Layout Layout
 	// recStart is the op index where the per-codeword recovery sections
 	// begin; recLen is the length of one codeword's recovery section.
 	recStart int
@@ -72,11 +72,11 @@ func NewCycle1D(k gate.Kind) *Cycle {
 		in[i] = append([]int(nil), home[i]...)
 	}
 	return &Cycle{
+		// The 1D recovery maps cells (0,3,6) back onto themselves, so
+		// Out equals In and cycles chain.
+		Target:    core.Target{Name: "cycle1d", Circuit: c, In: in, Out: in, Logical: core.GateCircuit(k)},
 		Kind:      k,
-		Circuit:   c,
 		Layout:    Line{N: Cycle1DWidth},
-		In:        in,
-		Out:       in, // the 1D recovery maps cells (0,3,6) back onto themselves
 		recStart:  recStart,
 		recLen:    rec.Len(),
 		gateStart: gateStart,

@@ -160,11 +160,9 @@ func NewCycle2D(k gate.Kind) *Cycle {
 		out[p] = []int{q(p, 0), q(p, 3), q(p, 6)}
 	}
 	return &Cycle{
+		Target:    core.Target{Name: "cycle2d", Circuit: c, In: in, Out: out, Logical: core.GateCircuit(k)},
 		Kind:      k,
-		Circuit:   c,
 		Layout:    layout,
-		In:        in,
-		Out:       out,
 		recStart:  recStart,
 		recLen:    rec.Len(),
 		gateStart: gateStart,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"revft/internal/circuit"
+	"revft/internal/core"
 	"revft/internal/gate"
 )
 
@@ -79,11 +80,9 @@ func NewCycle2DParallel(k gate.Kind) *Cycle {
 		out[p] = []int{9*p + 0, 9*p + 3, 9*p + 6}
 	}
 	return &Cycle{
+		Target:    core.Target{Name: "cycle2d-parallel", Circuit: c, In: in, Out: out, Logical: core.GateCircuit(k)},
 		Kind:      k,
-		Circuit:   c,
 		Layout:    layout,
-		In:        in,
-		Out:       out,
 		recStart:  recStart,
 		recLen:    rec.Len(),
 		gateStart: gateStart,

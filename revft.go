@@ -201,6 +201,32 @@ type Builder = core.Builder
 // NewBuilder allocates nbits logical bits at the given level.
 func NewBuilder(level, nbits int) *Builder { return core.NewBuilder(level, nbits) }
 
+// Target is §2.2's extended rectangle (encode, run under noise, decode,
+// compare with the logical circuit) that gadgets, cycles and modules run
+// their Monte Carlo estimates through.
+type Target = core.Target
+
+// TrialInput selects the logical inputs of a target's trials.
+type TrialInput = core.Input
+
+// UniformInput draws a fresh uniformly random logical input per trial.
+var UniformInput = core.Uniform
+
+// FixedInput holds every trial at the packed logical input in.
+func FixedInput(in uint64) TrialInput { return core.Fixed(in) }
+
+// TrialRun is the execution step of a scalar trial.
+type TrialRun = core.Run
+
+// NoisyRun runs a trial under the paper's randomizing fault channel m.
+func NoisyRun(m NoiseModel) TrialRun { return core.Noisy(m) }
+
+// ProcessRun runs a trial under a fresh sampler of the fault process p.
+func ProcessRun(p FaultProcess) TrialRun { return core.Process(p) }
+
+// PlainTarget wraps a circuit as its own unencoded target.
+func PlainTarget(name string, c *Circuit) Target { return core.Plain(name, c) }
+
 // Gadget is one fault-tolerant logical gate packaged for threshold
 // experiments.
 type Gadget = core.Gadget
