@@ -78,10 +78,10 @@
 //	-chaos-seed 1         seed for the fault sequence (reproducible runs)
 //
 // SIGINT/SIGTERM cancels the sweep cleanly: in-flight trials stop at the
-// next batch boundary, the checkpoint is flushed, and the partial table is
-// printed with a [PARTIAL] title tag. Rerunning with the same spec and
-// -resume finishes the sweep; the final table is bit-identical to an
-// uninterrupted run for a fixed (seed, workers, engine).
+// next 512-trial block boundary, the checkpoint is flushed, and the
+// partial table is printed with a [PARTIAL] title tag. Rerunning with the
+// same spec and -resume finishes the sweep; the final table is
+// bit-identical to an uninterrupted run for a fixed (seed, engine).
 //
 // Exit codes:
 //

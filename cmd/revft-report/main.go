@@ -14,6 +14,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -86,13 +88,21 @@ func run(args []string) error {
 		gs := stats.LogSpace(3e-4, 3e-2, 5)
 		fmt.Println("# Monte Carlo measurements")
 		fmt.Println()
+		// Under a background context the sweep drivers' only possible
+		// error is a recovered trial panic.
+		ctx, o := context.Background(), exp.SweepOptions{}
+		recovery, err1 := exp.RecoveryCtx(ctx, gs, p, o)
+		levels, err2 := exp.LevelsCtx(ctx, gs, 2, p, o)
+		local, err3 := exp.LocalCtx(ctx, gs, p, o)
+		adder, err4 := exp.AdderModuleCtx(ctx, 4, stats.LogSpace(3e-4, 5e-3, 4), p, o)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			return err
+		}
 		tables := []*exp.Table{
-			exp.Recovery(gs, p),
-			exp.Levels(gs, 2, p),
-			exp.Local(gs, p),
+			recovery, levels, local,
 			exp.EntropyMeasured(stats.LogSpace(2e-3, 5e-2, 4), p),
 			exp.VonNeumannChain(p),
-			exp.AdderModule(4, stats.LogSpace(3e-4, 5e-3, 4), p),
+			adder,
 			exp.InitAblation(stats.LogSpace(2e-3, 1e-2, 3), p),
 			exp.CorrelatedNoise(5e-3, []float64{0, 0.25, 0.5, 0.75, 0.9}, p),
 			exp.InterleaveAblation([]float64{1e-3, 3e-3}, p),

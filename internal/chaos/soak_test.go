@@ -20,27 +20,22 @@ import (
 
 	"revft/internal/chaos"
 	"revft/internal/rng"
+	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/sweep"
 	"revft/internal/telemetry"
 )
 
 // soakPoint mirrors the sweep package's deterministic test PointFunc:
-// estimates derived purely from (seed, pt, chunk, trials), so chaotic
+// estimates derived purely from (seed, pt, start, trials), so chaotic
 // and clean runs are comparable bit-for-bit.
 func soakPoint(seed uint64) sweep.PointFunc {
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := rng.New(sweep.ChunkSeed(seed+uint64(pt), chunk))
-		hits := 0
-		for i := 0; i < trials; i++ {
-			if r.Bool(0.1) {
-				hits++
-			}
-		}
-		return []stats.Bernoulli{{Trials: trials, Successes: hits}}, nil
+		res, err := sim.MonteCarloCtx(ctx, start, trials, 1, seed+uint64(pt), func(r *rng.RNG) bool { return r.Bool(0.1) })
+		return []stats.Bernoulli{res.Bernoulli}, err
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"revft/internal/rng"
 	"revft/internal/server"
+	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/sweep"
 )
@@ -259,18 +260,12 @@ func TestWaitReportsFailedJob(t *testing.T) {
 // contract that makes results independent of scheduling.
 func fakeDriver(spec server.JobSpec, grid []float64) (sweep.PointFunc, int, error) {
 	seed := spec.Seed
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := rng.New(sweep.ChunkSeed(seed+uint64(pt)*1009, chunk))
-		hits := 0
-		for i := 0; i < trials; i++ {
-			if r.Bool(0.1) {
-				hits++
-			}
-		}
-		return []stats.Bernoulli{{Trials: trials, Successes: hits}}, nil
+		res, err := sim.MonteCarloCtx(ctx, start, trials, 1, seed+uint64(pt)*1009, func(r *rng.RNG) bool { return r.Bool(0.1) })
+		return []stats.Bernoulli{res.Bernoulli}, err
 	}, spec.Points, nil
 }
 

@@ -170,10 +170,14 @@ func TestLogicalErrorRateImproves(t *testing.T) {
 }
 
 // TestLevel2BeatsLevel1BelowThreshold: concatenation helps below threshold.
+// The level-1 rate at g0 is A₂·g0² ≈ 5.2e-5 (A₂ = 825/64), so it runs
+// 1.5M trials (~77 expected failures): its Wilson lower bound then clears
+// a zero-failure level-2 bound unless the count falls ~2.8σ short. At
+// 150k trials the expected ~8 failures sat on the pass/fail edge.
 func TestLevel2BeatsLevel1BelowThreshold(t *testing.T) {
 	const g0 = 2e-3 // comfortably below 1/108 ≈ 9.3e-3
 	m := noise.Uniform(g0)
-	l1 := NewGadget(gate.MAJ, 1).LogicalErrorRate(m, 150000, 0, 7)
+	l1 := NewGadget(gate.MAJ, 1).LogicalErrorRate(m, 1500000, 0, 7)
 	l2 := NewGadget(gate.MAJ, 2).LogicalErrorRate(m, 150000, 0, 8)
 	_, hi2 := l2.Wilson(1.96)
 	lo1, _ := l1.Wilson(1.96)

@@ -63,20 +63,21 @@ func (g *Gadget) LogicalErrorRate(m noise.Model, trials, workers int, seed uint6
 	return sim.MonteCarlo(trials, workers, seed, g.Trial(Uniform, Noisy(m)))
 }
 
-// LogicalErrorRateCtx is ErrorRateCtx on the scalar engine.
+// LogicalErrorRateCtx is ErrorRateCtx from trial 0, on the scalar engine.
 func (g *Gadget) LogicalErrorRateCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return g.ErrorRateCtx(ctx, m, 0, trials, workers, seed)
+	return g.ErrorRateCtx(ctx, m, 0, 0, trials, workers, seed)
 }
 
-// LogicalErrorRateWideCtx is ErrorRateCtx on the words-wide lane engine.
+// LogicalErrorRateWideCtx is ErrorRateCtx from trial 0, words wide.
 func (g *Gadget) LogicalErrorRateWideCtx(ctx context.Context, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
-	return g.ErrorRateCtx(ctx, m, words, trials, workers, seed)
+	return g.ErrorRateCtx(ctx, m, words, 0, trials, workers, seed)
 }
 
-// LogicalErrorRateLanesCtx is ErrorRateCtx on the 64-lane engine. It is
-// kept only for the benchmark module, whose perfbench/layers.go calls it.
+// LogicalErrorRateLanesCtx is ErrorRateCtx from trial 0, 64 lanes wide.
+// It is kept only for the benchmark module, whose perfbench/layers.go
+// calls it.
 func (g *Gadget) LogicalErrorRateLanesCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return g.ErrorRateCtx(ctx, m, 1, trials, workers, seed)
+	return g.ErrorRateCtx(ctx, m, 1, 0, trials, workers, seed)
 }
 
 // LogicalErrorRateProcess is LogicalErrorRate under a stateful fault

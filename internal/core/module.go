@@ -87,20 +87,19 @@ func (m *Module) ErrorRate(in uint64, nm noise.Model, trials, workers int, seed 
 	return sim.MonteCarlo(trials, workers, seed, m.Target().Trial(Fixed(in), Noisy(nm)))
 }
 
-// ErrorRateCtx is Target().InputErrorRateCtx on the scalar engine.
+// ErrorRateCtx is Target().InputErrorRateCtx from trial 0, scalar.
 func (m *Module) ErrorRateCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return m.Target().InputErrorRateCtx(ctx, in, nm, 0, trials, workers, seed)
+	return m.Target().InputErrorRateCtx(ctx, in, nm, 0, 0, trials, workers, seed)
 }
 
-// ErrorRateWideCtx is Target().InputErrorRateCtx on the words-wide lane
-// engine.
+// ErrorRateWideCtx is Target().InputErrorRateCtx from trial 0, words wide.
 func (m *Module) ErrorRateWideCtx(ctx context.Context, in uint64, nm noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
-	return m.Target().InputErrorRateCtx(ctx, in, nm, words, trials, workers, seed)
+	return m.Target().InputErrorRateCtx(ctx, in, nm, words, 0, trials, workers, seed)
 }
 
-// ErrorRateLanesCtx is Target().InputErrorRateCtx on the 64-lane engine.
-// It is kept only for the benchmark module, whose perfbench/layers.go
-// calls it.
+// ErrorRateLanesCtx is Target().InputErrorRateCtx from trial 0, 64 lanes
+// wide. It is kept only for the benchmark module, whose
+// perfbench/layers.go calls it.
 func (m *Module) ErrorRateLanesCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return m.Target().InputErrorRateCtx(ctx, in, nm, 1, trials, workers, seed)
+	return m.Target().InputErrorRateCtx(ctx, in, nm, 1, 0, trials, workers, seed)
 }

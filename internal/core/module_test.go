@@ -119,7 +119,7 @@ func TestModuleBeatsUnprotected(t *testing.T) {
 	const g = 1e-3
 	nm := noise.Uniform(g)
 
-	res, err := Plain("unprotected", logical).InputErrorRateCtx(context.Background(), 0b101, nm, 0, 40000, 0, 21)
+	res, err := Plain("unprotected", logical).InputErrorRateCtx(context.Background(), 0b101, nm, 0, 0, 40000, 0, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,25 +146,25 @@ func codeLevels(blocks [][]int) []int {
 }
 
 // ErrorRateCtx estimates the target's logical failure probability over
-// uniformly random inputs under model m: words = 0 runs the scalar
-// engine, words = K the K-word lane engine (64·K trials per batch). The
-// run is cancellable, returns partial results on cancellation and
-// recovers trial panics into a *sim.TrialPanicError.
-func (t Target) ErrorRateCtx(ctx context.Context, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
-	return t.estimate(ctx, Uniform, m, words, trials, workers, seed)
+// uniformly random inputs under model m over trials [start, start+trials)
+// of the estimate seeded with seed: words = 0 runs the scalar engine,
+// words = K the K-word lane engine. See sim.MonteCarloCtx for start,
+// workers, cancellation and panics.
+func (t Target) ErrorRateCtx(ctx context.Context, m noise.Model, words, start, trials, workers int, seed uint64) (sim.Result, error) {
+	return t.estimate(ctx, Uniform, m, words, start, trials, workers, seed)
 }
 
 // InputErrorRateCtx is ErrorRateCtx with every trial on the packed
 // logical input in.
-func (t Target) InputErrorRateCtx(ctx context.Context, in uint64, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
-	return t.estimate(ctx, Fixed(in), m, words, trials, workers, seed)
+func (t Target) InputErrorRateCtx(ctx context.Context, in uint64, m noise.Model, words, start, trials, workers int, seed uint64) (sim.Result, error) {
+	return t.estimate(ctx, Fixed(in), m, words, start, trials, workers, seed)
 }
 
 // estimate is the one place the scalar and lane engines are chosen
 // between.
-func (t Target) estimate(ctx context.Context, in Input, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
+func (t Target) estimate(ctx context.Context, in Input, m noise.Model, words, start, trials, workers int, seed uint64) (sim.Result, error) {
 	if words > 0 {
-		return sim.MonteCarloWideCtx(ctx, trials, workers, seed, words, t.batch(ctx, in, m, words))
+		return sim.MonteCarloWideCtx(ctx, start, trials, workers, seed, words, t.batch(ctx, in, m, words))
 	}
-	return sim.MonteCarloCtx(ctx, trials, workers, seed, t.Trial(in, Noisy(m)))
+	return sim.MonteCarloCtx(ctx, start, trials, workers, seed, t.Trial(in, Noisy(m)))
 }

@@ -6,9 +6,10 @@ package core
 // are drawn per lane word, the ideal outputs are computed bit-sliced
 // (one word kernel per logical op) and the outputs are decoded by
 // word-parallel recursive majority. Estimates are statistically
-// equivalent to the scalar trial (same noise channel, same jumped RNG
-// streams) but not bit-identical to it, nor across block widths, since
-// each consumes randomness in its own order. Fault telemetry stays keyed
+// equivalent to the scalar trial (same noise channel, same seeded trial
+// blocks) but not bit-identical to it, nor across batch widths, since
+// each consumes a block's randomness in its own order. Fault telemetry
+// stays keyed
 // by source op index, so per-gate-location counters are comparable
 // across engines regardless of fusion.
 

@@ -28,7 +28,7 @@ import (
 // DifferentialZ is the Wilson z-value of the acceptance test: 3σ, the
 // tolerance the CI job fixes. At z = 3 a correct engine is
 // flagged on a given ε with probability ≈ 2.7e-3, and the check is
-// deterministic for a fixed (seed, workers, trials).
+// deterministic for a fixed (seed, trials) at any worker count.
 const DifferentialZ = 3.0
 
 // DiffEngine is one engine's verdict at one ε: its estimate and whether
@@ -76,7 +76,7 @@ func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []fl
 		lo, hi := poly.Bounds(e)
 		pt := DiffPoint{Eps: e, ExactLo: lo, ExactHi: hi}
 		for j, w := range words {
-			res, err := t.ErrorRateCtx(ctx, m, w, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
+			res, err := t.ErrorRateCtx(ctx, m, w, 0, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
 			v := DiffEngine{Name: engineName(w), Est: res.Bernoulli, OK: overlapsExact(res.Bernoulli, lo, hi)}
 			pt.Engines = append(pt.Engines, v)
 			emitDifferential(tr, t.Name, pt, v)

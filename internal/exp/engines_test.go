@@ -48,7 +48,7 @@ func TestGadgetEnginesEquivalentSweep(t *testing.T) {
 		m := noise.Uniform(g)
 		seed := uint64(100 + i)
 		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
-		lane := mustRate(t)(gad.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), trials, 4, seed))
+		lane := mustRate(t)(gad.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), 0, trials, 4, seed))
 		if lane.Trials != trials {
 			t.Fatalf("lane engine ran %d trials, want %d", lane.Trials, trials)
 		}
@@ -68,8 +68,8 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 		for i, g := range []float64{2e-3, 1e-2} {
 			m := noise.Uniform(g)
 			seed := uint64(200 + i)
-			scalar := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, 0, trials, 4, seed))
-			lane := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), trials, 4, seed))
+			scalar := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, 0, 0, trials, 4, seed))
+			lane := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), 0, trials, 4, seed))
 			requireOverlap(t, tc.name+" cycle", g, scalar, lane)
 		}
 	}
@@ -90,8 +90,8 @@ func TestModuleEnginesEquivalent(t *testing.T) {
 			m.ErrorRate(in, nm, trials, 4, seed),
 			must(m.ErrorRateWideCtx(ctx, in, nm, 1, trials, 4, seed)))
 		requireOverlap(t, "bare adder", g,
-			must(bare.InputErrorRateCtx(ctx, in, nm, 0, trials, 4, seed)),
-			must(bare.InputErrorRateCtx(ctx, in, nm, 1, trials, 4, seed)))
+			must(bare.InputErrorRateCtx(ctx, in, nm, 0, 0, trials, 4, seed)),
+			must(bare.InputErrorRateCtx(ctx, in, nm, 1, 0, trials, 4, seed)))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestDriversAcceptLanesEngine(t *testing.T) {
 		t.Fatalf("lanes runs %d-word blocks, want 1", w)
 	}
 
-	tb := Recovery([]float64{2e-3}, p)
+	tb := mustTable(t)(RecoveryCtx(context.Background(), []float64{2e-3}, p, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Recovery rows = %d", len(tb.Rows))
 	}
@@ -112,17 +112,17 @@ func TestDriversAcceptLanesEngine(t *testing.T) {
 		t.Fatalf("lanes Recovery below threshold failed: %v", tb.Rows[0])
 	}
 
-	tb = Levels([]float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes})
+	tb = mustTable(t)(LevelsCtx(context.Background(), []float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes}, SweepOptions{}))
 	if len(tb.Rows) != 2 {
 		t.Fatalf("Levels rows = %d", len(tb.Rows))
 	}
 
-	tb = Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes})
+	tb = mustTable(t)(LocalCtx(context.Background(), []float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Local rows = %d", len(tb.Rows))
 	}
 
-	tb = AdderModule(2, []float64{2e-3}, MCParams{Trials: 5000, Seed: 6, Engine: EngineLanes})
+	tb = mustTable(t)(AdderModuleCtx(context.Background(), 2, []float64{2e-3}, MCParams{Trials: 5000, Seed: 6, Engine: EngineLanes}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("AdderModule rows = %d", len(tb.Rows))
 	}

@@ -48,8 +48,8 @@ func TestModuleWideEnginesEquivalent(t *testing.T) {
 			m.ErrorRate(in, nm, trials, 4, seed),
 			must(m.ErrorRateWideCtx(ctx, in, nm, 4, trials, 4, seed)))
 		requireOverlap(t, "bare adder (wide)", g,
-			must(bare.InputErrorRateCtx(ctx, in, nm, 0, trials, 4, seed)),
-			must(bare.InputErrorRateCtx(ctx, in, nm, 4, trials, 4, seed)))
+			must(bare.InputErrorRateCtx(ctx, in, nm, 0, 0, trials, 4, seed)),
+			must(bare.InputErrorRateCtx(ctx, in, nm, 4, 0, trials, 4, seed)))
 	}
 }
 
@@ -87,7 +87,7 @@ func TestDriversAcceptWideEngines(t *testing.T) {
 		}
 	}
 
-	tb := Recovery([]float64{2e-3}, MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes256})
+	tb := mustTable(t)(RecoveryCtx(context.Background(), []float64{2e-3}, MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes256}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Recovery rows = %d", len(tb.Rows))
 	}
@@ -95,17 +95,17 @@ func TestDriversAcceptWideEngines(t *testing.T) {
 		t.Fatalf("lanes256 Recovery below threshold failed: %v", tb.Rows[0])
 	}
 
-	tb = Levels([]float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes512})
+	tb = mustTable(t)(LevelsCtx(context.Background(), []float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes512}, SweepOptions{}))
 	if len(tb.Rows) != 2 {
 		t.Fatalf("Levels rows = %d", len(tb.Rows))
 	}
 
-	tb = Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes256})
+	tb = mustTable(t)(LocalCtx(context.Background(), []float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes256}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Local rows = %d", len(tb.Rows))
 	}
 
-	tb = AdderModule(2, []float64{2e-3}, MCParams{Trials: 5000, Seed: 6, Engine: EngineLanes512})
+	tb = mustTable(t)(AdderModuleCtx(context.Background(), 2, []float64{2e-3}, MCParams{Trials: 5000, Seed: 6, Engine: EngineLanes512}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("AdderModule rows = %d", len(tb.Rows))
 	}
@@ -131,7 +131,7 @@ func TestLaneFaultTelemetryCountsSlots(t *testing.T) {
 	} {
 		reg := telemetry.New()
 		ctx := telemetry.NewContext(context.Background(), reg)
-		res, err := gad.ErrorRateCtx(ctx, noise.Uniform(1), MCParams{Engine: tc.engine}.wideWords(), trials, 1, 3)
+		res, err := gad.ErrorRateCtx(ctx, noise.Uniform(1), MCParams{Engine: tc.engine}.wideWords(), 0, trials, 1, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}

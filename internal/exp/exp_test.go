@@ -1,9 +1,22 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// mustTable returns a sweep driver's table, failing the test on its
+// error.
+func mustTable(t *testing.T) func(*Table, error) *Table {
+	return func(tb *Table, err error) *Table {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+}
 
 func TestTableFormat(t *testing.T) {
 	tb := &Table{
@@ -124,7 +137,7 @@ func TestAllAnalytic(t *testing.T) {
 // not statistical precision (the cmd tools run the full budgets).
 func TestRecoveryDriverSmoke(t *testing.T) {
 	p := MCParams{Trials: 4000, Seed: 3}
-	tb := Recovery([]float64{1e-3, 0.05}, p)
+	tb := mustTable(t)(RecoveryCtx(context.Background(), []float64{1e-3, 0.05}, p, SweepOptions{}))
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -135,14 +148,14 @@ func TestRecoveryDriverSmoke(t *testing.T) {
 }
 
 func TestLevelsDriverSmoke(t *testing.T) {
-	tb := Levels([]float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4})
+	tb := mustTable(t)(LevelsCtx(context.Background(), []float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4}, SweepOptions{}))
 	if len(tb.Rows) != 2 { // levels 0 and 1
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestLocalDriverSmoke(t *testing.T) {
-	tb := Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5})
+	tb := mustTable(t)(LocalCtx(context.Background(), []float64{1e-3}, MCParams{Trials: 2000, Seed: 5}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -163,7 +176,7 @@ func TestVonNeumannChainSmoke(t *testing.T) {
 }
 
 func TestAdderModuleSmoke(t *testing.T) {
-	tb := AdderModule(2, []float64{1e-3}, MCParams{Trials: 3000, Seed: 8})
+	tb := mustTable(t)(AdderModuleCtx(context.Background(), 2, []float64{1e-3}, MCParams{Trials: 3000, Seed: 8}, SweepOptions{}))
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

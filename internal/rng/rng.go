@@ -3,33 +3,56 @@
 //
 // The generator is xoshiro256** seeded through SplitMix64, the combination
 // recommended by the xoshiro authors. It is not cryptographically secure; it
-// is built for reproducible, high-throughput fault sampling. Parallel workers
-// obtain statistically independent streams with Jump, which advances the
-// state by 2^128 steps.
+// is built for reproducible, high-throughput fault sampling. Independent
+// streams are addressed, not stepped to: SplitMix(seed, i) is the seed of
+// substream i, so a Monte Carlo harness can hand trial block i its own
+// generator whichever worker runs it.
 package rng
 
 import "math/bits"
 
-// RNG is a xoshiro256** generator. It must be created with New or Jump; the
-// zero value is invalid (an all-zero state is a fixed point of xoshiro).
+// RNG is a xoshiro256** generator. It must be created with New or reset
+// with Seed; the zero value is invalid (an all-zero state is a fixed point
+// of xoshiro).
 type RNG struct {
 	s [4]uint64
 }
 
-// New returns a generator deterministically seeded from seed. Distinct seeds
-// yield well-separated states: the four state words are drawn from a
-// SplitMix64 sequence, which guarantees a non-zero state.
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// Mix64 is the SplitMix64 finalizer: a full-avalanche scrambler that turns
+// structured nearby inputs (consecutive indices, close float bit patterns)
+// into well-separated values.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// SplitMix returns output i (counting from 0) of the SplitMix64 generator
+// seeded with seed, Mix64(seed + (i+1)·γ): the seed of substream i,
+// computed directly rather than by stepping through the ones before it.
+func SplitMix(seed, i uint64) uint64 { return Mix64(seed + (i+1)*golden) }
+
+// New returns a generator deterministically seeded from seed; see Seed.
 func New(seed uint64) *RNG {
 	var r RNG
-	sm := seed
-	for i := range r.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
-	}
+	r.Seed(seed)
 	return &r
+}
+
+// Seed resets r in place to the state New(seed) returns, without
+// allocating. Distinct seeds yield well-separated states: the four state
+// words are the first four SplitMix64 outputs of seed, which guarantees a
+// non-zero state.
+func (r *RNG) Seed(seed uint64) {
+	for i := range r.s {
+		r.s[i] = SplitMix(seed, uint64(i))
+	}
 }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -112,32 +135,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// jumpPoly is the xoshiro256** jump polynomial, advancing 2^128 steps.
-var jumpPoly = [4]uint64{
-	0x180ec6d33cfd0aba, 0xd5a61266f0c9392c,
-	0xa9582618e03fc9aa, 0x39abdc4529b1661c,
-}
-
-// Jump returns a copy of r advanced by 2^128 steps, and leaves r itself at
-// that advanced position too, so repeated calls hand out disjoint streams:
-//
-//	master := rng.New(seed)
-//	for i := range workers { workers[i] = master.Jump() }
-func (r *RNG) Jump() *RNG {
-	var s [4]uint64
-	for _, jp := range jumpPoly {
-		for b := 0; b < 64; b++ {
-			if jp&(1<<uint(b)) != 0 {
-				s[0] ^= r.s[0]
-				s[1] ^= r.s[1]
-				s[2] ^= r.s[2]
-				s[3] ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s = s
-	return &RNG{s: s}
 }

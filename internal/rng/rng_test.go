@@ -186,31 +186,65 @@ func TestPermUniformish(t *testing.T) {
 	}
 }
 
-func TestJumpDisjointStreams(t *testing.T) {
-	master := New(99)
-	a := master.Jump()
-	b := master.Jump()
-	// Streams must differ from each other.
-	diff := false
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			diff = true
-			break
+// TestSeedMatchesNew: reseeding in place reaches exactly New's state
+// whatever the generator held before, so a harness may reuse one
+// generator across blocks.
+func TestSeedMatchesNew(t *testing.T) {
+	r := New(5)
+	for i := 0; i < 10; i++ {
+		r.Uint64()
+	}
+	for _, seed := range []uint64{0, 1, 99, 1 << 63} {
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 100; i++ {
+			if r.Uint64() != want.Uint64() {
+				t.Fatalf("Seed(%d) diverges from New(%d) at draw %d", seed, seed, i)
+			}
 		}
 	}
-	if !diff {
-		t.Fatal("jumped streams are identical")
+	if n := testing.AllocsPerRun(100, func() { r.Seed(7) }); n != 0 {
+		t.Errorf("Seed allocates %v times per call, want 0", n)
 	}
 }
 
-func TestJumpDeterministic(t *testing.T) {
-	m1, m2 := New(123), New(123)
-	a1 := m1.Jump()
-	a2 := m2.Jump()
-	for i := 0; i < 100; i++ {
-		if a1.Uint64() != a2.Uint64() {
-			t.Fatal("Jump is not deterministic")
+// TestSplitMixReference pins SplitMix to the SplitMix64 generator
+// stepped by hand: output i of seed is the (i+1)-th draw.
+func TestSplitMixReference(t *testing.T) {
+	const seed = 123
+	state := uint64(seed)
+	for i := uint64(0); i < 64; i++ {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		if got := SplitMix(seed, i); got != z {
+			t.Fatalf("SplitMix(%d, %d) = %#x, want %#x", seed, i, got, z)
 		}
+	}
+}
+
+// TestSplitMixDistinctStreams: substream seeds of one seed are distinct,
+// and so are the streams they start.
+func TestSplitMixDistinctStreams(t *testing.T) {
+	seen := make(map[uint64]uint64)
+	for i := uint64(0); i < 4096; i++ {
+		s := SplitMix(99, i)
+		if j, dup := seen[s]; dup {
+			t.Fatalf("substreams %d and %d share seed %#x", j, i, s)
+		}
+		seen[s] = i
+	}
+	a, b := New(SplitMix(99, 0)), New(SplitMix(99, 1))
+	same := 0
+	for i := 0; i < 100; i++ {
+		if a.Uint64() == b.Uint64() {
+			same++
+		}
+	}
+	if same > 0 {
+		t.Fatalf("neighbouring substreams agree on %d of 100 draws", same)
 	}
 }
 

@@ -12,8 +12,9 @@ package server
 //
 // Correctness of near-miss reuse rests on value-derived point seeding
 // (exp.pointSeed): an estimate's trial stream depends on the swept ε
-// value, never its grid index, so points lifted from a superset grid are
-// bit-identical to what the subset job would have computed itself.
+// value and the trial index, never the grid index or the worker count,
+// so points lifted from a superset grid are bit-identical to what the
+// subset job would have computed itself.
 
 import (
 	"context"
@@ -37,13 +38,12 @@ const (
 )
 
 // familyDigest keys the near-miss index: the spec digest with every
-// grid-shape and scheduling field zeroed, so two specs share a family
-// exactly when they run the same experiment, engine, seed, trial budget,
-// stop rule, and tenant — everything that shapes a point's value — and
-// differ only in which ε values they sweep and how the work is laid out.
+// grid-shape and scheduling field zeroed (Digest drops the rest), so two
+// specs share a family exactly when they run the same experiment, engine,
+// seed, trial budget, stop rule, and tenant — everything that shapes a
+// point's value — and differ only in which ε values they sweep.
 func familyDigest(spec JobSpec) string {
 	spec.GMin, spec.GMax, spec.Points = 0, 0, 0
-	spec.Shards = 0
 	spec.TimeoutSeconds = 0
 	return spec.Digest()
 }

@@ -15,6 +15,7 @@ import (
 
 	"revft/internal/resultcache"
 	"revft/internal/rng"
+	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/sweep"
 	"revft/internal/telemetry"
@@ -22,24 +23,19 @@ import (
 
 // valueDriver is a deterministic test experiment honouring the contract
 // near-miss reuse depends on: an estimate derives from the swept ε value
-// (and the spec seed and chunk), never from its grid index, so a point
-// computed on a superset grid is bit-identical to the same ε computed on
-// a subset grid. This mirrors exp's value-derived point seeding.
+// (and the spec seed and trial index), never from its grid index or the
+// worker count, so a point computed on a superset grid is bit-identical
+// to the same ε computed on a subset grid. This mirrors exp's
+// value-derived point seeding.
 func valueDriver(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
-	seed := spec.Seed
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	seed, workers := spec.Seed, spec.Workers
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		eps := grid[pt%len(grid)]
-		r := rng.New(sweep.ChunkSeed(seed^math.Float64bits(eps), chunk))
-		hits := 0
-		for i := 0; i < trials; i++ {
-			if r.Bool(eps) {
-				hits++
-			}
-		}
-		return []stats.Bernoulli{{Trials: trials, Successes: hits}}, nil
+		res, err := sim.MonteCarloCtx(ctx, start, trials, workers, seed^math.Float64bits(eps), func(r *rng.RNG) bool { return r.Bool(eps) })
+		return []stats.Bernoulli{res.Bernoulli}, err
 	}, len(grid), nil
 }
 
@@ -333,10 +329,12 @@ func TestReplayReusedRecord(t *testing.T) {
 	}
 }
 
-// formatV1Digest is spec's digest under sweep format 1, the bare SHA-256
-// of its normalized canonical JSON — what a server before the format-2
-// migration keyed jobs and cache entries by.
-func formatV1Digest(t *testing.T, spec JobSpec) string {
+// formatDigest is spec's digest under sweep format v ∈ {1, 2}: the
+// SHA-256 of its normalized canonical JSON, which then still held shards
+// and workers — bare under format 1, behind a "v2" line under format 2.
+// It is what a server before the format-2 or format-3 migration keyed
+// jobs and cache entries by.
+func formatDigest(t *testing.T, spec JobSpec, v int) string {
 	t.Helper()
 	spec.normalize()
 	spec.Priority = ""
@@ -344,15 +342,18 @@ func formatV1Digest(t *testing.T, spec JobSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v == 2 {
+		b = append([]byte("revft spec v2\n"), b...)
+	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCacheIgnoresFormatV1Entries: a lanes result stored before the
-// format-2 migration — under its format-1 digest and family — was computed
-// by an engine that consumed randomness differently. It must be neither
-// served as an exact hit for the same spec nor grafted as a near miss
-// into a subset spec; both are recomputed from scratch.
+// TestCacheIgnoresFormatV1Entries: results stored before the format-2
+// and format-3 migrations — under their old digests and families — were
+// computed by engines that consumed randomness differently. They must be
+// neither served as an exact hit for the same spec nor grafted as a near
+// miss into a subset spec; both are recomputed from scratch.
 func TestCacheIgnoresFormatV1Entries(t *testing.T) {
 	plain := newTestServer(t, func(c *Config) {
 		c.Drivers = map[string]Driver{"value": valueDriver}
@@ -362,48 +363,84 @@ func TestCacheIgnoresFormatV1Entries(t *testing.T) {
 	sub := super
 	sub.Points, sub.Shards = 2, 1
 
-	// A well-formed result for super, relabelled with its format-1 digest
-	// and stored the way a pre-migration server stored it. Its points
-	// differ from any current computation, so serving or grafting them
-	// would show in the result bytes.
+	// A well-formed result for super, relabelled with its old digest and
+	// stored the way a pre-migration server stored it. Its points differ
+	// from any current computation, so serving or grafting them would
+	// show in the result bytes.
 	_, data := runToResult(t, plain, super)
-	var old Result
-	if err := json.Unmarshal(data, &old); err != nil {
-		t.Fatal(err)
-	}
-	old.SpecDigest = formatV1Digest(t, super)
-	for i := range old.Points {
-		old.Points[i].Ests[0].Successes++
-	}
-	payload, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fam := super
-	fam.GMin, fam.GMax, fam.Points, fam.Shards = 0, 0, 0, 0
-	meta := resultcache.Meta{Family: formatV1Digest(t, fam), Experiment: super.Experiment, Tool: "revft-server"}
-	if old.SpecDigest == super.Digest() || meta.Family == familyDigest(super) {
-		t.Fatal("format-1 digests collide with current ones")
-	}
-
-	// The same spec (exact-hit candidate) and a subset grid (near-miss
-	// candidate), each against a cache holding only the old entry.
-	for _, spec := range []JobSpec{super, sub} {
-		reg := telemetry.New()
-		cache := &resultcache.Store{Dir: t.TempDir(), Metrics: reg}
-		if err := cache.Put(context.Background(), old.SpecDigest, meta, payload, telemetry.Span{}); err != nil {
+	fam.GMin, fam.GMax, fam.Points = 0, 0, 0
+	for _, v := range []int{1, 2} {
+		var old Result
+		if err := json.Unmarshal(data, &old); err != nil {
 			t.Fatal(err)
 		}
-		st, got := runToResult(t, newCacheServer(t, cache, reg), spec)
-		if st.Cache != CacheMiss || st.ReusedPoints != 0 {
-			t.Fatalf("%d-point lanes spec: status %+v, want a clean miss", spec.Points, st)
+		old.SpecDigest = formatDigest(t, super, v)
+		for i := range old.Points {
+			old.Points[i].Ests[0].Successes++
 		}
-		if n := reg.Counter("server.cache_hits").Load() + reg.Counter("server.cache_near_hits").Load(); n != 0 {
-			t.Fatalf("%d-point lanes spec: %d cache hits or near hits, want 0", spec.Points, n)
+		payload, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, want := runToResult(t, plain, spec)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d-point lanes spec: result differs from a fresh computation:\n%s\nvs\n%s", spec.Points, got, want)
+		meta := resultcache.Meta{Family: formatDigest(t, fam, v), Experiment: super.Experiment, Tool: "revft-server"}
+		if old.SpecDigest == super.Digest() || meta.Family == familyDigest(super) {
+			t.Fatalf("format-%d digests collide with current ones", v)
 		}
+
+		// The same spec (exact-hit candidate) and a subset grid
+		// (near-miss candidate), each against a cache holding only the
+		// old entry.
+		for _, spec := range []JobSpec{super, sub} {
+			reg := telemetry.New()
+			cache := &resultcache.Store{Dir: t.TempDir(), Metrics: reg}
+			if err := cache.Put(context.Background(), old.SpecDigest, meta, payload, telemetry.Span{}); err != nil {
+				t.Fatal(err)
+			}
+			st, got := runToResult(t, newCacheServer(t, cache, reg), spec)
+			if st.Cache != CacheMiss || st.ReusedPoints != 0 {
+				t.Fatalf("format %d, %d-point lanes spec: status %+v, want a clean miss", v, spec.Points, st)
+			}
+			if n := reg.Counter("server.cache_hits").Load() + reg.Counter("server.cache_near_hits").Load(); n != 0 {
+				t.Fatalf("format %d, %d-point lanes spec: %d cache hits or near hits, want 0", v, spec.Points, n)
+			}
+			_, want := runToResult(t, plain, spec)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("format %d, %d-point lanes spec: result differs from a fresh computation:\n%s\nvs\n%s", v, spec.Points, got, want)
+			}
+		}
+	}
+}
+
+// TestCacheHitAcrossWorkersAndShards: workers and shards decide how a job
+// runs, never its bytes, so they stay out of the digest. A spec computed
+// at (workers 1, shards 1) is an exact cache hit when resubmitted at
+// (workers 4, shards 3), and the served result is byte-identical to a
+// fresh computation at the new layout on a cacheless server.
+func TestCacheHitAcrossWorkersAndShards(t *testing.T) {
+	reg := telemetry.New()
+	cache := &resultcache.Store{Dir: t.TempDir(), Metrics: reg}
+	s := newCacheServer(t, cache, reg)
+	first := cacheSpec()
+	first.Trials, first.Workers, first.Shards = 5000, 1, 1
+	second := first
+	second.Workers, second.Shards = 4, 3
+	if first.Digest() != second.Digest() {
+		t.Fatalf("digests differ across workers and shards: %s vs %s", first.Digest(), second.Digest())
+	}
+
+	if st, _ := runToResult(t, s, first); st.Cache != CacheMiss {
+		t.Fatalf("first submission cache = %q, want %q", st.Cache, CacheMiss)
+	}
+	st, got := runToResult(t, s, second)
+	if st.Cache != CacheHit || st.SpecDigest != first.Digest() {
+		t.Fatalf("resubmission at workers 4, shards 3: status %+v, want an exact hit on %s", st, first.Digest())
+	}
+	plain := newTestServer(t, func(c *Config) {
+		c.Drivers = map[string]Driver{"value": valueDriver}
+	})
+	_, want := runToResult(t, plain, second)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cache hit differs from a fresh computation at workers 4, shards 3:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -72,10 +72,9 @@ type JobSpec struct {
 	// Priority is the job's scheduling class: "interactive", "batch"
 	// (the default), or "bulk". It shapes only scheduling — admission
 	// bounds, queue order, shedding, and preemption — never results:
-	// shard seeds derive from global point indices alone, so a sweep
-	// computes bit-identical output whatever class it ran under. The
-	// field is journaled with the submission but excluded from Digest,
-	// so the same sweep at different priorities shares one cache entry.
+	// estimates derive from the swept value and trial index alone, so a
+	// sweep computes bit-identical output whatever class it ran under.
+	// Like Shards and Workers, it is journaled but excluded from Digest.
 	Priority string `json:"priority,omitempty"`
 }
 
@@ -192,11 +191,9 @@ func (s JobSpec) Grid() []float64 { return stats.LogSpace(s.GMin, s.GMax, s.Poin
 // identity job IDs, cache entries, and shard checkpoint specs derive from.
 func (s JobSpec) Digest() string {
 	s.normalize()
-	// Priority shapes scheduling, never results: two submissions that
-	// differ only in priority are the same computation, so they must
-	// share one digest (one cache entry, one shard-checkpoint binding).
-	// With omitempty this also keeps every pre-priority digest stable.
-	s.Priority = ""
+	// Priority, Shards and Workers shape scheduling, never results: specs
+	// differing only in them share one digest and one cache entry.
+	s.Priority, s.Shards, s.Workers = "", 0, 0
 	b, err := json.Marshal(s)
 	if err != nil {
 		// JobSpec holds only scalars; Marshal cannot fail on it.
@@ -328,7 +325,7 @@ func shardPoints(points, nShards, k int) int {
 
 // shardPointFunc adapts a global PointFunc to shard-local indices.
 func shardPointFunc(fn sweep.PointFunc, k, nShards int) sweep.PointFunc {
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
-		return fn(ctx, k+pt*nShards, chunk, trials)
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
+		return fn(ctx, k+pt*nShards, start, trials)
 	}
 }

@@ -27,8 +27,8 @@ func countingDriver(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
-		ests, perr := inner(ctx, pt, chunk, trials)
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
+		ests, perr := inner(ctx, pt, start, trials)
 		if perr == nil {
 			telemetry.Active(ctx).Counter("fake.trials").Add(int64(trials))
 		}
@@ -108,7 +108,7 @@ func TestJobMetricsConservationAcrossRestart(t *testing.T) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+			return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 				if pt >= 1 {
 					select {
 					case <-gate:
@@ -116,7 +116,7 @@ func TestJobMetricsConservationAcrossRestart(t *testing.T) {
 						return nil, ctx.Err()
 					}
 				}
-				return inner(ctx, pt, chunk, trials)
+				return inner(ctx, pt, start, trials)
 			}, n, nil
 		}
 		return map[string]Driver{"gated": gated}

@@ -71,11 +71,11 @@ func TestInteractiveAheadOfQueuedBulk(t *testing.T) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			mu.Lock()
 			order = append(order, spec.Priority)
 			mu.Unlock()
-			return inner(ctx, pt, chunk, trials)
+			return inner(ctx, pt, start, trials)
 		}, n, nil
 	}
 	gate := make(chan struct{})
@@ -154,12 +154,12 @@ func TestWatchdogRecoversHungShard(t *testing.T) {
 		if derr != nil {
 			return nil, 0, derr
 		}
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			if hung.CompareAndSwap(false, true) {
 				<-ctx.Done()
 				return nil, ctx.Err()
 			}
-			return inner(ctx, pt, chunk, trials)
+			return inner(ctx, pt, start, trials)
 		}, n, nil
 	}
 	reg := telemetry.New()
@@ -204,14 +204,14 @@ func TestPreemptionResumesBitIdentical(t *testing.T) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			once.Do(func() { close(firstPoint) })
 			select {
 			case <-time.After(20 * time.Millisecond):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return inner(ctx, pt, chunk, trials)
+			return inner(ctx, pt, start, trials)
 		}, n, nil
 	}
 	bulkSpec := JobSpec{
@@ -228,9 +228,9 @@ func TestPreemptionResumesBitIdentical(t *testing.T) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			refOnce.Do(func() {})
-			return inner(ctx, pt, chunk, trials)
+			return inner(ctx, pt, start, trials)
 		}, n, nil
 	}
 	ref := newTestServer(t, func(c *Config) { c.Drivers["slow"] = refSlow })
@@ -502,16 +502,21 @@ func TestGarbagePriorityRejectedBeforeMetrics(t *testing.T) {
 // makes preemption and weighted scheduling safe. The digest agrees:
 // priority is excluded, so all classes share one cache/checkpoint
 // identity, and the zero-priority digest is pinned against drift — and
-// against its format-1 value, which pre-migration entries carry.
+// against its format-1 and format-2 values, which pre-migration entries
+// carry.
 func TestPrioritySchedulingSeedStable(t *testing.T) {
 	base := testSpec()
-	const golden = "8f0b6ae8e70d95c5361dd74e81f1eba49c99c01917266672ba5e23d0f0754167"
-	const goldenV1 = "32a71f8505152a06251b36aeade83a41f8f76b65ff56170643d0f0d2ba306511"
+	const golden = "b907a0970cd9daad2f2f6bda3b3ea50f89b60c307cd1e015b47dd00a034c71b5"
 	if d := base.Digest(); d != golden {
 		t.Errorf("baseline spec digest = %s, want pinned %s (digests are identities: checkpoints and cache entries churn on drift)", d, golden)
 	}
-	if d := formatV1Digest(t, base); d != goldenV1 || d == golden {
-		t.Errorf("format-1 digest = %s, want pinned %s, distinct from the current %s", d, goldenV1, golden)
+	for v, old := range map[int]string{
+		1: "32a71f8505152a06251b36aeade83a41f8f76b65ff56170643d0f0d2ba306511",
+		2: "8f0b6ae8e70d95c5361dd74e81f1eba49c99c01917266672ba5e23d0f0754167",
+	} {
+		if d := formatDigest(t, base, v); d != old || d == golden {
+			t.Errorf("format-%d digest = %s, want pinned %s, distinct from the current %s", v, d, old, golden)
+		}
 	}
 	for _, p := range []string{"", PriorityInteractive, PriorityBatch, PriorityBulk} {
 		spec := base

@@ -853,8 +853,8 @@ func (s *Server) runShard(t shardTask) {
 		var pe *sim.TrialPanicError
 		if errors.As(err, &pe) {
 			// Carry the panic provenance so a retried shard's trace still
-			// pins which worker stream and harness seed blew up.
-			fields["panic_worker"] = pe.Worker
+			// pins which trial block of which estimate seed blew up.
+			fields["panic_block"] = pe.Block
 			fields["panic_seed"] = pe.Seed
 			fields["panic_value"] = fmt.Sprint(pe.Value)
 		}

@@ -31,18 +31,12 @@ import (
 // resumed, and uninterrupted runs are comparable bit for bit.
 func fakeDriver(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
 	seed := spec.Seed
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := rng.New(sweep.ChunkSeed(seed+uint64(pt)*1009, chunk))
-		hits := 0
-		for i := 0; i < trials; i++ {
-			if r.Bool(0.1) {
-				hits++
-			}
-		}
-		return []stats.Bernoulli{{Trials: trials, Successes: hits}}, nil
+		res, err := sim.MonteCarloCtx(ctx, start, trials, 1, seed+uint64(pt)*1009, func(r *rng.RNG) bool { return r.Bool(0.1) })
+		return []stats.Bernoulli{res.Bernoulli}, err
 	}, spec.Points, nil
 }
 
@@ -170,13 +164,13 @@ func blockingDriver(gate chan struct{}) Driver {
 		if err != nil {
 			return nil, 0, err
 		}
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return inner(ctx, pt, chunk, trials)
+			return inner(ctx, pt, start, trials)
 		}, n, nil
 	}
 }
@@ -334,11 +328,11 @@ func TestShardPanicRetried(t *testing.T) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			if calls.Add(1) == 1 {
 				return nil, &sim.TrialPanicError{Worker: 2, Seed: spec.Seed, Value: "injected boom"}
 			}
-			return inner(ctx, pt, chunk, trials)
+			return inner(ctx, pt, start, trials)
 		}, n, nil
 	}
 	s := newTestServer(t, func(c *Config) {
@@ -367,7 +361,7 @@ func TestShardPanicRetried(t *testing.T) {
 // forever and never takes down other jobs.
 func TestShardPanicBudgetExhausted(t *testing.T) {
 	alwaysPanic := func(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
-		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+		return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 			return nil, &sim.TrialPanicError{Worker: 1, Seed: spec.Seed, Value: "always"}
 		}, spec.Points, nil
 	}
@@ -411,7 +405,7 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+			return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 				if pt >= 1 {
 					select {
 					case <-gate:
@@ -419,7 +413,7 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 						return nil, ctx.Err()
 					}
 				}
-				return inner(ctx, pt, chunk, trials)
+				return inner(ctx, pt, start, trials)
 			}, n, nil
 		}
 		return map[string]Driver{"gated": gated}

@@ -26,12 +26,13 @@ func cheapBatch(r *rng.RNG, hit []uint64) {
 }
 
 // TestCtxEnginesMatchLegacy: a completed context run is bit-identical to
-// the context-free MonteCarlo for the same (trials, workers, seed).
+// the context-free MonteCarlo for the same (trials, seed), whatever the
+// worker counts of either.
 func TestCtxEnginesMatchLegacy(t *testing.T) {
 	const trials = 30000
+	legacy := MonteCarlo(trials, 2, 42, cheapTrial)
 	for _, w := range []int{1, 3, 8} {
-		legacy := MonteCarlo(trials, w, 42, cheapTrial)
-		res, err := MonteCarloCtx(context.Background(), trials, w, 42, cheapTrial)
+		res, err := MonteCarloCtx(context.Background(), 0, trials, w, 42, cheapTrial)
 		if err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", w, err)
 		}
@@ -45,7 +46,7 @@ func TestCtxEnginesMatchLegacy(t *testing.T) {
 }
 
 // TestMonteCarloCtxCancel: cancelling mid-run returns promptly with the
-// partial counts accumulated so far and the context's error.
+// whole blocks completed so far and the context's error.
 func TestMonteCarloCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -57,7 +58,7 @@ func TestMonteCarloCtxCancel(t *testing.T) {
 		cancel()
 	}()
 	begin := time.Now()
-	res, err := MonteCarloCtx(ctx, trials, 4, 7, func(r *rng.RNG) bool {
+	res, err := MonteCarloCtx(ctx, 0, trials, 4, 7, func(r *rng.RNG) bool {
 		once.Do(func() { close(started) })
 		return cheapTrial(r)
 	})
@@ -76,6 +77,9 @@ func TestMonteCarloCtxCancel(t *testing.T) {
 	if res.Successes > res.Trials {
 		t.Errorf("successes %d > trials %d", res.Successes, res.Trials)
 	}
+	if res.Trials%BlockTrials != 0 {
+		t.Errorf("partial trials %d not a whole number of blocks", res.Trials)
+	}
 }
 
 // TestMonteCarloCtxPreCancelled: a context that is already cancelled runs
@@ -83,7 +87,7 @@ func TestMonteCarloCtxCancel(t *testing.T) {
 func TestMonteCarloCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MonteCarloCtx(ctx, 100000, 4, 1, cheapTrial)
+	res, err := MonteCarloCtx(ctx, 0, 100000, 4, 1, cheapTrial)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -98,12 +102,12 @@ func TestMonteCarloCtxPreCancelled(t *testing.T) {
 }
 
 // TestLanesHarnessCtxDeadline: a deadline cancels the 64-lane engine
-// between batches.
+// between blocks.
 func TestLanesHarnessCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	const trials = 1 << 40
-	res, err := MonteCarloWideCtx(ctx, trials, 2, 3, 1, func(r *rng.RNG, hit []uint64) {
+	res, err := MonteCarloWideCtx(ctx, 0, trials, 2, 3, 1, func(r *rng.RNG, hit []uint64) {
 		time.Sleep(100 * time.Microsecond)
 		cheapBatch(r, hit)
 	})
@@ -113,9 +117,9 @@ func TestLanesHarnessCtxDeadline(t *testing.T) {
 	if !res.Partial || res.Trials >= trials {
 		t.Errorf("deadline run: partial=%v trials=%d", res.Partial, res.Trials)
 	}
-	if res.Trials%64 != 0 {
-		// Both workers stop on whole batches (their shares exceed 64).
-		t.Errorf("partial lane trials %d not a multiple of 64", res.Trials)
+	if res.Trials%BlockTrials != 0 {
+		// Every claimed block runs to completion.
+		t.Errorf("partial lane trials %d not a multiple of %d", res.Trials, BlockTrials)
 	}
 }
 
@@ -123,8 +127,9 @@ func TestLanesHarnessCtxDeadline(t *testing.T) {
 // RNG words whose low 12 bits are zero (about 1 in 4096 trials).
 func panicValue(v uint64) bool { return v&0xfff == 0 }
 
-// TestTrialPanicError: a panicking trial surfaces as *TrialPanicError with
-// the worker index and seed that reproduce it, and partial counts survive.
+// TestTrialPanicError: a panicking trial surfaces as *TrialPanicError
+// naming the seed and block that reproduce it, the same block at every
+// worker count, and the completed blocks' counts survive.
 func TestTrialPanicError(t *testing.T) {
 	const seed = 11
 	trial := func(r *rng.RNG) bool {
@@ -134,43 +139,56 @@ func TestTrialPanicError(t *testing.T) {
 		}
 		return v&1 == 0
 	}
-	_, err := MonteCarloCtx(context.Background(), 100000, 1, seed, trial)
-	var pe *TrialPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v (%T), want *TrialPanicError", err, err)
-	}
-	if pe.Worker != 0 {
-		t.Errorf("Worker = %d, want 0 (single-worker run)", pe.Worker)
-	}
-	if pe.Seed != seed {
-		t.Errorf("Seed = %d, want %d", pe.Seed, seed)
-	}
-	if pe.Value != "injected fault" {
-		t.Errorf("Value = %v, want the panic value", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("Stack is empty")
+	var block int
+	for _, workers := range []int{1, 3, 8} {
+		res, err := MonteCarloCtx(context.Background(), 0, 100000, workers, seed, trial)
+		var pe *TrialPanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v (%T), want *TrialPanicError", workers, err, err)
+		}
+		if workers == 1 {
+			block = pe.Block
+			if pe.Worker != 0 {
+				t.Errorf("Worker = %d, want 0 (single-worker run)", pe.Worker)
+			}
+			if res.Trials != block*BlockTrials {
+				t.Errorf("single worker counted %d trials before block %d, want %d", res.Trials, block, block*BlockTrials)
+			}
+		}
+		if pe.Block != block || pe.Seed != seed {
+			t.Errorf("workers=%d: panic at (seed %d, block %d), want (seed %d, block %d)", workers, pe.Seed, pe.Block, seed, block)
+		}
+		if pe.Value != "injected fault" {
+			t.Errorf("Value = %v, want the panic value", pe.Value)
+		}
+		if len(pe.Stack) == 0 {
+			t.Error("Stack is empty")
+		}
+		if !res.Partial || res.Trials%BlockTrials != 0 {
+			t.Errorf("workers=%d: panicked run kept %d trials (partial %v), want whole blocks", workers, res.Trials, res.Partial)
+		}
 	}
 
-	// Reproducibility: replay worker pe.Worker's stream — the (Worker+1)-th
-	// jump of rng.New(Seed) — and confirm the trigger occurs, at the same
-	// position on every replay.
-	replay := func() int {
-		master := rng.New(pe.Seed)
-		var stream *rng.RNG
-		for i := 0; i <= pe.Worker; i++ {
-			stream = master.Jump()
-		}
-		for i := 0; i < 100000; i++ {
-			if panicValue(stream.Uint64()) {
+	// Reproducibility from (seed, block) alone: the block's stream is
+	// rng.New(rng.SplitMix(seed, block)), and its trials draw one word
+	// each, so the trigger is among its first BlockTrials words — and no
+	// earlier block's stream holds one.
+	trigger := func(b int) int {
+		r := rng.New(rng.SplitMix(seed, uint64(b)))
+		for i := 0; i < BlockTrials; i++ {
+			if panicValue(r.Uint64()) {
 				return i
 			}
 		}
 		return -1
 	}
-	first, second := replay(), replay()
-	if first < 0 || first != second {
-		t.Errorf("panic trigger not reproducible from (seed, worker): got positions %d, %d", first, second)
+	if trigger(block) < 0 {
+		t.Errorf("block %d's stream holds no panicking trial", block)
+	}
+	for b := 0; b < block; b++ {
+		if trigger(b) >= 0 {
+			t.Errorf("block %d panics before the reported block %d", b, block)
+		}
 	}
 }
 
@@ -181,7 +199,7 @@ func TestTrialPanicNoDeadlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, err := MonteCarloCtx(context.Background(), 1<<20, 8, 5, func(r *rng.RNG) bool {
+		res, err := MonteCarloCtx(context.Background(), 0, 1<<20, 8, 5, func(r *rng.RNG) bool {
 			panic("boom")
 		})
 		var pe *TrialPanicError
@@ -191,6 +209,9 @@ func TestTrialPanicNoDeadlock(t *testing.T) {
 		}
 		if pe.Worker < 0 || pe.Worker >= 8 {
 			t.Errorf("Worker = %d out of range", pe.Worker)
+		}
+		if pe.Block != 0 {
+			t.Errorf("Block = %d, want 0: every block panics and the lowest is reported", pe.Block)
 		}
 		if !res.Partial {
 			t.Error("panicked run not marked partial")
@@ -205,7 +226,7 @@ func TestTrialPanicNoDeadlock(t *testing.T) {
 
 // TestLanesTrialPanicError: panic isolation works on the lanes engine too.
 func TestLanesTrialPanicError(t *testing.T) {
-	_, err := MonteCarloWideCtx(context.Background(), 1<<20, 3, 9, 1, func(r *rng.RNG, hit []uint64) {
+	_, err := MonteCarloWideCtx(context.Background(), 0, 1<<20, 3, 9, 1, func(r *rng.RNG, hit []uint64) {
 		v := r.Uint64()
 		if panicValue(v) {
 			panic(v)
@@ -237,8 +258,8 @@ func TestLegacyEnginePanicPropagates(t *testing.T) {
 // TestCtxPartialMaskTruncation: sanity-check the lanes tail-batch mask
 // under ctx: a full run counts every trial exactly once.
 func TestCtxPartialMaskTruncation(t *testing.T) {
-	// 100 trials = one full batch + a 36-lane tail on one worker.
-	res, err := MonteCarloWideCtx(context.Background(), 100, 1, 2, 1, func(r *rng.RNG, hit []uint64) {
+	// 100 trials = one full batch + a 36-lane tail of block 0.
+	res, err := MonteCarloWideCtx(context.Background(), 0, 100, 1, 2, 1, func(r *rng.RNG, hit []uint64) {
 		hit[0] = ^uint64(0) // every lane fails
 	})
 	if err != nil {
@@ -263,10 +284,10 @@ func TestTelemetryCountsMatchResultOnCancel(t *testing.T) {
 		run  func(ctx context.Context, trials, workers int) (Result, error)
 	}{
 		{"scalar", func(ctx context.Context, trials, workers int) (Result, error) {
-			return MonteCarloCtx(ctx, trials, workers, 7, cheapTrial)
+			return MonteCarloCtx(ctx, 0, trials, workers, 7, cheapTrial)
 		}},
 		{"lanes", func(ctx context.Context, trials, workers int) (Result, error) {
-			return MonteCarloWideCtx(ctx, trials, workers, 7, 1, cheapBatch)
+			return MonteCarloWideCtx(ctx, 0, trials, workers, 7, 1, cheapBatch)
 		}},
 	} {
 		for _, workers := range []int{1, 4} {
@@ -304,7 +325,7 @@ func TestTelemetryCountsMatchResultComplete(t *testing.T) {
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
 	const trials = 100000
-	res, err := MonteCarloWideCtx(ctx, trials, 3, 7, 1, cheapBatch)
+	res, err := MonteCarloWideCtx(ctx, 0, trials, 3, 7, 1, cheapBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +364,7 @@ func TestTelemetryPanicCounter(t *testing.T) {
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
 	var fired atomic.Bool
-	res, err := MonteCarloCtx(ctx, 1<<40, 2, 99, func(r *rng.RNG) bool {
+	res, err := MonteCarloCtx(ctx, 0, 1<<40, 2, 99, func(r *rng.RNG) bool {
 		if fired.Swap(true) {
 			return cheapTrial(r)
 		}
@@ -360,5 +381,31 @@ func TestTelemetryPanicCounter(t *testing.T) {
 	}
 	if got := snap.Counters[telemetry.TrialsMetric]; got != int64(res.Trials) {
 		t.Errorf("registry counted %d trials, result %d", got, res.Trials)
+	}
+}
+
+// TestBlocksAllocateNothing: reseeding and counting a block allocates
+// nothing on either engine, so a run of many blocks allocates exactly
+// what a one-block run does.
+func TestBlocksAllocateNothing(t *testing.T) {
+	engines := map[string]func(trials int) (Result, error){
+		"scalar": func(trials int) (Result, error) {
+			return MonteCarloCtx(context.Background(), 0, trials, 1, 3, cheapTrial)
+		},
+		"lanes": func(trials int) (Result, error) {
+			return MonteCarloWideCtx(context.Background(), 0, trials, 1, 3, 1, cheapBatch)
+		},
+	}
+	for name, run := range engines {
+		allocs := func(blocks int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := run(blocks * BlockTrials); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if one, many := allocs(1), allocs(64); many != one {
+			t.Errorf("%s: 64 blocks allocate %v times, one block %v", name, many, one)
+		}
 	}
 }

@@ -5,15 +5,15 @@
 //   - RunNoisy: sample the paper's random fault channel once;
 //   - RunInjected: deterministic fault injection from a noise.Plan, used to
 //     prove fault-tolerance claims exhaustively;
-//   - MonteCarlo: a parallel trial harness with per-worker RNG streams;
-//   - MonteCarloWideCtx: the same harness for bit-sliced lane blocks of
+//   - MonteCarlo: a parallel trial harness over seeded trial blocks;
+//   - MonteCarloWideCtx: the same harness on bit-sliced lane batches of
 //     64·K trials (see package lanes), for runs where trial count
 //     dominates.
 //
 // MonteCarloCtx and MonteCarloWideCtx are context-aware, for long-running
-// sweeps: cancellable between trial batches, returning the partial
-// estimate accumulated so far, and recovering trial panics into typed,
-// reproducible *TrialPanicError values.
+// sweeps: cancellable between trial blocks, returning the whole blocks
+// completed so far, and recovering trial panics into typed, reproducible
+// *TrialPanicError values.
 package sim
 
 import (
@@ -121,13 +121,13 @@ func ForEachSingleFault(c *circuit.Circuit, fn func(opIdx int, value uint64)) {
 }
 
 // MonteCarlo runs trials independent executions of trial across workers
-// goroutines and aggregates how many returned true. Each worker receives its
-// own jumped RNG stream derived from seed, so results are reproducible for a
-// fixed (seed, workers) pair. workers <= 0 selects GOMAXPROCS. A panic
+// goroutines and aggregates how many returned true. It is MonteCarloCtx
+// from trial 0 under a background context: the result depends only on
+// (trials, seed), never on workers (<= 0 selects GOMAXPROCS). A panic
 // inside trial propagates as a *TrialPanicError; use MonteCarloCtx to
 // handle it as an error instead.
 func MonteCarlo(trials, workers int, seed uint64, trial func(r *rng.RNG) bool) stats.Bernoulli {
-	res, err := MonteCarloCtx(context.Background(), trials, workers, seed, trial)
+	res, err := MonteCarloCtx(context.Background(), 0, trials, workers, seed, trial)
 	if err != nil {
 		// The context never cancels, so the only possible error is a
 		// recovered trial panic. Re-raise it with its diagnostics.

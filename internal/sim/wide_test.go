@@ -14,7 +14,7 @@ import (
 // test on error.
 func wideRun(t *testing.T, trials, workers int, seed uint64, words int, batch WideBatchTrial) stats.Bernoulli {
 	t.Helper()
-	res, err := MonteCarloWideCtx(context.Background(), trials, workers, seed, words, batch)
+	res, err := MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, words, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,26 +22,18 @@ func wideRun(t *testing.T, trials, workers int, seed uint64, words int, batch Wi
 }
 
 // TestMonteCarloWideMatchesLanesAtOneWord pins the 64-lane harness
-// contract against a reference written out by hand: no more workers than
-// 64-lane batches, worker w runs its share of trials on the (w+1)-th Jump
-// of rng.New(seed), one batch per 64 trials, and its final batch counts
-// only the lanes that are left. The words = 1 block harness must
-// reproduce that bit for bit.
+// contract against a reference written out by hand: trial block b (of
+// BlockTrials trials) runs on rng.New(rng.SplitMix(seed, b)), one batch
+// per 64 of its trials, and the final block runs only the batches its
+// trials need and counts only the lanes that are left. The words = 1
+// harness must reproduce that bit for bit at every worker count.
 func TestMonteCarloWideMatchesLanesAtOneWord(t *testing.T) {
 	batch := func(r *rng.RNG, hit []uint64) { hit[0] = r.Uint64() }
-	reference := func(trials, workers int, seed uint64) (hits int) {
-		if batches := (trials + 63) / 64; workers > batches {
-			workers = batches
-		}
-		master := rng.New(seed)
-		for w := 0; w < workers; w++ {
-			r := master.Jump()
-			n := trials / workers
-			if w < trials%workers {
-				n++
-			}
-			hit := make([]uint64, 1)
-			for ; n > 0; n -= 64 {
+	reference := func(trials int, seed uint64) (hits int) {
+		hit := make([]uint64, 1)
+		for b := 0; b*BlockTrials < trials; b++ {
+			r := rng.New(rng.SplitMix(seed, uint64(b)))
+			for n := min(BlockTrials, trials-b*BlockTrials); n > 0; n -= 64 {
 				batch(r, hit)
 				if n < 64 {
 					hit[0] &= 1<<uint(n) - 1
@@ -54,7 +46,7 @@ func TestMonteCarloWideMatchesLanesAtOneWord(t *testing.T) {
 	for _, trials := range []int{64, 130, 1000, 20011} {
 		for _, workers := range []int{1, 3} {
 			got := wideRun(t, trials, workers, 42, 1, batch)
-			if want := reference(trials, workers, 42); got.Trials != trials || got.Successes != want {
+			if want := reference(trials, 42); got.Trials != trials || got.Successes != want {
 				t.Fatalf("trials=%d workers=%d: harness %+v, reference %d hits", trials, workers, got, want)
 			}
 		}
@@ -95,9 +87,8 @@ func TestMonteCarloWidePartialBlockCountsExactTrials(t *testing.T) {
 	}
 }
 
-// TestMonteCarloWideDeterminismContract: fixed
-// (seed, workers, words) reproduces exactly; changing the seed moves the
-// estimate.
+// TestMonteCarloWideDeterminismContract: fixed (seed, words) reproduces
+// exactly at any worker count; changing the seed moves the estimate.
 func TestMonteCarloWideDeterminismContract(t *testing.T) {
 	batch := func(r *rng.RNG, hit []uint64) {
 		for i := range hit {
@@ -105,7 +96,7 @@ func TestMonteCarloWideDeterminismContract(t *testing.T) {
 		}
 	}
 	a := wideRun(t, 30000, 4, 11, 4, batch)
-	b := wideRun(t, 30000, 4, 11, 4, batch)
+	b := wideRun(t, 30000, 1, 11, 4, batch)
 	if a != b {
 		t.Fatalf("same spec, different results: %+v vs %+v", a, b)
 	}
@@ -115,11 +106,13 @@ func TestMonteCarloWideDeterminismContract(t *testing.T) {
 }
 
 // TestMonteCarloWideRejectsBadWords checks the words validation surfaces
-// as an error on the Ctx path.
+// as an error on the Ctx path: a batch must be at least one word and
+// divide the block.
 func TestMonteCarloWideRejectsBadWords(t *testing.T) {
-	_, err := MonteCarloWideCtx(context.Background(), 100, 1, 1, 0, func(r *rng.RNG, hit []uint64) {})
-	if err == nil {
-		t.Fatal("words = 0 was not rejected")
+	for _, words := range []int{0, 3, 16} {
+		if _, err := MonteCarloWideCtx(context.Background(), 0, 100, 1, 1, words, func(r *rng.RNG, hit []uint64) {}); err == nil {
+			t.Errorf("words = %d was not rejected", words)
+		}
 	}
 }
 
@@ -130,8 +123,8 @@ func TestMonteCarloWideRejectsBadWords(t *testing.T) {
 func TestMonteCarloWideTelemetrySlotsVsTrials(t *testing.T) {
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
-	const words, trials = 4, 300 // 2 blocks of 256: 512 slots
-	res, err := MonteCarloWideCtx(ctx, trials, 1, 5, words, func(r *rng.RNG, hit []uint64) {
+	const words, trials = 4, 300 // two 256-lane batches: 512 slots
+	res, err := MonteCarloWideCtx(ctx, 0, trials, 1, 5, words, func(r *rng.RNG, hit []uint64) {
 		for i := range hit {
 			hit[i] = ^uint64(0)
 		}

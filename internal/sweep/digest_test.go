@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,25 +21,32 @@ import (
 //
 // If one of these golden values ever changes on purpose, that is a
 // cache- and checkpoint-breaking format migration and must be treated as
-// such — bump FormatVersion, not just a constant here. The format-1
-// digests (the bare SHA-256 of the canonical JSON) are kept to prove
+// such — bump FormatVersion, not just a constant here. The format-1 and
+// format-2 digests (the bare SHA-256 of the old canonical JSON, which
+// still held workers, and the same behind a "v2" line) are kept to prove
 // that no current digest can collide with an entry written before the
-// last migration.
+// last migrations.
 
-// goldenPrefix is what FormatVersion 2 hashes ahead of the canonical JSON.
-const goldenPrefix = "revft spec v2\n"
+// goldenPrefix is what FormatVersion 3 hashes ahead of the canonical JSON.
+const goldenPrefix = "revft spec v3\n"
 
 const (
-	goldenFullJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
-	goldenFullDigest   = "cf6dc2d5a3cf7a78f2bc199a525252c6305f01cb35e9c731bb0be7a33675461b"
+	goldenFullJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
+	goldenFullDigest   = "d5c31d3a3cba82f798b62ec82bca6e2aebf77e200fac68989e35f138ad76d353"
+	goldenFullJSONV2   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
+	goldenFullDigestV2 = "cf6dc2d5a3cf7a78f2bc199a525252c6305f01cb35e9c731bb0be7a33675461b"
 	goldenFullDigestV1 = "331545346ecdd049c904e84290b98987db2a3639aee305e57db929c302fdaec0"
 
-	goldenZeroScaleJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
-	goldenZeroScaleDigest   = "eb3cc3c5e8b76cd6ab0aae7d1e23006a461601e7587307e0e36631d46a479bb0"
+	goldenZeroScaleJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
+	goldenZeroScaleDigest   = "3f85d66ba4cdb3bdabe0fcc268ae76e69a9076b97f287614410eb7a24f4ee21a"
+	goldenZeroScaleJSONV2   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
+	goldenZeroScaleDigestV2 = "eb3cc3c5e8b76cd6ab0aae7d1e23006a461601e7587307e0e36631d46a479bb0"
 	goldenZeroScaleDigestV1 = "60075829486e628466a580a5f3fd2a78e4bc361597ff612ddb8f961cc174ab13"
 
-	goldenMinimalJSON     = `{"experiment":"levels","points":8,"trials":100,"workers":1,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
-	goldenMinimalDigest   = "577643248f187c3d36f4d5788ad2fbfadd6d57050109a412947ac4d7b70a9965"
+	goldenMinimalJSON     = `{"experiment":"levels","points":8,"trials":100,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
+	goldenMinimalDigest   = "6c1a80298820e99f1a236ebb661840e0872074413f955a3ea1f857d782ad7b5a"
+	goldenMinimalJSONV2   = `{"experiment":"levels","points":8,"trials":100,"workers":1,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
+	goldenMinimalDigestV2 = "577643248f187c3d36f4d5788ad2fbfadd6d57050109a412947ac4d7b70a9965"
 	goldenMinimalDigestV1 = "a6357f3c2b9abfd3d5ea6d8383bdcc6c0e29dfab10031ee63181b90f41c106bf"
 )
 
@@ -58,31 +67,31 @@ func goldenFullSpec() Spec {
 }
 
 func TestSpecDigestGolden(t *testing.T) {
-	if FormatVersion != 2 {
+	if FormatVersion != 3 {
 		t.Fatalf("FormatVersion = %d: re-pin the golden digests for the new format", FormatVersion)
 	}
 	cases := []struct {
-		name                 string
-		spec                 Spec
-		wantJSON             string
-		wantDigest, formerV1 string
+		name               string
+		spec               Spec
+		wantJSON, jsonV2   string
+		wantDigest, v2, v1 string
 	}{
-		{"full", goldenFullSpec(), goldenFullJSON, goldenFullDigest, goldenFullDigestV1},
+		{"full", goldenFullSpec(), goldenFullJSON, goldenFullJSONV2, goldenFullDigest, goldenFullDigestV2, goldenFullDigestV1},
 		{"zeroscale", func() Spec {
 			s := goldenFullSpec()
 			s.Stop.ZeroScale = 2.5e-7
 			return s
-		}(), goldenZeroScaleJSON, goldenZeroScaleDigest, goldenZeroScaleDigestV1},
+		}(), goldenZeroScaleJSON, goldenZeroScaleJSONV2, goldenZeroScaleDigest, goldenZeroScaleDigestV2, goldenZeroScaleDigestV1},
 		{"minimal", Spec{Experiment: "levels", Points: 8, Trials: 100, Workers: 1, Seed: 1, Engine: "scalar"},
-			goldenMinimalJSON, goldenMinimalDigest, goldenMinimalDigestV1},
+			goldenMinimalJSON, goldenMinimalJSONV2, goldenMinimalDigest, goldenMinimalDigestV2, goldenMinimalDigestV1},
+	}
+	hash := func(prefix, body string) string {
+		sum := sha256.Sum256([]byte(prefix + body))
+		return hex.EncodeToString(sum[:])
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := json.Marshal(tc.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(b) != tc.wantJSON {
+			if b := tc.spec.canonical(); string(b) != tc.wantJSON {
 				t.Errorf("canonical JSON changed — this invalidates every existing checkpoint and cache key\n got: %s\nwant: %s", b, tc.wantJSON)
 			}
 			got := tc.spec.Digest()
@@ -90,27 +99,37 @@ func TestSpecDigestGolden(t *testing.T) {
 				t.Errorf("digest changed: got %s want %s", got, tc.wantDigest)
 			}
 			// The digest must be exactly SHA-256(format prefix ‖ canonical
-			// JSON), and must not equal the format-1 digest of the same
-			// spec, which was SHA-256(canonical JSON) alone.
-			sum := sha256.Sum256([]byte(goldenPrefix + tc.wantJSON))
-			if want := hex.EncodeToString(sum[:]); tc.wantDigest != want {
+			// JSON). Formats 1 and 2 hashed the old canonical JSON, which
+			// still held workers: alone, then behind a "v2" line. The
+			// current digest must equal neither.
+			if want := hash(goldenPrefix, tc.wantJSON); tc.wantDigest != want {
 				t.Errorf("golden digest is not SHA-256 of prefix+golden JSON: %s vs %s", tc.wantDigest, want)
 			}
-			v1 := sha256.Sum256([]byte(tc.wantJSON))
-			if want := hex.EncodeToString(v1[:]); tc.formerV1 != want {
-				t.Errorf("format-1 golden is not SHA-256 of golden JSON: %s vs %s", tc.formerV1, want)
+			if b := marshalSpec(legacySpec(tc.spec)); string(b) != tc.jsonV2 {
+				t.Errorf("format-2 canonical JSON = %s, want %s", b, tc.jsonV2)
 			}
-			if got == tc.formerV1 {
-				t.Errorf("digest %s equals the format-1 digest: pre-migration entries would be served", got)
+			for v, want := range map[int]string{1: tc.v1, 2: tc.v2} {
+				prefix := ""
+				if v == 2 {
+					prefix = "revft spec v2\n"
+				}
+				if want != hash(prefix, tc.jsonV2) {
+					t.Errorf("format-%d golden is not SHA-256 of its prefix and the old JSON", v)
+				}
+				if d := digestAt(v, marshalSpec(legacySpec(tc.spec))); d != want {
+					t.Errorf("format-%d digest = %s, want pinned %s", v, d, want)
+				}
+				if got == want {
+					t.Errorf("digest %s equals the format-%d digest: pre-migration entries would be served", got, v)
+				}
 			}
 		})
 	}
 }
 
-// TestSpecDigestZeroScaleOmitted pins the omitempty interaction that
-// keeps pre-ZeroScale checkpoints valid: a zero ZeroScale encodes to the
-// same bytes (and digest) as a spec that predates the field, while any
-// nonzero value changes the digest.
+// TestSpecDigestZeroScaleOmitted pins the omitempty interaction: a zero
+// ZeroScale encodes to the same bytes (and digest) as a spec that
+// predates the field, while any nonzero value changes the digest.
 func TestSpecDigestZeroScaleOmitted(t *testing.T) {
 	s := goldenFullSpec()
 	if s.Stop.ZeroScale != 0 {
@@ -125,16 +144,24 @@ func TestSpecDigestZeroScaleOmitted(t *testing.T) {
 	}
 }
 
-// TestSpecDigestSensitivity checks the digest moves when any field does:
-// a cache keyed on it must never serve one spec's result for another.
+// TestSpecDigestSensitivity checks the digest moves when any field that
+// decides the result bytes does — a cache keyed on it must never serve
+// one spec's result for another — and stays put when only the worker
+// count, which decides nothing but speed, changes.
 func TestSpecDigestSensitivity(t *testing.T) {
 	base := goldenFullSpec()
+	for _, w := range []int{0, 1, 8} {
+		s := goldenFullSpec()
+		s.Workers = w
+		if s.Digest() != base.Digest() {
+			t.Errorf("workers=%d changed the digest", w)
+		}
+	}
 	mutate := map[string]func(*Spec){
 		"experiment": func(s *Spec) { s.Experiment = "levels" },
 		"grid":       func(s *Spec) { s.Grid[1] *= 1.0000000001 },
 		"points":     func(s *Spec) { s.Points++ },
 		"trials":     func(s *Spec) { s.Trials++ },
-		"workers":    func(s *Spec) { s.Workers++ },
 		"seed":       func(s *Spec) { s.Seed++ },
 		"engine":     func(s *Spec) { s.Engine = "scalar" },
 		"extra":      func(s *Spec) { s.Extra = "maxlevel=1 bits=3" },
@@ -231,5 +258,48 @@ func TestResumeFormatV1CheckpointIsSpecMismatch(t *testing.T) {
 	var ce *CorruptError
 	if _, err := Load(ck); !errors.As(err, &ce) {
 		t.Fatalf("format-1 digest of another spec: err = %T %v, want *CorruptError", err, err)
+	}
+}
+
+// TestResumeFormatV2CheckpointIsSpecMismatch: a checkpoint written under
+// format 2 — here the pinned golden spec and digest, as a format-2
+// writer stored them — is stale, not corrupt: it loads, and resuming it
+// is refused as a spec mismatch, so points whose streams depended on the
+// worker count are never mixed into a format-3 run. Its format-2 digest
+// paired with another spec is still corruption.
+func TestResumeFormatV2CheckpointIsSpecMismatch(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	fixture := `{"digest":"` + goldenFullDigestV2 + `","spec":` + goldenFullJSONV2 +
+		`,"done":[{"index":0,"ests":[{"trials":40000,"successes":3}]}],"saved_at":"2026-01-02T03:04:05Z"}`
+	if err := os.WriteFile(ck, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(ck)
+	if err != nil {
+		t.Fatalf("format-2 checkpoint failed to load: %v", err)
+	}
+	if v := c.formatOf(); v != 2 {
+		t.Errorf("format-2 checkpoint detected as format %d", v)
+	}
+	spec := goldenFullSpec()
+	_, err = (&Runner{Spec: spec, Point: fakePoint(42), CheckpointPath: ck, Resume: true}).Run(context.Background())
+	var dm *DigestMismatchError
+	if !errors.As(err, &dm) {
+		t.Fatalf("resume of a format-2 checkpoint: err = %T %v, want *DigestMismatchError", err, err)
+	}
+	if dm.CheckpointDigest != goldenFullDigestV2 || dm.SpecDigest != goldenFullDigest {
+		t.Errorf("mismatch fields wrong: %+v", dm)
+	}
+	if strings.Contains(dm.Error(), "workers") {
+		t.Errorf("mismatch message names workers, which no longer decide the digest: %s", dm)
+	}
+
+	c.Spec.Seed++
+	if err := c.Save(ck); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Load(ck); !errors.As(err, &ce) {
+		t.Fatalf("format-2 digest of another spec: err = %T %v, want *CorruptError", err, err)
 	}
 }

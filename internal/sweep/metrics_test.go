@@ -19,7 +19,7 @@ import (
 // partial-point scenario checkpoint metrics must not account for.
 func countingPoint(seed uint64, interruptAt int, cancel context.CancelFunc) PointFunc {
 	point := fakePoint(seed)
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if pt == interruptAt && cancel != nil {
 			// Simulate an engine that ran part of the point before the
 			// cancellation landed: counters move, then the point fails.
@@ -27,7 +27,7 @@ func countingPoint(seed uint64, interruptAt int, cancel context.CancelFunc) Poin
 			cancel()
 			return nil, context.Canceled
 		}
-		ests, err := point(ctx, pt, chunk, trials)
+		ests, err := point(ctx, pt, start, trials)
 		if err != nil {
 			return ests, err
 		}

@@ -6,9 +6,9 @@
 //
 // The contract that makes resume trustworthy is all-or-nothing points:
 // only fully completed points enter the checkpoint, and an interrupted
-// point re-runs from scratch with its original seed. For a fixed
-// (seed, workers, engine) spec, an interrupted-and-resumed sweep is
-// therefore bit-identical to an uninterrupted one.
+// point re-runs from scratch with its original seed. Point functions
+// address randomness by trial index, so an interrupted-and-resumed sweep
+// is bit-identical to an uninterrupted one, at any worker count.
 package sweep
 
 import (
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"revft/internal/chaos"
+	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/telemetry"
 )
@@ -37,7 +38,8 @@ type StopRule struct {
 	// stopping (the point runs exactly Spec.Trials trials).
 	RelTol float64 `json:"reltol"`
 	// MinTrials is the floor before the rule may fire; <= 0 selects
-	// min(1000, ceiling). It is also the size of the first chunk.
+	// 1000. It is rounded up to whole sim.BlockTrials blocks, capped at
+	// the ceiling, and is also the size of the first chunk.
 	MinTrials int `json:"min_trials"`
 	// MaxTrials is the ceiling; <= 0 selects Spec.Trials.
 	MaxTrials int `json:"max_trials"`
@@ -135,16 +137,16 @@ func (s StopRule) MaxRelHalfWidth(ests []stats.Bernoulli) float64 {
 	return max
 }
 
-// Spec identifies a sweep for checkpoint compatibility. Every field feeds
-// the digest: two runs may share a checkpoint only if the experiment, the
-// grid, the trial budget, the seeding, the engine, and the stop rule all
-// agree.
+// Spec identifies a sweep for checkpoint compatibility. The digest covers
+// every field but Workers, which decides only the speed: two runs may
+// share a checkpoint only if the experiment, the grid, the trial budget,
+// the seeding, the engine, and the stop rule all agree.
 type Spec struct {
 	Experiment string    `json:"experiment"`
 	Grid       []float64 `json:"grid,omitempty"` // the swept parameter values
 	Points     int       `json:"points"`         // sweep points (may exceed len(Grid), e.g. levels × grid)
 	Trials     int       `json:"trials"`
-	Workers    int       `json:"workers"`
+	Workers    int       `json:"workers,omitempty"`
 	Seed       uint64    `json:"seed"`
 	Engine     string    `json:"engine"`
 	Extra      string    `json:"extra,omitempty"` // driver-specific parameters, e.g. "maxlevel=2"
@@ -161,23 +163,47 @@ type Spec struct {
 // never resumed or served as if the current code could recompute them.
 //
 // Version 1 hashed the canonical bytes alone. Version 2 runs the "lanes"
-// engine on the one bit-sliced compiler (words = 1).
-const FormatVersion = 2
+// engine on the one bit-sliced compiler (words = 1). Version 3 seeds
+// trial blocks by index, and workers left the canonical bytes.
+const FormatVersion = 3
 
 // DigestBytes returns the hex SHA-256 of "revft spec v<FormatVersion>\n"
 // followed by canonical, a spec's canonical JSON encoding.
-func DigestBytes(canonical []byte) string {
+func DigestBytes(canonical []byte) string { return digestAt(FormatVersion, canonical) }
+
+// digestAt is format version v's digest of canonical: bare under
+// version 1, behind a version line since.
+func digestAt(v int, canonical []byte) string {
 	h := sha256.New()
-	h.Write(formatTag)
+	if v > 1 {
+		fmt.Fprintf(h, "revft spec v%d\n", v)
+	}
 	h.Write(canonical)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-var formatTag = []byte(fmt.Sprintf("revft spec v%d\n", FormatVersion))
-
-// canonical returns the spec's canonical JSON encoding.
+// canonical returns the spec's canonical JSON encoding, without Workers.
 func (s Spec) canonical() []byte {
-	b, err := json.Marshal(s)
+	s.Workers = 0
+	return marshalSpec(s)
+}
+
+// legacySpec is Spec as format versions 1 and 2 encoded it, workers
+// always included; conversion from Spec ignores the tags.
+type legacySpec struct {
+	Experiment string    `json:"experiment"`
+	Grid       []float64 `json:"grid,omitempty"`
+	Points     int       `json:"points"`
+	Trials     int       `json:"trials"`
+	Workers    int       `json:"workers"`
+	Seed       uint64    `json:"seed"`
+	Engine     string    `json:"engine"`
+	Extra      string    `json:"extra,omitempty"`
+	Stop       StopRule  `json:"stop"`
+}
+
+func marshalSpec(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
 		// Spec contains only scalars and a float slice; Marshal cannot
 		// fail on it.
@@ -317,7 +343,7 @@ func Load(path string) (*Checkpoint, error) { return LoadFS(chaos.OS, path) }
 // parses and then that its internal digest matches its embedded spec —
 // rejecting truncated or otherwise corrupt files with a *CorruptError
 // (never a panic), and files hand-edited out of sync with their digest.
-// A checkpoint written under an older FormatVersion loads; see formatV1.
+// A checkpoint written under an older FormatVersion loads; see formatOf.
 func LoadFS(fsys chaos.FS, path string) (*Checkpoint, error) {
 	if fsys == nil {
 		fsys = chaos.OS
@@ -330,37 +356,37 @@ func LoadFS(fsys chaos.FS, path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(b, &c); err != nil {
 		return nil, &CorruptError{Path: path, Err: err}
 	}
-	if got := c.Spec.Digest(); got != c.Digest && !c.formatV1() {
+	// Earlier versions are hashed only when the current one mismatches.
+	if got := c.Spec.Digest(); got != c.Digest && c.formatOf() == 0 {
 		return nil, &CorruptError{Path: path, SpecDigest: got, RecordedDigest: c.Digest}
 	}
 	return &c, nil
 }
 
-// formatV1 reports whether the checkpoint is consistent under format
-// version 1, the bare SHA-256 of the canonical spec. Such a file is stale,
-// not corrupt: LoadFS returns it, and resuming it fails as a
+// formatOf returns the format version under which the checkpoint's digest
+// matches its spec, or 0 if none does. A checkpoint of an earlier version
+// is stale, not corrupt: LoadFS returns it, and resuming it fails as a
 // *DigestMismatchError because its digest never equals a current one.
-func (c *Checkpoint) formatV1() bool {
-	sum := sha256.Sum256(c.Spec.canonical())
-	return c.Digest == hex.EncodeToString(sum[:])
+func (c *Checkpoint) formatOf() int {
+	if c.Spec.Digest() == c.Digest {
+		return FormatVersion
+	}
+	legacy := marshalSpec(legacySpec(c.Spec))
+	for v := FormatVersion - 1; v >= 1; v-- {
+		if digestAt(v, legacy) == c.Digest {
+			return v
+		}
+	}
+	return 0
 }
 
-// ChunkSeed derives the RNG seed for chunk c of an estimate whose base
-// seed is base. Chunk 0 is base itself, so a single-chunk (fixed-trials)
-// run consumes exactly the randomness the plain engines would; later
-// chunks are salted with multiples of the golden-ratio increment, the
-// same constant SplitMix64 seeding uses, so their generator states are
-// well separated from neighbouring points' small seed offsets.
-func ChunkSeed(base uint64, chunk int) uint64 {
-	return base + uint64(chunk)*0x9e3779b97f4a7c15
-}
-
-// PointFunc computes the estimates for sweep point pt, running trials
-// trials as chunk number chunk. Implementations must salt their seeds
-// with ChunkSeed(base, chunk) so chunk 0 with the full budget reproduces
-// the fixed-trial run bit-for-bit, and must return whatever partial
-// estimates they accumulated alongside a cancellation error.
-type PointFunc func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error)
+// PointFunc computes the estimates for sweep point pt over trials
+// [start, start+trials) of each, start a multiple of sim.BlockTrials.
+// Implementations must address their randomness by trial index, as sim's
+// harness does, so chunks [0, m) and [m, n) reproduce the fixed n-trial
+// run bit-for-bit, and must return whatever partial estimates they
+// accumulated alongside a cancellation error.
+type PointFunc func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error)
 
 // Runner drives one sweep.
 type Runner struct {
@@ -427,7 +453,7 @@ type DigestMismatchError struct {
 }
 
 func (e *DigestMismatchError) Error() string {
-	return fmt.Sprintf("sweep: checkpoint %s belongs to a different sweep (digest %.12s, this spec %.12s); refusing to mix results — rerun with the exact original spec (experiment, grid, trials, seed, workers, engine, stop rule) to resume, or delete the checkpoint to start fresh",
+	return fmt.Sprintf("sweep: checkpoint %s belongs to a different sweep (digest %.12s, this spec %.12s); refusing to mix results — rerun with the exact original spec (experiment, grid, trials, seed, engine, stop rule) to resume, or delete the checkpoint to start fresh",
 		e.Path, e.CheckpointDigest, e.SpecDigest)
 }
 
@@ -656,7 +682,7 @@ func stoppedNote(p PointResult) string {
 }
 
 // runPoint computes one point, in a single call when early stopping is
-// off and in geometrically growing chunks when it is on.
+// off and in geometrically growing chunks of whole blocks when it is on.
 func (r *Runner) runPoint(ctx context.Context, pt int, pspan telemetry.Span) (PointResult, error) {
 	p := PointResult{Index: pt}
 	rule := r.Spec.Stop
@@ -675,16 +701,18 @@ func (r *Runner) runPoint(ctx context.Context, pt int, pspan telemetry.Span) (Po
 	if floor <= 0 {
 		floor = 1000
 	}
+	// Whole blocks keep every chunk's first trial on a block boundary.
+	floor = (floor + sim.BlockTrials - 1) / sim.BlockTrials * sim.BlockTrials
 	if floor > ceiling {
 		floor = ceiling
 	}
 	chunkSize := floor
-	for chunk, ran := 0, 0; ran < ceiling; chunk++ {
+	for ran := 0; ran < ceiling; {
 		n := chunkSize
 		if n > ceiling-ran {
 			n = ceiling - ran
 		}
-		ests, err := r.Point(ctx, pt, chunk, n)
+		ests, err := r.Point(ctx, pt, ran, n)
 		if merged, merr := mergeEsts(p.Ests, ests); merr != nil {
 			p.Partial = true
 			return p, merr

@@ -13,27 +13,22 @@ import (
 	"testing"
 
 	"revft/internal/rng"
+	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/telemetry"
 )
 
 // fakePoint is a deterministic PointFunc: estimates derived purely from
-// (spec seed, pt, chunk, trials) through the real RNG, so interrupted and
-// uninterrupted sweeps are comparable bit-for-bit, exactly like the real
-// Monte Carlo engines under a fixed (seed, workers).
+// (spec seed, pt, start, trials) through the real block harness, so
+// interrupted and uninterrupted sweeps are comparable bit-for-bit,
+// exactly like the real Monte Carlo engines under a fixed seed.
 func fakePoint(seed uint64) PointFunc {
-	return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := rng.New(ChunkSeed(seed+uint64(pt), chunk))
-		hits := 0
-		for i := 0; i < trials; i++ {
-			if r.Bool(0.1) {
-				hits++
-			}
-		}
-		return []stats.Bernoulli{{Trials: trials, Successes: hits}}, nil
+		res, err := sim.MonteCarloCtx(ctx, start, trials, 1, seed+uint64(pt), func(r *rng.RNG) bool { return r.Bool(0.1) })
+		return []stats.Bernoulli{res.Bernoulli}, err
 	}
 }
 
@@ -93,14 +88,14 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 	// Interrupted run: cancel while point 2 (index 2) is executing.
 	ctx, cancel := context.WithCancel(context.Background())
 	point := fakePoint(42)
-	interrupting := func(c context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	interrupting := func(c context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if pt == 2 {
 			cancel()
 		}
 		if err := c.Err(); err != nil {
 			return nil, err
 		}
-		return point(c, pt, chunk, trials)
+		return point(c, pt, start, trials)
 	}
 	out, err := (&Runner{Spec: spec, Point: interrupting, CheckpointPath: ck}).Run(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -169,14 +164,20 @@ func TestResumeWithoutPathFails(t *testing.T) {
 	}
 }
 
+// TestDigestCoversEveryKnob: every field that decides a sweep's bytes
+// moves the digest; the worker count, which does not, leaves it alone.
 func TestDigestCoversEveryKnob(t *testing.T) {
 	base := testSpec(3)
+	w := testSpec(3)
+	w.Workers++
+	if w.Digest() != base.Digest() {
+		t.Error("changing workers changed the digest")
+	}
 	mutations := []func(*Spec){
 		func(s *Spec) { s.Experiment = "other" },
 		func(s *Spec) { s.Grid[0] *= 2 },
 		func(s *Spec) { s.Points++ },
 		func(s *Spec) { s.Trials++ },
-		func(s *Spec) { s.Workers++ },
 		func(s *Spec) { s.Seed++ },
 		func(s *Spec) { s.Engine = "lanes" },
 		func(s *Spec) { s.Extra = "maxlevel=2" },
@@ -220,7 +221,7 @@ func TestAdaptiveZeroRateRunsToCeiling(t *testing.T) {
 	spec := testSpec(1)
 	spec.Trials = 4000
 	spec.Stop = StopRule{RelTol: 0.2, MinTrials: 500}
-	zero := func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	zero := func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		return []stats.Bernoulli{{Trials: trials}}, nil
 	}
 	out, err := (&Runner{Spec: spec, Point: zero}).Run(context.Background())
@@ -234,40 +235,64 @@ func TestAdaptiveZeroRateRunsToCeiling(t *testing.T) {
 }
 
 // TestAdaptiveMatchesFixedWhenDisabled: StopRule zero value leaves the
-// fixed-trials path untouched, chunk 0 only.
+// fixed-trials path untouched, one call from trial 0.
 func TestAdaptiveMatchesFixedWhenDisabled(t *testing.T) {
 	spec := testSpec(2)
-	var chunks []int
-	spy := func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
-		chunks = append(chunks, chunk)
+	var starts []int
+	spy := func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
+		starts = append(starts, start)
 		if trials != spec.Trials {
 			t.Errorf("fixed mode ran %d trials, want %d", trials, spec.Trials)
 		}
-		return fakePoint(42)(ctx, pt, chunk, trials)
+		return fakePoint(42)(ctx, pt, start, trials)
 	}
 	if _, err := (&Runner{Spec: spec, Point: spy}).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range chunks {
-		if c != 0 {
-			t.Errorf("fixed mode used chunk %d, want 0 only", c)
+	if len(starts) != spec.Points {
+		t.Errorf("fixed mode made %d calls for %d points, want one each", len(starts), spec.Points)
+	}
+	for _, s := range starts {
+		if s != 0 {
+			t.Errorf("fixed mode started at trial %d, want 0 only", s)
 		}
 	}
 }
 
-func TestChunkSeedContract(t *testing.T) {
-	if ChunkSeed(99, 0) != 99 {
-		t.Error("chunk 0 must use the base seed unchanged")
+// TestAdaptiveChunksAreWholeBlocks: adaptive chunks start at the running
+// trial count on block boundaries — the floor rounds up to whole blocks,
+// then doubles — so a point that stopped at n trials holds exactly the
+// counts of a fixed n-trial call.
+func TestAdaptiveChunksAreWholeBlocks(t *testing.T) {
+	spec := testSpec(1)
+	spec.Trials = 1 << 20
+	spec.Stop = StopRule{RelTol: 0.05, MinTrials: 700}
+	var starts, sizes []int
+	spy := func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
+		starts, sizes = append(starts, start), append(sizes, trials)
+		return fakePoint(42)(ctx, pt, start, trials)
 	}
-	seen := map[uint64]bool{}
-	for base := uint64(0); base < 8; base++ {
-		for chunk := 0; chunk < 8; chunk++ {
-			s := ChunkSeed(base, chunk)
-			if seen[s] {
-				t.Fatalf("seed collision at base=%d chunk=%d", base, chunk)
-			}
-			seen[s] = true
+	out, err := (&Runner{Spec: spec, Point: spy}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := out.Done[0]
+	if !p.Stopped || len(starts) < 2 {
+		t.Fatalf("point did not stop early after several chunks: %+v, %d chunks", p, len(starts))
+	}
+	ran := 0
+	for i := range starts {
+		if want := 2 * sim.BlockTrials << i; starts[i] != ran || sizes[i] != want {
+			t.Errorf("chunk %d: trials [%d, +%d), want [%d, +%d)", i, starts[i], sizes[i], ran, want)
 		}
+		ran += sizes[i]
+	}
+	fixed, err := fakePoint(42)(context.Background(), 0, 0, p.Ests[0].Trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed[0] != p.Ests[0] {
+		t.Errorf("adaptive point %v differs from the fixed run of its length %v", p.Ests[0], fixed[0])
 	}
 }
 
@@ -277,14 +302,14 @@ func TestPartialPointExcludedFromCheckpoint(t *testing.T) {
 	spec := testSpec(3)
 	ck := filepath.Join(t.TempDir(), "ck.json")
 	ctx, cancel := context.WithCancel(context.Background())
-	point := func(c context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	point := func(c context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		if pt == 1 {
 			cancel()
 			// Simulate an engine returning a partial estimate with the
 			// cancellation error.
 			return []stats.Bernoulli{{Trials: 10, Successes: 1}}, c.Err()
 		}
-		return fakePoint(42)(c, pt, chunk, trials)
+		return fakePoint(42)(c, pt, start, trials)
 	}
 	out, err := (&Runner{Spec: spec, Point: point, CheckpointPath: ck}).Run(ctx)
 	if !errors.Is(err, context.Canceled) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"revft/internal/sim"
 	"revft/internal/stats"
 	"revft/internal/telemetry"
 )
@@ -88,7 +89,7 @@ func TestZeroScaleEarlyStop(t *testing.T) {
 	spec := testSpec(1)
 	spec.Trials = 4000
 	spec.Stop = StopRule{RelTol: 0.2, MinTrials: 500, ZeroScale: 0.05}
-	zero := func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+	zero := func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		return []stats.Bernoulli{{Trials: trials}}, nil
 	}
 	out, err := (&Runner{Spec: spec, Point: zero, Trace: tr}).Run(context.Background())
@@ -96,8 +97,9 @@ func TestZeroScaleEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := out.Done[0]
-	if !p.Stopped || p.Ests[0].Trials != 500 {
-		t.Fatalf("zero-success point: stopped=%v trials=%d, want true/500", p.Stopped, p.Ests[0].Trials)
+	// The floor of 500 rounds up to one whole block.
+	if !p.Stopped || p.Ests[0].Trials != sim.BlockTrials {
+		t.Fatalf("zero-success point: stopped=%v trials=%d, want true/%d", p.Stopped, p.Ests[0].Trials, sim.BlockTrials)
 	}
 	found := false
 	sc := bufio.NewScanner(&buf)

@@ -122,7 +122,7 @@ func RunInjected(c *Circuit, st *State, plan FaultPlan) {
 type Estimate = stats.Bernoulli
 
 // MonteCarlo runs trials of trial across parallel workers (0 = GOMAXPROCS),
-// reproducibly seeded.
+// reproducibly seeded: the estimate does not depend on workers.
 func MonteCarlo(trials, workers int, seed uint64, trial func(r *RNG) bool) Estimate {
 	return sim.MonteCarlo(trials, workers, seed, trial)
 }
@@ -155,9 +155,9 @@ func CompileWideLanes(c *Circuit, m NoiseModel, words int) *WideProgram {
 // MonteCarloWide runs trials across 64·words-lane blocks of batch, which
 // writes a hit mask into its block argument (bit j of hit[k] set: lane
 // 64k+j's trial observed the counted event). Worker and seeding semantics
-// match MonteCarlo; a panic inside batch, or words < 1, panics.
+// match MonteCarlo; a panic inside batch, or words not 1, 2, 4 or 8, panics.
 func MonteCarloWide(trials, workers int, seed uint64, words int, batch func(r *RNG, hit []uint64)) Estimate {
-	res, err := sim.MonteCarloWideCtx(context.Background(), trials, workers, seed, words, batch)
+	res, err := sim.MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, words, batch)
 	if err != nil {
 		panic(err)
 	}
