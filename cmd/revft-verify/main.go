@@ -20,8 +20,9 @@
 //	               71/32), the level-1 gadget's A₂ against the independent
 //	               pair enumeration and against Eq. 1's 3·C(G,2) bound, and
 //	               a closed-form NOT-chain cross-check
-//	-differential  run the Monte Carlo engines (scalar, and the lane engine
-//	               at 64 and 256 lanes: lanes, lanes256) against the
+//	-differential  run every Monte Carlo engine (scalar, and the lane
+//	               engine at 64, 256 and 512 lanes: lanes, lanes256,
+//	               lanes512) against the
 //	               oracle's exact P(ε) on the recovery, the level-1 MAJ
 //	               gadget and the 2D and 1D local cycles, failing if any
 //	               estimate's 3σ Wilson interval misses the exact value;
@@ -83,7 +84,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("revft-verify", flag.ContinueOnError)
 	var (
 		exactMode    = fs.Bool("exact", false, "add the exhaustive fault-enumeration oracle checks")
-		differential = fs.Bool("differential", false, "verify the Monte Carlo engines (scalar, lanes, lanes256) against the exact oracle on the recovery, the level-1 gadget and both local cycles (3σ Wilson)")
+		differential = fs.Bool("differential", false, "verify every Monte Carlo engine (scalar, lanes, lanes256, lanes512) against the exact oracle on the recovery, the level-1 gadget and both local cycles (3σ Wilson)")
 		trials       = fs.Int("trials", 200000, "Monte Carlo trials per (ε, engine) differential point")
 		workers      = fs.Int("workers", 0, "parallel workers for the differential runs (0 = GOMAXPROCS)")
 		seed         = fs.Uint64("seed", 7, "base random seed for the differential runs")
@@ -280,9 +281,8 @@ func checkOracleNOTChain() error {
 	return nil
 }
 
-// runDifferential checks the three Monte Carlo engines — scalar, the
-// 64-lane lanes, and the 4-word (256-lane) lanes256 — against the oracle
-// on four targets: the recovery with its fully enumerated polynomial, the
+// runDifferential checks every Monte Carlo engine — scalar and the lane
+// engine at 64, 256 and 512 lanes — against the oracle on four targets: the recovery with its fully enumerated polynomial, the
 // level-1 MAJ gadget with a weight-3 truncation, and the 2D and 1D local
 // cycles with weight-2 truncations, whose tail bounds widen the
 // acceptance interval. It prints the verdict tables and returns the
@@ -306,7 +306,7 @@ func runDifferential(p exp.MCParams, tr *telemetry.Trace) (int, error) {
 			return bad, fmt.Errorf("%s: %w", r.target.Name, err)
 		}
 		pts, err := exp.Differential(context.Background(), r.target, poly, r.eps,
-			exp.MCParams{Trials: p.Trials, Workers: p.Workers, Seed: p.Seed + uint64(1000*i)}, 4, tr)
+			exp.MCParams{Trials: p.Trials, Workers: p.Workers, Seed: p.Seed + uint64(1000*i)}, tr)
 		if err != nil {
 			return bad, fmt.Errorf("%s: %w", r.target.Name, err)
 		}

@@ -9,9 +9,8 @@ package core
 // equivalent to the scalar trial (same noise channel, same seeded trial
 // blocks) but not bit-identical to it, nor across batch widths, since
 // each consumes a block's randomness in its own order. Fault telemetry
-// stays keyed
-// by source op index, so per-gate-location counters are comparable
-// across engines regardless of fusion.
+// stays keyed by source op index, so per-gate-location counters are
+// comparable across engines regardless of fusion.
 
 import (
 	"context"
@@ -41,46 +40,52 @@ func lanesInstr(ctx context.Context, label string, c *circuit.Circuit) *lanes.In
 }
 
 // batch compiles the target once for a words-wide lane block and returns
-// the lane engine's batch trial: draw or broadcast the logical inputs
-// lane-wise, encode, run the compiled fused program, evaluate the logical
-// circuit on the input words in place, and set each lane's hit bit when
-// any decoded output differs.
-func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) sim.WideBatchTrial {
+// the factory of the lane engine's batch trial: draw or broadcast the
+// logical inputs lane-wise, encode, run the compiled fused program,
+// evaluate the logical circuit on the input words in place, and set each
+// lane's hit bit when any decoded output differs. Each worker's batch
+// owns its lane state and buffers, so a batch allocates nothing.
+func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) func() sim.WideBatchTrial {
 	prog := lanes.CompileWide(t.Circuit, m, words)
 	instr := lanesInstr(ctx, t.Name, t.Circuit)
 	logical := t.Logical.Ops()
-	return func(r *rng.RNG, hit []uint64) {
+	return func() sim.WideBatchTrial {
 		st := lanes.NewWideState(t.Circuit.Width(), words)
 		vals := make([][]uint64, len(t.In))
 		for i := range vals {
 			vals[i] = make([]uint64, words)
-			for k := range vals[i] {
-				if in.fixed {
-					vals[i][k] = lanes.Broadcast(in.in>>uint(i)&1 == 1)
-				} else {
-					vals[i][k] = r.Uint64()
-				}
-			}
-		}
-		for i, wires := range t.In {
-			st.EncodeBlock(wires, vals[i])
-		}
-		prog.RunInstr(st, r, instr)
-		var ops [3][]uint64
-		for _, op := range logical {
-			for j, w := range op.Targets {
-				ops[j] = vals[w]
-			}
-			lanes.EvalWide(op.Kind, ops[:len(op.Targets)])
-		}
-		for k := range hit {
-			hit[k] = 0
 		}
 		dec := make([]uint64, words)
-		for i, wires := range t.Out {
-			st.DecodeBlock(wires, dec)
+		return func(r *rng.RNG, hit []uint64) {
+			st.Reset()
+			for i := range vals {
+				for k := range vals[i] {
+					if in.fixed {
+						vals[i][k] = lanes.Broadcast(in.in>>uint(i)&1 == 1)
+					} else {
+						vals[i][k] = r.Uint64()
+					}
+				}
+			}
+			for i, wires := range t.In {
+				st.EncodeBlock(wires, vals[i])
+			}
+			prog.RunInstr(st, r, instr)
+			var ops [3][]uint64
+			for _, op := range logical {
+				for j, w := range op.Targets {
+					ops[j] = vals[w]
+				}
+				lanes.EvalWide(op.Kind, ops[:len(op.Targets)])
+			}
 			for k := range hit {
-				hit[k] |= dec[k] ^ vals[i][k]
+				hit[k] = 0
+			}
+			for i, wires := range t.Out {
+				st.DecodeBlock(wires, dec)
+				for k := range hit {
+					hit[k] |= dec[k] ^ vals[i][k]
+				}
 			}
 		}
 	}

@@ -1,15 +1,15 @@
 package exp
 
 // Differential verification: the Monte Carlo engines against the exact
-// fault-enumeration oracle. For a grid of ε values the harness runs the
-// scalar and the 64-lane engines — and, when requested, a wider K-word
-// lane engine — on the same core.Target and requires each estimate's 3σ
-// Wilson interval to intersect the oracle's exact interval
-// [P_W(ε), P_W(ε)+tail] — a point for full enumerations. The estimates
-// come from Target.ErrorRateCtx, the estimator the sweeps, the job server
-// and the benchmark run, so a pass here checks the production code path,
-// not a copy of it. One engine disagreeing fingers that engine; all
-// disagreeing fingers the model or the oracle. revft-verify -differential
+// fault-enumeration oracle. For a grid of ε values the harness runs every
+// engine of the engine table — scalar, lanes, lanes256 and lanes512 — on
+// the same core.Target and requires each estimate's 3σ Wilson interval
+// to intersect the oracle's exact interval [P_W(ε), P_W(ε)+tail] — a
+// point for full enumerations. The estimates come from
+// Target.ErrorRateCtx, the estimator the sweeps, the job server and the
+// benchmark run, so a pass here checks the production code path, not a
+// copy of it. One engine disagreeing fingers that engine; all disagreeing
+// fingers the model or the oracle. revft-verify -differential
 // and the exact-verify CI job run this on the recovery, the level-1
 // gadget and both local cycles; the property tests in this package run
 // it on random circuits.
@@ -47,24 +47,19 @@ type DiffPoint struct {
 	Engines          []DiffEngine
 }
 
-// diffStride is how many seeds each ε reserves: engine j at point i runs
-// on p.Seed + diffStride·i + j, so adding or dropping the third engine
-// never shifts the others' streams.
-const diffStride = 3
+// diffStride is how many seeds each ε reserves: engine j of the engine
+// table runs point i on p.Seed + diffStride·i + j, one seed per engine,
+// so no two (ε, engine) runs share a stream.
+const diffStride = 4
 
 // Differential runs the engines against poly at every ε in eps and
 // returns the per-ε verdicts. poly must come from Enumerate on t (its
-// SkipInit flag selects the matching noise accounting). The scalar and
-// the 64-lane engines always run; wideWords > 0 adds a third run per ε on
-// the wideWords-word lane engine. Each (ε, engine) verdict is also
-// emitted as a "differential" trace event when tr is non-nil. The run is
-// cancellable; on cancellation the completed points are returned with
-// the error.
-func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []float64, p MCParams, wideWords int, tr *telemetry.Trace) ([]DiffPoint, error) {
-	words := []int{0, 1}
-	if wideWords > 0 {
-		words = append(words, wideWords)
-	}
+// SkipInit flag selects the matching noise accounting). Every engine of
+// the engine table runs at every ε, in table order. Each (ε, engine)
+// verdict is also emitted as a "differential" trace event when tr is
+// non-nil. The run is cancellable; on cancellation the completed points
+// are returned with the error.
+func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []float64, p MCParams, tr *telemetry.Trace) ([]DiffPoint, error) {
 	var out []DiffPoint
 	for i, e := range eps {
 		var m noise.Model
@@ -75,9 +70,9 @@ func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []fl
 		}
 		lo, hi := poly.Bounds(e)
 		pt := DiffPoint{Eps: e, ExactLo: lo, ExactHi: hi}
-		for j, w := range words {
-			res, err := t.ErrorRateCtx(ctx, m, w, 0, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
-			v := DiffEngine{Name: engineName(w), Est: res.Bernoulli, OK: overlapsExact(res.Bernoulli, lo, hi)}
+		for j, eng := range engines {
+			res, err := t.ErrorRateCtx(ctx, m, eng.words, 0, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
+			v := DiffEngine{Name: eng.name, Est: res.Bernoulli, OK: overlapsExact(res.Bernoulli, lo, hi)}
 			pt.Engines = append(pt.Engines, v)
 			emitDifferential(tr, t.Name, pt, v)
 			if err != nil {
@@ -87,17 +82,6 @@ func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []fl
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// engineName names the lane engine of the given block width after the
-// engine table, or "lanes<N>" for a width the table does not list.
-func engineName(words int) string {
-	for _, e := range engines {
-		if e.words == words {
-			return e.name
-		}
-	}
-	return fmt.Sprintf("lanes%d", 64*words)
 }
 
 // overlapsExact reports whether the estimate's 3σ Wilson interval

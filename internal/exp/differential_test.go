@@ -49,10 +49,10 @@ func TestLanesKernelsMatchScalarLaneForLane(t *testing.T) {
 }
 
 // TestEnginesMatchExactOnRandomCircuits is the randomized differential
-// property test: on circuits nobody hand-picked, all three engines'
-// estimates must land inside a generous Wilson interval of the oracle's
-// exact failure probability. The trial count is deliberately not a
-// multiple of 64 (or 256) so the lane engines' partial-batch tail masking
+// property test: on circuits nobody hand-picked, every engine's estimate
+// must land inside a generous Wilson interval of the oracle's exact
+// failure probability. The trial count is deliberately not a multiple of
+// 64 (or 256, or 512) so the lane engines' partial-batch tail masking
 // is exercised every run; ε = 1 exercises the always-fault mask path.
 func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 	const trials = 20011 // prime: every lane-engine run ends in a partial batch
@@ -69,7 +69,7 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 		for _, eps := range []float64{0.05, 0.3, 1} {
 			p := poly.Eval(eps)
 			pts, err := Differential(context.Background(), tgt, poly,
-				[]float64{eps}, MCParams{Trials: trials, Workers: 2, Seed: 100 * seed}, 4, nil)
+				[]float64{eps}, MCParams{Trials: trials, Workers: 2, Seed: 100 * seed}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,18 +89,20 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 						seed, eps, e.Name, p, lo, hi)
 				}
 			}
-			if got := strings.Join(names, ","); got != "scalar,lanes,lanes256" {
-				t.Fatalf("seed %d: engines %s, want scalar,lanes,lanes256", seed, got)
+			if got, want := strings.Join(names, ","), strings.Join(EngineNames(), ","); got != want {
+				t.Fatalf("seed %d: engines %s, want %s", seed, got, want)
 			}
 		}
 	}
 }
 
 // TestDifferentialRecovery pins the full harness on the §2.2 recovery
-// circuit: full enumeration, all three engines (wideWords = 8 adds the
-// 512-lane fused engine), 3σ acceptance at every ε — engine estimates
-// pinned to the oracle's exact values.
+// circuit: full enumeration, every engine, 3σ acceptance at every ε —
+// engine estimates pinned to the oracle's exact values.
 func TestDifferentialRecovery(t *testing.T) {
+	if n := len(EngineNames()); n > diffStride {
+		t.Fatalf("%d engines share a %d-seed stride: two (ε, engine) runs would share a stream", n, diffStride)
+	}
 	tgt := exact.Recovery()
 	poly, err := exact.Enumerate(tgt, exact.Options{})
 	if err != nil {
@@ -110,7 +112,7 @@ func TestDifferentialRecovery(t *testing.T) {
 		t.Fatal("recovery lost single-fault tolerance")
 	}
 	pts, err := Differential(context.Background(), tgt, poly,
-		[]float64{1e-2, 5e-2, 0.2}, MCParams{Trials: 50000, Workers: 2, Seed: 7}, 8, nil)
+		[]float64{1e-2, 5e-2, 0.2}, MCParams{Trials: 50000, Workers: 2, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestDifferentialGadgetTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts, err := Differential(context.Background(), tgt, poly,
-		[]float64{3e-3, 1e-2}, MCParams{Trials: 100000, Workers: 2, Seed: 11}, 0, nil)
+		[]float64{3e-3, 1e-2}, MCParams{Trials: 100000, Workers: 2, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,21 +38,21 @@ func TestGoldenSweepEstimates(t *testing.T) {
 	grid := []float64{goldenG, 0.1}
 	want := map[string]string{
 		"recovery/scalar":   "[[3] [231]]",
-		"recovery/lanes":    "[[2] [212]]",
-		"recovery/lanes256": "[[4] [207]]",
-		"recovery/lanes512": "[[4] [191]]",
+		"recovery/lanes":    "[[2] [227]]",
+		"recovery/lanes256": "[[1] [202]]",
+		"recovery/lanes512": "[[2] [221]]",
 		"levels/scalar":     "[[19] [154] [4] [202] [0] [212]]",
-		"levels/lanes":      "[[21] [183] [5] [215] [0] [216]]",
-		"levels/lanes256":   "[[21] [176] [0] [213] [0] [205]]",
-		"levels/lanes512":   "[[19] [167] [2] [216] [0] [234]]",
+		"levels/lanes":      "[[23] [186] [2] [222] [0] [221]]",
+		"levels/lanes256":   "[[25] [185] [3] [229] [0] [233]]",
+		"levels/lanes512":   "[[20] [181] [0] [223] [0] [220]]",
 		"local/scalar":      "[[8 73] [448 1282]]",
-		"local/lanes":       "[[8 69] [463 1288]]",
-		"local/lanes256":    "[[9 81] [452 1296]]",
-		"local/lanes512":    "[[10 67] [406 1302]]",
+		"local/lanes":       "[[5 65] [459 1276]]",
+		"local/lanes256":    "[[6 83] [452 1283]]",
+		"local/lanes512":    "[[8 88] [453 1277]]",
 		"adder/scalar":      "[[248 90] [1499 1894]]",
-		"adder/lanes":       "[[243 90] [1475 1873]]",
-		"adder/lanes256":    "[[260 97] [1521 1886]]",
-		"adder/lanes512":    "[[262 85] [1536 1886]]",
+		"adder/lanes":       "[[287 83] [1498 1895]]",
+		"adder/lanes256":    "[[263 81] [1508 1914]]",
+		"adder/lanes512":    "[[250 90] [1492 1882]]",
 	}
 	for _, workers := range goldenWorkers {
 		for _, engine := range EngineNames() {

@@ -16,7 +16,10 @@
 // faulting lane's bits on the op's target wires are replaced with uniform
 // random bits. Faulting lanes are found by geometric skips, so for the
 // small fault probabilities the experiments sweep (g ~ 1e-4..3e-2) the
-// engine spends randomness only where faults actually land.
+// engine spends randomness only where faults actually land: each fault
+// event costs one skip, floor(E·λ⁻¹) with E from rng's exponential
+// ziggurat and λ = -log1p(-p) fixed at compile time, and one word for
+// its replacement bits.
 //
 // Randomness comes from the same per-block xoshiro256** streams as the
 // scalar harness (sim seeds trial block b from the estimate seed and b),

@@ -341,21 +341,21 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-// TestBernoulliMaskInfiniteLogq drives the sampler at its numeric edge:
-// p = 1 precompiles to logq = log1p(-1) = -Inf, which must yield a zero
+// TestBernoulliMaskCertainFault drives the sampler at its numeric edge:
+// p = 1 precompiles to λ⁻¹ = -1/log1p(-1) = 0, which must yield a zero
 // gap (every lane faults) rather than a NaN or overflowed skip.
-func TestBernoulliMaskInfiniteLogq(t *testing.T) {
+func TestBernoulliMaskCertainFault(t *testing.T) {
 	r := rng.New(9)
-	logq := math.Log1p(-1.0)
-	if !math.IsInf(logq, -1) {
-		t.Fatalf("log1p(-1) = %v, want -Inf", logq)
+	prog := Compile(circuit.New(3).MAJ(0, 1, 2).NOT(0), noise.Uniform(1))
+	inv := prog.samplers[0].invRate
+	if inv != 0 || math.Signbit(inv) {
+		t.Fatalf("p=1: λ⁻¹ = %v, want +0", inv)
 	}
 	for i := 0; i < 100; i++ {
-		if g := geomGap(r, logq); g != 0 {
-			t.Fatalf("p=1, logq=-Inf: gap = %d, want 0", g)
+		if g := geomGap(r, inv); g != 0 {
+			t.Fatalf("p=1, λ⁻¹=0: gap = %d, want 0", g)
 		}
 	}
-	prog := Compile(circuit.New(3).MAJ(0, 1, 2).NOT(0), noise.Uniform(1))
 	if n := prog.Run(NewState(3), r); n != 2*64 {
 		t.Fatalf("p=1: %d fault events over 2 ops × 64 lanes, want 128", n)
 	}
@@ -364,16 +364,22 @@ func TestBernoulliMaskInfiniteLogq(t *testing.T) {
 // TestBernoulliMaskTinyP checks the opposite extreme: at p = 1e-12 the
 // geometric gap is ~1e12 lanes, so virtually every block must pass
 // fault-free rather than losing the gap to float truncation or overflow
-// and faulting spuriously.
+// and faulting spuriously. At p = 1e-300 the gap saturates at maxGeomGap.
 func TestBernoulliMaskTinyP(t *testing.T) {
 	const p = 1e-12
 	r := rng.New(10)
+	prog := Compile(circuit.New(1).NOT(0), noise.Uniform(p))
 	for i := 0; i < 1000; i++ {
-		if g := geomGap(r, math.Log1p(-p)); g < 0 || g > maxGeomGap {
+		if g := geomGap(r, prog.samplers[0].invRate); g < 0 || g > maxGeomGap {
 			t.Fatalf("gap %d outside [0, %d]", g, maxGeomGap)
 		}
 	}
-	prog := Compile(circuit.New(1).NOT(0), noise.Uniform(p))
+	tiny := Compile(circuit.New(1).NOT(0), noise.Uniform(1e-300)).samplers[0].invRate
+	for i := 0; i < 1000; i++ {
+		if g := geomGap(r, tiny); g < 0 || g > maxGeomGap {
+			t.Fatalf("p=1e-300: gap %d outside [0, %d]", g, maxGeomGap)
+		}
+	}
 	total := 0
 	const draws = 200000
 	for i := 0; i < draws; i++ {
@@ -384,6 +390,75 @@ func TestBernoulliMaskTinyP(t *testing.T) {
 	if total > 2 {
 		t.Fatalf("p=1e-12: %d faults in %d blocks (expected ~0)", total, draws)
 	}
+}
+
+// TestGeomGapChiSquare tests geomGap against Geometric(p), P(gap = k) =
+// (1-p)^k·p, with a Pearson χ² at a fixed seed. At p = 0.2 every k below
+// 29 is its own bin and the tail k ≥ 29 one more (29 df); at p = 1e-3,
+// the sparse regime the sweeps run, 51 bins of near-equal mass cut at
+// integer quantiles (50 df). Each threshold is the χ² quantile at false-
+// alarm rate 0.001 (Wilson–Hilferty), so a failure is a real defect in
+// the ziggurat or the λ⁻¹ scaling.
+func TestGeomGapChiSquare(t *testing.T) {
+	const n = 1000000
+	for _, tc := range []struct {
+		p     float64
+		edges []int64 // bin i holds gaps in [edges[i], edges[i+1]); the last bin is open
+	}{
+		{0.2, seqEdges(29)},
+		{1e-3, quantileEdges(1e-3, 51)},
+	} {
+		prog := Compile(circuit.New(1).NOT(0), noise.Uniform(tc.p))
+		inv := prog.samplers[0].invRate
+		r := rng.New(2000)
+		obs := make([]float64, len(tc.edges))
+		for i := 0; i < n; i++ {
+			g := geomGap(r, inv)
+			b := len(tc.edges) - 1
+			for b > 0 && g < tc.edges[b] {
+				b--
+			}
+			obs[b]++
+		}
+		logq := math.Log1p(-tc.p)
+		surv := func(k int64) float64 { return math.Exp(float64(k) * logq) } // P(gap ≥ k)
+		chi2 := 0.0
+		for b, lo := range tc.edges {
+			mass := surv(lo)
+			if b+1 < len(tc.edges) {
+				mass -= surv(tc.edges[b+1])
+			}
+			d := obs[b] - n*mass
+			chi2 += d * d / (n * mass)
+		}
+		df := float64(len(tc.edges) - 1)
+		// Wilson–Hilferty: the 0.999 quantile of χ²(df), z = 3.09.
+		h := 2 / (9 * df)
+		limit := df * math.Pow(1-h+3.09*math.Sqrt(h), 3)
+		t.Logf("p=%v: χ² = %.1f on %v df (0.001 critical value %.1f)", tc.p, chi2, df, limit)
+		if chi2 > limit {
+			t.Errorf("p=%v: χ² = %.1f on %v df, above the 0.001 critical value %.1f", tc.p, chi2, df, limit)
+		}
+	}
+}
+
+// seqEdges is 0, 1, …, k: one bin per gap below k, then the tail.
+func seqEdges(k int) []int64 {
+	e := make([]int64, k+1)
+	for i := range e {
+		e[i] = int64(i)
+	}
+	return e
+}
+
+// quantileEdges cuts Geometric(p) into bins of near-equal mass 1/bins at
+// integer boundaries: edge i is the smallest k with P(gap ≥ k) ≤ 1 - i/bins.
+func quantileEdges(p float64, bins int) []int64 {
+	e := make([]int64, bins)
+	for i := 1; i < bins; i++ {
+		e[i] = int64(math.Ceil(math.Log1p(-float64(i)/float64(bins)) / math.Log1p(-p)))
+	}
+	return e
 }
 
 // TestBernoulliMaskChiSquareHalf is a goodness-of-fit check at p = 0.5,

@@ -208,9 +208,14 @@ type wideOp struct {
 // compiled with the same probability draw their skip gaps from the same
 // Geometric(p), so the sampler's run state can advance across ops.
 type wideSampler struct {
-	p    float64
-	logq float64 // log1p(-p), -Inf at p = 1
+	p       float64
+	invRate float64 // λ⁻¹ = -1/log1p(-p), 0 at p = 1; see geomGap
 }
+
+// maxSamplers bounds a program's samplers: there is one per distinct
+// fault probability, and the noise model assigns one per gate kind, so
+// RunInstr keeps its countdowns in a fixed array instead of allocating.
+const maxSamplers = 16
 
 // WideProgram is a circuit compiled for the engine under a fixed noise
 // model and block width. It is immutable after CompileWide and safe for
@@ -285,7 +290,7 @@ func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 			return i
 		}
 		i := int32(len(p.samplers))
-		p.samplers = append(p.samplers, wideSampler{p: pr, logq: math.Log1p(-pr)})
+		p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr)})
 		samplerIdx[pr] = i
 		return i
 	}
@@ -525,10 +530,12 @@ func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 const maxGeomGap = int64(1) << 62
 
 // geomGap draws Geometric(p) — the number of clear lanes before the next
-// faulting lane — by inversion: floor(log1p(-u)/log1p(-p)). logq = -Inf
-// (p = 1) yields gap 0, the every-lane-faults path.
-func geomGap(r *rng.RNG, logq float64) int64 {
-	f := math.Log1p(-r.Float64()) / logq
+// faulting lane — as floor(E·λ⁻¹) with E ~ Exp(1) and λ = -log1p(-p):
+// P(gap ≥ k) = P(E ≥ kλ) = (1-p)^k. E comes from the ziggurat, so the
+// common draw costs one Uint64, one multiply and one compare, and no
+// logarithm. invRate = 0 (p = 1) yields gap 0, the every-lane-faults path.
+func geomGap(r *rng.RNG, invRate float64) int64 {
+	f := r.ExpFloat64() * invRate
 	if f >= float64(maxGeomGap) {
 		return maxGeomGap
 	}
@@ -552,9 +559,10 @@ func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
 
 	// One fresh geometric draw per sampler per run: run state never leaks
 	// across batches, so batches stay independent and reproducible.
-	next := make([]int64, len(p.samplers))
+	var nextBuf [maxSamplers]int64
+	next := nextBuf[:len(p.samplers)]
 	for i := range next {
-		next[i] = geomGap(r, p.samplers[i].logq)
+		next[i] = geomGap(r, p.samplers[i].invRate)
 	}
 
 	faults := 0
@@ -598,7 +606,7 @@ func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
 			for n < L {
 				p.faultLane(w, o, f.wmask, n, r)
 				cnt++
-				n += 1 + geomGap(r, p.samplers[f.sampler].logq)
+				n += 1 + geomGap(r, p.samplers[f.sampler].invRate)
 			}
 			next[f.sampler] = n - L
 			if cnt > 0 {
@@ -616,20 +624,23 @@ func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
 }
 
 // faultLane replaces lane n of each wmask-selected target with a fresh
-// uniform bit — the per-lane randomizing channel of the slow path.
+// uniform bit — the per-lane randomizing channel of the slow path. One
+// Uint64 supplies all of them: bit 63 goes to target a, bit 62 to b and
+// bit 61 to c.
 func (p *WideProgram) faultLane(st []uint64, o *wideOp, wmask uint8, n int64, r *rng.RNG) {
 	word, bit := int(n>>6), uint(n&63)
+	u := r.Uint64()
 	if wmask&1 != 0 {
 		i := int(o.a) + word
-		st[i] = st[i]&^(1<<bit) | r.Uint64()>>63<<bit
+		st[i] = st[i]&^(1<<bit) | u>>63<<bit
 	}
 	if wmask&2 != 0 {
 		i := int(o.b) + word
-		st[i] = st[i]&^(1<<bit) | r.Uint64()>>63<<bit
+		st[i] = st[i]&^(1<<bit) | u>>62&1<<bit
 	}
 	if wmask&4 != 0 {
 		i := int(o.c) + word
-		st[i] = st[i]&^(1<<bit) | r.Uint64()>>63<<bit
+		st[i] = st[i]&^(1<<bit) | u>>61&1<<bit
 	}
 }
 

@@ -244,6 +244,23 @@ func TestWideSamplerGrouping(t *testing.T) {
 	}
 }
 
+// TestRunAllocatesNothing: the samplers' countdowns live in a fixed
+// array sized for one sampler per gate kind, so a noisy run allocates
+// nothing, on the fast path and through fault replay alike.
+func TestRunAllocatesNothing(t *testing.T) {
+	if n := len(gate.Kinds()); n > maxSamplers {
+		t.Fatalf("%d gate kinds can need %d samplers, above maxSamplers = %d", n, n, maxSamplers)
+	}
+	c := circuit.New(3).Init3(0, 1, 2).MAJ(0, 1, 2).NOT(1).MAJInv(0, 1, 2)
+	for _, p := range []float64{1e-3, 0.3} {
+		prog := CompileWide(c, noise.IID{Gate: p, Init: p / 2}, 8)
+		st, r := NewWideState(3, 8), rng.New(4)
+		if n := testing.AllocsPerRun(100, func() { prog.Run(st, r) }); n != 0 {
+			t.Errorf("p=%v: Run allocates %v times per batch, want 0", p, n)
+		}
+	}
+}
+
 // TestCompileWideClampsProbabilities is TestCompileClampsProbabilities at
 // K = 4.
 func TestCompileWideClampsProbabilities(t *testing.T) {

@@ -329,29 +329,34 @@ func TestReplayReusedRecord(t *testing.T) {
 	}
 }
 
-// formatDigest is spec's digest under sweep format v ∈ {1, 2}: the
-// SHA-256 of its normalized canonical JSON, which then still held shards
-// and workers — bare under format 1, behind a "v2" line under format 2.
-// It is what a server before the format-2 or format-3 migration keyed
-// jobs and cache entries by.
+// formatDigest is spec's digest under the legacy sweep format v ∈
+// {1, 2, 3}: the SHA-256 of its normalized canonical JSON — which under
+// formats 1 and 2 still held shards and workers — bare under format 1
+// and behind a "v<v>" line since. It is what a server before the
+// format-2, format-3 or format-4 migration keyed jobs and cache entries
+// by.
 func formatDigest(t *testing.T, spec JobSpec, v int) string {
 	t.Helper()
 	spec.normalize()
 	spec.Priority = ""
+	if v >= 3 {
+		spec.Shards, spec.Workers = 0, 0
+	}
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v == 2 {
-		b = append([]byte("revft spec v2\n"), b...)
+	if v > 1 {
+		b = append([]byte(fmt.Sprintf("revft spec v%d\n", v)), b...)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCacheIgnoresFormatV1Entries: results stored before the format-2
-// and format-3 migrations — under their old digests and families — were
-// computed by engines that consumed randomness differently. They must be
+// TestCacheIgnoresFormatV1Entries: results stored before the format-2,
+// format-3 and format-4 migrations — under their old digests and
+// families — were computed by engines that consumed randomness
+// differently. They must be
 // neither served as an exact hit for the same spec nor grafted as a near
 // miss into a subset spec; both are recomputed from scratch.
 func TestCacheIgnoresFormatV1Entries(t *testing.T) {
@@ -370,7 +375,7 @@ func TestCacheIgnoresFormatV1Entries(t *testing.T) {
 	_, data := runToResult(t, plain, super)
 	fam := super
 	fam.GMin, fam.GMax, fam.Points = 0, 0, 0
-	for _, v := range []int{1, 2} {
+	for _, v := range []int{1, 2, 3} {
 		var old Result
 		if err := json.Unmarshal(data, &old); err != nil {
 			t.Fatal(err)

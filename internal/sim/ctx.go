@@ -129,22 +129,25 @@ func MonteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 type WideBatchTrial func(r *rng.RNG, hit []uint64)
 
 // MonteCarloWideCtx is MonteCarloCtx on K-word lane batches of 64·words
-// trials; words must divide BlockTrials/64. A run's final block may be
-// short: it runs only the batches its trials need and masks the excess
-// lanes of the last, so every counted trial runs exactly once.
+// trials; words must divide BlockTrials/64. newBatch is called once per
+// worker, and the batch it returns runs on that worker alone, so it may
+// keep its lane state and buffers from one batch to the next. A run's
+// final block may be short: it runs only the batches its trials need and
+// masks the excess lanes of the last, so every counted trial runs exactly
+// once.
 //
 // The harness counters "lanes.trials" and telemetry.TrialsMetric count
 // counted trials, "lanes.slots" simulated lane slots including the masked
 // excess. Fault counters (lanes.faults, lanes.op_faults.*) are recorded
 // inside the batch, which cannot know which slots will be discarded, so
 // fault rates must be normalized by lanes.slots; see lanes.Instr.
-func MonteCarloWideCtx(ctx context.Context, start, trials, workers int, seed uint64, words int, batch WideBatchTrial) (Result, error) {
+func MonteCarloWideCtx(ctx context.Context, start, trials, workers int, seed uint64, words int, newBatch func() WideBatchTrial) (Result, error) {
 	if words < 1 || BlockTrials%(64*words) != 0 {
 		return Result{}, fmt.Errorf("sim: wide engine needs 1, 2, 4 or 8 words per batch, got %d", words)
 	}
 	unit := 64 * words
 	return monteCarloCtx(ctx, start, trials, workers, seed, words, func() blockCounter {
-		hit := make([]uint64, words)
+		batch, hit := newBatch(), make([]uint64, words)
 		return func(r *rng.RNG, n int) (h, batches int) {
 			for ran := 0; ran < n; ran += unit {
 				batch(r, hit)

@@ -107,10 +107,10 @@ func TestLanesHarnessCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	const trials = 1 << 40
-	res, err := MonteCarloWideCtx(ctx, 0, trials, 2, 3, 1, func(r *rng.RNG, hit []uint64) {
+	res, err := MonteCarloWideCtx(ctx, 0, trials, 2, 3, 1, shared(func(r *rng.RNG, hit []uint64) {
 		time.Sleep(100 * time.Microsecond)
 		cheapBatch(r, hit)
-	})
+	}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -226,13 +226,13 @@ func TestTrialPanicNoDeadlock(t *testing.T) {
 
 // TestLanesTrialPanicError: panic isolation works on the lanes engine too.
 func TestLanesTrialPanicError(t *testing.T) {
-	_, err := MonteCarloWideCtx(context.Background(), 0, 1<<20, 3, 9, 1, func(r *rng.RNG, hit []uint64) {
+	_, err := MonteCarloWideCtx(context.Background(), 0, 1<<20, 3, 9, 1, shared(func(r *rng.RNG, hit []uint64) {
 		v := r.Uint64()
 		if panicValue(v) {
 			panic(v)
 		}
 		hit[0] = v
-	})
+	}))
 	var pe *TrialPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *TrialPanicError", err)
@@ -259,9 +259,9 @@ func TestLegacyEnginePanicPropagates(t *testing.T) {
 // under ctx: a full run counts every trial exactly once.
 func TestCtxPartialMaskTruncation(t *testing.T) {
 	// 100 trials = one full batch + a 36-lane tail of block 0.
-	res, err := MonteCarloWideCtx(context.Background(), 0, 100, 1, 2, 1, func(r *rng.RNG, hit []uint64) {
+	res, err := MonteCarloWideCtx(context.Background(), 0, 100, 1, 2, 1, shared(func(r *rng.RNG, hit []uint64) {
 		hit[0] = ^uint64(0) // every lane fails
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestTelemetryCountsMatchResultOnCancel(t *testing.T) {
 			return MonteCarloCtx(ctx, 0, trials, workers, 7, cheapTrial)
 		}},
 		{"lanes", func(ctx context.Context, trials, workers int) (Result, error) {
-			return MonteCarloWideCtx(ctx, 0, trials, workers, 7, 1, cheapBatch)
+			return MonteCarloWideCtx(ctx, 0, trials, workers, 7, 1, shared(cheapBatch))
 		}},
 	} {
 		for _, workers := range []int{1, 4} {
@@ -325,7 +325,7 @@ func TestTelemetryCountsMatchResultComplete(t *testing.T) {
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
 	const trials = 100000
-	res, err := MonteCarloWideCtx(ctx, 0, trials, 3, 7, 1, cheapBatch)
+	res, err := MonteCarloWideCtx(ctx, 0, trials, 3, 7, 1, shared(cheapBatch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestBlocksAllocateNothing(t *testing.T) {
 			return MonteCarloCtx(context.Background(), 0, trials, 1, 3, cheapTrial)
 		},
 		"lanes": func(trials int) (Result, error) {
-			return MonteCarloWideCtx(context.Background(), 0, trials, 1, 3, 1, cheapBatch)
+			return MonteCarloWideCtx(context.Background(), 0, trials, 1, 3, 1, shared(cheapBatch))
 		},
 	}
 	for name, run := range engines {

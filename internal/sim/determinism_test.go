@@ -63,7 +63,7 @@ func TestMonteCarloDeterminismContract(t *testing.T) {
 // failing the test on error.
 func lanesRun(t *testing.T, trials, workers int, seed uint64, batch WideBatchTrial) stats.Bernoulli {
 	t.Helper()
-	res, err := MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, 1, batch)
+	res, err := MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, 1, shared(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,10 @@ func blockEngines(tick func()) map[string]func(ctx context.Context, start, trial
 	for _, words := range []int{1, 4, 8} {
 		batch := wideFailBatch(c, m, words)
 		out[fmt.Sprintf("words=%d", words)] = func(ctx context.Context, start, trials, workers int) (Result, error) {
-			return MonteCarloWideCtx(ctx, start, trials, workers, 42, words, func(r *rng.RNG, hit []uint64) {
+			return MonteCarloWideCtx(ctx, start, trials, workers, 42, words, shared(func(r *rng.RNG, hit []uint64) {
 				tick()
 				batch(r, hit)
-			})
+			}))
 		}
 	}
 	return out

@@ -14,11 +14,17 @@ import (
 // test on error.
 func wideRun(t *testing.T, trials, workers int, seed uint64, words int, batch WideBatchTrial) stats.Bernoulli {
 	t.Helper()
-	res, err := MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, words, batch)
+	res, err := MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, words, shared(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Bernoulli
+}
+
+// shared is the batch factory that hands every worker the same batch,
+// for test batches that keep no state.
+func shared(batch WideBatchTrial) func() WideBatchTrial {
+	return func() WideBatchTrial { return batch }
 }
 
 // TestMonteCarloWideMatchesLanesAtOneWord pins the 64-lane harness
@@ -110,7 +116,7 @@ func TestMonteCarloWideDeterminismContract(t *testing.T) {
 // divide the block.
 func TestMonteCarloWideRejectsBadWords(t *testing.T) {
 	for _, words := range []int{0, 3, 16} {
-		if _, err := MonteCarloWideCtx(context.Background(), 0, 100, 1, 1, words, func(r *rng.RNG, hit []uint64) {}); err == nil {
+		if _, err := MonteCarloWideCtx(context.Background(), 0, 100, 1, 1, words, shared(func(r *rng.RNG, hit []uint64) {})); err == nil {
 			t.Errorf("words = %d was not rejected", words)
 		}
 	}
@@ -124,11 +130,11 @@ func TestMonteCarloWideTelemetrySlotsVsTrials(t *testing.T) {
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
 	const words, trials = 4, 300 // two 256-lane batches: 512 slots
-	res, err := MonteCarloWideCtx(ctx, 0, trials, 1, 5, words, func(r *rng.RNG, hit []uint64) {
+	res, err := MonteCarloWideCtx(ctx, 0, trials, 1, 5, words, shared(func(r *rng.RNG, hit []uint64) {
 		for i := range hit {
 			hit[i] = ^uint64(0)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

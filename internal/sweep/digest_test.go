@@ -21,30 +21,34 @@ import (
 //
 // If one of these golden values ever changes on purpose, that is a
 // cache- and checkpoint-breaking format migration and must be treated as
-// such — bump FormatVersion, not just a constant here. The format-1 and
-// format-2 digests (the bare SHA-256 of the old canonical JSON, which
-// still held workers, and the same behind a "v2" line) are kept to prove
-// that no current digest can collide with an entry written before the
-// last migrations.
+// such — bump FormatVersion, not just a constant here. The legacy
+// digests are kept to prove that no current digest can collide with an
+// entry written before the last migrations: format 1 is the bare SHA-256
+// of the old canonical JSON, which still held workers, format 2 the same
+// behind a "v2" line, and format 3 today's canonical JSON behind a "v3"
+// line.
 
-// goldenPrefix is what FormatVersion 3 hashes ahead of the canonical JSON.
-const goldenPrefix = "revft spec v3\n"
+// goldenPrefix is what FormatVersion 4 hashes ahead of the canonical JSON.
+const goldenPrefix = "revft spec v4\n"
 
 const (
 	goldenFullJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
-	goldenFullDigest   = "d5c31d3a3cba82f798b62ec82bca6e2aebf77e200fac68989e35f138ad76d353"
+	goldenFullDigest   = "b740c78a1ce8a59dbda41ef485795f4ef4feebdcbb163f7afe0f8004a3e6e36e"
+	goldenFullDigestV3 = "d5c31d3a3cba82f798b62ec82bca6e2aebf77e200fac68989e35f138ad76d353"
 	goldenFullJSONV2   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
 	goldenFullDigestV2 = "cf6dc2d5a3cf7a78f2bc199a525252c6305f01cb35e9c731bb0be7a33675461b"
 	goldenFullDigestV1 = "331545346ecdd049c904e84290b98987db2a3639aee305e57db929c302fdaec0"
 
 	goldenZeroScaleJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
-	goldenZeroScaleDigest   = "3f85d66ba4cdb3bdabe0fcc268ae76e69a9076b97f287614410eb7a24f4ee21a"
+	goldenZeroScaleDigest   = "d8150ebc40cae908a022f4758b37e3b63d700a3510bc697babe479d00ab0b01a"
+	goldenZeroScaleDigestV3 = "3f85d66ba4cdb3bdabe0fcc268ae76e69a9076b97f287614410eb7a24f4ee21a"
 	goldenZeroScaleJSONV2   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
 	goldenZeroScaleDigestV2 = "eb3cc3c5e8b76cd6ab0aae7d1e23006a461601e7587307e0e36631d46a479bb0"
 	goldenZeroScaleDigestV1 = "60075829486e628466a580a5f3fd2a78e4bc361597ff612ddb8f961cc174ab13"
 
 	goldenMinimalJSON     = `{"experiment":"levels","points":8,"trials":100,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
-	goldenMinimalDigest   = "6c1a80298820e99f1a236ebb661840e0872074413f955a3ea1f857d782ad7b5a"
+	goldenMinimalDigest   = "fa0dec4b358386477b25d8deb977326f603cbf256e0f6657cef7c7a6f937b0a8"
+	goldenMinimalDigestV3 = "6c1a80298820e99f1a236ebb661840e0872074413f955a3ea1f857d782ad7b5a"
 	goldenMinimalJSONV2   = `{"experiment":"levels","points":8,"trials":100,"workers":1,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
 	goldenMinimalDigestV2 = "577643248f187c3d36f4d5788ad2fbfadd6d57050109a412947ac4d7b70a9965"
 	goldenMinimalDigestV1 = "a6357f3c2b9abfd3d5ea6d8383bdcc6c0e29dfab10031ee63181b90f41c106bf"
@@ -67,23 +71,26 @@ func goldenFullSpec() Spec {
 }
 
 func TestSpecDigestGolden(t *testing.T) {
-	if FormatVersion != 3 {
+	if FormatVersion != 4 {
 		t.Fatalf("FormatVersion = %d: re-pin the golden digests for the new format", FormatVersion)
 	}
 	cases := []struct {
-		name               string
-		spec               Spec
-		wantJSON, jsonV2   string
-		wantDigest, v2, v1 string
+		name                   string
+		spec                   Spec
+		wantJSON, jsonV2       string
+		wantDigest, v3, v2, v1 string
 	}{
-		{"full", goldenFullSpec(), goldenFullJSON, goldenFullJSONV2, goldenFullDigest, goldenFullDigestV2, goldenFullDigestV1},
+		{"full", goldenFullSpec(), goldenFullJSON, goldenFullJSONV2,
+			goldenFullDigest, goldenFullDigestV3, goldenFullDigestV2, goldenFullDigestV1},
 		{"zeroscale", func() Spec {
 			s := goldenFullSpec()
 			s.Stop.ZeroScale = 2.5e-7
 			return s
-		}(), goldenZeroScaleJSON, goldenZeroScaleJSONV2, goldenZeroScaleDigest, goldenZeroScaleDigestV2, goldenZeroScaleDigestV1},
+		}(), goldenZeroScaleJSON, goldenZeroScaleJSONV2,
+			goldenZeroScaleDigest, goldenZeroScaleDigestV3, goldenZeroScaleDigestV2, goldenZeroScaleDigestV1},
 		{"minimal", Spec{Experiment: "levels", Points: 8, Trials: 100, Workers: 1, Seed: 1, Engine: "scalar"},
-			goldenMinimalJSON, goldenMinimalJSONV2, goldenMinimalDigest, goldenMinimalDigestV2, goldenMinimalDigestV1},
+			goldenMinimalJSON, goldenMinimalJSONV2,
+			goldenMinimalDigest, goldenMinimalDigestV3, goldenMinimalDigestV2, goldenMinimalDigestV1},
 	}
 	hash := func(prefix, body string) string {
 		sum := sha256.Sum256([]byte(prefix + body))
@@ -100,23 +107,30 @@ func TestSpecDigestGolden(t *testing.T) {
 			}
 			// The digest must be exactly SHA-256(format prefix ‖ canonical
 			// JSON). Formats 1 and 2 hashed the old canonical JSON, which
-			// still held workers: alone, then behind a "v2" line. The
-			// current digest must equal neither.
+			// still held workers: alone, then behind a "v2" line; format 3
+			// hashed today's JSON behind a "v3" line. The current digest
+			// must equal none of them.
 			if want := hash(goldenPrefix, tc.wantJSON); tc.wantDigest != want {
 				t.Errorf("golden digest is not SHA-256 of prefix+golden JSON: %s vs %s", tc.wantDigest, want)
 			}
 			if b := marshalSpec(legacySpec(tc.spec)); string(b) != tc.jsonV2 {
 				t.Errorf("format-2 canonical JSON = %s, want %s", b, tc.jsonV2)
 			}
-			for v, want := range map[int]string{1: tc.v1, 2: tc.v2} {
-				prefix := ""
-				if v == 2 {
-					prefix = "revft spec v2\n"
+			for _, old := range []struct {
+				v            int
+				prefix, body string
+				canonical    []byte
+				want         string
+			}{
+				{1, "", tc.jsonV2, marshalSpec(legacySpec(tc.spec)), tc.v1},
+				{2, "revft spec v2\n", tc.jsonV2, marshalSpec(legacySpec(tc.spec)), tc.v2},
+				{3, "revft spec v3\n", tc.wantJSON, tc.spec.canonical(), tc.v3},
+			} {
+				v, want := old.v, old.want
+				if want != hash(old.prefix, old.body) {
+					t.Errorf("format-%d golden is not SHA-256 of its prefix and JSON", v)
 				}
-				if want != hash(prefix, tc.jsonV2) {
-					t.Errorf("format-%d golden is not SHA-256 of its prefix and the old JSON", v)
-				}
-				if d := digestAt(v, marshalSpec(legacySpec(tc.spec))); d != want {
+				if d := digestAt(v, old.canonical); d != want {
 					t.Errorf("format-%d digest = %s, want pinned %s", v, d, want)
 				}
 				if got == want {
@@ -265,7 +279,7 @@ func TestResumeFormatV1CheckpointIsSpecMismatch(t *testing.T) {
 // format 2 — here the pinned golden spec and digest, as a format-2
 // writer stored them — is stale, not corrupt: it loads, and resuming it
 // is refused as a spec mismatch, so points whose streams depended on the
-// worker count are never mixed into a format-3 run. Its format-2 digest
+// worker count are never mixed into a current run. Its format-2 digest
 // paired with another spec is still corruption.
 func TestResumeFormatV2CheckpointIsSpecMismatch(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
@@ -301,5 +315,45 @@ func TestResumeFormatV2CheckpointIsSpecMismatch(t *testing.T) {
 	var ce *CorruptError
 	if _, err := Load(ck); !errors.As(err, &ce) {
 		t.Fatalf("format-2 digest of another spec: err = %T %v, want *CorruptError", err, err)
+	}
+}
+
+// TestResumeFormatV3CheckpointIsSpecMismatch: a checkpoint written under
+// format 3 — the pinned golden spec behind its "v3" digest, as a format-3
+// writer stored it — holds lane-engine points drawn with the old
+// logarithmic fault sampler. It is stale, not corrupt: it loads, is
+// detected as format 3, and resuming it is refused as a spec mismatch.
+// Its format-3 digest paired with another spec is still corruption.
+func TestResumeFormatV3CheckpointIsSpecMismatch(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	fixture := `{"digest":"` + goldenFullDigestV3 + `","spec":` + goldenFullJSON +
+		`,"done":[{"index":0,"ests":[{"trials":40000,"successes":3}]}],"saved_at":"2026-01-02T03:04:05Z"}`
+	if err := os.WriteFile(ck, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(ck)
+	if err != nil {
+		t.Fatalf("format-3 checkpoint failed to load: %v", err)
+	}
+	if v := c.formatOf(); v != 3 {
+		t.Errorf("format-3 checkpoint detected as format %d", v)
+	}
+	spec := goldenFullSpec()
+	_, err = (&Runner{Spec: spec, Point: fakePoint(42), CheckpointPath: ck, Resume: true}).Run(context.Background())
+	var dm *DigestMismatchError
+	if !errors.As(err, &dm) {
+		t.Fatalf("resume of a format-3 checkpoint: err = %T %v, want *DigestMismatchError", err, err)
+	}
+	if dm.CheckpointDigest != goldenFullDigestV3 || dm.SpecDigest != goldenFullDigest {
+		t.Errorf("mismatch fields wrong: %+v", dm)
+	}
+
+	c.Spec.Seed++
+	if err := c.Save(ck); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Load(ck); !errors.As(err, &ce) {
+		t.Fatalf("format-3 digest of another spec: err = %T %v, want *CorruptError", err, err)
 	}
 }

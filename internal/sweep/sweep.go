@@ -164,8 +164,10 @@ type Spec struct {
 //
 // Version 1 hashed the canonical bytes alone. Version 2 runs the "lanes"
 // engine on the one bit-sliced compiler (words = 1). Version 3 seeds
-// trial blocks by index, and workers left the canonical bytes.
-const FormatVersion = 3
+// trial blocks by index, and workers left the canonical bytes. Version 4
+// draws the lane engines' geometric fault gaps from the exponential
+// ziggurat and a fault's replacement bits from one word.
+const FormatVersion = 4
 
 // DigestBytes returns the hex SHA-256 of "revft spec v<FormatVersion>\n"
 // followed by canonical, a spec's canonical JSON encoding.
@@ -371,9 +373,13 @@ func (c *Checkpoint) formatOf() int {
 	if c.Spec.Digest() == c.Digest {
 		return FormatVersion
 	}
-	legacy := marshalSpec(legacySpec(c.Spec))
+	canonical, legacy := c.Spec.canonical(), marshalSpec(legacySpec(c.Spec))
 	for v := FormatVersion - 1; v >= 1; v-- {
-		if digestAt(v, legacy) == c.Digest {
+		b := canonical
+		if v <= 2 {
+			b = legacy
+		}
+		if digestAt(v, b) == c.Digest {
 			return v
 		}
 	}

@@ -155,9 +155,11 @@ func CompileWideLanes(c *Circuit, m NoiseModel, words int) *WideProgram {
 // MonteCarloWide runs trials across 64·words-lane blocks of batch, which
 // writes a hit mask into its block argument (bit j of hit[k] set: lane
 // 64k+j's trial observed the counted event). Worker and seeding semantics
-// match MonteCarlo; a panic inside batch, or words not 1, 2, 4 or 8, panics.
+// match MonteCarlo; every worker calls batch, concurrently when workers >
+// 1. A panic inside batch, or words not 1, 2, 4 or 8, panics.
 func MonteCarloWide(trials, workers int, seed uint64, words int, batch func(r *RNG, hit []uint64)) Estimate {
-	res, err := sim.MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, words, batch)
+	res, err := sim.MonteCarloWideCtx(context.Background(), 0, trials, workers, seed, words,
+		func() sim.WideBatchTrial { return batch })
 	if err != nil {
 		panic(err)
 	}
