@@ -89,12 +89,12 @@ func BenchmarkLanesRecovery(b *testing.B) {
 // BenchmarkLanesBare and BenchmarkLanesInstrumented bound the telemetry
 // overhead on the hottest path: the same 64-lane run with no registry in the
 // context versus the full instrumentation (global/per-worker/lanes trial
-// counters, sampled batch latency, per-gate-location fault tallies). The
+// counters, sampled batch latency, the total fault counter). The
 // budget is 2%: CI compares the two and warns when instrumented ns/op
 // exceeds bare by more than that. The design that keeps it there: harness
 // counters accumulate in worker locals and flush every 16 batches, batch
-// latency is timed 1 batch in 16, and fault counters are touched only on
-// fault events (expected ~ops·64·g per batch, ~2 adds at g = 10⁻³).
+// latency is timed 1 batch in 16, and the fault counter takes one add per
+// batch that had a fault event, none for a fault-free batch.
 func BenchmarkLanesBare(b *testing.B) {
 	g := revft.NewGadget(revft.MAJ, 1)
 	m := revft.UniformNoise(1e-3)

@@ -29,12 +29,15 @@
 // resilient runtime with these flags:
 //
 //	-cache dir            content-addressed result cache: a sweep whose
-//	                      exact spec was completed before (here or by the
-//	                      job server) is served from the cache with zero
-//	                      trials run; fresh completions are stored for
-//	                      next time. Entries are hash-verified on read —
-//	                      a tampered or torn entry is a miss, never a
-//	                      wrong table (audit with revft-verify -cache)
+//	                      exact spec this command completed before is
+//	                      served from the cache with zero trials run;
+//	                      fresh completions are stored for next time.
+//	                      Entries are keyed by the sweep spec's digest and
+//	                      hold a sweep checkpoint, so the job server's
+//	                      entries (keyed by its job spec) never hit here.
+//	                      Entries are hash-verified on read — a tampered
+//	                      or torn entry is a miss, never a wrong table
+//	                      (audit with revft-verify -cache)
 //	-checkpoint ck.json   rewrite an atomic JSON checkpoint after every
 //	                      completed sweep point
 //	-resume               load -checkpoint and skip its completed points;

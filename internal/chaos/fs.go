@@ -179,3 +179,54 @@ func (e *FaultError) Unwrap() error { return ErrInjected }
 // and from every operation after it — the process is "dead" and nothing
 // else it attempts takes effect.
 var ErrCrashed = errors.New("chaos: simulated crash")
+
+// WriteFileAtomic writes data to path through fsys (OS if nil) so that a
+// crash at any instant leaves either the previous file or the new one
+// under path, never a torn mix: write a temp file in the destination
+// directory, fsync it, rename it over path, then fsync the directory so
+// the rename itself survives power loss.
+//
+// A successful write also reclaims stale temp files a crashed earlier
+// writer left next to path (a process killed between CreateTemp and
+// Rename orphans its temp file; only the next completed write can safely
+// reclaim it). Errors are unprefixed; callers wrap them with their own.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	if fsys == nil {
+		fsys = OS
+	}
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("temp file for %s: %w", path, err)
+	}
+	tmp := f.Name()
+	_, werr := f.Write(data)
+	if werr == nil {
+		// The fsync before rename is load-bearing: without it a power
+		// loss can commit the rename while the data blocks are still
+		// unwritten, leaving a truncated file under the final name.
+		werr = f.Sync()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = fsys.Rename(tmp, path)
+	}
+	if werr != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("write %s: %w", path, werr)
+	}
+	// Make the rename durable. Best-effort: some filesystems reject
+	// directory fsync, and the write itself already succeeded.
+	_ = fsys.SyncDir(dir)
+	// Our own temp file was just renamed away, so anything still matching
+	// the pattern is stale. Best-effort: a failure here leaves litter,
+	// never a bad file.
+	if stale, gerr := fsys.Glob(filepath.Join(dir, filepath.Base(path)+".tmp*")); gerr == nil {
+		for _, s := range stale {
+			_ = fsys.Remove(s)
+		}
+	}
+	return nil
+}

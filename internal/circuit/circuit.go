@@ -249,18 +249,6 @@ func (c *Circuit) EquivalentTo(other *Circuit) bool {
 // GateCount returns the total number of gate applications.
 func (c *Circuit) GateCount() int { return len(c.ops) }
 
-// OpLabels returns one canonical label per gate location, "007:MAJ(0,3,6)"
-// for op 7. These are the keys under which telemetry reports per-location
-// fault tallies, and they are stable for a fixed circuit: index in program
-// order, then the op's String form.
-func (c *Circuit) OpLabels() []string {
-	out := make([]string, len(c.ops))
-	for i, o := range c.ops {
-		out[i] = fmt.Sprintf("%03d:%s", i, o)
-	}
-	return out
-}
-
 // CountByKind returns how many times each gate kind appears.
 func (c *Circuit) CountByKind() map[gate.Kind]int {
 	out := make(map[gate.Kind]int)

@@ -18,8 +18,7 @@ import (
 // a gadget (Figure 3), a local cycle (§3), a compiled module or a bare
 // circuit — and every exact enumeration (package exact) runs through it.
 type Target struct {
-	// Name labels the target in tables and keys the lane engine's
-	// per-gate-location fault telemetry ("lanes.op_faults.<Name>").
+	// Name labels the target in tables.
 	Name string
 	// Circuit is the physical circuit run under noise.
 	Circuit *circuit.Circuit

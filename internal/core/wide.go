@@ -8,14 +8,11 @@ package core
 // word-parallel recursive majority. Estimates are statistically
 // equivalent to the scalar trial (same noise channel, same seeded trial
 // blocks) but not bit-identical to it, nor across batch widths, since
-// each consumes a block's randomness in its own order. Fault telemetry
-// stays keyed by source op index, so per-gate-location counters are
-// comparable across engines regardless of fusion.
+// each consumes a block's randomness in its own order.
 
 import (
 	"context"
 
-	"revft/internal/circuit"
 	"revft/internal/lanes"
 	"revft/internal/noise"
 	"revft/internal/rng"
@@ -23,31 +20,23 @@ import (
 	"revft/internal/telemetry"
 )
 
-// lanesInstr builds the fault-injection telemetry handles for a compiled
-// circuit from the context's registry: a total fault counter and a per-
-// gate-location vector keyed by circuit.OpLabels under
-// "lanes.op_faults.<label>". A context without an active registry yields
-// nil, which WideProgram.RunInstr treats as no instrumentation at all.
-func lanesInstr(ctx context.Context, label string, c *circuit.Circuit) *lanes.Instr {
-	reg := telemetry.Active(ctx)
-	if reg == nil {
-		return nil
-	}
-	return &lanes.Instr{
-		Faults:   reg.Counter("lanes.faults"),
-		OpFaults: reg.CounterVec("lanes.op_faults."+label, c.OpLabels()),
-	}
-}
-
 // batch compiles the target once for a words-wide lane block and returns
 // the factory of the lane engine's batch trial: draw or broadcast the
 // logical inputs lane-wise, encode, run the compiled fused program,
 // evaluate the logical circuit on the input words in place, and set each
 // lane's hit bit when any decoded output differs. Each worker's batch
 // owns its lane state and buffers, so a batch allocates nothing.
+//
+// Every fault event is added to the context registry's "lanes.faults"
+// counter. The count is per lane SLOT, not per counted trial: the engine
+// simulates every lane of a block, so faults in the excess slots of a
+// partial final block (which sim.MonteCarloWideCtx masks out of the hit
+// count) are counted too. Per-trial fault rates must therefore be
+// normalized by "lanes.slots", never by "lanes.trials"; the two differ
+// whenever trials is not a multiple of the block's lane count.
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) func() sim.WideBatchTrial {
 	prog := lanes.CompileWide(t.Circuit, m, words)
-	instr := lanesInstr(ctx, t.Name, t.Circuit)
+	faults := telemetry.Active(ctx).Counter("lanes.faults")
 	logical := t.Logical.Ops()
 	return func() sim.WideBatchTrial {
 		st := lanes.NewWideState(t.Circuit.Width(), words)
@@ -70,7 +59,9 @@ func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) f
 			for i, wires := range t.In {
 				st.EncodeBlock(wires, vals[i])
 			}
-			prog.RunInstr(st, r, instr)
+			if n := prog.Run(st, r); n > 0 {
+				faults.Add(int64(n))
+			}
 			var ops [3][]uint64
 			for _, op := range logical {
 				for j, w := range op.Targets {

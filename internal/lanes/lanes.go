@@ -29,7 +29,6 @@ package lanes
 import (
 	"revft/internal/circuit"
 	"revft/internal/noise"
-	"revft/internal/telemetry"
 )
 
 // Broadcast returns the word holding v in all 64 lanes.
@@ -53,29 +52,6 @@ func isPowerOfThree(n int) bool {
 		n /= 3
 	}
 	return n == 1
-}
-
-// Instr carries the optional fault-injection instrumentation for
-// WideProgram.RunInstr. Faults accumulates total (op, lane) fault events;
-// OpFaults tallies them by gate location (slot i = source op i, labelled
-// by circuit.OpLabels). Either field may be nil.
-//
-// The counts are per lane SLOT, not per counted trial: the engine always
-// simulates every lane of a block, so when a harness discards excess
-// lanes of a partial final block (sim.MonteCarloWideCtx masks them out of
-// the hit count), faults that fired in those discarded slots are still
-// tallied here. Per-trial fault rates must therefore be normalized by the
-// harness's simulated-slot count ("lanes.slots" in the sim telemetry),
-// never by its counted-trial count ("lanes.trials"); the two differ
-// whenever trials is not a multiple of the block's lane count.
-//
-// The counters are touched only when a fault event actually occurs, so at
-// the small fault probabilities the experiments sweep the expected cost is
-// a few atomic adds per block — the same place the engine already pays
-// for fresh randomness — and the no-fault fast path is unchanged.
-type Instr struct {
-	Faults   *telemetry.Counter
-	OpFaults *telemetry.CounterVec
 }
 
 // Compile is CompileWide(c, m, 1), the 64-lane program. It is kept

@@ -190,7 +190,6 @@ const (
 // with uniform random bits — the paper's randomizing channel.
 type widePoint struct {
 	sampler int32 // index into WideProgram.samplers; -1 when p = 0
-	src     int32 // source-circuit op index, for per-location telemetry
 	wmask   uint8 // bits 0/1/2: fault randomizes target a/b/c
 }
 
@@ -214,7 +213,7 @@ type wideSampler struct {
 
 // maxSamplers bounds a program's samplers: there is one per distinct
 // fault probability, and the noise model assigns one per gate kind, so
-// RunInstr keeps its countdowns in a fixed array instead of allocating.
+// Run keeps its countdowns in a fixed array instead of allocating.
 const maxSamplers = 16
 
 // WideProgram is a circuit compiled for the engine under a fixed noise
@@ -241,8 +240,7 @@ func (p *WideProgram) Lanes() int { return 64 * p.words }
 // Len returns the number of compiled wide ops (≤ the source length).
 func (p *WideProgram) Len() int { return len(p.ops) }
 
-// SourceLen returns the number of ops in the source circuit. Fault
-// telemetry stays keyed by source op index regardless of fusion.
+// SourceLen returns the number of ops in the source circuit.
 func (p *WideProgram) SourceLen() int { return p.srcLen }
 
 // Fused returns how many three-op sequences the compiler fused.
@@ -299,7 +297,7 @@ func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 		if code, a, b, c3, kinds, masks, ok := fuseTriple(src, i); ok {
 			o := wideOp{code: code, a: int32(a * words), b: int32(b * words), c: int32(c3 * words), ns: 3}
 			for k := 0; k < 3; k++ {
-				o.fp[k] = widePoint{sampler: sampler(kinds[k]), src: int32(i + k), wmask: masks[k]}
+				o.fp[k] = widePoint{sampler: sampler(kinds[k]), wmask: masks[k]}
 			}
 			p.ops = append(p.ops, o)
 			p.fused++
@@ -315,7 +313,7 @@ func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 		if s.n > 2 {
 			o.c = int32(s.t[2] * words)
 		}
-		o.fp[0] = widePoint{sampler: sampler(s.kind), src: int32(i), wmask: uint8(1<<uint(s.n)) - 1}
+		o.fp[0] = widePoint{sampler: sampler(s.kind), wmask: uint8(1<<uint(s.n)) - 1}
 		p.ops = append(p.ops, o)
 		i++
 	}
@@ -516,15 +514,6 @@ func (p *WideProgram) RunNoiseless(st WideState) {
 	}
 }
 
-// Run executes the program on st under the compiled noise model, drawing
-// randomness from r, and returns the total number of (source op, lane)
-// fault events. The count covers every simulated lane slot of the block,
-// including slots a harness later discards as excess — see Instr for the
-// slot-vs-trial distinction.
-func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
-	return p.RunInstr(st, r, nil)
-}
-
 // maxGeomGap caps a geometric skip so the per-sampler countdown can never
 // overflow an int64 under repeated block-length subtractions.
 const maxGeomGap = int64(1) << 62
@@ -542,9 +531,11 @@ func geomGap(r *rng.RNG, invRate float64) int64 {
 	return int64(f)
 }
 
-// RunInstr is Run with optional fault telemetry, tallied per source op
-// index (fused ops report each sub-op at its own source location). A nil
-// in is exactly Run.
+// Run executes the program on st under the compiled noise model, drawing
+// randomness from r, and returns the total number of (source op, lane)
+// fault events. The count covers every simulated lane slot of the block,
+// including slots a harness later discards as excess, so a per-trial
+// fault rate must be normalized by slots, not by counted trials.
 //
 // Per run, each sampler holds a countdown: how many more (fault point,
 // lane) slots pass before its next fault. An op whose fault points all
@@ -552,7 +543,7 @@ func geomGap(r *rng.RNG, invRate float64) int64 {
 // (possibly fused) kernel in one dispatch, countdowns decremented by one
 // block each. Otherwise the op replays sub-step by sub-step, walking each
 // fault point's faulting lanes with geometric skips.
-func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
+func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	p.check(st)
 	w := st.W
 	L := int64(p.words) * 64
@@ -602,23 +593,13 @@ func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
 				continue
 			}
 			n := next[f.sampler]
-			cnt := 0
 			for n < L {
 				p.faultLane(w, o, f.wmask, n, r)
-				cnt++
+				faults++
 				n += 1 + geomGap(r, p.samplers[f.sampler].invRate)
 			}
 			next[f.sampler] = n - L
-			if cnt > 0 {
-				faults += cnt
-				if in != nil {
-					in.OpFaults.Add(int(f.src), int64(cnt))
-				}
-			}
 		}
-	}
-	if in != nil && faults > 0 {
-		in.Faults.Add(int64(faults))
 	}
 	return faults
 }

@@ -160,48 +160,16 @@ func (st *Store) Put(ctx context.Context, digest string, meta Meta, payload []by
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	err = st.Retry.Do(ctx, func() error { return st.writeAtomic(path, data) })
+	err = st.Retry.Do(ctx, func() error { return chaos.WriteFileAtomic(st.fs(), path, data) })
 	if err != nil {
 		st.Metrics.Counter("cache.store_errors").Inc()
-		return err
+		return fmt.Errorf("resultcache: %w", err)
 	}
 	st.Metrics.Counter("cache.stores").Inc()
 	st.Metrics.Counter("cache.stored_bytes").Add(int64(len(payload)))
 	st.Trace.EmitSpan("cache_store", span, map[string]any{
 		"digest": digest, "bytes": len(payload), "experiment": meta.Experiment,
 	})
-	return nil
-}
-
-// writeAtomic is the checkpoint write discipline against the store's FS.
-func (st *Store) writeAtomic(path string, data []byte) error {
-	fsys := st.fs()
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("resultcache: temp file for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = fsys.Rename(tmp, path)
-	}
-	if werr != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("resultcache: write %s: %w", path, werr)
-	}
-	_ = fsys.SyncDir(dir)
-	if stale, gerr := fsys.Glob(filepath.Join(dir, filepath.Base(path)+".tmp*")); gerr == nil {
-		for _, s := range stale {
-			_ = fsys.Remove(s)
-		}
-	}
 	return nil
 }
 

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"revft/internal/chaos"
 	"revft/internal/resultcache"
 	"revft/internal/stats"
 	"revft/internal/telemetry"
@@ -261,7 +262,7 @@ func (s *Server) admitCacheHitLocked(j *job, payload []byte, points int, parent 
 	}
 	path := filepath.Join(dir, "result.json")
 	werr := s.cfg.Retry.Do(context.Background(), func() error {
-		return writeFileAtomic(s.fs, path, payload)
+		return chaos.WriteFileAtomic(s.fs, path, payload)
 	})
 	if werr != nil {
 		// Degrade to computing; the orphaned ID and directory are inert.

@@ -106,7 +106,7 @@ func OpenJournal(fsys chaos.FS, path string) (*Journal, []Record, error) {
 			buf.Write(line)
 			buf.WriteByte('\n')
 		}
-		if werr := writeFileAtomic(fsys, path, buf.Bytes()); werr != nil {
+		if werr := chaos.WriteFileAtomic(fsys, path, buf.Bytes()); werr != nil {
 			return nil, nil, fmt.Errorf("server: compact torn journal: %w", werr)
 		}
 	}

@@ -1033,7 +1033,7 @@ func (s *Server) completeLocked(j *job) {
 		// computed trials, and it must be allowed to land even while a
 		// drain is cancelling the run contexts.
 		err = s.cfg.Retry.Do(context.Background(), func() error {
-			return writeFileAtomic(s.fs, path, data)
+			return chaos.WriteFileAtomic(s.fs, path, data)
 		})
 	}
 	if err != nil {

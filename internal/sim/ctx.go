@@ -138,9 +138,9 @@ type WideBatchTrial func(r *rng.RNG, hit []uint64)
 //
 // The harness counters "lanes.trials" and telemetry.TrialsMetric count
 // counted trials, "lanes.slots" simulated lane slots including the masked
-// excess. Fault counters (lanes.faults, lanes.op_faults.*) are recorded
-// inside the batch, which cannot know which slots will be discarded, so
-// fault rates must be normalized by lanes.slots; see lanes.Instr.
+// excess. The fault counter lanes.faults is recorded inside the batch,
+// which cannot know which slots will be discarded, so fault rates must be
+// normalized by lanes.slots; see core.Target's lane batch.
 func MonteCarloWideCtx(ctx context.Context, start, trials, workers int, seed uint64, words int, newBatch func() WideBatchTrial) (Result, error) {
 	if words < 1 || BlockTrials%(64*words) != 0 {
 		return Result{}, fmt.Errorf("sim: wide engine needs 1, 2, 4 or 8 words per batch, got %d", words)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -227,5 +228,93 @@ func TestRunnerSpanTagging(t *testing.T) {
 		if !seen[typ] {
 			t.Errorf("trace missing %s event", typ)
 		}
+	}
+}
+
+// withParentVecs rewrites the checkpoint at path the way a format-4
+// writer that still kept per-location fault vectors would have: its
+// metrics snapshot gains a "vecs" object of labelled counts. Nothing else
+// changes, so the digest still matches the spec.
+func withParentVecs(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck map[string]json.RawMessage
+	if err := json.Unmarshal(b, &ck); err != nil {
+		t.Fatal(err)
+	}
+	var metrics map[string]json.RawMessage
+	if err := json.Unmarshal(ck["metrics"], &metrics); err != nil {
+		t.Fatal(err)
+	}
+	metrics["vecs"] = json.RawMessage(`{"lanes.tally.gadget.MAJ.L1":{"labels":["000:MAJ(0,1,2)","001:MAJ(3,4,5)"],"counts":[7,0]}}`)
+	if ck["metrics"], err = json.Marshal(metrics); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = json.Marshal(ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeCheckpointWithVecs: a checkpoint whose metrics carry the
+// "vecs" key older writers emitted still resumes under the same format
+// version. The key is ignored; the results match an uninterrupted run
+// byte for byte, and the counter baseline carries into Outcome.Metrics.
+func TestResumeCheckpointWithVecs(t *testing.T) {
+	spec := testSpec(4)
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := (&Runner{
+		Spec: spec, Point: countingPoint(42, 2, cancel),
+		CheckpointPath: ck, Metrics: telemetry.New(),
+	}).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	withParentVecs(t, ck)
+	loaded, err := Load(ck)
+	if err != nil {
+		t.Fatalf("checkpoint with vecs: %v", err)
+	}
+	baseline := loaded.Metrics.Counters["fake.trials"]
+	if baseline == 0 || baseline != doneTrials(loaded.Done) {
+		t.Fatalf("baseline fake.trials = %d, want %d > 0", baseline, doneTrials(loaded.Done))
+	}
+
+	res, err := (&Runner{
+		Spec: spec, Point: countingPoint(42, -1, nil),
+		CheckpointPath: ck, Resume: true, Metrics: telemetry.New(),
+	}).Run(context.Background())
+	if err != nil || !res.Complete {
+		t.Fatalf("resume: err=%v complete=%v", err, res.Complete)
+	}
+	if res.Resumed != len(loaded.Done) {
+		t.Errorf("resumed %d points, want %d", res.Resumed, len(loaded.Done))
+	}
+	ref, err := (&Runner{Spec: spec, Point: countingPoint(42, -1, nil)}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(res.Done)
+	want, _ := json.Marshal(ref.Done)
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed results differ from an uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+	if res.Metrics == nil {
+		t.Fatal("resumed outcome has no metrics")
+	}
+	if n := res.Metrics.Counters["fake.trials"]; n != doneTrials(res.Done) || n <= baseline {
+		t.Errorf("outcome fake.trials = %d, want %d (baseline %d plus the rest)", n, doneTrials(res.Done), baseline)
+	}
+	saved, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(saved, []byte(`"vecs"`)) {
+		t.Error("re-saved checkpoint still carries the vecs key")
 	}
 }

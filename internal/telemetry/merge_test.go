@@ -20,9 +20,6 @@ func fullSnapshot() Snapshot {
 				Sum:    3.25,
 			},
 		},
-		Vecs: map[string]VecSnapshot{
-			"lanes.faults": {Labels: []string{"g0", "g1"}, Counts: []int64{5, 9}},
-		},
 	}
 }
 
@@ -52,9 +49,6 @@ func TestSnapshotMergeFullIntoEmpty(t *testing.T) {
 	if !reflect.DeepEqual(s.Histograms, want.Histograms) {
 		t.Errorf("histograms = %v, want %v", s.Histograms, want.Histograms)
 	}
-	if !reflect.DeepEqual(s.Vecs, want.Vecs) {
-		t.Errorf("vecs = %v, want %v", s.Vecs, want.Vecs)
-	}
 	if s.UptimeSeconds != want.UptimeSeconds {
 		t.Errorf("uptime = %g, want %g", s.UptimeSeconds, want.UptimeSeconds)
 	}
@@ -71,9 +65,6 @@ func TestSnapshotMergeDoubles(t *testing.T) {
 	h := s.Histograms["sim.batch_seconds"]
 	if h.Count != 14 || h.Sum != 6.5 {
 		t.Errorf("histogram count/sum = %d/%g, want 14/6.5", h.Count, h.Sum)
-	}
-	if got := s.Vecs["lanes.faults"].Counts[1]; got != 18 {
-		t.Errorf("vec slot 1 = %d, want 18", got)
 	}
 }
 
@@ -122,28 +113,6 @@ func TestSnapshotMergeBoundsCountMismatch(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeVecShapeMismatchNoPartialMutation(t *testing.T) {
-	s := fullSnapshot()
-	want := fullSnapshot()
-	bad := Snapshot{
-		Counters: map[string]int64{"sweep.points": 7},
-		Vecs: map[string]VecSnapshot{
-			"lanes.faults": {Labels: []string{"g0", "g1", "g2"}, Counts: []int64{1, 2, 3}},
-		},
-	}
-	err := s.Merge(bad)
-	var merr *MergeError
-	if !errors.As(err, &merr) {
-		t.Fatalf("error = %v, want *MergeError", err)
-	}
-	if merr.Kind != "vec" || merr.Metric != "lanes.faults" {
-		t.Errorf("MergeError = %+v, want Kind=vec Metric=lanes.faults", merr)
-	}
-	if !reflect.DeepEqual(s, want) {
-		t.Errorf("snapshot mutated by failed merge:\n got %+v\nwant %+v", s, want)
-	}
-}
-
 func TestHistogramSnapshotMergeUnchangedOnMismatch(t *testing.T) {
 	h := HistogramSnapshot{Bounds: []float64{1}, Counts: []int64{2, 3}, Count: 5, Sum: 4}
 	want := HistogramSnapshot{Bounds: []float64{1}, Counts: []int64{2, 3}, Count: 5, Sum: 4}
@@ -176,47 +145,6 @@ func TestHistogramSnapshotMergeEmptyCopiesStorage(t *testing.T) {
 	}
 }
 
-// Vec merges adopt the first-seen label set; repeated merges in any order
-// must produce the same label ordering (determinism of the union).
-func TestSnapshotMergeVecLabelOrderDeterministic(t *testing.T) {
-	a := Snapshot{Vecs: map[string]VecSnapshot{
-		"lanes.faults": {Labels: []string{"g0", "g1"}, Counts: []int64{1, 2}},
-	}}
-	b := Snapshot{Vecs: map[string]VecSnapshot{
-		"lanes.faults": {Labels: []string{"g0", "g1"}, Counts: []int64{10, 20}},
-	}}
-	var m1 Snapshot
-	for _, o := range []Snapshot{a, b} {
-		if err := m1.Merge(o); err != nil {
-			t.Fatalf("merge: %v", err)
-		}
-	}
-	var m2 Snapshot
-	for _, o := range []Snapshot{b, a} {
-		if err := m2.Merge(o); err != nil {
-			t.Fatalf("merge: %v", err)
-		}
-	}
-	v1, v2 := m1.Vecs["lanes.faults"], m2.Vecs["lanes.faults"]
-	if !reflect.DeepEqual(v1.Labels, v2.Labels) {
-		t.Errorf("label order depends on merge order: %v vs %v", v1.Labels, v2.Labels)
-	}
-	if !reflect.DeepEqual(v1.Counts, v2.Counts) {
-		t.Errorf("counts depend on merge order: %v vs %v", v1.Counts, v2.Counts)
-	}
-	var t1, t2 strings.Builder
-	if err := m1.WriteText(&t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.WriteText(&t2); err != nil {
-		t.Fatal(err)
-	}
-	// The header embeds uptime, which is identical (0) for both.
-	if t1.String() != t2.String() {
-		t.Errorf("text exposition depends on merge order:\n%s\nvs\n%s", t1.String(), t2.String())
-	}
-}
-
 func TestSnapshotClone(t *testing.T) {
 	s := fullSnapshot()
 	c := s.Clone()
@@ -225,7 +153,6 @@ func TestSnapshotClone(t *testing.T) {
 	}
 	c.Counters["sim.trials"] = 1
 	c.Histograms["sim.batch_seconds"].Counts[0] = 99
-	c.Vecs["lanes.faults"].Counts[0] = 99
 	orig := fullSnapshot()
 	if !reflect.DeepEqual(s, orig) {
 		t.Errorf("mutating clone changed original:\n got %+v\nwant %+v", s, orig)
@@ -237,7 +164,6 @@ func TestSnapshotWriteTextMatchesRegistryWriteMetrics(t *testing.T) {
 	reg.Counter("a.count").Add(3)
 	reg.Gauge("b.gauge").Set(1.5)
 	reg.Histogram("c.hist", []float64{1, 10}).Observe(0.5)
-	reg.CounterVec("d.vec", []string{"x", "y"}).Add(1, 4)
 	var fromReg, fromSnap strings.Builder
 	if err := reg.WriteMetrics(&fromReg); err != nil {
 		t.Fatal(err)

@@ -2,15 +2,13 @@
 // a dependency-free metrics registry, a structured JSONL event sink, a run
 // manifest, and a live debug HTTP endpoint (/metrics, expvar, pprof).
 //
-// The registry holds four metric kinds, all safe for concurrent use:
+// The registry holds three metric kinds, all safe for concurrent use:
 //
 //   - Counter: a monotonically increasing atomic int64;
 //   - Gauge: an atomic float64 set to the latest value;
 //   - Histogram: fixed upper-bound buckets with an atomic count per bucket
 //     plus total count and sum, so latency and throughput distributions
-//     cost one atomic add per observation;
-//   - CounterVec: a fixed-size array of labelled counters, used for
-//     per-gate-location fault tallies.
+//     cost one atomic add per observation.
 //
 // Everything is nil-tolerant: every method on a nil *Registry, nil metric,
 // or nil *Trace is a no-op that compiles to a pointer test, so
@@ -135,47 +133,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// CounterVec is a fixed-size array of labelled counters sharing one name —
-// the per-gate-location fault tally. Index i carries label Labels()[i].
-// The nil CounterVec discards everything.
-type CounterVec struct {
-	labels []string
-	counts []atomic.Int64
-}
-
-// Add increments slot i by n. Out-of-range indices and nil receivers are
-// no-ops, so hot loops need no bounds guard.
-func (v *CounterVec) Add(i int, n int64) {
-	if v == nil || i < 0 || i >= len(v.counts) {
-		return
-	}
-	v.counts[i].Add(n)
-}
-
-// Load returns slot i's value, 0 when out of range or nil.
-func (v *CounterVec) Load(i int) int64 {
-	if v == nil || i < 0 || i >= len(v.counts) {
-		return 0
-	}
-	return v.counts[i].Load()
-}
-
-// Len returns the number of slots, 0 on nil.
-func (v *CounterVec) Len() int {
-	if v == nil {
-		return 0
-	}
-	return len(v.counts)
-}
-
-// Labels returns the slot labels (shared slice; do not modify).
-func (v *CounterVec) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	return v.labels
-}
-
 // Registry is a named collection of metrics. The zero value is not usable;
 // call New. All methods are safe for concurrent use, and every method on a
 // nil *Registry returns a nil metric whose methods are no-ops — a disabled
@@ -187,7 +144,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	vecs     map[string]*CounterVec
 }
 
 // New returns an empty registry.
@@ -197,7 +153,6 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		vecs:     make(map[string]*CounterVec),
 	}
 }
 
@@ -249,31 +204,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// CounterVec returns the named counter vector, creating it with the given
-// slot labels on first use. A later call whose labels fit the existing size
-// reuses it (accumulating across calls); a larger request replaces the
-// vector, preserving the counts of the common prefix. Replacement is meant
-// for setup paths between runs, not for concurrent hot loops.
-func (r *Registry) CounterVec(name string, labels []string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.vecs[name]
-	if ok && len(labels) <= len(v.counts) {
-		return v
-	}
-	nv := &CounterVec{labels: append([]string(nil), labels...), counts: make([]atomic.Int64, len(labels))}
-	if ok {
-		for i := range v.counts {
-			nv.counts[i].Store(v.counts[i].Load())
-		}
-	}
-	r.vecs[name] = nv
-	return nv
-}
-
 // Uptime returns the time since the registry was created, 0 on nil.
 func (r *Registry) Uptime() time.Duration {
 	if r == nil {
@@ -292,11 +222,11 @@ type HistogramSnapshot struct {
 }
 
 // MergeError reports a shape mismatch found while merging snapshots: a
-// histogram with different bucket bounds or a counter vector with a
-// different slot count. Merge detects every mismatch before mutating
-// anything, so a returned MergeError guarantees the receiver is unchanged.
+// histogram with different bucket bounds. Merge detects every mismatch
+// before mutating anything, so a returned MergeError guarantees the
+// receiver is unchanged.
 type MergeError struct {
-	Kind   string // "histogram" or "vec"
+	Kind   string // "histogram"
 	Metric string // metric name, "" when merging a bare HistogramSnapshot
 	Detail string
 }
@@ -359,12 +289,6 @@ func (s *HistogramSnapshot) mergeInto(o HistogramSnapshot) {
 	s.Sum += o.Sum
 }
 
-// VecSnapshot is the frozen state of a CounterVec.
-type VecSnapshot struct {
-	Labels []string `json:"labels"`
-	Counts []int64  `json:"counts"`
-}
-
 // Snapshot is the frozen state of a whole registry — what /metrics, the
 // expvar export, and trace metric events render.
 type Snapshot struct {
@@ -372,7 +296,6 @@ type Snapshot struct {
 	Counters      map[string]int64             `json:"counters,omitempty"`
 	Gauges        map[string]float64           `json:"gauges,omitempty"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Vecs          map[string]VecSnapshot       `json:"vecs,omitempty"`
 }
 
 // Snapshot freezes the registry. On nil it returns an empty snapshot.
@@ -381,7 +304,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]float64),
 		Histograms: make(map[string]HistogramSnapshot),
-		Vecs:       make(map[string]VecSnapshot),
 	}
 	if r == nil {
 		return s
@@ -398,32 +320,19 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()
 	}
-	for name, v := range r.vecs {
-		vs := VecSnapshot{Labels: append([]string(nil), v.labels...), Counts: make([]int64, len(v.counts))}
-		for i := range v.counts {
-			vs.Counts[i] = v.counts[i].Load()
-		}
-		s.Vecs[name] = vs
-	}
 	return s
 }
 
-// Merge folds o into s: counters, histogram buckets, and vec slots add;
-// gauges take o's value when present. Merge is two-phase: every histogram
-// bound set and vec shape is validated first, so a shape mismatch returns a
-// *MergeError with s completely unchanged — no partial mutation.
+// Merge folds o into s: counters and histogram buckets add; gauges take
+// o's value when present. Merge is two-phase: every histogram bound set is
+// validated first, so a shape mismatch returns a *MergeError with s
+// completely unchanged — no partial mutation.
 func (s *Snapshot) Merge(o Snapshot) error {
 	// Phase 1: validate every mergeable pair before touching s.
 	for name, oh := range o.Histograms {
 		h := s.Histograms[name]
 		if ok, detail := h.mergeable(oh); !ok {
 			return &MergeError{Kind: "histogram", Metric: name, Detail: detail}
-		}
-	}
-	for name, ov := range o.Vecs {
-		v, ok := s.Vecs[name]
-		if ok && len(v.Counts) != len(ov.Counts) {
-			return &MergeError{Kind: "vec", Metric: name, Detail: fmt.Sprintf("%d vs %d slots", len(ov.Counts), len(v.Counts))}
 		}
 	}
 	// Phase 2: apply.
@@ -436,9 +345,6 @@ func (s *Snapshot) Merge(o Snapshot) error {
 	if s.Histograms == nil {
 		s.Histograms = make(map[string]HistogramSnapshot)
 	}
-	if s.Vecs == nil {
-		s.Vecs = make(map[string]VecSnapshot)
-	}
 	for name, v := range o.Counters {
 		s.Counters[name] += v
 	}
@@ -449,17 +355,6 @@ func (s *Snapshot) Merge(o Snapshot) error {
 		h := s.Histograms[name]
 		h.mergeInto(oh)
 		s.Histograms[name] = h
-	}
-	for name, ov := range o.Vecs {
-		v, ok := s.Vecs[name]
-		if !ok {
-			s.Vecs[name] = VecSnapshot{Labels: append([]string(nil), ov.Labels...), Counts: append([]int64(nil), ov.Counts...)}
-			continue
-		}
-		for i := range ov.Counts {
-			v.Counts[i] += ov.Counts[i]
-		}
-		s.Vecs[name] = v
 	}
 	s.UptimeSeconds = math.Max(s.UptimeSeconds, o.UptimeSeconds)
 	return nil
@@ -492,15 +387,6 @@ func (s Snapshot) Clone() Snapshot {
 			}
 		}
 	}
-	if s.Vecs != nil {
-		c.Vecs = make(map[string]VecSnapshot, len(s.Vecs))
-		for k, v := range s.Vecs {
-			c.Vecs[k] = VecSnapshot{
-				Labels: append([]string(nil), v.Labels...),
-				Counts: append([]int64(nil), v.Counts...),
-			}
-		}
-	}
 	return c
 }
 
@@ -512,11 +398,10 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 }
 
 // WriteText renders the snapshot in the plain text /metrics format: one
-// `name value` line per counter and gauge, `name.count`, `name.sum` and
-// cumulative `name.le.<bound>` lines per histogram, and
-// `name{op="label"} value` lines for the non-zero slots of each counter
-// vector, all sorted by name. Derived values (lanes.utilization) are
-// appended when their inputs exist. The same renderer serves the process
+// `name value` line per counter and gauge, and `name.count`, `name.sum`
+// and cumulative `name.le.<bound>` lines per histogram, all sorted by
+// name. Derived values (lanes.utilization) are appended when their
+// inputs exist. The same renderer serves the process
 // /metrics endpoint and merged per-job snapshots, so both expositions stay
 // line-for-line comparable.
 func (s Snapshot) WriteText(w io.Writer) error {
@@ -542,18 +427,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			add("%s.le.%g %d", name, b, cum)
 		}
 		add("%s.le.+Inf %d", name, h.Count)
-	}
-	for name, v := range s.Vecs {
-		for i, c := range v.Counts {
-			if c == 0 {
-				continue
-			}
-			label := fmt.Sprintf("%d", i)
-			if i < len(v.Labels) {
-				label = v.Labels[i]
-			}
-			add("%s{op=%q} %d", name, label, c)
-		}
 	}
 	sort.Strings(lines)
 	if _, err := fmt.Fprintf(w, "# revft metrics, uptime %.3fs\n", s.UptimeSeconds); err != nil {

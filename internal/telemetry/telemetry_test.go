@@ -23,10 +23,6 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("nil gauge Load = %g, want 0", got)
 	}
 	reg.Histogram("h", LatencyBuckets).Observe(0.1)
-	reg.CounterVec("v", []string{"a"}).Add(0, 1)
-	if got := reg.CounterVec("v", nil).Load(0); got != 0 {
-		t.Errorf("nil vec Load = %d, want 0", got)
-	}
 	if s := reg.Snapshot(); len(s.Counters) != 0 {
 		t.Errorf("nil registry snapshot has %d counters", len(s.Counters))
 	}
@@ -44,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 	stop()
 }
 
-func TestCounterGaugeVec(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	reg := New()
 	c := reg.Counter("sim.trials")
 	c.Add(40)
@@ -55,23 +51,6 @@ func TestCounterGaugeVec(t *testing.T) {
 	reg.Gauge("w").Set(2.5)
 	if got := reg.Gauge("w").Load(); got != 2.5 {
 		t.Errorf("gauge = %g, want 2.5", got)
-	}
-	v := reg.CounterVec("ops", []string{"a", "b"})
-	v.Add(0, 3)
-	v.Add(1, 4)
-	v.Add(7, 100) // out of range: dropped
-	v.Add(-1, 100)
-	if v.Load(0) != 3 || v.Load(1) != 4 {
-		t.Errorf("vec = [%d %d], want [3 4]", v.Load(0), v.Load(1))
-	}
-	// Re-registration with fewer labels reuses; with more, grows keeping
-	// the common prefix.
-	if got := reg.CounterVec("ops", []string{"a"}); got.Load(0) != 3 {
-		t.Errorf("shrunk re-registration lost counts: %d", got.Load(0))
-	}
-	big := reg.CounterVec("ops", []string{"a", "b", "c"})
-	if big.Len() != 3 || big.Load(0) != 3 || big.Load(1) != 4 || big.Load(2) != 0 {
-		t.Errorf("grown vec = len %d [%d %d %d]", big.Len(), big.Load(0), big.Load(1), big.Load(2))
 	}
 }
 
@@ -131,8 +110,6 @@ func TestSnapshotMerge(t *testing.T) {
 	b.Gauge("g").Set(2)
 	a.Histogram("h", []float64{1}).Observe(0.5)
 	b.Histogram("h", []float64{1}).Observe(2)
-	a.CounterVec("v", []string{"x", "y"}).Add(0, 1)
-	b.CounterVec("v", []string{"x", "y"}).Add(1, 2)
 
 	s := a.Snapshot()
 	if err := s.Merge(b.Snapshot()); err != nil {
@@ -147,10 +124,6 @@ func TestSnapshotMerge(t *testing.T) {
 	h := s.Histograms["h"]
 	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
 		t.Errorf("merged histogram = %+v", h)
-	}
-	v := s.Vecs["v"]
-	if v.Counts[0] != 1 || v.Counts[1] != 2 {
-		t.Errorf("merged vec = %+v", v)
 	}
 
 	// Shape mismatches are errors.
@@ -168,8 +141,6 @@ func TestWriteMetricsFormat(t *testing.T) {
 	reg.Counter("lanes.slots").Add(128)
 	reg.Gauge("sim.worker.00.seconds").Set(1.5)
 	reg.Histogram("sim.lanes.batch_seconds", []float64{0.001}).Observe(0.0001)
-	v := reg.CounterVec("lanes.op_faults.x", []string{"000:MAJ(0,1,2)", "001:CNOT(0,1)"})
-	v.Add(1, 9)
 	var buf bytes.Buffer
 	if err := reg.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -181,16 +152,11 @@ func TestWriteMetricsFormat(t *testing.T) {
 		"sim.lanes.batch_seconds.count 1",
 		"sim.lanes.batch_seconds.le.0.001 1",
 		"sim.lanes.batch_seconds.le.+Inf 1",
-		`lanes.op_faults.x{op="001:CNOT(0,1)"} 9`,
 		"lanes.utilization 0.78125",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
-	}
-	// Zero vec slots are suppressed.
-	if strings.Contains(out, "000:MAJ") {
-		t.Errorf("zero vec slot rendered:\n%s", out)
 	}
 }
 
