@@ -46,7 +46,7 @@
 //	-timeout 10m          cancel the sweep after a wall-clock budget
 //	-reltol 0.05          adaptive early stopping: per point, stop once every
 //	                      estimate's 95% Wilson half-width is at most reltol
-//	                      times its rate (floor 1000 trials, ceiling -trials)
+//	                      times its rate (floor 1024 trials, ceiling -trials)
 //	-zeroscale 1e-6       with -reltol: let a point with zero observed
 //	                      failures stop early once its 95% Wilson upper
 //	                      bound drops below reltol times this rate scale

@@ -77,6 +77,10 @@ import (
 	"revft/internal/telemetry"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow clients cannot hold connections open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "revft-server:", err)
@@ -201,7 +205,7 @@ func run(args []string) error {
 		_ = srv.Close()
 		return fmt.Errorf("listen: %w", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("serving on http://%s (data dir %s, %d workers)", ln.Addr(), *data, workers)

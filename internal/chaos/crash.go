@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // CrashMode says how the operation at the crash point itself behaves.
@@ -56,25 +57,28 @@ func (p CrashPoint) String() string {
 // fails with ErrCrashed without touching the filesystem — the process is
 // dead, so no cleanup or error handling after the crash point can have
 // any effect. The surviving on-disk state is exactly what a real crash
-// at that instant would leave.
+// at that instant would leave. Close still releases the real handle, as
+// the kernel would reclaim a dead process's descriptors.
 type CrashFS struct {
-	fs   FS
+	// The FS methods are InjectFS's, running the crash hook; the alias
+	// keeps the embedded field out of CrashFS's API.
+	injectFS
 	at   int64
 	mode CrashMode
 
-	mu      sync.Mutex
-	n       int64
-	crashed bool
-	point   CrashPoint
+	mu    sync.Mutex
+	n     int64
+	point CrashPoint
 }
+
+type injectFS = InjectFS
 
 // NewCrashFS returns a CrashFS over base (OS if nil) that crashes at
 // operation number at (0-based) in the given mode.
 func NewCrashFS(base FS, at int64, mode CrashMode) *CrashFS {
-	if base == nil {
-		base = OS
-	}
-	return &CrashFS{fs: base, at: at, mode: mode}
+	c := &CrashFS{at: at, mode: mode}
+	c.injectFS = InjectFS{FS: base, Hook: c.hook}
+	return c
 }
 
 // Crashed reports whether the crash point was reached, and which
@@ -82,205 +86,38 @@ func NewCrashFS(base FS, at int64, mode CrashMode) *CrashFS {
 func (c *CrashFS) Crashed() (CrashPoint, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.point, c.crashed
+	return c.point, c.n > c.at
 }
 
-// verdict classifies one operation: proceed normally, crash on this op
-// (with the configured mode), or already dead.
-type verdict uint8
-
-const (
-	proceed verdict = iota
-	crashNow
-	dead
-)
-
-func (c *CrashFS) step(op Op, path string) verdict {
+// hook counts operations and kills the at'th in the configured mode;
+// every later one fails with no effect.
+func (c *CrashFS) hook(op Op, path string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := c.n
 	c.n++
 	switch {
 	case k < c.at:
-		return proceed
-	case k == c.at:
-		c.crashed = true
-		c.point = CrashPoint{At: k, Mode: c.mode, Op: op, Path: path}
-		return crashNow
-	default:
-		return dead
+		return nil
+	case k > c.at:
+		return ErrCrashed
 	}
-}
-
-func (c *CrashFS) Create(name string) (File, error) {
-	switch c.step(OpCreate, name) {
-	case proceed:
-		f, err := c.fs.Create(name)
-		if err != nil {
-			return nil, err
-		}
-		return &crashFile{fs: c, f: f}, nil
-	case crashNow:
-		if c.mode == CrashAfter {
-			if f, err := c.fs.Create(name); err == nil {
-				_ = f.Close()
-			}
-		}
-	}
-	return nil, ErrCrashed
-}
-
-func (c *CrashFS) OpenAppend(name string) (File, error) {
-	switch c.step(OpAppend, name) {
-	case proceed:
-		f, err := c.fs.OpenAppend(name)
-		if err != nil {
-			return nil, err
-		}
-		return &crashFile{fs: c, f: f}, nil
-	case crashNow:
-		if c.mode == CrashAfter {
-			// O_CREATE's side effect lands: an empty journal file can
-			// exist even though the caller never saw the open succeed.
-			if f, err := c.fs.OpenAppend(name); err == nil {
-				_ = f.Close()
-			}
-		}
-	}
-	return nil, ErrCrashed
-}
-
-func (c *CrashFS) CreateTemp(dir, pattern string) (File, error) {
-	switch c.step(OpCreateTemp, dir) {
-	case proceed:
-		f, err := c.fs.CreateTemp(dir, pattern)
-		if err != nil {
-			return nil, err
-		}
-		return &crashFile{fs: c, f: f}, nil
-	case crashNow:
-		if c.mode == CrashAfter {
-			// The temp file lands on disk — the orphan a real crash
-			// between CreateTemp and Rename leaves behind.
-			if f, err := c.fs.CreateTemp(dir, pattern); err == nil {
-				_ = f.Close()
-			}
-		}
-	}
-	return nil, ErrCrashed
-}
-
-func (c *CrashFS) Rename(oldpath, newpath string) error {
-	switch c.step(OpRename, newpath) {
-	case proceed:
-		return c.fs.Rename(oldpath, newpath)
-	case crashNow:
-		if c.mode == CrashAfter {
-			_ = c.fs.Rename(oldpath, newpath)
-		}
+	c.point = CrashPoint{At: k, Mode: c.mode, Op: op, Path: path}
+	switch c.mode {
+	case CrashAfter:
+		return landedError{ErrCrashed}
+	case CrashTorn:
+		return tornError{ErrCrashed}
 	}
 	return ErrCrashed
 }
-
-func (c *CrashFS) Remove(name string) error {
-	switch c.step(OpRemove, name) {
-	case proceed:
-		return c.fs.Remove(name)
-	case crashNow:
-		if c.mode == CrashAfter {
-			_ = c.fs.Remove(name)
-		}
-	}
-	return ErrCrashed
-}
-
-func (c *CrashFS) ReadFile(name string) ([]byte, error) {
-	switch c.step(OpReadFile, name) {
-	case proceed:
-		return c.fs.ReadFile(name)
-	}
-	return nil, ErrCrashed
-}
-
-func (c *CrashFS) Glob(pattern string) ([]string, error) {
-	switch c.step(OpGlob, pattern) {
-	case proceed:
-		return c.fs.Glob(pattern)
-	}
-	return nil, ErrCrashed
-}
-
-func (c *CrashFS) SyncDir(dir string) error {
-	switch c.step(OpSyncDir, dir) {
-	case proceed:
-		return c.fs.SyncDir(dir)
-	case crashNow:
-		if c.mode == CrashAfter {
-			_ = c.fs.SyncDir(dir)
-		}
-	}
-	return ErrCrashed
-}
-
-type crashFile struct {
-	fs *CrashFS
-	f  File
-}
-
-func (c *crashFile) Write(p []byte) (int, error) {
-	switch c.fs.step(OpWrite, c.f.Name()) {
-	case proceed:
-		return c.f.Write(p)
-	case crashNow:
-		switch c.fs.mode {
-		case CrashAfter:
-			if n, err := c.f.Write(p); err != nil {
-				return n, err
-			}
-		case CrashTorn:
-			if len(p) > 0 {
-				if n, err := c.f.Write(p[:(len(p)+1)/2]); err != nil {
-					return n, err
-				}
-			}
-		}
-	}
-	return 0, ErrCrashed
-}
-
-func (c *crashFile) Sync() error {
-	switch c.fs.step(OpSync, c.f.Name()) {
-	case proceed:
-		return c.f.Sync()
-	case crashNow:
-		if c.fs.mode == CrashAfter {
-			_ = c.f.Sync()
-		}
-	}
-	return ErrCrashed
-}
-
-func (c *crashFile) Close() error {
-	switch c.fs.step(OpClose, c.f.Name()) {
-	case proceed:
-		return c.f.Close()
-	default:
-		// The process is dead; the kernel would reclaim the descriptor.
-		// Close the real handle so simulations don't accumulate fds, but
-		// report the crash: the caller must not observe a clean close.
-		_ = c.f.Close()
-	}
-	return ErrCrashed
-}
-
-func (c *crashFile) Name() string { return c.f.Name() }
 
 // DefaultCrashModes is the mode set ExploreCrashPoints uses when given
 // none: every operation is killed before, after, and (for writes) midway.
 var DefaultCrashModes = []CrashMode{CrashBefore, CrashAfter, CrashTorn}
 
 // ExploreCrashPoints is the crash-point exploration harness. It first
-// executes run against a counting FS to learn how many filesystem
+// executes run under a counting hook to learn how many filesystem
 // operations the healthy path performs, then re-executes it once per
 // (operation index, mode) pair with a CrashFS that kills exactly that
 // operation. After each crashed execution it calls verify with the crash
@@ -297,17 +134,18 @@ var DefaultCrashModes = []CrashMode{CrashBefore, CrashAfter, CrashTorn}
 // It stops at the first verify failure, wrapping it with the crash point
 // that produced it.
 func ExploreCrashPoints(base FS, modes []CrashMode, run func(fs FS) error, verify func(cp CrashPoint, runErr error) error) (int, error) {
-	if base == nil {
-		base = OS
-	}
 	if len(modes) == 0 {
 		modes = DefaultCrashModes
 	}
-	count := &CountFS{FS: base}
+	var ops atomic.Int64
+	count := &InjectFS{FS: base, Hook: func(Op, string) error {
+		ops.Add(1)
+		return nil
+	}}
 	if err := run(count); err != nil {
 		return 0, fmt.Errorf("chaos: healthy run failed before exploration: %w", err)
 	}
-	total := count.N()
+	total := ops.Load()
 	if total == 0 {
 		return 0, fmt.Errorf("chaos: healthy run performed no filesystem operations; nothing to explore")
 	}

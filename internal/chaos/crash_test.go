@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -182,5 +183,144 @@ func TestExploreCrashPointsPropagatesVerifyFailure(t *testing.T) {
 	}
 	if want := "crash before op 2"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("error should name the crash point: %v", err)
+	}
+}
+
+// TestCrashFSEffectTable pins what a crash leaves behind for every
+// operation kind in every mode, and that the process is dead afterwards.
+// Each case opens a handle on the fixture file "old" (op 0, healthy),
+// then crashes operation 1, then attempts every operation kind once
+// more: all of them must fail with ErrCrashed and change nothing.
+func TestCrashFSEffectTable(t *testing.T) {
+	// before, after, torn: the directory listing the crash leaves.
+	type listings [3]map[string]string
+	same := func(m map[string]string) listings { return listings{m, m, m} }
+	untouched := map[string]string{"old": "old"}
+	for _, tc := range []struct {
+		op   Op
+		act  func(fsys FS, h File, dir string) error
+		want listings
+	}{
+		{OpCreate, func(fsys FS, h File, dir string) error {
+			_, err := fsys.Create(filepath.Join(dir, "new"))
+			return err
+		}, listings{untouched, {"old": "old", "new": ""}, untouched}},
+		{OpCreateTemp, func(fsys FS, h File, dir string) error {
+			_, err := fsys.CreateTemp(dir, "t.tmp*")
+			return err
+		}, listings{untouched, {"old": "old", "t.tmp*": ""}, untouched}},
+		{OpWrite, func(fsys FS, h File, dir string) error {
+			_, err := h.Write([]byte("payload!"))
+			return err
+		}, listings{untouched, {"old": "oldpayload!"}, {"old": "oldpayl"}}},
+		{OpSync, func(fsys FS, h File, dir string) error {
+			return h.Sync()
+		}, same(untouched)},
+		{OpClose, func(fsys FS, h File, dir string) error {
+			return h.Close()
+		}, same(untouched)},
+		{OpRename, func(fsys FS, h File, dir string) error {
+			return fsys.Rename(filepath.Join(dir, "old"), filepath.Join(dir, "moved"))
+		}, listings{untouched, {"moved": "old"}, untouched}},
+		{OpRemove, func(fsys FS, h File, dir string) error {
+			return fsys.Remove(filepath.Join(dir, "old"))
+		}, listings{untouched, {}, untouched}},
+		{OpReadFile, func(fsys FS, h File, dir string) error {
+			b, err := fsys.ReadFile(filepath.Join(dir, "old"))
+			if b != nil {
+				return fmt.Errorf("crashed read returned %q", b)
+			}
+			return err
+		}, same(untouched)},
+		{OpGlob, func(fsys FS, h File, dir string) error {
+			m, err := fsys.Glob(filepath.Join(dir, "*"))
+			if m != nil {
+				return fmt.Errorf("crashed glob returned %q", m)
+			}
+			return err
+		}, same(untouched)},
+		{OpSyncDir, func(fsys FS, h File, dir string) error {
+			return fsys.SyncDir(dir)
+		}, same(untouched)},
+		{OpAppend, func(fsys FS, h File, dir string) error {
+			_, err := fsys.OpenAppend(filepath.Join(dir, "new"))
+			return err
+		}, listings{untouched, {"old": "old", "new": ""}, untouched}},
+	} {
+		for mi, mode := range DefaultCrashModes {
+			t.Run(tc.op.String()+"/"+mode.String(), func(t *testing.T) {
+				dir := t.TempDir()
+				old := filepath.Join(dir, "old")
+				if err := os.WriteFile(old, []byte("old"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				cfs := NewCrashFS(nil, 1, mode)
+				h, err := cfs.OpenAppend(old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.act(cfs, h, dir); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("crashed op returned %v, want ErrCrashed", err)
+				}
+				if cp, ok := cfs.Crashed(); !ok || cp.At != 1 || cp.Op != tc.op || cp.Mode != mode {
+					t.Fatalf("crash point = %+v, %v; want %s op 1 (%s)", cp, ok, mode, tc.op)
+				}
+
+				// Dead: every later operation fails and has no effect.
+				ghost := filepath.Join(dir, "ghost")
+				dead := map[Op]error{}
+				var f File
+				f, dead[OpCreate] = cfs.Create(ghost)
+				if f != nil {
+					t.Error("dead Create returned a file")
+				}
+				f, dead[OpAppend] = cfs.OpenAppend(ghost)
+				if f != nil {
+					t.Error("dead OpenAppend returned a file")
+				}
+				f, dead[OpCreateTemp] = cfs.CreateTemp(dir, "d.tmp*")
+				if f != nil {
+					t.Error("dead CreateTemp returned a file")
+				}
+				_, dead[OpWrite] = h.Write([]byte("late"))
+				dead[OpSync] = h.Sync()
+				dead[OpClose] = h.Close()
+				dead[OpRename] = cfs.Rename(old, ghost)
+				dead[OpRemove] = cfs.Remove(old)
+				var b []byte
+				b, dead[OpReadFile] = cfs.ReadFile(old)
+				var m []string
+				m, dead[OpGlob] = cfs.Glob(filepath.Join(dir, "*"))
+				if b != nil || m != nil {
+					t.Errorf("dead reads returned %q, %q", b, m)
+				}
+				dead[OpSyncDir] = cfs.SyncDir(dir)
+				for op := Op(0); op < numOps; op++ {
+					if err, ok := dead[op]; !ok || !errors.Is(err, ErrCrashed) {
+						t.Errorf("dead %s returned %v, want ErrCrashed", op, err)
+					}
+				}
+
+				got := map[string]string{}
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := e.Name()
+					if strings.HasPrefix(name, "t.tmp") {
+						name = "t.tmp*"
+					}
+					got[name] = string(b)
+				}
+				if want := tc.want[mi]; !reflect.DeepEqual(got, want) {
+					t.Errorf("crash %s %s left %v, want %v", mode, tc.op, got, want)
+				}
+			})
+		}
 	}
 }

@@ -1,9 +1,14 @@
 // Package chaos is the fault-injection layer under the runtime's durable
-// I/O: a small filesystem interface (FS) that the checkpoint, trace, and
-// manifest paths write through, implementations that inject faults into
-// it, a crash-point explorer that kills the write path after every
-// individual operation in turn, and a retry policy for transient
-// failures.
+// I/O: a small filesystem interface (FS) that the checkpoint, journal,
+// cache, and trace paths write through, one interposer (InjectFS) that
+// fails any operation a Hook picks, a crash-point explorer that kills the
+// write path at every individual operation in turn, and a retry policy
+// for transient failures.
+//
+// InjectFS holds the single rule for what a failed operation leaves on
+// disk: nothing, its full effect (landed), or half of a Write (torn).
+// Seeded random faults (Prob), a process crash at operation k (CrashFS)
+// and the explorer's op counter are all hooks on it.
 //
 // The paper's whole argument is that a computation survives faults in its
 // own machinery; this package holds the runtime to the same standard. The

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -155,9 +156,24 @@ func TestProbDeterministicAndTargeted(t *testing.T) {
 	}
 }
 
-func TestCountFSCountsEverything(t *testing.T) {
+// counting returns an InjectFS whose hook only tallies operations per
+// kind — the healthy-run counter ExploreCrashPoints relies on.
+func counting() (*InjectFS, *[numOps]int) {
+	var mu sync.Mutex
+	var per [numOps]int
+	return &InjectFS{Hook: func(op Op, _ string) error {
+		mu.Lock()
+		per[op]++
+		mu.Unlock()
+		return nil
+	}}, &per
+}
+
+// TestInjectFSHooksEveryOp: the hook sees every operation exactly once,
+// including the Write/Sync/Close calls on files InjectFS hands out.
+func TestInjectFSHooksEveryOp(t *testing.T) {
 	dir := t.TempDir()
-	c := &CountFS{}
+	c, per := counting()
 	f, err := c.CreateTemp(dir, "x.tmp*")
 	if err != nil {
 		t.Fatal(err)
@@ -187,19 +203,12 @@ func TestCountFSCountsEverything(t *testing.T) {
 	if err := c.Remove(final); err != nil {
 		t.Fatal(err)
 	}
-	want := map[Op]int64{
+	want := [numOps]int{
 		OpCreateTemp: 1, OpWrite: 1, OpSync: 1, OpClose: 1,
 		OpRename: 1, OpSyncDir: 1, OpReadFile: 1, OpGlob: 1, OpRemove: 1,
 	}
-	var total int64
-	for op, n := range want {
-		if got := c.PerOp(op); got != n {
-			t.Errorf("PerOp(%s) = %d, want %d", op, got, n)
-		}
-		total += n
-	}
-	if c.N() != total {
-		t.Errorf("N() = %d, want %d", c.N(), total)
+	if *per != want {
+		t.Errorf("per-op counts = %v, want %v", *per, want)
 	}
 }
 
@@ -242,15 +251,15 @@ func TestOSOpenAppend(t *testing.T) {
 		t.Errorf("failed open perturbed the file: %q", b)
 	}
 
-	// CountFS tallies the op.
-	cnt := &CountFS{}
+	// A counting hook tallies the op.
+	cnt, per := counting()
 	f, err := cnt.OpenAppend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = f.Close()
-	if cnt.PerOp(OpAppend) != 1 {
-		t.Errorf("CountFS counted %d appends, want 1", cnt.PerOp(OpAppend))
+	if per[OpAppend] != 1 {
+		t.Errorf("counted %d appends, want 1", per[OpAppend])
 	}
 
 	// CrashFS CrashAfter on the open leaves the O_CREATE side effect (an

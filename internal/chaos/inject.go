@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"revft/internal/rng"
 )
@@ -12,11 +11,34 @@ import (
 // real call. Hooks must be safe for concurrent use.
 type Hook func(op Op, path string) error
 
+// landedError, wrapped around a hook's error, makes the failed operation
+// take effect before the caller sees the error: the op happened, but the
+// caller never saw it succeed. A landed open creates the file and closes it
+// again — the empty journal or orphaned temp file a crash right after the
+// open leaves behind. InjectFS strips the wrapper before returning.
+type landedError struct{ error }
+
+// tornError makes a failed Write land the first half of its bytes; other
+// operations have no partial effect and fail as with a bare error.
+type tornError struct{ error }
+
+// effect is what a failed operation leaves behind.
+type effect uint8
+
+const (
+	none effect = iota
+	landed
+	torn
+)
+
 // InjectFS wraps an FS and consults Hook before every operation,
-// including the Write/Sync/Close calls on files it hands out. A failed
-// operation has no effect on the underlying filesystem — with one
-// deliberate exception: when Torn is set, a failed Write first lands the
-// first half of its bytes, modelling a torn write that died midway.
+// including the Write/Sync/Close calls on files it hands out. The error
+// the hook returns decides what the failed operation leaves behind: by
+// default nothing; the op's full effect when the hook wraps its error as
+// landed (CrashFS's CrashAfter); the first half of a Write's bytes when
+// it wraps it as torn (CrashTorn), or for every failed Write when Torn is
+// set. Close releases the real handle whatever the hook says, so injected
+// faults never leak descriptors.
 type InjectFS struct {
 	// FS is the underlying filesystem; nil means OS.
 	FS FS
@@ -33,79 +55,95 @@ func (f *InjectFS) base() FS {
 	return f.FS
 }
 
-func (f *InjectFS) fault(op Op, path string) error {
+// fault consults the hook: it returns what a failed op leaves behind and
+// the error its caller sees, stripped of the effect wrapper.
+func (f *InjectFS) fault(op Op, path string) (effect, error) {
 	if f.Hook == nil {
-		return nil
+		return none, nil
 	}
-	return f.Hook(op, path)
+	switch err := f.Hook(op, path).(type) {
+	case nil:
+		return none, nil
+	case landedError:
+		return landed, err.error
+	case tornError:
+		return torn, err.error
+	default:
+		if f.Torn {
+			return torn, err
+		}
+		return none, err
+	}
+}
+
+// do runs call unless the hook fails op. A landed failure runs it anyway,
+// and the caller sees only the hook's error.
+func (f *InjectFS) do(op Op, path string, call func() error) error {
+	eff, err := f.fault(op, path)
+	if err == nil {
+		return call()
+	}
+	if eff == landed {
+		_ = call()
+	}
+	return err
+}
+
+// open runs an open call unless the hook fails op, wrapping the file it
+// returns; a landed failure opens the file and closes it again.
+func (f *InjectFS) open(op Op, path string, call func() (File, error)) (File, error) {
+	eff, err := f.fault(op, path)
+	if err != nil {
+		if eff == landed {
+			if file, oerr := call(); oerr == nil {
+				_ = file.Close()
+			}
+		}
+		return nil, err
+	}
+	file, err := call()
+	if err != nil {
+		return nil, err
+	}
+	return &injectFile{fs: f, f: file}, nil
 }
 
 func (f *InjectFS) Create(name string) (File, error) {
-	if err := f.fault(OpCreate, name); err != nil {
-		return nil, err
-	}
-	file, err := f.base().Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &injectFile{fs: f, f: file}, nil
+	return f.open(OpCreate, name, func() (File, error) { return f.base().Create(name) })
 }
 
 func (f *InjectFS) OpenAppend(name string) (File, error) {
-	if err := f.fault(OpAppend, name); err != nil {
-		return nil, err
-	}
-	file, err := f.base().OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &injectFile{fs: f, f: file}, nil
+	return f.open(OpAppend, name, func() (File, error) { return f.base().OpenAppend(name) })
 }
 
 func (f *InjectFS) CreateTemp(dir, pattern string) (File, error) {
-	if err := f.fault(OpCreateTemp, dir); err != nil {
-		return nil, err
-	}
-	file, err := f.base().CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &injectFile{fs: f, f: file}, nil
+	return f.open(OpCreateTemp, dir, func() (File, error) { return f.base().CreateTemp(dir, pattern) })
 }
 
 func (f *InjectFS) Rename(oldpath, newpath string) error {
-	if err := f.fault(OpRename, newpath); err != nil {
-		return err
-	}
-	return f.base().Rename(oldpath, newpath)
+	return f.do(OpRename, newpath, func() error { return f.base().Rename(oldpath, newpath) })
 }
 
 func (f *InjectFS) Remove(name string) error {
-	if err := f.fault(OpRemove, name); err != nil {
-		return err
-	}
-	return f.base().Remove(name)
+	return f.do(OpRemove, name, func() error { return f.base().Remove(name) })
 }
 
 func (f *InjectFS) ReadFile(name string) ([]byte, error) {
-	if err := f.fault(OpReadFile, name); err != nil {
+	if _, err := f.fault(OpReadFile, name); err != nil {
 		return nil, err
 	}
 	return f.base().ReadFile(name)
 }
 
 func (f *InjectFS) Glob(pattern string) ([]string, error) {
-	if err := f.fault(OpGlob, pattern); err != nil {
+	if _, err := f.fault(OpGlob, pattern); err != nil {
 		return nil, err
 	}
 	return f.base().Glob(pattern)
 }
 
 func (f *InjectFS) SyncDir(dir string) error {
-	if err := f.fault(OpSyncDir, dir); err != nil {
-		return err
-	}
-	return f.base().SyncDir(dir)
+	return f.do(OpSyncDir, dir, func() error { return f.base().SyncDir(dir) })
 }
 
 type injectFile struct {
@@ -114,34 +152,30 @@ type injectFile struct {
 }
 
 func (i *injectFile) Write(p []byte) (int, error) {
-	if err := i.fs.fault(OpWrite, i.f.Name()); err != nil {
-		if i.fs.Torn && len(p) > 0 {
-			n, werr := i.f.Write(p[:(len(p)+1)/2])
-			if werr != nil {
-				return n, werr
-			}
-			return n, err
-		}
+	eff, err := i.fs.fault(OpWrite, i.f.Name())
+	switch {
+	case err == nil:
+		return i.f.Write(p)
+	case eff == none:
 		return 0, err
+	case eff == torn:
+		p = p[:(len(p)+1)/2]
 	}
-	return i.f.Write(p)
+	n, werr := i.f.Write(p)
+	if werr != nil {
+		return n, werr
+	}
+	return n, err
 }
 
-func (i *injectFile) Sync() error {
-	if err := i.fs.fault(OpSync, i.f.Name()); err != nil {
-		return err
-	}
-	return i.f.Sync()
-}
+func (i *injectFile) Sync() error { return i.fs.do(OpSync, i.f.Name(), i.f.Sync) }
 
 func (i *injectFile) Close() error {
-	if err := i.fs.fault(OpClose, i.f.Name()); err != nil {
-		// Close the real handle anyway so injected close faults do not
-		// leak file descriptors across long soaks.
-		_ = i.f.Close()
-		return err
+	_, err := i.fs.fault(OpClose, i.f.Name())
+	if cerr := i.f.Close(); err == nil {
+		return cerr
 	}
-	return i.f.Close()
+	return err
 }
 
 func (i *injectFile) Name() string { return i.f.Name() }
@@ -177,114 +211,3 @@ func Prob(rate float64, seed uint64, ops ...Op) Hook {
 		return nil
 	}
 }
-
-// CountFS wraps an FS and counts every operation that passes through,
-// including per-file Write/Sync/Close calls. The crash-point explorer
-// uses it to learn how many operations the healthy path performs; it is
-// also handy as a cheap I/O profiler in tests.
-type CountFS struct {
-	// FS is the underlying filesystem; nil means OS.
-	FS FS
-
-	n   atomic.Int64
-	per [numOps]atomic.Int64
-}
-
-// N returns the total operation count so far.
-func (c *CountFS) N() int64 { return c.n.Load() }
-
-// PerOp returns the count of one operation kind.
-func (c *CountFS) PerOp(op Op) int64 {
-	if int(op) >= len(c.per) {
-		return 0
-	}
-	return c.per[op].Load()
-}
-
-func (c *CountFS) base() FS {
-	if c.FS == nil {
-		return OS
-	}
-	return c.FS
-}
-
-func (c *CountFS) count(op Op) {
-	c.n.Add(1)
-	if int(op) < len(c.per) {
-		c.per[op].Add(1)
-	}
-}
-
-func (c *CountFS) Create(name string) (File, error) {
-	c.count(OpCreate)
-	f, err := c.base().Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &countFile{fs: c, f: f}, nil
-}
-
-func (c *CountFS) OpenAppend(name string) (File, error) {
-	c.count(OpAppend)
-	f, err := c.base().OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &countFile{fs: c, f: f}, nil
-}
-
-func (c *CountFS) CreateTemp(dir, pattern string) (File, error) {
-	c.count(OpCreateTemp)
-	f, err := c.base().CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &countFile{fs: c, f: f}, nil
-}
-
-func (c *CountFS) Rename(oldpath, newpath string) error {
-	c.count(OpRename)
-	return c.base().Rename(oldpath, newpath)
-}
-
-func (c *CountFS) Remove(name string) error {
-	c.count(OpRemove)
-	return c.base().Remove(name)
-}
-
-func (c *CountFS) ReadFile(name string) ([]byte, error) {
-	c.count(OpReadFile)
-	return c.base().ReadFile(name)
-}
-
-func (c *CountFS) Glob(pattern string) ([]string, error) {
-	c.count(OpGlob)
-	return c.base().Glob(pattern)
-}
-
-func (c *CountFS) SyncDir(dir string) error {
-	c.count(OpSyncDir)
-	return c.base().SyncDir(dir)
-}
-
-type countFile struct {
-	fs *CountFS
-	f  File
-}
-
-func (c *countFile) Write(p []byte) (int, error) {
-	c.fs.count(OpWrite)
-	return c.f.Write(p)
-}
-
-func (c *countFile) Sync() error {
-	c.fs.count(OpSync)
-	return c.f.Sync()
-}
-
-func (c *countFile) Close() error {
-	c.fs.count(OpClose)
-	return c.f.Close()
-}
-
-func (c *countFile) Name() string { return c.f.Name() }

@@ -185,3 +185,29 @@ func TestAppendCheckedPassesThroughForeignPanics(t *testing.T) {
 	}()
 	_ = appendChecked(c, gate.Kind(99), []int{0})
 }
+
+// FuzzParse: Parse never panics on arbitrary text, and a circuit it
+// accepts marshals to text that parses back and re-marshals identically.
+func FuzzParse(f *testing.F) {
+	f.Add(New(9).Init3(3, 4, 5).MAJInv(0, 3, 6).Swap3(2, 3, 4).CNOT(7, 8).Toffoli(0, 1, 8).Marshal())
+	f.Add("width 3\nMAJ-1(0,1,2)\nSWAP3-1( 0, 1 ,2 )\n")
+	f.Add("# comment\n\nwidth 2\nSWAP(0,1)")
+	f.Add("width 2\nCNOT(0,0)\n")
+	f.Add("width -1\n")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := Parse(s)
+		if err != nil {
+			return
+		}
+		text := c.Marshal()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("marshalled circuit %q is refused: %v", text, err)
+		}
+		if got := again.Marshal(); got != text {
+			t.Fatalf("re-marshal differs:\n%q\nvs\n%q", got, text)
+		}
+	})
+}

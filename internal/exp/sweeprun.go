@@ -40,7 +40,8 @@ type SweepOptions struct {
 	// 0 keeps the fixed trial budget.
 	RelTol float64
 	// MinTrials / MaxTrials are the early-stopping floor and ceiling per
-	// estimate; zero values default to min(1000, ceiling) and Trials.
+	// estimate; zero values default to min(1024, ceiling) and Trials
+	// (the sweep runner rounds a floor up to whole 512-trial blocks).
 	MinTrials int
 	MaxTrials int
 	// ZeroScale, when positive, lets zero-success points stop early once

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -28,9 +29,10 @@ import (
 //	GET    /metrics            server-wide aggregate in text exposition
 //
 // Typed admission rejections surface as their RejectError status (429 for
-// overload and quota, 400 for bad specs, 503 while draining) with a JSON
-// body carrying the machine-readable code. Unknown job IDs are 404s on
-// every per-job route, including metrics and progress.
+// overload and quota, 400 for bad specs, 413 for a submit body over 1 MiB,
+// 503 while draining) with a JSON body carrying the machine-readable
+// code. Unknown job IDs are 404s on every per-job route, including
+// metrics and progress.
 //
 // # Backoff contract
 //
@@ -99,12 +101,37 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxSpecBytes bounds a POST /jobs body. A JobSpec encodes to a few
+// hundred bytes; anything near the bound is not a spec.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads exactly one JobSpec from r. Unknown fields and any
+// bytes after the spec other than whitespace are refused.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, reject(CodeInvalidSpec, http.StatusBadRequest, "decode spec: %v", err))
+		return JobSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("another value")
+		}
+		return JobSpec{}, fmt.Errorf("trailing data after spec: %w", err)
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, reject(CodeInvalidSpec, status, "decode spec: %v", err))
 		return
 	}
 	// Each submission gets a request span; the admitted job's span tree

@@ -525,6 +525,49 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 	rejectCode(t, err, CodeDraining, 503)
 }
 
+// TestSubmitBodyRefusals: POST /jobs refuses an oversize body with 413
+// and a spec followed by trailing bytes with 400, both as invalid_spec,
+// and admits nothing.
+func TestSubmitBodyRefusals(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := `{"experiment":"fake","gmin":1e-3,"gmax":1e-2,"points":3,"trials":500,"seed":7}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"oversize", `{"experiment":"` + strings.Repeat("a", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversize trailing whitespace", spec + strings.Repeat(" ", 2<<20), http.StatusRequestEntityTooLarge},
+		{"trailing spec", spec + spec, http.StatusBadRequest},
+		{"trailing garbage", spec + " x", http.StatusBadRequest},
+		{"trailing bracket", spec + "]", http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var rej RejectError
+			if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status || rej.Code != CodeInvalidSpec {
+				t.Errorf("POST /jobs = %d %q (%s), want %d %q", resp.StatusCode, rej.Code, rej.Reason, tc.status, CodeInvalidSpec)
+			}
+		})
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused bodies admitted %d jobs", len(jobs))
+	}
+	// Trailing whitespace alone is still one spec.
+	if _, err := decodeSpec(strings.NewReader(spec + "\n\n")); err != nil {
+		t.Errorf("spec with trailing newlines refused: %v", err)
+	}
+}
+
 // TestHTTPAPI drives the submit → poll → result lifecycle over the wire,
 // including the typed rejection mapping.
 func TestHTTPAPI(t *testing.T) {
