@@ -18,6 +18,14 @@
 // hash and compare it, and check that the header's spec digest matches
 // the slot the entry lives under: a tampered, torn, or misfiled entry is
 // a typed *CorruptEntryError and a cache miss — never a wrong answer.
+//
+// Near-miss reuse asks for every entry of one experiment family. Family
+// answers from an in-memory index of entry digest → family digest, kept
+// up to date by one directory glob per call: only entries it has not
+// seen before are read, so a lookup costs the glob plus reads of the
+// few entries stored since the last one, not a read of the whole store.
+// The index only names candidates; the caller reads each one through
+// Get, which verifies it as above.
 package resultcache
 
 import (
@@ -31,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"revft/internal/chaos"
@@ -50,7 +59,7 @@ var ErrMiss = errors.New("resultcache: miss")
 // Meta is an entry's header: one JSON line preceding the payload bytes.
 // ContentHash, Size, and StoredAt are filled by Put; SpecDigest is the
 // store key; Family optionally groups entries that differ only in their
-// ε-grid, enabling near-miss superset→subset reuse scans.
+// ε-grid, enabling near-miss superset→subset reuse lookups (Store.Family).
 type Meta struct {
 	Format      string    `json:"format"`
 	SpecDigest  string    `json:"spec_digest"`
@@ -91,13 +100,24 @@ func (e *CorruptEntryError) Error() string {
 // Store is a content-addressed result cache rooted at Dir. The zero
 // value is unusable; fill Dir at least. FS defaults to chaos.OS; Metrics
 // and Trace are nil-safe no-ops when unset; the zero Retry is the
-// default jittered backoff policy (set MaxAttempts 1 to disable).
+// default jittered backoff policy (set MaxAttempts 1 to disable). A
+// Store holds the family index Family builds on first use, so use it
+// through a pointer and do not copy it; its methods are safe for
+// concurrent use, and several Stores, in one process or many, may share
+// one Dir.
 type Store struct {
 	Dir     string
 	FS      chaos.FS
 	Retry   chaos.Policy
 	Metrics *telemetry.Registry
 	Trace   *telemetry.Trace
+
+	// mu guards families, Family's index from each verified entry's spec
+	// digest to its header's family digest. It is a candidate filter
+	// only: callers re-read every candidate through Get, which re-verifies
+	// it, and never take result bytes from the index.
+	mu       sync.Mutex
+	families map[[32]byte]indexed
 }
 
 func (st *Store) fs() chaos.FS {
@@ -111,16 +131,8 @@ func (st *Store) fs() chaos.FS {
 // digest — the only keys the store accepts, so a crafted key can never
 // escape Dir or collide with temp files.
 func validDigest(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	_, ok := decodeDigest(s)
+	return ok
 }
 
 // Path returns the entry path for digest inside the store: a two-hex
@@ -206,8 +218,7 @@ func (st *Store) Get(digest string, span telemetry.Span) ([]byte, Meta, error) {
 }
 
 // verifyEntry parses and integrity-checks one raw entry. slotDigest is
-// the digest the entry is filed under; "" skips the slot-binding check
-// (used by List, which trusts file names only for discovery).
+// the digest the entry is filed under.
 func verifyEntry(path, slotDigest string, data []byte) (Meta, []byte, *CorruptEntryError) {
 	i := bytes.IndexByte(data, '\n')
 	if i < 0 {
@@ -220,7 +231,7 @@ func verifyEntry(path, slotDigest string, data []byte) (Meta, []byte, *CorruptEn
 	if meta.Format != Format {
 		return Meta{}, nil, &CorruptEntryError{Path: path, SpecDigest: slotDigest, Reason: "bad-format"}
 	}
-	if slotDigest != "" && meta.SpecDigest != slotDigest {
+	if meta.SpecDigest != slotDigest {
 		return Meta{}, nil, &CorruptEntryError{
 			Path: path, SpecDigest: slotDigest,
 			RecordedHash: meta.ContentHash, Reason: "digest-mismatch",
@@ -256,28 +267,131 @@ func (st *Store) entryPaths() ([]string, error) {
 	return out, nil
 }
 
-// List returns the headers of every well-formed entry in the store, for
-// near-miss reuse scans. Entries that fail verification are skipped
-// (Audit is the tool that reports them); the scan itself only errors if
-// the store directory is unreadable.
-func (st *Store) List() ([]Meta, error) {
+// indexed is one entry's index value. ok is false for an entry whose
+// header carries no family digest: it is recorded so it is not read
+// again, but no Family call returns it.
+type indexed struct {
+	family [32]byte
+	ok     bool
+}
+
+// hexValue maps each lowercase hex digit to its value and every other
+// byte to 0xff.
+var hexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for c := byte('0'); c <= '9'; c++ {
+		t[c] = c - '0'
+	}
+	for c := byte('a'); c <= 'f'; c++ {
+		t[c] = c - 'a' + 10
+	}
+	return t
+}()
+
+// decodeDigest parses a full lowercase hex digest into its binary form;
+// ok is false for anything else.
+func decodeDigest(s string) (d [32]byte, ok bool) {
+	if len(s) != 64 {
+		return d, false
+	}
+	for i := range d {
+		hi, lo := hexValue[s[2*i]], hexValue[s[2*i+1]]
+		if hi|lo > 0xf {
+			return [32]byte{}, false
+		}
+		d[i] = hi<<4 | lo
+	}
+	return d, true
+}
+
+// Family returns the spec digests of the entries whose header names
+// family, in sorted digest order — the near-miss reuse candidates. Each
+// call globs the store once: an entry name seen for the first time is
+// read and verified, and indexed only if it verifies (a corrupt entry is
+// read again on the next call, so a healed entry is picked up); indexed
+// names are not read again; names gone from disk drop out. Entries
+// written by another process sharing Dir are therefore seen on the next
+// call. A returned candidate may have been corrupted or replaced since
+// it was indexed: read it with Get, and check the header it returns.
+func (st *Store) Family(family string) ([]string, error) {
+	want, ok := decodeDigest(family)
+	if !ok {
+		return nil, fmt.Errorf("resultcache: invalid family digest %q", family)
+	}
 	paths, err := st.entryPaths()
 	if err != nil {
 		return nil, err
 	}
-	var out []Meta
+	// The lock is held across the reads of new entries so that lookups
+	// racing on one read it once; the reads go to the store's FS, which
+	// never calls back into the Store.
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.families == nil {
+		st.families = make(map[[32]byte]indexed)
+	}
+	var out []string
+	live := 0
 	for _, p := range paths {
-		data, rerr := st.fs().ReadFile(p)
-		if rerr != nil {
+		d, name, ok := slotDigest(p)
+		if !ok {
 			continue
 		}
-		meta, _, verr := verifyEntry(p, filepath.Base(p), data)
-		if verr != nil {
-			continue
+		e, seen := st.families[d]
+		if !seen {
+			if e, ok = st.indexEntry(p, name); !ok {
+				continue
+			}
+			st.families[d] = e
 		}
-		out = append(out, meta)
+		live++
+		if e.ok && e.family == want {
+			out = append(out, name)
+		}
+	}
+	if live < len(st.families) {
+		keep := make(map[[32]byte]bool, live)
+		for _, p := range paths {
+			if d, _, ok := slotDigest(p); ok {
+				keep[d] = true
+			}
+		}
+		for d := range st.families {
+			if !keep[d] {
+				delete(st.families, d)
+			}
+		}
 	}
 	return out, nil
+}
+
+// slotDigest returns the binary digest and the name of the entry at p, a
+// path entryPaths listed; ok is false unless the entry sits in its own
+// fan-out directory, the only place Get reads it.
+func slotDigest(p string) (d [32]byte, name string, ok bool) {
+	name = filepath.Base(p)
+	if dir := p[:len(p)-len(name)-1]; dir[len(dir)-2:] != name[:2] {
+		return d, name, false
+	}
+	d, ok = decodeDigest(name)
+	return d, name, ok
+}
+
+// indexEntry reads and verifies the entry at path exactly as Get does and
+// returns its index value; ok is false if it is unreadable or corrupt.
+func (st *Store) indexEntry(path, name string) (e indexed, ok bool) {
+	data, err := st.fs().ReadFile(path)
+	if err != nil {
+		return e, false
+	}
+	meta, _, verr := verifyEntry(path, name, data)
+	if verr != nil {
+		return e, false
+	}
+	e.family, e.ok = decodeDigest(meta.Family)
+	return e, true
 }
 
 // AuditEntry is one entry's verdict in an audit report.

@@ -130,32 +130,37 @@ func gridsEqual(a, b []float64) bool {
 	return true
 }
 
-// nearMissPlan scans the store for a same-family entry whose grid is a
-// superset of the requested one (bitwise value match — log-spaced grids
-// sharing endpoints align exactly because stats.LogSpace pins them) and
-// builds the reuse plan covering the most requested points. Every grid
-// value must be found in one single entry; partial coverage across
-// entries is not stitched — one source keeps the provenance simple and
-// the plan journalable.
+// nearMissPlan looks through the store's same-family entries for one
+// whose grid is a superset of the requested one (bitwise value match —
+// log-spaced grids sharing endpoints align exactly because stats.LogSpace
+// pins them) and builds the reuse plan covering the most requested
+// points. Candidates come from the store's family index in sorted digest
+// order, so ties between equal-coverage sources always resolve the same
+// way. The index only filters: each candidate is re-read through Get,
+// which re-verifies its content hash, and is grafted only if the fresh
+// header still names this family and its own slot. Every grid value must
+// be found in one single entry; partial coverage across entries is not
+// stitched — one source keeps the provenance simple and the plan
+// journalable.
 func (s *Server) nearMissPlan(spec JobSpec, digest string, span telemetry.Span) *reusePlan {
 	family := familyDigest(spec)
-	metas, err := s.cfg.Cache.List()
+	candidates, err := s.cfg.Cache.Family(family)
 	if err != nil {
-		s.logf("cache near-miss scan failed: %v", err)
+		s.logf("cache near-miss lookup failed: %v", err)
 		return nil
 	}
 	grid := spec.Grid()
 	var best *reusePlan
-	for _, m := range metas {
-		if m.Family != family || m.SpecDigest == digest {
+	for _, d := range candidates {
+		if d == digest {
 			continue
 		}
-		payload, _, gerr := s.cfg.Cache.Get(m.SpecDigest, span)
-		if gerr != nil {
+		payload, meta, gerr := s.cfg.Cache.Get(d, span)
+		if gerr != nil || meta.Family != family || meta.SpecDigest != d {
 			continue
 		}
 		var res Result
-		if jerr := json.Unmarshal(payload, &res); jerr != nil || res.SpecDigest != m.SpecDigest {
+		if jerr := json.Unmarshal(payload, &res); jerr != nil || res.SpecDigest != d {
 			continue
 		}
 		if !wellFormedPoints(res.Points, len(res.Grid)) {
@@ -282,8 +287,7 @@ func (s *Server) admitCacheHitLocked(j *job, payload []byte, points int, parent 
 	}
 	j.state = StateDone
 	close(j.doneCh)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.addJobLocked(j)
 	s.cfg.Metrics.Counter("server.jobs_submitted").Inc()
 	s.cfg.Metrics.Counter("server.tenant." + s.tlabels.label(j.spec.Tenant) + ".jobs_submitted").Inc()
 	s.cfg.Metrics.Counter("server.cache_hits").Inc()

@@ -244,8 +244,8 @@ func TestCacheNoCacheBypass(t *testing.T) {
 	if st1.Cache != CacheBypass {
 		t.Fatalf("nocache submission cache = %q, want %q", st1.Cache, CacheBypass)
 	}
-	if metas, err := cache.List(); err != nil || len(metas) != 0 {
-		t.Fatalf("cache entries after nocache job = %v (err %v), want none", metas, err)
+	if rep, err := cache.Audit(); err != nil || len(rep.Entries) != 0 {
+		t.Fatalf("cache entries after nocache job = %+v (err %v), want none", rep.Entries, err)
 	}
 	st2, data2 := runToResult(t, s, spec)
 	if st2.Cache != CacheBypass {

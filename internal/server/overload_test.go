@@ -25,7 +25,7 @@ func TestSchedWeightedRoundRobin(t *testing.T) {
 	j := &job{}
 	for c := 0; c < numClasses; c++ {
 		for i := 0; i < 24; i++ {
-			q.push(c, shardTask{j, c*100 + i})
+			q.push(c, shardTask{j: j, k: c*100 + i})
 		}
 	}
 	var classes []int
@@ -50,9 +50,9 @@ func TestSchedWeightedRoundRobin(t *testing.T) {
 
 	// Work conservation: only bulk queued → bulk claims back to back.
 	var lone sched
-	lone.push(2, shardTask{j, 0})
-	lone.push(2, shardTask{j, 1})
-	lone.push(2, shardTask{j, 2})
+	lone.push(2, shardTask{j: j, k: 0})
+	lone.push(2, shardTask{j: j, k: 1})
+	lone.push(2, shardTask{j: j, k: 2})
 	for i := 0; i < 3; i++ {
 		if task, ok := lone.pop(); !ok || task.k != i {
 			t.Fatalf("lone bulk claim %d = (%v, %v), want (%d, true)", i, task.k, ok, i)

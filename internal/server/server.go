@@ -165,9 +165,14 @@ func (j *job) sweepTrace() *telemetry.Trace {
 	return j.trace.Trace
 }
 
+// shardTask is one queued shard. fn is the job's point function,
+// captured when a worker claims the task under the server mutex: a job
+// that turns terminal releases its own reference while the shard may
+// still be running.
 type shardTask struct {
-	j *job
-	k int
+	j  *job
+	k  int
+	fn sweep.PointFunc
 }
 
 type tenantUsage struct {
@@ -193,6 +198,7 @@ type Server struct {
 	seq      int64
 	jobs     map[string]*job
 	order    []string
+	byDigest map[string][]string // job IDs per spec digest, in submission order
 	sched    sched
 	active   int
 	tenants  map[string]*tenantUsage
@@ -303,6 +309,7 @@ func New(cfg Config) (*Server, error) {
 		manifest: telemetry.Collect("revft-server"),
 		fatalCh:  make(chan struct{}),
 		jobs:     make(map[string]*job),
+		byDigest: make(map[string][]string),
 		tenants:  make(map[string]*tenantUsage),
 		attempts: make(map[*attemptCtl]struct{}),
 		health:   HealthHealthy,
@@ -359,8 +366,7 @@ func (s *Server) replay(recs []Record) error {
 				state: StateQueued, submittedAt: rec.At,
 				doneCh: make(chan struct{}),
 			}
-			s.jobs[rec.Job] = nj
-			s.order = append(s.order, rec.Job)
+			s.addJobLocked(nj)
 		case recStarted:
 			if j != nil && !j.state.Terminal() {
 				j.state = StateRunning
@@ -507,7 +513,7 @@ func (s *Server) admitLocked(j *job) {
 	}
 	now := time.Now()
 	for k := 0; k < j.shards; k++ {
-		s.sched.push(j.class, shardTask{j, k})
+		s.sched.push(j.class, shardTask{j: j, k: k})
 		j.obs.enqueued(k, now)
 	}
 	if j.class == classIndex(PriorityInteractive) {
@@ -515,6 +521,14 @@ func (s *Server) admitLocked(j *job) {
 	}
 	s.updateGaugesLocked()
 	s.cond.Broadcast()
+}
+
+// addJobLocked registers an admitted or replayed job under its ID, in
+// submission order, and under its spec digest.
+func (s *Server) addJobLocked(j *job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.byDigest[j.digest] = append(s.byDigest[j.digest], j.id)
 }
 
 func (s *Server) tenant(name string) *tenantUsage {
@@ -600,7 +614,7 @@ func (s *Server) SubmitSpan(spec JobSpec, parent telemetry.Span) (JobStatus, err
 	}
 	digest := spec.Digest()
 	// Consult the result cache before taking the server mutex: lookup is
-	// pure disk reads and may scan the store for near-miss candidates.
+	// pure disk reads, of the exact entry and of near-miss candidates.
 	var hitPayload []byte
 	var hitPoints int
 	var plan *reusePlan
@@ -693,8 +707,7 @@ func (s *Server) SubmitSpan(spec JobSpec, parent telemetry.Span) (JobStatus, err
 		s.logf("job %s: grafting %d cached points from %.12s; computing %d remaining grid values",
 			j.id, len(j.reuse.Points), j.reuse.Source, len(j.reuse.Remainder))
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.addJobLocked(j)
 	s.admitLocked(j)
 	s.cfg.Metrics.Counter("server.jobs_submitted").Inc()
 	s.cfg.Metrics.Counter("server.tenant." + s.tlabels.label(j.spec.Tenant) + ".jobs_submitted").Inc()
@@ -809,6 +822,7 @@ func (s *Server) next() (shardTask, bool) {
 				j.state = StateRunning
 			}
 			j.running++
+			t.fn = j.fn
 			s.updateGaugesLocked()
 			wait := j.obs.claimed(t.k, time.Now())
 			s.cfg.Metrics.Histogram("server.queue_wait_seconds", telemetry.WallBuckets).Observe(wait)
@@ -907,7 +921,7 @@ func (s *Server) runShard(t shardTask) {
 			}()
 			r := &sweep.Runner{
 				Spec:           spec,
-				Point:          shardPointFunc(j.fn, t.k, j.shards),
+				Point:          shardPointFunc(t.fn, t.k, j.shards),
 				CheckpointPath: ckPath,
 				Resume:         resume,
 				Metrics:        reg,
@@ -980,13 +994,17 @@ func (s *Server) shardFinished(j *job, k int, out *sweep.Outcome, err error, wal
 	case err == nil && out != nil && out.Complete:
 		s.observeShardSecondsLocked(wallSeconds)
 		j.obs.finished(k, "done", outMetrics)
-		j.shardRes[k] = out.Done
 		j.shardsDone++
 		j.emit("shard_done", sspan.Tag(map[string]any{
 			"job": j.id, "shard": k, "points": len(out.Done), "resumed_points": out.Resumed,
 		}))
-		if j.shardsDone == j.shards && !j.state.Terminal() {
-			s.completeLocked(j)
+		if !j.state.Terminal() {
+			// A terminal job has released its shard results; a shard that
+			// finishes after a cancel or a sibling's failure books nothing.
+			j.shardRes[k] = out.Done
+			if j.shardsDone == j.shards {
+				s.completeLocked(j)
+			}
 		}
 	case j.state.Terminal():
 		// Cancelled or deadlined underneath us; the terminal transition
@@ -1005,7 +1023,7 @@ func (s *Server) shardFinished(j *job, k int, out *sweep.Outcome, err error, wal
 		// journal is untouched — the job was and stays running, exactly
 		// the drain-park shape but within one process.
 		j.obs.requeued(k, time.Now())
-		s.sched.push(j.class, shardTask{j, k})
+		s.sched.push(j.class, shardTask{j: j, k: k})
 		j.emit("shard_preempted", sspan.Tag(map[string]any{"job": j.id, "shard": k}))
 		s.cond.Broadcast()
 	default:
@@ -1112,7 +1130,10 @@ func (j *job) mergeResult() (*Result, error) {
 }
 
 // finishLocked journals and applies a terminal transition, releases the
-// job's quota and timer, and closes its trace.
+// job's quota and timer, and closes its trace. It also drops the state
+// only a running job needs — the driver's point function, which holds
+// the compiled circuits, and the per-shard results the merge reads — so
+// a terminal job keeps only what its status needs.
 func (s *Server) finishLocked(j *job, st State, errText string) {
 	if j.state.Terminal() {
 		return
@@ -1126,6 +1147,8 @@ func (s *Server) finishLocked(j *job, st State, errText string) {
 	}
 	j.state = st
 	j.errText = errText
+	j.fn = nil
+	j.shardRes = nil
 	if j.timer != nil {
 		j.timer.Stop()
 	}
@@ -1219,10 +1242,8 @@ func (s *Server) JobsByDigest(digest string) []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []JobStatus
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.digest == digest {
-			out = append(out, s.statusLocked(j))
-		}
+	for _, id := range s.byDigest[digest] {
+		out = append(out, s.statusLocked(s.jobs[id]))
 	}
 	return out
 }
