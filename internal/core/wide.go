@@ -35,7 +35,11 @@ import (
 // normalized by "lanes.slots", never by "lanes.trials"; the two differ
 // whenever trials is not a multiple of the block's lane count.
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) func() sim.WideBatchTrial {
-	prog := lanes.CompileWide(t.Circuit, m, words)
+	var outs []int
+	for _, wires := range t.Out {
+		outs = append(outs, wires...)
+	}
+	prog := lanes.CompileWideFor(t.Circuit, m, words, outs)
 	faults := telemetry.Active(ctx).Counter("lanes.faults")
 	logical := t.Logical.Ops()
 	return func() sim.WideBatchTrial {

@@ -31,6 +31,7 @@ package lanes
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"revft/internal/circuit"
 	"revft/internal/gate"
@@ -184,48 +185,67 @@ const (
 	wFusedUMA
 )
 
-// widePoint is one fault-injection point of a wide op: after its sub-step
-// executes, each lane independently faults with its sampler's probability,
-// and a faulting lane's bits on the wmask-selected targets are replaced
-// with uniform random bits — the paper's randomizing channel.
-type widePoint struct {
-	sampler int32 // index into WideProgram.samplers; -1 when p = 0
-	wmask   uint8 // bits 0/1/2: fault randomizes target a/b/c
+// The sub-steps of the fused kernels, by wire role: a CNOT from one role
+// into another, or the Toffoli (b, c) → a.
+const (
+	subAB      = iota // b ^= a
+	subAC             // c ^= a
+	subBC             // c ^= b
+	subToffoli        // a ^= b & c
+)
+
+// fusedSteps lists each fused code's sub-steps in source order, indexed
+// by code - wFusedMAJ.
+var fusedSteps = [3][3]uint8{
+	{subAB, subAC, subToffoli}, // wFusedMAJ
+	{subToffoli, subAB, subAC}, // wFusedMAJInv
+	{subToffoli, subAB, subBC}, // wFusedUMA
 }
 
 // wideOp is one compiled wide instruction: a kernel over up to three
 // wires whose word indices were pre-multiplied by Words at compile time,
-// plus ns fault points (one per source op the instruction covers).
+// plus ns fault points (one per source op the instruction covers),
+// numbered pt, pt+1, … in the program's fault-point order. After sub-step
+// k each lane independently faults with its point's probability, and a
+// faulting lane's bits on the wmask[k]-selected targets (bits 0/1/2:
+// a/b/c) are replaced with uniform random bits — the paper's randomizing
+// channel.
 type wideOp struct {
 	code    wideCode
-	a, b, c int32 // first-word indices (wire · Words); b, c unused below arity
 	ns      uint8 // sub-steps = fault points (1 plain, 3 fused)
-	fp      [3]widePoint
+	wmask   [3]uint8
+	a, b, c int32 // first-word indices (wire · Words); b, c unused below arity
+	pt      int32
 }
 
 // wideSampler is one shared geometric fault sampler: all fault points
 // compiled with the same probability draw their skip gaps from the same
-// Geometric(p), so the sampler's run state can advance across ops.
+// Geometric(p), over the concatenation of those points' lanes in program
+// order.
 type wideSampler struct {
 	p       float64
 	invRate float64 // λ⁻¹ = -1/log1p(-p), 0 at p = 1; see geomGap
+	points  []int32 // the fault points it serves, ascending
 }
 
 // maxSamplers bounds a program's samplers: there is one per distinct
 // fault probability, and the noise model assigns one per gate kind, so
-// Run keeps its countdowns in a fixed array instead of allocating.
+// Run keeps its pending faults in fixed arrays instead of allocating.
 const maxSamplers = 16
 
 // WideProgram is a circuit compiled for the engine under a fixed noise
-// model and block width. It is immutable after CompileWide and safe for
-// concurrent use by multiple goroutines, each with its own WideState and
-// RNG.
+// model and block width. It is immutable after CompileWideFor and safe
+// for concurrent use by multiple goroutines, each with its own WideState
+// and RNG.
 type WideProgram struct {
 	width, words int
-	ops          []wideOp
+	shift        uint     // log2 of the lanes per batch
+	ops          []wideOp // the walk: the compiled ops an output depends on
 	samplers     []wideSampler
-	srcLen       int // ops in the source circuit
-	fused        int // fused triples recognized
+	points       int32 // fault points of all compiled ops, walked or not
+	compiled     int   // compiled ops, walked or not
+	srcLen       int   // ops in the source circuit
+	fused        int   // fused triples recognized
 }
 
 // Width returns the number of wires the program expects.
@@ -237,8 +257,13 @@ func (p *WideProgram) Words() int { return p.words }
 // Lanes returns the number of trial lanes per batch.
 func (p *WideProgram) Lanes() int { return 64 * p.words }
 
-// Len returns the number of compiled wide ops (≤ the source length).
-func (p *WideProgram) Len() int { return len(p.ops) }
+// Len returns the number of compiled wide ops (≤ the source length),
+// including any Dead ones.
+func (p *WideProgram) Len() int { return p.compiled }
+
+// Dead returns how many compiled ops Run skips because none of their
+// targets reaches the wires the program was compiled for.
+func (p *WideProgram) Dead() int { return p.compiled - len(p.ops) }
 
 // SourceLen returns the number of ops in the source circuit.
 func (p *WideProgram) SourceLen() int { return p.srcLen }
@@ -250,19 +275,35 @@ func (p *WideProgram) Fused() int { return p.fused }
 // fault points were grouped into.
 func (p *WideProgram) Samplers() int { return len(p.samplers) }
 
-// srcOp is CompileWide's working copy of one source op.
+// maxWords bounds a program's block width so that a lane index fits an
+// event's uint16.
+const maxWords = 1024
+
+// srcOp is CompileWideFor's working copy of one source op.
 type srcOp struct {
 	kind gate.Kind
 	t    [3]int
 	n    int
 }
 
-// CompileWide lowers c for the engine under noise model m with words
-// 64-lane words per wire. Fault probabilities outside [0, 1] clamp,
-// matching rng.Bool.
+// CompileWide is CompileWideFor(c, m, words, nil): the program for a
+// caller that reads every wire after Run.
 func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
-	if words < 1 {
-		panic(fmt.Sprintf("lanes: CompileWide needs at least 1 word per wire, got %d", words))
+	return CompileWideFor(c, m, words, nil)
+}
+
+// CompileWideFor lowers c for the engine under noise model m with words
+// 64-lane words per wire, for a caller that reads only the wires outs
+// after Run; nil outs means every wire. Ops none of whose targets reaches
+// outs are dropped from the walk and faults randomize only targets that
+// do, while every fault point keeps its number: Run draws the same
+// randomness, returns the same fault count and leaves the outs wires as
+// the program compiled for every wire would. The other wires hold
+// unspecified values after Run. words must be a power of two up to
+// maxWords; fault probabilities outside [0, 1] clamp, matching rng.Bool.
+func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *WideProgram {
+	if words < 1 || words > maxWords || words&(words-1) != 0 {
+		panic(fmt.Sprintf("lanes: CompileWide needs a power of two up to %d words per wire, got %d", maxWords, words))
 	}
 	src := make([]srcOp, 0, c.Len())
 	c.Each(func(_ int, k gate.Kind, targets []int) {
@@ -271,53 +312,99 @@ func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 		src = append(src, s)
 	})
 
-	p := &WideProgram{width: c.Width(), words: words, srcLen: len(src), ops: make([]wideOp, 0, len(src))}
-	samplerIdx := make(map[float64]int32)
-	sampler := func(k gate.Kind) int32 {
-		pr := m.FaultProb(k)
-		if pr < 0 {
-			pr = 0
-		}
-		if pr > 1 {
-			pr = 1
-		}
+	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src)}
+	samplerIdx := make(map[float64]int)
+	// addPoint numbers the next fault point and hands it to the sampler
+	// of k's fault probability, if that is not 0.
+	addPoint := func(k gate.Kind) {
+		pt := p.points
+		p.points++
+		pr := math.Min(math.Max(m.FaultProb(k), 0), 1)
 		if pr == 0 {
-			return -1
+			return
 		}
-		if i, ok := samplerIdx[pr]; ok {
-			return i
+		i, ok := samplerIdx[pr]
+		if !ok {
+			i = len(p.samplers)
+			p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr)})
+			samplerIdx[pr] = i
 		}
-		i := int32(len(p.samplers))
-		p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr)})
-		samplerIdx[pr] = i
-		return i
+		p.samplers[i].points = append(p.samplers[i].points, pt)
 	}
 
+	ops := make([]wideOp, 0, len(src))
 	for i := 0; i < len(src); {
+		o := wideOp{pt: p.points}
 		if code, a, b, c3, kinds, masks, ok := fuseTriple(src, i); ok {
-			o := wideOp{code: code, a: int32(a * words), b: int32(b * words), c: int32(c3 * words), ns: 3}
-			for k := 0; k < 3; k++ {
-				o.fp[k] = widePoint{sampler: sampler(kinds[k]), wmask: masks[k]}
+			o.code, o.ns, o.wmask = code, 3, masks
+			o.a, o.b, o.c = int32(a), int32(b), int32(c3)
+			for _, k := range kinds {
+				addPoint(k)
 			}
-			p.ops = append(p.ops, o)
 			p.fused++
 			i += 3
-			continue
+		} else {
+			s := src[i]
+			o.code, o.ns = plainCode(s.kind), 1
+			o.wmask[0] = uint8(1<<uint(s.n)) - 1
+			o.a, o.b, o.c = int32(s.t[0]), int32(s.t[1]), int32(s.t[2])
+			addPoint(s.kind)
+			i++
 		}
-		s := src[i]
-		o := wideOp{code: plainCode(s.kind), ns: 1}
-		o.a = int32(s.t[0] * words)
-		if s.n > 1 {
-			o.b = int32(s.t[1] * words)
-		}
-		if s.n > 2 {
-			o.c = int32(s.t[2] * words)
-		}
-		o.fp[0] = widePoint{sampler: sampler(s.kind), wmask: uint8(1<<uint(s.n)) - 1}
-		p.ops = append(p.ops, o)
-		i++
+		ops = append(ops, o)
 	}
+	p.compiled = len(ops)
+	if outs != nil {
+		ops = prune(ops, p.width, outs)
+	}
+	for i := range ops {
+		o := &ops[i]
+		o.a, o.b, o.c = o.a*int32(words), o.b*int32(words), o.c*int32(words)
+	}
+	p.ops = ops
 	return p
+}
+
+// prune is CompileWideFor's liveness pass over ops, whose a, b, c are
+// still wire indices. Walking backward from outs, a sub-step is live when
+// one of its targets is live after it; a fault after it then randomizes
+// only those targets, and every target of it is live before it. An op
+// with no live sub-step is dropped.
+func prune(ops []wideOp, width int, outs []int) []wideOp {
+	live := make([]bool, width)
+	for _, w := range outs {
+		live[w] = true
+	}
+	keep := make([]bool, len(ops))
+	for i := len(ops) - 1; i >= 0; i-- {
+		o := &ops[i]
+		wires := [3]int32{o.a, o.b, o.c}
+		for k := int(o.ns) - 1; k >= 0; k-- {
+			targets := o.wmask[k]
+			o.wmask[k] = 0
+			for r, w := range wires {
+				if targets>>r&1 != 0 && live[w] {
+					o.wmask[k] |= 1 << r
+				}
+			}
+			if o.wmask[k] == 0 {
+				continue
+			}
+			keep[i] = true
+			for r, w := range wires {
+				if targets>>r&1 != 0 {
+					live[w] = true
+				}
+			}
+		}
+	}
+	walk := ops[:0]
+	for i, o := range ops {
+		if keep[i] {
+			walk = append(walk, o)
+		}
+	}
+	return walk
 }
 
 // plainCode maps a gate kind to its unfused wide opcode.
@@ -389,120 +476,113 @@ func fuseTriple(src []srcOp, i int) (code wideCode, a, b, c int, kinds [3]gate.K
 	return 0, 0, 0, 0, kinds, masks, false
 }
 
-// wideStep applies o's full kernel to st — all sub-steps of a fused op,
-// in source order — advancing all K·64 lanes.
-func (p *WideProgram) wideStep(st []uint64, o *wideOp) {
-	K := p.words
-	a, b, c := int(o.a), int(o.b), int(o.c)
+// wires returns the K words of o's wires a, b and c; b and c alias wire
+// 0 below arity 2 and 3. Slicing them once to one length lets the
+// kernels' loops run without bounds checks.
+func (o *wideOp) wires(st []uint64, K int) (x, y, z []uint64) {
+	a := int(o.a)
+	x = st[a : a+K : a+K]
+	return x, st[o.b:][:len(x)], st[o.c:][:len(x)]
+}
+
+// step applies o's whole kernel — every sub-step of a fused op, in source
+// order — to all K·64 lanes.
+func (o *wideOp) step(st []uint64, K int) {
+	x, y, z := o.wires(st, K)
 	switch o.code {
 	case wNOT:
-		for j := 0; j < K; j++ {
-			st[a+j] = ^st[a+j]
+		for j := range x {
+			x[j] = ^x[j]
 		}
 	case wCNOT:
-		for j := 0; j < K; j++ {
-			st[b+j] ^= st[a+j]
+		for j := range x {
+			y[j] ^= x[j]
 		}
 	case wSWAP:
-		for j := 0; j < K; j++ {
-			st[a+j], st[b+j] = st[b+j], st[a+j]
+		for j := range x {
+			x[j], y[j] = y[j], x[j]
 		}
 	case wToffoli:
-		for j := 0; j < K; j++ {
-			st[c+j] ^= st[a+j] & st[b+j]
+		for j := range x {
+			z[j] ^= x[j] & y[j]
 		}
 	case wFredkin:
-		for j := 0; j < K; j++ {
-			d := (st[b+j] ^ st[c+j]) & st[a+j]
-			st[b+j] ^= d
-			st[c+j] ^= d
+		for j := range x {
+			d := (y[j] ^ z[j]) & x[j]
+			y[j] ^= d
+			z[j] ^= d
 		}
 	case wMAJ, wFusedMAJ:
-		for j := 0; j < K; j++ {
-			st[b+j] ^= st[a+j]
-			st[c+j] ^= st[a+j]
-			st[a+j] ^= st[b+j] & st[c+j]
+		for j := range x {
+			a, b, c := x[j], y[j]^x[j], z[j]^x[j]
+			x[j], y[j], z[j] = a^b&c, b, c
 		}
 	case wMAJInv, wFusedMAJInv:
-		for j := 0; j < K; j++ {
-			st[a+j] ^= st[b+j] & st[c+j]
-			st[b+j] ^= st[a+j]
-			st[c+j] ^= st[a+j]
+		for j := range x {
+			a := x[j] ^ y[j]&z[j]
+			x[j], y[j], z[j] = a, y[j]^a, z[j]^a
 		}
 	case wFusedUMA:
-		for j := 0; j < K; j++ {
-			st[a+j] ^= st[b+j] & st[c+j]
-			st[b+j] ^= st[a+j]
-			st[c+j] ^= st[b+j]
+		for j := range x {
+			a := x[j] ^ y[j]&z[j]
+			b := y[j] ^ a
+			x[j], y[j], z[j] = a, b, z[j]^b
 		}
 	case wSWAP3:
-		for j := 0; j < K; j++ {
-			st[a+j], st[b+j], st[c+j] = st[b+j], st[c+j], st[a+j]
+		for j := range x {
+			x[j], y[j], z[j] = y[j], z[j], x[j]
 		}
 	case wSWAP3Inv:
-		for j := 0; j < K; j++ {
-			st[a+j], st[b+j], st[c+j] = st[c+j], st[a+j], st[b+j]
+		for j := range x {
+			x[j], y[j], z[j] = z[j], x[j], y[j]
 		}
 	case wInit3:
-		for j := 0; j < K; j++ {
-			st[a+j], st[b+j], st[c+j] = 0, 0, 0
+		for j := range x {
+			x[j], y[j], z[j] = 0, 0, 0
 		}
 	}
 }
 
-// wideSubStep applies sub-step k of o: for fused ops, the k-th source op's
-// kernel alone; plain ops have a single sub-step, their whole kernel.
-func (p *WideProgram) wideSubStep(st []uint64, o *wideOp, k int) {
-	K := p.words
-	a, b, c := int(o.a), int(o.b), int(o.c)
-	switch o.code {
-	case wFusedMAJ:
-		switch k {
-		case 0:
-			for j := 0; j < K; j++ {
-				st[b+j] ^= st[a+j]
-			}
-		case 1:
-			for j := 0; j < K; j++ {
-				st[c+j] ^= st[a+j]
-			}
-		default:
-			for j := 0; j < K; j++ {
-				st[a+j] ^= st[b+j] & st[c+j]
-			}
+// subStep applies sub-step k of the fused op o alone.
+func (o *wideOp) subStep(st []uint64, K int, k int32) {
+	x, y, z := o.wires(st, K)
+	switch fusedSteps[o.code-wFusedMAJ][k] {
+	case subAB:
+		for j := range x {
+			y[j] ^= x[j]
 		}
-	case wFusedMAJInv:
-		switch k {
-		case 0:
-			for j := 0; j < K; j++ {
-				st[a+j] ^= st[b+j] & st[c+j]
-			}
-		case 1:
-			for j := 0; j < K; j++ {
-				st[b+j] ^= st[a+j]
-			}
-		default:
-			for j := 0; j < K; j++ {
-				st[c+j] ^= st[a+j]
-			}
+	case subAC:
+		for j := range x {
+			z[j] ^= x[j]
 		}
-	case wFusedUMA:
-		switch k {
-		case 0:
-			for j := 0; j < K; j++ {
-				st[a+j] ^= st[b+j] & st[c+j]
-			}
-		case 1:
-			for j := 0; j < K; j++ {
-				st[b+j] ^= st[a+j]
-			}
-		default:
-			for j := 0; j < K; j++ {
-				st[c+j] ^= st[b+j]
-			}
+	case subBC:
+		for j := range x {
+			z[j] ^= y[j]
 		}
 	default:
-		p.wideStep(st, o)
+		for j := range x {
+			x[j] ^= y[j] & z[j]
+		}
+	}
+}
+
+// fault replaces lane e.lane of each wmask-selected target of o with
+// one of e's replacement bits: bit 2 goes to target a, bit 1 to b and
+// bit 0 to c.
+func (o *wideOp) fault(st []uint64, wmask uint8, e event) {
+	word, bit := int(e.lane>>6), uint(e.lane&63)
+	b := uint64(e.bits)
+	if wmask&1 != 0 {
+		i := int(o.a) + word
+		st[i] = st[i]&^(1<<bit) | b>>2<<bit
+	}
+	if wmask&2 != 0 {
+		i := int(o.b) + word
+		st[i] = st[i]&^(1<<bit) | b>>1&1<<bit
+	}
+	if wmask&4 != 0 {
+		i := int(o.c) + word
+		st[i] = st[i]&^(1<<bit) | b&1<<bit
 	}
 }
 
@@ -510,12 +590,12 @@ func (p *WideProgram) wideSubStep(st []uint64, o *wideOp, k int) {
 func (p *WideProgram) RunNoiseless(st WideState) {
 	p.check(st)
 	for i := range p.ops {
-		p.wideStep(st.W, &p.ops[i])
+		p.ops[i].step(st.W, p.words)
 	}
 }
 
-// maxGeomGap caps a geometric skip so the per-sampler countdown can never
-// overflow an int64 under repeated block-length subtractions.
+// maxGeomGap caps a geometric skip so a sampler's position can never
+// overflow an int64.
 const maxGeomGap = int64(1) << 62
 
 // geomGap draws Geometric(p) — the number of clear lanes before the next
@@ -533,96 +613,136 @@ func geomGap(r *rng.RNG, invRate float64) int64 {
 
 // Run executes the program on st under the compiled noise model, drawing
 // randomness from r, and returns the total number of (source op, lane)
-// fault events. The count covers every simulated lane slot of the block,
-// including slots a harness later discards as excess, so a per-trial
-// fault rate must be normalized by slots, not by counted trials.
+// fault events, those on dropped ops' points included. The count covers
+// every simulated lane slot of the block, including slots a harness later
+// discards as excess, so a per-trial fault rate must be normalized by
+// slots, not by counted trials.
 //
-// Per run, each sampler holds a countdown: how many more (fault point,
-// lane) slots pass before its next fault. An op whose fault points all
-// have countdowns ≥ the block length takes the fast path — the whole
-// (possibly fused) kernel in one dispatch, countdowns decremented by one
-// block each. Otherwise the op replays sub-step by sub-step, walking each
-// fault point's faulting lanes with geometric skips.
+// Run makes two passes over each chunk of the batch's faults. The first
+// draws the fault schedule: each sampler's next fault is a position in
+// its own concatenated (fault point, lane) sequence, started by one fresh
+// gap per sampler so batches stay independent; each fault then takes one
+// Uint64 for its replacement bits and the next gap, the samplers merged
+// in fault-point order. The second walks the ops with a cursor on the
+// next fault: an op whose points all come before it runs its whole kernel
+// in one dispatch, and an op holding it runs sub-step by sub-step, each
+// followed by its point's faults.
 func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	p.check(st)
-	w := st.W
-	L := int64(p.words) * 64
-
-	// One fresh geometric draw per sampler per run: run state never leaks
-	// across batches, so batches stay independent and reproducible.
-	var nextBuf [maxSamplers]int64
-	next := nextBuf[:len(p.samplers)]
-	for i := range next {
-		next[i] = geomGap(r, p.samplers[i].invRate)
-	}
-
-	faults := 0
-	var saved [3]int64
+	w, K := st.W, p.words
+	sc := schedule{p: p}
+	sc.start(r)
+	var buf [chunk + 1]event
+	ev, e := sc.draw(buf[:], r), 0
 	for i := range p.ops {
 		o := &p.ops[i]
-		nf := int(o.ns)
-		fast := true
-		for k := 0; k < nf; k++ {
-			si := o.fp[k].sampler
-			if si < 0 {
-				continue
-			}
-			saved[k] = next[si]
-			if next[si] < L {
-				// A fault fires inside this op's block: roll the
-				// countdowns back (last restore wins for shared
-				// samplers) and replay the op sub-step by sub-step.
-				fast = false
-				for j := k; j >= 0; j-- {
-					if sj := o.fp[j].sampler; sj >= 0 {
-						next[sj] = saved[j]
-					}
-				}
-				break
-			}
-			next[si] -= L
-		}
-		if fast {
-			p.wideStep(w, o)
+		if ev[e].pt >= o.pt+int32(o.ns) {
+			o.step(w, K)
 			continue
 		}
-		for k := 0; k < nf; k++ {
-			p.wideSubStep(w, o, k)
-			f := &o.fp[k]
-			if f.sampler < 0 {
-				continue
+		for k := int32(0); k < int32(o.ns); k++ {
+			if o.ns == 1 {
+				o.step(w, K)
+			} else {
+				o.subStep(w, K, k)
 			}
-			n := next[f.sampler]
-			for n < L {
-				p.faultLane(w, o, f.wmask, n, r)
-				faults++
-				n += 1 + geomGap(r, p.samplers[f.sampler].invRate)
+			pt := o.pt + k
+			for ev[e].pt <= pt {
+				switch {
+				case e == len(ev)-1: // the chunk's end marker
+					ev, e = sc.draw(buf[:], r), 0
+				case ev[e].pt == pt:
+					o.fault(w, o.wmask[k], ev[e])
+					e++
+				default: // a fault on a dropped op's point
+					e++
+				}
 			}
-			next[f.sampler] = n - L
 		}
 	}
-	return faults
+	for sc.g < int64(p.points) {
+		sc.draw(buf[:], r)
+	}
+	return sc.faults
 }
 
-// faultLane replaces lane n of each wmask-selected target with a fresh
-// uniform bit — the per-lane randomizing channel of the slow path. One
-// Uint64 supplies all of them: bit 63 goes to target a, bit 62 to b and
-// bit 61 to c.
-func (p *WideProgram) faultLane(st []uint64, o *wideOp, wmask uint8, n int64, r *rng.RNG) {
-	word, bit := int(n>>6), uint(n&63)
-	u := r.Uint64()
-	if wmask&1 != 0 {
-		i := int(o.a) + word
-		st[i] = st[i]&^(1<<bit) | u>>63<<bit
+// event is one fault of a batch's schedule: its fault point, its lane,
+// and the top three bits of its Uint64, which replace the lane's bits on
+// targets a, b and c (bits 2, 1 and 0).
+type event struct {
+	pt   int32
+	lane uint16
+	bits uint8
+}
+
+// chunk is how many faults Run draws ahead of its walk. The schedule is
+// drawn in chunks into a buffer on Run's stack, so a batch allocates
+// nothing however many faults it holds.
+const chunk = 256
+
+// schedule is a batch's fault stream: for each sampler, the position of
+// its next fault in its own (fault point, lane) sequence and the point
+// that position falls on.
+type schedule struct {
+	p       *WideProgram
+	pos, at [maxSamplers]int64
+	s       int   // the sampler whose fault comes next
+	g       int64 // its point; p.points once no fault is left
+	faults  int   // faults drawn so far
+}
+
+// start begins the stream with one fresh gap per sampler.
+func (sc *schedule) start(r *rng.RNG) {
+	p := sc.p
+	for s := range p.samplers {
+		sc.pos[s] = geomGap(r, p.samplers[s].invRate)
+		sc.at[s] = p.pointAt(s, sc.pos[s])
 	}
-	if wmask&2 != 0 {
-		i := int(o.b) + word
-		st[i] = st[i]&^(1<<bit) | u>>62&1<<bit
+	sc.s, sc.g = p.earliest(sc.at[:len(p.samplers)])
+}
+
+// draw draws up to chunk faults into buf in stream order and ends them
+// with a marker on the next pending fault's point (p.points when none is
+// left). It returns buf up to and including the marker.
+func (sc *schedule) draw(buf []event, r *rng.RNG) []event {
+	p := sc.p
+	last := int64(1)<<p.shift - 1
+	at := sc.at[:len(p.samplers)]
+	s, g := sc.s, sc.g
+	n := 0
+	for ; n < chunk && g < int64(p.points); n++ {
+		u := r.Uint64()
+		buf[n] = event{pt: int32(g), lane: uint16(sc.pos[s] & last), bits: uint8(u >> 61)}
+		sc.pos[s] += 1 + geomGap(r, p.samplers[s].invRate)
+		at[s] = p.pointAt(s, sc.pos[s])
+		s, g = p.earliest(at)
 	}
-	if wmask&4 != 0 {
-		i := int(o.c) + word
-		st[i] = st[i]&^(1<<bit) | u>>61&1<<bit
+	buf[n] = event{pt: int32(g)}
+	sc.s, sc.g = s, g
+	sc.faults += n
+	return buf[:n+1]
+}
+
+// pointAt returns the fault point of position pos in sampler s's
+// sequence, or p.points once pos is past its last point.
+func (p *WideProgram) pointAt(s int, pos int64) int64 {
+	pts := p.samplers[s].points
+	if j := pos >> p.shift; j < int64(len(pts)) {
+		return int64(pts[j])
 	}
+	return int64(p.points)
+}
+
+// earliest returns the sampler whose pending fault comes first and its
+// fault point; the point is p.points when none is pending.
+func (p *WideProgram) earliest(at []int64) (s int, g int64) {
+	g = int64(p.points)
+	for i, a := range at {
+		if a < g {
+			s, g = i, a
+		}
+	}
+	return s, g
 }
 
 func (p *WideProgram) check(st WideState) {
