@@ -2,7 +2,7 @@ package core
 
 // The lane engine's side of Target: the same extended rectangle on
 // 64·words bit-sliced trials per batch through the fused word-program
-// compiler (lanes.CompileWide); words = 1 is the 64-lane engine. Inputs
+// compiler (lanes.CompileWideFor); words = 1 is the 64-lane engine. Inputs
 // are drawn per lane word, the ideal outputs are computed bit-sliced
 // (one word kernel per logical op) and the outputs are decoded by
 // word-parallel recursive majority. Estimates are statistically
@@ -20,9 +20,10 @@ import (
 	"revft/internal/telemetry"
 )
 
-// batch compiles the target once for a words-wide lane block and returns
-// the factory of the lane engine's batch trial: draw or broadcast the
-// logical inputs lane-wise, encode, run the compiled fused program,
+// batch compiles the target once for a words-wide lane block, for the Out
+// wires it decodes (ops no decoded wire depends on are not run), and
+// returns the factory of the lane engine's batch trial: draw or broadcast
+// the logical inputs lane-wise, encode, run the compiled fused program,
 // evaluate the logical circuit on the input words in place, and set each
 // lane's hit bit when any decoded output differs. Each worker's batch
 // owns its lane state and buffers, so a batch allocates nothing.

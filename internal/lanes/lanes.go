@@ -19,7 +19,16 @@
 // engine spends randomness only where faults actually land: each fault
 // event costs one skip, floor(E·λ⁻¹) with E from rng's exponential
 // ziggurat and λ = -log1p(-p) fixed at compile time, and one word for
-// its replacement bits.
+// its replacement bits. Run takes each batch in two passes: it draws the
+// batch's faults as a schedule of (fault point, lane, bits) events, then
+// walks the ops, running every op before the next event as one kernel.
+//
+// A caller that decodes only some wires names them to CompileWideFor,
+// and the ops whose results reach none of them are not run: the faults
+// on their points are still drawn and counted but applied nowhere, so
+// results on the named wires are bit-identical to the full program's
+// (Burgholzer, Wille and Kueng call such faults unobservable at the
+// outputs).
 //
 // Randomness comes from the same per-block xoshiro256** streams as the
 // scalar harness (sim seeds trial block b from the estimate seed and b),

@@ -1,6 +1,6 @@
 package lanes
 
-// The compiler and interpreter of the engine. CompileWide lowers a
+// The compiler and interpreter of the engine. CompileWideFor lowers a
 // circuit for a block of K words per wire (64·K trial lanes):
 //
 //   - Each dispatch advances all K·64 trials, so the interpreter walk
@@ -13,18 +13,21 @@ package lanes
 //   - Wire indices are constant-folded: every target is pre-multiplied by
 //     K at compile time, so the hot loop does no index arithmetic beyond
 //     an add.
-//   - Fault parameters are grouped: ops sharing a fault probability share
-//     one geometric sampler whose "lanes until the next fault" state
-//     advances across ops in program order. Deciding that an op is
-//     fault-free this block costs one comparison and one subtraction —
-//     no logarithm, no RNG draw — while the sampled process remains
-//     distributionally identical to independent per-op Bernoulli masks,
-//     because a single geometric skip chain over the concatenated
-//     (fault point, lane) sequence generates exactly the same iid
-//     Bernoulli process the per-op masks do.
+//   - Fault points are numbered in program order and grouped: points
+//     sharing a fault probability share one geometric sampler, which skips
+//     along the concatenation of their (point, lane) slots. A single
+//     geometric skip chain over that sequence generates exactly the iid
+//     Bernoulli process independent per-op masks would, with no logarithm
+//     and one RNG draw per fault rather than per lane.
+//   - Ops are run only if an output depends on them: given the wires its
+//     caller reads, the compiler drops the ops none of whose targets
+//     reaches one, but keeps their fault points, so the randomness drawn
+//     is the full program's.
 //
-// Kernels loop over the K words of each wire at runtime rather than via
-// per-K specializations: gc does not auto-vectorize either way, and the
+// Run draws each batch's fault schedule ahead of the walk, so an op
+// before the next fault costs one comparison and its kernel. Kernels loop
+// over the K words of each wire at runtime rather than via per-K
+// specializations: gc does not auto-vectorize either way, and the
 // measured wins come from amortized dispatch, fusion, and the grouped
 // sampler, not from unrolling.
 
@@ -313,23 +316,24 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	})
 
 	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src)}
-	samplerIdx := make(map[float64]int)
+	// samplerOf caches each gate kind's sampler index, -1 for p = 0 and
+	// -2 before the kind's first point; kinds of equal probability share
+	// a sampler, numbered in order of first use.
+	samplerOf := make([]int, len(gate.Kinds())+1)
+	for k := range samplerOf {
+		samplerOf[k] = -2
+	}
 	// addPoint numbers the next fault point and hands it to the sampler
 	// of k's fault probability, if that is not 0.
 	addPoint := func(k gate.Kind) {
 		pt := p.points
 		p.points++
-		pr := math.Min(math.Max(m.FaultProb(k), 0), 1)
-		if pr == 0 {
-			return
+		if samplerOf[k] == -2 {
+			samplerOf[k] = p.sampler(m.FaultProb(k), 3*len(src))
 		}
-		i, ok := samplerIdx[pr]
-		if !ok {
-			i = len(p.samplers)
-			p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr)})
-			samplerIdx[pr] = i
+		if i := samplerOf[k]; i >= 0 {
+			p.samplers[i].points = append(p.samplers[i].points, pt)
 		}
-		p.samplers[i].points = append(p.samplers[i].points, pt)
 	}
 
 	ops := make([]wideOp, 0, len(src))
@@ -363,6 +367,28 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	}
 	p.ops = ops
 	return p
+}
+
+// sampler returns the index of the sampler of fault probability pr,
+// clamped to [0, 1], adding one with room for maxPoints points if there
+// is none yet, or -1 when pr is 0.
+func (p *WideProgram) sampler(pr float64, maxPoints int) int {
+	if pr < 0 {
+		pr = 0
+	}
+	if pr > 1 {
+		pr = 1
+	}
+	if pr == 0 {
+		return -1
+	}
+	for i := range p.samplers {
+		if p.samplers[i].p == pr {
+			return i
+		}
+	}
+	p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr), points: make([]int32, 0, maxPoints)})
+	return len(p.samplers) - 1
 }
 
 // prune is CompileWideFor's liveness pass over ops, whose a, b, c are
@@ -632,36 +658,24 @@ func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	w, K := st.W, p.words
 	sc := schedule{p: p}
 	sc.start(r)
-	var buf [chunk + 1]event
-	ev, e := sc.draw(buf[:], r), 0
 	for i := range p.ops {
 		o := &p.ops[i]
-		if ev[e].pt >= o.pt+int32(o.ns) {
+		if sc.ev[sc.e].pt >= o.pt+int32(o.ns) {
 			o.step(w, K)
 			continue
 		}
+		if o.ns == 1 {
+			o.step(w, K)
+			sc.apply(w, o, 0, r)
+			continue
+		}
 		for k := int32(0); k < int32(o.ns); k++ {
-			if o.ns == 1 {
-				o.step(w, K)
-			} else {
-				o.subStep(w, K, k)
-			}
-			pt := o.pt + k
-			for ev[e].pt <= pt {
-				switch {
-				case e == len(ev)-1: // the chunk's end marker
-					ev, e = sc.draw(buf[:], r), 0
-				case ev[e].pt == pt:
-					o.fault(w, o.wmask[k], ev[e])
-					e++
-				default: // a fault on a dropped op's point
-					e++
-				}
-			}
+			o.subStep(w, K, k)
+			sc.apply(w, o, k, r)
 		}
 	}
 	for sc.g < int64(p.points) {
-		sc.draw(buf[:], r)
+		sc.draw(r)
 	}
 	return sc.faults
 }
@@ -682,16 +696,20 @@ const chunk = 256
 
 // schedule is a batch's fault stream: for each sampler, the position of
 // its next fault in its own (fault point, lane) sequence and the point
-// that position falls on.
+// that position falls on; and the chunk of faults drawn ahead, ev, with
+// the walk's cursor e.
 type schedule struct {
 	p       *WideProgram
 	pos, at [maxSamplers]int64
 	s       int   // the sampler whose fault comes next
 	g       int64 // its point; p.points once no fault is left
 	faults  int   // faults drawn so far
+	ev      [chunk + 1]event
+	n, e    int // ev[n] is the chunk's end marker; ev[e] the walk's next fault
 }
 
-// start begins the stream with one fresh gap per sampler.
+// start begins the stream with one fresh gap per sampler and draws its
+// first chunk.
 func (sc *schedule) start(r *rng.RNG) {
 	p := sc.p
 	for s := range p.samplers {
@@ -699,12 +717,30 @@ func (sc *schedule) start(r *rng.RNG) {
 		sc.at[s] = p.pointAt(s, sc.pos[s])
 	}
 	sc.s, sc.g = p.earliest(sc.at[:len(p.samplers)])
+	sc.draw(r)
 }
 
-// draw draws up to chunk faults into buf in stream order and ends them
-// with a marker on the next pending fault's point (p.points when none is
-// left). It returns buf up to and including the marker.
-func (sc *schedule) draw(buf []event, r *rng.RNG) []event {
+// apply applies the faults on sub-step k's point of o to its targets,
+// and passes over any before it, which are on dropped ops' points.
+func (sc *schedule) apply(st []uint64, o *wideOp, k int32, r *rng.RNG) {
+	pt := o.pt + k
+	for sc.ev[sc.e].pt <= pt {
+		switch {
+		case sc.e == sc.n: // the chunk's end marker
+			sc.draw(r)
+		case sc.ev[sc.e].pt == pt:
+			o.fault(st, o.wmask[k], sc.ev[sc.e])
+			sc.e++
+		default:
+			sc.e++
+		}
+	}
+}
+
+// draw draws up to chunk faults into the buffer in stream order and ends
+// them with a marker on the next pending fault's point (p.points when
+// none is left).
+func (sc *schedule) draw(r *rng.RNG) {
 	p := sc.p
 	last := int64(1)<<p.shift - 1
 	at := sc.at[:len(p.samplers)]
@@ -712,15 +748,15 @@ func (sc *schedule) draw(buf []event, r *rng.RNG) []event {
 	n := 0
 	for ; n < chunk && g < int64(p.points); n++ {
 		u := r.Uint64()
-		buf[n] = event{pt: int32(g), lane: uint16(sc.pos[s] & last), bits: uint8(u >> 61)}
+		sc.ev[n] = event{pt: int32(g), lane: uint16(sc.pos[s] & last), bits: uint8(u >> 61)}
 		sc.pos[s] += 1 + geomGap(r, p.samplers[s].invRate)
 		at[s] = p.pointAt(s, sc.pos[s])
 		s, g = p.earliest(at)
 	}
-	buf[n] = event{pt: int32(g)}
+	sc.ev[n] = event{pt: int32(g)}
 	sc.s, sc.g = s, g
 	sc.faults += n
-	return buf[:n+1]
+	sc.n, sc.e = n, 0
 }
 
 // pointAt returns the fault point of position pos in sampler s's

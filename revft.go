@@ -147,7 +147,7 @@ type WideProgram = lanes.WideProgram
 func NewWideLaneState(width, words int) WideLaneState { return lanes.NewWideState(width, words) }
 
 // CompileWideLanes lowers a circuit to a WideProgram under a noise model
-// for a words-wide lane block.
+// for a words-wide lane block; words must be a power of two up to 1024.
 func CompileWideLanes(c *Circuit, m NoiseModel, words int) *WideProgram {
 	return lanes.CompileWide(c, m, words)
 }
