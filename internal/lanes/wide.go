@@ -316,24 +316,13 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	})
 
 	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src)}
-	// samplerOf caches each gate kind's sampler index, -1 for p = 0 and
-	// -2 before the kind's first point; kinds of equal probability share
-	// a sampler, numbered in order of first use.
-	samplerOf := make([]int, len(gate.Kinds())+1)
-	for k := range samplerOf {
-		samplerOf[k] = -2
-	}
 	// addPoint numbers the next fault point and hands it to the sampler
 	// of k's fault probability, if that is not 0.
 	addPoint := func(k gate.Kind) {
-		pt := p.points
+		if i := p.sampler(m.FaultProb(k)); i >= 0 {
+			p.samplers[i].points = append(p.samplers[i].points, p.points)
+		}
 		p.points++
-		if samplerOf[k] == -2 {
-			samplerOf[k] = p.sampler(m.FaultProb(k), 3*len(src))
-		}
-		if i := samplerOf[k]; i >= 0 {
-			p.samplers[i].points = append(p.samplers[i].points, pt)
-		}
 	}
 
 	ops := make([]wideOp, 0, len(src))
@@ -370,9 +359,9 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 }
 
 // sampler returns the index of the sampler of fault probability pr,
-// clamped to [0, 1], adding one with room for maxPoints points if there
-// is none yet, or -1 when pr is 0.
-func (p *WideProgram) sampler(pr float64, maxPoints int) int {
+// clamped to [0, 1], adding one if there is none yet, or -1 when pr is
+// 0. Samplers are numbered in order of first use.
+func (p *WideProgram) sampler(pr float64) int {
 	if pr < 0 {
 		pr = 0
 	}
@@ -387,7 +376,7 @@ func (p *WideProgram) sampler(pr float64, maxPoints int) int {
 			return i
 		}
 	}
-	p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr), points: make([]int32, 0, maxPoints)})
+	p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr)})
 	return len(p.samplers) - 1
 }
 

@@ -55,7 +55,9 @@ func (r *RNG) Seed(seed uint64) {
 	}
 }
 
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. It works on locals
+// and stores the state once, which keeps it within the compiler's
+// inlining budget: the engines call it once per fault and per skip.
 func (r *RNG) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	result := bits.RotateLeft64(s1*5, 7) * 9
