@@ -194,8 +194,8 @@ func run(args []string) error {
 		return fmt.Errorf("-points %d: need at least 1", *points)
 	case *points == 1 && *gmin != *gmax:
 		return fmt.Errorf("-points 1 needs -gmin == -gmax (got %v, %v)", *gmin, *gmax)
-	case *maxLevel < 0:
-		return fmt.Errorf("-maxlevel %d: need 0 or more", *maxLevel)
+	case *maxLevel < 0 || *maxLevel > exp.MaxLevel:
+		return fmt.Errorf("-maxlevel %d: need 0..%d", *maxLevel, exp.MaxLevel)
 	case *bits < 1 || 2*(*bits)+2 > 64:
 		return fmt.Errorf("-bits %d: adder needs 1..31 (state width 2n+2 must fit in 64)", *bits)
 	case *reltol < 0:
@@ -261,17 +261,15 @@ func run(args []string) error {
 		if *shards < 0 {
 			return fmt.Errorf("-shards %d: need 0 (server default) or more", *shards)
 		}
-		spec := server.JobSpec{
-			Tenant:     *tenant,
-			Experiment: *expName,
-			GMin:       *gmin, GMax: *gmax, Points: *points,
+		spec := remoteSpec(*expName, *maxLevel, *bits, server.JobSpec{
+			Tenant: *tenant,
+			GMin:   *gmin, GMax: *gmax, Points: *points,
 			Trials: *trials, Seed: *seed, Engine: *engine,
-			MaxLevel: *maxLevel, Bits: *bits,
 			Shards: *shards, Workers: *workers,
 			RelTol: *reltol, ZeroScale: *zeroscale,
 			TimeoutSeconds: timeout.Seconds(),
 			Priority:       *priority,
-		}
+		})
 		return runRemote(*serverURL, spec, *csv, *progress)
 	}
 
@@ -453,6 +451,22 @@ func run(args []string) error {
 		return fmt.Errorf("sweep interrupted (%w); rerun with -checkpoint/-resume to make interruptions recoverable", sweepErr)
 	}
 	return nil
+}
+
+// remoteSpec is the job spec -server submits: spec for experiment expName,
+// with maxLevel only for levels and bits only for adder — the experiments
+// that read them, as the local sweep's spec records them. A spec carrying
+// an unread field would hash to its own digest, so it could never adopt,
+// hit or extend the same sweep submitted by another client.
+func remoteSpec(expName string, maxLevel, bits int, spec server.JobSpec) server.JobSpec {
+	spec.Experiment = expName
+	switch expName {
+	case "levels":
+		spec.MaxLevel = maxLevel
+	case "adder":
+		spec.Bits = bits
+	}
+	return spec
 }
 
 // runRemote submits the sweep to a revft-server through the idempotent

@@ -60,9 +60,7 @@ import (
 	"revft/internal/gate"
 	"revft/internal/irrev"
 	"revft/internal/lattice"
-	"revft/internal/noise"
 	"revft/internal/resultcache"
-	"revft/internal/sim"
 	"revft/internal/synth"
 	"revft/internal/telemetry"
 	"revft/internal/threshold"
@@ -321,14 +319,20 @@ func checks() []check {
 	return []check{
 		{"Table 1: MAJ truth table matches the paper", checkTable1},
 		{"Figure 1: decomposition equivalent and BFS-optimal (3 gates)", checkFigure1},
-		{"Figure 2: recovery single-fault tolerant (exhaustive)", checkRecoveryFT},
+		{"Figure 2: recovery single-fault tolerant (exhaustive)", tolerant(exact.Recovery())},
 		{"Figure 2: recovery corrects any single input error", checkRecoveryCorrects},
-		{"Figure 3: level-1 logical gate single-fault tolerant (exhaustive)", checkLevel1FT},
+		{"Figure 3: level-1 logical gate single-fault tolerant (exhaustive)", tolerant(core.NewGadget(gate.MAJ, 1).Target)},
 		{"Figure 3: emitted gate counts equal Γ_L", checkBlowup},
-		{"Storage: 3 recovery cycles single-fault tolerant (exhaustive)", checkMemoryFT},
+		{"Storage: 3 recovery cycles single-fault tolerant (exhaustive)", tolerant(core.NewMemory(1, 3).Target())},
 		{"Figure 4: 2D recovery fully local on the patch", checkRecovery2DLocal},
 		{"Figure 7: 1D recovery local, 13 ops, 9 SWAPs", checkRecovery1D},
-		{"Figure 7: 1D recovery single-fault tolerant (exhaustive)", checkRecovery1DFT},
+		{"Figure 7: 1D recovery single-fault tolerant (exhaustive)", tolerant(core.Target{
+			Name:    "recovery1d",
+			Circuit: lattice.Recovery1D(),
+			In:      [][]int{lattice.Recovery1DDataWires},
+			Out:     [][]int{lattice.Recovery1DOutputWires},
+			Logical: circuit.New(1),
+		})},
 		{"§3.2: interleave schedule counts (45/24/12, movers 8+7+6, 10+8+6)", checkInterleaveCounts},
 		{"§3: cycle audits — perpendicular 2D clean; 1D and parallel 2D fail only on crossings", checkCycleAudits},
 		{"§3: per-codeword G = 40 for the 1D moving codeword", checkG40},
@@ -339,6 +343,20 @@ func checks() []check {
 		{"§4: paper example L ≤ 2.3 at g = 10⁻², E = 11", checkEntropyExample},
 		{"Eq.1 looseness: exact two-fault c₂ ≪ 3·C(G,2), predicts MC crossover", checkPairAnalysis},
 		{"Cooling: BCS boost (3δ−δ³)/2 reproduced by the circuit", checkCooling},
+	}
+}
+
+// tolerant is the check that every single fault in t is corrected: the
+// exhaustive audit of t, failing with its first failing fault.
+func tolerant(t core.Target) func() error {
+	return func() error {
+		a := t.AuditSingleFaults()
+		if a.Tolerant() {
+			return nil
+		}
+		f := a.Failures[0]
+		return fmt.Errorf("%d of %d single faults fail, first input %b, fault (op %d, val %03b)",
+			len(a.Failures), a.Cases, f.Input, f.OpIndex, f.Value)
 	}
 }
 
@@ -406,28 +424,6 @@ func checkFigure1() error {
 	return nil
 }
 
-func checkRecoveryFT() error {
-	c := core.Recovery()
-	for _, v := range []bool{false, true} {
-		var firstErr error
-		sim.ForEachSingleFault(c, func(op int, val uint64) {
-			if firstErr != nil {
-				return
-			}
-			st := bitvec.New(core.RecoveryWidth)
-			code.EncodeInto(st, core.RecoveryDataWires, v, 1)
-			sim.RunInjected(c, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			if code.Decode(st, core.RecoveryOutputWires, 1) != v {
-				firstErr = fmt.Errorf("fault (op %d, val %03b) flipped logical %v", op, val, v)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
-}
-
 func checkRecoveryCorrects() error {
 	c := core.Recovery()
 	for _, v := range []bool{false, true} {
@@ -446,59 +442,10 @@ func checkRecoveryCorrects() error {
 	return nil
 }
 
-func checkLevel1FT() error {
-	g := core.NewGadget(gate.MAJ, 1)
-	for in := uint64(0); in < 8; in++ {
-		want := gate.MAJ.Eval(in)
-		var firstErr error
-		sim.ForEachSingleFault(g.Circuit, func(op int, val uint64) {
-			if firstErr != nil {
-				return
-			}
-			st := bitvec.New(g.Circuit.Width())
-			for i, wires := range g.In {
-				code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-			}
-			sim.RunInjected(g.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			for i, wires := range g.Out {
-				if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-					firstErr = fmt.Errorf("input %03b, fault (op %d, val %03b)", in, op, val)
-				}
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
-}
-
 func checkBlowup() error {
 	for level, want := range map[int]int{0: 1, 1: 27, 2: 729} {
 		if got := core.NewGadget(gate.MAJ, level).Circuit.Len(); got != want {
 			return fmt.Errorf("level %d: %d ops, want %d", level, got, want)
-		}
-	}
-	return nil
-}
-
-func checkMemoryFT() error {
-	m := core.NewMemory(1, 3)
-	for _, v := range []bool{false, true} {
-		var firstErr error
-		sim.ForEachSingleFault(m.Circuit, func(op int, val uint64) {
-			if firstErr != nil {
-				return
-			}
-			st := bitvec.New(m.Circuit.Width())
-			code.EncodeInto(st, m.In, v, 1)
-			sim.RunInjected(m.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			if code.Decode(st, m.Out, 1) != v {
-				firstErr = fmt.Errorf("fault (op %d, val %03b)", op, val)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
 		}
 	}
 	return nil
@@ -517,28 +464,6 @@ func checkRecovery1D() error {
 		return fmt.Errorf("swaps = %d, want 9", n)
 	}
 	return lattice.CheckLocal(c, lattice.Line{N: lattice.Recovery1DWidth}, lattice.InitExempt)
-}
-
-func checkRecovery1DFT() error {
-	c := lattice.Recovery1D()
-	for _, v := range []bool{false, true} {
-		var firstErr error
-		sim.ForEachSingleFault(c, func(op int, val uint64) {
-			if firstErr != nil {
-				return
-			}
-			st := bitvec.New(lattice.Recovery1DWidth)
-			code.EncodeInto(st, lattice.Recovery1DDataWires, v, 1)
-			sim.RunInjected(c, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			if code.Decode(st, lattice.Recovery1DOutputWires, 1) != v {
-				firstErr = fmt.Errorf("fault (op %d, val %03b)", op, val)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
 }
 
 func checkInterleaveCounts() error {

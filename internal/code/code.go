@@ -82,7 +82,7 @@ func decodeWires(st *bitvec.Vector, wires []int) bool {
 
 // DecodeBits majority-decodes a standalone slice of 3^L bit values.
 func DecodeBits(bits []bool) bool {
-	if !isPowerOfThree(len(bits)) {
+	if Level(len(bits)) < 0 {
 		panic(fmt.Sprintf("code: DecodeBits got %d bits, not a power of three", len(bits)))
 	}
 	return decodeBits(bits)
@@ -98,16 +98,6 @@ func decodeBits(bits []bool) bool {
 		decodeBits(bits[third:2*third]),
 		decodeBits(bits[2*third:]),
 	)
-}
-
-func isPowerOfThree(n int) bool {
-	if n < 1 {
-		return false
-	}
-	for n%3 == 0 {
-		n /= 3
-	}
-	return n == 1
 }
 
 // Level returns the concatenation level of a block of n bits, or -1 if n is

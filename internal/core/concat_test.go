@@ -8,7 +8,6 @@ import (
 	"revft/internal/gate"
 	"revft/internal/noise"
 	"revft/internal/rng"
-	"revft/internal/sim"
 )
 
 func TestBuilderAllocation(t *testing.T) {
@@ -117,21 +116,18 @@ func TestLevel1SingleFaultExhaustive(t *testing.T) {
 	if g.Circuit.Len() != 27 {
 		t.Fatalf("level-1 MAJ gadget has %d ops, want 27", g.Circuit.Len())
 	}
-	for in := uint64(0); in < 8; in++ {
-		want := gate.MAJ.Eval(in)
-		sim.ForEachSingleFault(g.Circuit, func(op int, val uint64) {
-			st := bitvec.New(g.Circuit.Width())
-			for i, wires := range g.In {
-				code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-			}
-			sim.RunInjected(g.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			for i, wires := range g.Out {
-				if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-					t.Fatalf("input %03b, fault (op %d = %s, val %03b): logical output %d flipped",
-						in, op, g.Circuit.Op(op), val, i)
-				}
-			}
-		})
+	requireTolerant(t, g.Target)
+}
+
+// requireTolerant fails the test unless the single-fault audit of tg is
+// clean, naming the first failing fault.
+func requireTolerant(t *testing.T, tg Target) {
+	t.Helper()
+	a := tg.AuditSingleFaults()
+	if !a.Tolerant() {
+		f := a.Failures[0]
+		t.Fatalf("%s: %d of %d single faults flip a logical output, e.g. input %03b, fault (op %d = %s, val %03b)",
+			tg.Name, len(a.Failures), a.Cases, f.Input, f.OpIndex, tg.Circuit.Op(f.OpIndex), f.Value)
 	}
 }
 
@@ -229,21 +225,5 @@ func TestLevel2SingleFaultExhaustive(t *testing.T) {
 	if g.Circuit.Len() != 729 {
 		t.Fatalf("level-2 gadget has %d ops, want 729", g.Circuit.Len())
 	}
-	for in := uint64(0); in < 8; in++ {
-		want := gate.MAJ.Eval(in)
-		st := bitvec.New(g.Circuit.Width())
-		sim.ForEachSingleFault(g.Circuit, func(op int, val uint64) {
-			st.Clear()
-			for i, wires := range g.In {
-				code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 2)
-			}
-			sim.RunInjected(g.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			for i, wires := range g.Out {
-				if code.Decode(st, wires, 2) != (want>>uint(i)&1 == 1) {
-					t.Fatalf("input %03b, fault (op %d = %s, val %03b): logical output %d flipped",
-						in, op, g.Circuit.Op(op), val, i)
-				}
-			}
-		})
-	}
+	requireTolerant(t, g.Target)
 }

@@ -59,6 +59,12 @@ func NewMemory(level, cycles int) *Memory {
 	}
 }
 
+// Target returns the memory as a Target named "memory": the storage
+// circuit between the bit's codewords, whose ideal action is the identity.
+func (m *Memory) Target() Target {
+	return Target{Name: "memory", Circuit: m.Circuit, In: [][]int{m.In}, Out: [][]int{m.Out}, Logical: circuit.New(1)}
+}
+
 // Trial stores v, runs all cycles under noise, and reports whether the
 // decoded value flipped.
 func (m *Memory) Trial(v bool, nm noise.Model, r *rng.RNG) bool {

@@ -7,7 +7,6 @@ import (
 	"revft/internal/code"
 	"revft/internal/noise"
 	"revft/internal/rng"
-	"revft/internal/sim"
 )
 
 func TestMemoryNoiseless(t *testing.T) {
@@ -45,17 +44,7 @@ func TestMemoryCircuitSize(t *testing.T) {
 // randomizing fault across three consecutive recovery cycles at level 1.
 func TestMemorySingleFaultExhaustive(t *testing.T) {
 	m := NewMemory(1, 3)
-	for _, v := range []bool{false, true} {
-		sim.ForEachSingleFault(m.Circuit, func(op int, val uint64) {
-			st := bitvec.New(m.Circuit.Width())
-			code.EncodeInto(st, m.In, v, 1)
-			sim.RunInjected(m.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			if code.Decode(st, m.Out, 1) != v {
-				t.Fatalf("value %v, fault (op %d = %s, val %03b) flipped the stored bit",
-					v, op, m.Circuit.Op(op), val)
-			}
-		})
-	}
+	requireTolerant(t, m.Target())
 }
 
 // TestMemoryErrorGrowsLinearly: below threshold the storage failure rate

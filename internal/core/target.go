@@ -16,7 +16,9 @@ import (
 // logical inputs, run the physical circuit under noise, ideally decode,
 // and compare with the logical function. Every Monte Carlo estimate —
 // a gadget (Figure 3), a local cycle (§3), a compiled module or a bare
-// circuit — and every exact enumeration (package exact) runs through it.
+// circuit — every exhaustive fault injection (Injected: the single-fault
+// audit and the pair walk) and every exact enumeration (package exact)
+// runs through it.
 type Target struct {
 	// Name labels the target in tables.
 	Name string
@@ -107,7 +109,7 @@ func (run Run) exec(c *circuit.Circuit, st *bitvec.Vector, r *rng.RNG) {
 // encode it ideally, run, decode every output block ideally, and report
 // whether any differs from the logical circuit's output.
 func (t Target) Trial(in Input, run Run) func(*rng.RNG) bool {
-	levIn, levOut := codeLevels(t.In), codeLevels(t.Out)
+	cd := t.codec()
 	var table []uint64
 	want := uint64(0)
 	if in.fixed {
@@ -122,17 +124,21 @@ func (t Target) Trial(in Input, run Run) func(*rng.RNG) bool {
 			w = table[x]
 		}
 		st := bitvec.New(t.Circuit.Width())
-		for i, wires := range t.In {
-			code.EncodeInto(st, wires, x>>uint(i)&1 == 1, levIn[i])
-		}
+		cd.encode(st, x)
 		run.exec(t.Circuit, st, r)
-		for i, wires := range t.Out {
-			if code.Decode(st, wires, levOut[i]) != (w>>uint(i)&1 == 1) {
-				return true
-			}
-		}
-		return false
+		return cd.wrong(st, w)
 	}
+}
+
+// codec is a target's ideal encoder and decoder: its codeword blocks and
+// their code levels, worked out once per trial function.
+type codec struct {
+	in, out       [][]int
+	levIn, levOut []int
+}
+
+func (t Target) codec() *codec {
+	return &codec{in: t.In, out: t.Out, levIn: codeLevels(t.In), levOut: codeLevels(t.Out)}
 }
 
 // codeLevels maps codeword block lengths (3^L wires) to their levels.
@@ -142,6 +148,25 @@ func codeLevels(blocks [][]int) []int {
 		out[i] = code.Level(len(wires))
 	}
 	return out
+}
+
+// encode writes the packed logical input x (operand i in bit i) onto the
+// In codewords of st.
+func (c *codec) encode(st *bitvec.Vector, x uint64) {
+	for i, wires := range c.in {
+		code.EncodeInto(st, wires, x>>uint(i)&1 == 1, c.levIn[i])
+	}
+}
+
+// wrong reports whether any decoded Out codeword of st differs from the
+// packed logical output want.
+func (c *codec) wrong(st *bitvec.Vector, want uint64) bool {
+	for i, wires := range c.out {
+		if code.Decode(st, wires, c.levOut[i]) != (want>>uint(i)&1 == 1) {
+			return true
+		}
+	}
+	return false
 }
 
 // ErrorRateCtx estimates the target's logical failure probability over

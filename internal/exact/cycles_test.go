@@ -10,8 +10,8 @@ import (
 
 // TestCycleA1MatchesFaultAudit cross-checks two independent enumerations
 // of the local cycles' single faults: the oracle's DFS over packed states
-// and lattice's audit, which injects every single fault through
-// sim.RunInjected on bit vectors. The oracle's A₁ must equal the audit's
+// and core.Target's audit, which injects every single fault through
+// sim.RunInjectedList on bit vectors. The oracle's A₁ must equal the audit's
 // linear coefficient exactly, and the pinned values record that only the
 // perpendicular 2D routing is single-fault tolerant.
 func TestCycleA1MatchesFaultAudit(t *testing.T) {
@@ -29,7 +29,7 @@ func TestCycleA1MatchesFaultAudit(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		audit := tc.cycle.AuditSingleFaults()
-		lambda := new(big.Rat).SetFloat64(audit.LinearCoefficient(tc.cycle))
+		lambda := new(big.Rat).SetFloat64(audit.LinearCoefficient())
 		if got := p.Coeff(1); got.Cmp(lambda) != 0 {
 			t.Errorf("%s: oracle A₁ = %v, audit linear coefficient = %v", name, got.RatString(), lambda.RatString())
 		}

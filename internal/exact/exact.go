@@ -35,6 +35,7 @@ import (
 	"math"
 	"math/big"
 
+	"revft/internal/code"
 	"revft/internal/core"
 	"revft/internal/gate"
 )
@@ -251,7 +252,7 @@ func Enumerate(t core.Target, o Options) (*Poly, error) {
 	}
 	for _, blocks := range [2][][]int{t.In, t.Out} {
 		for _, wires := range blocks {
-			if !isPowerOfThree(len(wires)) {
+			if code.Level(len(wires)) < 0 {
 				return nil, fmt.Errorf("exact: %s: codeword block of %d wires is not a power of three", t.Name, len(wires))
 			}
 			for _, w := range wires {
@@ -405,14 +406,4 @@ func leafEstimate(ops []popOp, maxW int) float64 {
 		cur, next = next, cur
 	}
 	return cur[maxW]
-}
-
-func isPowerOfThree(n int) bool {
-	if n < 1 {
-		return false
-	}
-	for n%3 == 0 {
-		n /= 3
-	}
-	return n == 1
 }

@@ -22,6 +22,11 @@ var sweepExperiments = []string{"recovery", "levels", "local", "adder"}
 // SweepExperiments returns the sweep experiment names in list order.
 func SweepExperiments() []string { return append([]string(nil), sweepExperiments...) }
 
+// MaxLevel is the deepest concatenation level a levels sweep accepts. The
+// sweep builds every gadget up to it before it starts, and a level-L
+// gadget has 27^L ops, so level 3 (19,683 ops) is the last cheap one.
+const MaxLevel = 3
+
 // ShardableSweep returns the named sweep experiment's global point
 // function and total point count. gs is the swept gate-error grid;
 // maxLevel and bits parameterize the levels and adder experiments and are
@@ -37,8 +42,8 @@ func ShardableSweep(experiment string, gs []float64, maxLevel, bits int, p MCPar
 		fn, _ := recoveryPointFunc(gs, p)
 		return fn, len(gs), nil
 	case "levels":
-		if maxLevel < 0 {
-			return nil, 0, fmt.Errorf("exp: shardable sweep levels: maxlevel %d < 0", maxLevel)
+		if maxLevel < 0 || maxLevel > MaxLevel {
+			return nil, 0, fmt.Errorf("exp: shardable sweep levels: maxlevel %d out of range 0..%d", maxLevel, MaxLevel)
 		}
 		fn, _ := levelsPointFunc(gs, maxLevel, p)
 		return fn, (maxLevel + 1) * len(gs), nil

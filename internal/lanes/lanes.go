@@ -53,16 +53,6 @@ func Majority(a, b, c uint64) uint64 {
 	return a&b | b&c | a&c
 }
 
-func isPowerOfThree(n int) bool {
-	if n < 1 {
-		return false
-	}
-	for n%3 == 0 {
-		n /= 3
-	}
-	return n == 1
-}
-
 // Compile is CompileWide(c, m, 1), the 64-lane program. It is kept
 // only for the benchmark module, whose perfbench/layers.go calls it.
 func Compile(c *circuit.Circuit, m noise.Model) *WideProgram { return CompileWide(c, m, 1) }

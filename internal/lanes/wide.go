@@ -37,6 +37,7 @@ import (
 	"math/bits"
 
 	"revft/internal/circuit"
+	"revft/internal/code"
 	"revft/internal/gate"
 	"revft/internal/noise"
 	"revft/internal/rng"
@@ -89,7 +90,7 @@ func (s WideState) EncodeBlock(wires []int, vals []uint64) {
 // lane 64k+j. out must have Words words. It panics unless the block size
 // is a power of three.
 func (s WideState) DecodeBlock(wires []int, out []uint64) {
-	if !isPowerOfThree(len(wires)) {
+	if code.Level(len(wires)) < 0 {
 		panic(fmt.Sprintf("lanes: DecodeBlock got %d wires, not a power of three", len(wires)))
 	}
 	for k := 0; k < s.Words; k++ {

@@ -62,21 +62,11 @@ func testCycleOutputsAreCleanCodewords(t *testing.T, c *Cycle) {
 // logical outputs are correct.
 func testCycleSingleFaultExhaustive(t *testing.T, c *Cycle) {
 	t.Helper()
-	for in := uint64(0); in < 8; in++ {
-		want := c.Kind.Eval(in)
-		sim.ForEachSingleFault(c.Circuit, func(op int, val uint64) {
-			st := bitvec.New(c.Circuit.Width())
-			for i, wires := range c.In {
-				code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-			}
-			sim.RunInjected(c.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			for i, wires := range c.Out {
-				if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-					t.Fatalf("input %03b, fault (op %d = %s, val %b): logical output %d flipped",
-						in, op, c.Circuit.Op(op), val, i)
-				}
-			}
-		})
+	a := c.AuditSingleFaults()
+	if !a.Tolerant() {
+		f := a.Failures[0]
+		t.Fatalf("%d of %d single faults flip a logical output, e.g. input %03b, fault (op %d = %s, val %b)",
+			len(a.Failures), a.Cases, f.Input, f.OpIndex, c.Circuit.Op(f.OpIndex), f.Value)
 	}
 }
 
@@ -135,7 +125,7 @@ func TestCycle1DFaultAudit(t *testing.T) {
 // measured ≈ λ·g once g is small enough that two-fault terms are negligible.
 func TestCycle1DLinearCoefficient(t *testing.T) {
 	c := NewCycle1D(gate.MAJ)
-	lambda := c.AuditSingleFaults().LinearCoefficient(c)
+	lambda := c.AuditSingleFaults().LinearCoefficient()
 	if lambda <= 0 {
 		t.Fatalf("λ = %v, want positive (the 1D cycle has crossing failures)", lambda)
 	}

@@ -1,81 +1,6 @@
 package lattice
 
-import (
-	"revft/internal/bitvec"
-	"revft/internal/code"
-	"revft/internal/gate"
-	"revft/internal/noise"
-	"revft/internal/sim"
-)
-
-// FaultCase identifies one single-fault execution that produced a logical
-// error: the packed logical input, the faulted op, and the value the fault
-// left on the op's targets.
-type FaultCase struct {
-	Input   uint64
-	OpIndex int
-	Value   uint64
-}
-
-// FaultAudit is the result of exhaustively injecting every possible single
-// randomizing fault into a cycle, over every logical input.
-type FaultAudit struct {
-	// Cases is the number of (input, op, value) combinations tried.
-	Cases int
-	// Failures lists the combinations that flipped a logical output.
-	Failures []FaultCase
-	// VulnerableOps is the set of op indices with at least one failure.
-	VulnerableOps map[int]bool
-}
-
-// Tolerant reports whether the cycle survived every single fault.
-func (a *FaultAudit) Tolerant() bool { return len(a.Failures) == 0 }
-
-// LinearCoefficient returns λ such that the cycle's logical error rate is
-// λ·g + O(g²) for small gate error g under the paper's noise model with a
-// uniformly random logical input: each failing (input, op, value) triple
-// contributes P(input)·P(value | op faults) to the first-order term, since
-// to first order exactly one op faults and its output value is uniform.
-func (a *FaultAudit) LinearCoefficient(c *Cycle) float64 {
-	nin := float64(uint64(1) << uint(len(c.In)))
-	lambda := 0.0
-	for _, f := range a.Failures {
-		arity := c.Circuit.Op(f.OpIndex).Kind.Arity()
-		lambda += 1 / nin / float64(uint64(1)<<uint(arity))
-	}
-	return lambda
-}
-
-// AuditSingleFaults exhaustively verifies single-fault tolerance of the
-// cycle. For the 2D perpendicular scheme the audit comes back clean. For the
-// literal 1D scheme of §3.2 it does not: a fault on an interleaving swap
-// where a moving data bit crosses another codeword's data bit corrupts two
-// codewords at different code positions, and the transversal gate then
-// spreads each error into the other codeword, defeating both recoveries.
-// CrossingOps identifies exactly those ops; see EXPERIMENTS.md.
-func (c *Cycle) AuditSingleFaults() *FaultAudit {
-	audit := &FaultAudit{VulnerableOps: make(map[int]bool)}
-	nin := uint64(1) << uint(len(c.In))
-	for in := uint64(0); in < nin; in++ {
-		want := c.Kind.Eval(in)
-		sim.ForEachSingleFault(c.Circuit, func(op int, val uint64) {
-			audit.Cases++
-			st := bitvec.New(c.Circuit.Width())
-			for i, wires := range c.In {
-				code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-			}
-			sim.RunInjected(c.Circuit, st, noise.NewPlan(noise.Injection{OpIndex: op, Value: val}))
-			for i, wires := range c.Out {
-				if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-					audit.Failures = append(audit.Failures, FaultCase{Input: in, OpIndex: op, Value: val})
-					audit.VulnerableOps[op] = true
-					return
-				}
-			}
-		})
-	}
-	return audit
-}
+import "revft/internal/gate"
 
 // CrossingOps returns the indices of the routing ops through which a single
 // randomizing fault can produce an uncorrectable error pattern:

@@ -146,6 +146,11 @@ func validTenant(name string) bool {
 	return true
 }
 
+// MaxPoints bounds a job's grid. Validate refuses more points before
+// anything is sized by them: the grid is built on submit (near-miss
+// lookup) and again under the server mutex when the job is activated.
+const MaxPoints = 1024
+
 // Validate checks the driver-independent fields; experiment-specific
 // validation belongs to the Driver.
 func (s JobSpec) Validate() error {
@@ -154,8 +159,8 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("experiment is required")
 	case !validTenant(s.Tenant):
 		return fmt.Errorf("tenant %q: need 1-64 characters from [A-Za-z0-9._-]", s.Tenant)
-	case s.Points < 1:
-		return fmt.Errorf("points %d: need at least 1", s.Points)
+	case s.Points < 1 || s.Points > MaxPoints:
+		return fmt.Errorf("points %d: need 1..%d", s.Points, MaxPoints)
 	case s.Trials < 1:
 		return fmt.Errorf("trials %d: need at least 1", s.Trials)
 	case s.GMin <= 0 || s.GMax <= 0:

@@ -443,6 +443,9 @@ func (s *Server) activateLocked(j *job) error {
 	if points < 1 {
 		return fmt.Errorf("driver for %q resolved %d points", j.spec.Experiment, points)
 	}
+	if int64(j.spec.Trials) > math.MaxInt64/int64(points) {
+		return fmt.Errorf("%d points × %d trials overflows the trial count", points, j.spec.Trials)
+	}
 	j.fn = fn
 	j.points = points
 	j.class = classIndex(j.spec.Priority)

@@ -3,8 +3,9 @@
 // It provides four execution modes:
 //
 //   - RunNoisy: sample the paper's random fault channel once;
-//   - RunInjected: deterministic fault injection from a noise.Plan, used to
-//     prove fault-tolerance claims exhaustively;
+//   - RunInjected and RunInjectedList: deterministic fault injection from
+//     a plan; core.Target.Injected runs the list form to prove
+//     fault-tolerance claims exhaustively;
 //   - MonteCarlo: a parallel trial harness over seeded trial blocks;
 //   - MonteCarloWideCtx: the same harness on bit-sliced lane batches of
 //     64·K trials (see package lanes), for runs where trial count
@@ -72,9 +73,10 @@ func RunInjected(c *circuit.Circuit, st *bitvec.Vector, plan noise.Plan) {
 
 // RunInjectedList is RunInjected without the map: ops lists the faulted op
 // indices in strictly increasing order and vals the corresponding local
-// values. The exhaustive enumerations (core's pair analysis, the exact
-// oracle's cross-checks) execute millions of planned injections, where a
-// map allocation per run would dominate; this form allocates nothing.
+// values. The exhaustive enumerations (core.Target.Injected, under the
+// single-fault audit and the pair walk) execute millions of planned
+// injections, where a map allocation per run would dominate; this form
+// allocates nothing.
 // It panics if ops and vals differ in length or ops is not strictly
 // increasing — those are programming errors in enumeration loops.
 func RunInjectedList(c *circuit.Circuit, st *bitvec.Vector, ops []int, vals []uint64) {
