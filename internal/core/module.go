@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 
-	"revft/internal/bitvec"
 	"revft/internal/circuit"
-	"revft/internal/code"
 	"revft/internal/noise"
 	"revft/internal/sim"
 	"revft/internal/stats"
@@ -50,27 +48,6 @@ func CompileModule(logical *circuit.Circuit, level int) *Module {
 		In:       in,
 		Out:      out,
 	}
-}
-
-// EncodeInputs writes the packed logical input (wire i in bit i) onto a
-// fresh physical state.
-func (m *Module) EncodeInputs(in uint64) *bitvec.Vector {
-	st := bitvec.New(m.Physical.Width())
-	for i, wires := range m.In {
-		code.EncodeInto(st, wires, in>>uint(i)&1 == 1, m.Level)
-	}
-	return st
-}
-
-// DecodeOutputs reads the packed logical output from a physical state.
-func (m *Module) DecodeOutputs(st *bitvec.Vector) uint64 {
-	var out uint64
-	for i, wires := range m.Out {
-		if code.Decode(st, wires, m.Level) {
-			out |= 1 << uint(i)
-		}
-	}
-	return out
 }
 
 // Target returns the module as a Target named "module": the compiled

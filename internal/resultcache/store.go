@@ -21,11 +21,13 @@
 //
 // Near-miss reuse asks for every entry of one experiment family. Family
 // answers from an in-memory index of entry digest → family digest, kept
-// up to date by one directory glob per call: only entries it has not
-// seen before are read, so a lookup costs the glob plus reads of the
-// few entries stored since the last one, not a read of the whole store.
-// The index only names candidates; the caller reads each one through
-// Get, which verifies it as above.
+// per fan-out directory with the directory's mtime. Each call globs the
+// store root and stats every fan-out directory, and lists only those
+// whose mtime moved since their last listing (or was too recent then to
+// be trusted), reading only the entries it has not seen before: a lookup
+// on an unchanged store reads no entry and lists only the root. The index
+// only names candidates; the caller reads each one through Get, which
+// verifies it as above.
 package resultcache
 
 import (
@@ -101,10 +103,11 @@ func (e *CorruptEntryError) Error() string {
 // value is unusable; fill Dir at least. FS defaults to chaos.OS; Metrics
 // and Trace are nil-safe no-ops when unset; the zero Retry is the
 // default jittered backoff policy (set MaxAttempts 1 to disable). A
-// Store holds the family index Family builds on first use, so use it
-// through a pointer and do not copy it; its methods are safe for
-// concurrent use, and several Stores, in one process or many, may share
-// one Dir.
+// Store holds the family index Family builds on its first call (Put and
+// Get never touch it), so use it through a pointer and do not copy it;
+// its methods are safe for concurrent use, and several Stores, in one
+// process or many, may share one Dir: each sees the others' entries
+// through the mtimes of the directories they land in.
 type Store struct {
 	Dir     string
 	FS      chaos.FS
@@ -112,12 +115,13 @@ type Store struct {
 	Metrics *telemetry.Registry
 	Trace   *telemetry.Trace
 
-	// mu guards families, Family's index from each verified entry's spec
-	// digest to its header's family digest. It is a candidate filter
-	// only: callers re-read every candidate through Get, which re-verifies
-	// it, and never take result bytes from the index.
-	mu       sync.Mutex
-	families map[[32]byte]indexed
+	// mu guards dirs, Family's index: each fan-out directory's last
+	// listing, with the family digest of each verified entry in it. It
+	// is a candidate filter only: callers re-read every candidate through
+	// Get, which re-verifies it, and never take result bytes from the
+	// index.
+	mu   sync.Mutex
+	dirs map[string]*fanout
 }
 
 func (st *Store) fs() chaos.FS {
@@ -275,6 +279,36 @@ type indexed struct {
 	ok     bool
 }
 
+// racyWindow bounds the granularity of directory timestamps (2 s, FAT's,
+// the coarsest in common use). An entry written into a directory in the
+// same clock tick as the listing that read it may leave the directory's
+// mtime where the listing saw it; so, as in git's racy-index rule, a
+// directory whose recorded mtime is not older than its listing's start
+// minus racyWindow is listed again.
+const racyWindow = 2 * time.Second
+
+// fanout is Family's record of one fan-out directory as last listed.
+type fanout struct {
+	// mtime is the directory's mtime, taken before the listing; zero if
+	// its stat failed.
+	mtime time.Time
+	// listed is when the lookup that listed it began.
+	listed time.Time
+	// retry is set when a name in it could not be read or verified, so
+	// the next lookup lists it again and retries that name.
+	retry bool
+	// entries are its verified entries.
+	entries map[[32]byte]indexed
+}
+
+// current reports whether f still describes a directory whose stat is
+// (fi, err): the listing read every name, the mtime is unchanged, and
+// the mtime was older than the listing by more than racyWindow.
+func (f *fanout) current(fi os.FileInfo, err error) bool {
+	return f != nil && !f.retry && err == nil && fi.ModTime().Equal(f.mtime) &&
+		f.mtime.Before(f.listed.Add(-racyWindow))
+}
+
 // hexValue maps each lowercase hex digit to its value and every other
 // byte to 0xff.
 var hexValue = func() (t [256]byte) {
@@ -307,76 +341,114 @@ func decodeDigest(s string) (d [32]byte, ok bool) {
 }
 
 // Family returns the spec digests of the entries whose header names
-// family, in sorted digest order — the near-miss reuse candidates. Each
-// call globs the store once: an entry name seen for the first time is
-// read and verified, and indexed only if it verifies (a corrupt entry is
-// read again on the next call, so a healed entry is picked up); indexed
-// names are not read again; names gone from disk drop out. Entries
-// written by another process sharing Dir are therefore seen on the next
-// call. A returned candidate may have been corrupted or replaced since
-// it was indexed: read it with Get, and check the header it returns.
+// family, in sorted digest order — the near-miss reuse candidates.
+//
+// Each call globs the store root for its fan-out directories and stats
+// each one; it lists again only a directory that is new, whose mtime
+// moved or whose stat failed, that holds a name it could not verify, or
+// that was written too close to its last listing to trust its mtime
+// (racyWindow). So a lookup on an unchanged store costs one glob and a
+// stat per directory, and an entry another process stores into a shared
+// Dir is seen by the next call, through its directory's new mtime. A
+// name seen for the first time is read and verified, and indexed only if
+// it verifies (a corrupt entry is read again on the next call, so a
+// healed entry is picked up); indexed names are not read again; names
+// and directories gone from disk drop out. A returned candidate may have
+// been corrupted or replaced since it was indexed: read it with Get, and
+// check the header it returns.
 func (st *Store) Family(family string) ([]string, error) {
 	want, ok := decodeDigest(family)
 	if !ok {
 		return nil, fmt.Errorf("resultcache: invalid family digest %q", family)
 	}
-	paths, err := st.entryPaths()
+	start := time.Now()
+	dirs, err := st.fs().Glob(filepath.Join(st.Dir, "??"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resultcache: scan %s: %w", st.Dir, err)
 	}
-	// The lock is held across the reads of new entries so that lookups
-	// racing on one read it once; the reads go to the store's FS, which
-	// never calls back into the Store.
+	// The lock is held across the listings and the reads of new entries
+	// so that lookups racing on one read it once; they go to the store's
+	// FS, which never calls back into the Store.
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.families == nil {
-		st.families = make(map[[32]byte]indexed)
+	if st.dirs == nil {
+		st.dirs = make(map[string]*fanout)
 	}
-	var out []string
 	live := 0
-	for _, p := range paths {
-		d, name, ok := slotDigest(p)
-		if !ok {
+	for _, dir := range dirs {
+		name := filepath.Base(dir)
+		if len(name) != 2 || hexValue[name[0]]|hexValue[name[1]] > 0xf {
 			continue
 		}
-		e, seen := st.families[d]
-		if !seen {
-			if e, ok = st.indexEntry(p, name); !ok {
-				continue
-			}
-			st.families[d] = e
-		}
 		live++
-		if e.ok && e.family == want {
-			out = append(out, name)
+		// Like Put's MkdirAll, the stat is outside the chaos seam: it
+		// only decides whether to list, and a failed one lists.
+		fi, serr := os.Stat(dir)
+		if st.dirs[name].current(fi, serr) {
+			continue
+		}
+		if err := st.relist(dir, name, fi, serr, start); err != nil {
+			return nil, err
 		}
 	}
-	if live < len(st.families) {
-		keep := make(map[[32]byte]bool, live)
-		for _, p := range paths {
-			if d, _, ok := slotDigest(p); ok {
-				keep[d] = true
-			}
+	if live < len(st.dirs) {
+		keep := make(map[string]bool, live)
+		for _, dir := range dirs {
+			keep[filepath.Base(dir)] = true
 		}
-		for d := range st.families {
-			if !keep[d] {
-				delete(st.families, d)
+		for name := range st.dirs {
+			if !keep[name] {
+				delete(st.dirs, name)
 			}
 		}
 	}
+	var out []string
+	for _, f := range st.dirs {
+		for d, e := range f.entries {
+			if e.ok && e.family == want {
+				out = append(out, hex.EncodeToString(d[:]))
+			}
+		}
+	}
+	sort.Strings(out)
 	return out, nil
 }
 
-// slotDigest returns the binary digest and the name of the entry at p, a
-// path entryPaths listed; ok is false unless the entry sits in its own
-// fan-out directory, the only place Get reads it.
-func slotDigest(p string) (d [32]byte, name string, ok bool) {
-	name = filepath.Base(p)
-	if dir := p[:len(p)-len(name)-1]; dir[len(dir)-2:] != name[:2] {
-		return d, name, false
+// relist lists the fan-out directory dir (base name) afresh, given the
+// stat taken before the listing and the start of the lookup, reads the
+// names it has not indexed, and replaces its record. st.mu is held.
+func (st *Store) relist(dir, name string, fi os.FileInfo, statErr error, start time.Time) error {
+	paths, err := st.fs().Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		return fmt.Errorf("resultcache: scan %s: %w", dir, err)
 	}
-	d, ok = decodeDigest(name)
-	return d, name, ok
+	old := st.dirs[name]
+	if old == nil {
+		old = &fanout{}
+	}
+	f := &fanout{listed: start, entries: make(map[[32]byte]indexed, len(paths))}
+	if statErr == nil {
+		f.mtime = fi.ModTime()
+	}
+	for _, p := range paths {
+		// Only a full digest filed under its own fan-out directory is an
+		// entry Get can read; temp litter and misfiled names are skipped.
+		base := filepath.Base(p)
+		d, ok := decodeDigest(base)
+		if !ok || base[:2] != name {
+			continue
+		}
+		e, seen := old.entries[d]
+		if !seen {
+			if e, ok = st.indexEntry(p, base); !ok {
+				f.retry = true
+				continue
+			}
+		}
+		f.entries[d] = e
+	}
+	st.dirs[name] = f
+	return nil
 }
 
 // indexEntry reads and verifies the entry at path exactly as Get does and

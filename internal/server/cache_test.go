@@ -449,3 +449,53 @@ func TestCacheHitAcrossWorkersAndShards(t *testing.T) {
 		t.Fatalf("cache hit differs from a fresh computation at workers 4, shards 3:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestSharedCacheDirNearMiss: two servers on one cache directory, as two
+// revft-server processes given the same -cache. B has already made a
+// near-miss lookup, so its family index exists, when A stores a 3-point
+// sweep; B then serves a one-point subset of A's grid as a hit, with
+// A's point bytes.
+func TestSharedCacheDirNearMiss(t *testing.T) {
+	dir := t.TempDir()
+	a := newCacheServer(t, &resultcache.Store{Dir: dir}, telemetry.New())
+	bReg := telemetry.New()
+	b := newCacheServer(t, &resultcache.Store{Dir: dir}, bReg)
+
+	first := cacheSpec()
+	first.Seed++ // another family: B's lookup finds no candidate
+	if st, _ := runToResult(t, b, first); st.Cache != CacheMiss {
+		t.Fatalf("B's first job cache = %q, want %q", st.Cache, CacheMiss)
+	}
+
+	super := cacheSpec()
+	_, data := runToResult(t, a, super)
+	var res Result
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+
+	sub := super
+	sub.GMin, sub.GMax, sub.Points, sub.Shards = res.Grid[1], res.Grid[1], 1, 1
+	st, subData := runToResult(t, b, sub)
+	if st.Cache != CacheHit || st.ReusedPoints != 1 {
+		t.Fatalf("B's subset status = %+v, want cache hit with 1 reused point", st)
+	}
+	if n := bReg.Counter("server.jobs_done").Load(); n != 1 {
+		t.Fatalf("B's server.jobs_done = %d, want 1 (the subset must not recompute)", n)
+	}
+	var subRes Result
+	if err := json.Unmarshal(subData, &subRes); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res.Points[1].Ests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(subRes.Points[0].Ests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("B's point = %s, A's = %s", got, want)
+	}
+}
