@@ -20,7 +20,7 @@ func TestPointSeedGridInvariance(t *testing.T) {
 	p := MCParams{Trials: 400, Workers: 2, Seed: 7}
 	ctx := context.Background()
 
-	run := func(build func([]float64, MCParams) (sweep.PointFunc, map[string]int), gs []float64, pt, trials int) []stats.Bernoulli {
+	run := func(build func([]float64, MCParams) (sweep.PointFunc, func() map[string]int), gs []float64, pt, trials int) []stats.Bernoulli {
 		t.Helper()
 		fn, _ := build(gs, p)
 		ests, err := fn(ctx, pt, 0, trials)
@@ -30,7 +30,7 @@ func TestPointSeedGridInvariance(t *testing.T) {
 		return ests
 	}
 
-	for name, build := range map[string]func([]float64, MCParams) (sweep.PointFunc, map[string]int){
+	for name, build := range map[string]func([]float64, MCParams) (sweep.PointFunc, func() map[string]int){
 		"recovery": recoveryPointFunc,
 		"local":    localPointFunc,
 	} {

@@ -22,9 +22,9 @@ var sweepExperiments = []string{"recovery", "levels", "local", "adder"}
 // SweepExperiments returns the sweep experiment names in list order.
 func SweepExperiments() []string { return append([]string(nil), sweepExperiments...) }
 
-// MaxLevel is the deepest concatenation level a levels sweep accepts. The
-// sweep builds every gadget up to it before it starts, and a level-L
-// gadget has 27^L ops, so level 3 (19,683 ops) is the last cheap one.
+// MaxLevel is the deepest concatenation level a levels sweep accepts. A
+// sweep that runs points at level L builds the level-L gadget, which has
+// 27^L ops, so level 3 (19,683 ops) is the last cheap one.
 const MaxLevel = 3
 
 // ShardableSweep returns the named sweep experiment's global point
@@ -32,7 +32,10 @@ const MaxLevel = 3
 // maxLevel and bits parameterize the levels and adder experiments and are
 // ignored by the others. The point function is exactly the one the Ctx
 // table drivers run, so a job server partitioning its points reproduces
-// the CLI's numbers bit for bit.
+// the CLI's numbers bit for bit. No circuit is built here: the point
+// function builds each target on the first call that needs it, once,
+// whichever of its concurrent callers gets there first, so a sweep whose
+// points all come from a checkpoint or the cache builds no circuit.
 func ShardableSweep(experiment string, gs []float64, maxLevel, bits int, p MCParams) (sweep.PointFunc, int, error) {
 	if len(gs) == 0 {
 		return nil, 0, fmt.Errorf("exp: shardable sweep %q: empty grid", experiment)

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"revft/internal/adder"
 	"revft/internal/chaos"
@@ -136,16 +137,21 @@ func (o SweepOptions) runCached(ctx context.Context, spec sweep.Spec, fn sweep.P
 // recordGateCounts publishes a driver's measured gate counts as gauges
 // (exp.<experiment>.<name>) and as one gate_counts trace event, so a run's
 // circuit sizes are diffable against the paper's analytic G values without
-// rebuilding the circuits. counts alternates name, value pairs.
-func (o SweepOptions) recordGateCounts(experiment string, counts map[string]int) {
+// rebuilding the circuits. counts builds every circuit it measures, so it
+// is called only when a registry or a trace is attached.
+func (o SweepOptions) recordGateCounts(experiment string, counts func() map[string]int) {
+	if o.Metrics == nil && o.Trace == nil {
+		return
+	}
+	c := counts()
 	if o.Metrics != nil {
-		for name, v := range counts {
+		for name, v := range c {
 			o.Metrics.Gauge("exp." + experiment + "." + name).Set(float64(v))
 		}
 	}
 	if o.Trace != nil {
 		fields := map[string]any{"experiment": experiment}
-		for name, v := range counts {
+		for name, v := range c {
 			fields[name] = v
 		}
 		o.Trace.Emit("gate_counts", fields)
@@ -249,22 +255,24 @@ func pointSeed(base uint64, eps float64, salt uint64) uint64 {
 	return h
 }
 
-// recoveryPointFunc builds the recovery sweep's per-point estimator over
-// global point indices, plus its gate-count record. The randomness
+// recoveryPointFunc returns the recovery sweep's per-point estimator over
+// global point indices, plus its gate counts. The randomness
 // depends only on (p.Seed, gs[pt], trial index) — never on pt itself or
 // the worker count — so any
 // partition or re-indexing of the points (one runner, shards of a job
 // server, a subset grid served from the result cache) produces
 // bit-identical estimates.
-func recoveryPointFunc(gs []float64, p MCParams) (sweep.PointFunc, map[string]int) {
-	gad := core.NewGadget(gate.MAJ, 1)
-	counts := map[string]int{
-		"physical_ops": gad.Circuit.Len(),
-		"G_analytic":   threshold.GNonLocalInit,
+func recoveryPointFunc(gs []float64, p MCParams) (sweep.PointFunc, func() map[string]int) {
+	gad := sync.OnceValue(func() *core.Gadget { return core.NewGadget(gate.MAJ, 1) })
+	counts := func() map[string]int {
+		return map[string]int{
+			"physical_ops": gad().Circuit.Len(),
+			"G_analytic":   threshold.GNonLocalInit,
+		}
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		seed := pointSeed(p.Seed, gs[pt], saltRecovery)
-		res, rerr := gad.ErrorRateCtx(ctx, noise.Uniform(gs[pt]), p.wideWords(), start, trials, p.Workers, seed)
+		res, rerr := gad().ErrorRateCtx(ctx, noise.Uniform(gs[pt]), p.wideWords(), start, trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
@@ -305,19 +313,25 @@ func RecoveryCtx(ctx context.Context, gs []float64, p MCParams, o SweepOptions) 
 	return t, err
 }
 
-// levelsPointFunc builds the concatenation sweep's per-point estimator;
-// sweep points are the (level, g) cross product in row order.
-func levelsPointFunc(gs []float64, maxLevel int, p MCParams) (sweep.PointFunc, map[string]int) {
-	gads := make([]*core.Gadget, maxLevel+1)
-	counts := map[string]int{"G_analytic": threshold.GNonLocalInit}
+// levelsPointFunc returns the concatenation sweep's per-point estimator;
+// sweep points are the (level, g) cross product in row order, and each
+// level's gadget is built by the first point at that level.
+func levelsPointFunc(gs []float64, maxLevel int, p MCParams) (sweep.PointFunc, func() map[string]int) {
+	gads := make([]func() *core.Gadget, maxLevel+1)
 	for l := range gads {
-		gads[l] = core.NewGadget(gate.MAJ, l)
-		counts[fmt.Sprintf("L%d.physical_ops", l)] = gads[l].Circuit.Len()
+		gads[l] = sync.OnceValue(func() *core.Gadget { return core.NewGadget(gate.MAJ, l) })
+	}
+	counts := func() map[string]int {
+		c := map[string]int{"G_analytic": threshold.GNonLocalInit}
+		for l, gad := range gads {
+			c[fmt.Sprintf("L%d.physical_ops", l)] = gad().Circuit.Len()
+		}
+		return c
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		l, i := pt/len(gs), pt%len(gs)
 		seed := pointSeed(p.Seed, gs[i], saltLevels+uint64(l))
-		res, rerr := gads[l].ErrorRateCtx(ctx, noise.Uniform(gs[i]), p.wideWords(), start, trials, p.Workers, seed)
+		res, rerr := gads[l]().ErrorRateCtx(ctx, noise.Uniform(gs[i]), p.wideWords(), start, trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
@@ -354,24 +368,26 @@ func LevelsCtx(ctx context.Context, gs []float64, maxLevel int, p MCParams, o Sw
 	return t, err
 }
 
-// localPointFunc builds the near-neighbor sweep's per-point estimator;
+// localPointFunc returns the near-neighbor sweep's per-point estimator;
 // each point estimates the 2D and 1D cycles back to back.
-func localPointFunc(gs []float64, p MCParams) (sweep.PointFunc, map[string]int) {
-	c2 := lattice.NewCycle2D(gate.MAJ)
-	c1 := lattice.NewCycle1D(gate.MAJ)
-	counts := map[string]int{
-		"cycle2d.physical_ops": c2.Circuit.Len(),
-		"cycle2d.G_analytic":   threshold.G2DInit,
-		"cycle1d.physical_ops": c1.Circuit.Len(),
-		"cycle1d.G_analytic":   threshold.G1DInit,
+func localPointFunc(gs []float64, p MCParams) (sweep.PointFunc, func() map[string]int) {
+	c2 := sync.OnceValue(func() *lattice.Cycle { return lattice.NewCycle2D(gate.MAJ) })
+	c1 := sync.OnceValue(func() *lattice.Cycle { return lattice.NewCycle1D(gate.MAJ) })
+	counts := func() map[string]int {
+		return map[string]int{
+			"cycle2d.physical_ops": c2().Circuit.Len(),
+			"cycle2d.G_analytic":   threshold.G2DInit,
+			"cycle1d.physical_ops": c1().Circuit.Len(),
+			"cycle1d.G_analytic":   threshold.G1DInit,
+		}
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		m, w := noise.Uniform(gs[pt]), p.wideWords()
-		e2, rerr := c2.ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal))
+		e2, rerr := c2().ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal))
 		if rerr != nil {
 			return []stats.Bernoulli{e2.Bernoulli, {}}, rerr
 		}
-		e1, rerr := c1.ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal+1))
+		e1, rerr := c1().ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal+1))
 		return []stats.Bernoulli{e2.Bernoulli, e1.Bernoulli}, rerr
 	}, counts
 }
@@ -407,13 +423,14 @@ func LocalCtx(ctx context.Context, gs []float64, p MCParams, o SweepOptions) (*T
 	return t, err
 }
 
-// adderPointFunc builds the adder-module sweep's per-point estimator;
+// adderPointFunc returns the adder-module sweep's per-point estimator;
 // each point estimates the bare and the level-1 fault-tolerant adder back
-// to back on fixed representative operands.
-func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[string]int) {
+// to back on fixed representative operands. The logical circuit is built
+// at once; the compiled module on first use.
+func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, func() map[string]int) {
 	logical, l := adder.New(n)
-	m := core.CompileModule(logical, 1)
-	bare, ft := core.Plain("unprotected", logical), m.Target()
+	bare := core.Plain("unprotected", logical)
+	ft := sync.OnceValue(func() core.Target { return core.CompileModule(logical, 1).Target() })
 	// Fixed representative operands.
 	var in uint64
 	a, b := uint64(0b1011)&((1<<uint(n))-1), uint64(0b0110)&((1<<uint(n))-1)
@@ -421,10 +438,12 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[strin
 		in |= (a >> uint(i) & 1) << uint(l.A[i])
 		in |= (b >> uint(i) & 1) << uint(l.B[i])
 	}
-	counts := map[string]int{
-		"logical_ops":  logical.GateCount(),
-		"physical_ops": m.Physical.GateCount(),
-		"wires":        m.Physical.Width(),
+	counts := func() map[string]int {
+		return map[string]int{
+			"logical_ops":  logical.GateCount(),
+			"physical_ops": ft().Circuit.GateCount(),
+			"wires":        ft().Circuit.Width(),
+		}
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		nm := noise.Uniform(gs[pt])
@@ -434,7 +453,7 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[strin
 		if rerr != nil {
 			return []stats.Bernoulli{eb.Bernoulli, {}}, rerr
 		}
-		ef, rerr := ft.InputErrorRateCtx(ctx, in, nm, p.wideWords(), start, trials, p.Workers, sf)
+		ef, rerr := ft().InputErrorRateCtx(ctx, in, nm, p.wideWords(), start, trials, p.Workers, sf)
 		return []stats.Bernoulli{eb.Bernoulli, ef.Bernoulli}, rerr
 	}, counts
 }
@@ -442,8 +461,8 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, map[strin
 // AdderModuleCtx is RecoveryCtx for the n-bit Cuccaro adder, bare and
 // compiled to level 1; each point estimates both back to back.
 func AdderModuleCtx(ctx context.Context, n int, gs []float64, p MCParams, o SweepOptions) (*Table, error) {
-	fn, counts := adderPointFunc(n, gs, p)
-	o.recordGateCounts("adder", counts)
+	fn, gateCounts := adderPointFunc(n, gs, p)
+	o.recordGateCounts("adder", gateCounts)
 	spec := sweepSpec("adder", gs, len(gs), p, o, fmt.Sprintf("bits=%d", n))
 	out, err := o.runCached(ctx, spec, fn)
 	if out == nil {
@@ -455,6 +474,8 @@ func AdderModuleCtx(ctx context.Context, n int, gs []float64, p MCParams, o Swee
 		Title:  fmt.Sprintf("%d-bit reversible adder module: bare vs level-1 FT", n),
 		Header: []string{"g", "bare measured", "1−(1−g)^T", "FT level-1 measured", "FT wins"},
 	}
+	// The note prints the module's size, so the table builds it.
+	counts := gateCounts()
 	T := float64(counts["logical_ops"])
 	for _, pr := range out.Done {
 		if pr.Partial {
