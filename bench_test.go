@@ -74,7 +74,9 @@ func BenchmarkScalarRecovery(b *testing.B) {
 	g := revft.NewGadget(revft.MAJ, 1)
 	m := revft.UniformNoise(1e-3)
 	b.ResetTimer()
-	g.LogicalErrorRate(m, b.N, 1, 1)
+	if _, err := g.Estimate(context.Background(), revft.UniformInput, revft.NoisyRun(m), 0, 0, b.N, 1, 1); err != nil {
+		b.Fatal(err)
+	}
 }
 
 func BenchmarkLanesRecovery(b *testing.B) {
@@ -146,7 +148,9 @@ func BenchmarkHarnessScaling(b *testing.B) {
 	m := revft.UniformNoise(1e-3)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			g.LogicalErrorRate(m, b.N, w, 1)
+			if _, err := g.Estimate(context.Background(), revft.UniformInput, revft.NoisyRun(m), 0, 0, b.N, w, 1); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }
@@ -296,12 +300,11 @@ func BenchmarkAnalyticTables(b *testing.B) {
 // BenchmarkStorageCycle runs one noisy recovery cycle of fault-tolerant
 // storage (the §2 storage primitive).
 func BenchmarkStorageCycle(b *testing.B) {
-	m := revft.NewMemory(1, 1)
-	nm := revft.UniformNoise(1e-3)
+	trial := revft.NewMemory(1, 1).Target().Trial(revft.FixedInput(1), revft.NoisyRun(revft.UniformNoise(1e-3)))
 	r := revft.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Trial(true, nm, r)
+		trial(r)
 	}
 }
 

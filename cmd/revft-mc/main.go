@@ -15,15 +15,16 @@
 //
 // Common flags: -trials, -workers, -seed, -csv, -engine.
 //
-// -engine selects the Monte Carlo execution engine for the hot sweeps
-// (recovery, levels, local, adder): "scalar" runs one trial at a time;
+// -engine selects the Monte Carlo execution engine of the sweeps
+// (recovery, levels, local, adder) and of the initablation, interleave and
+// memory ablations: "scalar" runs one trial at a time;
 // "lanes", "lanes256" and "lanes512" run 1-, 4- or 8-word lane blocks
 // (64, 256 or 512 bit-sliced trials per batch) through the fused
 // word-program compiler — adjacent CNOT/CNOT/Toffoli triples collapse
 // into single MAJ/UMA kernels and fault points sharing a probability
 // share one geometric sampler. All engines sample the same noise process;
-// wider blocks amortize more dispatch per trial. Experiments without a
-// lane path ignore the flag.
+// wider blocks amortize more dispatch per trial. correlated and idle have
+// no lane path and fail on a lane engine; entropy and vonneumann refuse one.
 //
 // The sweep experiments (recovery, levels, local, adder) also run on a
 // resilient runtime with these flags:
@@ -84,13 +85,14 @@
 // next 512-trial block boundary, the checkpoint is flushed, and the
 // partial table is printed with a [PARTIAL] title tag. Rerunning with the
 // same spec and -resume finishes the sweep; the final table is
-// bit-identical to an uninterrupted run for a fixed (seed, engine).
+// bit-identical to an uninterrupted run for a fixed (seed, engine). The
+// ablations stop at the same boundary and print no table.
 //
 // Exit codes:
 //
 //	0  the run completed
-//	3  the run was interrupted (SIGINT/SIGTERM or -timeout) and printed
-//	   a [PARTIAL] table; the checkpoint, if any, is resumable
+//	3  the run was interrupted (SIGINT/SIGTERM or -timeout); a sweep
+//	   printed a [PARTIAL] table and its checkpoint, if any, is resumable
 //	1  anything else (usage errors, I/O failures, trial panics)
 //
 // Scripts can therefore distinguish "partial but resumable" from real
@@ -227,6 +229,11 @@ func run(args []string) error {
 			}
 		}
 	}
+	// entropy and vonneumann's estimators take neither engine nor context.
+	contextFree := *expName == "entropy" || *expName == "vonneumann"
+	if contextFree && *engine != exp.EngineScalar {
+		return fmt.Errorf("-engine %s: %s has no lane path; use -engine %s", *engine, *expName, exp.EngineScalar)
+	}
 	if *resume && *checkpoint == "" {
 		return errors.New("-resume requires -checkpoint")
 	}
@@ -287,8 +294,8 @@ func run(args []string) error {
 	}
 
 	// Telemetry: any observability flag builds a registry and installs it
-	// process-wide, so even the context-free engines (entropy, vonneumann,
-	// the ablations) report trial counts into it.
+	// process-wide, so even the estimators that take no context (entropy,
+	// vonneumann) report trial counts into it.
 	var (
 		reg *telemetry.Registry
 		man *telemetry.Manifest
@@ -344,16 +351,22 @@ func run(args []string) error {
 		tr = ft.Trace
 	}
 
-	var t *exp.Table
-	var sweepErr error
-	if sweepExp {
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// SIGINT/SIGTERM and -timeout cancel the sweeps and the ablations; the
+	// others keep the default signal behaviour, so an interrupt stops them.
+	ctx := context.Background()
+	if !contextFree {
+		var cancel context.CancelFunc
+		ctx, cancel = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 		defer cancel()
-		if *timeout > 0 {
-			var tcancel context.CancelFunc
-			ctx, tcancel = context.WithTimeout(ctx, *timeout)
-			defer tcancel()
-		}
+	}
+	if *timeout > 0 {
+		var tcancel context.CancelFunc
+		ctx, tcancel = context.WithTimeout(ctx, *timeout)
+		defer tcancel()
+	}
+	var t *exp.Table
+	var runErr error
+	if sweepExp {
 		var cache *resultcache.Store
 		if *cacheDir != "" {
 			// The cache shares the run's (possibly chaotic) filesystem:
@@ -381,16 +394,13 @@ func run(args []string) error {
 		}
 		switch *expName {
 		case "recovery":
-			t, sweepErr = exp.RecoveryCtx(ctx, gs, p, o)
+			t, runErr = exp.RecoveryCtx(ctx, gs, p, o)
 		case "levels":
-			t, sweepErr = exp.LevelsCtx(ctx, gs, *maxLevel, p, o)
+			t, runErr = exp.LevelsCtx(ctx, gs, *maxLevel, p, o)
 		case "local":
-			t, sweepErr = exp.LocalCtx(ctx, gs, p, o)
+			t, runErr = exp.LocalCtx(ctx, gs, p, o)
 		case "adder":
-			t, sweepErr = exp.AdderModuleCtx(ctx, *bits, gs, p, o)
-		}
-		if t == nil {
-			return sweepErr
+			t, runErr = exp.AdderModuleCtx(ctx, *bits, gs, p, o)
 		}
 	} else {
 		// Single-point runs get the registry-sourced heartbeat; sweep runs
@@ -405,15 +415,15 @@ func run(args []string) error {
 		case "vonneumann":
 			t = exp.VonNeumannChain(p)
 		case "initablation":
-			t = exp.InitAblation(gs, p)
+			t, runErr = exp.InitAblation(ctx, gs, p)
 		case "correlated":
-			t = exp.CorrelatedNoise(*gmax, []float64{0, 0.25, 0.5, 0.75, 0.9}, p)
+			t, runErr = exp.CorrelatedNoise(ctx, *gmax, []float64{0, 0.25, 0.5, 0.75, 0.9}, p)
 		case "interleave":
-			t = exp.InterleaveAblation(gs, p)
+			t, runErr = exp.InterleaveAblation(ctx, gs, p)
 		case "memory":
-			t = exp.MemoryExperiment(*gmax, []int{1, 2, 5, 10, 20, 50}, p)
+			t, runErr = exp.MemoryExperiment(ctx, *gmax, []int{1, 2, 5, 10, 20, 50}, p)
 		case "idle":
-			t = exp.IdleNoise(*gmax, []float64{0, 0.1, 0.5, 1, 2}, p)
+			t, runErr = exp.IdleNoise(ctx, *gmax, []float64{0, 0.1, 0.5, 1, 2}, p)
 		default:
 			if stopHeartbeat != nil {
 				stopHeartbeat()
@@ -427,7 +437,7 @@ func run(args []string) error {
 
 	if ft != nil {
 		ft.EmitSnapshot(reg)
-		ft.Emit("run_done", map[string]any{"ok": sweepErr == nil})
+		ft.Emit("run_done", map[string]any{"ok": runErr == nil})
 		if err := ft.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "revft-mc: trace %s: %v\n", *traceFile, err)
 		}
@@ -439,16 +449,19 @@ func run(args []string) error {
 		}
 	}
 
+	if t == nil {
+		return runErr
+	}
 	if *csv {
 		fmt.Print(t.CSV())
 	} else {
 		fmt.Println(t.Format())
 	}
-	if sweepErr != nil {
+	if runErr != nil {
 		if *checkpoint != "" {
-			return fmt.Errorf("sweep interrupted (%w); completed points are checkpointed in %s — rerun with -resume to finish", sweepErr, *checkpoint)
+			return fmt.Errorf("sweep interrupted (%w); completed points are checkpointed in %s — rerun with -resume to finish", runErr, *checkpoint)
 		}
-		return fmt.Errorf("sweep interrupted (%w); rerun with -checkpoint/-resume to make interruptions recoverable", sweepErr)
+		return fmt.Errorf("sweep interrupted (%w); rerun with -checkpoint/-resume to make interruptions recoverable", runErr)
 	}
 	return nil
 }

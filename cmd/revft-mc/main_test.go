@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"revft/internal/exp"
 	"revft/internal/server"
+	"revft/internal/telemetry"
 )
 
 // TestRemoteSpecDigest: with the default flags (-maxlevel 2, -bits 4) a
@@ -37,4 +42,78 @@ func TestMaxLevelBound(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-maxlevel") {
 		t.Fatalf("run = %v, want a -maxlevel error", err)
 	}
+}
+
+// TestAblationsRunSelectedEngine: initablation, interleave and memory run
+// the -engine they are given: every trial of the traced run is a lane
+// trial, and the manifest names the engine.
+func TestAblationsRunSelectedEngine(t *testing.T) {
+	t.Cleanup(func() { telemetry.SetDefault(nil) })
+	for _, name := range []string{"initablation", "interleave", "memory"} {
+		trace := filepath.Join(t.TempDir(), name+".jsonl")
+		if err := run([]string{"-exp", name, "-engine", exp.EngineLanes512, "-gmin", "5e-3", "-gmax", "5e-3", "-points", "1",
+			"-trials", "1000", "-seed", "1", "-trace", trace}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		engine, counters := readTrace(t, trace)
+		if engine != exp.EngineLanes512 {
+			t.Errorf("%s: manifest engine %q", name, engine)
+		}
+		if lt, st := counters["lanes.trials"], counters["sim.trials"]; st == 0 || lt != st {
+			t.Errorf("%s: lanes.trials %d, sim.trials %d; want every trial on the lane engine", name, lt, st)
+		}
+	}
+}
+
+// TestEngineWithoutLanePath: correlated and idle fail with the
+// estimator's error on a lane engine; entropy and vonneumann refuse a
+// non-scalar -engine before running anything.
+func TestEngineWithoutLanePath(t *testing.T) {
+	for _, name := range []string{"correlated", "idle"} {
+		err := run([]string{"-exp", name, "-engine", exp.EngineLanes, "-gmax", "5e-3", "-trials", "1000"})
+		if err == nil || !strings.Contains(err.Error(), "lane engine runs only Noisy runs") {
+			t.Errorf("%s on lanes: %v, want the lane engine's refusal", name, err)
+		}
+	}
+	for _, name := range []string{"entropy", "vonneumann"} {
+		err := run([]string{"-exp", name, "-engine", exp.EngineLanes512})
+		if err == nil || !strings.Contains(err.Error(), "has no lane path") {
+			t.Errorf("%s on lanes512: %v, want a usage error", name, err)
+		}
+	}
+}
+
+// readTrace returns a JSONL trace's manifest engine and the counters of
+// its last metrics snapshot.
+func readTrace(t *testing.T, path string) (engine string, counters map[string]int64) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var ev struct {
+			Type    string `json:"type"`
+			Engine  string `json:"engine"`
+			Metrics struct {
+				Counters map[string]int64 `json:"counters"`
+			} `json:"metrics"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Type {
+		case "manifest":
+			engine = ev.Engine
+		case "metrics":
+			counters = ev.Metrics.Counters
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return engine, counters
 }

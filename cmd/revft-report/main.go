@@ -88,26 +88,26 @@ func run(args []string) error {
 		gs := stats.LogSpace(3e-4, 3e-2, 5)
 		fmt.Println("# Monte Carlo measurements")
 		fmt.Println()
-		// Under a background context the sweep drivers' only possible
-		// error is a recovered trial panic.
+		// Under a background context the drivers' only possible error is
+		// a recovered trial panic.
 		ctx, o := context.Background(), exp.SweepOptions{}
 		recovery, err1 := exp.RecoveryCtx(ctx, gs, p, o)
 		levels, err2 := exp.LevelsCtx(ctx, gs, 2, p, o)
 		local, err3 := exp.LocalCtx(ctx, gs, p, o)
 		adder, err4 := exp.AdderModuleCtx(ctx, 4, stats.LogSpace(3e-4, 5e-3, 4), p, o)
-		if err := errors.Join(err1, err2, err3, err4); err != nil {
+		initAbl, err5 := exp.InitAblation(ctx, stats.LogSpace(2e-3, 1e-2, 3), p)
+		corr, err6 := exp.CorrelatedNoise(ctx, 5e-3, []float64{0, 0.25, 0.5, 0.75, 0.9}, p)
+		inter, err7 := exp.InterleaveAblation(ctx, []float64{1e-3, 3e-3}, p)
+		mem, err8 := exp.MemoryExperiment(ctx, 5e-3, []int{1, 5, 20, 50}, p)
+		idle, err9 := exp.IdleNoise(ctx, 2e-3, []float64{0, 0.5, 1, 2}, p)
+		if err := errors.Join(err1, err2, err3, err4, err5, err6, err7, err8, err9); err != nil {
 			return err
 		}
 		tables := []*exp.Table{
 			recovery, levels, local,
 			exp.EntropyMeasured(stats.LogSpace(2e-3, 5e-2, 4), p),
 			exp.VonNeumannChain(p),
-			adder,
-			exp.InitAblation(stats.LogSpace(2e-3, 1e-2, 3), p),
-			exp.CorrelatedNoise(5e-3, []float64{0, 0.25, 0.5, 0.75, 0.9}, p),
-			exp.InterleaveAblation([]float64{1e-3, 3e-3}, p),
-			exp.MemoryExperiment(5e-3, []int{1, 5, 20, 50}, p),
-			exp.IdleNoise(2e-3, []float64{0, 0.5, 1, 2}, p),
+			adder, initAbl, corr, inter, mem, idle,
 		}
 		for _, t := range tables {
 			fmt.Print(t.Markdown())

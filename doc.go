@@ -25,7 +25,12 @@
 //
 //	g := revft.NewGadget(revft.MAJ, 1)          // FT MAJ at level 1
 //	m := revft.UniformNoise(1e-3)               // paper's error model
-//	est := g.LogicalErrorRate(m, 100000, 0, 1)  // Monte Carlo g_logical
+//	// Monte Carlo g_logical: uniform inputs, scalar engine (0 lane words),
+//	// 100000 trials from trial 0, GOMAXPROCS workers, seed 1.
+//	est, err := g.Estimate(ctx, revft.UniformInput, revft.NoisyRun(m), 0, 0, 100000, 0, 1)
+//	if err != nil {
+//		return err
+//	}
 //	fmt.Println(est)                            // well below 1e-3
 //
 // Or compile a whole circuit:

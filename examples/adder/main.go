@@ -9,7 +9,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"revft"
 )
@@ -47,10 +49,17 @@ func main() {
 	unprotected := revft.PlainTarget("unprotected", logical)
 	fmt.Printf("%-10s  %-22s  %-22s\n", "g", "bare adder error", "FT level-1 error")
 	const trials = 60000
+	ctx := context.Background()
 	for i, g := range []float64{5e-4, 2e-3, 5e-3} {
 		m := revft.UniformNoise(g)
-		bare := revft.MonteCarlo(trials, 0, uint64(10+i), unprotected.Trial(revft.FixedInput(in), revft.NoisyRun(m)))
-		ft := mod.ErrorRate(in, m, trials, 0, uint64(20+i))
+		bare, err := unprotected.Estimate(ctx, revft.FixedInput(in), revft.NoisyRun(m), 0, 0, trials, 0, uint64(10+i))
+		if err != nil {
+			log.Fatal(err)
+		}
+		ft, err := mod.Target().Estimate(ctx, revft.FixedInput(in), revft.NoisyRun(m), 0, 0, trials, 0, uint64(20+i))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10.0e  %-22s  %-22s\n", g, bare.String(), ft.String())
 	}
 

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"revft"
 )
@@ -65,5 +67,9 @@ func main() {
 }
 
 func cycleError(c *revft.Cycle, m revft.NoiseModel, trials int, seed uint64) revft.Estimate {
-	return revft.MonteCarlo(trials, 0, seed, c.Trial(revft.UniformInput, revft.NoisyRun(m)))
+	res, err := c.Estimate(context.Background(), revft.UniformInput, revft.NoisyRun(m), 0, 0, trials, 0, seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Bernoulli
 }

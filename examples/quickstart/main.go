@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"revft"
 )
@@ -29,7 +31,10 @@ func main() {
 	fmt.Printf("%-10s  %-12s  %-12s  %s\n", "g", "bare gate", "FT level 1", "Eq.1 bound")
 	const trials = 100000
 	for i, g := range []float64{1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 2.5e-1} {
-		est := gadget.LogicalErrorRate(revft.UniformNoise(g), trials, 0, uint64(i+1))
+		est, err := gadget.Estimate(context.Background(), revft.UniformInput, revft.NoisyRun(revft.UniformNoise(g)), 0, 0, trials, 0, uint64(i+1))
+		if err != nil {
+			log.Fatal(err)
+		}
 		bound := 3 * 55 * g * g // 3·C(11,2)·g²
 		verdict := ""
 		if est.Rate() < g {

@@ -78,7 +78,10 @@ func TestBurstNoiseThroughFacade(t *testing.T) {
 	}
 	// Gadget path.
 	g := revft.NewGadget(revft.MAJ, 1)
-	est := g.LogicalErrorRateProcess(b, 5000, 0, 2)
+	est, err := g.Estimate(context.Background(), revft.UniformInput, revft.ProcessRun(b), 0, 0, 5000, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if est.Trials != 5000 {
 		t.Fatal("process-based estimate did not run")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"revft/internal/bitvec"
@@ -8,6 +9,7 @@ import (
 	"revft/internal/gate"
 	"revft/internal/noise"
 	"revft/internal/rng"
+	"revft/internal/stats"
 )
 
 func TestBuilderAllocation(t *testing.T) {
@@ -131,6 +133,17 @@ func requireTolerant(t *testing.T, tg Target) {
 	}
 }
 
+// scalarRate is tg's Estimate from trial 0 on the scalar engine and
+// GOMAXPROCS workers, failing the test on error.
+func scalarRate(t *testing.T, tg Target, in Input, run Run, trials int, seed uint64) stats.Bernoulli {
+	t.Helper()
+	res, err := tg.Estimate(context.Background(), in, run, 0, 0, trials, 0, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Bernoulli
+}
+
 // TestGadgetTrialNoiseless: with no noise a trial never reports an error.
 func TestGadgetTrialNoiseless(t *testing.T) {
 	g := NewGadget(gate.MAJ, 1)
@@ -150,7 +163,7 @@ func TestLogicalErrorRateImproves(t *testing.T) {
 
 	// g0 well below threshold 1/108.
 	const low = 1e-3
-	est := g.LogicalErrorRate(noise.Uniform(low), 200000, 0, 42)
+	est := scalarRate(t, g.Target, Uniform, Noisy(noise.Uniform(low)), 200000, 42)
 	_, hi := est.Wilson(1.96)
 	if hi >= low {
 		t.Fatalf("below threshold: glogical = %v not < g = %v", est, low)
@@ -158,7 +171,7 @@ func TestLogicalErrorRateImproves(t *testing.T) {
 
 	// g0 far above threshold: encoding should be worse than the bare gate.
 	const high = 0.25
-	est = g.LogicalErrorRate(noise.Uniform(high), 20000, 0, 43)
+	est = scalarRate(t, g.Target, Uniform, Noisy(noise.Uniform(high)), 20000, 43)
 	lo, _ := est.Wilson(1.96)
 	if lo <= high {
 		t.Fatalf("above threshold: glogical = %v not > g = %v", est, high)
@@ -172,9 +185,9 @@ func TestLogicalErrorRateImproves(t *testing.T) {
 // 150k trials the expected ~8 failures sat on the pass/fail edge.
 func TestLevel2BeatsLevel1BelowThreshold(t *testing.T) {
 	const g0 = 2e-3 // comfortably below 1/108 ≈ 9.3e-3
-	m := noise.Uniform(g0)
-	l1 := NewGadget(gate.MAJ, 1).LogicalErrorRate(m, 1500000, 0, 7)
-	l2 := NewGadget(gate.MAJ, 2).LogicalErrorRate(m, 150000, 0, 8)
+	run := Noisy(noise.Uniform(g0))
+	l1 := scalarRate(t, NewGadget(gate.MAJ, 1).Target, Uniform, run, 1500000, 7)
+	l2 := scalarRate(t, NewGadget(gate.MAJ, 2).Target, Uniform, run, 150000, 8)
 	_, hi2 := l2.Wilson(1.96)
 	lo1, _ := l1.Wilson(1.96)
 	if hi2 >= lo1 {

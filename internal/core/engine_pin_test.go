@@ -90,7 +90,7 @@ func TestEngineSuccessCountsPinned(t *testing.T) {
 		for _, md := range pinModels {
 			for _, words := range []int{1, 4, 8} {
 				key := fmt.Sprintf("%s/%s/%d", pt.name, md.name, words)
-				res, err := pt.t.estimate(context.Background(), pt.in, md.m, words, 0, trials, 2, seed)
+				res, err := pt.t.Estimate(context.Background(), pt.in, Noisy(md.m), words, 0, trials, 2, seed)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}

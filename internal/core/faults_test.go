@@ -33,7 +33,7 @@ func TestQuadraticCoefficientPredictsMC(t *testing.T) {
 	g := NewGadget(gate.MAJ, 1)
 	c2 := g.QuadraticCoefficient()
 	const gerr = 3e-3
-	est := g.LogicalErrorRate(noise.Uniform(gerr), 400000, 0, 51)
+	est := scalarRate(t, g.Target, Uniform, Noisy(noise.Uniform(gerr)), 400000, 51)
 	predicted := c2 * gerr * gerr
 	lo, hi := est.Wilson(1.96)
 	if predicted < lo*0.75 || predicted > hi*1.25 {

@@ -7,7 +7,6 @@ import (
 	"revft/internal/gate"
 	"revft/internal/noise"
 	"revft/internal/sim"
-	"revft/internal/stats"
 )
 
 // Gadget is one fault-tolerant logical gate at a concatenation level,
@@ -56,33 +55,19 @@ func NewGadget(k gate.Kind, level int) *Gadget {
 	}
 }
 
-// LogicalErrorRate estimates g_logical by Monte Carlo: trials noisy
-// executions under model m on the scalar engine, split across workers,
-// seeded deterministically. A trial panic propagates.
-func (g *Gadget) LogicalErrorRate(m noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, g.Trial(Uniform, Noisy(m)))
-}
-
-// LogicalErrorRateCtx is ErrorRateCtx from trial 0, on the scalar engine.
+// LogicalErrorRateCtx is Estimate from trial 0 over uniform inputs under
+// m, on the scalar engine.
 func (g *Gadget) LogicalErrorRateCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return g.ErrorRateCtx(ctx, m, 0, 0, trials, workers, seed)
+	return g.Estimate(ctx, Uniform, Noisy(m), 0, 0, trials, workers, seed)
 }
 
-// LogicalErrorRateWideCtx is ErrorRateCtx from trial 0, words wide.
+// LogicalErrorRateWideCtx is LogicalErrorRateCtx words wide.
 func (g *Gadget) LogicalErrorRateWideCtx(ctx context.Context, m noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
-	return g.ErrorRateCtx(ctx, m, words, 0, trials, workers, seed)
+	return g.Estimate(ctx, Uniform, Noisy(m), words, 0, trials, workers, seed)
 }
 
-// LogicalErrorRateLanesCtx is ErrorRateCtx from trial 0, 64 lanes wide.
-// It is kept only for the benchmark module, whose perfbench/layers.go
-// calls it.
+// LogicalErrorRateLanesCtx is LogicalErrorRateCtx 64 lanes wide. It is
+// kept only for the benchmark module, whose perfbench/layers.go calls it.
 func (g *Gadget) LogicalErrorRateLanesCtx(ctx context.Context, m noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return g.ErrorRateCtx(ctx, m, 1, 0, trials, workers, seed)
-}
-
-// LogicalErrorRateProcess is LogicalErrorRate under a stateful fault
-// process (e.g. noise.Burst): each trial runs the circuit with a fresh
-// sampler.
-func (g *Gadget) LogicalErrorRateProcess(p noise.Process, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, g.Trial(Uniform, Process(p)))
+	return g.Estimate(ctx, Uniform, Noisy(m), 1, 0, trials, workers, seed)
 }

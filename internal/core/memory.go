@@ -3,13 +3,7 @@ package core
 import (
 	"fmt"
 
-	"revft/internal/bitvec"
 	"revft/internal/circuit"
-	"revft/internal/code"
-	"revft/internal/noise"
-	"revft/internal/rng"
-	"revft/internal/sim"
-	"revft/internal/stats"
 )
 
 // Recover emits one level-top error-recovery cycle on logical bit i. This
@@ -63,21 +57,4 @@ func NewMemory(level, cycles int) *Memory {
 // circuit between the bit's codewords, whose ideal action is the identity.
 func (m *Memory) Target() Target {
 	return Target{Name: "memory", Circuit: m.Circuit, In: [][]int{m.In}, Out: [][]int{m.Out}, Logical: circuit.New(1)}
-}
-
-// Trial stores v, runs all cycles under noise, and reports whether the
-// decoded value flipped.
-func (m *Memory) Trial(v bool, nm noise.Model, r *rng.RNG) bool {
-	st := bitvec.New(m.Circuit.Width())
-	code.EncodeInto(st, m.In, v, m.Level)
-	sim.RunNoisy(m.Circuit, st, nm, r)
-	return code.Decode(st, m.Out, m.Level) != v
-}
-
-// ErrorRate estimates the storage failure probability by parallel Monte
-// Carlo over random stored values.
-func (m *Memory) ErrorRate(nm noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, func(r *rng.RNG) bool {
-		return m.Trial(r.Bool(0.5), nm, r)
-	})
 }

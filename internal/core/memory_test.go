@@ -51,9 +51,9 @@ func TestMemorySingleFaultExhaustive(t *testing.T) {
 // grows roughly linearly with the number of cycles.
 func TestMemoryErrorGrowsLinearly(t *testing.T) {
 	const g = 8e-3
-	nm := noise.Uniform(g)
-	r5 := NewMemory(1, 5).ErrorRate(nm, 150000, 0, 11)
-	r20 := NewMemory(1, 20).ErrorRate(nm, 150000, 0, 12)
+	run := Noisy(noise.Uniform(g))
+	r5 := scalarRate(t, NewMemory(1, 5).Target(), Uniform, run, 150000, 11)
+	r20 := scalarRate(t, NewMemory(1, 20).Target(), Uniform, run, 150000, 12)
 	ratio := r20.Rate() / r5.Rate()
 	if ratio < 2.5 || ratio > 6.5 {
 		t.Fatalf("20-cycle vs 5-cycle error ratio = %v (rates %v, %v), want ≈4",
@@ -65,9 +65,9 @@ func TestMemoryErrorGrowsLinearly(t *testing.T) {
 // stores more reliably than level 1.
 func TestMemoryLevel2Better(t *testing.T) {
 	const g = 4e-3
-	nm := noise.Uniform(g)
-	l1 := NewMemory(1, 10).ErrorRate(nm, 120000, 0, 13)
-	l2 := NewMemory(2, 10).ErrorRate(nm, 120000, 0, 14)
+	run := Noisy(noise.Uniform(g))
+	l1 := scalarRate(t, NewMemory(1, 10).Target(), Uniform, run, 120000, 13)
+	l2 := scalarRate(t, NewMemory(2, 10).Target(), Uniform, run, 120000, 14)
 	lo1, _ := l1.Wilson(1.96)
 	_, hi2 := l2.Wilson(1.96)
 	if hi2 >= lo1 {
@@ -94,11 +94,10 @@ func TestMemoryPanics(t *testing.T) {
 }
 
 func BenchmarkMemoryTrial(b *testing.B) {
-	m := NewMemory(1, 10)
-	nm := noise.Uniform(1e-3)
+	trial := NewMemory(1, 10).Target().Trial(Fixed(1), Noisy(noise.Uniform(1e-3)))
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Trial(true, nm, r)
+		trial(r)
 	}
 }

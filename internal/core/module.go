@@ -6,7 +6,6 @@ import (
 	"revft/internal/circuit"
 	"revft/internal/noise"
 	"revft/internal/sim"
-	"revft/internal/stats"
 )
 
 // Module is a logical circuit compiled into its fault-tolerant physical
@@ -57,26 +56,19 @@ func (m *Module) Target() Target {
 	return Target{Name: "module", Circuit: m.Physical, In: m.In, Out: m.Out, Logical: m.Logical}
 }
 
-// ErrorRate estimates the module's logical failure probability on the given
-// input by parallel Monte Carlo on the scalar engine. A trial panic
-// propagates.
-func (m *Module) ErrorRate(in uint64, nm noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarlo(trials, workers, seed, m.Target().Trial(Fixed(in), Noisy(nm)))
-}
-
-// ErrorRateCtx is Target().InputErrorRateCtx from trial 0, scalar.
+// ErrorRateCtx is Target().Estimate from trial 0 on the packed logical
+// input in under nm, on the scalar engine.
 func (m *Module) ErrorRateCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return m.Target().InputErrorRateCtx(ctx, in, nm, 0, 0, trials, workers, seed)
+	return m.Target().Estimate(ctx, Fixed(in), Noisy(nm), 0, 0, trials, workers, seed)
 }
 
-// ErrorRateWideCtx is Target().InputErrorRateCtx from trial 0, words wide.
+// ErrorRateWideCtx is ErrorRateCtx words wide.
 func (m *Module) ErrorRateWideCtx(ctx context.Context, in uint64, nm noise.Model, words, trials, workers int, seed uint64) (sim.Result, error) {
-	return m.Target().InputErrorRateCtx(ctx, in, nm, words, 0, trials, workers, seed)
+	return m.Target().Estimate(ctx, Fixed(in), Noisy(nm), words, 0, trials, workers, seed)
 }
 
-// ErrorRateLanesCtx is Target().InputErrorRateCtx from trial 0, 64 lanes
-// wide. It is kept only for the benchmark module, whose
-// perfbench/layers.go calls it.
+// ErrorRateLanesCtx is ErrorRateCtx 64 lanes wide. It is kept only for
+// the benchmark module, whose perfbench/layers.go calls it.
 func (m *Module) ErrorRateLanesCtx(ctx context.Context, in uint64, nm noise.Model, trials, workers int, seed uint64) (sim.Result, error) {
-	return m.Target().InputErrorRateCtx(ctx, in, nm, 1, 0, trials, workers, seed)
+	return m.Target().Estimate(ctx, Fixed(in), Noisy(nm), 1, 0, trials, workers, seed)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"revft/internal/adder"
@@ -137,14 +136,9 @@ func TestModuleBeatsUnprotected(t *testing.T) {
 		logical.MAJ(i%3, (i+1)%3, (i+2)%3)
 	}
 	const g = 1e-3
-	nm := noise.Uniform(g)
-
-	res, err := Plain("unprotected", logical).InputErrorRateCtx(context.Background(), 0b101, nm, 0, 0, 40000, 0, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := res.Bernoulli
-	ft := CompileModule(logical, 1).ErrorRate(0b101, nm, 40000, 0, 22)
+	run := Noisy(noise.Uniform(g))
+	bare := scalarRate(t, Plain("unprotected", logical), Fixed(0b101), run, 40000, 21)
+	ft := scalarRate(t, CompileModule(logical, 1).Target(), Fixed(0b101), run, 40000, 22)
 
 	loBare, _ := bare.Wilson(1.96)
 	_, hiFT := ft.Wilson(1.96)

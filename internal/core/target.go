@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"revft/internal/bitvec"
 	"revft/internal/circuit"
@@ -71,10 +72,11 @@ var Uniform Input
 // bit i); it draws no randomness.
 func Fixed(in uint64) Input { return Input{fixed: true, in: in} }
 
-// Run is the execution step of a scalar trial: the paper's randomizing
-// channel (Noisy), a stateful fault process (Process) or a moment
-// schedule with idle noise (Idle). It is a closed set of direct calls
-// rather than a function value so the trial's state stays on the stack.
+// Run is the execution step of a trial: the paper's randomizing channel
+// (Noisy, the only one with a lane path), a stateful fault process
+// (Process) or a moment schedule with idle noise (Idle). It is a closed
+// set of direct calls rather than a function value so the trial's state
+// stays on the stack.
 type Run struct {
 	model   noise.Model
 	process noise.Process
@@ -169,26 +171,19 @@ func (c *codec) wrong(st *bitvec.Vector, want uint64) bool {
 	return false
 }
 
-// ErrorRateCtx estimates the target's logical failure probability over
-// uniformly random inputs under model m over trials [start, start+trials)
-// of the estimate seeded with seed: words = 0 runs the scalar engine,
-// words = K the K-word lane engine. See sim.MonteCarloCtx for start,
-// workers, cancellation and panics.
-func (t Target) ErrorRateCtx(ctx context.Context, m noise.Model, words, start, trials, workers int, seed uint64) (sim.Result, error) {
-	return t.estimate(ctx, Uniform, m, words, start, trials, workers, seed)
-}
-
-// InputErrorRateCtx is ErrorRateCtx with every trial on the packed
-// logical input in.
-func (t Target) InputErrorRateCtx(ctx context.Context, in uint64, m noise.Model, words, start, trials, workers int, seed uint64) (sim.Result, error) {
-	return t.estimate(ctx, Fixed(in), m, words, start, trials, workers, seed)
-}
-
-// estimate is the one place the scalar and lane engines are chosen
-// between.
-func (t Target) estimate(ctx context.Context, in Input, m noise.Model, words, start, trials, workers int, seed uint64) (sim.Result, error) {
-	if words > 0 {
-		return sim.MonteCarloWideCtx(ctx, start, trials, workers, seed, words, t.batch(ctx, in, m, words))
+// Estimate is the one Monte Carlo estimator: it counts the target's
+// logical failures over trials [start, start+trials) of the estimate
+// seeded with seed, every trial's input chosen by in and executed by run.
+// words = 0 runs the scalar engine (sim.MonteCarloCtx), words = K the
+// K-word lane engine (sim.MonteCarloWideCtx), which runs only Noisy runs:
+// a Process or Idle run with words > 0 is an error. See
+// sim.MonteCarloCtx for start, workers, cancellation and panics.
+func (t Target) Estimate(ctx context.Context, in Input, run Run, words, start, trials, workers int, seed uint64) (sim.Result, error) {
+	if words <= 0 {
+		return sim.MonteCarloCtx(ctx, start, trials, workers, seed, t.Trial(in, run))
 	}
-	return sim.MonteCarloCtx(ctx, start, trials, workers, seed, t.Trial(in, Noisy(m)))
+	if run.sched != nil || run.process != nil {
+		return sim.Result{}, fmt.Errorf("core: %s: the lane engine runs only Noisy runs, not a fault process or an idle schedule", t.Name)
+	}
+	return sim.MonteCarloWideCtx(ctx, start, trials, workers, seed, words, t.batch(ctx, in, run.model, words))
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"revft/internal/core"
 	"revft/internal/gate"
 	"revft/internal/irrev"
@@ -14,7 +16,7 @@ import (
 // InitAblation measures the effect of the paper's two initialization
 // conventions: initialization as noisy as any gate (G = 11) versus
 // noiseless initialization (G = 9), on the level-1 logical error rate.
-func InitAblation(gs []float64, p MCParams) *Table {
+func InitAblation(ctx context.Context, gs []float64, p MCParams) (*Table, error) {
 	t := &Table{
 		ID:     "F3",
 		Title:  "Ablation: noisy vs perfect initialization (G = 11 vs G = 9)",
@@ -22,44 +24,49 @@ func InitAblation(gs []float64, p MCParams) *Table {
 	}
 	gad := core.NewGadget(gate.MAJ, 1)
 	for i, g := range gs {
-		noisy := gad.LogicalErrorRate(noise.Uniform(g), p.Trials, p.Workers, p.Seed+uint64(2*i))
-		perfect := gad.LogicalErrorRate(noise.PerfectInit(g), p.Trials, p.Workers, p.Seed+uint64(2*i+1))
-		ratio := 0.0
-		if perfect.Rate() > 0 {
-			ratio = noisy.Rate() / perfect.Rate()
+		noisy, err := p.rate(ctx, gad.Target, core.Noisy(noise.Uniform(g)), p.Seed+uint64(2*i))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(g, noisy.Rate(), perfect.Rate(), ratio)
+		perfect, err := p.rate(ctx, gad.Target, core.Noisy(noise.PerfectInit(g)), p.Seed+uint64(2*i+1))
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(g, noisy, perfect, ratio(noisy, perfect))
 	}
 	t.AddNote("the paper's bound ratio is C(11,2)/C(9,2) = 55/36 ≈ 1.53; measured ratios approach it as g grows (at tiny g the estimates are shot-noise limited)")
-	return t
+	return t, nil
 }
 
 // CorrelatedNoise measures how temporally correlated faults degrade the
 // level-1 logical error rate at a fixed marginal fault rate — probing the
 // paper's §2 caveat that its analysis requires failures no more correlated
-// than the binomial.
-func CorrelatedNoise(g float64, corrs []float64, p MCParams) *Table {
+// than the binomial. The burst process has no lane path: a lane engine
+// fails with Estimate's error.
+func CorrelatedNoise(ctx context.Context, g float64, corrs []float64, p MCParams) (*Table, error) {
 	t := &Table{
 		ID:     "F3",
 		Title:  "Ablation: correlated (burst) faults at fixed marginal rate",
 		Header: []string{"corr", "spontaneous rate", "marginal rate", "measured g_logical", "vs IID"},
 	}
 	gad := core.NewGadget(gate.MAJ, 1)
-	iid := gad.LogicalErrorRate(noise.Uniform(g), p.Trials, p.Workers, p.Seed)
+	iid, err := p.rate(ctx, gad.Target, core.Noisy(noise.Uniform(g)), p.Seed)
+	if err != nil {
+		return nil, err
+	}
 	for i, corr := range corrs {
 		// Choose the spontaneous rate so the marginal matches g.
 		base := g * (1 - corr*(1-g))
 		b := noise.Burst{Gate: base, Init: base, Corr: corr}
-		est := gad.LogicalErrorRateProcess(b, p.Trials, p.Workers, p.Seed+uint64(i+1))
-		ratio := 0.0
-		if iid.Rate() > 0 {
-			ratio = est.Rate() / iid.Rate()
+		est, err := p.rate(ctx, gad.Target, core.Process(b), p.Seed+uint64(i+1))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(corr, base, b.Marginal(), est.Rate(), ratio)
+		t.AddRow(corr, base, b.Marginal(), est, ratio(est, iid))
 	}
-	t.AddNote("IID reference at the same marginal rate: %.3g", iid.Rate())
+	t.AddNote("IID reference at the same marginal rate: %.3g", iid)
 	t.AddNote("correlated pairs defeat a single-fault-tolerant code, so g_logical grows with corr at fixed marginal rate")
-	return t
+	return t, nil
 }
 
 // ExactThresholds compares the paper's relaxed threshold ρ = 1/(3·C(G,2))
@@ -94,7 +101,7 @@ func ExactThresholds() *Table {
 // InterleaveAblation compares the three local routing schemes: perpendicular
 // 2D (strictly fault tolerant), parallel 2D, and 1D — exhaustive audits plus
 // measured level-1 error rates.
-func InterleaveAblation(gs []float64, p MCParams) *Table {
+func InterleaveAblation(ctx context.Context, gs []float64, p MCParams) (*Table, error) {
 	t := &Table{
 		ID:     "F4/F6",
 		Title:  "Ablation: interleave schemes — fault audits and measured error rates",
@@ -112,13 +119,15 @@ func InterleaveAblation(gs []float64, p MCParams) *Table {
 		audit := s.c.AuditSingleFaults()
 		danger := len(s.c.CrossingOps())
 		for i, g := range gs {
-			est := sim.MonteCarlo(p.Trials, p.Workers, p.Seed+uint64(100*si+i),
-				s.c.Trial(core.Uniform, core.Noisy(noise.Uniform(g))))
-			t.AddRow(s.name, len(audit.Failures), danger, g, est.Rate())
+			est, err := p.rate(ctx, s.c.Target, core.Noisy(noise.Uniform(g)), p.Seed+uint64(100*si+i))
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(s.name, len(audit.Failures), danger, g, est)
 		}
 	}
 	t.AddNote("only the perpendicular scheme routes exclusively through ancilla cells; the others swap data through data")
-	return t
+	return t, nil
 }
 
 // NANDSimulation regenerates footnote 4: the entropy cost of simulating an
@@ -163,8 +172,9 @@ func SynthesisCosts() *Table {
 }
 
 // MemoryExperiment measures fault-tolerant storage: logical error of one
-// held bit versus the number of recovery cycles.
-func MemoryExperiment(g float64, cycles []int, p MCParams) *Table {
+// held bit versus the number of recovery cycles, each stored value drawn
+// uniformly (Memory.Target under core.Uniform).
+func MemoryExperiment(ctx context.Context, g float64, cycles []int, p MCParams) (*Table, error) {
 	t := &Table{
 		ID:     "F2",
 		Title:  "Fault-tolerant storage: stored-bit error vs recovery cycles (level 1)",
@@ -172,17 +182,15 @@ func MemoryExperiment(g float64, cycles []int, p MCParams) *Table {
 	}
 	nm := noise.Uniform(g)
 	for i, n := range cycles {
-		m := core.NewMemory(1, n)
-		est := m.ErrorRate(nm, p.Trials, p.Workers, p.Seed+uint64(i))
-		per := 0.0
-		if n > 0 {
-			per = est.Rate() / float64(n)
+		est, err := p.rate(ctx, core.NewMemory(1, n).Target(), core.Noisy(nm), p.Seed+uint64(i))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(n, est.Rate(), per)
+		t.AddRow(n, est, ratio(est, float64(n)))
 	}
 	t.AddNote("g = %v; per-cycle rates should be flat (linear accumulation) and ≲ C(E,2)·g² = %.3g",
 		g, threshold.Choose(core.RecoveryOps, 2)*g*g)
-	return t
+	return t, nil
 }
 
 // PairAnalysis exhaustively enumerates all two-fault combinations of the
@@ -206,4 +214,45 @@ func PairAnalysis() *Table {
 		"the exact pseudo-threshold 1/c₂ ≈ %.3f explains why Monte Carlo sees the crossover an order of magnitude above ρ = 1/165",
 		malignant, total, 1/c2)
 	return t
+}
+
+// IdleNoise measures the architecture/performance trade-off the paper's
+// issue 1 raises: when idle bits also decay (flip with probability
+// idleFrac·g per time step), both local schemes degrade — the 1D cycle is
+// ~4x deeper than the 2D cycle, so its absolute error grows faster, keeping
+// it an order of magnitude worse across the sweep. The idle schedule has
+// no lane path: a lane engine fails with Estimate's error.
+func IdleNoise(ctx context.Context, g float64, idleFracs []float64, p MCParams) (*Table, error) {
+	t := &Table{
+		ID:     "F4/F7",
+		Title:  "Ablation: idle-bit noise — scheduled execution of the local cycles",
+		Header: []string{"idle/g", "2D measured", "1D measured", "1D/2D"},
+	}
+	c2 := lattice.NewCycle2D(gate.MAJ)
+	c1 := lattice.NewCycle1D(gate.MAJ)
+	s2 := sim.NewScheduled(c2.Circuit)
+	s1 := sim.NewScheduled(c1.Circuit)
+	for i, f := range idleFracs {
+		m := noise.Idle{Gate: g, Init: g, Idle: f * g}
+		e2, err := p.rate(ctx, c2.Target, core.Idle(s2, m), p.Seed+uint64(2*i))
+		if err != nil {
+			return nil, err
+		}
+		e1, err := p.rate(ctx, c1.Target, core.Idle(s1, m), p.Seed+uint64(2*i+1))
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(f, e2, e1, ratio(e1, e2))
+	}
+	t.AddNote("gate error g = %v; cycle depths: 2D = %d, 1D = %d time steps", g, s2.Depth(), s1.Depth())
+	t.AddNote("the paper's model has noiseless idle bits (idle/g = 0); positive idle noise is our ablation")
+	return t, nil
+}
+
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }

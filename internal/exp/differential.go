@@ -6,8 +6,8 @@ package exp
 // the same core.Target and requires each estimate's 3σ Wilson interval
 // to intersect the oracle's exact interval [P_W(ε), P_W(ε)+tail] — a
 // point for full enumerations. The estimates come from
-// Target.ErrorRateCtx, the estimator the sweeps, the job server and the
-// benchmark run, so a pass here checks the production code path, not a
+// Target.Estimate, the one estimator the sweeps, the ablations, the job
+// server and the benchmark run, so a pass here checks the production code path, not a
 // copy of it. One engine disagreeing fingers that engine; all disagreeing
 // fingers the model or the oracle. revft-verify -differential
 // and the exact-verify CI job run this on the recovery, the level-1
@@ -62,16 +62,14 @@ const diffStride = 4
 func Differential(ctx context.Context, t core.Target, poly *exact.Poly, eps []float64, p MCParams, tr *telemetry.Trace) ([]DiffPoint, error) {
 	var out []DiffPoint
 	for i, e := range eps {
-		var m noise.Model
+		run := core.Noisy(noise.Uniform(e))
 		if poly.SkipInit {
-			m = noise.PerfectInit(e)
-		} else {
-			m = noise.Uniform(e)
+			run = core.Noisy(noise.PerfectInit(e))
 		}
 		lo, hi := poly.Bounds(e)
 		pt := DiffPoint{Eps: e, ExactLo: lo, ExactHi: hi}
 		for j, eng := range engines {
-			res, err := t.ErrorRateCtx(ctx, m, eng.words, 0, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
+			res, err := t.Estimate(ctx, core.Uniform, run, eng.words, 0, p.Trials, p.Workers, p.Seed+uint64(diffStride*i+j))
 			v := DiffEngine{Name: eng.name, Est: res.Bernoulli, OK: overlapsExact(res.Bernoulli, lo, hi)}
 			pt.Engines = append(pt.Engines, v)
 			emitDifferential(tr, t.Name, pt, v)

@@ -30,7 +30,7 @@ func requireOverlap(t *testing.T, what string, g float64, scalar, lane stats.Ber
 }
 
 // mustRate unwraps a context estimator's result, failing the test on
-// error: must := mustRate(t); est := must(g.LogicalErrorRateWideCtx(...)).
+// error: must := mustRate(t); est := must(g.Estimate(...)).
 func mustRate(t *testing.T) func(sim.Result, error) stats.Bernoulli {
 	return func(res sim.Result, err error) stats.Bernoulli {
 		t.Helper()
@@ -45,10 +45,10 @@ func TestGadgetEnginesEquivalentSweep(t *testing.T) {
 	gad := core.NewGadget(gate.MAJ, 1)
 	const trials = 40000
 	for i, g := range []float64{1e-3, 5e-3, 2e-2} {
-		m := noise.Uniform(g)
+		run := core.Noisy(noise.Uniform(g))
 		seed := uint64(100 + i)
-		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
-		lane := mustRate(t)(gad.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), 0, trials, 4, seed))
+		scalar := mustRate(t)(gad.Estimate(context.Background(), core.Uniform, run, 0, 0, trials, 4, seed))
+		lane := mustRate(t)(gad.Estimate(context.Background(), core.Uniform, run, MCParams{Engine: EngineLanes}.wideWords(), 0, trials, 4, seed))
 		if lane.Trials != trials {
 			t.Fatalf("lane engine ran %d trials, want %d", lane.Trials, trials)
 		}
@@ -66,10 +66,10 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 		{"1D", lattice.NewCycle1D(gate.MAJ)},
 	} {
 		for i, g := range []float64{2e-3, 1e-2} {
-			m := noise.Uniform(g)
+			run := core.Noisy(noise.Uniform(g))
 			seed := uint64(200 + i)
-			scalar := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, 0, 0, trials, 4, seed))
-			lane := mustRate(t)(tc.cycle.ErrorRateCtx(context.Background(), m, MCParams{Engine: EngineLanes}.wideWords(), 0, trials, 4, seed))
+			scalar := mustRate(t)(tc.cycle.Estimate(context.Background(), core.Uniform, run, 0, 0, trials, 4, seed))
+			lane := mustRate(t)(tc.cycle.Estimate(context.Background(), core.Uniform, run, MCParams{Engine: EngineLanes}.wideWords(), 0, trials, 4, seed))
 			requireOverlap(t, tc.name+" cycle", g, scalar, lane)
 		}
 	}
@@ -77,21 +77,21 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 
 func TestModuleEnginesEquivalent(t *testing.T) {
 	logical, _ := adder.New(2)
-	m := core.CompileModule(logical, 1)
+	ft := core.CompileModule(logical, 1).Target()
 	bare := core.Plain("unprotected", logical)
 	const trials = 20000
-	const in = uint64(0b0110)
+	in := core.Fixed(0b0110)
 	must := mustRate(t)
 	ctx := context.Background()
 	for i, g := range []float64{1e-3, 5e-3} {
-		nm := noise.Uniform(g)
+		run := core.Noisy(noise.Uniform(g))
 		seed := uint64(300 + i)
 		requireOverlap(t, "FT adder module", g,
-			m.ErrorRate(in, nm, trials, 4, seed),
-			must(m.ErrorRateWideCtx(ctx, in, nm, 1, trials, 4, seed)))
+			must(ft.Estimate(ctx, in, run, 0, 0, trials, 4, seed)),
+			must(ft.Estimate(ctx, in, run, 1, 0, trials, 4, seed)))
 		requireOverlap(t, "bare adder", g,
-			must(bare.InputErrorRateCtx(ctx, in, nm, 0, 0, trials, 4, seed)),
-			must(bare.InputErrorRateCtx(ctx, in, nm, 1, 0, trials, 4, seed)))
+			must(bare.Estimate(ctx, in, run, 0, 0, trials, 4, seed)),
+			must(bare.Estimate(ctx, in, run, 1, 0, trials, 4, seed)))
 	}
 }
 

@@ -20,11 +20,11 @@ func TestGadgetWideEnginesEquivalentSweep(t *testing.T) {
 	gad := core.NewGadget(gate.MAJ, 1)
 	const trials = 40000
 	for i, g := range []float64{1e-3, 5e-3, 2e-2} {
-		m := noise.Uniform(g)
+		run := core.Noisy(noise.Uniform(g))
 		seed := uint64(400 + i)
-		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
+		scalar := mustRate(t)(gad.Estimate(context.Background(), core.Uniform, run, 0, 0, trials, 4, seed))
 		for _, words := range []int{4, 8} {
-			wide := mustRate(t)(gad.LogicalErrorRateWideCtx(context.Background(), m, words, trials, 4, seed))
+			wide := mustRate(t)(gad.Estimate(context.Background(), core.Uniform, run, words, 0, trials, 4, seed))
 			if wide.Trials != trials {
 				t.Fatalf("words=%d: wide engine ran %d trials, want %d", words, wide.Trials, trials)
 			}
@@ -35,21 +35,21 @@ func TestGadgetWideEnginesEquivalentSweep(t *testing.T) {
 
 func TestModuleWideEnginesEquivalent(t *testing.T) {
 	logical, _ := adder.New(2)
-	m := core.CompileModule(logical, 1)
+	ft := core.CompileModule(logical, 1).Target()
 	bare := core.Plain("unprotected", logical)
 	const trials = 20000
-	const in = uint64(0b0110)
+	in := core.Fixed(0b0110)
 	must := mustRate(t)
 	ctx := context.Background()
 	for i, g := range []float64{1e-3, 5e-3} {
-		nm := noise.Uniform(g)
+		run := core.Noisy(noise.Uniform(g))
 		seed := uint64(500 + i)
 		requireOverlap(t, "FT adder module (wide)", g,
-			m.ErrorRate(in, nm, trials, 4, seed),
-			must(m.ErrorRateWideCtx(ctx, in, nm, 4, trials, 4, seed)))
+			must(ft.Estimate(ctx, in, run, 0, 0, trials, 4, seed)),
+			must(ft.Estimate(ctx, in, run, 4, 0, trials, 4, seed)))
 		requireOverlap(t, "bare adder (wide)", g,
-			must(bare.InputErrorRateCtx(ctx, in, nm, 0, 0, trials, 4, seed)),
-			must(bare.InputErrorRateCtx(ctx, in, nm, 4, 0, trials, 4, seed)))
+			must(bare.Estimate(ctx, in, run, 0, 0, trials, 4, seed)),
+			must(bare.Estimate(ctx, in, run, 4, 0, trials, 4, seed)))
 	}
 }
 
@@ -131,7 +131,7 @@ func TestLaneFaultTelemetryCountsSlots(t *testing.T) {
 	} {
 		reg := telemetry.New()
 		ctx := telemetry.NewContext(context.Background(), reg)
-		res, err := gad.ErrorRateCtx(ctx, noise.Uniform(1), MCParams{Engine: tc.engine}.wideWords(), 0, trials, 1, 3)
+		res, err := gad.Estimate(ctx, core.Uniform, core.Noisy(noise.Uniform(1)), MCParams{Engine: tc.engine}.wideWords(), 0, trials, 1, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}

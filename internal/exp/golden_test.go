@@ -100,12 +100,15 @@ func checkGoldenSweeps(t *testing.T, grid []float64, workers int, engine string,
 func TestGoldenProcessEstimates(t *testing.T) {
 	for _, workers := range goldenWorkers {
 		b := noise.Burst{Gate: goldenG, Init: goldenG, Corr: 0.5}
-		burst := core.NewGadget(gate.MAJ, 1).LogicalErrorRateProcess(b, goldenTrials, workers, goldenSeed)
+		burst, err := core.NewGadget(gate.MAJ, 1).Estimate(context.Background(), core.Uniform, core.Process(b), 0, 0, goldenTrials, workers, goldenSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if burst.Trials != goldenTrials || burst.Successes != 72 {
 			t.Errorf("burst at workers=%d: %d/%d, want %d/%d", workers, burst.Successes, burst.Trials, 72, goldenTrials)
 		}
 
-		tab := IdleNoise(goldenG, []float64{0, 0.5}, MCParams{Trials: goldenTrials, Workers: workers, Seed: goldenSeed})
+		tab := mustTable(t)(IdleNoise(context.Background(), goldenG, []float64{0, 0.5}, MCParams{Trials: goldenTrials, Workers: workers, Seed: goldenSeed}))
 		var got [][2]int
 		for _, row := range tab.Rows {
 			var s [2]int
@@ -120,6 +123,34 @@ func TestGoldenProcessEstimates(t *testing.T) {
 		}
 		if want := [][2]int{{9, 71}, {14, 140}}; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("idle (2D, 1D) successes at workers=%d: %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestGoldenMemoryEstimates pins the memory table on the scalar and the
+// lanes512 engine: Memory.Target under uniform stored values, read back
+// from the table's measured-error cells (successes/goldenTrials) for 5
+// and 50 recovery cycles.
+func TestGoldenMemoryEstimates(t *testing.T) {
+	want := map[string][2]int{
+		EngineScalar:   {4, 29},
+		EngineLanes512: {3, 41},
+	}
+	for _, workers := range goldenWorkers {
+		for engine, w := range want {
+			p := MCParams{Trials: goldenTrials, Workers: workers, Seed: goldenSeed, Engine: engine}
+			tab := mustTable(t)(MemoryExperiment(context.Background(), goldenG, []int{5, 50}, p))
+			var got [2]int
+			for i, row := range tab.Rows {
+				rate, err := strconv.ParseFloat(row[1], 64)
+				if err != nil {
+					t.Fatalf("memory cell %q: %v", row[1], err)
+				}
+				got[i] = int(math.Round(rate * goldenTrials))
+			}
+			if got != w {
+				t.Errorf("memory on %s at workers=%d: successes %v, want %v", engine, workers, got, w)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -93,6 +94,13 @@ type MCParams struct {
 func (p MCParams) wideWords() int {
 	w, _ := engineWords(p.Engine)
 	return w
+}
+
+// rate is the failure rate t's Estimate measures from trial 0 over
+// uniform inputs on the selected engine, with p's trials and workers.
+func (p MCParams) rate(ctx context.Context, t core.Target, run core.Run, seed uint64) (float64, error) {
+	res, err := t.Estimate(ctx, core.Uniform, run, p.wideWords(), 0, p.Trials, p.Workers, seed)
+	return res.Rate(), err
 }
 
 // EntropyMeasured measures the ancilla entropy of one noisy recovery cycle

@@ -272,7 +272,7 @@ func recoveryPointFunc(gs []float64, p MCParams) (sweep.PointFunc, func() map[st
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		seed := pointSeed(p.Seed, gs[pt], saltRecovery)
-		res, rerr := gad().ErrorRateCtx(ctx, noise.Uniform(gs[pt]), p.wideWords(), start, trials, p.Workers, seed)
+		res, rerr := gad().Estimate(ctx, core.Uniform, core.Noisy(noise.Uniform(gs[pt])), p.wideWords(), start, trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
@@ -331,7 +331,7 @@ func levelsPointFunc(gs []float64, maxLevel int, p MCParams) (sweep.PointFunc, f
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		l, i := pt/len(gs), pt%len(gs)
 		seed := pointSeed(p.Seed, gs[i], saltLevels+uint64(l))
-		res, rerr := gads[l]().ErrorRateCtx(ctx, noise.Uniform(gs[i]), p.wideWords(), start, trials, p.Workers, seed)
+		res, rerr := gads[l]().Estimate(ctx, core.Uniform, core.Noisy(noise.Uniform(gs[i])), p.wideWords(), start, trials, p.Workers, seed)
 		return []stats.Bernoulli{res.Bernoulli}, rerr
 	}, counts
 }
@@ -382,12 +382,12 @@ func localPointFunc(gs []float64, p MCParams) (sweep.PointFunc, func() map[strin
 		}
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
-		m, w := noise.Uniform(gs[pt]), p.wideWords()
-		e2, rerr := c2().ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal))
+		run, w := core.Noisy(noise.Uniform(gs[pt])), p.wideWords()
+		e2, rerr := c2().Estimate(ctx, core.Uniform, run, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal))
 		if rerr != nil {
 			return []stats.Bernoulli{e2.Bernoulli, {}}, rerr
 		}
-		e1, rerr := c1().ErrorRateCtx(ctx, m, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal+1))
+		e1, rerr := c1().Estimate(ctx, core.Uniform, run, w, start, trials, p.Workers, pointSeed(p.Seed, gs[pt], saltLocal+1))
 		return []stats.Bernoulli{e2.Bernoulli, e1.Bernoulli}, rerr
 	}, counts
 }
@@ -446,14 +446,14 @@ func adderPointFunc(n int, gs []float64, p MCParams) (sweep.PointFunc, func() ma
 		}
 	}
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
-		nm := noise.Uniform(gs[pt])
+		run := core.Noisy(noise.Uniform(gs[pt]))
 		sb := pointSeed(p.Seed, gs[pt], saltAdder)
 		sf := pointSeed(p.Seed, gs[pt], saltAdder+1)
-		eb, rerr := bare.InputErrorRateCtx(ctx, in, nm, p.wideWords(), start, trials, p.Workers, sb)
+		eb, rerr := bare.Estimate(ctx, core.Fixed(in), run, p.wideWords(), start, trials, p.Workers, sb)
 		if rerr != nil {
 			return []stats.Bernoulli{eb.Bernoulli, {}}, rerr
 		}
-		ef, rerr := ft().InputErrorRateCtx(ctx, in, nm, p.wideWords(), start, trials, p.Workers, sf)
+		ef, rerr := ft().Estimate(ctx, core.Fixed(in), run, p.wideWords(), start, trials, p.Workers, sf)
 		return []stats.Bernoulli{eb.Bernoulli, ef.Bernoulli}, rerr
 	}, counts
 }

@@ -1,14 +1,14 @@
 package lattice
 
 import (
+	"context"
 	"testing"
 
 	"revft/internal/bitvec"
 	"revft/internal/code"
+	"revft/internal/core"
 	"revft/internal/gate"
 	"revft/internal/noise"
-	"revft/internal/rng"
-	"revft/internal/sim"
 	"revft/internal/threshold"
 )
 
@@ -130,21 +130,11 @@ func TestCycle1DLinearCoefficient(t *testing.T) {
 		t.Fatalf("λ = %v, want positive (the 1D cycle has crossing failures)", lambda)
 	}
 	const g = 2e-4
-	est := sim.MonteCarlo(400000, 0, 31, func(r *rng.RNG) bool {
-		in := r.Bits(3)
-		st := bitvec.New(c.Circuit.Width())
-		for i, wires := range c.In {
-			code.EncodeInto(st, wires, in>>uint(i)&1 == 1, 1)
-		}
-		sim.RunNoisy(c.Circuit, st, noise.Uniform(g), r)
-		want := c.Kind.Eval(in)
-		for i, wires := range c.Out {
-			if code.Decode(st, wires, 1) != (want>>uint(i)&1 == 1) {
-				return true
-			}
-		}
-		return false
-	})
+	res, err := c.Estimate(context.Background(), core.Uniform, core.Noisy(noise.Uniform(g)), 0, 0, 400000, 0, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := res.Bernoulli
 	predicted := lambda * g
 	lo, hi := est.Wilson(1.96)
 	// The prediction must sit inside (a slightly widened) confidence band.

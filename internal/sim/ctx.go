@@ -1,7 +1,7 @@
 package sim
 
 // Context-aware Monte Carlo engines: the cancellable, panic-isolating
-// block harness behind MonteCarlo and the lane engines. Long sweeps near
+// block harness behind the scalar and lane engines. Long sweeps near
 // threshold run minutes to hours, so these let a deadline or SIGINT stop
 // a run between trial blocks and still hand back the whole blocks
 // completed so far, and they convert a panicking trial into a typed,

@@ -25,26 +25,6 @@ func cheapBatch(r *rng.RNG, hit []uint64) {
 	hit[0] = r.Uint64() & r.Uint64() & r.Uint64()
 }
 
-// TestCtxEnginesMatchLegacy: a completed context run is bit-identical to
-// the context-free MonteCarlo for the same (trials, seed), whatever the
-// worker counts of either.
-func TestCtxEnginesMatchLegacy(t *testing.T) {
-	const trials = 30000
-	legacy := MonteCarlo(trials, 2, 42, cheapTrial)
-	for _, w := range []int{1, 3, 8} {
-		res, err := MonteCarloCtx(context.Background(), 0, trials, w, 42, cheapTrial)
-		if err != nil {
-			t.Fatalf("workers=%d: unexpected error %v", w, err)
-		}
-		if res.Partial {
-			t.Errorf("workers=%d: completed run marked partial", w)
-		}
-		if res.Bernoulli != legacy {
-			t.Errorf("workers=%d: ctx %v != legacy %v", w, res.Bernoulli, legacy)
-		}
-	}
-}
-
 // TestMonteCarloCtxCancel: cancelling mid-run returns promptly with the
 // whole blocks completed so far and the context's error.
 func TestMonteCarloCtxCancel(t *testing.T) {
@@ -240,19 +220,6 @@ func TestLanesTrialPanicError(t *testing.T) {
 	if pe.Worker < 0 || pe.Worker >= 3 || pe.Seed != 9 {
 		t.Errorf("bad provenance: worker=%d seed=%d", pe.Worker, pe.Seed)
 	}
-}
-
-// TestLegacyEnginePanicPropagates: the non-ctx wrappers re-raise a trial
-// panic as a *TrialPanicError so callers that cannot handle errors still
-// crash loudly with provenance attached.
-func TestLegacyEnginePanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if _, ok := r.(*TrialPanicError); !ok {
-			t.Errorf("recovered %v (%T), want *TrialPanicError", r, r)
-		}
-	}()
-	MonteCarlo(1000, 1, 1, func(r *rng.RNG) bool { panic("boom") })
 }
 
 // TestCtxPartialMaskTruncation: sanity-check the lanes tail-batch mask

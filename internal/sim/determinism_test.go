@@ -54,9 +54,20 @@ func TestMonteCarloDeterminismContract(t *testing.T) {
 	c := determinismCircuit()
 	m := noise.Uniform(0.02)
 	trial := noisyTrial(c, m)
-	checkHarnessDeterminism(t, "MonteCarlo", func(trials, workers int, seed uint64) stats.Bernoulli {
-		return MonteCarlo(trials, workers, seed, trial)
+	checkHarnessDeterminism(t, "MonteCarloCtx", func(trials, workers int, seed uint64) stats.Bernoulli {
+		return scalarRun(t, trials, workers, seed, trial)
 	})
+}
+
+// scalarRun is MonteCarloCtx from trial 0 under a background context,
+// failing the test on an error or on a completed run marked partial.
+func scalarRun(t *testing.T, trials, workers int, seed uint64, trial func(*rng.RNG) bool) stats.Bernoulli {
+	t.Helper()
+	res, err := MonteCarloCtx(context.Background(), 0, trials, workers, seed, trial)
+	if err != nil || res.Partial {
+		t.Fatalf("%d trials at workers=%d: %+v, err %v", trials, workers, res, err)
+	}
+	return res.Bernoulli
 }
 
 // lanesRun is MonteCarloWideCtx at words = 1 under a background context,
@@ -84,7 +95,7 @@ func TestMonteCarloEnginesAgree(t *testing.T) {
 	c := determinismCircuit()
 	m := noise.Uniform(0.02)
 	const trials = 60000
-	scalar := MonteCarlo(trials, 4, 42, noisyTrial(c, m))
+	scalar := scalarRun(t, trials, 4, 42, noisyTrial(c, m))
 	lane := lanesRun(t, trials, 4, 42, wideFailBatch(c, m, 1))
 	lo1, hi1 := scalar.Wilson(1.96)
 	lo2, hi2 := lane.Wilson(1.96)

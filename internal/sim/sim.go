@@ -6,19 +6,18 @@
 //   - RunInjected and RunInjectedList: deterministic fault injection from
 //     a plan; core.Target.Injected runs the list form to prove
 //     fault-tolerance claims exhaustively;
-//   - MonteCarlo: a parallel trial harness over seeded trial blocks;
+//   - MonteCarloCtx: a parallel trial harness over seeded trial blocks;
 //   - MonteCarloWideCtx: the same harness on bit-sliced lane batches of
 //     64·K trials (see package lanes), for runs where trial count
 //     dominates.
 //
-// MonteCarloCtx and MonteCarloWideCtx are context-aware, for long-running
-// sweeps: cancellable between trial blocks, returning the whole blocks
-// completed so far, and recovering trial panics into typed, reproducible
-// *TrialPanicError values.
+// Both harnesses are context-aware, for long-running sweeps: cancellable
+// between trial blocks, returning the whole blocks completed so far, and
+// recovering trial panics into typed, reproducible *TrialPanicError
+// values. core.Target.Estimate is their one caller in the estimators.
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"revft/internal/bitvec"
@@ -26,7 +25,6 @@ import (
 	"revft/internal/gate"
 	"revft/internal/noise"
 	"revft/internal/rng"
-	"revft/internal/stats"
 )
 
 // RunNoisy executes c on st under model m, drawing randomness from r. Each
@@ -120,20 +118,4 @@ func ForEachSingleFault(c *circuit.Circuit, fn func(opIdx int, value uint64)) {
 			fn(i, v)
 		}
 	}
-}
-
-// MonteCarlo runs trials independent executions of trial across workers
-// goroutines and aggregates how many returned true. It is MonteCarloCtx
-// from trial 0 under a background context: the result depends only on
-// (trials, seed), never on workers (<= 0 selects GOMAXPROCS). A panic
-// inside trial propagates as a *TrialPanicError; use MonteCarloCtx to
-// handle it as an error instead.
-func MonteCarlo(trials, workers int, seed uint64, trial func(r *rng.RNG) bool) stats.Bernoulli {
-	res, err := MonteCarloCtx(context.Background(), 0, trials, workers, seed, trial)
-	if err != nil {
-		// The context never cancels, so the only possible error is a
-		// recovered trial panic. Re-raise it with its diagnostics.
-		panic(err)
-	}
-	return res.Bernoulli
 }

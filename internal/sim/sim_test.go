@@ -121,19 +121,19 @@ func TestForEachSingleFaultCoverage(t *testing.T) {
 
 func TestMonteCarloDeterministic(t *testing.T) {
 	trial := func(r *rng.RNG) bool { return r.Bool(0.3) }
-	a := MonteCarlo(10000, 4, 42, trial)
-	b := MonteCarlo(10000, 4, 42, trial)
+	a := scalarRun(t, 10000, 4, 42, trial)
+	b := scalarRun(t, 10000, 4, 42, trial)
 	if a != b {
 		t.Fatalf("same seed gave %v and %v", a, b)
 	}
-	c := MonteCarlo(10000, 4, 43, trial)
+	c := scalarRun(t, 10000, 4, 43, trial)
 	if a == c {
 		t.Fatal("different seeds gave identical results (suspicious)")
 	}
 }
 
 func TestMonteCarloRate(t *testing.T) {
-	b := MonteCarlo(100000, 8, 7, func(r *rng.RNG) bool { return r.Bool(0.25) })
+	b := scalarRun(t, 100000, 8, 7, func(r *rng.RNG) bool { return r.Bool(0.25) })
 	if b.Trials != 100000 {
 		t.Fatalf("Trials = %d", b.Trials)
 	}
@@ -143,16 +143,16 @@ func TestMonteCarloRate(t *testing.T) {
 }
 
 func TestMonteCarloEdges(t *testing.T) {
-	if got := MonteCarlo(0, 4, 1, func(*rng.RNG) bool { return true }); got.Trials != 0 {
+	if got := scalarRun(t, 0, 4, 1, func(*rng.RNG) bool { return true }); got.Trials != 0 {
 		t.Fatalf("zero trials gave %v", got)
 	}
 	// More workers than trials.
-	got := MonteCarlo(3, 16, 1, func(*rng.RNG) bool { return true })
+	got := scalarRun(t, 3, 16, 1, func(*rng.RNG) bool { return true })
 	if got.Trials != 3 || got.Successes != 3 {
 		t.Fatalf("tiny run gave %v", got)
 	}
 	// workers <= 0 uses GOMAXPROCS.
-	got = MonteCarlo(100, 0, 1, func(*rng.RNG) bool { return false })
+	got = scalarRun(t, 100, 0, 1, func(*rng.RNG) bool { return false })
 	if got.Trials != 100 || got.Successes != 0 {
 		t.Fatalf("auto workers gave %v", got)
 	}
@@ -160,7 +160,7 @@ func TestMonteCarloEdges(t *testing.T) {
 
 func TestMonteCarloTrialCountExact(t *testing.T) {
 	// 7 workers, 100 trials: remainder spread; every trial must run once.
-	var got = MonteCarlo(100, 7, 9, func(*rng.RNG) bool { return true })
+	var got = scalarRun(t, 100, 7, 9, func(*rng.RNG) bool { return true })
 	if got.Successes != 100 {
 		t.Fatalf("ran %d trials, want 100", got.Successes)
 	}

@@ -441,8 +441,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 }
 
 // defaultReg is the process-wide registry, nil until SetDefault. Commands
-// enable it so code without a context (sim.MonteCarlo, the entropy and
-// von Neumann estimators) still reports; libraries and tests leave it nil.
+// enable it so code without a context (the entropy and von Neumann
+// estimators) still reports; libraries and tests leave it nil.
 var defaultReg atomic.Pointer[Registry]
 
 // Default returns the process-wide registry, or nil when telemetry is

@@ -122,9 +122,14 @@ func RunInjected(c *Circuit, st *State, plan FaultPlan) {
 type Estimate = stats.Bernoulli
 
 // MonteCarlo runs trials of trial across parallel workers (0 = GOMAXPROCS),
-// reproducibly seeded: the estimate does not depend on workers.
+// reproducibly seeded: the estimate does not depend on workers. A panic
+// inside trial re-panics with the seed and block that reproduce it.
 func MonteCarlo(trials, workers int, seed uint64, trial func(r *RNG) bool) Estimate {
-	return sim.MonteCarlo(trials, workers, seed, trial)
+	res, err := sim.MonteCarloCtx(context.Background(), 0, trials, workers, seed, trial)
+	if err != nil {
+		panic(err)
+	}
+	return res.Bernoulli
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ package revft_test
 // way an importing project would.
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"revft"
@@ -22,7 +24,10 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestGadgetThroughFacade(t *testing.T) {
 	g := revft.NewGadget(revft.MAJ, 1)
-	est := g.LogicalErrorRate(revft.UniformNoise(1e-3), 30000, 0, 1)
+	est, err := g.Estimate(context.Background(), revft.UniformInput, revft.NoisyRun(revft.UniformNoise(1e-3)), 0, 0, 30000, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, hi := est.Wilson(1.96); hi >= 1e-3 {
 		t.Fatalf("level-1 logical error %v not below g", est)
 	}
@@ -116,6 +121,20 @@ func TestMonteCarloThroughFacade(t *testing.T) {
 	if est.Rate() < 0.45 || est.Rate() > 0.55 {
 		t.Fatalf("rate = %v", est.Rate())
 	}
+}
+
+// TestMonteCarloPanicPropagates: the facade's context-free MonteCarlo
+// re-raises a trial panic as the harness's error, so a caller that cannot
+// handle an error still crashes loudly with the seed and block that
+// reproduce it.
+func TestMonteCarloPanicPropagates(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !strings.Contains(err.Error(), "trial panic in block 0 (seed 1,") || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("recovered %v (%T), want the trial panic of block 0, seed 1", err, err)
+		}
+	}()
+	revft.MonteCarlo(1000, 1, 1, func(r *revft.RNG) bool { panic("boom") })
 }
 
 func TestBaselineThroughFacade(t *testing.T) {
