@@ -23,8 +23,8 @@
 // word-program compiler — adjacent CNOT/CNOT/Toffoli triples collapse
 // into single MAJ/UMA kernels and fault points sharing a probability
 // share one geometric sampler. All engines sample the same noise process;
-// wider blocks amortize more dispatch per trial. correlated and idle have
-// no lane path and fail on a lane engine; entropy and vonneumann refuse one.
+// wider blocks amortize more dispatch per trial. correlated, idle, entropy
+// and vonneumann have no lane path and refuse a lane engine before running.
 //
 // The sweep experiments (recovery, levels, local, adder) also run on a
 // resilient runtime with these flags:
@@ -157,7 +157,6 @@ func run(args []string) error {
 
 		serverURL = fs.String("server", "", "submit the sweep to a running revft-server at this base URL (e.g. http://127.0.0.1:8080) instead of computing locally; sweep experiments only")
 		priority  = fs.String("priority", "", "with -server: job priority class interactive|batch|bulk (default batch)")
-		shards    = fs.Int("shards", 0, "with -server: seed-stable point shards to fan the job out as (0 = server default)")
 		tenant    = fs.String("tenant", "", "with -server: tenant name for quota accounting (default \"default\")")
 
 		cacheDir   = fs.String("cache", "", "content-addressed result cache directory for the sweep experiments: serve an already-computed sweep from the cache and store fresh completions into it")
@@ -229,9 +228,11 @@ func run(args []string) error {
 			}
 		}
 	}
-	// entropy and vonneumann's estimators take neither engine nor context.
+	// entropy and vonneumann's estimators take neither engine nor context;
+	// correlated and idle run a fault process or an idle schedule, which
+	// only the scalar engine executes.
 	contextFree := *expName == "entropy" || *expName == "vonneumann"
-	if contextFree && *engine != exp.EngineScalar {
+	if (contextFree || *expName == "correlated" || *expName == "idle") && *engine != exp.EngineScalar {
 		return fmt.Errorf("-engine %s: %s has no lane path; use -engine %s", *engine, *expName, exp.EngineScalar)
 	}
 	if *resume && *checkpoint == "" {
@@ -240,7 +241,6 @@ func run(args []string) error {
 	if *serverURL == "" {
 		for name, set := range map[string]bool{
 			"-priority": *priority != "",
-			"-shards":   *shards != 0,
 			"-tenant":   *tenant != "",
 		} {
 			if set {
@@ -265,15 +265,12 @@ func run(args []string) error {
 				return fmt.Errorf("%s is a local-run flag; it does not apply with -server", name)
 			}
 		}
-		if *shards < 0 {
-			return fmt.Errorf("-shards %d: need 0 (server default) or more", *shards)
-		}
 		spec := remoteSpec(*expName, *maxLevel, *bits, server.JobSpec{
 			Tenant: *tenant,
 			GMin:   *gmin, GMax: *gmax, Points: *points,
 			Trials: *trials, Seed: *seed, Engine: *engine,
-			Shards: *shards, Workers: *workers,
-			RelTol: *reltol, ZeroScale: *zeroscale,
+			Workers: *workers,
+			RelTol:  *reltol, ZeroScale: *zeroscale,
 			TimeoutSeconds: timeout.Seconds(),
 			Priority:       *priority,
 		})
@@ -386,7 +383,7 @@ func run(args []string) error {
 			FS:         fsys,
 			// Root the trace's span tree at the run so CLI traces carry
 			// the same run/<exp> → point causality the job server's
-			// request → job → shard → point chain does.
+			// request → job → point chain does.
 			Span: telemetry.Root("run/" + *expName),
 		}
 		if *progress {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -65,20 +66,40 @@ func TestAblationsRunSelectedEngine(t *testing.T) {
 	}
 }
 
-// TestEngineWithoutLanePath: correlated and idle fail with the
-// estimator's error on a lane engine; entropy and vonneumann refuse a
-// non-scalar -engine before running anything.
+// TestEngineWithoutLanePath: correlated, idle, entropy and vonneumann
+// refuse a non-scalar -engine before running anything, and the correlated
+// and idle drivers themselves refuse a lane engine before their first
+// trial.
 func TestEngineWithoutLanePath(t *testing.T) {
-	for _, name := range []string{"correlated", "idle"} {
-		err := run([]string{"-exp", name, "-engine", exp.EngineLanes, "-gmax", "5e-3", "-trials", "1000"})
-		if err == nil || !strings.Contains(err.Error(), "lane engine runs only Noisy runs") {
-			t.Errorf("%s on lanes: %v, want the lane engine's refusal", name, err)
+	for _, args := range [][]string{
+		{"-exp", "correlated", "-gmax", "5e-3", "-trials", "1000"},
+		{"-exp", "idle", "-gmax", "5e-3", "-trials", "1000"},
+		{"-exp", "entropy"},
+		{"-exp", "vonneumann"},
+	} {
+		err := run(append(args, "-engine", exp.EngineLanes512))
+		if err == nil || !strings.Contains(err.Error(), "has no lane path") {
+			t.Errorf("%s on lanes512: %v, want a usage error", args[1], err)
 		}
 	}
-	for _, name := range []string{"entropy", "vonneumann"} {
-		err := run([]string{"-exp", name, "-engine", exp.EngineLanes512})
-		if err == nil || !strings.Contains(err.Error(), "has no lane path") {
-			t.Errorf("%s on lanes512: %v, want a usage error", name, err)
+	p := exp.MCParams{Trials: 1000, Workers: 1, Seed: 1, Engine: exp.EngineLanes512}
+	for name, driver := range map[string]func(context.Context) error{
+		"correlated": func(ctx context.Context) error {
+			_, err := exp.CorrelatedNoise(ctx, 5e-3, []float64{0.5}, p)
+			return err
+		},
+		"idle": func(ctx context.Context) error {
+			_, err := exp.IdleNoise(ctx, 5e-3, []float64{1}, p)
+			return err
+		},
+	} {
+		reg := telemetry.New()
+		err := driver(telemetry.NewContext(context.Background(), reg))
+		if err == nil || !strings.Contains(err.Error(), "lane engine runs only Noisy runs") {
+			t.Errorf("%s driver on lanes512: %v, want the lane engine's refusal", name, err)
+		}
+		if n := reg.Snapshot().Counters[telemetry.TrialsMetric]; n != 0 {
+			t.Errorf("%s driver on lanes512 ran %d trials before refusing", name, n)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command revft-server runs the sweep job server: an HTTP service that
 // accepts Monte Carlo sweep jobs for the paper's experiments (recovery,
-// levels, local, adder), fans their points out to a bounded worker pool
-// in seed-stable shards, and persists every job-state transition to a
-// crash-safe journal so a killed server resumes exactly where it died.
+// levels, local, adder), runs each as one checkpointed sweep on a bounded
+// worker pool, and persists every job-state transition to a crash-safe
+// journal so a killed server resumes exactly where it died.
 //
 // Usage:
 //
@@ -12,30 +12,30 @@
 //
 //	curl -X POST :8023/jobs -d '{"experiment":"recovery","gmin":1e-3,...}'
 //	curl :8023/jobs/<id>            # poll status
-//	curl :8023/jobs/<id>/progress   # live trials/points done, per-shard
-//	                                # wall-time histograms, Wilson
+//	curl :8023/jobs/<id>/progress   # live trials/points done, per-point
+//	                                # wall-time histogram, Wilson
 //	                                # half-width trajectory, ETA
-//	curl :8023/jobs/<id>/metrics    # merged cross-shard telemetry snapshot
+//	curl :8023/jobs/<id>/metrics    # the job's telemetry snapshot
 //	                                # (JSON; ?format=text for exposition)
 //	curl :8023/jobs/<id>/result     # fetch result.json once done
 //	curl -X DELETE :8023/jobs/<id>  # cancel
 //
 // Jobs carry a priority class (interactive, batch, or bulk, default
-// batch): the shard scheduler serves classes by weighted round-robin
-// (8/3/1), preempts running bulk shards at checkpoint boundaries when
+// batch): the job scheduler serves classes by weighted round-robin
+// (8/3/1), preempts running bulk jobs at checkpoint boundaries when
 // interactive work queues, and refuses or sheds — with typed 429s and
 // Retry-After hints — jobs whose requested timeout the current queue
-// makes unmeetable. -stall-budget arms the stuck-shard watchdog:
+// makes unmeetable. -stall-budget arms the stuck-job watchdog:
 // attempts with no progress for that long are cancelled and retried
 // from their checkpoint. GET /healthz reports the four-state health
 // machine (healthy | degraded | draining | failed).
 //
 // -debug-addr serves /debug/pprof/ alongside /metrics and /debug/vars;
-// shard workers run under pprof labels (job, tenant, shard), so a CPU
-// profile of a busy server slices engine time per job.
+// pool workers run under pprof labels (job, tenant), so a CPU profile of
+// a busy server slices engine time per job.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the server stops admitting,
-// in-flight shards checkpoint at the next point boundary, traces flush,
+// in-flight jobs checkpoint at the next point boundary, traces flush,
 // and the process exits 0. Restarting with the same -data replays the
 // journal and resumes every interrupted job; the eventual results are
 // bit-identical to an uninterrupted run.
@@ -90,7 +90,7 @@ func main() {
 
 // drivers adapts the shardable sweep experiments to the server's Driver
 // contract. Engine validation happens here so a bad engine is a typed
-// 400 rejection, not a shard failure at run time.
+// 400 rejection, not a job failure at run time.
 func drivers() map[string]server.Driver {
 	mk := func(name string) server.Driver {
 		return func(spec server.JobSpec, grid []float64) (sweep.PointFunc, int, error) {
@@ -112,16 +112,16 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("revft-server", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8023", "listen address (port 0 picks a free port)")
-		data         = fs.String("data", "revft-server-data", "durable data directory: job journal, shard checkpoints, traces, results")
-		pool         = fs.Int("pool", 0, "shard worker pool size (0 = GOMAXPROCS)")
+		data         = fs.String("data", "revft-server-data", "durable data directory: job journal, sweep checkpoints, traces, results")
+		pool         = fs.Int("pool", 0, "job worker pool size: jobs run at once (0 = GOMAXPROCS)")
 		maxActive    = fs.Int("max-active", 64, "bound on admitted-but-unfinished jobs across all tenants")
 		tenantJobs   = fs.Int("tenant-jobs", 8, "per-tenant concurrent active job quota (0 = unlimited)")
 		tenantTrials = fs.Int64("tenant-trials", 0, "per-tenant in-flight trial budget, points x trials summed over active jobs (0 = unlimited)")
 		maxInter     = fs.Int("max-interactive", 0, "bound on active interactive-priority jobs (0 = only the global -max-active bound)")
 		maxBatch     = fs.Int("max-batch", 0, "bound on active batch-priority jobs (0 = only the global -max-active bound)")
 		maxBulk      = fs.Int("max-bulk", 0, "bound on active bulk-priority jobs (0 = only the global -max-active bound)")
-		stallBudget  = fs.Duration("stall-budget", 2*time.Minute, "stuck-shard watchdog: cancel and retry a shard attempt with no progress for this long (0 disables)")
-		degradedAt   = fs.Int("degraded-queue", 0, "queued-shard depth past which /healthz reports degraded (0 = 8 x pool size)")
+		stallBudget  = fs.Duration("stall-budget", 2*time.Minute, "stuck-job watchdog: cancel and retry a job attempt with no progress for this long (0 disables)")
+		degradedAt   = fs.Int("degraded-queue", 0, "queued-job depth past which /healthz reports degraded (0 = 8 x pool size)")
 		cacheDir     = fs.String("cache", "auto", `content-addressed result cache directory: "auto" = <data>/cache, "off" = disabled`)
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "bound on the SIGTERM graceful drain")
 		debugAddr    = fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof/ on this host:port while the server runs")

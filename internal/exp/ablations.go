@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 
 	"revft/internal/core"
 	"revft/internal/gate"
@@ -41,9 +42,12 @@ func InitAblation(ctx context.Context, gs []float64, p MCParams) (*Table, error)
 // CorrelatedNoise measures how temporally correlated faults degrade the
 // level-1 logical error rate at a fixed marginal fault rate — probing the
 // paper's §2 caveat that its analysis requires failures no more correlated
-// than the binomial. The burst process has no lane path: a lane engine
-// fails with Estimate's error.
+// than the binomial. The burst process has no lane path: a lane engine is
+// refused before any trial runs.
 func CorrelatedNoise(ctx context.Context, g float64, corrs []float64, p MCParams) (*Table, error) {
+	if err := p.scalarOnly("correlated"); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "F3",
 		Title:  "Ablation: correlated (burst) faults at fixed marginal rate",
@@ -221,8 +225,11 @@ func PairAnalysis() *Table {
 // idleFrac·g per time step), both local schemes degrade — the 1D cycle is
 // ~4x deeper than the 2D cycle, so its absolute error grows faster, keeping
 // it an order of magnitude worse across the sweep. The idle schedule has
-// no lane path: a lane engine fails with Estimate's error.
+// no lane path: a lane engine is refused before any trial runs.
 func IdleNoise(ctx context.Context, g float64, idleFracs []float64, p MCParams) (*Table, error) {
+	if err := p.scalarOnly("idle"); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "F4/F7",
 		Title:  "Ablation: idle-bit noise — scheduled execution of the local cycles",
@@ -247,6 +254,15 @@ func IdleNoise(ctx context.Context, g float64, idleFracs []float64, p MCParams) 
 	t.AddNote("gate error g = %v; cycle depths: 2D = %d, 1D = %d time steps", g, s2.Depth(), s1.Depth())
 	t.AddNote("the paper's model has noiseless idle bits (idle/g = 0); positive idle noise is our ablation")
 	return t, nil
+}
+
+// scalarOnly refuses a lane engine for a driver whose runs are a fault
+// process or an idle schedule, which only the scalar engine executes.
+func (p MCParams) scalarOnly(name string) error {
+	if p.wideWords() > 0 {
+		return fmt.Errorf("exp: %s on engine %s: the lane engine runs only Noisy runs", name, p.Engine)
+	}
+	return nil
 }
 
 // ratio is a/b, or 0 when b is 0.

@@ -1,11 +1,12 @@
 package exp
 
-// Shardable sweep drivers for the job server: the per-point estimators of
-// the checkpointable sweep experiments, exposed over *global* point
-// indices so a scheduler can partition one sweep's points across workers.
-// Every estimate's randomness depends only on (params seed, swept value,
-// trial index), never on which shard or how many workers run the point,
-// so any partition — including none — produces bit-identical estimates.
+// Sweep drivers for the job server: the per-point estimators of the
+// checkpointable sweep experiments, exposed over global point indices as
+// one sweep.PointFunc per job. Every estimate's randomness depends only on
+// (params seed, swept value, trial index), never on how many workers run
+// the point or which grid holds it, so a job resumed from its checkpoint
+// or a subset grid served from the result cache reproduces the CLI's
+// estimates bit for bit.
 
 import (
 	"fmt"
@@ -31,8 +32,8 @@ const MaxLevel = 3
 // function and total point count. gs is the swept gate-error grid;
 // maxLevel and bits parameterize the levels and adder experiments and are
 // ignored by the others. The point function is exactly the one the Ctx
-// table drivers run, so a job server partitioning its points reproduces
-// the CLI's numbers bit for bit. No circuit is built here: the point
+// table drivers run, so a job server running it reproduces the CLI's
+// numbers bit for bit. No circuit is built here: the point
 // function builds each target on the first call that needs it, once,
 // whichever of its concurrent callers gets there first, so a sweep whose
 // points all come from a checkpoint or the cache builds no circuit.

@@ -244,9 +244,7 @@ const (
 // rather than the point's grid index makes every estimate independent of
 // how the grid is laid out: the same (seed, ε, salt) reproduces the same
 // trial stream whether ε sits at index 0 of a 2-point grid or index 17
-// of a 50-point one. That value-addressing preserves the shard-vs-
-// unsharded equality the job server relies on (any partition of the
-// points computes identical estimates) and is what lets the result cache
+// of a 50-point one. That value-addressing is what lets the result cache
 // serve a cached superset ε-grid for a subset spec bit-identically.
 func pointSeed(base uint64, eps float64, salt uint64) uint64 {
 	h := rng.Mix64(base ^ 0x9e3779b97f4a7c15)
@@ -259,9 +257,8 @@ func pointSeed(base uint64, eps float64, salt uint64) uint64 {
 // global point indices, plus its gate counts. The randomness
 // depends only on (p.Seed, gs[pt], trial index) — never on pt itself or
 // the worker count — so any
-// partition or re-indexing of the points (one runner, shards of a job
-// server, a subset grid served from the result cache) produces
-// bit-identical estimates.
+// re-indexing of the points (one runner, a job server's sweep, a subset
+// grid served from the result cache) produces bit-identical estimates.
 func recoveryPointFunc(gs []float64, p MCParams) (sweep.PointFunc, func() map[string]int) {
 	gad := sync.OnceValue(func() *core.Gadget { return core.NewGadget(gate.MAJ, 1) })
 	counts := func() map[string]int {

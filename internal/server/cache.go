@@ -7,7 +7,7 @@ package server
 // the Monte Carlo. A near miss (same experiment family, a cached ε-grid
 // that is a superset of the requested one) grafts the cached points into
 // the job and runs only the remainder grid; the reuse plan is journaled
-// so a crash mid-job replays to the identical shard layout without
+// so a crash mid-job replays to the identical remainder grid without
 // consulting the cache again.
 //
 // Correctness of near-miss reuse rests on value-derived point seeding
@@ -61,7 +61,7 @@ type reusePoint struct {
 // points came from, the requested ε values still to compute, and the
 // lifted points themselves. Journaling the plan makes replay
 // self-contained — a restarted server reconstructs the same remainder
-// grid (hence the same shard checkpoint digests) even if the cache
+// grid (hence the same checkpoint digest) even if the cache
 // directory has changed or vanished since.
 type reusePlan struct {
 	Source    string       `json:"source"`

@@ -334,13 +334,17 @@ func TestReplayReusedRecord(t *testing.T) {
 // formats 1 and 2 still held shards and workers — bare under format 1
 // and behind a "v<v>" line since. It is what a server before the
 // format-2, format-3 or format-4 migration keyed jobs and cache entries
-// by.
+// by. Those servers normalized shards to at least 1; normalize now
+// clears the field.
 func formatDigest(t *testing.T, spec JobSpec, v int) string {
 	t.Helper()
+	shards := max(spec.Shards, 1)
 	spec.normalize()
 	spec.Priority = ""
 	if v >= 3 {
-		spec.Shards, spec.Workers = 0, 0
+		spec.Workers = 0
+	} else {
+		spec.Shards = shards
 	}
 	b, err := json.Marshal(spec)
 	if err != nil {
@@ -417,11 +421,12 @@ func TestCacheIgnoresFormatV1Entries(t *testing.T) {
 	}
 }
 
-// TestCacheHitAcrossWorkersAndShards: workers and shards decide how a job
-// runs, never its bytes, so they stay out of the digest. A spec computed
-// at (workers 1, shards 1) is an exact cache hit when resubmitted at
-// (workers 4, shards 3), and the served result is byte-identical to a
-// fresh computation at the new layout on a cacheless server.
+// TestCacheHitAcrossWorkersAndShards: workers decide how a job runs,
+// never its bytes, and shards is ignored, so neither is in the digest. A
+// spec computed at (workers 1, shards 1) is an exact cache hit when
+// resubmitted at (workers 4, shards 3), and the served result is
+// byte-identical to a fresh computation of the resubmission on a
+// cacheless server.
 func TestCacheHitAcrossWorkersAndShards(t *testing.T) {
 	reg := telemetry.New()
 	cache := &resultcache.Store{Dir: t.TempDir(), Metrics: reg}

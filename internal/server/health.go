@@ -40,7 +40,7 @@ func healthRank(h HealthState) int {
 type Health struct {
 	Status HealthState `json:"status"`
 	Reason string      `json:"reason,omitempty"`
-	// QueueDepth counts queued shards across all classes; ActiveJobs the
+	// QueueDepth counts queued jobs across all classes; ActiveJobs the
 	// admitted-but-unfinished jobs.
 	QueueDepth int `json:"queue_depth"`
 	ActiveJobs int `json:"active_jobs"`

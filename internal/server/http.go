@@ -20,9 +20,9 @@ import (
 //	GET    /jobs/{id}          poll one job's status
 //	GET    /jobs/{id}/result   fetch a completed job's result.json
 //	GET    /jobs/{id}/trace    fetch a job's JSONL trace
-//	GET    /jobs/{id}/metrics  merged cross-shard telemetry snapshot
+//	GET    /jobs/{id}/metrics  the job's telemetry snapshot
 //	                           (JSON; ?format=text for text exposition)
-//	GET    /jobs/{id}/progress live progress, per-shard histograms, ETA
+//	GET    /jobs/{id}/progress live progress, point-wall histogram, ETA
 //	DELETE /jobs/{id}          cancel a job
 //	GET    /healthz            health state machine:
 //	                           healthy|degraded → 200, draining|failed → 503
@@ -39,7 +39,7 @@ import (
 // Every 429 and 503 response carries a Retry-After header (integer
 // seconds). 429s are load conditions on this instance — queue_full,
 // class_queue_full, deadline_unmeetable, tenant quotas — where the hint
-// derives from the observed shard service time and the queue ahead of
+// derives from the observed job service time and the queue ahead of
 // the request; retrying the *same* submission after that delay is
 // correct and safe, because submissions are idempotent by spec digest
 // (GET /jobs?digest= finds an already-accepted equivalent). 503s mean
@@ -135,7 +135,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Each submission gets a request span; the admitted job's span tree
-	// roots under it, so traces reconstruct request → job → shard → point.
+	// roots under it, so traces reconstruct request → job → point.
 	reqSpan := telemetry.Root(fmt.Sprintf("req-%d", s.reqSeq.Add(1)))
 	st, err := s.SubmitSpan(spec, reqSpan)
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package server is the sweep-as-a-service runtime: a crash-safe job
-// server that accepts Monte Carlo sweep specs over HTTP, fans their
-// points out to a bounded worker pool in seed-stable shards, and streams
-// results through the existing checkpoint, JSONL-trace, and telemetry
-// machinery.
+// server that accepts Monte Carlo sweep specs over HTTP, runs each job as
+// one checkpointed sweep on a bounded worker pool, and streams results
+// through the existing checkpoint, JSONL-trace, and telemetry machinery.
 //
 // Robustness is the design center, mirroring the paper's own claim that a
 // computation must survive faults in its machinery:
@@ -10,18 +9,17 @@
 //   - every job-state transition is an fsynced record in an append-only
 //     journal written through the chaos.FS seam, so a SIGKILL at any
 //     instant leaves a replayable prefix: on restart the server replays
-//     the journal and resumes every in-flight job from its shard sweep
-//     checkpoints, bit-identically to an uninterrupted run;
+//     the journal and resumes every in-flight job from its sweep
+//     checkpoint, bit-identically to an uninterrupted run;
 //   - admission is bounded and typed: a full queue or an exhausted
 //     per-tenant quota produces a *RejectError (HTTP 429), never a stall;
-//   - shard execution isolates trial panics via sim.TrialPanicError
+//   - job execution isolates trial panics via sim.TrialPanicError
 //     provenance and retries them under a budgeted chaos.Policy;
 //   - jobs carry deadlines, and SIGTERM drains gracefully — stop
-//     admitting, checkpoint running shards, flush traces, exit clean.
+//     admitting, checkpoint running jobs, flush traces, exit clean.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -31,8 +29,8 @@ import (
 )
 
 // JobSpec is what a client submits: one sweep experiment, its grid and
-// trial budget, and how to run it. The zero values of Shards, Workers,
-// and Engine normalize to 1, 1, and "scalar".
+// trial budget, and how to run it. The zero values of Workers and Engine
+// normalize to 1 and "scalar".
 type JobSpec struct {
 	// Tenant attributes the job for quota accounting; empty normalizes
 	// to "default".
@@ -53,10 +51,11 @@ type JobSpec struct {
 	// MaxLevel and Bits parameterize the levels and adder experiments.
 	MaxLevel int `json:"maxlevel,omitempty"`
 	Bits     int `json:"bits,omitempty"`
-	// Shards is how many seed-stable point shards the job fans out as;
-	// capped at the experiment's point count.
+	// Shards is accepted on the wire and ignored: a job runs as one sweep.
+	// Older clients and journal records carry it, and decoding refuses
+	// unknown fields, so it stays; normalize clears it.
 	Shards int `json:"shards,omitempty"`
-	// Workers is the engine worker count per shard.
+	// Workers is the engine worker count inside each estimate.
 	Workers int `json:"workers,omitempty"`
 	// RelTol/ZeroScale enable adaptive early stopping per point, exactly
 	// as revft-mc -reltol/-zeroscale.
@@ -74,7 +73,7 @@ type JobSpec struct {
 	// bounds, queue order, shedding, and preemption — never results:
 	// estimates derive from the swept value and trial index alone, so a
 	// sweep computes bit-identical output whatever class it ran under.
-	// Like Shards and Workers, it is journaled but excluded from Digest.
+	// Like Workers, it is journaled but excluded from Digest.
 	Priority string `json:"priority,omitempty"`
 }
 
@@ -90,7 +89,7 @@ const (
 const numClasses = 3
 
 // classWeights is the scheduler's weighted round-robin allotment: out of
-// every 12 shard claims under contention, interactive gets 8, batch 3,
+// every 12 job claims under contention, interactive gets 8, batch 3,
 // bulk 1. Empty classes donate their share (work-conserving), and every
 // non-empty class is served each round (starvation-free).
 var classWeights = [numClasses]int{8, 3, 1}
@@ -117,9 +116,7 @@ func (s *JobSpec) normalize() {
 	if s.Engine == "" {
 		s.Engine = "scalar"
 	}
-	if s.Shards <= 0 {
-		s.Shards = 1
-	}
+	s.Shards = 0
 	if s.Workers <= 0 {
 		s.Workers = 1
 	}
@@ -193,12 +190,12 @@ func (s JobSpec) Grid() []float64 { return stats.LogSpace(s.GMin, s.GMax, s.Poin
 
 // Digest returns the digest of the spec's canonical JSON encoding (after
 // normalization) under sweep.FormatVersion — see sweep.DigestBytes — the
-// identity job IDs, cache entries, and shard checkpoint specs derive from.
+// identity job IDs, cache entries, and checkpoint specs derive from.
 func (s JobSpec) Digest() string {
 	s.normalize()
-	// Priority, Shards and Workers shape scheduling, never results: specs
+	// Priority and Workers shape scheduling, never results: specs
 	// differing only in them share one digest and one cache entry.
-	s.Priority, s.Shards, s.Workers = "", 0, 0
+	s.Priority, s.Workers = "", 0
 	b, err := json.Marshal(s)
 	if err != nil {
 		// JobSpec holds only scalars; Marshal cannot fail on it.
@@ -235,8 +232,6 @@ type JobStatus struct {
 	Error       string    `json:"error,omitempty"`
 	Points      int       `json:"points"`
 	Trials      int       `json:"trials"`
-	Shards      int       `json:"shards"`
-	ShardsDone  int       `json:"shards_done"`
 	Resumed     bool      `json:"resumed,omitempty"`
 	SpecDigest  string    `json:"spec_digest"`
 	SubmittedAt time.Time `json:"submitted_at"`
@@ -315,22 +310,4 @@ func (e *RejectError) retryAfter(sec int) *RejectError {
 	}
 	e.RetryAfterSeconds = sec
 	return e
-}
-
-// shardPoints returns how many global points shard k of nShards owns when
-// the points are dealt round-robin: shard k runs global points k, k+S,
-// k+2S, ... — a partition that keeps every point's seed derivation (which
-// depends only on the global index) independent of the shard count.
-func shardPoints(points, nShards, k int) int {
-	if k >= points {
-		return 0
-	}
-	return (points - k + nShards - 1) / nShards
-}
-
-// shardPointFunc adapts a global PointFunc to shard-local indices.
-func shardPointFunc(fn sweep.PointFunc, k, nShards int) sweep.PointFunc {
-	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
-		return fn(ctx, k+pt*nShards, start, trials)
-	}
 }

@@ -24,8 +24,8 @@ const (
 	// recReused records a near-miss cache reuse decision, appended right
 	// after the job's submitted record: the source entry, the remainder
 	// grid still to compute, and the grafted points themselves. Replay
-	// applies it so a restarted server reconstructs the identical shard
-	// layout without consulting the cache.
+	// applies it so a restarted server reconstructs the identical
+	// remainder grid without consulting the cache.
 	recReused = "reused"
 )
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"revft/internal/resultcache"
@@ -136,32 +138,29 @@ func TestJobsByDigestOrderAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestTerminalJobWhileShardsInFlight ends a four-shard job on a two-worker
-// pool while shards are running and others queued — by a cancel, and by
-// a sibling shard's failure. The running shards ignore cancellation and
-// complete after the job is terminal, so their results must not be
-// booked, and the queued shards must never run. Run it under -race.
+// TestTerminalJobWhileShardsInFlight ends a job while its one attempt is
+// running — by a cancel, and by its deadline. The attempt ignores
+// cancellation and completes its only point after the job is terminal,
+// so its outcome must book nothing: no result, no state change, and the
+// job keeps no point function. Run it under -race.
 func TestTerminalJobWhileShardsInFlight(t *testing.T) {
 	for _, tc := range []struct {
-		mode  string
-		state State
-		// late is the number of shards that complete after the job ended.
-		late int
-	}{{"cancel", StateCancelled, 2}, {"fail", StateFailed, 1}} {
+		mode    string
+		state   State
+		timeout float64
+	}{{"cancel", StateCancelled, 0}, {"fail", StateFailed, 0.5}} {
 		t.Run(tc.mode, func(t *testing.T) {
 			gate := make(chan struct{})
 			openGate := sync.OnceFunc(func() { close(gate) })
 			defer openGate()
-			started := make(chan struct{}, 4)
+			started := make(chan struct{}, 1)
+			var returned atomic.Int32
 			driver := func(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
 				inner, n, err := fakeDriver(spec, grid)
 				return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
-					if tc.mode == "fail" && pt == 0 {
-						<-started // shard 1 is running
-						return nil, errors.New("shard 0 broke")
-					}
 					started <- struct{}{}
 					<-gate // ignores ctx: completes after the job ends
+					defer returned.Add(1)
 					return inner(context.Background(), pt, start, trials)
 				}, n, err
 			}
@@ -169,14 +168,14 @@ func TestTerminalJobWhileShardsInFlight(t *testing.T) {
 				c.Drivers = map[string]Driver{"gated": driver}
 			})
 			spec := testSpec()
-			spec.Experiment, spec.Points, spec.Shards = "gated", 4, 4
+			spec.Experiment, spec.GMax, spec.Points = "gated", spec.GMin, 1
+			spec.TimeoutSeconds = tc.timeout
 			st, err := s.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
+			<-started
 			if tc.mode == "cancel" {
-				<-started
-				<-started
 				if _, err := s.Cancel(st.ID); err != nil {
 					t.Fatal(err)
 				}
@@ -189,28 +188,33 @@ func TestTerminalJobWhileShardsInFlight(t *testing.T) {
 			if end.State != tc.state {
 				t.Fatalf("job state = %s, want %s", end.State, tc.state)
 			}
+			if returned.Load() != 1 {
+				t.Fatalf("the attempt's point returned %d times, want once, after the job ended", returned.Load())
+			}
+			if got, err := s.Job(st.ID); err != nil || got.State != tc.state {
+				t.Fatalf("after the late outcome: %+v, %v; want state %s", got, err, tc.state)
+			}
+			if _, err := os.Stat(filepath.Join(s.jobDir(st.ID), "result.json")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("terminal job booked a result: stat err %v", err)
+			}
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			j := s.jobs[st.ID]
-			if j.fn != nil || j.shardRes != nil {
-				t.Fatal("terminal job still holds its point function or shard results")
-			}
-			if j.shardsDone != tc.late {
-				t.Fatalf("shards done = %d, want %d (the shards that outlived the job)", j.shardsDone, tc.late)
+			if s.jobs[st.ID].fn != nil {
+				t.Fatal("terminal job still holds its point function")
 			}
 		})
 	}
 }
 
-// TestCancelRacesShardClaim cancels four-shard jobs the moment they are
-// admitted, so cancels land between a worker claiming a shard and
-// starting it: the shard must run with the point function it claimed,
-// not the job's released one. Run it under -race.
+// TestCancelRacesShardClaim cancels jobs the moment they are admitted, so
+// cancels land between a worker claiming a job and starting it: the
+// attempt must run with the point function it claimed, not the job's
+// released one. Run it under -race.
 func TestCancelRacesShardClaim(t *testing.T) {
 	s := newTestServer(t, nil)
 	for i := 0; i < 50; i++ {
 		spec := testSpec()
-		spec.Points, spec.Shards, spec.Seed = 4, 4, uint64(i)
+		spec.Points, spec.Seed = 4, uint64(i)
 		st, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -51,7 +51,7 @@ func resultTrials(t *testing.T, data []byte) int64 {
 	return n
 }
 
-// TestJobMetricsConservation: a done job's merged cross-shard snapshot
+// TestJobMetricsConservation: a done job's metrics snapshot
 // accounts for exactly the trials its result reports — the per-job
 // conservation invariant, here on the uninterrupted path.
 func TestJobMetricsConservation(t *testing.T) {
@@ -95,12 +95,11 @@ func TestJobMetricsConservation(t *testing.T) {
 // TestJobMetricsConservationAcrossRestart is the invariant under the
 // kill-and-restart the service is built for: drain mid-job, restart from
 // the journal, finish — the merged per-job trial counters still equal the
-// final result's trial counts exactly, because shard checkpoints persist
+// final result's trial counts exactly, because checkpoints persist
 // their point-boundary snapshots alongside the results.
 func TestJobMetricsConservationAcrossRestart(t *testing.T) {
 	spec := testSpec()
 	spec.Experiment = "gated"
-	spec.Shards = 1
 
 	mkDrivers := func(gate chan struct{}) map[string]Driver {
 		gated := func(sp JobSpec, grid []float64) (sweep.PointFunc, int, error) {
@@ -139,7 +138,7 @@ func TestJobMetricsConservationAcrossRestart(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("shard checkpoint never appeared")
+			t.Fatal("checkpoint never appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -199,13 +198,9 @@ func TestJobMetricsConservationAcrossRestart(t *testing.T) {
 	if fp.TrialsDone != want || fp.PointsDone != spec.Points {
 		t.Errorf("final progress = trials %d points %d, want %d / %d", fp.TrialsDone, fp.PointsDone, want, spec.Points)
 	}
-	for _, shp := range fp.ShardProgress {
-		if shp.State != "done" {
-			t.Errorf("shard %d state = %q, want done", shp.Shard, shp.State)
-		}
-		if len(shp.Trajectory) != shp.PointsDone {
-			t.Errorf("shard %d trajectory has %d entries, want %d", shp.Shard, len(shp.Trajectory), shp.PointsDone)
-		}
+	if fp.State != StateDone || len(fp.Trajectory) != fp.PointsDone || fp.PointWall == nil {
+		t.Errorf("final progress = state %s, %d trajectory entries for %d points, point wall %v",
+			fp.State, len(fp.Trajectory), fp.PointsDone, fp.PointWall)
 	}
 }
 
@@ -271,7 +266,7 @@ func TestObservabilityHTTP(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &prog); err != nil {
 		t.Fatalf("progress JSON: %v", err)
 	}
-	if prog.ID != st.ID || prog.State != StateDone || prog.TrialsDone != want || len(prog.ShardProgress) != prog.Shards {
+	if prog.ID != st.ID || prog.State != StateDone || prog.TrialsDone != want || prog.Attempts != 1 || len(prog.Trajectory) != spec.Points {
 		t.Errorf("progress = %+v", prog)
 	}
 

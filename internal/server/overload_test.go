@@ -22,19 +22,18 @@ import (
 // and a lone class drains at full speed (work-conserving).
 func TestSchedWeightedRoundRobin(t *testing.T) {
 	var q sched
-	j := &job{}
 	for c := 0; c < numClasses; c++ {
 		for i := 0; i < 24; i++ {
-			q.push(c, shardTask{j: j, k: c*100 + i})
+			q.push(c, task{j: &job{class: c}})
 		}
 	}
 	var classes []int
 	for {
-		task, ok := q.pop()
+		got, ok := q.pop()
 		if !ok {
 			break
 		}
-		classes = append(classes, task.k/100)
+		classes = append(classes, got.j.class)
 	}
 	if len(classes) != 3*24 {
 		t.Fatalf("popped %d tasks, want %d", len(classes), 3*24)
@@ -50,19 +49,20 @@ func TestSchedWeightedRoundRobin(t *testing.T) {
 
 	// Work conservation: only bulk queued → bulk claims back to back.
 	var lone sched
-	lone.push(2, shardTask{j: j, k: 0})
-	lone.push(2, shardTask{j: j, k: 1})
-	lone.push(2, shardTask{j: j, k: 2})
-	for i := 0; i < 3; i++ {
-		if task, ok := lone.pop(); !ok || task.k != i {
-			t.Fatalf("lone bulk claim %d = (%v, %v), want (%d, true)", i, task.k, ok, i)
+	ids := []string{"b0", "b1", "b2"}
+	for _, id := range ids {
+		lone.push(2, task{j: &job{id: id}})
+	}
+	for _, id := range ids {
+		if got, ok := lone.pop(); !ok || got.j.id != id {
+			t.Fatalf("lone bulk claim = (%+v, %v), want (%s, true)", got.j, ok, id)
 		}
 	}
 }
 
 // TestInteractiveAheadOfQueuedBulk is the acceptance scenario: with the
 // pool saturated, an interactive job submitted *after* a bulk job still
-// has all its shards claimed first.
+// has its points claimed first.
 func TestInteractiveAheadOfQueuedBulk(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
@@ -95,7 +95,7 @@ func TestInteractiveAheadOfQueuedBulk(t *testing.T) {
 	mk := func(priority string, seed uint64) JobStatus {
 		spec := JobSpec{
 			Experiment: "rec", GMin: 1e-3, GMax: 1e-2,
-			Points: 2, Trials: 200, Seed: seed, Shards: 2,
+			Points: 2, Trials: 200, Seed: seed,
 			Priority: priority,
 		}
 		st, err := s.Submit(spec)
@@ -124,14 +124,14 @@ func TestInteractiveAheadOfQueuedBulk(t *testing.T) {
 	}
 }
 
-// TestWatchdogRecoversHungShard: a shard whose first attempt hangs
+// TestWatchdogRecoversHungShard: a job whose first attempt hangs
 // forever is detected by the stall watchdog, cancelled with a typed
 // StallError, and retried from its checkpoint — the job completes within
 // its deadline with results bit-identical to an unhindered run.
 func TestWatchdogRecoversHungShard(t *testing.T) {
 	spec := JobSpec{
 		Experiment: "fake", GMin: 1e-3, GMax: 1e-2,
-		Points: 3, Trials: 500, Seed: 9, Shards: 1,
+		Points: 3, Trials: 500, Seed: 9,
 		TimeoutSeconds: 20,
 	}
 
@@ -194,7 +194,7 @@ func TestWatchdogRecoversHungShard(t *testing.T) {
 }
 
 // TestPreemptionResumesBitIdentical: an interactive submission preempts
-// a running bulk shard at its checkpoint boundary; the bulk job resumes,
+// a running bulk job at its checkpoint boundary; the bulk job resumes,
 // completes, and its result is bit-identical to an uncontended run.
 func TestPreemptionResumesBitIdentical(t *testing.T) {
 	firstPoint := make(chan struct{})
@@ -216,7 +216,7 @@ func TestPreemptionResumesBitIdentical(t *testing.T) {
 	}
 	bulkSpec := JobSpec{
 		Experiment: "slow", GMin: 1e-3, GMax: 1e-2,
-		Points: 8, Trials: 200, Seed: 5, Shards: 1,
+		Points: 8, Trials: 200, Seed: 5,
 		Priority: PriorityBulk,
 	}
 
@@ -258,7 +258,7 @@ func TestPreemptionResumesBitIdentical(t *testing.T) {
 
 	inter := JobSpec{
 		Experiment: "fake", GMin: 1e-3, GMax: 1e-3,
-		Points: 1, Trials: 200, Seed: 6, Shards: 1,
+		Points: 1, Trials: 200, Seed: 6,
 		Priority: PriorityInteractive,
 	}
 	ist, err := s.Submit(inter)
@@ -283,7 +283,7 @@ func TestPreemptionResumesBitIdentical(t *testing.T) {
 // TestDeadlineNotExtendedByRestart: the deadline anchors to the journaled
 // submission time, so a server crash + restart re-arms the timer from the
 // *remaining* budget. A job whose budget was fully consumed while the
-// server was down fails at replay, before any shard runs.
+// server was down fails at replay, before its attempt runs.
 func TestDeadlineNotExtendedByRestart(t *testing.T) {
 	dir := t.TempDir()
 	gate := make(chan struct{})
@@ -304,7 +304,7 @@ func TestDeadlineNotExtendedByRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Park the job non-terminal (the blocked shard checkpoints on the way
+	// Park the job non-terminal (the blocked attempt checkpoints on the way
 	// out), then hold the server "down" past the deadline.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestDeadlineUnmeetableRejectedAtDoor(t *testing.T) {
 }
 
 // TestQueuedDoomedJobShedEarly: a queued job whose remaining deadline
-// budget drops below the observed shard service time is failed early by
+// budget drops below the observed job service time is failed early by
 // the maintenance shedder with a typed reason — and the shed flips the
 // health state to degraded.
 func TestQueuedDoomedJobShedEarly(t *testing.T) {
@@ -371,7 +371,6 @@ func TestQueuedDoomedJobShedEarly(t *testing.T) {
 	})
 	occupant := testSpec()
 	occupant.Experiment = "blocking"
-	occupant.Shards = 1 // one claimed attempt, nothing queued ahead
 	if _, err := s.Submit(occupant); err != nil {
 		t.Fatal(err)
 	}
@@ -577,20 +576,22 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("healthy /healthz = %d, want 200", code)
 	}
 
-	// Saturate the single worker and pile up queued shards past the bound.
+	// Saturate the single worker and pile up queued jobs past the bound.
 	occupant := testSpec()
 	occupant.Experiment = "blocking"
 	if _, err := s.Submit(occupant); err != nil {
 		t.Fatal(err)
 	}
-	backlog := testSpec()
-	backlog.Experiment = "blocking"
-	backlog.Seed = 77
-	backlog.Points = 3
-	backlog.Shards = 3
-	bst, err := s.Submit(backlog)
-	if err != nil {
-		t.Fatal(err)
+	var backlog []JobStatus
+	for seed := uint64(77); seed < 79; seed++ {
+		spec := testSpec()
+		spec.Experiment = "blocking"
+		spec.Seed = seed
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backlog = append(backlog, st)
 	}
 	h := s.Health()
 	if h.Status != HealthDegraded || !strings.Contains(h.Reason, "queue depth") {
@@ -606,7 +607,9 @@ func TestHealthStateMachine(t *testing.T) {
 
 	// Release the backlog: the server recovers to healthy.
 	close(gate)
-	waitDone(t, s, bst.ID)
+	for _, st := range backlog {
+		waitDone(t, s, st.ID)
+	}
 	if h := s.Health(); h.Status != HealthHealthy {
 		t.Fatalf("post-backlog health = %+v, want healthy", h)
 	}
@@ -639,14 +642,14 @@ func TestHealthStateMachine(t *testing.T) {
 // TestStallErrorProvenance pins the typed stall fields a retry consumer
 // (and the trace) relies on.
 func TestStallErrorProvenance(t *testing.T) {
-	err := &StallError{Job: "j42", Shard: 3, PointsDone: 7, Idle: 1500 * time.Millisecond, Budget: time.Second}
-	for _, want := range []string{"j42", "shard 3", "7 points", "1.5s", "budget 1s"} {
+	err := &StallError{Job: "j42", PointsDone: 7, Idle: 1500 * time.Millisecond, Budget: time.Second}
+	for _, want := range []string{"j42", "7 points", "1.5s", "budget 1s"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("StallError %q missing %q", err.Error(), want)
 		}
 	}
-	pre := &PreemptError{Job: "j9", Shard: 1}
-	for _, want := range []string{"j9", "shard 1", "checkpoint boundary"} {
+	pre := &PreemptError{Job: "j9"}
+	for _, want := range []string{"j9", "checkpoint boundary"} {
 		if !strings.Contains(pre.Error(), want) {
 			t.Errorf("PreemptError %q missing %q", pre.Error(), want)
 		}

@@ -3,11 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 )
 
-// Multi-class shard scheduler. The single FIFO of earlier revisions
+// Multi-class job scheduler. The single FIFO of earlier revisions
 // becomes one FIFO per priority class plus a deterministic weighted
 // round-robin pick. The scheduler decides only *order and admission* —
 // never results: every point's seed derives from its global index and ε
@@ -16,10 +15,10 @@ import (
 // is what makes aggressive scheduling safe here, and it is pinned by
 // TestPrioritySchedulingSeedStable.
 
-// sched holds the per-class shard queues. All access is under the owning
+// sched holds the per-class job queues. All access is under the owning
 // Server's mutex.
 type sched struct {
-	queues [numClasses][]shardTask
+	queues [numClasses][]task
 	// served counts claims in the current weighted round; when every
 	// non-empty class has used its classWeights allotment, the round
 	// resets.
@@ -27,15 +26,15 @@ type sched struct {
 }
 
 // push appends a task to its class queue.
-func (q *sched) push(cls int, t shardTask) {
+func (q *sched) push(cls int, t task) {
 	q.queues[cls] = append(q.queues[cls], t)
 }
 
-// pop claims the next shard under the weighted round-robin policy:
+// pop claims the next job under the weighted round-robin policy:
 // highest-priority class with round credit left wins; if every non-empty
 // class has exhausted its credit the round resets (so a lone bulk queue
 // still drains at full speed — the scheduler is work-conserving).
-func (q *sched) pop() (shardTask, bool) {
+func (q *sched) pop() (task, bool) {
 	for pass := 0; pass < 2; pass++ {
 		for c := 0; c < numClasses; c++ {
 			if len(q.queues[c]) == 0 {
@@ -53,10 +52,10 @@ func (q *sched) pop() (shardTask, bool) {
 		// its allotment; reset the round and try once more.
 		q.served = [numClasses]int{}
 	}
-	return shardTask{}, false
+	return task{}, false
 }
 
-// depth is the total number of queued shards.
+// depth is the total number of queued jobs.
 func (q *sched) depth() int {
 	n := 0
 	for c := 0; c < numClasses; c++ {
@@ -65,7 +64,7 @@ func (q *sched) depth() int {
 	return n
 }
 
-// depthThrough counts queued shards in classes 0..cls — the work that
+// depthThrough counts queued jobs in classes 0..cls — the work that
 // will be scheduled at or before class cls's next claim, the quantity
 // deadline-aware admission estimates queue wait from.
 func (q *sched) depthThrough(cls int) int {
@@ -76,12 +75,11 @@ func (q *sched) depthThrough(cls int) int {
 	return n
 }
 
-// attemptCtl tracks one live shard execution attempt: its cancel-with-
+// attemptCtl tracks one live job execution attempt: its cancel-with-
 // cause hook (the lever the watchdog and the preemption policy pull) and
 // the watchdog's last observed heartbeat. Guarded by the Server mutex.
 type attemptCtl struct {
 	j       *job
-	k       int
 	cls     int
 	cancel  context.CancelCauseFunc
 	started time.Time
@@ -98,31 +96,29 @@ type attemptCtl struct {
 	preempted bool
 }
 
-// PreemptError is the cause a bulk shard attempt is cancelled with when
+// PreemptError is the cause a bulk job attempt is cancelled with when
 // queued interactive work needs its pool slot. It is not retryable under
-// the shard retry policy: the attempt ends at its next checkpoint
-// boundary and shardFinished re-enqueues the shard — already-computed
-// points live in the checkpoint, so the resumed attempt recomputes
-// nothing and the final result stays bit-identical.
+// the job retry policy: the attempt ends at its next checkpoint boundary
+// and finished re-enqueues the job — already-computed points live in the
+// checkpoint, so the resumed attempt recomputes nothing and the final
+// result stays bit-identical.
 type PreemptError struct {
-	Job   string
-	Shard int
+	Job string
 }
 
 func (e *PreemptError) Error() string {
-	return fmt.Sprintf("server: job %s shard %d preempted at checkpoint boundary for queued interactive work", e.Job, e.Shard)
+	return fmt.Sprintf("server: job %s preempted at checkpoint boundary for queued interactive work", e.Job)
 }
 
-// StallError is the cause the watchdog cancels a stuck shard attempt
-// with: no point or telemetry progress for longer than the configured
-// stall budget. It carries shard/point provenance and is retryable under
-// the shard retry policy, so a transiently wedged shard re-runs from its
-// checkpoint instead of silently eating the job's deadline.
+// StallError is the cause the watchdog cancels a stuck job attempt with:
+// no point or telemetry progress for longer than the configured stall
+// budget. It carries point provenance and is retryable under the job
+// retry policy, so a transiently wedged job re-runs from its checkpoint
+// instead of silently eating its deadline.
 type StallError struct {
-	Job   string
-	Shard int
-	// PointsDone is how many shard-local points the stalled attempt had
-	// completed when it went quiet; the retry resumes after them.
+	Job string
+	// PointsDone is how many points the stalled attempt had completed
+	// when it went quiet; the retry resumes after them.
 	PointsDone int
 	// Idle is how long the heartbeat had been flat when the watchdog
 	// tripped; Budget the configured allowance it exceeded.
@@ -131,8 +127,8 @@ type StallError struct {
 }
 
 func (e *StallError) Error() string {
-	return fmt.Sprintf("server: job %s shard %d stalled: no progress for %v (budget %v) after %d points",
-		e.Job, e.Shard, e.Idle.Round(time.Millisecond), e.Budget, e.PointsDone)
+	return fmt.Sprintf("server: job %s stalled: no progress for %v (budget %v) after %d points",
+		e.Job, e.Idle.Round(time.Millisecond), e.Budget, e.PointsDone)
 }
 
 // registerAttempt books a live attempt with the scheduler/watchdog plane.
@@ -142,7 +138,7 @@ func (s *Server) registerAttempt(ctl *attemptCtl) {
 	now := time.Now()
 	ctl.started = now
 	ctl.lastChange = now
-	ctl.lastBeat = ctl.j.obs.heartbeat(ctl.k)
+	ctl.lastBeat = ctl.j.obs.heartbeat()
 	s.attempts[ctl] = struct{}{}
 }
 
@@ -153,7 +149,7 @@ func (s *Server) unregisterAttempt(ctl *attemptCtl) {
 }
 
 // preemptLocked cancels running bulk attempts — newest first, so the
-// least checkpoint-sunk work yields — while queued interactive shards
+// least checkpoint-sunk work yields — while queued interactive jobs
 // outnumber free pool slots. Preemption stops at the checkpoint
 // boundary: the cancelled attempt flushes, re-queues, and resumes later
 // with zero recomputation.
@@ -178,11 +174,11 @@ func (s *Server) preemptLocked() {
 		}
 		victim.preempted = true
 		s.cfg.Metrics.Counter("server.shard_preemptions").Inc()
-		victim.j.emit("shard_preempting", victim.j.span.Child("s"+strconv.Itoa(victim.k)).Tag(map[string]any{
-			"job": victim.j.id, "shard": victim.k, "queued_interactive": need,
+		victim.j.emit("attempt_preempting", victim.j.span.Tag(map[string]any{
+			"job": victim.j.id, "queued_interactive": need,
 		}))
-		s.logf("preempting job %s shard %d (bulk) for %d queued interactive shard(s)", victim.j.id, victim.k, need)
-		victim.cancel(&PreemptError{Job: victim.j.id, Shard: victim.k})
+		s.logf("preempting job %s (bulk) for %d queued interactive job(s)", victim.j.id, need)
+		victim.cancel(&PreemptError{Job: victim.j.id})
 		idle++
 	}
 }

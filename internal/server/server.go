@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,11 +33,11 @@ type Driver func(spec JobSpec, grid []float64) (sweep.PointFunc, int, error)
 // the documented defaults.
 type Config struct {
 	// DataDir is the server's durable root: journal.jsonl plus one
-	// jobs/<id>/ directory per job (shard checkpoints, trace, result).
+	// jobs/<id>/ directory per job (sweep checkpoint, trace, result).
 	DataDir string
 	// Drivers maps experiment names to their sweep drivers.
 	Drivers map[string]Driver
-	// PoolWorkers bounds the shard worker pool; <= 0 selects 4.
+	// PoolWorkers bounds the job worker pool; <= 0 selects 4.
 	PoolWorkers int
 	// MaxActiveJobs bounds admitted-but-unfinished jobs across all
 	// tenants — the admission queue. Submissions beyond it are rejected
@@ -51,7 +50,7 @@ type Config struct {
 	// MaxTrialsPerTenant bounds one tenant's in-flight trial budget
 	// (sum of points×trials over its active jobs); 0 means unlimited.
 	MaxTrialsPerTenant int64
-	// FS is the filesystem for shard checkpoints and result files; nil
+	// FS is the filesystem for sweep checkpoints and result files; nil
 	// selects the direct OS filesystem.
 	FS chaos.FS
 	// JournalFS, when non-nil, routes only the job journal — the seam the
@@ -61,9 +60,9 @@ type Config struct {
 	// Retry governs checkpoint, trace, and result write retries; the zero
 	// value is the chaos default policy.
 	Retry chaos.Policy
-	// ShardRetry budgets re-execution of a shard whose trial panicked
+	// ShardRetry budgets re-execution of a job whose trial panicked
 	// (sim.TrialPanicError) or stalled under the watchdog (StallError);
-	// other shard errors are never retried. The zero value is the chaos
+	// other job errors are never retried. The zero value is the chaos
 	// default policy (4 attempts).
 	ShardRetry chaos.Policy
 	// MaxActivePerClass bounds admitted-but-unfinished jobs per priority
@@ -71,7 +70,7 @@ type Config struct {
 	// with CodeClassQueueFull. Absent or 0 means the class shares only
 	// the global MaxActiveJobs bound.
 	MaxActivePerClass map[string]int
-	// StallBudget arms the stuck-shard watchdog: a running shard attempt
+	// StallBudget arms the stuck-job watchdog: a running job attempt
 	// whose heartbeat (points + telemetry counters) stays flat longer
 	// than this is cancelled with a typed StallError and retried under
 	// ShardRetry from its checkpoint. 0 disables the watchdog.
@@ -79,12 +78,12 @@ type Config struct {
 	// MaintenanceTick overrides the watchdog/shedder poll interval; <= 0
 	// selects 250ms, tightened to StallBudget/4 when that is smaller.
 	MaintenanceTick time.Duration
-	// DegradedQueueDepth is the queued-shard count past which /healthz
+	// DegradedQueueDepth is the queued-job count past which /healthz
 	// reports degraded; <= 0 selects 8 × PoolWorkers.
 	DegradedQueueDepth int
-	// ShardSecondsEstimate seeds the EWMA of observed per-shard service
+	// ShardSecondsEstimate seeds the EWMA of observed per-job service
 	// seconds that deadline-aware admission and shedding divide pool
-	// capacity by. 0 starts with no estimate (the first completed shard
+	// capacity by. 0 starts with no estimate (the first completed job
 	// provides one); tests use it to make shedding deterministic.
 	ShardSecondsEstimate float64
 	// Metrics receives server counters and gauges; nil disables them.
@@ -119,7 +118,6 @@ type job struct {
 
 	fn        sweep.PointFunc
 	points    int
-	shards    int
 	trialCost int64
 	// class is the job's priority class index (classIndex of the
 	// normalized spec priority); deadline is the absolute wall-clock
@@ -141,15 +139,11 @@ type job struct {
 	trace  *telemetry.FileTrace
 	doneCh chan struct{}
 
-	// span roots the job's causal trace tree (request → job → shard →
-	// point); obs is its observability plane (per-shard registries,
-	// progress, trajectory).
+	// span roots the job's causal trace tree (request → job → point);
+	// obs is its observability plane (attempt registry, progress,
+	// trajectory).
 	span telemetry.Span
 	obs  *jobObs
-
-	running    int
-	shardsDone int
-	shardRes   map[int][]sweep.PointResult
 }
 
 func (j *job) emit(typ string, fields map[string]any) {
@@ -165,13 +159,12 @@ func (j *job) sweepTrace() *telemetry.Trace {
 	return j.trace.Trace
 }
 
-// shardTask is one queued shard. fn is the job's point function,
-// captured when a worker claims the task under the server mutex: a job
-// that turns terminal releases its own reference while the shard may
-// still be running.
-type shardTask struct {
+// task is one queued job. fn is the job's point function, captured when
+// a worker claims the task under the server mutex: a job that turns
+// terminal releases its own reference while its attempt may still be
+// running.
+type task struct {
 	j  *job
-	k  int
 	fn sweep.PointFunc
 }
 
@@ -205,18 +198,18 @@ type Server struct {
 	draining bool
 	fatalErr error
 	// classActive counts admitted-but-unfinished jobs per priority
-	// class; attempts tracks live shard execution attempts (the
+	// class; attempts tracks live job execution attempts (the
 	// watchdog's scan set and the preemption policy's victim pool).
 	classActive [numClasses]int
 	attempts    map[*attemptCtl]struct{}
-	// shardSeconds is the EWMA of observed completed-shard wall seconds;
+	// jobSeconds is the EWMA of observed completed-job wall seconds;
 	// lastShed/lastStall drive the degraded health window.
-	shardSeconds float64
+	jobSeconds   float64
 	lastShed     time.Time
 	lastStall    time.Time
 	health       HealthState
 	healthReason string
-	// retired accumulates terminal jobs' merged per-shard snapshots so the
+	// retired accumulates terminal jobs' metrics snapshots so the
 	// server-wide /metrics view conserves their trial counters after their
 	// live registries are released.
 	retired telemetry.Snapshot
@@ -277,7 +270,7 @@ func sanitizeTenant(name string) string {
 
 // New opens (or creates) the data directory, replays the job journal —
 // resuming every job the previous process left non-terminal — and starts
-// the shard worker pool.
+// the job worker pool.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("server: Config.DataDir is required")
@@ -314,7 +307,7 @@ func New(cfg Config) (*Server, error) {
 		attempts: make(map[*attemptCtl]struct{}),
 		health:   HealthHealthy,
 	}
-	s.shardSeconds = cfg.ShardSecondsEstimate
+	s.jobSeconds = cfg.ShardSecondsEstimate
 	if cfg.Cache != nil {
 		s.manifest.Cache = &telemetry.CacheSpec{Dir: cfg.Cache.Dir}
 	}
@@ -449,18 +442,13 @@ func (s *Server) activateLocked(j *job) error {
 	j.fn = fn
 	j.points = points
 	j.class = classIndex(j.spec.Priority)
-	j.shards = j.spec.Shards
-	if j.shards > points {
-		j.shards = points
-	}
 	j.trialCost = int64(points) * int64(j.spec.Trials)
-	j.shardRes = make(map[int][]sweep.PointResult)
 	j.ctx, j.cancel = context.WithCancel(s.runCtx)
 	return nil
 }
 
 // admitLocked books an activated job in: quota accounting, job directory
-// and trace, deadline timer, and one queued task per shard.
+// and trace, deadline timer, and its one queued task.
 func (s *Server) admitLocked(j *job) {
 	s.active++
 	s.classActive[j.class]++
@@ -471,7 +459,7 @@ func (s *Server) admitLocked(j *job) {
 		// Replayed jobs have no originating request; the job is the root.
 		j.span = telemetry.Root(j.id)
 	}
-	j.obs = newJobObs(j.shards)
+	j.obs = &jobObs{}
 
 	dir := s.jobDir(j.id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -494,7 +482,7 @@ func (s *Server) admitLocked(j *job) {
 	}
 	j.emit("job_admitted", j.span.Tag(map[string]any{
 		"job": j.id, "tenant": j.spec.Tenant, "experiment": j.spec.Experiment,
-		"points": j.points, "shards": j.shards, "trials": j.spec.Trials,
+		"points": j.points, "trials": j.spec.Trials,
 		"resumed": j.resumed,
 	}))
 	s.cfg.Trace.Emit("job_admitted", j.span.Tag(map[string]any{"job": j.id, "tenant": j.spec.Tenant, "resumed": j.resumed}))
@@ -504,7 +492,7 @@ func (s *Server) admitLocked(j *job) {
 		// the journaled record: a job resumed after a crash re-arms from
 		// its *remaining* budget, so crashing the server can never extend
 		// a deadline. A budget fully consumed before restart fails here,
-		// journaled, before any shard is queued.
+		// journaled, before the job is queued.
 		j.deadline = j.submittedAt.Add(time.Duration(j.spec.TimeoutSeconds * float64(time.Second)))
 		d := time.Until(j.deadline)
 		if d <= 0 {
@@ -514,11 +502,8 @@ func (s *Server) admitLocked(j *job) {
 		}
 		j.timer = time.AfterFunc(d, func() { s.deadline(j) })
 	}
-	now := time.Now()
-	for k := 0; k < j.shards; k++ {
-		s.sched.push(j.class, shardTask{j: j, k: k})
-		j.obs.enqueued(k, now)
-	}
+	s.sched.push(j.class, task{j: j})
+	j.obs.enqueued(time.Now())
 	if j.class == classIndex(PriorityInteractive) {
 		s.preemptLocked()
 	}
@@ -592,14 +577,14 @@ func (s *Server) updateGaugesLocked() {
 
 // Submit admits one job: validate, resolve the driver, check admission
 // bounds and tenant quotas, journal the submission durably, and enqueue
-// its shards. Refusals are typed *RejectError values — never a stall.
+// it. Refusals are typed *RejectError values — never a stall.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	return s.SubmitSpan(spec, telemetry.Span{})
 }
 
 // SubmitSpan is Submit with an originating request span: the admitted
 // job's span tree roots under parent, so a trace reconstructs the full
-// request → job → shard → point causality.
+// request → job → point causality.
 func (s *Server) SubmitSpan(spec JobSpec, parent telemetry.Span) (JobStatus, error) {
 	start := time.Now()
 	defer func() {
@@ -693,8 +678,8 @@ func (s *Server) SubmitSpan(spec JobSpec, parent telemetry.Span) (JobStatus, err
 	}
 	if j.reuse != nil {
 		// The reuse decision must be as durable as the submission itself:
-		// replay reconstructs the remainder grid (hence the shard
-		// checkpoint digests) from this record, never from the cache.
+		// replay reconstructs the remainder grid (hence the checkpoint
+		// digest) from this record, never from the cache.
 		rr := Record{Seq: s.nextSeqLocked(), Type: recReused, Job: j.id, At: time.Now().UTC(), Reuse: j.reuse}
 		if err := s.journal.Append(rr); err != nil {
 			j.cancel()
@@ -727,11 +712,11 @@ func (s *Server) admissionCheckLocked(j *job) *RejectError {
 	}
 	if s.active >= s.cfg.MaxActiveJobs {
 		return reject(CodeQueueFull, 429, "active job queue is full (%d jobs); retry later", s.active).
-			retryAfter(int(s.shardSeconds) + 1)
+			retryAfter(int(s.jobSeconds) + 1)
 	}
 	if b := s.cfg.MaxActivePerClass[j.spec.Priority]; b > 0 && s.classActive[j.class] >= b {
 		return reject(CodeClassQueueFull, 429, "priority class %q is full (%d active jobs, bound %d); retry later",
-			j.spec.Priority, s.classActive[j.class], b).retryAfter(int(s.shardSeconds) + 1)
+			j.spec.Priority, s.classActive[j.class], b).retryAfter(int(s.jobSeconds) + 1)
 	}
 	if j.spec.TimeoutSeconds > 0 {
 		// Deadline-aware shedding at the door: if the queue ahead of this
@@ -769,7 +754,7 @@ func (s *Server) countReject(tenant, code string) {
 	s.cfg.Metrics.Counter("server.tenant." + s.tlabels.label(tenant) + ".jobs_rejected").Inc()
 }
 
-// worker is one pool goroutine: claim the next runnable shard, run it,
+// worker is one pool goroutine: claim the next runnable job, run it,
 // repeat until drain or fatal.
 func (s *Server) worker() {
 	defer s.wg.Done()
@@ -778,14 +763,14 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.runShard(t)
+		s.run(t)
 	}
 }
 
-// next blocks for a runnable shard task, claimed in weighted priority
+// next blocks for a runnable job task, claimed in weighted priority
 // order. It returns ok=false when the server is draining (or fatally
 // failed) and the queues hold no more work for this worker.
-func (s *Server) next() (shardTask, bool) {
+func (s *Server) next() (task, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -799,20 +784,20 @@ func (s *Server) next() (shardTask, bool) {
 				continue // cancelled, deadlined, or shed while queued
 			}
 			if s.draining || s.fatalErr != nil {
-				// Admitted but unstarted shards stay journaled as
+				// Admitted but unstarted jobs stay journaled as
 				// non-terminal; the next process requeues them.
 				continue
 			}
 			if j.state == StateQueued && !j.deadline.IsZero() {
 				// Claim-time shed: don't hand a pool worker a job whose
-				// remaining budget can no longer cover one shard's
+				// remaining budget can no longer cover one job's
 				// observed service time — fail it early and typed.
 				now := time.Now()
 				remaining := j.deadline.Sub(now).Seconds()
-				if remaining <= 0 || (s.shardSeconds > 0 && remaining < s.shardSeconds) {
+				if remaining <= 0 || (s.jobSeconds > 0 && remaining < s.jobSeconds) {
 					s.shedLocked(j, fmt.Sprintf(
-						"shed at claim: remaining deadline budget %.2fs cannot cover estimated shard time %.2fs",
-						remaining, s.shardSeconds))
+						"shed at claim: remaining deadline budget %.2fs cannot cover estimated job time %.2fs",
+						remaining, s.jobSeconds))
 					continue
 				}
 			}
@@ -820,41 +805,40 @@ func (s *Server) next() (shardTask, bool) {
 				rec := Record{Seq: s.nextSeqLocked(), Type: recStarted, Job: j.id, At: time.Now().UTC()}
 				if err := s.journal.Append(rec); err != nil {
 					s.fatalLocked(err)
-					return shardTask{}, false
+					return task{}, false
 				}
 				j.state = StateRunning
 			}
-			j.running++
 			t.fn = j.fn
 			s.updateGaugesLocked()
-			wait := j.obs.claimed(t.k, time.Now())
+			wait := j.obs.claimed(time.Now())
 			s.cfg.Metrics.Histogram("server.queue_wait_seconds", telemetry.WallBuckets).Observe(wait)
 			s.cfg.Metrics.Histogram("server.queue_wait_seconds."+classNames[j.class], telemetry.WallBuckets).Observe(wait)
 			return t, true
 		}
 		if s.draining || s.fatalErr != nil {
-			return shardTask{}, false
+			return task{}, false
 		}
 		s.cond.Wait()
 	}
 }
 
-// runShard executes one shard of one job as a checkpointed sweep, with a
-// budgeted retry for trial panics: the shard's checkpoint holds every
-// point completed before the panic, so a retry resumes instead of
-// recomputing, and the original per-point seeds keep the eventual result
+// run executes one job as a checkpointed sweep over all its points, with
+// a budgeted retry for trial panics: the checkpoint holds every point
+// completed before the panic, so a retry resumes instead of recomputing,
+// and the original per-point seeds keep the eventual result
 // bit-identical.
-func (s *Server) runShard(t shardTask) {
+func (s *Server) run(t task) {
 	j := t.j
-	spec := s.shardSpec(j, t.k)
-	ckPath := filepath.Join(s.jobDir(j.id), fmt.Sprintf("shard-%03d.json", t.k))
-	sspan := j.span.Child("s" + strconv.Itoa(t.k))
+	spec := s.sweepSpec(j)
+	digest := spec.Digest()
+	ckPath := s.checkpointPath(j.id)
 
 	pol := s.cfg.ShardRetry
 	pol.Retryable = func(err error) bool {
 		// Trial panics and watchdog stalls share the retry budget: both
-		// resume from the shard checkpoint, so a retried attempt
-		// recomputes nothing and the eventual result is bit-identical.
+		// resume from the checkpoint, so a retried attempt recomputes
+		// nothing and the eventual result is bit-identical.
 		var pe *sim.TrialPanicError
 		var se *StallError
 		return errors.As(err, &pe) || errors.As(err, &se)
@@ -864,12 +848,12 @@ func (s *Server) runShard(t shardTask) {
 		s.cfg.Metrics.Histogram("server.shard_retry_backoff_seconds", telemetry.LatencyBuckets).
 			Observe(delay.Seconds())
 		fields := map[string]any{
-			"job": j.id, "shard": t.k, "attempt": attempt,
+			"job": j.id, "attempt": attempt,
 			"error": err.Error(), "backoff_seconds": delay.Seconds(),
 		}
 		var pe *sim.TrialPanicError
 		if errors.As(err, &pe) {
-			// Carry the panic provenance so a retried shard's trace still
+			// Carry the panic provenance so a retried job's trace still
 			// pins which trial block of which estimate seed blew up.
 			fields["panic_block"] = pe.Block
 			fields["panic_seed"] = pe.Seed
@@ -880,8 +864,8 @@ func (s *Server) runShard(t shardTask) {
 			fields["stall_points_done"] = se.PointsDone
 			fields["stall_idle_seconds"] = se.Idle.Seconds()
 		}
-		j.emit("shard_retry", sspan.Tag(fields))
-		s.logf("job %s shard %d: retrying after %v", j.id, t.k, err)
+		j.emit("attempt_retry", j.span.Tag(fields))
+		s.logf("job %s: retrying after %v", j.id, err)
 	}
 
 	var out *sweep.Outcome
@@ -889,34 +873,40 @@ func (s *Server) runShard(t shardTask) {
 	start := time.Now()
 	// pprof labels attribute every sample below — including the engine
 	// worker goroutines the sweep spawns, which inherit them — to the
-	// job, tenant, and shard, so `go tool pprof` can slice a busy server's
-	// CPU profile per job.
-	pprof.Do(j.ctx, pprof.Labels(
-		"job", j.id, "tenant", j.spec.Tenant, "shard", strconv.Itoa(t.k),
-	), func(ctx context.Context) {
+	// job and tenant, so `go tool pprof` can slice a busy server's CPU
+	// profile per job.
+	pprof.Do(j.ctx, pprof.Labels("job", j.id, "tenant", j.spec.Tenant), func(ctx context.Context) {
 		err = pol.Do(ctx, func() error {
-			// Each attempt gets a fresh per-shard registry seeded from the
+			// Each attempt gets a fresh registry seeded from the
 			// checkpoint's snapshot, so a retried attempt's abandoned
-			// counters never pollute the shard's merged view: metrics
-			// always restate exactly what the checkpoint covers plus the
-			// live attempt.
+			// counters never pollute the job's view: metrics always
+			// restate exactly what the checkpoint covers plus the live
+			// attempt.
 			reg := telemetry.New()
 			resume := s.exists(ckPath)
 			var base *telemetry.Snapshot
 			if resume {
-				if ck, lerr := sweep.LoadFS(s.fs, ckPath); lerr == nil && ck.Metrics != nil {
+				ck, lerr := sweep.LoadFS(s.fs, ckPath)
+				switch {
+				case lerr == nil && ck.Digest != digest:
+					// An older server split jobs into point shards and
+					// left shard 0's checkpoint here. Every point's
+					// randomness depends only on (seed, ε, trial), so
+					// starting over reproduces the same bytes.
+					resume = false
+				case lerr == nil && ck.Metrics != nil:
 					c := ck.Metrics.Clone()
 					base = &c
 				}
 			}
-			j.obs.beginAttempt(t.k, reg, base)
+			j.obs.beginAttempt(reg, base)
 			// Each attempt runs under its own cancel-with-cause context:
 			// the watchdog cancels it with a StallError, the preemption
 			// policy with a PreemptError. Either way the runner flushes
 			// its checkpoint at the cancellation boundary and the typed
 			// cause (not the bare context error) decides the disposition.
 			actx, acancel := context.WithCancelCause(ctx)
-			ctl := &attemptCtl{j: j, k: t.k, cls: j.class, cancel: acancel}
+			ctl := &attemptCtl{j: j, cls: j.class, cancel: acancel}
 			s.registerAttempt(ctl)
 			defer func() {
 				s.unregisterAttempt(ctl)
@@ -924,17 +914,15 @@ func (s *Server) runShard(t shardTask) {
 			}()
 			r := &sweep.Runner{
 				Spec:           spec,
-				Point:          shardPointFunc(t.fn, t.k, j.shards),
+				Point:          t.fn,
 				CheckpointPath: ckPath,
 				Resume:         resume,
 				Metrics:        reg,
 				Trace:          j.sweepTrace(),
 				FS:             s.fs,
 				Retry:          s.cfg.Retry,
-				Span:           sspan,
-				OnPoint: func(p sweep.PointResult, resumed bool) {
-					j.obs.onPoint(t.k, j.shards, p, resumed)
-				},
+				Span:           j.span,
+				OnPoint:        j.obs.onPoint,
 			}
 			o, rerr := r.Run(actx)
 			out = o
@@ -949,7 +937,7 @@ func (s *Server) runShard(t shardTask) {
 			return rerr
 		})
 	})
-	s.shardFinished(j, t.k, out, err, time.Since(start).Seconds())
+	s.finished(j, out, err, time.Since(start).Seconds())
 }
 
 // exists probes a path through the server's FS seam.
@@ -958,11 +946,19 @@ func (s *Server) exists(path string) bool {
 	return err == nil && len(m) > 0
 }
 
-// shardSpec derives shard k's sweep spec. The Extra field binds the
-// checkpoint digest to the job spec digest and the shard's position, so
-// a shard can only ever resume its own checkpoint — and after a restart
-// it does, because the same job spec re-derives the same shard specs.
-func (s *Server) shardSpec(j *job, k int) sweep.Spec {
+// checkpointPath is where a job's sweep checkpoint lives. The name and
+// the Extra field of sweepSpec are those of shard 0 of 1 from when jobs
+// could be split into point shards, so a job in flight across that
+// change resumes its checkpoint.
+func (s *Server) checkpointPath(id string) string {
+	return filepath.Join(s.jobDir(id), "shard-000.json")
+}
+
+// sweepSpec derives the job's sweep spec. The Extra field binds the
+// checkpoint digest to the job spec digest, so a job can only ever resume
+// its own checkpoint — and after a restart it does, because the same job
+// spec re-derives the same sweep spec.
+func (s *Server) sweepSpec(j *job) sweep.Spec {
 	var stop sweep.StopRule
 	if j.spec.RelTol > 0 {
 		stop = sweep.StopRule{RelTol: j.spec.RelTol, MaxTrials: j.spec.Trials, ZeroScale: j.spec.ZeroScale}
@@ -970,79 +966,69 @@ func (s *Server) shardSpec(j *job, k int) sweep.Spec {
 	return sweep.Spec{
 		Experiment: j.spec.Experiment,
 		Grid:       j.grid,
-		Points:     shardPoints(j.points, j.shards, k),
+		Points:     j.points,
 		Trials:     j.spec.Trials,
 		Workers:    j.spec.Workers,
 		Seed:       j.spec.Seed,
 		Engine:     j.spec.Engine,
-		Extra:      fmt.Sprintf("job=%.12s shard=%d/%d maxlevel=%d bits=%d", j.digest, k, j.shards, j.spec.MaxLevel, j.spec.Bits),
+		Extra:      fmt.Sprintf("job=%.12s shard=0/1 maxlevel=%d bits=%d", j.digest, j.spec.MaxLevel, j.spec.Bits),
 		Stop:       stop,
 	}
 }
 
-// shardFinished books one shard's outcome and decides the job's fate.
-// wallSeconds is the shard's total execution wall time (all attempts),
-// which feeds the service-time estimate on completion.
-func (s *Server) shardFinished(j *job, k int, out *sweep.Outcome, err error, wallSeconds float64) {
+// finished books the job's run outcome and decides its fate. wallSeconds
+// is the run's total wall time (all attempts), which feeds the
+// service-time estimate on completion.
+func (s *Server) finished(j *job, out *sweep.Outcome, err error, wallSeconds float64) {
 	var outMetrics *telemetry.Snapshot
 	if out != nil {
 		outMetrics = out.Metrics
 	}
 	var pre *PreemptError
-	sspan := j.span.Child("s" + strconv.Itoa(k))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.running--
 	switch {
-	case err == nil && out != nil && out.Complete:
-		s.observeShardSecondsLocked(wallSeconds)
-		j.obs.finished(k, "done", outMetrics)
-		j.shardsDone++
-		j.emit("shard_done", sspan.Tag(map[string]any{
-			"job": j.id, "shard": k, "points": len(out.Done), "resumed_points": out.Resumed,
-		}))
-		if !j.state.Terminal() {
-			// A terminal job has released its shard results; a shard that
-			// finishes after a cancel or a sibling's failure books nothing.
-			j.shardRes[k] = out.Done
-			if j.shardsDone == j.shards {
-				s.completeLocked(j)
-			}
-		}
 	case j.state.Terminal():
-		// Cancelled or deadlined underneath us; the terminal transition
-		// is already journaled.
-		j.obs.finished(k, "failed", outMetrics)
+		// Cancelled, deadlined or shed underneath us; the terminal
+		// transition is already journaled and the outcome books nothing.
+		j.obs.finished(outMetrics)
+	case err == nil && out != nil && out.Complete:
+		s.observeJobSecondsLocked(wallSeconds)
+		j.obs.finished(outMetrics)
+		j.emit("attempt_done", j.span.Tag(map[string]any{
+			"job": j.id, "points": len(out.Done), "resumed_points": out.Resumed,
+		}))
+		s.completeLocked(j, out.Done)
 	case s.runCtx.Err() != nil:
-		// Draining (or fatal): the shard flushed its checkpoint on the
-		// way out and the job stays journaled non-terminal, so the next
+		// Draining (or fatal): the sweep flushed its checkpoint on the way
+		// out and the job stays journaled non-terminal, so the next
 		// process resumes it exactly here.
-		j.obs.finished(k, "parked", outMetrics)
-		j.emit("shard_parked", sspan.Tag(map[string]any{"job": j.id, "shard": k}))
+		j.obs.finished(outMetrics)
+		j.emit("attempt_parked", j.span.Tag(map[string]any{"job": j.id}))
 	case errors.As(err, &pre):
 		// Preempted for interactive work: the attempt flushed its
-		// checkpoint at the cancellation boundary, so re-queuing the
-		// shard (in its own class) resumes with zero recomputation. The
-		// journal is untouched — the job was and stays running, exactly
-		// the drain-park shape but within one process.
-		j.obs.requeued(k, time.Now())
-		s.sched.push(j.class, shardTask{j: j, k: k})
-		j.emit("shard_preempted", sspan.Tag(map[string]any{"job": j.id, "shard": k}))
+		// checkpoint at the cancellation boundary, so re-queuing the job
+		// (in its own class) resumes with zero recomputation. The journal
+		// is untouched — the job was and stays running, exactly the
+		// drain-park shape but within one process.
+		j.obs.requeued(time.Now())
+		s.sched.push(j.class, task{j: j})
+		j.emit("attempt_preempted", j.span.Tag(map[string]any{"job": j.id}))
 		s.cond.Broadcast()
 	default:
-		j.obs.finished(k, "failed", outMetrics)
+		j.obs.finished(outMetrics)
 		if err == nil {
-			err = errors.New("shard sweep incomplete without error")
+			err = errors.New("sweep incomplete without error")
 		}
-		s.finishLocked(j, StateFailed, fmt.Sprintf("shard %d: %v", k, err))
+		s.finishLocked(j, StateFailed, err.Error())
 	}
 	s.updateGaugesLocked()
 }
 
-// completeLocked merges the shards, writes result.json atomically, and
-// journals the job done.
-func (s *Server) completeLocked(j *job) {
-	res, err := j.mergeResult()
+// completeLocked merges the computed points, writes result.json
+// atomically, and journals the job done.
+func (s *Server) completeLocked(j *job, done []sweep.PointResult) {
+	res, err := j.mergeResult(done)
 	var data []byte
 	if err == nil {
 		data, err = json.MarshalIndent(res, "", "  ")
@@ -1065,12 +1051,12 @@ func (s *Server) completeLocked(j *job) {
 	s.finishLocked(j, StateDone, "")
 }
 
-// mergeResult stitches the shards' point results — and any points grafted
-// from a cached superset entry — back into the requested grid's global
-// point order, verifying no point is missing or duplicated. With a reuse
-// plan active, computed points arrive indexed over the remainder grid and
-// are mapped back onto the requested grid by ε value.
-func (j *job) mergeResult() (*Result, error) {
+// mergeResult stitches the sweep's point results — and any points grafted
+// from a cached superset entry — into the requested grid's global point
+// order, verifying no point is missing or duplicated. With a reuse plan
+// active, computed points arrive indexed over the remainder grid and are
+// mapped back onto the requested grid by ε value.
+func (j *job) mergeResult(done []sweep.PointResult) (*Result, error) {
 	reqGrid := j.spec.Grid()
 	var reused []reusePoint
 	if j.reuse != nil {
@@ -1094,34 +1080,31 @@ func (j *job) mergeResult() (*Result, error) {
 		reqIdx[math.Float64bits(v)] = i
 	}
 	rem := j.grid
-	for k, res := range j.shardRes {
-		for _, p := range res {
-			if p.Partial {
-				return nil, fmt.Errorf("shard %d reported a partial point in a complete outcome", k)
-			}
-			g := k + p.Index*j.shards
-			if g < 0 || g >= j.points {
-				return nil, fmt.Errorf("shard %d produced bad computed point %d", k, g)
-			}
-			gi := g
-			if j.reuse != nil && len(rem) > 0 {
-				b, ri := g/len(rem), g%len(rem)
-				qi, ok := reqIdx[math.Float64bits(rem[ri])]
-				if !ok {
-					return nil, fmt.Errorf("remainder value %g not in requested grid", rem[ri])
-				}
-				gi = b*len(reqGrid) + qi
-			}
-			if gi < 0 || gi >= total || seen[gi] {
-				return nil, fmt.Errorf("shard %d produced bad global point %d", k, gi)
-			}
-			pts[gi] = ResultPoint{Index: gi, Ests: p.Ests, Stopped: p.Stopped}
-			seen[gi] = true
+	for _, p := range done {
+		if p.Partial {
+			return nil, fmt.Errorf("partial point %d in a complete outcome", p.Index)
 		}
+		if p.Index < 0 || p.Index >= j.points {
+			return nil, fmt.Errorf("sweep produced bad computed point %d", p.Index)
+		}
+		gi := p.Index
+		if j.reuse != nil && len(rem) > 0 {
+			b, ri := p.Index/len(rem), p.Index%len(rem)
+			qi, ok := reqIdx[math.Float64bits(rem[ri])]
+			if !ok {
+				return nil, fmt.Errorf("remainder value %g not in requested grid", rem[ri])
+			}
+			gi = b*len(reqGrid) + qi
+		}
+		if gi < 0 || gi >= total || seen[gi] {
+			return nil, fmt.Errorf("sweep produced bad global point %d", gi)
+		}
+		pts[gi] = ResultPoint{Index: gi, Ests: p.Ests, Stopped: p.Stopped}
+		seen[gi] = true
 	}
 	for i, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("point %d missing after shard merge", i)
+			return nil, fmt.Errorf("point %d missing after merge", i)
 		}
 	}
 	return &Result{
@@ -1135,8 +1118,8 @@ func (j *job) mergeResult() (*Result, error) {
 // finishLocked journals and applies a terminal transition, releases the
 // job's quota and timer, and closes its trace. It also drops the state
 // only a running job needs — the driver's point function, which holds
-// the compiled circuits, and the per-shard results the merge reads — so
-// a terminal job keeps only what its status needs.
+// the compiled circuits — so a terminal job keeps only what its status
+// needs.
 func (s *Server) finishLocked(j *job, st State, errText string) {
 	if j.state.Terminal() {
 		return
@@ -1151,7 +1134,6 @@ func (s *Server) finishLocked(j *job, st State, errText string) {
 	j.state = st
 	j.errText = errText
 	j.fn = nil
-	j.shardRes = nil
 	if j.timer != nil {
 		j.timer.Stop()
 	}
@@ -1169,14 +1151,12 @@ func (s *Server) finishLocked(j *job, st State, errText string) {
 		// the set of tenants with active jobs, not everyone ever seen.
 		delete(s.tenants, j.spec.Tenant)
 	}
-	// Retire the job's merged shard metrics into the server-wide view so
-	// /metrics conserves its trial counters after the job's registries go.
-	if merged, _, merr := j.obs.merged(); merr == nil {
-		if err := s.retired.Merge(merged); err != nil {
+	// Retire the job's metrics into the server-wide view so /metrics
+	// conserves its trial counters after the job's registry goes.
+	if snap, ok := j.obs.snapshot(); ok {
+		if err := s.retired.Merge(snap); err != nil {
 			s.cfg.Metrics.Counter("server.obs_merge_errors").Inc()
 		}
-	} else {
-		s.cfg.Metrics.Counter("server.obs_merge_errors").Inc()
 	}
 	j.emit("job_"+string(st), j.span.Tag(map[string]any{"job": j.id, "error": errText}))
 	s.cfg.Trace.Emit("job_"+string(st), j.span.Tag(map[string]any{"job": j.id, "tenant": j.spec.Tenant, "error": errText}))
@@ -1257,7 +1237,6 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		Priority: j.spec.Priority,
 		State:    j.state, Error: j.errText,
 		Points: j.points, Trials: j.spec.Trials,
-		Shards: j.shards, ShardsDone: j.shardsDone,
 		Resumed: j.resumed, SpecDigest: j.digest, SubmittedAt: j.submittedAt,
 		Cache: j.cache,
 	}
@@ -1328,7 +1307,7 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Drain is the graceful shutdown: stop admitting, cancel the run context
-// so every in-flight shard flushes its checkpoint at the next point
+// so every in-flight job flushes its checkpoint at the next point
 // boundary, wait for the pool, flush traces, and close the journal.
 // Running jobs stay journaled non-terminal — a restarted server resumes
 // them bit-identically — and ctx bounds how long the drain may take.
@@ -1364,7 +1343,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		if j.timer != nil {
 			j.timer.Stop()
 		}
-		j.emit("job_parked", map[string]any{"job": j.id, "shards_done": j.shardsDone})
+		j.emit("job_parked", map[string]any{"job": j.id})
 		if j.trace != nil {
 			_ = j.trace.Close()
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,13 +12,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"revft/internal/chaos"
+	"revft/internal/resultcache"
 	"revft/internal/rng"
 	"revft/internal/sim"
 	"revft/internal/stats"
@@ -27,8 +28,8 @@ import (
 
 // fakeDriver is a deterministic test experiment: estimates derive purely
 // from (spec seed, global point index, chunk) through the real RNG —
-// the same seed-stability contract the exp drivers honour — so sharded,
-// resumed, and uninterrupted runs are comparable bit for bit.
+// the same seed-stability contract the exp drivers honour — so resumed
+// and uninterrupted runs are comparable bit for bit.
 func fakeDriver(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
 	seed := spec.Seed
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
@@ -84,11 +85,11 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ID == "" || st.State.Terminal() || st.Shards != 2 || st.Points != 5 {
+	if st.ID == "" || st.State.Terminal() || st.Points != 5 {
 		t.Fatalf("submit status = %+v", st)
 	}
 	st = waitDone(t, s, st.ID)
-	if st.State != StateDone || st.ShardsDone != 2 || st.Error != "" {
+	if st.State != StateDone || st.Error != "" {
 		t.Fatalf("final status = %+v", st)
 	}
 
@@ -123,36 +124,57 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestShardingBitIdentical is the seed-stability contract: any shard
-// count produces byte-for-byte the same point estimates.
-func TestShardingBitIdentical(t *testing.T) {
-	results := make([][]ResultPoint, 0, 3)
-	for _, shards := range []int{1, 2, 5} {
-		s := newTestServer(t, nil)
-		spec := testSpec()
-		spec.Shards = shards
-		st, err := s.Submit(spec)
+// TestShardsFieldIgnored: a spec that still carries the retired "shards"
+// field is accepted over HTTP, computes a result.json byte-identical to
+// the same spec without it, and is an exact cache hit for that spec.
+func TestShardsFieldIgnored(t *testing.T) {
+	spec := cacheSpec()
+	var body map[string]any
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	body["shards"] = 4
+	sharded, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(s *Server) (JobStatus, []byte) {
+		t.Helper()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(string(sharded)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st = waitDone(t, s, st.ID)
-		if st.State != StateDone {
-			t.Fatalf("shards=%d: state %s (%s)", shards, st.State, st.Error)
+		defer resp.Body.Close()
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST with shards: status %d, body %+v, err %v", resp.StatusCode, st, err)
 		}
+		st = waitDone(t, s, st.ID)
 		data, err := s.Result(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res Result
-		if err := json.Unmarshal(data, &res); err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res.Points)
+		return st, data
 	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Errorf("shard count changed the results:\n1 shard:  %+v\nvariant %d: %+v", results[0], i, results[i])
-		}
+
+	reg := telemetry.New()
+	cached := newCacheServer(t, &resultcache.Store{Dir: t.TempDir(), Metrics: reg}, reg)
+	_, want := runToResult(t, cached, spec)
+	st, got := submit(cached)
+	if st.Cache != CacheHit || st.SpecDigest != spec.Digest() || !bytes.Equal(got, want) {
+		t.Fatalf("shards spec on a warm cache: status %+v, want an exact hit on %.12s with the same bytes", st, spec.Digest())
+	}
+	plain := newTestServer(t, func(c *Config) {
+		c.Drivers = map[string]Driver{"value": valueDriver}
+	})
+	if _, got := submit(plain); !bytes.Equal(got, want) {
+		t.Fatalf("shards spec computed:\n%s\nwithout shards:\n%s", got, want)
 	}
 }
 
@@ -317,8 +339,8 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestShardPanicRetried: a trial panic is isolated to its shard and
-// retried under the budget, with the provenance-preserving counter bumped;
+// TestShardPanicRetried: a trial panic is isolated to its job attempt
+// and retried under the budget, with the provenance-preserving counter bumped;
 // the job still completes with the deterministic results.
 func TestShardPanicRetried(t *testing.T) {
 	reg := telemetry.New()
@@ -342,7 +364,6 @@ func TestShardPanicRetried(t *testing.T) {
 	})
 	spec := testSpec()
 	spec.Experiment = "panicky"
-	spec.Shards = 1
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +377,8 @@ func TestShardPanicRetried(t *testing.T) {
 	}
 }
 
-// TestShardPanicBudgetExhausted: a persistently panicking shard fails its
-// job with the panic provenance in the error — it is never retried
+// TestShardPanicBudgetExhausted: a persistently panicking attempt fails
+// its job with the panic provenance in the error — it is never retried
 // forever and never takes down other jobs.
 func TestShardPanicBudgetExhausted(t *testing.T) {
 	alwaysPanic := func(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
@@ -397,7 +418,6 @@ func TestShardPanicBudgetExhausted(t *testing.T) {
 func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 	spec := testSpec()
 	spec.Experiment = "gated"
-	spec.Shards = 1
 
 	mkDrivers := func(gate chan struct{}) map[string]Driver {
 		gated := func(sp JobSpec, grid []float64) (sweep.PointFunc, int, error) {
@@ -455,7 +475,7 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("shard checkpoint never appeared")
+			t.Fatal("checkpoint never appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -478,7 +498,7 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 		t.Fatal(ferr)
 	}
 
-	// Restart with the gate open: the journal replays, the shard resumes
+	// Restart with the gate open: the journal replays, the job resumes
 	// from its checkpoint, and the result matches the reference bytes.
 	close(gate)
 	b, err := New(Config{DataDir: dir, Drivers: mkDrivers(gate), PoolWorkers: 1})
@@ -504,7 +524,7 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 }
 
 // TestDrainRejectsNewSubmissions: a draining server answers with the
-// typed 503, and Drain itself returns promptly once shards park.
+// typed 503, and Drain itself returns promptly once running jobs park.
 func TestDrainRejectsNewSubmissions(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
@@ -640,6 +660,65 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestResumeJournalFromShardedServer: a server that split jobs into point
+// shards journaled the spec with shards = 3 and left shard 0's checkpoint,
+// which covers global points 0 and 3 under another sweep digest, at the
+// path a job's one checkpoint now uses. Replay must not refuse or resume
+// that foreign checkpoint: the job starts from point 0 and its result is
+// byte-identical to an uninterrupted run.
+func TestResumeJournalFromShardedServer(t *testing.T) {
+	spec := testSpec()
+	spec.Shards = 3
+	dir := t.TempDir()
+	id := fmt.Sprintf("j%06d-%.8s", 1, spec.Digest())
+	var journal bytes.Buffer
+	for seq, rec := range []Record{
+		{Type: recSubmitted, Job: id, At: time.Now().UTC(), Spec: &spec},
+		{Type: recStarted, Job: id, At: time.Now().UTC()},
+	} {
+		rec.Seq = int64(seq + 1)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Write(line)
+		journal.WriteByte('\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := sweep.Spec{
+		Experiment: spec.Experiment, Grid: spec.Grid(), Points: 2,
+		Trials: spec.Trials, Workers: 1, Seed: spec.Seed, Engine: "scalar",
+		Extra: fmt.Sprintf("job=%.12s shard=0/3 maxlevel=0 bits=0", spec.Digest()),
+	}
+	bogus := []stats.Bernoulli{{Trials: spec.Trials, Successes: 1}}
+	ck := &sweep.Checkpoint{
+		Digest: old.Digest(), Spec: old, SavedAt: time.Now().UTC(),
+		Done: []sweep.PointResult{{Index: 0, Ests: bogus}, {Index: 1, Ests: bogus}},
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs", id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Save(filepath.Join(dir, "jobs", id, "shard-000.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	st := waitDone(t, s, id)
+	if st.State != StateDone || !st.Resumed {
+		t.Fatalf("replayed job = %+v, want a resumed job done", st)
+	}
+	got, err := s.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := runToResult(t, newTestServer(t, nil), testSpec())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("job journaled by a sharding server:\n%s\nuninterrupted:\n%s", got, want)
+	}
+}
+
 // TestSubmitValidation spot-checks the typed invalid_spec rejections.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, nil)
@@ -658,31 +737,6 @@ func TestSubmitValidation(t *testing.T) {
 		var rej *RejectError
 		if !errors.As(err, &rej) || rej.Code != CodeInvalidSpec {
 			t.Errorf("case %d: err = %v, want invalid_spec", i, err)
-		}
-	}
-}
-
-func TestShardPointsPartition(t *testing.T) {
-	for _, tc := range []struct{ points, shards int }{
-		{5, 1}, {5, 2}, {5, 5}, {7, 3}, {1, 1}, {12, 4},
-	} {
-		total := 0
-		for k := 0; k < tc.shards; k++ {
-			total += shardPoints(tc.points, tc.shards, k)
-		}
-		if total != tc.points {
-			t.Errorf("points=%d shards=%d: partition covers %d", tc.points, tc.shards, total)
-		}
-		// Global indices k + j*S must tile 0..points-1 exactly.
-		seen := make(map[int]bool)
-		for k := 0; k < tc.shards; k++ {
-			for j := 0; j < shardPoints(tc.points, tc.shards, k); j++ {
-				g := k + j*tc.shards
-				if g >= tc.points || seen[g] {
-					t.Fatalf("points=%d shards=%d: bad global index %d", tc.points, tc.shards, g)
-				}
-				seen[g] = true
-			}
 		}
 	}
 }

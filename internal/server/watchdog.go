@@ -5,18 +5,18 @@ import (
 	"time"
 )
 
-// Stuck-shard watchdog and deadline shedder. A maintenance goroutine
+// Stuck-job watchdog and deadline shedder. A maintenance goroutine
 // wakes on a fixed tick and, under the server mutex:
 //
-//   - scans every live shard attempt's heartbeat — points done plus the
+//   - scans every live job attempt's heartbeat — points done plus the
 //     attempt's telemetry counter mass, which the engines bump at every
 //     batch boundary — and cancels any attempt whose heartbeat has been
 //     flat longer than Config.StallBudget with a typed *StallError. The
 //     stall feeds the same budgeted retry path as a trial panic: the
-//     next attempt resumes from the shard checkpoint, so a transient
+//     next attempt resumes from the job's checkpoint, so a transient
 //     hang costs one backoff, not the job.
 //   - sheds queued jobs whose remaining deadline budget can no longer
-//     cover even one observed shard service time — failing them early
+//     cover even one observed job service time — failing them early
 //     with a typed reason instead of burning a pool slot on work that is
 //     already doomed to its deadline.
 //   - recomputes the health state so degradation shows up on /healthz
@@ -51,7 +51,7 @@ func (s *Server) scanStallsLocked(now time.Time) {
 		if ctl.tripped || ctl.preempted {
 			continue
 		}
-		beat := ctl.j.obs.heartbeat(ctl.k)
+		beat := ctl.j.obs.heartbeat()
 		if beat != ctl.lastBeat {
 			ctl.lastBeat = beat
 			ctl.lastChange = now
@@ -64,27 +64,27 @@ func (s *Server) scanStallsLocked(now time.Time) {
 		ctl.tripped = true
 		s.lastStall = now
 		stall := &StallError{
-			Job: ctl.j.id, Shard: ctl.k,
-			PointsDone: ctl.j.obs.pointsDone(ctl.k),
+			Job:        ctl.j.id,
+			PointsDone: ctl.j.obs.pointsDone(),
 			Idle:       idle, Budget: budget,
 		}
 		s.cfg.Metrics.Counter("server.watchdog_trips").Inc()
 		fields := map[string]any{
-			"job": ctl.j.id, "shard": ctl.k, "points_done": stall.PointsDone,
+			"job": ctl.j.id, "points_done": stall.PointsDone,
 			"idle_seconds": idle.Seconds(), "budget_seconds": budget.Seconds(),
 		}
-		ctl.j.emit("shard_stalled", ctl.j.span.Tag(fields))
-		s.cfg.Trace.Emit("shard_stalled", ctl.j.span.Tag(fields))
-		s.logf("watchdog: job %s shard %d stalled (%v idle > %v budget); cancelling attempt",
-			ctl.j.id, ctl.k, idle.Round(time.Millisecond), budget)
+		ctl.j.emit("attempt_stalled", ctl.j.span.Tag(fields))
+		s.cfg.Trace.Emit("attempt_stalled", ctl.j.span.Tag(fields))
+		s.logf("watchdog: job %s stalled (%v idle > %v budget); cancelling attempt",
+			ctl.j.id, idle.Round(time.Millisecond), budget)
 		ctl.cancel(stall)
 	}
 }
 
 // shedDoomedLocked fails still-queued deadline-carrying jobs that can no
-// longer meet their deadline, using the observed per-shard service time.
+// longer meet their deadline, using the observed per-job service time.
 func (s *Server) shedDoomedLocked(now time.Time) {
-	est := s.shardSeconds
+	est := s.jobSeconds
 	if est <= 0 {
 		return
 	}
@@ -95,7 +95,7 @@ func (s *Server) shedDoomedLocked(now time.Time) {
 		}
 		if remaining := j.deadline.Sub(now).Seconds(); remaining < est {
 			s.shedLocked(j, fmt.Sprintf(
-				"shed while queued: remaining deadline budget %.2fs cannot cover estimated shard time %.2fs",
+				"shed while queued: remaining deadline budget %.2fs cannot cover estimated job time %.2fs",
 				remaining, est))
 		}
 	}
@@ -112,28 +112,28 @@ func (s *Server) shedLocked(j *job, reason string) {
 	s.finishLocked(j, StateFailed, reason)
 }
 
-// observeShardSeconds folds one completed shard attempt's wall time into
+// observeJobSecondsLocked folds one completed job's wall time into
 // the EWMA service-time estimate that admission and shedding use.
 // Callers hold the server mutex.
-func (s *Server) observeShardSecondsLocked(wall float64) {
+func (s *Server) observeJobSecondsLocked(wall float64) {
 	if wall <= 0 {
 		return
 	}
-	if s.shardSeconds == 0 {
-		s.shardSeconds = wall
+	if s.jobSeconds == 0 {
+		s.jobSeconds = wall
 	} else {
-		s.shardSeconds = 0.7*s.shardSeconds + 0.3*wall
+		s.jobSeconds = 0.7*s.jobSeconds + 0.3*wall
 	}
-	s.cfg.Metrics.Gauge("server.shard_seconds_ewma").Set(s.shardSeconds)
+	s.cfg.Metrics.Gauge("server.shard_seconds_ewma").Set(s.jobSeconds)
 }
 
 // estimatedWaitLocked estimates how long a newly submitted job of class
-// cls would wait before its shards complete: the shards scheduled at or
-// ahead of its class (queued through cls, plus everything running),
-// divided across the pool, times the observed shard service time, plus
-// one service wave for the job itself. 0 when no estimate exists yet.
+// cls would wait before it completes: the jobs scheduled at or ahead of
+// its class (queued through cls, plus everything running), divided across
+// the pool, times the observed job service time, plus one service wave
+// for the job itself. 0 when no estimate exists yet.
 func (s *Server) estimatedWaitLocked(cls int) float64 {
-	est := s.shardSeconds
+	est := s.jobSeconds
 	if est <= 0 {
 		return 0
 	}

@@ -250,7 +250,9 @@ func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 				}
 				wi.flush()
 				if reg != nil {
-					reg.Gauge(fmt.Sprintf("sim.worker.%02d.seconds", w)).Set(time.Since(started).Seconds())
+					// A counter, so successive estimates and merged
+					// snapshots add up each worker's busy time.
+					reg.Counter(fmt.Sprintf("sim.worker.%02d.nanos", w)).Add(time.Since(started).Nanoseconds())
 				}
 				hitsTotal.Add(hits)
 				doneTotal.Add(done)
@@ -292,7 +294,7 @@ func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 			}
 			if reg != nil {
 				// Label the worker for CPU profiling; pprof.Do appends to
-				// the caller's labels (the job server's job/tenant/shard),
+				// the caller's labels (the job server's job/tenant),
 				// so a profile slices engine time per job and per worker.
 				pprof.Do(cctx, pprof.Labels("sim_worker", strconv.Itoa(w)), func(context.Context) { run() })
 			} else {

@@ -376,3 +376,43 @@ func TestBlocksAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerNanosAddUp: a worker's busy-time counter sums over every
+// estimate that reports into one registry, and over merged snapshots,
+// instead of keeping only the last estimate's time.
+func TestWorkerNanosAddUp(t *testing.T) {
+	const nap = 20 * time.Millisecond
+	var first atomic.Bool
+	napOnce := func(r *rng.RNG) bool {
+		if first.CompareAndSwap(false, true) {
+			time.Sleep(nap)
+		}
+		return cheapTrial(r)
+	}
+	estimate := func(reg *telemetry.Registry) {
+		t.Helper()
+		first.Store(false)
+		ctx := telemetry.NewContext(context.Background(), reg)
+		if _, err := MonteCarloCtx(ctx, 0, BlockTrials, 1, 1, napOnce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const name = "sim.worker.00.nanos"
+	reg := telemetry.New()
+	estimate(reg)
+	estimate(reg)
+	if got := reg.Snapshot().Counters[name]; got < int64(2*nap) {
+		t.Errorf("%s after two estimates = %v, want at least %v", name, time.Duration(got), 2*nap)
+	}
+
+	a, b := telemetry.New(), telemetry.New()
+	estimate(a)
+	estimate(b)
+	merged := a.Snapshot()
+	if err := merged.Merge(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.Counters[name]; got < int64(2*nap) {
+		t.Errorf("merged %s = %v, want at least %v", name, time.Duration(got), 2*nap)
+	}
+}

@@ -1,8 +1,8 @@
 package telemetry
 
 // Span identifies a node in the causal tree of a run: request → job →
-// shard → sweep point → engine batch. IDs are deterministic path strings
-// (e.g. "j-000001/s2/p5") rather than random hex, so a trace file can be
+// sweep point → engine batch. IDs are deterministic path strings
+// (e.g. "j-000001/p5") rather than random hex, so a trace file can be
 // reconstructed into a timeline with plain string operations and two runs
 // of the same job produce identical span IDs — span-tagged traces stay
 // diffable the same way results do.

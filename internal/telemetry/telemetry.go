@@ -361,7 +361,7 @@ func (s *Snapshot) Merge(o Snapshot) error {
 }
 
 // Clone returns a deep copy of s: mutating the clone (e.g. merging live
-// shard deltas into a persisted baseline) never touches the original.
+// attempt deltas into a persisted baseline) never touches the original.
 func (s Snapshot) Clone() Snapshot {
 	c := Snapshot{UptimeSeconds: s.UptimeSeconds}
 	if s.Counters != nil {

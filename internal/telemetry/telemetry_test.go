@@ -139,7 +139,7 @@ func TestWriteMetricsFormat(t *testing.T) {
 	reg.Counter("sim.trials").Add(128)
 	reg.Counter("lanes.trials").Add(100)
 	reg.Counter("lanes.slots").Add(128)
-	reg.Gauge("sim.worker.00.seconds").Set(1.5)
+	reg.Counter("sim.worker.00.nanos").Add(1500000000)
 	reg.Histogram("sim.lanes.batch_seconds", []float64{0.001}).Observe(0.0001)
 	var buf bytes.Buffer
 	if err := reg.WriteMetrics(&buf); err != nil {
@@ -148,7 +148,7 @@ func TestWriteMetricsFormat(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sim.trials 128",
-		"sim.worker.00.seconds 1.5",
+		"sim.worker.00.nanos 1500000000",
 		"sim.lanes.batch_seconds.count 1",
 		"sim.lanes.batch_seconds.le.0.001 1",
 		"sim.lanes.batch_seconds.le.+Inf 1",
