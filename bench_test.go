@@ -139,6 +139,29 @@ func BenchmarkLanes512Bare(b *testing.B) {
 	}
 }
 
+// BenchmarkLanes512Levels measures lanes512 Estimate ns/trial (ns/op is
+// per trial) on the level-1 and level-2 MAJ gadgets at the threshold
+// sweep's three g (ρ/10, ρ/10·√5 and ρ/2), one worker. Each gadget is
+// built and audited before the timer starts, as a sweep's later points
+// find it.
+func BenchmarkLanes512Levels(b *testing.B) {
+	for _, level := range []int{1, 2} {
+		g := revft.NewGadget(revft.MAJ, level)
+		for _, p := range []float64{0.000606, 0.001355, 0.00303} {
+			m := revft.UniformNoise(p)
+			b.Run(fmt.Sprintf("L%d/g=%g", level, p), func(b *testing.B) {
+				if _, err := g.LogicalErrorRateWideCtx(context.Background(), m, 8, 512, 1, 1); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				if _, err := g.LogicalErrorRateWideCtx(context.Background(), m, 8, b.N, 1, 1); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkHarnessScaling runs the scalar engine on the recovery gadget
 // across worker counts; ns/op is still per trial, so ideal scaling halves
 // it per doubling. This is the benchmark that regressed under the old

@@ -105,6 +105,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -179,8 +180,12 @@ func run(args []string) error {
 		return err
 	}
 	// Validate everything flag-reachable here so bad values come back as
-	// usage errors, never as library panics.
+	// usage errors, never as library panics. NaN passes every comparison,
+	// so the float flags are checked for finiteness first.
 	switch {
+	case !finite(*gmin, *gmax, *reltol, *zeroscale, *chaosRate):
+		return fmt.Errorf("-gmin %v, -gmax %v, -reltol %v, -zeroscale %v, -chaos %v: need finite values",
+			*gmin, *gmax, *reltol, *zeroscale, *chaosRate)
 	case *trials < 1:
 		return fmt.Errorf("-trials %d: need at least 1", *trials)
 	case *workers < 0:
@@ -579,4 +584,14 @@ func expectedTrials(expName string, trials, points, maxLevel int) int {
 		return 6 * 2 * chainTrials
 	}
 	return 0
+}
+
+// finite reports whether every x is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -45,6 +45,18 @@ func TestMaxLevelBound(t *testing.T) {
 	}
 }
 
+// TestNaNFlagsRefused: a NaN float flag passes every range comparison,
+// so each is refused as a usage error before the spec digest would
+// panic on it.
+func TestNaNFlagsRefused(t *testing.T) {
+	for _, flag := range []string{"-gmin", "-gmax", "-reltol", "-zeroscale"} {
+		err := run([]string{"-exp", "recovery", "-points", "1", "-gmin", "1e-3", "-gmax", "1e-3", "-reltol", "0.1", flag, "NaN"})
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s NaN: run = %v, want a usage error", flag, err)
+		}
+	}
+}
+
 // TestAblationsRunSelectedEngine: initablation, interleave and memory run
 // the -engine they are given: every trial of the traced run is a lane
 // trial, and the manifest names the engine.

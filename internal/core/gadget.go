@@ -43,15 +43,9 @@ func NewGadget(k gate.Kind, level int) *Gadget {
 		out[i] = b.DataWires(i)
 	}
 	return &Gadget{
-		Target: Target{
-			Name:    fmt.Sprintf("gadget.%s.L%d", k, level),
-			Circuit: b.Circuit(),
-			In:      in,
-			Out:     out,
-			Logical: GateCircuit(k),
-		},
-		Kind:  k,
-		Level: level,
+		Target: NewTarget(fmt.Sprintf("gadget.%s.L%d", k, level), b.Circuit(), in, out, GateCircuit(k)),
+		Kind:   k,
+		Level:  level,
 	}
 }
 

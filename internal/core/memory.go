@@ -56,5 +56,5 @@ func NewMemory(level, cycles int) *Memory {
 // Target returns the memory as a Target named "memory": the storage
 // circuit between the bit's codewords, whose ideal action is the identity.
 func (m *Memory) Target() Target {
-	return Target{Name: "memory", Circuit: m.Circuit, In: [][]int{m.In}, Out: [][]int{m.Out}, Logical: circuit.New(1)}
+	return NewTarget("memory", m.Circuit, [][]int{m.In}, [][]int{m.Out}, circuit.New(1))
 }

@@ -23,6 +23,8 @@ type Module struct {
 	// In[i] and Out[i] list the physical wires holding logical wire i's
 	// codeword before and after execution, in code.Decode order.
 	In, Out [][]int
+
+	certs *laneCerts // the lane audits of Target, shared by its copies
 }
 
 // CompileModule expands a logical circuit into its level-L fault-tolerant
@@ -46,6 +48,7 @@ func CompileModule(logical *circuit.Circuit, level int) *Module {
 		Level:    level,
 		In:       in,
 		Out:      out,
+		certs:    new(laneCerts),
 	}
 }
 
@@ -53,7 +56,7 @@ func CompileModule(logical *circuit.Circuit, level int) *Module {
 // physical circuit between the logical wires' codewords, compared with
 // the logical source circuit.
 func (m *Module) Target() Target {
-	return Target{Name: "module", Circuit: m.Physical, In: m.In, Out: m.Out, Logical: m.Logical}
+	return Target{Name: "module", Circuit: m.Physical, In: m.In, Out: m.Out, Logical: m.Logical, certs: m.certs}
 }
 
 // ErrorRateCtx is Target().Estimate from trial 0 on the packed logical

@@ -33,6 +33,17 @@ type Target struct {
 	// trial fails when a decoded output differs from Logical's noiseless
 	// action on the input.
 	Logical *circuit.Circuit
+
+	// certs caches the lane audits (see auditLanes) of a target built by
+	// a constructor, shared by its copies; nil audits on every estimate.
+	certs *laneCerts
+}
+
+// NewTarget returns the target of the given fields whose copies share
+// one lane audit per input domain (a struct literal audits on every lane
+// estimate).
+func NewTarget(name string, c *circuit.Circuit, in, out [][]int, logical *circuit.Circuit) Target {
+	return Target{Name: name, Circuit: c, In: in, Out: out, Logical: logical, certs: new(laneCerts)}
 }
 
 // GateCircuit returns the logical circuit of one k gate on its own
@@ -53,7 +64,7 @@ func Plain(name string, c *circuit.Circuit) Target {
 	for i := range blocks {
 		blocks[i] = []int{i}
 	}
-	return Target{Name: name, Circuit: c, In: blocks, Out: blocks, Logical: c}
+	return NewTarget(name, c, blocks, blocks, c)
 }
 
 // Input selects the logical inputs of a target's trials.
@@ -175,7 +186,7 @@ func (c *codec) wrong(st *bitvec.Vector, want uint64) bool {
 // logical failures over trials [start, start+trials) of the estimate
 // seeded with seed, every trial's input chosen by in and executed by run.
 // words = 0 runs the scalar engine (sim.MonteCarloCtx), words = K the
-// K-word lane engine (sim.MonteCarloWideCtx), which runs only Noisy runs:
+// K-word lane engine (sim.MonteCarloBatchCtx), which runs only Noisy runs:
 // a Process or Idle run with words > 0 is an error. See
 // sim.MonteCarloCtx for start, workers, cancellation and panics.
 func (t Target) Estimate(ctx context.Context, in Input, run Run, words, start, trials, workers int, seed uint64) (sim.Result, error) {
@@ -185,5 +196,7 @@ func (t Target) Estimate(ctx context.Context, in Input, run Run, words, start, t
 	if run.sched != nil || run.process != nil {
 		return sim.Result{}, fmt.Errorf("core: %s: the lane engine runs only Noisy runs, not a fault process or an idle schedule", t.Name)
 	}
-	return sim.MonteCarloWideCtx(ctx, start, trials, workers, seed, words, t.batch(ctx, in, run.model, words))
+	newBatch, done := t.batch(ctx, in, run.model, words)
+	defer done()
+	return sim.MonteCarloBatchCtx(ctx, start, trials, workers, seed, words, newBatch)
 }

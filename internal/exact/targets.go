@@ -10,13 +10,10 @@ import (
 // wires, ideal behaviour the identity. Its full enumeration (2·9^8 leaf
 // executions) is what proves §2.2's single-fault claim exhaustively.
 func Recovery() core.Target {
-	return core.Target{
-		Name:    "recovery",
-		Circuit: core.Recovery(),
-		In:      [][]int{append([]int(nil), core.RecoveryDataWires...)},
-		Out:     [][]int{append([]int(nil), core.RecoveryOutputWires...)},
-		Logical: circuit.New(1),
-	}
+	return core.NewTarget("recovery", core.Recovery(),
+		[][]int{append([]int(nil), core.RecoveryDataWires...)},
+		[][]int{append([]int(nil), core.RecoveryOutputWires...)},
+		circuit.New(1))
 }
 
 // Gadget returns a fault-tolerant logical gate's target (the extended

@@ -104,10 +104,90 @@ func TestGadget2LivenessMatchesFullProgram(t *testing.T) {
 	}
 }
 
+// TestGadget3LivenessMatchesFullProgram runs the liveness differential on
+// the level-3 gadget, the first whose INIT3s end a live wire's liveness.
+func TestGadget3LivenessMatchesFullProgram(t *testing.T) {
+	g := core.NewGadget(gate.MAJ, 3)
+	checkLiveness(t, g.Name, g.Circuit, noise.Uniform(0.002), 1, outWires(g.Target), 9)
+}
+
+// TestDrawRunPlanMatchesRun: Draw draws Run's randomness and fault count,
+// and walking its live faults with RunPlan leaves every decoded wire as
+// Run leaves it, on random circuits and the level-2 gadget.
+func TestDrawRunPlanMatchesRun(t *testing.T) {
+	r := rng.New(43)
+	type tc struct {
+		c    *circuit.Circuit
+		outs []int
+	}
+	cases := []tc{{core.NewGadget(gate.MAJ, 2).Circuit, outWires(core.NewGadget(gate.MAJ, 2).Target)}}
+	for i := 0; i < 20; i++ {
+		width := 3 + r.Intn(8)
+		cases = append(cases, tc{circuit.Random(r, width, 30, nil), r.Perm(width)[:1+r.Intn(width)]})
+	}
+	for i, c := range cases {
+		for _, words := range []int{1, 8} {
+			prog := lanes.CompileWideFor(c.c, noise.IID{Gate: 0.01, Init: 0.05}, words, c.outs)
+			a, b := lanes.NewWideState(c.c.Width(), words), lanes.NewWideState(c.c.Width(), words)
+			ra, rb := rng.New(uint64(i)), rng.New(uint64(i))
+			var live []lanes.Fault
+			for batch := 0; batch < 3; batch++ {
+				for j := range a.W {
+					a.W[j] = r.Uint64()
+					b.W[j] = a.W[j]
+				}
+				fa := prog.Run(a, ra)
+				var fb int
+				live, fb = prog.Draw(rb, live[:0])
+				prog.RunPlan(b, live)
+				if fa != fb || ra.Uint64() != rb.Uint64() {
+					t.Fatalf("case %d K=%d batch %d: Run drew %d faults, Draw %d, or their streams diverged", i, words, batch, fa, fb)
+				}
+				for _, f := range live {
+					if !prog.Live(int(f.Point)) {
+						t.Fatalf("case %d: Draw kept a fault on dead point %d", i, f.Point)
+					}
+				}
+				for _, w := range c.outs {
+					for k, x := range a.Wire(w) {
+						if y := b.Wire(w)[k]; x != y {
+							t.Fatalf("case %d K=%d batch %d wire %d word %d: Run %016x, Draw+RunPlan %016x", i, words, batch, w, k, x, y)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunPlanRejectsBadPlans: a plan out of point order or naming a
+// point or lane outside the program is a programming error.
+func TestRunPlanRejectsBadPlans(t *testing.T) {
+	c := circuit.New(3).MAJ(0, 1, 2).CNOT(0, 1)
+	prog := lanes.CompileWide(c, noise.Uniform(0.1), 1)
+	st := lanes.NewWideState(3, 1)
+	for name, plan := range map[string][]lanes.Fault{
+		"unsorted": {{Point: 1}, {Point: 0}},
+		"point":    {{Point: 2}},
+		"lane":     {{Point: 0, Lane: 64}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s plan did not panic", name)
+				}
+			}()
+			prog.RunPlan(st, plan)
+		}()
+	}
+}
+
 // TestDeadOpsPinned records which circuits the liveness pass reaches:
 // of the level-2 gadget's 729 compiled ops, 144 write only wires no later
-// op reads and no output decodes; every op of the level-1 gadget, both
-// local cycles and the level-1 adder module reaches an output.
+// op reads and no output decodes, and of the level-3 gadget's 19,683,
+// 7,344, 1,728 of them because a later INIT3 overwrites their result; every op
+// of the level-1 gadget, both local cycles and the level-1 adder module
+// reaches an output.
 func TestDeadOpsPinned(t *testing.T) {
 	logical, _ := adder.New(4)
 	cases := []struct {
@@ -116,6 +196,7 @@ func TestDeadOpsPinned(t *testing.T) {
 	}{
 		{core.NewGadget(gate.MAJ, 1).Target, 0, 27},
 		{core.NewGadget(gate.MAJ, 2).Target, 144, 729},
+		{core.NewGadget(gate.MAJ, 3).Target, 7344, 19683},
 		{lattice.NewCycle1D(gate.MAJ).Target, 0, 88},
 		{lattice.NewCycle2D(gate.MAJ).Target, 0, 39},
 		{core.CompileModule(logical, 1).Target(), 0, 387},

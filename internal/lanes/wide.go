@@ -24,10 +24,12 @@ package lanes
 //     reaches one, but keeps their fault points, so the randomness drawn
 //     is the full program's.
 //
-// Run draws each batch's fault schedule ahead of the walk, so an op
-// before the next fault costs one comparison and its kernel. Kernels loop
-// over the K words of each wire at runtime rather than via per-K
-// specializations: gc does not auto-vectorize either way, and the
+// A batch is one walk over the ops fed by a fault producer, which fills
+// the walk's next chunk of fault events (point, lane, replacement bits)
+// in point order: Run's geometric sampler, or RunPlan's explicit per-lane
+// plan. An op before the next fault costs one comparison and its kernel.
+// Kernels loop over the K words of each wire at runtime rather than via
+// per-K specializations: gc does not auto-vectorize either way, and the
 // measured wins come from amortized dispatch, fusion, and the grouped
 // sampler, not from unrolling.
 
@@ -87,27 +89,48 @@ func (s WideState) EncodeBlock(wires []int, vals []uint64) {
 
 // DecodeBlock recursively majority-decodes a level-L block of 3^L wires
 // lane-wise into out: bit j of out[k] is the decoded logical value in
-// lane 64k+j. out must have Words words. It panics unless the block size
-// is a power of three.
+// lane 64k+j. It decodes the first len(out) ≤ Words words, combining up
+// to decodeChunk words at each majority node. It panics unless the block
+// size is a power of three.
 func (s WideState) DecodeBlock(wires []int, out []uint64) {
 	if code.Level(len(wires)) < 0 {
 		panic(fmt.Sprintf("lanes: DecodeBlock got %d wires, not a power of three", len(wires)))
 	}
-	for k := 0; k < s.Words; k++ {
-		out[k] = s.decodeWord(wires, k)
+	var buf [decodeChunk]uint64
+	for k0 := 0; k0 < len(out); k0 += decodeChunk {
+		n := min(decodeChunk, len(out)-k0)
+		s.decodeWords(wires, k0, buf[:n])
+		copy(out[k0:], buf[:n])
 	}
 }
 
-func (s WideState) decodeWord(wires []int, k int) uint64 {
+// decodeChunk is how many words DecodeBlock's majority nodes combine at
+// once, in buffers on its stack.
+const decodeChunk = 8
+
+// decodeWords decodes words k0, k0+1, … of the block into out.
+func (s WideState) decodeWords(wires []int, k0 int, out []uint64) {
 	if len(wires) == 1 {
-		return s.W[wires[0]*s.Words+k]
+		copy(out, s.W[wires[0]*s.Words+k0:])
+		return
+	}
+	if len(wires) == 3 {
+		a, b, c := s.W[wires[0]*s.Words+k0:], s.W[wires[1]*s.Words+k0:], s.W[wires[2]*s.Words+k0:]
+		a, b, c = a[:len(out)], b[:len(out)], c[:len(out)]
+		for j := range out {
+			out[j] = Majority(a[j], b[j], c[j])
+		}
+		return
 	}
 	third := len(wires) / 3
-	return Majority(
-		s.decodeWord(wires[:third], k),
-		s.decodeWord(wires[third:2*third], k),
-		s.decodeWord(wires[2*third:], k),
-	)
+	var bb, cb [decodeChunk]uint64
+	b, c := bb[:len(out)], cb[:len(out)]
+	s.decodeWords(wires[:third], k0, out)
+	s.decodeWords(wires[third:2*third], k0, b)
+	s.decodeWords(wires[2*third:], k0, c)
+	for j := range out {
+		out[j] = Majority(out[j], b[j], c[j])
+	}
 }
 
 // EvalWide applies gate k's word kernel to the packed local words w, where
@@ -246,10 +269,12 @@ type WideProgram struct {
 	shift        uint     // log2 of the lanes per batch
 	ops          []wideOp // the walk: the compiled ops an output depends on
 	samplers     []wideSampler
-	points       int32 // fault points of all compiled ops, walked or not
-	compiled     int   // compiled ops, walked or not
-	srcLen       int   // ops in the source circuit
-	fused        int   // fused triples recognized
+	points       int32   // fault points of all compiled ops, walked or not
+	live         []bool  // by fault point: a fault there can reach an output
+	roles        []uint8 // by fault point: source target i's role (a, b, c = 0, 1, 2; 3 = none) in bits 2i, 2i+1
+	compiled     int     // compiled ops, walked or not
+	srcLen       int     // ops in the source circuit
+	fused        int     // fused triples recognized
 }
 
 // Width returns the number of wires the program expects.
@@ -279,8 +304,8 @@ func (p *WideProgram) Fused() int { return p.fused }
 // fault points were grouped into.
 func (p *WideProgram) Samplers() int { return len(p.samplers) }
 
-// maxWords bounds a program's block width so that a lane index fits an
-// event's uint16.
+// maxWords bounds a program's block width so that a lane index fits a
+// Fault's uint16.
 const maxWords = 1024
 
 // srcOp is CompileWideFor's working copy of one source op.
@@ -304,7 +329,8 @@ func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 // randomness, returns the same fault count and leaves the outs wires as
 // the program compiled for every wire would. The other wires hold
 // unspecified values after Run. words must be a power of two up to
-// maxWords; fault probabilities outside [0, 1] clamp, matching rng.Bool.
+// maxWords; fault probabilities outside [0, 1] clamp and NaN is 0,
+// matching rng.Bool.
 func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *WideProgram {
 	if words < 1 || words > maxWords || words&(words-1) != 0 {
 		panic(fmt.Sprintf("lanes: CompileWide needs a power of two up to %d words per wire, got %d", maxWords, words))
@@ -316,24 +342,27 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 		src = append(src, s)
 	})
 
-	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src)}
-	// addPoint numbers the next fault point and hands it to the sampler
-	// of k's fault probability, if that is not 0.
-	addPoint := func(k gate.Kind) {
+	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src),
+		roles: make([]uint8, len(src)), live: make([]bool, len(src))}
+	// addPoint numbers the next fault point, of a k op whose targets have
+	// the given roles, and hands it to the sampler of k's fault
+	// probability, if that is not 0.
+	addPoint := func(k gate.Kind, roles uint8) {
 		if i := p.sampler(m.FaultProb(k)); i >= 0 {
 			p.samplers[i].points = append(p.samplers[i].points, p.points)
 		}
+		p.roles[p.points] = roles
 		p.points++
 	}
 
 	ops := make([]wideOp, 0, len(src))
 	for i := 0; i < len(src); {
 		o := wideOp{pt: p.points}
-		if code, a, b, c3, kinds, masks, ok := fuseTriple(src, i); ok {
+		if code, a, b, c3, masks, ok := fuseTriple(src, i); ok {
 			o.code, o.ns, o.wmask = code, 3, masks
 			o.a, o.b, o.c = int32(a), int32(b), int32(c3)
-			for _, k := range kinds {
-				addPoint(k)
+			for _, s := range src[i : i+3] {
+				addPoint(s.kind, fusedRoles(s, [3]int{a, b, c3}))
 			}
 			p.fused++
 			i += 3
@@ -342,7 +371,7 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 			o.code, o.ns = plainCode(s.kind), 1
 			o.wmask[0] = uint8(1<<uint(s.n)) - 1
 			o.a, o.b, o.c = int32(s.t[0]), int32(s.t[1]), int32(s.t[2])
-			addPoint(s.kind)
+			addPoint(s.kind, plainRoles[s.n])
 			i++
 		}
 		ops = append(ops, o)
@@ -354,23 +383,86 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	for i := range ops {
 		o := &ops[i]
 		o.a, o.b, o.c = o.a*int32(words), o.b*int32(words), o.c*int32(words)
+		for k := int32(0); k < int32(o.ns); k++ {
+			p.live[o.pt+k] = o.wmask[k] != 0
+		}
 	}
 	p.ops = ops
 	return p
 }
 
+// plainRoles are the roles of an unfused op's n targets: target i is
+// wire role i (a, b, c).
+var plainRoles = [4]uint8{0b111111, 0b111100, 0b110100, 0b100100}
+
+// fusedRoles returns the roles of source op s's targets among a fused
+// op's wires abc.
+func fusedRoles(s srcOp, abc [3]int) uint8 {
+	roles := uint8(0b111111)
+	for i, w := range s.t[:s.n] {
+		for r := range abc {
+			if abc[r] == w {
+				roles = roles&^(3<<(2*i)) | uint8(r)<<(2*i)
+				break
+			}
+		}
+	}
+	return roles
+}
+
+// Points returns the number of fault points, one per source op.
+func (p *WideProgram) Points() int { return int(p.points) }
+
+// Live reports whether a fault on point pt can change a wire the program
+// was compiled for: its op is walked and the fault randomizes one of the
+// op's live targets. A batch's outputs do not depend on its faults on
+// other points.
+func (p *WideProgram) Live(pt int) bool { return p.live[pt] }
+
+// FaultBits returns the replacement bits of a fault on point pt that
+// leaves the local value v on its source op's targets, targets[0] in bit
+// 0 — the value sim.RunInjectedList writes.
+func (p *WideProgram) FaultBits(pt int, v uint64) uint8 {
+	var b uint8
+	for i, roles := 0, p.roles[pt]; i < 3; i, roles = i+1, roles>>2 {
+		if r := roles & 3; r < 3 && v>>uint(i)&1 != 0 {
+			b |= 4 >> r
+		}
+	}
+	return b
+}
+
+// WalkedFraction returns the probability that a lane of a batch holds at
+// least d faults on live points (d ≤ 2), by the compiled fault
+// probabilities: the share of lanes a caller that walks only those lanes
+// walks.
+func (p *WideProgram) WalkedFraction(d int) float64 {
+	q0, q1 := 1.0, 0.0 // P(no live fault), P(exactly one) so far
+	for _, s := range p.samplers {
+		for _, pt := range s.points {
+			if p.live[pt] {
+				q0, q1 = q0*(1-s.p), q1*(1-s.p)+q0*s.p
+			}
+		}
+	}
+	switch {
+	case d <= 0:
+		return 1
+	case d == 1:
+		return 1 - q0
+	}
+	return max(0, 1-q0-q1)
+}
+
 // sampler returns the index of the sampler of fault probability pr,
-// clamped to [0, 1], adding one if there is none yet, or -1 when pr is
-// 0. Samplers are numbered in order of first use.
+// clamped to [0, 1] with NaN as 0, adding one if there is none yet, or
+// -1 when pr is 0. Samplers are numbered in order of first use.
 func (p *WideProgram) sampler(pr float64) int {
-	if pr < 0 {
-		pr = 0
+	if !(pr > 0) { // 0, negative or NaN: rng.Bool(NaN) never fires either
+		return -1
 	}
 	if pr > 1 {
 		pr = 1
-	}
-	if pr == 0 {
-		return -1
 	}
 	for i := range p.samplers {
 		if p.samplers[i].p == pr {
@@ -384,8 +476,9 @@ func (p *WideProgram) sampler(pr float64) int {
 // prune is CompileWideFor's liveness pass over ops, whose a, b, c are
 // still wire indices. Walking backward from outs, a sub-step is live when
 // one of its targets is live after it; a fault after it then randomizes
-// only those targets, and every target of it is live before it. An op
-// with no live sub-step is dropped.
+// only those targets, and every target of it is live before it, unless
+// it is an INIT3, which overwrites its targets without reading them. An
+// op with no live sub-step is dropped.
 func prune(ops []wideOp, width int, outs []int) []wideOp {
 	live := make([]bool, width)
 	for _, w := range outs {
@@ -409,7 +502,7 @@ func prune(ops []wideOp, width int, outs []int) []wideOp {
 			keep[i] = true
 			for r, w := range wires {
 				if targets>>r&1 != 0 {
-					live[w] = true
+					live[w] = o.code != wInit3
 				}
 			}
 		}
@@ -452,11 +545,10 @@ func plainCode(k gate.Kind) wideCode {
 
 // fuseTriple recognizes the three fusible patterns at src[i..i+2]. The
 // returned wire roles (a, b, c) are chosen so the fused kernel is the
-// corresponding MAJ/MAJ⁻¹/UMA word kernel on (a, b, c); kinds and masks
-// give each fault point its source gate kind (for the sampler) and its
-// sub-op's target set. Toffoli controls are symmetric, so both control
+// corresponding MAJ/MAJ⁻¹/UMA word kernel on (a, b, c); masks give each
+// fault point its sub-op's target set. Toffoli controls are symmetric, so both control
 // orders match.
-func fuseTriple(src []srcOp, i int) (code wideCode, a, b, c int, kinds [3]gate.Kind, masks [3]uint8, ok bool) {
+func fuseTriple(src []srcOp, i int) (code wideCode, a, b, c int, masks [3]uint8, ok bool) {
 	if i+3 > len(src) {
 		return
 	}
@@ -467,9 +559,7 @@ func fuseTriple(src []srcOp, i int) (code wideCode, a, b, c int, kinds [3]gate.K
 		a, b, c = o0.t[0], o0.t[1], o1.t[1]
 		if b != c && o2.t[2] == a &&
 			(o2.t[0] == b && o2.t[1] == c || o2.t[0] == c && o2.t[1] == b) {
-			return wFusedMAJ, a, b, c,
-				[3]gate.Kind{gate.CNOT, gate.CNOT, gate.Toffoli},
-				[3]uint8{0b011, 0b101, 0b111}, true
+			return wFusedMAJ, a, b, c, [3]uint8{0b011, 0b101, 0b111}, true
 		}
 	}
 	if o0.kind == gate.Toffoli && o1.kind == gate.CNOT && o2.kind == gate.CNOT && o1.t[0] == o0.t[2] {
@@ -477,19 +567,15 @@ func fuseTriple(src []srcOp, i int) (code wideCode, a, b, c int, kinds [3]gate.K
 		if b != c && (o0.t[0] == b && o0.t[1] == c || o0.t[0] == c && o0.t[1] == b) {
 			// MAJ⁻¹: Toffoli(b,c,a) · CNOT(a,b) · CNOT(a,c).
 			if o2.t[0] == a {
-				return wFusedMAJInv, a, b, c,
-					[3]gate.Kind{gate.Toffoli, gate.CNOT, gate.CNOT},
-					[3]uint8{0b111, 0b011, 0b101}, true
+				return wFusedMAJInv, a, b, c, [3]uint8{0b111, 0b011, 0b101}, true
 			}
 			// UMA: Toffoli(b,c,a) · CNOT(a,b) · CNOT(b,c).
 			if o2.t[0] == b {
-				return wFusedUMA, a, b, c,
-					[3]gate.Kind{gate.Toffoli, gate.CNOT, gate.CNOT},
-					[3]uint8{0b111, 0b011, 0b110}, true
+				return wFusedUMA, a, b, c, [3]uint8{0b111, 0b011, 0b110}, true
 			}
 		}
 	}
-	return 0, 0, 0, 0, kinds, masks, false
+	return 0, 0, 0, 0, masks, false
 }
 
 // wires returns the K words of o's wires a, b and c; b and c alias wire
@@ -585,9 +671,9 @@ func (o *wideOp) subStep(st []uint64, K int, k int32) {
 // fault replaces lane e.lane of each wmask-selected target of o with
 // one of e's replacement bits: bit 2 goes to target a, bit 1 to b and
 // bit 0 to c.
-func (o *wideOp) fault(st []uint64, wmask uint8, e event) {
-	word, bit := int(e.lane>>6), uint(e.lane&63)
-	b := uint64(e.bits)
+func (o *wideOp) fault(st []uint64, wmask uint8, e Fault) {
+	word, bit := int(e.Lane>>6), uint(e.Lane&63)
+	b := uint64(e.Bits)
 	if wmask&1 != 0 {
 		i := int(o.a) + word
 		st[i] = st[i]&^(1<<bit) | b>>2<<bit
@@ -634,91 +720,140 @@ func geomGap(r *rng.RNG, invRate float64) int64 {
 // discards as excess, so a per-trial fault rate must be normalized by
 // slots, not by counted trials.
 //
-// Run makes two passes over each chunk of the batch's faults. The first
-// draws the fault schedule: each sampler's next fault is a position in
+// Run is the geometric producer feeding the walk. It draws the fault
+// schedule a chunk at a time: each sampler's next fault is a position in
 // its own concatenated (fault point, lane) sequence, started by one fresh
 // gap per sampler so batches stay independent; each fault then takes one
 // Uint64 for its replacement bits and the next gap, the samplers merged
-// in fault-point order. The second walks the ops with a cursor on the
-// next fault: an op whose points all come before it runs its whole kernel
-// in one dispatch, and an op holding it runs sub-step by sub-step, each
-// followed by its point's faults.
+// in fault-point order. The walk keeps a cursor on the next fault: an op
+// whose points all come before it runs its whole kernel in one dispatch,
+// and an op holding it runs sub-step by sub-step, each followed by its
+// point's faults.
 func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	p.check(st)
-	w, K := st.W, p.words
-	sc := schedule{p: p}
-	sc.start(r)
+	sc := schedule{p: p, r: r}
+	sc.start()
+	p.walk(st.W, &sc)
+	for sc.g < int64(p.points) {
+		sc.draw()
+	}
+	return sc.faults
+}
+
+// Draw draws a batch's fault schedule with exactly Run's randomness and
+// returns it without walking: it appends the faults on live points to
+// live, in point order, and returns the extended slice with the count of
+// every fault, as Run would. Walking the appended faults with RunPlan
+// leaves the wires the program was compiled for as Run leaves them.
+func (p *WideProgram) Draw(r *rng.RNG, live []Fault) ([]Fault, int) {
+	sc := schedule{p: p, r: r}
+	sc.start()
+	for {
+		for _, f := range sc.ev[:sc.n] {
+			if p.live[f.Point] {
+				live = append(live, f)
+			}
+		}
+		if sc.g >= int64(p.points) {
+			return live, sc.faults
+		}
+		sc.draw()
+	}
+}
+
+// RunPlan executes the program on st with exactly the faults of plan,
+// in point order (ascending Point; any lane order within a point), and no
+// other: the plan producer feeding the walk. A fault's Bits come from the
+// geometric producer (Draw) or FaultBits. It panics when plan is out of
+// order or names a point or lane outside the program.
+func (p *WideProgram) RunPlan(st WideState, plan []Fault) {
+	p.check(st)
+	sc := schedule{p: p, plan: plan}
+	sc.copyPlan()
+	p.walk(st.W, &sc)
+}
+
+// walk runs the ops on st, applying the producer's faults after their
+// sub-steps.
+func (p *WideProgram) walk(w []uint64, sc *schedule) {
+	K := p.words
 	for i := range p.ops {
 		o := &p.ops[i]
-		if sc.ev[sc.e].pt >= o.pt+int32(o.ns) {
+		if sc.ev[sc.e].Point >= o.pt+int32(o.ns) {
 			o.step(w, K)
 			continue
 		}
 		if o.ns == 1 {
 			o.step(w, K)
-			sc.apply(w, o, 0, r)
+			sc.apply(w, o, 0)
 			continue
 		}
 		for k := int32(0); k < int32(o.ns); k++ {
 			o.subStep(w, K, k)
-			sc.apply(w, o, k, r)
+			sc.apply(w, o, k)
 		}
 	}
-	for sc.g < int64(p.points) {
-		sc.draw(r)
-	}
-	return sc.faults
 }
 
-// event is one fault of a batch's schedule: its fault point, its lane,
-// and the top three bits of its Uint64, which replace the lane's bits on
-// targets a, b and c (bits 2, 1 and 0).
-type event struct {
-	pt   int32
-	lane uint16
-	bits uint8
+// Fault is one fault event of a batch: its fault point (the index of its
+// source op), its lane, and the bits that replace the lane's bits on its
+// op's targets a, b and c (bits 2, 1 and 0; the geometric producer takes
+// the top three bits of one Uint64).
+type Fault struct {
+	Point int32
+	Lane  uint16
+	Bits  uint8
 }
 
-// chunk is how many faults Run draws ahead of its walk. The schedule is
-// drawn in chunks into a buffer on Run's stack, so a batch allocates
-// nothing however many faults it holds.
+// chunk is how many faults a producer fills ahead of the walk. The chunk
+// is a buffer on the caller's stack, so a batch allocates nothing however
+// many faults it holds.
 const chunk = 256
 
-// schedule is a batch's fault stream: for each sampler, the position of
+// schedule is a batch's fault stream: the chunk of faults filled ahead,
+// ev, with the walk's cursor e, and the producer that fills it. The
+// geometric producer (r != nil) keeps, for each sampler, the position of
 // its next fault in its own (fault point, lane) sequence and the point
-// that position falls on; and the chunk of faults drawn ahead, ev, with
-// the walk's cursor e.
+// that position falls on; the plan producer the plan's unread tail.
 type schedule struct {
-	p       *WideProgram
+	p    *WideProgram
+	ev   [chunk + 1]Fault
+	n, e int // ev[n] is the chunk's end marker; ev[e] the walk's next fault
+
+	r       *rng.RNG
 	pos, at [maxSamplers]int64
 	s       int   // the sampler whose fault comes next
 	g       int64 // its point; p.points once no fault is left
 	faults  int   // faults drawn so far
-	ev      [chunk + 1]event
-	n, e    int // ev[n] is the chunk's end marker; ev[e] the walk's next fault
+
+	plan []Fault
 }
 
-// start begins the stream with one fresh gap per sampler and draws its
-// first chunk.
-func (sc *schedule) start(r *rng.RNG) {
+// start begins the geometric stream with one fresh gap per sampler and
+// draws its first chunk.
+func (sc *schedule) start() {
 	p := sc.p
 	for s := range p.samplers {
-		sc.pos[s] = geomGap(r, p.samplers[s].invRate)
+		sc.pos[s] = geomGap(sc.r, p.samplers[s].invRate)
 		sc.at[s] = p.pointAt(s, sc.pos[s])
 	}
 	sc.s, sc.g = p.earliest(sc.at[:len(p.samplers)])
-	sc.draw(r)
+	sc.draw()
 }
 
 // apply applies the faults on sub-step k's point of o to its targets,
 // and passes over any before it, which are on dropped ops' points.
-func (sc *schedule) apply(st []uint64, o *wideOp, k int32, r *rng.RNG) {
+func (sc *schedule) apply(st []uint64, o *wideOp, k int32) {
 	pt := o.pt + k
-	for sc.ev[sc.e].pt <= pt {
+	for sc.ev[sc.e].Point <= pt {
 		switch {
 		case sc.e == sc.n: // the chunk's end marker
-			sc.draw(r)
-		case sc.ev[sc.e].pt == pt:
+			if sc.r != nil {
+				sc.draw()
+			} else {
+				sc.copyPlan()
+			}
+		case sc.ev[sc.e].Point == pt:
 			o.fault(st, o.wmask[k], sc.ev[sc.e])
 			sc.e++
 		default:
@@ -730,22 +865,51 @@ func (sc *schedule) apply(st []uint64, o *wideOp, k int32, r *rng.RNG) {
 // draw draws up to chunk faults into the buffer in stream order and ends
 // them with a marker on the next pending fault's point (p.points when
 // none is left).
-func (sc *schedule) draw(r *rng.RNG) {
-	p := sc.p
+func (sc *schedule) draw() {
+	p, r := sc.p, sc.r
 	last := int64(1)<<p.shift - 1
 	at := sc.at[:len(p.samplers)]
 	s, g := sc.s, sc.g
 	n := 0
 	for ; n < chunk && g < int64(p.points); n++ {
 		u := r.Uint64()
-		sc.ev[n] = event{pt: int32(g), lane: uint16(sc.pos[s] & last), bits: uint8(u >> 61)}
+		sc.ev[n] = Fault{Point: int32(g), Lane: uint16(sc.pos[s] & last), Bits: uint8(u >> 61)}
 		sc.pos[s] += 1 + geomGap(r, p.samplers[s].invRate)
 		at[s] = p.pointAt(s, sc.pos[s])
 		s, g = p.earliest(at)
 	}
-	sc.ev[n] = event{pt: int32(g)}
+	sc.ev[n] = Fault{Point: int32(g)}
 	sc.s, sc.g = s, g
 	sc.faults += n
+	sc.n, sc.e = n, 0
+}
+
+// copyPlan copies up to chunk faults of the plan into the buffer, checked,
+// and ends them with a marker on the next one's point (p.points when none
+// is left).
+func (sc *schedule) copyPlan() {
+	p := sc.p
+	prev := int32(0)
+	if sc.n > 0 {
+		prev = sc.ev[sc.n-1].Point
+	}
+	n := copy(sc.ev[:chunk], sc.plan)
+	sc.plan = sc.plan[n:]
+	next := p.points
+	if len(sc.plan) > 0 {
+		next = sc.plan[0].Point
+	}
+	lanes := 64 * p.words
+	for _, f := range sc.ev[:n] {
+		if f.Point < prev || f.Point >= p.points || int(f.Lane) >= lanes {
+			panic(fmt.Sprintf("lanes: RunPlan fault %+v out of order or outside %d points and %d lanes", f, p.points, lanes))
+		}
+		prev = f.Point
+	}
+	if next < prev {
+		panic(fmt.Sprintf("lanes: RunPlan fault on point %d after point %d", next, prev))
+	}
+	sc.ev[n] = Fault{Point: next}
 	sc.n, sc.e = n, 0
 }
 

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"revft/internal/adder"
+	"revft/internal/bitvec"
 	"revft/internal/circuit"
 	"revft/internal/code"
 	"revft/internal/gate"
 	"revft/internal/noise"
 	"revft/internal/rng"
+	"revft/internal/sim"
 )
 
 // TestCompileWideFusesTriples pins the peephole patterns: the Figure 1
@@ -261,12 +263,32 @@ func TestRunAllocatesNothing(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { prog.Run(st, r) }); n != 0 {
 				t.Errorf("p=%v: Run allocates %v times per batch, want 0", p, n)
 			}
+			// The plan producer, on a plan longer than a chunk.
+			plan, _ := prog.Draw(r, make([]Fault, 0, 8*chunk))
+			for len(plan) <= chunk {
+				plan, _ = prog.Draw(r, plan)
+				sortFaults(plan)
+			}
+			if n := testing.AllocsPerRun(100, func() { prog.RunPlan(st, plan) }); n != 0 {
+				t.Errorf("p=%v: RunPlan allocates %v times per batch, want 0", p, n)
+			}
+		}
+	}
+}
+
+// sortFaults puts a plan in point order, keeping the order within a
+// point.
+func sortFaults(plan []Fault) {
+	for i := 1; i < len(plan); i++ {
+		for j := i; j > 0 && plan[j].Point < plan[j-1].Point; j-- {
+			plan[j], plan[j-1] = plan[j-1], plan[j]
 		}
 	}
 }
 
 // TestCompileWideClampsProbabilities is TestCompileClampsProbabilities at
-// K = 4.
+// K = 4, and NaN is 0 as in rng.Bool: a MAJ under NaN noise faults in
+// neither engine.
 func TestCompileWideClampsProbabilities(t *testing.T) {
 	prog := CompileWide(circuit.New(1).NOT(0), noise.IID{Gate: 7}, 4)
 	if len(prog.samplers) != 1 || prog.samplers[0].p != 1 {
@@ -275,6 +297,32 @@ func TestCompileWideClampsProbabilities(t *testing.T) {
 	st := NewWideState(1, 4)
 	if faults := prog.Run(st, rng.New(1)); faults != 256 {
 		t.Fatalf("clamped p=1 run had %d fault events, want 256", faults)
+	}
+	c := circuit.New(3).MAJ(0, 1, 2)
+	nan := CompileWide(c, noise.Uniform(math.NaN()), 4)
+	if nan.Samplers() != 0 {
+		t.Fatalf("NaN fault probability compiled into %d samplers, want 0", nan.Samplers())
+	}
+	st = NewWideState(3, 4)
+	r := rng.New(2)
+	for i := range st.W {
+		st.W[i] = r.Uint64()
+	}
+	want := append([]uint64(nil), st.W...)
+	CompileWide(c, noise.Uniform(0), 4).RunNoiseless(WideState{Words: 4, W: want})
+	if faults := nan.Run(st, r); faults != 0 {
+		t.Fatalf("NaN run had %d fault events, want 0", faults)
+	}
+	for i := range want {
+		if st.W[i] != want[i] {
+			t.Fatalf("NaN run word %d: %016x, noiseless %016x", i, st.W[i], want[i])
+		}
+	}
+	sst := bitvec.New(3)
+	for i := 0; i < 100; i++ {
+		if faults := sim.RunNoisy(c, sst, noise.Uniform(math.NaN()), r); faults != 0 {
+			t.Fatalf("scalar NaN run had %d faults, want 0", faults)
+		}
 	}
 }
 

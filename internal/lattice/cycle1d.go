@@ -74,7 +74,7 @@ func NewCycle1D(k gate.Kind) *Cycle {
 	return &Cycle{
 		// The 1D recovery maps cells (0,3,6) back onto themselves, so
 		// Out equals In and cycles chain.
-		Target:    core.Target{Name: "cycle1d", Circuit: c, In: in, Out: in, Logical: core.GateCircuit(k)},
+		Target:    core.NewTarget("cycle1d", c, in, in, core.GateCircuit(k)),
 		Kind:      k,
 		Layout:    Line{N: Cycle1DWidth},
 		recStart:  recStart,

@@ -160,7 +160,7 @@ func NewCycle2D(k gate.Kind) *Cycle {
 		out[p] = []int{q(p, 0), q(p, 3), q(p, 6)}
 	}
 	return &Cycle{
-		Target:    core.Target{Name: "cycle2d", Circuit: c, In: in, Out: out, Logical: core.GateCircuit(k)},
+		Target:    core.NewTarget("cycle2d", c, in, out, core.GateCircuit(k)),
 		Kind:      k,
 		Layout:    layout,
 		recStart:  recStart,

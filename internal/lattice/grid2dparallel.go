@@ -80,7 +80,7 @@ func NewCycle2DParallel(k gate.Kind) *Cycle {
 		out[p] = []int{9*p + 0, 9*p + 3, 9*p + 6}
 	}
 	return &Cycle{
-		Target:    core.Target{Name: "cycle2d-parallel", Circuit: c, In: in, Out: out, Logical: core.GateCircuit(k)},
+		Target:    core.NewTarget("cycle2d-parallel", c, in, out, core.GateCircuit(k)),
 		Kind:      k,
 		Layout:    layout,
 		recStart:  recStart,

@@ -41,3 +41,25 @@ func TestSubmitBoundsRejected(t *testing.T) {
 		t.Errorf("refused specs left %d job directories", len(dirs))
 	}
 }
+
+// TestValidateRefusesNonFinite: a NaN or infinite float field passes
+// every range comparison, so Validate refuses it before Digest would
+// panic encoding it.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	set := map[string]func(*JobSpec, float64){
+		"gmin":            func(s *JobSpec, x float64) { s.GMin = x },
+		"gmax":            func(s *JobSpec, x float64) { s.GMax = x },
+		"reltol":          func(s *JobSpec, x float64) { s.RelTol, s.ZeroScale = x, 0 },
+		"zeroscale":       func(s *JobSpec, x float64) { s.RelTol, s.ZeroScale = 0.1, x },
+		"timeout_seconds": func(s *JobSpec, x float64) { s.TimeoutSeconds = x },
+	}
+	for name, f := range set {
+		for _, x := range []float64{math.NaN(), math.Inf(1)} {
+			spec := testSpec()
+			f(&spec, x)
+			if err := spec.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", name, x)
+			}
+		}
+	}
+}

@@ -22,6 +22,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"revft/internal/stats"
@@ -156,6 +157,11 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("experiment is required")
 	case !validTenant(s.Tenant):
 		return fmt.Errorf("tenant %q: need 1-64 characters from [A-Za-z0-9._-]", s.Tenant)
+	case !finite(s.GMin, s.GMax, s.RelTol, s.ZeroScale, s.TimeoutSeconds):
+		// NaN passes every comparison below, and Digest cannot encode a
+		// non-finite value.
+		return fmt.Errorf("gmin %v, gmax %v, reltol %v, zeroscale %v, timeout_seconds %v: need finite values",
+			s.GMin, s.GMax, s.RelTol, s.ZeroScale, s.TimeoutSeconds)
 	case s.Points < 1 || s.Points > MaxPoints:
 		return fmt.Errorf("points %d: need 1..%d", s.Points, MaxPoints)
 	case s.Trials < 1:
@@ -183,6 +189,16 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("priority %q: need interactive, batch, or bulk", s.Priority)
 	}
 	return nil
+}
+
+// finite reports whether every x is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Grid returns the job's log-spaced gate-error grid.

@@ -94,11 +94,35 @@ func (wi *workerInstr) flush() {
 	wi.nTrials, wi.nBatches, wi.nSlots = 0, 0, 0
 }
 
-// A blockCounter counts the hits among the first n trials of one block
-// (0 < n <= BlockTrials) on r, freshly seeded for that block, and reports
-// how many batches it ran. Each worker builds its own counter, so it may
-// keep scratch buffers across blocks.
-type blockCounter func(r *rng.RNG, n int) (hits, batches int)
+// A WideBatch is one worker's lane engine under MonteCarloBatchCtx. Block
+// runs the batches of the first n trials (0 < n <= BlockTrials) of block
+// on r, freshly seeded for that block; it never counts a lane past n. It
+// may defer lanes to a queue and resolve them in a later Block or in
+// Flush; each returns the hits it resolved, of any block, and Block the
+// number of batches it ran. Pending returns the lowest block with a
+// deferred lane, or -1 when none is. Each worker builds its own batch, so
+// it may keep state and buffers across blocks.
+type WideBatch interface {
+	Block(r *rng.RNG, block, n int) (hits, batches int)
+	Flush() int
+	Pending() int
+}
+
+// scalarCounter is the scalar engine's counter: one trial at a time,
+// nothing deferred.
+type scalarCounter func(r *rng.RNG) bool
+
+func (trial scalarCounter) Block(r *rng.RNG, _, n int) (h, _ int) {
+	for i := 0; i < n; i++ {
+		if trial(r) {
+			h++
+		}
+	}
+	return h, 1
+}
+
+func (scalarCounter) Flush() int   { return 0 }
+func (scalarCounter) Pending() int { return -1 }
 
 // MonteCarloCtx runs trials [start, start+trials) of the estimate seeded
 // with seed, one at a time, and counts how many returned true. start must
@@ -108,16 +132,7 @@ type blockCounter func(r *rng.RNG, n int) (hits, batches int)
 // trial is recovered into a *TrialPanicError (cancelling the remaining
 // workers), returned with the blocks completed before it.
 func MonteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64, trial func(r *rng.RNG) bool) (Result, error) {
-	return monteCarloCtx(ctx, start, trials, workers, seed, 0, func() blockCounter {
-		return func(r *rng.RNG, n int) (h, _ int) {
-			for i := 0; i < n; i++ {
-				if trial(r) {
-					h++
-				}
-			}
-			return h, 1
-		}
-	})
+	return monteCarloCtx(ctx, start, trials, workers, seed, 0, func() WideBatch { return scalarCounter(trial) })
 }
 
 // WideBatchTrial simulates 64·len(hit) independent trial lanes at once on
@@ -134,39 +149,60 @@ type WideBatchTrial func(r *rng.RNG, hit []uint64)
 // keep its lane state and buffers from one batch to the next. A run's
 // final block may be short: it runs only the batches its trials need and
 // masks the excess lanes of the last, so every counted trial runs exactly
-// once.
+// once. It is MonteCarloBatchCtx on a batch that defers nothing.
+func MonteCarloWideCtx(ctx context.Context, start, trials, workers int, seed uint64, words int, newBatch func() WideBatchTrial) (Result, error) {
+	return MonteCarloBatchCtx(ctx, start, trials, workers, seed, words, func() WideBatch {
+		return &laneTrial{batch: newBatch(), hit: make([]uint64, words)}
+	})
+}
+
+// MonteCarloBatchCtx is MonteCarloCtx on the lane batches of newBatch,
+// K = words words (64·words lanes) per batch; words must divide
+// BlockTrials/64. A worker resolves every lane its batch deferred before
+// it publishes its totals, so a cancelled run still counts whole blocks
+// exactly, and it counts a block only once every lane of it is resolved.
+// A panic in a batch names the lowest block with a deferred lane, if
+// that is lower than the block being run.
 //
 // The harness counters "lanes.trials" and telemetry.TrialsMetric count
 // counted trials, "lanes.slots" simulated lane slots including the masked
 // excess. The fault counter lanes.faults is recorded inside the batch,
 // which cannot know which slots will be discarded, so fault rates must be
 // normalized by lanes.slots; see core.Target's lane batch.
-func MonteCarloWideCtx(ctx context.Context, start, trials, workers int, seed uint64, words int, newBatch func() WideBatchTrial) (Result, error) {
+func MonteCarloBatchCtx(ctx context.Context, start, trials, workers int, seed uint64, words int, newBatch func() WideBatch) (Result, error) {
 	if words < 1 || BlockTrials%(64*words) != 0 {
 		return Result{}, fmt.Errorf("sim: wide engine needs 1, 2, 4 or 8 words per batch, got %d", words)
 	}
-	unit := 64 * words
-	return monteCarloCtx(ctx, start, trials, workers, seed, words, func() blockCounter {
-		batch, hit := newBatch(), make([]uint64, words)
-		return func(r *rng.RNG, n int) (h, batches int) {
-			for ran := 0; ran < n; ran += unit {
-				batch(r, hit)
-				if left := n - ran; left < unit {
-					maskLanes(hit, left)
-				}
-				for _, m := range hit {
-					h += bits.OnesCount64(m)
-				}
-				batches++
-			}
-			return h, batches
-		}
-	})
+	return monteCarloCtx(ctx, start, trials, workers, seed, words, newBatch)
 }
 
-// maskLanes clears every lane of the block past the first n, so a partial
-// final batch counts exactly its remaining trials.
-func maskLanes(hit []uint64, n int) {
+// laneTrial runs a WideBatchTrial as a WideBatch that defers nothing.
+type laneTrial struct {
+	batch WideBatchTrial
+	hit   []uint64
+}
+
+func (b *laneTrial) Block(r *rng.RNG, _, n int) (h, batches int) {
+	unit := 64 * len(b.hit)
+	for ran := 0; ran < n; ran += unit {
+		b.batch(r, b.hit)
+		if left := n - ran; left < unit {
+			MaskLanes(b.hit, left)
+		}
+		for _, m := range b.hit {
+			h += bits.OnesCount64(m)
+		}
+		batches++
+	}
+	return h, batches
+}
+
+func (*laneTrial) Flush() int   { return 0 }
+func (*laneTrial) Pending() int { return -1 }
+
+// MaskLanes clears every lane of the lane words hit past the first n, so
+// a partial final batch counts exactly its remaining trials.
+func MaskLanes(hit []uint64, n int) {
 	for j := range hit {
 		switch lo := n - 64*j; {
 		case lo >= 64:
@@ -184,7 +220,7 @@ func maskLanes(hit []uint64, n int) {
 // each and count its hits with their own counter from newCounter. words
 // is the lane batch width, 0 for the scalar engine.
 func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64, words int,
-	newCounter func() blockCounter) (Result, error) {
+	newCounter func() WideBatch) (Result, error) {
 	if start < 0 || start%BlockTrials != 0 {
 		return Result{}, fmt.Errorf("sim: first trial %d is not at a %d-trial block boundary", start, BlockTrials)
 	}
@@ -234,10 +270,18 @@ func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 				}
 				started = time.Now()
 			}
-			var hits, done int64
+			// hits and done count resolved blocks; the pending ones wait
+			// until count has no deferred lane left.
+			var hits, done, pendHits, pendDone int64
 			block := -1
+			var count WideBatch
 			defer func() {
 				if r := recover(); r != nil {
+					if count != nil {
+						if p := count.Pending(); p >= 0 && (block < 0 || p < block) {
+							block = p
+						}
+					}
 					panicMu.Lock()
 					if panicErr == nil || block < panicErr.Block {
 						panicErr = &TrialPanicError{Seed: seed, Block: block, Worker: w, Value: r, Stack: debug.Stack()}
@@ -258,18 +302,24 @@ func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 				doneTotal.Add(done)
 				wg.Done()
 			}()
+			resolve := func() {
+				if count.Pending() < 0 {
+					hits, done = hits+pendHits, done+pendDone
+					pendHits, pendDone = 0, 0
+				}
+			}
 			run := func() {
-				count := newCounter()
+				count = newCounter()
 				var r rng.RNG
 				for ran := 0; ; ran++ {
+					k := blocks
 					select {
 					case <-stop:
-						return
 					default:
+						k = int(next.Add(1) - 1)
 					}
-					k := int(next.Add(1) - 1)
 					if k >= blocks {
-						return
+						break
 					}
 					block = first + k
 					n := min(BlockTrials, trials-k*BlockTrials)
@@ -278,12 +328,13 @@ func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 					if wi.lat != nil && ran&latSampleMask == 0 {
 						t0 = time.Now()
 					}
-					h, batches := count(&r, n)
+					h, batches := count.Block(&r, block, n)
 					if !t0.IsZero() {
 						wi.lat.Observe(time.Since(t0).Seconds() / float64(batches))
 					}
-					hits += int64(h)
-					done += int64(n)
+					pendHits += int64(h)
+					pendDone += int64(n)
+					resolve()
 					wi.nTrials += int64(n)
 					wi.nBatches += int64(batches)
 					wi.nSlots += int64(batches * 64 * words)
@@ -291,6 +342,9 @@ func monteCarloCtx(ctx context.Context, start, trials, workers int, seed uint64,
 						wi.flush()
 					}
 				}
+				block = -1
+				pendHits += int64(count.Flush())
+				resolve()
 			}
 			if reg != nil {
 				// Label the worker for CPU profiling; pprof.Do appends to

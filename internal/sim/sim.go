@@ -7,9 +7,11 @@
 //     a plan; core.Target.Injected runs the list form to prove
 //     fault-tolerance claims exhaustively;
 //   - MonteCarloCtx: a parallel trial harness over seeded trial blocks;
-//   - MonteCarloWideCtx: the same harness on bit-sliced lane batches of
+//   - MonteCarloBatchCtx: the same harness on bit-sliced lane batches of
 //     64·K trials (see package lanes), for runs where trial count
-//     dominates.
+//     dominates; a batch may defer lanes across blocks (core.Target's
+//     compacted batch). MonteCarloWideCtx is its form for a batch that
+//     counts each batch's lanes at once.
 //
 // Both harnesses are context-aware, for long-running sweeps: cancellable
 // between trial blocks, returning the whole blocks completed so far, and

@@ -162,9 +162,9 @@ func TestMaskLanes(t *testing.T) {
 		{192, [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}},
 	} {
 		hit := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-		maskLanes(hit, tc.n)
+		MaskLanes(hit, tc.n)
 		if [3]uint64{hit[0], hit[1], hit[2]} != tc.want {
-			t.Fatalf("maskLanes(n=%d) = %x, want %x", tc.n, hit, tc.want)
+			t.Fatalf("MaskLanes(n=%d) = %x, want %x", tc.n, hit, tc.want)
 		}
 	}
 }
