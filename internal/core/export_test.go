@@ -1,6 +1,9 @@
 package core
 
-import "revft/internal/noise"
+import (
+	"revft/internal/lanes"
+	"revft/internal/noise"
+)
 
 // LaneAudit runs the lane audit of t for in on its 8-word program with
 // the given plan budget and returns its d and failing single faults.
@@ -27,4 +30,20 @@ func SpareLaneBuffers(t Target) int {
 	t.certs.mu.Lock()
 	defer t.certs.mu.Unlock()
 	return len(t.certs.spare)
+}
+
+// CachedPrograms is how many compiled programs t keeps for its next
+// estimates.
+func CachedPrograms(t Target) int {
+	t.certs.mu.Lock()
+	defer t.certs.mu.Unlock()
+	return len(t.certs.progs)
+}
+
+// MaxPrograms bounds the programs a target keeps.
+const MaxPrograms = maxPrograms
+
+// LaneProgram is the program t's lane estimates under m at words run.
+func LaneProgram(t Target, m noise.Model, words int) *lanes.WideProgram {
+	return t.program(m, words)
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -270,7 +271,7 @@ func TestCompactedAllocationsFlat(t *testing.T) {
 // `go test ./internal/core -run '^$' -bench CompactCrossover -cpu 1`.
 func BenchmarkCompactCrossover(b *testing.B) {
 	g := core.NewGadget(gate.MAJ, 2)
-	for _, p := range []float64{0.0012, 0.0016, 0.002, 0.0022, 0.0024, 0.0028} {
+	for _, p := range []float64{0.0012, 0.0016, 0.0018, 0.002, 0.0022, 0.0024, 0.0026, 0.0028} {
 		m := noise.Uniform(p)
 		f := g.CompileWide(m, 8).WalkedFraction(2)
 		for _, mode := range []struct {
@@ -364,5 +365,47 @@ func TestCompactedEstimatesReuseBuffers(t *testing.T) {
 				t.Errorf("estimate %d at %d workers: target keeps %d buffer sets, want 2", rep, workers, n)
 			}
 		}
+	}
+}
+
+// TestEstimatesReuseProgram: a target compiles its lane program once per
+// model and width and keeps it for later estimates (models whose
+// probabilities clamp alike share one, NaN included), keeps at most
+// MaxPrograms, and counts what estimates on a fresh target count.
+func TestEstimatesReuseProgram(t *testing.T) {
+	g := core.NewGadget(gate.MAJ, 2)
+	estimate := func(tg core.Target, m noise.Model, words int) sim.Result {
+		t.Helper()
+		res, err := tg.Estimate(context.Background(), core.Uniform, core.Noisy(m), words, 0, 2*sim.BlockTrials, 1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	steps := []struct {
+		m     noise.Model
+		words int
+		want  int
+	}{
+		{noise.Uniform(0.002), 8, 1},
+		{noise.Uniform(0.002), 8, 1},
+		{noise.Uniform(0.002), 4, 2},
+		{noise.Uniform(math.NaN()), 8, 3},
+		{noise.Uniform(0), 8, 3},
+		{noise.Uniform(-1), 8, 3},
+		{noise.IID{Gate: 0.002, Init: 0.002}, 8, 3},
+		{noise.Uniform(0.003), 8, 4},
+		{noise.Uniform(0.004), 8, core.MaxPrograms},
+	}
+	for i, s := range steps {
+		if got, want := estimate(g.Target, s.m, s.words), estimate(core.NewGadget(gate.MAJ, 2).Target, s.m, s.words); got != want {
+			t.Errorf("step %d: %+v, fresh target %+v", i, got.Bernoulli, want.Bernoulli)
+		}
+		if n := core.CachedPrograms(g.Target); n != s.want {
+			t.Errorf("step %d (%+v, K=%d): target keeps %d programs, want %d", i, s.m, s.words, n, s.want)
+		}
+	}
+	if a, b := core.LaneProgram(g.Target, noise.Uniform(0.004), 8), core.LaneProgram(g.Target, noise.Uniform(0.004), 8); a != b {
+		t.Error("the same model and width gave two programs")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"revft/internal/circuit"
+	"revft/internal/gate"
 	"revft/internal/lanes"
 	"revft/internal/noise"
 	"revft/internal/rng"
@@ -44,14 +45,75 @@ var compactBelow = 0.375
 // d. The level-2 gadget's audit walks 37,440 plans.
 const auditBudget = 1 << 18
 
-// laneCerts is a target's lane audits, by input domain, computed on the
-// domain's first lane estimate and shared by every copy of the target,
-// and the fault buffers its finished estimates' compacting batches left
-// for the next estimate.
+// laneCerts is a target's lane state shared by every copy of the
+// target: its lane audits, by input domain, computed on the domain's
+// first lane estimate; its most recently compiled programs; and the
+// fault buffers its finished estimates' compacting batches left for the
+// next estimate.
 type laneCerts struct {
 	mu    sync.Mutex
 	d     map[Input]int // nil until the first audit
+	progs []laneProgram // newest last, at most maxPrograms
 	spare []*laneBuffers
+}
+
+// laneProgram is a compiled program of a target with what it was
+// compiled for: the fault probability of each gate kind (allKinds order,
+// as lanes.ClampProb clamps it) and the block width. The target's circuit
+// and decoded wires fix the rest.
+type laneProgram struct {
+	probs []float64
+	words int
+	prog  *lanes.WideProgram
+}
+
+// maxPrograms bounds the programs a target keeps. An adaptive sweep runs
+// one point's chunk estimates back to back, so the newest program serves
+// them all, while keeping one per point of a long sweep would hold about
+// 0.5 MB per level-3 point.
+const maxPrograms = 4
+
+// allKinds is gate.Kinds(), the order of a laneProgram's probabilities.
+var allKinds = gate.Kinds()
+
+// program returns the target's program for m at words: compiled by the
+// target's first estimate under a model whose probabilities clamp alike
+// and kept for the next ones. A target built without a cache (a struct
+// literal) compiles on every call.
+func (t Target) program(m noise.Model, words int) *lanes.WideProgram {
+	if t.certs == nil {
+		return t.CompileWide(m, words)
+	}
+	c := t.certs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, lp := range c.progs {
+		if lp.matches(m, words) {
+			return lp.prog
+		}
+	}
+	lp := laneProgram{probs: make([]float64, len(allKinds)), words: words, prog: t.CompileWide(m, words)}
+	for i, k := range allKinds {
+		lp.probs[i] = lanes.ClampProb(m.FaultProb(k))
+	}
+	if len(c.progs) == maxPrograms {
+		c.progs = append(c.progs[:0], c.progs[1:]...)
+	}
+	c.progs = append(c.progs, lp)
+	return lp.prog
+}
+
+// matches reports whether lp was compiled for m at words.
+func (lp laneProgram) matches(m noise.Model, words int) bool {
+	if lp.words != words {
+		return false
+	}
+	for i, k := range allKinds {
+		if lp.probs[i] != lanes.ClampProb(m.FaultProb(k)) {
+			return false
+		}
+	}
+	return true
 }
 
 // laneBuffers is a compacting batch's fault buffers, sized for n queued
@@ -298,9 +360,10 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 	return a
 }
 
-// batch compiles the target once for a words-wide lane block and returns
-// the factory of its per-worker lane batches, and the function that hands
-// their fault buffers back to the target once the estimate is over. Each
+// batch takes the target's program for a words-wide lane block (compiled
+// once per model and width, see program) and returns the factory of its
+// per-worker lane batches, and the function that hands their fault
+// buffers back to the target once the estimate is over. Each
 // worker's batch owns its lane state and buffers, so a steady-state batch
 // allocates nothing. The batch compacts when the audit certifies d ≥ 1 and the program's
 // expected share of lanes holding d live faults is below compactBelow;
@@ -315,7 +378,7 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 // the two differ whenever trials is not a multiple of the block's lane
 // count.
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (newBatch func() sim.WideBatch, done func()) {
-	prog := t.CompileWide(m, words)
+	prog := t.program(m, words)
 	d := 0
 	if prog.WalkedFraction(2) < compactBelow {
 		if d = t.certify(prog, in); prog.WalkedFraction(d) >= compactBelow {

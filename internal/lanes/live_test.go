@@ -1,6 +1,7 @@
 package lanes_test
 
 import (
+	"sort"
 	"testing"
 
 	"revft/internal/adder"
@@ -179,6 +180,76 @@ func TestRunPlanRejectsBadPlans(t *testing.T) {
 			}()
 			prog.RunPlan(st, plan)
 		}()
+	}
+}
+
+// TestRunPlanPassesOverDeadFaults: faults on points that are not live —
+// on dropped ops, past the last walked op, or on a fused sub-step whose
+// targets are all dead — change no wire the program was compiled for,
+// wherever they fall among a plan's live faults, chunk ends included.
+func TestRunPlanPassesOverDeadFaults(t *testing.T) {
+	r := rng.New(45)
+	g := core.NewGadget(gate.MAJ, 2)
+	type tc struct {
+		c    *circuit.Circuit
+		outs []int
+	}
+	cases := []tc{{g.Circuit, outWires(g.Target)}}
+	for i := 0; i < 30; i++ {
+		width := 3 + r.Intn(6)
+		c := circuit.New(width)
+		for n := 0; n < 6; n++ {
+			p := r.Perm(width)
+			if r.Intn(2) == 0 {
+				c.CNOT(p[0], p[1]).CNOT(p[0], p[2]).Toffoli(p[1], p[2], p[0])
+			} else {
+				c.Compose(circuit.Random(r, width, 4, nil))
+			}
+		}
+		cases = append(cases, tc{c, r.Perm(width)[:1+r.Intn(2)]})
+	}
+	tail := 0 // programs whose last point is past the last walked op
+	for i, c := range cases {
+		for _, words := range []int{1, 8} {
+			prog := lanes.CompileWideFor(c.c, noise.IID{Gate: 0.05, Init: 0.1}, words, c.outs)
+			var dead []int
+			for pt := 0; pt < prog.Points(); pt++ {
+				if !prog.Live(pt) {
+					dead = append(dead, pt)
+				}
+			}
+			if len(dead) == 0 {
+				continue
+			}
+			if !prog.Live(prog.Points() - 1) {
+				tail++
+			}
+			live, _ := prog.Draw(r, nil)
+			var mixed []lanes.Fault
+			for j := 0; j < len(live)+3*len(dead); j++ {
+				f := lanes.Fault{Point: int32(dead[r.Intn(len(dead))]), Lane: uint16(r.Intn(prog.Lanes())), Bits: uint8(r.Intn(8))}
+				mixed = append(mixed, f)
+			}
+			mixed = append(mixed, live...)
+			sort.SliceStable(mixed, func(a, b int) bool { return mixed[a].Point < mixed[b].Point })
+			a, b := lanes.NewWideState(c.c.Width(), words), lanes.NewWideState(c.c.Width(), words)
+			for j := range a.W {
+				a.W[j] = r.Uint64()
+				b.W[j] = a.W[j]
+			}
+			prog.RunPlan(a, live)
+			prog.RunPlan(b, mixed)
+			for _, w := range c.outs {
+				for k, x := range a.Wire(w) {
+					if y := b.Wire(w)[k]; x != y {
+						t.Fatalf("case %d K=%d wire %d word %d: %016x with live faults only, %016x with dead ones too", i, words, w, k, x, y)
+					}
+				}
+			}
+		}
+	}
+	if tail == 0 {
+		t.Fatal("no program had a dead point past its last walked op")
 	}
 }
 

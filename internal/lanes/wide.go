@@ -26,17 +26,27 @@ package lanes
 //
 // A batch is one walk over the ops fed by a fault producer, which fills
 // the walk's next chunk of fault events (point, lane, replacement bits)
-// in point order: Run's geometric sampler, or RunPlan's explicit per-lane
-// plan. An op before the next fault costs one comparison and its kernel.
-// Kernels loop over the K words of each wire at runtime rather than via
-// per-K specializations: gc does not auto-vectorize either way, and the
-// measured wins come from amortized dispatch, fusion, and the grouped
-// sampler, not from unrolling.
+// in point order, keeping those on live points: Run's geometric sampler,
+// or RunPlan's explicit per-lane plan. A by-point table names the op the
+// next fault falls on, so the ops before it run as one call of the
+// kernel loop with no look at the faults. Kernels loop over the K words
+// of each wire at runtime rather than via per-K specializations: gc does
+// not auto-vectorize either way, and unrolling the word loop measured no
+// faster.
+//
+// Where a batch's time goes, on the level-2 gadget at the threshold
+// sweep's ρ/2 with K = 8 (1,131 faults, 910 of them live, on 462 of 585
+// walked ops; DESIGN.md, the lane engine's per-fault cost): about a
+// quarter drawing the faults, about 1.6× the RNG draws alone since
+// the draw loop keeps the generator in registers; a quarter in the
+// kernels, as a noiseless walk; and the rest applying the faults, most
+// of it in mispredicted branches on where the next fault falls.
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"revft/internal/circuit"
 	"revft/internal/code"
@@ -251,9 +261,13 @@ type wideOp struct {
 // order.
 type wideSampler struct {
 	p       float64
-	invRate float64 // λ⁻¹ = -1/log1p(-p), 0 at p = 1; see geomGap
-	points  []int32 // the fault points it serves, ascending
+	invRate float64  // λ⁻¹ = -1/log1p(-p), 0 at p = 1; see geomGap
+	points  []uint32 // the fault points it serves, ascending, each with liveBit set when live
 }
+
+// liveBit marks a live fault point in a sampler's point list, so that
+// the producer reads a fault's point and liveness in one load.
+const liveBit = 1 << 31
 
 // maxSamplers bounds a program's samplers: there is one per distinct
 // fault probability, and the noise model assigns one per gate kind, so
@@ -270,7 +284,8 @@ type WideProgram struct {
 	ops          []wideOp // the walk: the compiled ops an output depends on
 	samplers     []wideSampler
 	points       int32   // fault points of all compiled ops, walked or not
-	live         []bool  // by fault point: a fault there can reach an output
+	live         []uint8 // by fault point: 1 when a fault there can reach an output
+	opAt         []int32 // by fault point, and p.points: the first walked op past no earlier point
 	roles        []uint8 // by fault point: source target i's role (a, b, c = 0, 1, 2; 3 = none) in bits 2i, 2i+1
 	compiled     int     // compiled ops, walked or not
 	srcLen       int     // ops in the source circuit
@@ -343,13 +358,13 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	})
 
 	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src),
-		roles: make([]uint8, len(src)), live: make([]bool, len(src))}
+		roles: make([]uint8, len(src)), live: make([]uint8, len(src))}
 	// addPoint numbers the next fault point, of a k op whose targets have
 	// the given roles, and hands it to the sampler of k's fault
 	// probability, if that is not 0.
 	addPoint := func(k gate.Kind, roles uint8) {
 		if i := p.sampler(m.FaultProb(k)); i >= 0 {
-			p.samplers[i].points = append(p.samplers[i].points, p.points)
+			p.samplers[i].points = append(p.samplers[i].points, uint32(p.points))
 		}
 		p.roles[p.points] = roles
 		p.points++
@@ -380,11 +395,28 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	if outs != nil {
 		ops = prune(ops, p.width, outs)
 	}
+	p.opAt = make([]int32, p.points+1)
+	pt := int32(0) // points below pt have their opAt entry
 	for i := range ops {
 		o := &ops[i]
 		o.a, o.b, o.c = o.a*int32(words), o.b*int32(words), o.c*int32(words)
+		for ; pt < o.pt+int32(o.ns); pt++ {
+			p.opAt[pt] = int32(i)
+		}
 		for k := int32(0); k < int32(o.ns); k++ {
-			p.live[o.pt+k] = o.wmask[k] != 0
+			if o.wmask[k] != 0 {
+				p.live[o.pt+k] = 1
+			}
+		}
+	}
+	for ; pt <= p.points; pt++ {
+		p.opAt[pt] = int32(len(ops))
+	}
+	for _, sp := range p.samplers {
+		for j, q := range sp.points {
+			if p.live[q] != 0 {
+				sp.points[j] |= liveBit
+			}
 		}
 	}
 	p.ops = ops
@@ -417,7 +449,7 @@ func (p *WideProgram) Points() int { return int(p.points) }
 // was compiled for: its op is walked and the fault randomizes one of the
 // op's live targets. A batch's outputs do not depend on its faults on
 // other points.
-func (p *WideProgram) Live(pt int) bool { return p.live[pt] }
+func (p *WideProgram) Live(pt int) bool { return p.live[pt] != 0 }
 
 // FaultBits returns the replacement bits of a fault on point pt that
 // leaves the local value v on its source op's targets, targets[0] in bit
@@ -440,7 +472,7 @@ func (p *WideProgram) WalkedFraction(d int) float64 {
 	q0, q1 := 1.0, 0.0 // P(no live fault), P(exactly one) so far
 	for _, s := range p.samplers {
 		for _, pt := range s.points {
-			if p.live[pt] {
+			if pt&liveBit != 0 {
 				q0, q1 = q0*(1-s.p), q1*(1-s.p)+q0*s.p
 			}
 		}
@@ -458,11 +490,8 @@ func (p *WideProgram) WalkedFraction(d int) float64 {
 // clamped to [0, 1] with NaN as 0, adding one if there is none yet, or
 // -1 when pr is 0. Samplers are numbered in order of first use.
 func (p *WideProgram) sampler(pr float64) int {
-	if !(pr > 0) { // 0, negative or NaN: rng.Bool(NaN) never fires either
+	if pr = ClampProb(pr); pr == 0 {
 		return -1
-	}
-	if pr > 1 {
-		pr = 1
 	}
 	for i := range p.samplers {
 		if p.samplers[i].p == pr {
@@ -471,6 +500,19 @@ func (p *WideProgram) sampler(pr float64) int {
 	}
 	p.samplers = append(p.samplers, wideSampler{p: pr, invRate: -1 / math.Log1p(-pr)})
 	return len(p.samplers) - 1
+}
+
+// ClampProb is the fault probability a program compiles p to: p clamped
+// to [0, 1], with NaN as 0 (rng.Bool(NaN) never fires either). Models
+// whose probabilities clamp alike compile to the same program.
+func ClampProb(p float64) float64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p > 1:
+		return 1
+	}
+	return p
 }
 
 // prune is CompileWideFor's liveness pass over ops, whose a, b, c are
@@ -587,60 +629,64 @@ func (o *wideOp) wires(st []uint64, K int) (x, y, z []uint64) {
 	return x, st[o.b:][:len(x)], st[o.c:][:len(x)]
 }
 
-// step applies o's whole kernel — every sub-step of a fused op, in source
-// order — to all K·64 lanes.
-func (o *wideOp) step(st []uint64, K int) {
-	x, y, z := o.wires(st, K)
-	switch o.code {
-	case wNOT:
-		for j := range x {
-			x[j] = ^x[j]
-		}
-	case wCNOT:
-		for j := range x {
-			y[j] ^= x[j]
-		}
-	case wSWAP:
-		for j := range x {
-			x[j], y[j] = y[j], x[j]
-		}
-	case wToffoli:
-		for j := range x {
-			z[j] ^= x[j] & y[j]
-		}
-	case wFredkin:
-		for j := range x {
-			d := (y[j] ^ z[j]) & x[j]
-			y[j] ^= d
-			z[j] ^= d
-		}
-	case wMAJ, wFusedMAJ:
-		for j := range x {
-			a, b, c := x[j], y[j]^x[j], z[j]^x[j]
-			x[j], y[j], z[j] = a^b&c, b, c
-		}
-	case wMAJInv, wFusedMAJInv:
-		for j := range x {
-			a := x[j] ^ y[j]&z[j]
-			x[j], y[j], z[j] = a, y[j]^a, z[j]^a
-		}
-	case wFusedUMA:
-		for j := range x {
-			a := x[j] ^ y[j]&z[j]
-			b := y[j] ^ a
-			x[j], y[j], z[j] = a, b, z[j]^b
-		}
-	case wSWAP3:
-		for j := range x {
-			x[j], y[j], z[j] = y[j], z[j], x[j]
-		}
-	case wSWAP3Inv:
-		for j := range x {
-			x[j], y[j], z[j] = z[j], x[j], y[j]
-		}
-	case wInit3:
-		for j := range x {
-			x[j], y[j], z[j] = 0, 0, 0
+// run applies the kernels of ops in order — every sub-step of a fused
+// op, in source order — to all K·64 lanes: a stretch of the walk, or the
+// whole of RunNoiseless. It is the engine's one kernel switch.
+func run(ops []wideOp, st []uint64, K int) {
+	for i := range ops {
+		o := &ops[i]
+		x, y, z := o.wires(st, K)
+		switch o.code {
+		case wNOT:
+			for j := range x {
+				x[j] = ^x[j]
+			}
+		case wCNOT:
+			for j := range x {
+				y[j] ^= x[j]
+			}
+		case wSWAP:
+			for j := range x {
+				x[j], y[j] = y[j], x[j]
+			}
+		case wToffoli:
+			for j := range x {
+				z[j] ^= x[j] & y[j]
+			}
+		case wFredkin:
+			for j := range x {
+				d := (y[j] ^ z[j]) & x[j]
+				y[j] ^= d
+				z[j] ^= d
+			}
+		case wMAJ, wFusedMAJ:
+			for j := range x {
+				a, b, c := x[j], y[j]^x[j], z[j]^x[j]
+				x[j], y[j], z[j] = a^b&c, b, c
+			}
+		case wMAJInv, wFusedMAJInv:
+			for j := range x {
+				a := x[j] ^ y[j]&z[j]
+				x[j], y[j], z[j] = a, y[j]^a, z[j]^a
+			}
+		case wFusedUMA:
+			for j := range x {
+				a := x[j] ^ y[j]&z[j]
+				b := y[j] ^ a
+				x[j], y[j], z[j] = a, b, z[j]^b
+			}
+		case wSWAP3:
+			for j := range x {
+				x[j], y[j], z[j] = y[j], z[j], x[j]
+			}
+		case wSWAP3Inv:
+			for j := range x {
+				x[j], y[j], z[j] = z[j], x[j], y[j]
+			}
+		case wInit3:
+			for j := range x {
+				x[j], y[j], z[j] = 0, 0, 0
+			}
 		}
 	}
 }
@@ -668,32 +714,10 @@ func (o *wideOp) subStep(st []uint64, K int, k int32) {
 	}
 }
 
-// fault replaces lane e.lane of each wmask-selected target of o with
-// one of e's replacement bits: bit 2 goes to target a, bit 1 to b and
-// bit 0 to c.
-func (o *wideOp) fault(st []uint64, wmask uint8, e Fault) {
-	word, bit := int(e.Lane>>6), uint(e.Lane&63)
-	b := uint64(e.Bits)
-	if wmask&1 != 0 {
-		i := int(o.a) + word
-		st[i] = st[i]&^(1<<bit) | b>>2<<bit
-	}
-	if wmask&2 != 0 {
-		i := int(o.b) + word
-		st[i] = st[i]&^(1<<bit) | b>>1&1<<bit
-	}
-	if wmask&4 != 0 {
-		i := int(o.c) + word
-		st[i] = st[i]&^(1<<bit) | b&1<<bit
-	}
-}
-
 // RunNoiseless executes the program on st with every fault suppressed.
 func (p *WideProgram) RunNoiseless(st WideState) {
 	p.check(st)
-	for i := range p.ops {
-		p.ops[i].step(st.W, p.words)
-	}
+	run(p.ops, st.W, p.words)
 }
 
 // maxGeomGap caps a geometric skip so a sampler's position can never
@@ -706,7 +730,12 @@ const maxGeomGap = int64(1) << 62
 // common draw costs one Uint64, one multiply and one compare, and no
 // logarithm. invRate = 0 (p = 1) yields gap 0, the every-lane-faults path.
 func geomGap(r *rng.RNG, invRate float64) int64 {
-	f := r.ExpFloat64() * invRate
+	return gapOf(r.ExpFloat64() * invRate)
+}
+
+// gapOf is the geometric gap of the scaled exponential draw f = E·λ⁻¹,
+// capped at maxGeomGap.
+func gapOf(f float64) int64 {
 	if f >= float64(maxGeomGap) {
 		return maxGeomGap
 	}
@@ -725,19 +754,18 @@ func geomGap(r *rng.RNG, invRate float64) int64 {
 // its own concatenated (fault point, lane) sequence, started by one fresh
 // gap per sampler so batches stay independent; each fault then takes one
 // Uint64 for its replacement bits and the next gap, the samplers merged
-// in fault-point order. The walk keeps a cursor on the next fault: an op
-// whose points all come before it runs its whole kernel in one dispatch,
-// and an op holding it runs sub-step by sub-step, each followed by its
-// point's faults.
+// in fault-point order, and the chunk keeps the faults on live points.
+// The walk follows it as walk describes.
 func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	p.check(st)
-	sc := schedule{p: p, r: r}
-	sc.start()
+	sc := schedule{p: p, gen: stream{p: p, r: r}}
+	sc.gen.start()
+	sc.refill()
 	p.walk(st.W, &sc)
-	for sc.g < int64(p.points) {
-		sc.draw()
+	for sc.gen.g < int64(p.points) {
+		sc.refill()
 	}
-	return sc.faults
+	return sc.gen.faults
 }
 
 // Draw draws a batch's fault schedule with exactly Run's randomness and
@@ -746,18 +774,17 @@ func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 // every fault, as Run would. Walking the appended faults with RunPlan
 // leaves the wires the program was compiled for as Run leaves them.
 func (p *WideProgram) Draw(r *rng.RNG, live []Fault) ([]Fault, int) {
-	sc := schedule{p: p, r: r}
-	sc.start()
+	gen := stream{p: p, r: r}
+	gen.start()
 	for {
-		for _, f := range sc.ev[:sc.n] {
-			if p.live[f.Point] {
-				live = append(live, f)
-			}
+		if len(live) == cap(live) {
+			live = slices.Grow(live, chunk)
 		}
-		if sc.g >= int64(p.points) {
-			return live, sc.faults
+		n := gen.fill(live[len(live):cap(live)])
+		live = live[:len(live)+n]
+		if gen.g >= int64(p.points) {
+			return live, gen.faults
 		}
-		sc.draw()
 	}
 }
 
@@ -769,30 +796,74 @@ func (p *WideProgram) Draw(r *rng.RNG, live []Fault) ([]Fault, int) {
 func (p *WideProgram) RunPlan(st WideState, plan []Fault) {
 	p.check(st)
 	sc := schedule{p: p, plan: plan}
-	sc.copyPlan()
+	sc.refill()
 	p.walk(st.W, &sc)
 }
 
 // walk runs the ops on st, applying the producer's faults after their
-// sub-steps.
-func (p *WideProgram) walk(w []uint64, sc *schedule) {
-	K := p.words
-	for i := range p.ops {
-		o := &p.ops[i]
-		if sc.ev[sc.e].Point >= o.pt+int32(o.ns) {
-			o.step(w, K)
-			continue
+// sub-steps. The op the next fault falls on or after, j, comes from the
+// by-point table opAt, so the ops before it run as one stretch of kernels
+// with no look at the faults; op j then takes its faults — after its
+// whole kernel when it has one fault point, after each sub-step
+// otherwise.
+func (p *WideProgram) walk(st []uint64, sc *schedule) {
+	K, ops, opAt := p.words, p.ops, p.opAt
+	for i := 0; ; {
+		j := int(opAt[sc.ev[sc.e].Point])
+		if j == len(ops) {
+			run(ops[i:], st, K)
+			return
 		}
+		o := &ops[j]
 		if o.ns == 1 {
-			o.step(w, K)
-			sc.apply(w, o, 0)
+			run(ops[i:j+1], st, K)
+			sc.apply(st, o, 0)
+		} else {
+			run(ops[i:j], st, K)
+			for k := int32(0); k < int32(o.ns); k++ {
+				o.subStep(st, K, k)
+				sc.apply(st, o, k)
+			}
+		}
+		i = j + 1
+	}
+}
+
+// apply applies the faults on sub-step k's point of o to its
+// wmask[k]-selected targets, in each fault's lane: bit 2 of its Bits goes
+// to target a, bit 1 to b and bit 0 to c. It passes over any faults
+// before that point, which are on dropped ops' points.
+func (sc *schedule) apply(st []uint64, o *wideOp, k int32) {
+	pt, wm := o.pt+k, o.wmask[k]
+	a, b, c := int(o.a), int(o.b), int(o.c)
+	e, n := sc.e, sc.n
+	for {
+		f := sc.ev[e]
+		if f.Point > pt {
+			break
+		}
+		if e == n { // the chunk's end marker
+			sc.refill()
+			e, n = 0, sc.n
 			continue
 		}
-		for k := int32(0); k < int32(o.ns); k++ {
-			o.subStep(w, K, k)
-			sc.apply(w, o, k)
+		e++
+		if f.Point < pt {
+			continue
+		}
+		word, bit := int(f.Lane>>6), uint(f.Lane&63)
+		keep, v := ^(uint64(1) << bit), uint64(f.Bits)
+		if wm&1 != 0 {
+			st[a+word] = st[a+word]&keep | v>>2<<bit
+		}
+		if wm&2 != 0 {
+			st[b+word] = st[b+word]&keep | v>>1&1<<bit
+		}
+		if wm&4 != 0 {
+			st[c+word] = st[c+word]&keep | v&1<<bit
 		}
 	}
+	sc.e = e
 }
 
 // Fault is one fault event of a batch: its fault point (the index of its
@@ -810,77 +881,119 @@ type Fault struct {
 // many faults it holds.
 const chunk = 256
 
-// schedule is a batch's fault stream: the chunk of faults filled ahead,
-// ev, with the walk's cursor e, and the producer that fills it. The
-// geometric producer (r != nil) keeps, for each sampler, the position of
-// its next fault in its own (fault point, lane) sequence and the point
-// that position falls on; the plan producer the plan's unread tail.
+// schedule is a batch's fault stream as the walk reads it: the chunk of
+// faults filled ahead, ev, with the walk's cursor e, and the producer
+// that fills it — the geometric stream gen when it has a generator, the
+// plan's unread tail otherwise.
 type schedule struct {
 	p    *WideProgram
 	ev   [chunk + 1]Fault
 	n, e int // ev[n] is the chunk's end marker; ev[e] the walk's next fault
+	gen  stream
+	plan []Fault
+}
 
+// stream is the geometric producer: for each sampler, the position of
+// its next fault in its own (fault point, lane) sequence and the point
+// that position falls on.
+type stream struct {
+	p       *WideProgram
 	r       *rng.RNG
 	pos, at [maxSamplers]int64
 	s       int   // the sampler whose fault comes next
 	g       int64 // its point; p.points once no fault is left
 	faults  int   // faults drawn so far
-
-	plan []Fault
 }
 
-// start begins the geometric stream with one fresh gap per sampler and
-// draws its first chunk.
-func (sc *schedule) start() {
-	p := sc.p
+// start begins the stream with one fresh gap per sampler.
+func (gs *stream) start() {
+	p := gs.p
 	for s := range p.samplers {
-		sc.pos[s] = geomGap(sc.r, p.samplers[s].invRate)
-		sc.at[s] = p.pointAt(s, sc.pos[s])
+		gs.pos[s] = geomGap(gs.r, p.samplers[s].invRate)
+		gs.at[s] = p.pointAt(s, gs.pos[s])
 	}
-	sc.s, sc.g = p.earliest(sc.at[:len(p.samplers)])
-	sc.draw()
+	gs.s, gs.g = p.earliest(gs.at[:len(p.samplers)])
 }
 
-// apply applies the faults on sub-step k's point of o to its targets,
-// and passes over any before it, which are on dropped ops' points.
-func (sc *schedule) apply(st []uint64, o *wideOp, k int32) {
-	pt := o.pt + k
-	for sc.ev[sc.e].Point <= pt {
-		switch {
-		case sc.e == sc.n: // the chunk's end marker
-			if sc.r != nil {
-				sc.draw()
-			} else {
-				sc.copyPlan()
-			}
-		case sc.ev[sc.e].Point == pt:
-			o.fault(st, o.wmask[k], sc.ev[sc.e])
-			sc.e++
-		default:
-			sc.e++
+// fill draws faults in stream order, keeping those on live points in
+// dst, until dst is full or no fault is left, and returns how many it
+// kept. The generator and the sampler's position live in locals for the
+// whole loop, and every draw but the ziggurat's rare slow path inlines.
+// A program with one sampler takes a loop without the merge of samplers.
+func (gs *stream) fill(dst []Fault) int {
+	p := gs.p
+	points := int64(p.points)
+	if gs.g >= points {
+		return 0
+	}
+	if len(p.samplers) == 1 {
+		return gs.fillOne(dst)
+	}
+	r, s, g := *gs.r, gs.s, gs.g
+	last, live := int64(1)<<p.shift-1, p.live
+	n, drawn := 0, 0
+	for n < len(dst) && g < points {
+		var u uint64
+		r, u = r.Next()
+		dst[n] = Fault{Point: int32(g), Lane: uint16(gs.pos[s] & last), Bits: uint8(u >> 61)}
+		n += int(live[g]) // branch-free: the next fault overwrites a dead one
+		drawn++
+		r, u = r.Next()
+		x, ok := rng.ExpFast(u)
+		if !ok {
+			r, x = r.ExpSlow(u)
 		}
+		gs.pos[s] += 1 + gapOf(x*p.samplers[s].invRate)
+		gs.at[s] = p.pointAt(s, gs.pos[s])
+		s, g = p.earliest(gs.at[:len(p.samplers)])
 	}
+	*gs.r = r
+	gs.s, gs.g = s, g
+	gs.faults += drawn
+	return n
 }
 
-// draw draws up to chunk faults into the buffer in stream order and ends
-// them with a marker on the next pending fault's point (p.points when
-// none is left).
-func (sc *schedule) draw() {
-	p, r := sc.p, sc.r
-	last := int64(1)<<p.shift - 1
-	at := sc.at[:len(p.samplers)]
-	s, g := sc.s, sc.g
-	n := 0
-	for ; n < chunk && g < int64(p.points); n++ {
-		u := r.Uint64()
-		sc.ev[n] = Fault{Point: int32(g), Lane: uint16(sc.pos[s] & last), Bits: uint8(u >> 61)}
-		sc.pos[s] += 1 + geomGap(r, p.samplers[s].invRate)
-		at[s] = p.pointAt(s, sc.pos[s])
-		s, g = p.earliest(at)
+// fillOne is fill for a program with one sampler, whose next fault's
+// point is the one its position falls on.
+func (gs *stream) fillOne(dst []Fault) int {
+	p := gs.p
+	sp := &p.samplers[0]
+	r, pos, inv, pts := *gs.r, gs.pos[0], sp.invRate, sp.points
+	shift, last := p.shift&63, int64(1)<<p.shift-1
+	n, drawn := 0, 0
+	for n < len(dst) {
+		j := pos >> shift
+		if j >= int64(len(pts)) {
+			break
+		}
+		pt := pts[j]
+		var u uint64
+		r, u = r.Next()
+		dst[n] = Fault{Point: int32(pt &^ liveBit), Lane: uint16(pos & last), Bits: uint8(u >> 61)}
+		n += int(pt >> 31) // branch-free: the next fault overwrites a dead one
+		drawn++
+		r, u = r.Next()
+		x, ok := rng.ExpFast(u)
+		if !ok {
+			r, x = r.ExpSlow(u)
+		}
+		pos += 1 + gapOf(x*inv)
 	}
-	sc.ev[n] = Fault{Point: int32(g)}
-	sc.s, sc.g = s, g
-	sc.faults += n
+	*gs.r = r
+	gs.pos[0], gs.g = pos, p.pointAt(0, pos)
+	gs.faults += drawn
+	return n
+}
+
+// refill fills the chunk from the producer and ends it with a marker on
+// the next pending fault's point (p.points when none is left).
+func (sc *schedule) refill() {
+	if sc.gen.r == nil {
+		sc.copyPlan()
+		return
+	}
+	n := sc.gen.fill(sc.ev[:chunk])
+	sc.ev[n] = Fault{Point: int32(sc.gen.g)}
 	sc.n, sc.e = n, 0
 }
 
@@ -918,7 +1031,7 @@ func (sc *schedule) copyPlan() {
 func (p *WideProgram) pointAt(s int, pos int64) int64 {
 	pts := p.samplers[s].points
 	if j := pos >> p.shift; j < int64(len(pts)) {
-		return int64(pts[j])
+		return int64(pts[j] &^ liveBit)
 	}
 	return int64(p.points)
 }

@@ -54,21 +54,45 @@ func init() {
 // for a seed is part of the engine's randomness contract: change it and
 // every lane-engine estimate changes.
 func (r *RNG) ExpFloat64() float64 {
+	s, u := r.Next()
+	x, ok := ExpFast(u)
+	if !ok {
+		s, x = s.ExpSlow(u)
+	}
+	*r = s
+	return x
+}
+
+// ExpFast is ExpFloat64's accepted-outright path, split out so that it
+// inlines into a caller stepping its generator with Next: given the
+// draw's first Uint64 u, it returns the draw and true when the ziggurat
+// accepts u outright (≈99% of draws), and false when the draw must go on
+// with ExpSlow(u).
+func ExpFast(u uint64) (float64, bool) {
+	i, j := u&0xff, u>>11
+	return float64(j) * zigW[i], j < zigK[i]
+}
+
+// ExpSlow finishes an ExpFloat64 draw whose first Uint64 u ExpFast did
+// not accept, drawing any further bits from r as ExpFloat64 does, and
+// returns the generator's state after the draw and the draw.
+func (r RNG) ExpSlow(u uint64) (RNG, float64) {
 	for {
-		u := r.Uint64()
-		i := u & 0xff
-		j := u >> 11
+		i, j := u&0xff, u>>11
 		x := float64(j) * zigW[i]
 		if j < zigK[i] {
-			return x
+			return r, x
 		}
+		var v uint64
+		r, v = r.Next()
 		if i == 0 {
 			// The tail beyond zigR is zigR plus a fresh Exp(1); 1 - U
 			// lies in (0, 1], so the log is finite.
-			return zigR - math.Log(1-r.Float64())
+			return r, zigR - math.Log(1-unit(v))
 		}
-		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
-			return x
+		if zigF[i]+unit(v)*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
+			return r, x
 		}
+		r, u = r.Next()
 	}
 }

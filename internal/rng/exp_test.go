@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -108,4 +109,42 @@ func BenchmarkExpFloat64(b *testing.B) {
 		sink += r.ExpFloat64()
 	}
 	_ = sink
+}
+
+// TestExpFloat64SlowPaths pins ExpFloat64's draws off the accepted-
+// outright path at a fixed seed: the first draws from the base strip's
+// tail (layer 0 past zigR), from a wedge that the curve test accepts, and
+// from a wedge that it rejects (the draw that follows the retry), each
+// with its position in the sequence. It classifies each draw by the
+// Uint64 it starts from, on a copy of the generator.
+func TestExpFloat64SlowPaths(t *testing.T) {
+	type draw struct {
+		n    int
+		bits uint64
+	}
+	var tail, accept, reject []draw
+	r := New(2026)
+	for n := 0; len(tail) < 4 || len(accept) < 4 || len(reject) < 4; n++ {
+		peek := *r
+		u := peek.Uint64()
+		i, j := u&0xff, u>>11
+		x := r.ExpFloat64()
+		d := draw{n, math.Float64bits(x)}
+		switch {
+		case j < zigK[i]:
+		case i == 0:
+			tail = append(tail, d)
+		case float64(j)*zigW[i] == x:
+			accept = append(accept, d)
+		default:
+			reject = append(reject, d)
+		}
+	}
+	got := fmt.Sprintf("tail %v\naccept %v\nreject %v", tail[:4], accept[:4], reject[:4])
+	want := "tail [{1660 4621511786113901918} {3022 4621683805359972778} {5228 4621519884577019408} {5620 4621225110837930662}]\n" +
+		"accept [{79 4603333003860436279} {100 4613312888709068860} {202 4595734789329036078} {218 4619169980469914900}]\n" +
+		"reject [{3 4605531265319845503} {56 4593326444734508089} {63 4612338944357465174} {168 4606325459832029968}]"
+	if got != want {
+		t.Fatalf("slow-path draws:\n%s\nwant\n%s", got, want)
+	}
 }

@@ -13,9 +13,11 @@ import "math/bits"
 
 // RNG is a xoshiro256** generator. It must be created with New or reset
 // with Seed; the zero value is invalid (an all-zero state is a fixed point
-// of xoshiro).
+// of xoshiro). Its state is four scalar fields rather than an array so
+// that a loop holding an RNG value in a local (see Next) keeps it in
+// registers.
 type RNG struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // golden is SplitMix64's increment, 2^64 divided by the golden ratio.
@@ -50,34 +52,34 @@ func New(seed uint64) *RNG {
 // words are the first four SplitMix64 outputs of seed, which guarantees a
 // non-zero state.
 func (r *RNG) Seed(seed uint64) {
-	for i := range r.s {
-		r.s[i] = SplitMix(seed, uint64(i))
-	}
+	*r = RNG{SplitMix(seed, 0), SplitMix(seed, 1), SplitMix(seed, 2), SplitMix(seed, 3)}
 }
 
-// Uint64 returns the next 64 uniformly random bits. It works on locals
-// and stores the state once, which keeps it within the compiler's
-// inlining budget: the engines call it once per fault and per skip.
+// Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
+	var x uint64
+	*r, x = r.Next()
+	return x
+}
 
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
-
-	return result
+// Next is Uint64 by value: it returns the generator's state after one
+// step and the step's 64 random bits, leaving r as it was. It inlines, so
+// a loop that keeps its generator in a local and steps it with Next (and
+// NextExp) holds the state in registers and stores it once, at the end.
+func (r RNG) Next() (RNG, uint64) {
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	s2 := r.s2 ^ r.s0
+	s3 := r.s3 ^ r.s1
+	return RNG{r.s0 ^ s3, r.s1 ^ s2, s2 ^ t, bits.RotateLeft64(s3, 45)}, result
 }
 
 // Float64 returns a uniformly random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	// 53 high bits scaled by 2^-53: the standard unbiased construction.
-	return float64(r.Uint64()>>11) * 0x1p-53
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to a uniform float64 in [0, 1): the 53 high
+// bits scaled by 2^-53, the standard unbiased construction.
+func unit(u uint64) float64 { return float64(u>>11) * 0x1p-53 }
 
 // Bool returns true with probability p. Probabilities outside [0, 1] clamp to
 // always-false / always-true.

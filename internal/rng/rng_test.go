@@ -29,7 +29,7 @@ func TestNewDistinctSeeds(t *testing.T) {
 
 func TestZeroSeedValidState(t *testing.T) {
 	r := New(0)
-	if r.s == [4]uint64{} {
+	if *r == (RNG{}) {
 		t.Fatal("seed 0 produced all-zero state")
 	}
 	if x, y := r.Uint64(), r.Uint64(); x == 0 && y == 0 {
