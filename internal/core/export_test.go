@@ -32,16 +32,13 @@ func SpareLaneBuffers(t Target) int {
 	return len(t.certs.spare)
 }
 
-// CachedPrograms is how many compiled programs t keeps for its next
-// estimates.
-func CachedPrograms(t Target) int {
+// CachedProgram is the compiled program t keeps for its next estimates,
+// nil before its first lane estimate.
+func CachedProgram(t Target) *lanes.WideProgram {
 	t.certs.mu.Lock()
 	defer t.certs.mu.Unlock()
-	return len(t.certs.progs)
+	return t.certs.prog.prog
 }
-
-// MaxPrograms bounds the programs a target keeps.
-const MaxPrograms = maxPrograms
 
 // LaneProgram is the program t's lane estimates under m at words run.
 func LaneProgram(t Target, m noise.Model, words int) *lanes.WideProgram {

@@ -370,8 +370,9 @@ func TestCompactedEstimatesReuseBuffers(t *testing.T) {
 
 // TestEstimatesReuseProgram: a target compiles its lane program once per
 // model and width and keeps it for later estimates (models whose
-// probabilities clamp alike share one, NaN included), keeps at most
-// MaxPrograms, and counts what estimates on a fresh target count.
+// probabilities clamp alike share one, NaN included), a new model or
+// width replaces it, and estimates count what estimates on a fresh
+// target count.
 func TestEstimatesReuseProgram(t *testing.T) {
 	g := core.NewGadget(gate.MAJ, 2)
 	estimate := func(tg core.Target, m noise.Model, words int) sim.Result {
@@ -385,25 +386,30 @@ func TestEstimatesReuseProgram(t *testing.T) {
 	steps := []struct {
 		m     noise.Model
 		words int
-		want  int
+		reuse bool // the step runs the previous step's program
 	}{
-		{noise.Uniform(0.002), 8, 1},
-		{noise.Uniform(0.002), 8, 1},
-		{noise.Uniform(0.002), 4, 2},
-		{noise.Uniform(math.NaN()), 8, 3},
-		{noise.Uniform(0), 8, 3},
-		{noise.Uniform(-1), 8, 3},
-		{noise.IID{Gate: 0.002, Init: 0.002}, 8, 3},
-		{noise.Uniform(0.003), 8, 4},
-		{noise.Uniform(0.004), 8, core.MaxPrograms},
+		{noise.Uniform(0.002), 8, false},
+		{noise.Uniform(0.002), 8, true},
+		{noise.IID{Gate: 0.002, Init: 0.002}, 8, true},
+		{noise.Uniform(0.002), 4, false},
+		{noise.Uniform(math.NaN()), 8, false},
+		{noise.Uniform(0), 8, true},
+		{noise.Uniform(-1), 8, true},
+		{noise.Uniform(0.003), 8, false},
 	}
+	var prev *lanes.WideProgram
 	for i, s := range steps {
 		if got, want := estimate(g.Target, s.m, s.words), estimate(core.NewGadget(gate.MAJ, 2).Target, s.m, s.words); got != want {
 			t.Errorf("step %d: %+v, fresh target %+v", i, got.Bernoulli, want.Bernoulli)
 		}
-		if n := core.CachedPrograms(g.Target); n != s.want {
-			t.Errorf("step %d (%+v, K=%d): target keeps %d programs, want %d", i, s.m, s.words, n, s.want)
+		p := core.CachedProgram(g.Target)
+		if p == nil {
+			t.Fatalf("step %d (%+v, K=%d): target keeps no program", i, s.m, s.words)
 		}
+		if (p == prev) != s.reuse {
+			t.Errorf("step %d (%+v, K=%d): reused the previous program %v, want %v", i, s.m, s.words, p == prev, s.reuse)
+		}
+		prev = p
 	}
 	if a, b := core.LaneProgram(g.Target, noise.Uniform(0.004), 8), core.LaneProgram(g.Target, noise.Uniform(0.004), 8); a != b {
 		t.Error("the same model and width gave two programs")

@@ -47,13 +47,13 @@ const auditBudget = 1 << 18
 
 // laneCerts is a target's lane state shared by every copy of the
 // target: its lane audits, by input domain, computed on the domain's
-// first lane estimate; its most recently compiled programs; and the
-// fault buffers its finished estimates' compacting batches left for the
-// next estimate.
+// first lane estimate; its most recently compiled program; and the fault
+// buffers its finished estimates' compacting batches left for the next
+// estimate.
 type laneCerts struct {
 	mu    sync.Mutex
 	d     map[Input]int // nil until the first audit
-	progs []laneProgram // newest last, at most maxPrograms
+	prog  laneProgram   // prog.prog is nil until the first lane estimate
 	spare []*laneBuffers
 }
 
@@ -67,18 +67,13 @@ type laneProgram struct {
 	prog  *lanes.WideProgram
 }
 
-// maxPrograms bounds the programs a target keeps. An adaptive sweep runs
-// one point's chunk estimates back to back, so the newest program serves
-// them all, while keeping one per point of a long sweep would hold about
-// 0.5 MB per level-3 point.
-const maxPrograms = 4
-
 // allKinds is gate.Kinds(), the order of a laneProgram's probabilities.
 var allKinds = gate.Kinds()
 
-// program returns the target's program for m at words: compiled by the
-// target's first estimate under a model whose probabilities clamp alike
-// and kept for the next ones. A target built without a cache (a struct
+// program returns the target's program for m at words. A target keeps
+// the program of its latest model and width, which an adaptive sweep's
+// chunk estimates of one point all run; another model or width compiles
+// a program that replaces it. A target built without a cache (a struct
 // literal) compiles on every call.
 func (t Target) program(m noise.Model, words int) *lanes.WideProgram {
 	if t.certs == nil {
@@ -87,19 +82,14 @@ func (t Target) program(m noise.Model, words int) *lanes.WideProgram {
 	c := t.certs
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, lp := range c.progs {
-		if lp.matches(m, words) {
-			return lp.prog
-		}
+	if c.prog.prog != nil && c.prog.matches(m, words) {
+		return c.prog.prog
 	}
 	lp := laneProgram{probs: make([]float64, len(allKinds)), words: words, prog: t.CompileWide(m, words)}
 	for i, k := range allKinds {
 		lp.probs[i] = lanes.ClampProb(m.FaultProb(k))
 	}
-	if len(c.progs) == maxPrograms {
-		c.progs = append(c.progs[:0], c.progs[1:]...)
-	}
-	c.progs = append(c.progs, lp)
+	c.prog = lp
 	return lp.prog
 }
 

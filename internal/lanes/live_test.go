@@ -2,6 +2,7 @@ package lanes_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"revft/internal/adder"
@@ -167,15 +168,29 @@ func TestRunPlanRejectsBadPlans(t *testing.T) {
 	c := circuit.New(3).MAJ(0, 1, 2).CNOT(0, 1)
 	prog := lanes.CompileWide(c, noise.Uniform(0.1), 1)
 	st := lanes.NewWideState(3, 1)
+	// long is a plan of one fault more than the walk reads ahead at once,
+	// so its last fault is first seen as the next chunk's first.
+	long := func(last lanes.Fault) []lanes.Fault {
+		plan := make([]lanes.Fault, 256)
+		for i := range plan {
+			plan[i].Lane = uint16(i % 64)
+		}
+		return append(plan, last)
+	}
 	for name, plan := range map[string][]lanes.Fault{
-		"unsorted": {{Point: 1}, {Point: 0}},
-		"point":    {{Point: 2}},
-		"lane":     {{Point: 0, Lane: 64}},
+		"unsorted":      {{Point: 1}, {Point: 0}},
+		"point":         {{Point: 2}},
+		"lane":          {{Point: 0, Lane: 64}},
+		"long unsorted": append(long(lanes.Fault{Point: 1}), lanes.Fault{Point: 0}),
+		"long point":    long(lanes.Fault{Point: 2}),
+		"long past":     long(lanes.Fault{Point: 3}),
+		"long lane":     long(lanes.Fault{Point: 1, Lane: 64}),
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s plan did not panic", name)
+				v := recover()
+				if msg, ok := v.(string); !ok || !strings.HasPrefix(msg, "lanes: RunPlan") {
+					t.Errorf("%s plan: panic %v, want the RunPlan check's", name, v)
 				}
 			}()
 			prog.RunPlan(st, plan)

@@ -1019,8 +1019,8 @@ func (sc *schedule) copyPlan() {
 		}
 		prev = f.Point
 	}
-	if next < prev {
-		panic(fmt.Sprintf("lanes: RunPlan fault on point %d after point %d", next, prev))
+	if next < prev || len(sc.plan) > 0 && next >= p.points {
+		panic(fmt.Sprintf("lanes: RunPlan fault on point %d after point %d, or outside %d points", next, prev, p.points))
 	}
 	sc.ev[n] = Fault{Point: next}
 	sc.n, sc.e = n, 0

@@ -65,7 +65,8 @@ func (r *RNG) Uint64() uint64 {
 // Next is Uint64 by value: it returns the generator's state after one
 // step and the step's 64 random bits, leaving r as it was. It inlines, so
 // a loop that keeps its generator in a local and steps it with Next (and
-// NextExp) holds the state in registers and stores it once, at the end.
+// ExpFast, falling back to ExpSlow) holds the state in registers and
+// stores it once, at the end.
 func (r RNG) Next() (RNG, uint64) {
 	result := bits.RotateLeft64(r.s1*5, 7) * 9
 	t := r.s1 << 17
