@@ -88,14 +88,31 @@ func BenchmarkLanesRecovery(b *testing.B) {
 	}
 }
 
-// lanesWalkAllG is ρ/2 of the threshold sweep, where the level-2
-// gadget's expected walked share is too high to compact: every batch
-// walks every lane, the engine path the benchmarks below time.
-const lanesWalkAllG = 0.00303
+// lanesWalkAllG is a g just above the threshold sweep's ρ/2 where the
+// level-2 gadget's expected share of lanes holding three live faults,
+// 0.56, is too high to compact even with its certified d = 3: every batch
+// walks every lane, the engine path the benchmarks below time. (At ρ/2
+// that share is 0.26, and the batches compact.)
+const lanesWalkAllG = 0.005
+
+// TestLanesWalkAllG: at lanesWalkAllG the level-2 gadget's lane batches
+// walk every lane slot, as the benchmarks below claim.
+func TestLanesWalkAllG(t *testing.T) {
+	reg := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), reg)
+	g := revft.NewGadget(revft.MAJ, 2)
+	if _, err := g.LogicalErrorRateWideCtx(ctx, revft.UniformNoise(lanesWalkAllG), 8, 4*512, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	c := reg.Snapshot().Counters
+	if c["lanes.slots"] == 0 || c["lanes.walked"] != c["lanes.slots"] {
+		t.Errorf("g = %g: walked %d of %d lane slots, want all", lanesWalkAllG, c["lanes.walked"], c["lanes.slots"])
+	}
+}
 
 // BenchmarkLanesBare and BenchmarkLanesInstrumented bound the telemetry
 // overhead on the hottest path: the same 64-lane run of the level-2
-// gadget at ρ/2, where every lane is walked, with no registry in the
+// gadget at lanesWalkAllG, where every lane is walked, with no registry in the
 // context versus the full instrumentation (global/per-worker/lanes trial
 // counters, sampled batch latency, the total fault counter). The budget
 // is 2%: CI compares the two and warns when instrumented ns/op exceeds

@@ -44,3 +44,47 @@ func CachedProgram(t Target) *lanes.WideProgram {
 func LaneProgram(t Target, m noise.Model, words int) *lanes.WideProgram {
 	return t.program(m, words)
 }
+
+// PairAudit runs t's pair stage for in with the given op budget,
+// certifying or counting (see auditPairs).
+func PairAudit(t Target, in Input, budget int, count bool) (clean bool, fails int, malignant map[[2]int]int, pairs, met, work int) {
+	a := t.auditPairs(in, budget, count)
+	return a.clean, a.fails, a.malignant, a.pairs, a.met, a.work
+}
+
+// PairBudget is the pair stage's op budget.
+const PairBudget = pairBudget
+
+// PairLive reports, by op, whether the pair stage counts a fault on it as
+// live.
+func PairLive(t Target) []bool {
+	s := newPairStage(t)
+	live := make([]bool, len(s.ops))
+	for i := range live {
+		live[i] = s.livePoint(i)
+	}
+	return live
+}
+
+// PairFailures is forEachPair's count of failing cases by op pair (i, j),
+// the pairs with none left out.
+func PairFailures(t Target) map[[2]int]int {
+	out := make(map[[2]int]int)
+	i, j, n := 0, 1, t.Circuit.Len()
+	t.forEachPair(func(fails int, _ uint64) {
+		if fails > 0 {
+			out[[2]int{i, j}] = fails
+		}
+		if j++; j == n {
+			i++
+			j = i + 1
+		}
+	})
+	return out
+}
+
+// Certify is the d the lane audit certifies for t on in, with the given
+// pair-stage budget.
+func Certify(t Target, in Input, pairs int) int {
+	return t.audit(t.CompileWide(noise.Uniform(0), 8), in, pairs)
+}

@@ -215,10 +215,11 @@ func checkCompactedEqual(t *testing.T, tg core.Target, in core.Input, m noise.Mo
 }
 
 // TestCompactedMatchesWalkAll: a compacted estimate must equal the
-// walk-every-lane estimate exactly, on every certified d, at every K and
-// worker count, from a nonzero start, with a partial final block, under
-// noise light enough to skip most lanes and heavy enough to fill the
-// queue's fault buffer mid-batch.
+// walk-every-lane estimate exactly, on every certified d (3 on the
+// level-2 gadget, at the threshold sweep's ρ/2 among others), at every K
+// and worker count, from a nonzero start, with a partial final block,
+// under noise light enough to skip most lanes and heavy enough to fill
+// the queue's fault buffer mid-batch.
 func TestCompactedMatchesWalkAll(t *testing.T) {
 	adderT, adderIn := adderTarget()
 	targets := []struct {
@@ -232,7 +233,7 @@ func TestCompactedMatchesWalkAll(t *testing.T) {
 		{lattice.NewCycle2D(gate.MAJ).Target, core.Uniform},
 		{adderT, adderIn},
 	}
-	models := []noise.Model{noise.Uniform(0.003), noise.IID{Gate: 0.02, Init: 0.05}, noise.PerfectInit(0.04), noise.Uniform(0.2)}
+	models := []noise.Model{noise.Uniform(0.00303), noise.IID{Gate: 0.02, Init: 0.05}, noise.PerfectInit(0.04), noise.Uniform(0.2)}
 	const start, trials = 2 * sim.BlockTrials, 3*sim.BlockTrials + 77
 	for _, tg := range targets {
 		for _, m := range models {
@@ -266,14 +267,15 @@ func TestCompactedAllocationsFlat(t *testing.T) {
 
 // BenchmarkCompactCrossover measures lanes512 ns/trial on the level-2
 // gadget walking every lane and compacting, across g around where the
-// two cross; walked/lane is the program's expected walked fraction at
-// d = 2, the quantity compaction is chosen by. Run it with
+// two cross; walked/lane is the program's expected walked fraction at the
+// certified d (3), the quantity compaction is chosen by. Run it with
 // `go test ./internal/core -run '^$' -bench CompactCrossover -cpu 1`.
 func BenchmarkCompactCrossover(b *testing.B) {
 	g := core.NewGadget(gate.MAJ, 2)
-	for _, p := range []float64{0.0012, 0.0016, 0.0018, 0.002, 0.0022, 0.0024, 0.0026, 0.0028} {
+	d := core.Certify(g.Target, core.Uniform, core.PairBudget)
+	for _, p := range []float64{0.0024, 0.003, 0.0034, 0.0038, 0.0042, 0.0046, 0.005, 0.0056} {
 		m := noise.Uniform(p)
-		f := g.CompileWide(m, 8).WalkedFraction(2)
+		f := g.CompileWide(m, 8).WalkedFraction(d)
 		for _, mode := range []struct {
 			name  string
 			below float64
@@ -295,7 +297,7 @@ func BenchmarkCompactCrossover(b *testing.B) {
 
 // TestWalkedCounter: lanes.walked counts the lane slots walked, every
 // slot when a batch walks every lane, and on the level-2 gadget at ρ/10
-// about the program's expected walked share, 5%.
+// about the program's expected walked share at d = 3, 0.6%.
 func TestWalkedCounter(t *testing.T) {
 	g := core.NewGadget(gate.MAJ, 2)
 	m := noise.Uniform(0.000606)
@@ -303,16 +305,16 @@ func TestWalkedCounter(t *testing.T) {
 		defer core.SetCompactBelow(core.SetCompactBelow(below))
 		reg := telemetry.New()
 		ctx := telemetry.NewContext(context.Background(), reg)
-		if _, err := g.Estimate(ctx, core.Uniform, core.Noisy(m), 8, 0, 64*sim.BlockTrials+5, 1, 1); err != nil {
+		if _, err := g.Estimate(ctx, core.Uniform, core.Noisy(m), 8, 0, 1024*sim.BlockTrials+5, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		c := reg.Snapshot().Counters
 		return c["lanes.walked"], c["lanes.slots"]
 	}
-	if walked, slots := counters(-1); walked != slots || slots != 65*sim.BlockTrials {
-		t.Errorf("walking every lane: lanes.walked %d, lanes.slots %d; want both %d", walked, slots, 65*sim.BlockTrials)
+	if walked, slots := counters(-1); walked != slots || slots != 1025*sim.BlockTrials {
+		t.Errorf("walking every lane: lanes.walked %d, lanes.slots %d; want both %d", walked, slots, 1025*sim.BlockTrials)
 	}
-	want := g.CompileWide(m, 8).WalkedFraction(2)
+	want := g.CompileWide(m, 8).WalkedFraction(3)
 	if walked, slots := counters(2); float64(walked) > 1.5*want*float64(slots) || walked == 0 {
 		t.Errorf("compacted: lanes.walked %d of %d slots, want about %.3f of them", walked, slots, want)
 	}

@@ -13,11 +13,12 @@ package core
 // A batch walks only the lanes that can fail. The lane audit certifies,
 // once per target and input domain, a fault count d below which no lane
 // fails: d = 2 when no single fault on a live point fails on any input
-// of the domain, d = 1 when only the noiseless run is right on every
-// input, d = 0 otherwise. A batch draws its inputs and its whole fault
-// schedule as a walk-every-lane batch would, queues the lanes holding at
-// least d live faults and walks the queue 64·words lanes at a time; the
-// other lanes succeed. A lane's outcome depends only on its own input and
+// of the domain, and d = 3 when moreover no pair of such faults fails
+// (the pair stage, pairs.go); d = 1 when only the noiseless run is right
+// on every input, d = 0 otherwise. A batch draws its inputs and its whole
+// fault schedule as a walk-every-lane batch would, queues the lanes
+// holding at least d live faults and walks the queue 64·words lanes at a
+// time; the other lanes succeed. A lane's outcome depends only on its own input and
 // faults, so every count is the walk-every-lane count.
 
 import (
@@ -150,17 +151,27 @@ func (c *laneCerts) release(bs []*laneBuffers) {
 // a cache (a struct literal) audits on every call.
 func (t Target) certify(prog *lanes.WideProgram, in Input) int {
 	if t.certs == nil {
-		return t.auditLanes(prog, in, auditBudget).d
+		return t.audit(prog, in, pairBudget)
 	}
 	t.certs.mu.Lock()
 	defer t.certs.mu.Unlock()
 	d, ok := t.certs.d[in]
 	if !ok {
-		d = t.auditLanes(prog, in, auditBudget).d
+		d = t.audit(prog, in, pairBudget)
 		if t.certs.d == nil {
 			t.certs.d = make(map[Input]int)
 		}
 		t.certs.d[in] = d
+	}
+	return d
+}
+
+// audit runs the lane audit for in on prog: the single-fault stage and,
+// when it certifies d = 2, the pair stage within pairs units of work.
+func (t Target) audit(prog *lanes.WideProgram, in Input, pairs int) int {
+	d := t.auditLanes(prog, in, auditBudget).d
+	if d == 2 && t.auditPairs(in, pairs, false).clean {
+		d = 3
 	}
 	return d
 }
@@ -357,7 +368,7 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 // worker's batch owns its lane state and buffers, so a steady-state batch
 // allocates nothing. The batch compacts when the audit certifies d ≥ 1 and the program's
 // expected share of lanes holding d live faults is below compactBelow;
-// the target is not audited when even d = 2 would not compact.
+// the target is not audited when even d = 3 would not compact.
 //
 // Every fault event is added to the context registry's "lanes.faults"
 // counter and every walked lane slot to "lanes.walked". The fault count
@@ -370,7 +381,7 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (newBatch func() sim.WideBatch, done func()) {
 	prog := t.program(m, words)
 	d := 0
-	if prog.WalkedFraction(2) < compactBelow {
+	if prog.WalkedFraction(3) < compactBelow {
 		if d = t.certify(prog, in); prog.WalkedFraction(d) >= compactBelow {
 			d = 0
 		}

@@ -465,25 +465,29 @@ func (p *WideProgram) FaultBits(pt int, v uint64) uint8 {
 }
 
 // WalkedFraction returns the probability that a lane of a batch holds at
-// least d faults on live points (d ≤ 2), by the compiled fault
-// probabilities: the share of lanes a caller that walks only those lanes
-// walks.
+// least d faults on live points, by the compiled fault probabilities: the
+// share of lanes a caller that walks only those lanes walks.
 func (p *WideProgram) WalkedFraction(d int) float64 {
-	q0, q1 := 1.0, 0.0 // P(no live fault), P(exactly one) so far
+	if d <= 0 {
+		return 1
+	}
+	q := make([]float64, d) // q[k]: P(exactly k live faults) so far
+	q[0] = 1
 	for _, s := range p.samplers {
 		for _, pt := range s.points {
 			if pt&liveBit != 0 {
-				q0, q1 = q0*(1-s.p), q1*(1-s.p)+q0*s.p
+				for k := d - 1; k > 0; k-- {
+					q[k] = q[k]*(1-s.p) + q[k-1]*s.p
+				}
+				q[0] *= 1 - s.p
 			}
 		}
 	}
-	switch {
-	case d <= 0:
-		return 1
-	case d == 1:
-		return 1 - q0
+	f := 1.0
+	for _, x := range q {
+		f -= x
 	}
-	return max(0, 1-q0-q1)
+	return max(0, f)
 }
 
 // sampler returns the index of the sampler of fault probability pr,

@@ -464,3 +464,42 @@ func TestWideStateShape(t *testing.T) {
 		t.Fatal("Reset left bits set")
 	}
 }
+
+// TestWalkedFractionEnumerated: WalkedFraction(d) is the probability of
+// at least d faults on live points, checked for every d against a sum
+// over every subset of a small program's live points, under a model
+// whose gate and init probabilities differ (two samplers) and with
+// outputs that leave dead points.
+func TestWalkedFractionEnumerated(t *testing.T) {
+	r := rng.New(11)
+	m := noise.IID{Gate: 0.07, Init: 0.2}
+	for trial := 0; trial < 20; trial++ {
+		c := circuit.Random(r, 4, 4+r.Intn(10), nil)
+		p := CompileWideFor(c, m, 1, []int{0, 1})
+		var probs []float64
+		for pt := 0; pt < p.Points(); pt++ {
+			if p.Live(pt) {
+				probs = append(probs, m.FaultProb(c.Op(pt).Kind))
+			}
+		}
+		for d := -1; d <= len(probs)+1; d++ {
+			want := 0.0
+			for set := 0; set < 1<<len(probs); set++ {
+				pr := 1.0
+				for i, q := range probs {
+					if set>>i&1 != 0 {
+						pr *= q
+					} else {
+						pr *= 1 - q
+					}
+				}
+				if bits.OnesCount(uint(set)) >= d {
+					want += pr
+				}
+			}
+			if got := p.WalkedFraction(d); math.Abs(got-want) > 1e-12 {
+				t.Errorf("circuit %d, %d live points: WalkedFraction(%d) = %v, want %v", trial, len(probs), d, got, want)
+			}
+		}
+	}
+}

@@ -318,3 +318,108 @@ func TestResumeCheckpointWithVecs(t *testing.T) {
 		t.Error("re-saved checkpoint still carries the vecs key")
 	}
 }
+
+// ledgerPoint is fakePoint reporting into the lane counters too, as a
+// lane engine does; on interruption it moves lanes.walked before failing.
+func ledgerPoint(seed uint64, interruptAt int, cancel context.CancelFunc) PointFunc {
+	point := fakePoint(seed)
+	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
+		reg := telemetry.Active(ctx)
+		if pt == interruptAt && cancel != nil {
+			reg.Counter("lanes.walked").Add(13)
+			cancel()
+			return nil, context.Canceled
+		}
+		ests, err := point(ctx, pt, start, trials)
+		reg.Counter("lanes.slots").Add(int64(trials))
+		reg.Counter("lanes.walked").Add(int64(trials / (pt + 2)))
+		reg.Counter("lanes.faults").Add(int64(3*pt + 1))
+		return ests, err
+	}
+}
+
+// checkLedger checks a run's trace against its metrics: every completed
+// point_done event carries the ledger counters, its sim.trials delta is
+// its trials, and the deltas sum to the final snapshot minus the
+// baseline; a partial point carries none.
+func checkLedger(t *testing.T, name string, trace []byte, base, final *telemetry.Snapshot, points int) {
+	t.Helper()
+	sum := map[string]int64{}
+	done := 0
+	sc := bufio.NewScanner(bytes.NewReader(trace))
+	for sc.Scan() {
+		var head struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &head); err != nil {
+			t.Fatal(err)
+		}
+		if head.Type != "point_done" {
+			continue
+		}
+		var ev struct {
+			Trials   []int64          `json:"trials"`
+			Partial  bool             `json:"partial"`
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Partial {
+			if ev.Counters != nil {
+				t.Errorf("%s: partial point carries counters %v", name, ev.Counters)
+			}
+			continue
+		}
+		done++
+		if len(ev.Counters) != len(ledgerCounters) || ev.Counters["sim.trials"] != ev.Trials[0] {
+			t.Errorf("%s: point counters %v, want the %d ledger counters with sim.trials %d", name, ev.Counters, len(ledgerCounters), ev.Trials[0])
+		}
+		for k, v := range ev.Counters {
+			sum[k] += v
+		}
+	}
+	if done != points {
+		t.Errorf("%s: %d completed points in the trace, want %d", name, done, points)
+	}
+	for _, k := range ledgerCounters {
+		if want := final.Counters[k] - base.Counters[k]; sum[k] != want || want == 0 {
+			t.Errorf("%s: %s deltas sum to %d, final snapshot minus baseline is %d", name, k, sum[k], want)
+		}
+	}
+}
+
+// TestPointLedgerConservation: the per-point counter deltas of a run's
+// point_done events sum exactly to its final snapshot minus its baseline,
+// for a run killed mid-point (whose in-flight counts are in no delta and
+// no snapshot) and for its resumption from the checkpoint's baseline.
+func TestPointLedgerConservation(t *testing.T) {
+	spec := testSpec(5)
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	run := func(ctx context.Context, point PointFunc, resume bool) ([]byte, *Outcome, error) {
+		var buf bytes.Buffer
+		tr, err := telemetry.NewTrace(&buf, telemetry.Collect("ledger-test"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&Runner{Spec: spec, Point: point, CheckpointPath: ck, Resume: resume,
+			Metrics: telemetry.New(), Trace: tr}).Run(ctx)
+		return buf.Bytes(), out, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	trace, out, err := run(ctx, ledgerPoint(42, 3, cancel), false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	checkLedger(t, "killed", trace, &telemetry.Snapshot{}, out.Metrics, 3)
+	loaded, err := Load(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, out, err = run(context.Background(), ledgerPoint(42, -1, nil), true)
+	if err != nil || !out.Complete {
+		t.Fatalf("resume: err=%v complete=%v", err, out.Complete)
+	}
+	checkLedger(t, "resumed", trace, loaded.Metrics, out.Metrics, 2)
+}

@@ -502,13 +502,15 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		b := base.Clone()
 		boundary = &b
 	}
-	capture := func() {
+	// capture takes the boundary after a completed point; now is the
+	// registry's snapshot at that boundary.
+	capture := func(now telemetry.Snapshot) {
 		if r.Metrics == nil && !haveBase {
 			return
 		}
 		s := base.Clone()
 		if r.Metrics != nil {
-			if err := s.Merge(r.Metrics.Snapshot()); err != nil {
+			if err := s.Merge(now); err != nil {
 				// Shape drift between baseline and this process should be
 				// impossible (bucket bounds are compile-time constants);
 				// keep the previous boundary rather than corrupt it.
@@ -564,6 +566,12 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		return err
 	}
 
+	// last holds the registry's counters at the previous point boundary,
+	// from which each point_done event's ledger deltas are taken.
+	var last map[string]int64
+	if r.Metrics != nil {
+		last = r.Metrics.Snapshot().Counters
+	}
 	for pt := 0; pt < r.Spec.Points; pt++ {
 		pspan := r.Span.Child(fmt.Sprintf("p%d", pt))
 		if p, ok := resumed[pt]; ok {
@@ -585,13 +593,20 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 				r.Metrics.Counter("sweep.points_done").Inc()
 			}
 		}
-		r.Trace.EmitSpan("point_done", pspan, map[string]any{
+		fields := map[string]any{
 			"point": pt, "wall_seconds": wall,
 			"trials": estTrials(p.Ests), "successes": estSuccesses(p.Ests),
 			"stopped": p.Stopped, "partial": p.Partial,
-		})
+		}
+		var now telemetry.Snapshot
+		if err == nil && r.Metrics != nil {
+			now = r.Metrics.Snapshot()
+			fields["counters"] = ledgerDeltas(last, now.Counters)
+			last = now.Counters
+		}
+		r.Trace.EmitSpan("point_done", pspan, fields)
 		if err == nil {
-			capture()
+			capture(now)
 		}
 		if len(p.Ests) > 0 || err == nil {
 			out.Done = append(out.Done, p)
@@ -618,6 +633,22 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	r.Trace.EmitSpan("sweep_done", r.Span, map[string]any{"complete": true, "points": len(out.Done), "resumed": out.Resumed})
 	out.Metrics = boundary
 	return out, nil
+}
+
+// ledgerCounters are the counters whose per-point share a completed
+// point's point_done event carries under "counters": its trials, and on
+// the lane engine its lane slots, walked lane slots and fault events;
+// walked/slots is the point's walked share. Summed over a run's completed
+// points they equal the run's final snapshot minus its baseline.
+var ledgerCounters = []string{"sim.trials", "lanes.slots", "lanes.walked", "lanes.faults"}
+
+// ledgerDeltas returns each ledger counter's change from from to to.
+func ledgerDeltas(from, to map[string]int64) map[string]int64 {
+	d := make(map[string]int64, len(ledgerCounters))
+	for _, name := range ledgerCounters {
+		d[name] = to[name] - from[name]
+	}
+	return d
 }
 
 // estTrials and estSuccesses project an estimate slice for trace events,
