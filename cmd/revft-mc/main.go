@@ -19,10 +19,9 @@
 // (recovery, levels, local, adder) and of the initablation, interleave and
 // memory ablations: "scalar" runs one trial at a time;
 // "lanes", "lanes256" and "lanes512" run 1-, 4- or 8-word lane blocks
-// (64, 256 or 512 bit-sliced trials per batch) through the fused
-// word-program compiler — adjacent CNOT/CNOT/Toffoli triples collapse
-// into single MAJ/UMA kernels and fault points sharing a probability
-// share one geometric sampler. All engines sample the same noise process;
+// (64, 256 or 512 bit-sliced trials per batch) through the word-program
+// compiler — each op one word kernel with one fault point, and fault
+// points sharing a probability share one geometric sampler. All engines sample the same noise process;
 // wider blocks amortize more dispatch per trial. correlated, idle, entropy
 // and vonneumann have no lane path and refuse a lane engine before running.
 //

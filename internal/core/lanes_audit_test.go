@@ -49,13 +49,36 @@ func recoveryTarget() core.Target {
 // TestInjectedWideMatchesInjected is the plan producer's deterministic
 // differential: every lane of a plan batch — its own input and zero to
 // three faults on random ops with random values, live or not — must fail
-// exactly when Target.Injected fails on the same input and plan.
+// exactly when Target.Injected fails on the same input and plan. Besides
+// the gadgets and random circuits, it covers the bare 4-bit adder and
+// random circuits seeded with the Figure 1 MAJ and MAJ⁻¹ decompositions
+// and the adder's UMA triple: each of their CNOT and Toffoli ops is its
+// own fault point.
 func TestInjectedWideMatchesInjected(t *testing.T) {
 	r := rng.New(17)
-	targets := []core.Target{core.NewGadget(gate.MAJ, 1).Target, core.NewGadget(gate.MAJ, 2).Target}
+	bare, _ := adder.New(4)
+	targets := []core.Target{core.NewGadget(gate.MAJ, 1).Target, core.NewGadget(gate.MAJ, 2).Target, core.Plain("adder", bare)}
 	for i := 0; i < 12; i++ {
 		width := 3 + r.Intn(6)
 		targets = append(targets, core.Plain(fmt.Sprintf("random%d", i), circuit.Random(r, width, 4+r.Intn(30), nil)))
+	}
+	for i := 0; i < 8; i++ {
+		width := 3 + r.Intn(6)
+		c := circuit.New(width)
+		for n := 0; n < 6; n++ {
+			p := r.Perm(width)
+			switch r.Intn(4) {
+			case 0: // MAJ
+				c.CNOT(p[0], p[1]).CNOT(p[0], p[2]).Toffoli(p[1], p[2], p[0])
+			case 1: // MAJ⁻¹
+				c.Toffoli(p[1], p[2], p[0]).CNOT(p[0], p[1]).CNOT(p[0], p[2])
+			case 2: // UMA
+				c.Toffoli(p[1], p[2], p[0]).CNOT(p[0], p[1]).CNOT(p[1], p[2])
+			default:
+				c.Compose(circuit.Random(r, width, 4, nil))
+			}
+		}
+		targets = append(targets, core.Plain(fmt.Sprintf("triples%d", i), c))
 	}
 	type lanePlan struct {
 		in   uint64

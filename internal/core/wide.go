@@ -1,7 +1,7 @@
 package core
 
 // The lane engine's side of Target: the same extended rectangle on
-// 64·words bit-sliced trials per batch through the fused word-program
+// 64·words bit-sliced trials per batch through the word-program
 // compiler (lanes.CompileWideFor); words = 1 is the 64-lane engine. Inputs
 // are drawn per lane word, the ideal outputs are computed bit-sliced
 // (one word kernel per logical op) and the outputs are decoded by

@@ -50,9 +50,9 @@ func TestGoldenSweepEstimates(t *testing.T) {
 		"local/lanes256":    "[[6 83] [452 1283]]",
 		"local/lanes512":    "[[8 88] [453 1277]]",
 		"adder/scalar":      "[[248 90] [1499 1894]]",
-		"adder/lanes":       "[[287 83] [1498 1895]]",
-		"adder/lanes256":    "[[263 81] [1508 1914]]",
-		"adder/lanes512":    "[[250 90] [1492 1882]]",
+		"adder/lanes":       "[[286 83] [1499 1895]]",
+		"adder/lanes256":    "[[254 81] [1500 1914]]",
+		"adder/lanes512":    "[[260 90] [1509 1882]]",
 	}
 	for _, workers := range goldenWorkers {
 		for _, engine := range EngineNames() {

@@ -16,7 +16,7 @@ const (
 	// empty string selects it too.
 	EngineScalar = "scalar"
 	// EngineLanes runs 64 bit-sliced trials per batch: one 64-lane word
-	// per wire through the fused word-program compiler
+	// per wire through the word-program compiler
 	// (lanes.CompileWide with words = 1).
 	EngineLanes = "lanes"
 	// EngineLanes256 runs 256 trials per batch on 4-word lane blocks.

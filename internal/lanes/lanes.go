@@ -5,10 +5,10 @@
 // lookup and a per-op uniform draw per gate — this engine packs 64·K
 // independent trials into K machine words per wire: bit j of word k of
 // wire w is wire w's value in trial lane 64k+j. Every gate in the set
-// compiles to a short branch-free boolean word kernel (MAJ, per Figure 1,
-// is two CNOT word-ops followed by a Toffoli word-op; Init3 clears its
-// three wires), so one kernel application advances all 64·K trials at
-// once. The shipped engines are K = 1 ("lanes", 64 lanes), K = 4
+// compiles to one short branch-free boolean word kernel with one fault
+// point (MAJ is one kernel, not Figure 1's three CNOT/Toffoli steps;
+// Init3 clears its three wires), so one kernel application advances all
+// 64·K trials at once. The shipped engines are K = 1 ("lanes", 64 lanes), K = 4
 // ("lanes256") and K = 8 ("lanes512"); see wide.go for the compiler.
 //
 // Faults keep the exact semantics of sim.RunNoisy, vectorized: after each

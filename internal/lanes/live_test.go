@@ -22,8 +22,13 @@ import (
 func checkLiveness(t *testing.T, name string, c *circuit.Circuit, m noise.Model, words int, outs []int, seed uint64) {
 	t.Helper()
 	full, live := lanes.CompileWide(c, m, words), lanes.CompileWideFor(c, m, words, outs)
-	if live.Len() != full.Len() || live.Dead() > live.Len() || full.Dead() != 0 {
-		t.Fatalf("%s: Len %d/%d, Dead %d/%d", name, live.Len(), full.Len(), live.Dead(), full.Dead())
+	for _, p := range []*lanes.WideProgram{full, live} {
+		if p.Len() != c.Len() || p.Points() != c.Len() {
+			t.Fatalf("%s: Len %d, Points %d, want one op and one fault point per source op (%d)", name, p.Len(), p.Points(), c.Len())
+		}
+	}
+	if live.Dead() > live.Len() || full.Dead() != 0 {
+		t.Fatalf("%s: Dead %d/%d", name, live.Dead(), full.Dead())
 	}
 	a, b := lanes.NewWideState(c.Width(), words), lanes.NewWideState(c.Width(), words)
 	init, ra, rb := rng.New(seed), rng.New(seed+1), rng.New(seed+1)
@@ -47,9 +52,9 @@ func checkLiveness(t *testing.T, name string, c *circuit.Circuit, m noise.Model,
 }
 
 // TestLivenessMatchesFullProgram runs the liveness differential on random
-// circuits, seeded with fusible triples so that fused ops lose single
-// sub-steps' targets, under one- and two-sampler models, for random
-// output sets including the empty one.
+// circuits, seeded with Figure 1 MAJ decompositions and UMA triples,
+// under one- and two-sampler models, for random output sets including the
+// empty one.
 func TestLivenessMatchesFullProgram(t *testing.T) {
 	r := rng.New(41)
 	models := []noise.Model{noise.Uniform(0.05), noise.IID{Gate: 0.03, Init: 0.2}, noise.PerfectInit(0.04)}
@@ -199,9 +204,9 @@ func TestRunPlanRejectsBadPlans(t *testing.T) {
 }
 
 // TestRunPlanPassesOverDeadFaults: faults on points that are not live —
-// on dropped ops, past the last walked op, or on a fused sub-step whose
-// targets are all dead — change no wire the program was compiled for,
-// wherever they fall among a plan's live faults, chunk ends included.
+// on dropped ops, those past the last walked op included — change no
+// wire the program was compiled for, wherever they fall among a plan's
+// live faults, chunk ends included.
 func TestRunPlanPassesOverDeadFaults(t *testing.T) {
 	r := rng.New(45)
 	g := core.NewGadget(gate.MAJ, 2)

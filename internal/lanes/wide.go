@@ -5,11 +5,9 @@ package lanes
 //
 //   - Each dispatch advances all K·64 trials, so the interpreter walk
 //     amortizes K-fold; K = 1 is the 64-lane engine.
-//   - Adjacent word ops are fused: the Figure 1 decomposition
-//     CNOT·CNOT·Toffoli (a MAJ), its inverse, and the Cuccaro adder's
-//     UMA triple each collapse to a single kernel. A fused op keeps one
-//     fault point per source op, so the noise process is untouched — only
-//     the fault-free dispatch cost drops.
+//   - Each source op compiles to one wide op with one fault point, the
+//     op's index in the source: the paper's error model puts one fault
+//     location on each gate application.
 //   - Wire indices are constant-folded: every target is pre-multiplied by
 //     K at compile time, so the hot loop does no index arithmetic beyond
 //     an add.
@@ -194,10 +192,7 @@ func EvalWide(k gate.Kind, w [][]uint64) {
 	}
 }
 
-// wideCode selects a wide kernel. The fused codes execute three source
-// ops in one dispatch; their fault-free kernels coincide with the plain
-// MAJ/MAJInv word kernels because the fused sequences are exactly the
-// Figure 1 decompositions (and the UMA triple of the Cuccaro adder).
+// wideCode selects a wide kernel, one per gate kind.
 type wideCode uint8
 
 const (
@@ -211,46 +206,18 @@ const (
 	wSWAP3
 	wSWAP3Inv
 	wInit3
-	// wFusedMAJ is CNOT(a,b) · CNOT(a,c) · Toffoli(b,c,a): the Figure 1
-	// MAJ decomposition as one kernel with three fault points.
-	wFusedMAJ
-	// wFusedMAJInv is Toffoli(b,c,a) · CNOT(a,b) · CNOT(a,c), the inverse
-	// decomposition.
-	wFusedMAJInv
-	// wFusedUMA is Toffoli(b,c,a) · CNOT(a,b) · CNOT(b,c): the UnMajority-
-	// and-Add triple of the Cuccaro ripple adder's reverse sweep.
-	wFusedUMA
 )
 
-// The sub-steps of the fused kernels, by wire role: a CNOT from one role
-// into another, or the Toffoli (b, c) → a.
-const (
-	subAB      = iota // b ^= a
-	subAC             // c ^= a
-	subBC             // c ^= b
-	subToffoli        // a ^= b & c
-)
-
-// fusedSteps lists each fused code's sub-steps in source order, indexed
-// by code - wFusedMAJ.
-var fusedSteps = [3][3]uint8{
-	{subAB, subAC, subToffoli}, // wFusedMAJ
-	{subToffoli, subAB, subAC}, // wFusedMAJInv
-	{subToffoli, subAB, subBC}, // wFusedUMA
-}
-
-// wideOp is one compiled wide instruction: a kernel over up to three
-// wires whose word indices were pre-multiplied by Words at compile time,
-// plus ns fault points (one per source op the instruction covers),
-// numbered pt, pt+1, … in the program's fault-point order. After sub-step
-// k each lane independently faults with its point's probability, and a
-// faulting lane's bits on the wmask[k]-selected targets (bits 0/1/2:
-// a/b/c) are replaced with uniform random bits — the paper's randomizing
-// channel.
+// wideOp is one compiled wide instruction: one source op's kernel over up
+// to three wires whose word indices were pre-multiplied by Words at
+// compile time, and its fault point pt, the op's index in the source.
+// After the kernel each lane independently faults with the point's
+// probability, and a faulting lane's bits on the wmask-selected targets
+// (bits 0/1/2: a/b/c) are replaced with uniform random bits — the paper's
+// randomizing channel.
 type wideOp struct {
 	code    wideCode
-	ns      uint8 // sub-steps = fault points (1 plain, 3 fused)
-	wmask   [3]uint8
+	wmask   uint8
 	a, b, c int32 // first-word indices (wire · Words); b, c unused below arity
 	pt      int32
 }
@@ -283,13 +250,10 @@ type WideProgram struct {
 	shift        uint     // log2 of the lanes per batch
 	ops          []wideOp // the walk: the compiled ops an output depends on
 	samplers     []wideSampler
-	points       int32   // fault points of all compiled ops, walked or not
+	points       int32   // fault points = compiled ops, walked or not
 	live         []uint8 // by fault point: 1 when a fault there can reach an output
 	opAt         []int32 // by fault point, and p.points: the first walked op past no earlier point
-	roles        []uint8 // by fault point: source target i's role (a, b, c = 0, 1, 2; 3 = none) in bits 2i, 2i+1
-	compiled     int     // compiled ops, walked or not
-	srcLen       int     // ops in the source circuit
-	fused        int     // fused triples recognized
+	arity        []uint8 // by fault point: its source op's arity
 }
 
 // Width returns the number of wires the program expects.
@@ -301,19 +265,17 @@ func (p *WideProgram) Words() int { return p.words }
 // Lanes returns the number of trial lanes per batch.
 func (p *WideProgram) Lanes() int { return 64 * p.words }
 
-// Len returns the number of compiled wide ops (≤ the source length),
+// Len returns the number of compiled wide ops, the source length,
 // including any Dead ones.
-func (p *WideProgram) Len() int { return p.compiled }
+func (p *WideProgram) Len() int { return int(p.points) }
 
 // Dead returns how many compiled ops Run skips because none of their
 // targets reaches the wires the program was compiled for.
-func (p *WideProgram) Dead() int { return p.compiled - len(p.ops) }
+func (p *WideProgram) Dead() int { return int(p.points) - len(p.ops) }
 
-// SourceLen returns the number of ops in the source circuit.
-func (p *WideProgram) SourceLen() int { return p.srcLen }
-
-// Fused returns how many three-op sequences the compiler fused.
-func (p *WideProgram) Fused() int { return p.fused }
+// Fused returns 0: the compiler fuses no ops. It remains only for the
+// benchmark module, whose perfbench/layers.go reports it.
+func (p *WideProgram) Fused() int { return 0 }
 
 // Samplers returns how many distinct fault probabilities the program's
 // fault points were grouped into.
@@ -322,13 +284,6 @@ func (p *WideProgram) Samplers() int { return len(p.samplers) }
 // maxWords bounds a program's block width so that a lane index fits a
 // Fault's uint16.
 const maxWords = 1024
-
-// srcOp is CompileWideFor's working copy of one source op.
-type srcOp struct {
-	kind gate.Kind
-	t    [3]int
-	n    int
-}
 
 // CompileWide is CompileWideFor(c, m, words, nil): the program for a
 // caller that reads every wire after Run.
@@ -350,48 +305,21 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	if words < 1 || words > maxWords || words&(words-1) != 0 {
 		panic(fmt.Sprintf("lanes: CompileWide needs a power of two up to %d words per wire, got %d", maxWords, words))
 	}
-	src := make([]srcOp, 0, c.Len())
-	c.Each(func(_ int, k gate.Kind, targets []int) {
-		s := srcOp{kind: k, n: len(targets)}
-		copy(s.t[:], targets)
-		src = append(src, s)
+	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))),
+		live: make([]uint8, c.Len()), arity: make([]uint8, c.Len())}
+	ops := make([]wideOp, 0, c.Len())
+	c.Each(func(i int, k gate.Kind, targets []int) {
+		var t [3]int32
+		for j, w := range targets {
+			t[j] = int32(w)
+		}
+		ops = append(ops, wideOp{code: codeOf(k), wmask: uint8(1<<len(targets)) - 1, a: t[0], b: t[1], c: t[2], pt: int32(i)})
+		if s := p.sampler(m.FaultProb(k)); s >= 0 {
+			p.samplers[s].points = append(p.samplers[s].points, uint32(i))
+		}
+		p.arity[i] = uint8(len(targets))
 	})
-
-	p := &WideProgram{width: c.Width(), words: words, shift: uint(bits.TrailingZeros(uint(64 * words))), srcLen: len(src),
-		roles: make([]uint8, len(src)), live: make([]uint8, len(src))}
-	// addPoint numbers the next fault point, of a k op whose targets have
-	// the given roles, and hands it to the sampler of k's fault
-	// probability, if that is not 0.
-	addPoint := func(k gate.Kind, roles uint8) {
-		if i := p.sampler(m.FaultProb(k)); i >= 0 {
-			p.samplers[i].points = append(p.samplers[i].points, uint32(p.points))
-		}
-		p.roles[p.points] = roles
-		p.points++
-	}
-
-	ops := make([]wideOp, 0, len(src))
-	for i := 0; i < len(src); {
-		o := wideOp{pt: p.points}
-		if code, a, b, c3, masks, ok := fuseTriple(src, i); ok {
-			o.code, o.ns, o.wmask = code, 3, masks
-			o.a, o.b, o.c = int32(a), int32(b), int32(c3)
-			for _, s := range src[i : i+3] {
-				addPoint(s.kind, fusedRoles(s, [3]int{a, b, c3}))
-			}
-			p.fused++
-			i += 3
-		} else {
-			s := src[i]
-			o.code, o.ns = plainCode(s.kind), 1
-			o.wmask[0] = uint8(1<<uint(s.n)) - 1
-			o.a, o.b, o.c = int32(s.t[0]), int32(s.t[1]), int32(s.t[2])
-			addPoint(s.kind, plainRoles[s.n])
-			i++
-		}
-		ops = append(ops, o)
-	}
-	p.compiled = len(ops)
+	p.points = int32(len(ops))
 	if outs != nil {
 		ops = prune(ops, p.width, outs)
 	}
@@ -400,14 +328,10 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	for i := range ops {
 		o := &ops[i]
 		o.a, o.b, o.c = o.a*int32(words), o.b*int32(words), o.c*int32(words)
-		for ; pt < o.pt+int32(o.ns); pt++ {
+		for ; pt <= o.pt; pt++ {
 			p.opAt[pt] = int32(i)
 		}
-		for k := int32(0); k < int32(o.ns); k++ {
-			if o.wmask[k] != 0 {
-				p.live[o.pt+k] = 1
-			}
-		}
+		p.live[o.pt] = 1
 	}
 	for ; pt <= p.points; pt++ {
 		p.opAt[pt] = int32(len(ops))
@@ -423,25 +347,6 @@ func CompileWideFor(c *circuit.Circuit, m noise.Model, words int, outs []int) *W
 	return p
 }
 
-// plainRoles are the roles of an unfused op's n targets: target i is
-// wire role i (a, b, c).
-var plainRoles = [4]uint8{0b111111, 0b111100, 0b110100, 0b100100}
-
-// fusedRoles returns the roles of source op s's targets among a fused
-// op's wires abc.
-func fusedRoles(s srcOp, abc [3]int) uint8 {
-	roles := uint8(0b111111)
-	for i, w := range s.t[:s.n] {
-		for r := range abc {
-			if abc[r] == w {
-				roles = roles&^(3<<(2*i)) | uint8(r)<<(2*i)
-				break
-			}
-		}
-	}
-	return roles
-}
-
 // Points returns the number of fault points, one per source op.
 func (p *WideProgram) Points() int { return int(p.points) }
 
@@ -453,13 +358,12 @@ func (p *WideProgram) Live(pt int) bool { return p.live[pt] != 0 }
 
 // FaultBits returns the replacement bits of a fault on point pt that
 // leaves the local value v on its source op's targets, targets[0] in bit
-// 0 — the value sim.RunInjectedList writes.
+// 0 — the value sim.RunInjectedList writes: target i takes bit 2−i, for
+// the targets the op has.
 func (p *WideProgram) FaultBits(pt int, v uint64) uint8 {
 	var b uint8
-	for i, roles := 0, p.roles[pt]; i < 3; i, roles = i+1, roles>>2 {
-		if r := roles & 3; r < 3 && v>>uint(i)&1 != 0 {
-			b |= 4 >> r
-		}
+	for i := range int(p.arity[pt]) {
+		b |= uint8(v>>uint(i)&1) << (2 - i)
 	}
 	return b
 }
@@ -520,50 +424,46 @@ func ClampProb(p float64) float64 {
 }
 
 // prune is CompileWideFor's liveness pass over ops, whose a, b, c are
-// still wire indices. Walking backward from outs, a sub-step is live when
-// one of its targets is live after it; a fault after it then randomizes
-// only those targets, and every target of it is live before it, unless
-// it is an INIT3, which overwrites its targets without reading them. An
-// op with no live sub-step is dropped.
+// still wire indices. Walking backward from outs, an op is live when one
+// of its targets is live after it; a fault after it then randomizes only
+// those targets, and every target of it is live before it, unless it is
+// an INIT3, which overwrites its targets without reading them. An op with
+// no live target is dropped.
 func prune(ops []wideOp, width int, outs []int) []wideOp {
 	live := make([]bool, width)
 	for _, w := range outs {
 		live[w] = true
 	}
-	keep := make([]bool, len(ops))
 	for i := len(ops) - 1; i >= 0; i-- {
 		o := &ops[i]
 		wires := [3]int32{o.a, o.b, o.c}
-		for k := int(o.ns) - 1; k >= 0; k-- {
-			targets := o.wmask[k]
-			o.wmask[k] = 0
-			for r, w := range wires {
-				if targets>>r&1 != 0 && live[w] {
-					o.wmask[k] |= 1 << r
-				}
+		targets := o.wmask
+		o.wmask = 0
+		for r, w := range wires {
+			if targets>>r&1 != 0 && live[w] {
+				o.wmask |= 1 << r
 			}
-			if o.wmask[k] == 0 {
-				continue
-			}
-			keep[i] = true
-			for r, w := range wires {
-				if targets>>r&1 != 0 {
-					live[w] = o.code != wInit3
-				}
+		}
+		if o.wmask == 0 {
+			continue
+		}
+		for r, w := range wires {
+			if targets>>r&1 != 0 {
+				live[w] = o.code != wInit3
 			}
 		}
 	}
 	walk := ops[:0]
-	for i, o := range ops {
-		if keep[i] {
+	for _, o := range ops {
+		if o.wmask != 0 {
 			walk = append(walk, o)
 		}
 	}
 	return walk
 }
 
-// plainCode maps a gate kind to its unfused wide opcode.
-func plainCode(k gate.Kind) wideCode {
+// codeOf maps a gate kind to its wide opcode.
+func codeOf(k gate.Kind) wideCode {
 	switch k {
 	case gate.NOT:
 		return wNOT
@@ -589,41 +489,6 @@ func plainCode(k gate.Kind) wideCode {
 	panic(fmt.Sprintf("lanes: no word kernel for %s", k))
 }
 
-// fuseTriple recognizes the three fusible patterns at src[i..i+2]. The
-// returned wire roles (a, b, c) are chosen so the fused kernel is the
-// corresponding MAJ/MAJ⁻¹/UMA word kernel on (a, b, c); masks give each
-// fault point its sub-op's target set. Toffoli controls are symmetric, so both control
-// orders match.
-func fuseTriple(src []srcOp, i int) (code wideCode, a, b, c int, masks [3]uint8, ok bool) {
-	if i+3 > len(src) {
-		return
-	}
-	o0, o1, o2 := src[i], src[i+1], src[i+2]
-	// MAJ: CNOT(a,b) · CNOT(a,c) · Toffoli(b,c,a).
-	if o0.kind == gate.CNOT && o1.kind == gate.CNOT && o2.kind == gate.Toffoli &&
-		o0.t[0] == o1.t[0] {
-		a, b, c = o0.t[0], o0.t[1], o1.t[1]
-		if b != c && o2.t[2] == a &&
-			(o2.t[0] == b && o2.t[1] == c || o2.t[0] == c && o2.t[1] == b) {
-			return wFusedMAJ, a, b, c, [3]uint8{0b011, 0b101, 0b111}, true
-		}
-	}
-	if o0.kind == gate.Toffoli && o1.kind == gate.CNOT && o2.kind == gate.CNOT && o1.t[0] == o0.t[2] {
-		a, b, c = o0.t[2], o1.t[1], o2.t[1]
-		if b != c && (o0.t[0] == b && o0.t[1] == c || o0.t[0] == c && o0.t[1] == b) {
-			// MAJ⁻¹: Toffoli(b,c,a) · CNOT(a,b) · CNOT(a,c).
-			if o2.t[0] == a {
-				return wFusedMAJInv, a, b, c, [3]uint8{0b111, 0b011, 0b101}, true
-			}
-			// UMA: Toffoli(b,c,a) · CNOT(a,b) · CNOT(b,c).
-			if o2.t[0] == b {
-				return wFusedUMA, a, b, c, [3]uint8{0b111, 0b011, 0b110}, true
-			}
-		}
-	}
-	return 0, 0, 0, 0, masks, false
-}
-
 // wires returns the K words of o's wires a, b and c; b and c alias wire
 // 0 below arity 2 and 3. Slicing them once to one length lets the
 // kernels' loops run without bounds checks.
@@ -633,9 +498,9 @@ func (o *wideOp) wires(st []uint64, K int) (x, y, z []uint64) {
 	return x, st[o.b:][:len(x)], st[o.c:][:len(x)]
 }
 
-// run applies the kernels of ops in order — every sub-step of a fused
-// op, in source order — to all K·64 lanes: a stretch of the walk, or the
-// whole of RunNoiseless. It is the engine's one kernel switch.
+// run applies the kernels of ops in order to all K·64 lanes: a stretch of
+// the walk, or the whole of RunNoiseless. It is the engine's one kernel
+// switch.
 func run(ops []wideOp, st []uint64, K int) {
 	for i := range ops {
 		o := &ops[i]
@@ -663,21 +528,15 @@ func run(ops []wideOp, st []uint64, K int) {
 				y[j] ^= d
 				z[j] ^= d
 			}
-		case wMAJ, wFusedMAJ:
+		case wMAJ:
 			for j := range x {
 				a, b, c := x[j], y[j]^x[j], z[j]^x[j]
 				x[j], y[j], z[j] = a^b&c, b, c
 			}
-		case wMAJInv, wFusedMAJInv:
+		case wMAJInv:
 			for j := range x {
 				a := x[j] ^ y[j]&z[j]
 				x[j], y[j], z[j] = a, y[j]^a, z[j]^a
-			}
-		case wFusedUMA:
-			for j := range x {
-				a := x[j] ^ y[j]&z[j]
-				b := y[j] ^ a
-				x[j], y[j], z[j] = a, b, z[j]^b
 			}
 		case wSWAP3:
 			for j := range x {
@@ -691,29 +550,6 @@ func run(ops []wideOp, st []uint64, K int) {
 			for j := range x {
 				x[j], y[j], z[j] = 0, 0, 0
 			}
-		}
-	}
-}
-
-// subStep applies sub-step k of the fused op o alone.
-func (o *wideOp) subStep(st []uint64, K int, k int32) {
-	x, y, z := o.wires(st, K)
-	switch fusedSteps[o.code-wFusedMAJ][k] {
-	case subAB:
-		for j := range x {
-			y[j] ^= x[j]
-		}
-	case subAC:
-		for j := range x {
-			z[j] ^= x[j]
-		}
-	case subBC:
-		for j := range x {
-			z[j] ^= y[j]
-		}
-	default:
-		for j := range x {
-			x[j] ^= y[j] & z[j]
 		}
 	}
 }
@@ -805,11 +641,9 @@ func (p *WideProgram) RunPlan(st WideState, plan []Fault) {
 }
 
 // walk runs the ops on st, applying the producer's faults after their
-// sub-steps. The op the next fault falls on or after, j, comes from the
-// by-point table opAt, so the ops before it run as one stretch of kernels
-// with no look at the faults; op j then takes its faults — after its
-// whole kernel when it has one fault point, after each sub-step
-// otherwise.
+// kernels. The op the next fault falls on or after, j, comes from the
+// by-point table opAt, so the ops up to it run as one stretch of kernels
+// with no look at the faults; op j then takes its faults.
 func (p *WideProgram) walk(st []uint64, sc *schedule) {
 	K, ops, opAt := p.words, p.ops, p.opAt
 	for i := 0; ; {
@@ -818,27 +652,18 @@ func (p *WideProgram) walk(st []uint64, sc *schedule) {
 			run(ops[i:], st, K)
 			return
 		}
-		o := &ops[j]
-		if o.ns == 1 {
-			run(ops[i:j+1], st, K)
-			sc.apply(st, o, 0)
-		} else {
-			run(ops[i:j], st, K)
-			for k := int32(0); k < int32(o.ns); k++ {
-				o.subStep(st, K, k)
-				sc.apply(st, o, k)
-			}
-		}
+		run(ops[i:j+1], st, K)
+		sc.apply(st, &ops[j])
 		i = j + 1
 	}
 }
 
-// apply applies the faults on sub-step k's point of o to its
-// wmask[k]-selected targets, in each fault's lane: bit 2 of its Bits goes
-// to target a, bit 1 to b and bit 0 to c. It passes over any faults
-// before that point, which are on dropped ops' points.
-func (sc *schedule) apply(st []uint64, o *wideOp, k int32) {
-	pt, wm := o.pt+k, o.wmask[k]
+// apply applies the faults on o's point to its wmask-selected targets, in
+// each fault's lane: bit 2 of its Bits goes to target a, bit 1 to b and
+// bit 0 to c. It passes over any faults before that point, which are on
+// dropped ops' points.
+func (sc *schedule) apply(st []uint64, o *wideOp) {
+	pt, wm := o.pt, o.wmask
 	a, b, c := int(o.a), int(o.b), int(o.c)
 	e, n := sc.e, sc.n
 	for {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"testing"
 
-	"revft/internal/adder"
 	"revft/internal/bitvec"
 	"revft/internal/circuit"
 	"revft/internal/code"
@@ -15,69 +14,8 @@ import (
 	"revft/internal/sim"
 )
 
-// TestCompileWideFusesTriples pins the peephole patterns: the Figure 1
-// MAJ decomposition, its inverse, and the Cuccaro UMA triple each become
-// one fused op with three fault points, and near-miss sequences stay
-// unfused.
-func TestCompileWideFusesTriples(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() *circuit.Circuit
-		code  wideCode
-	}{
-		{"MAJ", func() *circuit.Circuit {
-			return circuit.New(3).CNOT(0, 1).CNOT(0, 2).Toffoli(1, 2, 0)
-		}, wFusedMAJ},
-		{"MAJ/controls-swapped", func() *circuit.Circuit {
-			return circuit.New(3).CNOT(0, 1).CNOT(0, 2).Toffoli(2, 1, 0)
-		}, wFusedMAJ},
-		{"MAJInv", func() *circuit.Circuit {
-			return circuit.New(3).Toffoli(1, 2, 0).CNOT(0, 1).CNOT(0, 2)
-		}, wFusedMAJInv},
-		{"UMA", func() *circuit.Circuit {
-			return circuit.New(3).Toffoli(1, 2, 0).CNOT(0, 1).CNOT(1, 2)
-		}, wFusedUMA},
-	}
-	for _, tc := range cases {
-		prog := CompileWide(tc.build(), noise.Uniform(1e-3), 4)
-		if prog.Len() != 1 || prog.Fused() != 1 {
-			t.Fatalf("%s: compiled to %d ops (%d fused), want 1 fused op", tc.name, prog.Len(), prog.Fused())
-		}
-		if prog.ops[0].code != tc.code {
-			t.Fatalf("%s: fused opcode %d, want %d", tc.name, prog.ops[0].code, tc.code)
-		}
-		if prog.SourceLen() != 3 {
-			t.Fatalf("%s: source length %d, want 3", tc.name, prog.SourceLen())
-		}
-	}
-
-	// Near-misses: wrong CNOT control, or a Toffoli that targets a fourth
-	// wire, must not fuse.
-	for name, c := range map[string]*circuit.Circuit{
-		"wrong-control": circuit.New(3).CNOT(0, 1).CNOT(1, 2).Toffoli(1, 2, 0),
-		"fourth-wire":   circuit.New(4).CNOT(0, 1).CNOT(0, 2).Toffoli(1, 2, 3),
-	} {
-		if prog := CompileWide(c, noise.Uniform(1e-3), 4); prog.Fused() != 0 || prog.Len() != 3 {
-			t.Fatalf("%s: compiled to %d ops (%d fused), want 3 unfused", name, prog.Len(), prog.Fused())
-		}
-	}
-}
-
-// TestCompileWideFusesAdderUMA checks that fusion fires on real circuits:
-// every UMA triple of the Cuccaro adder's reverse ripple collapses.
-func TestCompileWideFusesAdderUMA(t *testing.T) {
-	c, _ := adder.New(4)
-	prog := CompileWide(c, noise.Uniform(1e-3), 4)
-	if prog.Fused() < 4 {
-		t.Fatalf("4-bit adder fused %d triples, want at least one per bit", prog.Fused())
-	}
-	if prog.Len() >= c.Len() {
-		t.Fatalf("fusion did not shrink the program: %d ops from %d source ops", prog.Len(), c.Len())
-	}
-}
-
 // TestWideNoiselessMatchesNarrow runs random circuits — seeded with the
-// fusible Figure 1 triples so both fused and plain kernels execute — on
+// Figure 1 MAJ decomposition and the Cuccaro adder's UMA triple — on
 // random states and demands bit-identical results against the 64-lane
 // (K = 1) program run word by word, at K = 4 and 8. The K = 1 program is
 // itself pinned to the scalar evaluator by TestRunNoiselessMatchesScalar.
@@ -90,10 +28,10 @@ func TestWideNoiselessMatchesNarrow(t *testing.T) {
 			c := circuit.New(width)
 			for n := 0; n < 12; n++ {
 				switch r.Intn(4) {
-				case 0: // a fusible MAJ decomposition on random wires
+				case 0: // a Figure 1 MAJ decomposition on random wires
 					p := r.Perm(width)
 					c.CNOT(p[0], p[1]).CNOT(p[0], p[2]).Toffoli(p[1], p[2], p[0])
-				case 1: // a fusible UMA triple
+				case 1: // a UMA triple
 					p := r.Perm(width)
 					c.Toffoli(p[1], p[2], p[0]).CNOT(p[0], p[1]).CNOT(p[1], p[2])
 				default:
@@ -152,32 +90,25 @@ func TestWideNoiselessModelFaultFree(t *testing.T) {
 }
 
 // TestWideFaultRate checks that fault events occur at the modeled per-op
-// per-lane rate through the grouped geometric sampler, on both plain and
-// fused programs.
+// per-lane rate through the grouped geometric sampler.
 func TestWideFaultRate(t *testing.T) {
 	const g = 0.05
-	for _, fused := range []bool{false, true} {
-		c := circuit.New(3)
-		for i := 0; i < 50; i++ {
-			if fused {
-				c.CNOT(0, 1).CNOT(0, 2).Toffoli(1, 2, 0)
-			} else {
-				c.MAJ(0, 1, 2)
-			}
-		}
-		prog := CompileWide(c, noise.Uniform(g), 4)
-		r := rng.New(7)
-		total := 0
-		const batches = 200
-		for i := 0; i < batches; i++ {
-			st := NewWideState(3, 4)
-			total += prog.Run(st, r)
-		}
-		n := float64(batches * c.Len() * 256)
-		rate := float64(total) / n
-		if tol := 4 * math.Sqrt(g*(1-g)/n); math.Abs(rate-g) > tol {
-			t.Fatalf("fused=%v: fault rate %v, want %v ± %v", fused, rate, g, tol)
-		}
+	c := circuit.New(3)
+	for i := 0; i < 50; i++ {
+		c.MAJ(0, 1, 2)
+	}
+	prog := CompileWide(c, noise.Uniform(g), 4)
+	r := rng.New(7)
+	total := 0
+	const batches = 200
+	for i := 0; i < batches; i++ {
+		st := NewWideState(3, 4)
+		total += prog.Run(st, r)
+	}
+	n := float64(batches * c.Len() * 256)
+	rate := float64(total) / n
+	if tol := 4 * math.Sqrt(g*(1-g)/n); math.Abs(rate-g) > tol {
+		t.Fatalf("fault rate %v, want %v ± %v", rate, g, tol)
 	}
 }
 
@@ -213,21 +144,6 @@ func TestWideAlwaysFaultsUniform(t *testing.T) {
 		if math.Abs(f-0.125) > 0.02 {
 			t.Fatalf("state %03b frequency %v, want ~1/8", s, f)
 		}
-	}
-}
-
-// TestWideFusedFaultsLandOnSubOpTargets drives a fused MAJ at g = 1 and
-// checks the channel randomizes exactly the sub-ops' target sets: with
-// wire 2 never touched by the first sub-op (CNOT(0,1)), a fused program
-// faulting only that point must leave wire 2's deterministic value
-// intact. Here all three points fault every lane, so instead we verify
-// the fault count attributes one event per sub-op per lane.
-func TestWideFusedFaultsLandOnSubOpTargets(t *testing.T) {
-	c := circuit.New(3).CNOT(0, 1).CNOT(0, 2).Toffoli(1, 2, 0)
-	prog := CompileWide(c, noise.Uniform(1), 2)
-	st := NewWideState(3, 2)
-	if faults := prog.Run(st, rng.New(11)); faults != 3*128 {
-		t.Fatalf("fused g=1 run had %d fault events, want %d (3 sub-ops × 128 lanes)", faults, 3*128)
 	}
 }
 

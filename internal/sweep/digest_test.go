@@ -25,29 +25,32 @@ import (
 // digests are kept to prove that no current digest can collide with an
 // entry written before the last migrations: format 1 is the bare SHA-256
 // of the old canonical JSON, which still held workers, format 2 the same
-// behind a "v2" line, and format 3 today's canonical JSON behind a "v3"
-// line.
+// behind a "v2" line, and formats 3 and 4 today's canonical JSON behind
+// a "v3" and a "v4" line.
 
-// goldenPrefix is what FormatVersion 4 hashes ahead of the canonical JSON.
-const goldenPrefix = "revft spec v4\n"
+// goldenPrefix is what FormatVersion 5 hashes ahead of the canonical JSON.
+const goldenPrefix = "revft spec v5\n"
 
 const (
 	goldenFullJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
-	goldenFullDigest   = "b740c78a1ce8a59dbda41ef485795f4ef4feebdcbb163f7afe0f8004a3e6e36e"
+	goldenFullDigest   = "b7a5fc0a4096fe823c585b1b9a80fb450828cc9c55e83568ef72f2732d17636c"
+	goldenFullDigestV4 = "b740c78a1ce8a59dbda41ef485795f4ef4feebdcbb163f7afe0f8004a3e6e36e"
 	goldenFullDigestV3 = "d5c31d3a3cba82f798b62ec82bca6e2aebf77e200fac68989e35f138ad76d353"
 	goldenFullJSONV2   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000}}`
 	goldenFullDigestV2 = "cf6dc2d5a3cf7a78f2bc199a525252c6305f01cb35e9c731bb0be7a33675461b"
 	goldenFullDigestV1 = "331545346ecdd049c904e84290b98987db2a3639aee305e57db929c302fdaec0"
 
 	goldenZeroScaleJSON     = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
-	goldenZeroScaleDigest   = "d8150ebc40cae908a022f4758b37e3b63d700a3510bc697babe479d00ab0b01a"
+	goldenZeroScaleDigest   = "a58931ffa2dbaf8ed4b39bccf8bb91b983bf49456060699aad6d1ca4000746ca"
+	goldenZeroScaleDigestV4 = "d8150ebc40cae908a022f4758b37e3b63d700a3510bc697babe479d00ab0b01a"
 	goldenZeroScaleDigestV3 = "3f85d66ba4cdb3bdabe0fcc268ae76e69a9076b97f287614410eb7a24f4ee21a"
 	goldenZeroScaleJSONV2   = `{"experiment":"recovery","grid":[0.001,0.0031622776601683794,0.01],"points":3,"trials":40000,"workers":4,"seed":12345,"engine":"lanes","extra":"maxlevel=2 bits=3","stop":{"reltol":0.05,"min_trials":1000,"max_trials":40000,"zero_scale":2.5e-7}}`
 	goldenZeroScaleDigestV2 = "eb3cc3c5e8b76cd6ab0aae7d1e23006a461601e7587307e0e36631d46a479bb0"
 	goldenZeroScaleDigestV1 = "60075829486e628466a580a5f3fd2a78e4bc361597ff612ddb8f961cc174ab13"
 
 	goldenMinimalJSON     = `{"experiment":"levels","points":8,"trials":100,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
-	goldenMinimalDigest   = "fa0dec4b358386477b25d8deb977326f603cbf256e0f6657cef7c7a6f937b0a8"
+	goldenMinimalDigest   = "18b53130e94006e06cc3339588e1446983cf273c19145027687e7b92b99d9df2"
+	goldenMinimalDigestV4 = "fa0dec4b358386477b25d8deb977326f603cbf256e0f6657cef7c7a6f937b0a8"
 	goldenMinimalDigestV3 = "6c1a80298820e99f1a236ebb661840e0872074413f955a3ea1f857d782ad7b5a"
 	goldenMinimalJSONV2   = `{"experiment":"levels","points":8,"trials":100,"workers":1,"seed":1,"engine":"scalar","stop":{"reltol":0,"min_trials":0,"max_trials":0}}`
 	goldenMinimalDigestV2 = "577643248f187c3d36f4d5788ad2fbfadd6d57050109a412947ac4d7b70a9965"
@@ -71,26 +74,26 @@ func goldenFullSpec() Spec {
 }
 
 func TestSpecDigestGolden(t *testing.T) {
-	if FormatVersion != 4 {
+	if FormatVersion != 5 {
 		t.Fatalf("FormatVersion = %d: re-pin the golden digests for the new format", FormatVersion)
 	}
 	cases := []struct {
-		name                   string
-		spec                   Spec
-		wantJSON, jsonV2       string
-		wantDigest, v3, v2, v1 string
+		name                       string
+		spec                       Spec
+		wantJSON, jsonV2           string
+		wantDigest, v4, v3, v2, v1 string
 	}{
 		{"full", goldenFullSpec(), goldenFullJSON, goldenFullJSONV2,
-			goldenFullDigest, goldenFullDigestV3, goldenFullDigestV2, goldenFullDigestV1},
+			goldenFullDigest, goldenFullDigestV4, goldenFullDigestV3, goldenFullDigestV2, goldenFullDigestV1},
 		{"zeroscale", func() Spec {
 			s := goldenFullSpec()
 			s.Stop.ZeroScale = 2.5e-7
 			return s
 		}(), goldenZeroScaleJSON, goldenZeroScaleJSONV2,
-			goldenZeroScaleDigest, goldenZeroScaleDigestV3, goldenZeroScaleDigestV2, goldenZeroScaleDigestV1},
+			goldenZeroScaleDigest, goldenZeroScaleDigestV4, goldenZeroScaleDigestV3, goldenZeroScaleDigestV2, goldenZeroScaleDigestV1},
 		{"minimal", Spec{Experiment: "levels", Points: 8, Trials: 100, Workers: 1, Seed: 1, Engine: "scalar"},
 			goldenMinimalJSON, goldenMinimalJSONV2,
-			goldenMinimalDigest, goldenMinimalDigestV3, goldenMinimalDigestV2, goldenMinimalDigestV1},
+			goldenMinimalDigest, goldenMinimalDigestV4, goldenMinimalDigestV3, goldenMinimalDigestV2, goldenMinimalDigestV1},
 	}
 	hash := func(prefix, body string) string {
 		sum := sha256.Sum256([]byte(prefix + body))
@@ -107,9 +110,9 @@ func TestSpecDigestGolden(t *testing.T) {
 			}
 			// The digest must be exactly SHA-256(format prefix ‖ canonical
 			// JSON). Formats 1 and 2 hashed the old canonical JSON, which
-			// still held workers: alone, then behind a "v2" line; format 3
-			// hashed today's JSON behind a "v3" line. The current digest
-			// must equal none of them.
+			// still held workers: alone, then behind a "v2" line; formats 3
+			// and 4 hashed today's JSON behind a "v3" and a "v4" line. The
+			// current digest must equal none of them.
 			if want := hash(goldenPrefix, tc.wantJSON); tc.wantDigest != want {
 				t.Errorf("golden digest is not SHA-256 of prefix+golden JSON: %s vs %s", tc.wantDigest, want)
 			}
@@ -125,6 +128,7 @@ func TestSpecDigestGolden(t *testing.T) {
 				{1, "", tc.jsonV2, marshalSpec(legacySpec(tc.spec)), tc.v1},
 				{2, "revft spec v2\n", tc.jsonV2, marshalSpec(legacySpec(tc.spec)), tc.v2},
 				{3, "revft spec v3\n", tc.wantJSON, tc.spec.canonical(), tc.v3},
+				{4, "revft spec v4\n", tc.wantJSON, tc.spec.canonical(), tc.v4},
 			} {
 				v, want := old.v, old.want
 				if want != hash(old.prefix, old.body) {
@@ -319,41 +323,44 @@ func TestResumeFormatV2CheckpointIsSpecMismatch(t *testing.T) {
 }
 
 // TestResumeFormatV3CheckpointIsSpecMismatch: a checkpoint written under
-// format 3 — the pinned golden spec behind its "v3" digest, as a format-3
-// writer stored it — holds lane-engine points drawn with the old
-// logarithmic fault sampler. It is stale, not corrupt: it loads, is
-// detected as format 3, and resuming it is refused as a spec mismatch.
-// Its format-3 digest paired with another spec is still corruption.
+// format 3 or 4 — the pinned golden spec behind its "v3" or "v4" digest,
+// as that writer stored it — holds lane-engine points drawn with the old
+// logarithmic fault sampler or compiled with fused ops. It is stale, not
+// corrupt: it loads, is detected as its format, and resuming it is
+// refused as a spec mismatch. Its old digest paired with another spec is
+// still corruption.
 func TestResumeFormatV3CheckpointIsSpecMismatch(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	fixture := `{"digest":"` + goldenFullDigestV3 + `","spec":` + goldenFullJSON +
-		`,"done":[{"index":0,"ests":[{"trials":40000,"successes":3}]}],"saved_at":"2026-01-02T03:04:05Z"}`
-	if err := os.WriteFile(ck, []byte(fixture), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Load(ck)
-	if err != nil {
-		t.Fatalf("format-3 checkpoint failed to load: %v", err)
-	}
-	if v := c.formatOf(); v != 3 {
-		t.Errorf("format-3 checkpoint detected as format %d", v)
-	}
-	spec := goldenFullSpec()
-	_, err = (&Runner{Spec: spec, Point: fakePoint(42), CheckpointPath: ck, Resume: true}).Run(context.Background())
-	var dm *DigestMismatchError
-	if !errors.As(err, &dm) {
-		t.Fatalf("resume of a format-3 checkpoint: err = %T %v, want *DigestMismatchError", err, err)
-	}
-	if dm.CheckpointDigest != goldenFullDigestV3 || dm.SpecDigest != goldenFullDigest {
-		t.Errorf("mismatch fields wrong: %+v", dm)
-	}
+	for v, digest := range map[int]string{3: goldenFullDigestV3, 4: goldenFullDigestV4} {
+		ck := filepath.Join(t.TempDir(), "ck.json")
+		fixture := `{"digest":"` + digest + `","spec":` + goldenFullJSON +
+			`,"done":[{"index":0,"ests":[{"trials":40000,"successes":3}]}],"saved_at":"2026-01-02T03:04:05Z"}`
+		if err := os.WriteFile(ck, []byte(fixture), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Load(ck)
+		if err != nil {
+			t.Fatalf("format-%d checkpoint failed to load: %v", v, err)
+		}
+		if got := c.formatOf(); got != v {
+			t.Errorf("format-%d checkpoint detected as format %d", v, got)
+		}
+		spec := goldenFullSpec()
+		_, err = (&Runner{Spec: spec, Point: fakePoint(42), CheckpointPath: ck, Resume: true}).Run(context.Background())
+		var dm *DigestMismatchError
+		if !errors.As(err, &dm) {
+			t.Fatalf("resume of a format-%d checkpoint: err = %T %v, want *DigestMismatchError", v, err, err)
+		}
+		if dm.CheckpointDigest != digest || dm.SpecDigest != goldenFullDigest {
+			t.Errorf("format %d: mismatch fields wrong: %+v", v, dm)
+		}
 
-	c.Spec.Seed++
-	if err := c.Save(ck); err != nil {
-		t.Fatal(err)
-	}
-	var ce *CorruptError
-	if _, err := Load(ck); !errors.As(err, &ce) {
-		t.Fatalf("format-3 digest of another spec: err = %T %v, want *CorruptError", err, err)
+		c.Spec.Seed++
+		if err := c.Save(ck); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptError
+		if _, err := Load(ck); !errors.As(err, &ce) {
+			t.Fatalf("format-%d digest of another spec: err = %T %v, want *CorruptError", v, err, err)
+		}
 	}
 }

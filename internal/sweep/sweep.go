@@ -165,8 +165,11 @@ type Spec struct {
 // engine on the one bit-sliced compiler (words = 1). Version 3 seeds
 // trial blocks by index, and workers left the canonical bytes. Version 4
 // draws the lane engines' geometric fault gaps from the exponential
-// ziggurat and a fault's replacement bits from one word.
-const FormatVersion = 4
+// ziggurat and a fault's replacement bits from one word. Version 5
+// compiles each source op to its own lane op with one fault point, which
+// moves the bare adder's lane results: its UMA triples, once fused into
+// one kernel, had mapped replacement bits onto their wires differently.
+const FormatVersion = 5
 
 // DigestBytes returns the hex SHA-256 of "revft spec v<FormatVersion>\n"
 // followed by canonical, a spec's canonical JSON encoding.

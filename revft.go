@@ -142,10 +142,9 @@ func LaneBroadcast(v bool) uint64 { return lanes.Broadcast(v) }
 // WideLaneState is a K-word lane block: 64·K trial lanes, wire-major.
 type WideLaneState = lanes.WideState
 
-// WideProgram is a circuit fused and lowered for a K-word lane block:
-// adjacent CNOT/CNOT/Toffoli triples collapse into single word kernels
-// and fault points sharing a probability share one geometric sampler.
-// K = 1 is the 64-lane engine.
+// WideProgram is a circuit lowered for a K-word lane block: each op is
+// one word kernel with one fault point, and fault points sharing a
+// probability share one geometric sampler. K = 1 is the 64-lane engine.
 type WideProgram = lanes.WideProgram
 
 // NewWideLaneState allocates a words-wide lane block for width wires.
