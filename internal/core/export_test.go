@@ -21,6 +21,24 @@ func SetCompactBelow(f float64) float64 {
 	return old
 }
 
+// SkippedLanes counts what SetSkippedHook made batches draw.
+type SkippedLanes = skippedLanes
+
+// Skipped returns the skipped lanes drawn, their live faults and the
+// skipped lanes that failed.
+func (h *SkippedLanes) Skipped() (lanes, faults, hits int64) {
+	return h.lanes.Load(), h.faults.Load(), h.hits.Load()
+}
+
+// SetSkippedHook makes compacting batches also draw every lane their
+// producer skips and walk it beside the queued ones, counting in h (nil
+// turns it off), and returns the old hook.
+func SetSkippedHook(h *SkippedLanes) *SkippedLanes {
+	old := skippedHook
+	skippedHook = h
+	return old
+}
+
 // AuditBudget is the lane audit's plan budget.
 const AuditBudget = auditBudget
 

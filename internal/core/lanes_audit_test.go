@@ -196,8 +196,8 @@ func TestLaneAuditBudget(t *testing.T) {
 
 // TestMutatedGadgetLosesCertificate: the level-1 gadget without one of
 // its transversal MAJs still decodes right noiselessly, but single
-// faults break it, so its certificate drops to d = 1 and its lane
-// estimates still equal the walk-every-lane ones.
+// faults break it, so its certificate drops to d = 1, and no lane its
+// compacted batches skip (no live fault) fails.
 func TestMutatedGadgetLosesCertificate(t *testing.T) {
 	g := core.NewGadget(gate.MAJ, 1)
 	c := circuit.New(g.Circuit.Width())
@@ -210,42 +210,56 @@ func TestMutatedGadgetLosesCertificate(t *testing.T) {
 	if d, fails := core.LaneAudit(mut, core.Uniform, core.AuditBudget); d > 1 || len(fails) == 0 {
 		t.Fatalf("mutated gadget: d = %d with %d failing single faults, want d ≤ 1", d, len(fails))
 	}
-	checkCompactedEqual(t, mut, core.Uniform, noise.Uniform(0.01), 8, 1, 0, 4*sim.BlockTrials)
+	checkSkippedLanes(t, mut, core.Uniform, noise.Uniform(0.01), 8, 1, 0, 4*sim.BlockTrials)
 }
 
-// estimateBoth runs one lane estimate walking every lane and one
-// compacting wherever the audit allows.
-func estimateBoth(t *testing.T, tg core.Target, in core.Input, m noise.Model, words, workers, start, trials int) (all, compact sim.Result) {
+// estimate runs one lane estimate at seed 5, compacting wherever the
+// audit allows when compact is set and walking every lane otherwise.
+func estimate(t *testing.T, tg core.Target, in core.Input, m noise.Model, compact bool, words, workers, start, trials int) sim.Result {
 	t.Helper()
-	defer core.SetCompactBelow(core.SetCompactBelow(-1))
-	var err error
-	if all, err = tg.Estimate(context.Background(), in, core.Noisy(m), words, start, trials, workers, 5); err != nil {
+	below := -1.0
+	if compact {
+		below = 2
+	}
+	defer core.SetCompactBelow(core.SetCompactBelow(below))
+	res, err := tg.Estimate(context.Background(), in, core.Noisy(m), words, start, trials, workers, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetCompactBelow(2)
-	if compact, err = tg.Estimate(context.Background(), in, core.Noisy(m), words, start, trials, workers, 5); err != nil {
-		t.Fatal(err)
-	}
-	return all, compact
+	return res
 }
 
-func checkCompactedEqual(t *testing.T, tg core.Target, in core.Input, m noise.Model, words, workers, start, trials int) {
+// checkSkippedLanes is the certificate's soundness end to end: with the
+// skipped-lanes hook the compacted batches also draw every lane their
+// producer skips (fewer than d live faults) and walk it beside the
+// queued ones. None may fail, and the queued lanes must count what they
+// count without the hook. It returns the compacted estimate.
+func checkSkippedLanes(t *testing.T, tg core.Target, in core.Input, m noise.Model, words, workers, start, trials int) sim.Result {
 	t.Helper()
-	if all, compact := estimateBoth(t, tg, in, m, words, workers, start, trials); all != compact {
-		t.Errorf("%s %+v K=%d workers=%d [%d, +%d): walking every lane %+v, compacted %+v",
-			tg.Name, m, words, workers, start, trials, all.Bernoulli, compact.Bernoulli)
+	plain := estimate(t, tg, in, m, true, words, workers, start, trials)
+	h := &core.SkippedLanes{}
+	defer core.SetSkippedHook(core.SetSkippedHook(h))
+	hooked := estimate(t, tg, in, m, true, words, workers, start, trials)
+	lanes, faults, hits := h.Skipped()
+	if hits != 0 || hooked != plain {
+		t.Errorf("%s %+v K=%d workers=%d [%d, +%d): %d of %d skipped lanes (%d live faults) fail; queued lanes count %+v beside them, %+v alone",
+			tg.Name, m, words, workers, start, trials, hits, lanes, faults, hooked.Bernoulli, plain.Bernoulli)
 	}
+	if lanes > int64(trials) {
+		t.Errorf("%s %+v: %d skipped lanes drawn for %d trials", tg.Name, m, lanes, trials)
+	}
+	return plain
 }
 
-// TestCompactedMatchesWalkAll: a compacted estimate must equal the
-// walk-every-lane estimate exactly, on every certified d (3 on the
-// level-2 gadget, at the threshold sweep's ρ/2 among others), at every K
-// and worker count, from a nonzero start, with a partial final block,
-// under noise light enough to skip most lanes and heavy enough to fill
-// the queue's fault buffer mid-batch.
-func TestCompactedMatchesWalkAll(t *testing.T) {
+// compactTargets are the targets of the compaction checks, with d = 1
+// (level-0 gadget, 1D cycle), 2 (level-1 gadget, 2D cycle, adder module)
+// and 3 (level-2 gadget).
+func compactTargets() []struct {
+	t  core.Target
+	in core.Input
+} {
 	adderT, adderIn := adderTarget()
-	targets := []struct {
+	return []struct {
 		t  core.Target
 		in core.Input
 	}{
@@ -256,14 +270,62 @@ func TestCompactedMatchesWalkAll(t *testing.T) {
 		{lattice.NewCycle2D(gate.MAJ).Target, core.Uniform},
 		{adderT, adderIn},
 	}
-	models := []noise.Model{noise.Uniform(0.00303), noise.IID{Gate: 0.02, Init: 0.05}, noise.PerfectInit(0.04), noise.Uniform(0.2)}
+}
+
+// compactModels run light enough to skip most lanes (ρ/2), with two
+// samplers, with unsampled inits, and heavy enough to fill the queue's
+// fault buffer mid-block.
+var compactModels = []noise.Model{noise.Uniform(0.00303), noise.IID{Gate: 0.02, Init: 0.05}, noise.PerfectInit(0.04), noise.Uniform(0.2)}
+
+// TestCompactedMatchesWalkAll: on every certified d, model, K and worker
+// count, from a nonzero start and with a partial final block, no lane a
+// compacted batch skips fails when walked (checkSkippedLanes), and the
+// compacted estimate is the same at every K and worker count: it draws
+// each block's lanes once, whatever the width of the walk. The compacted
+// and walk-every-lane paths draw different streams, so their agreement
+// is statistical (TestCompactedAgreesWithWalkAll).
+func TestCompactedMatchesWalkAll(t *testing.T) {
 	const start, trials = 2 * sim.BlockTrials, 3*sim.BlockTrials + 77
-	for _, tg := range targets {
-		for _, m := range models {
+	for _, tg := range compactTargets() {
+		for _, m := range compactModels {
+			var first sim.Result
 			for _, words := range []int{1, 4, 8} {
 				for _, workers := range []int{1, 2} {
-					checkCompactedEqual(t, tg.t, tg.in, m, words, workers, start, trials)
+					res := checkSkippedLanes(t, tg.t, tg.in, m, words, workers, start, trials)
+					if words == 1 && workers == 1 {
+						first = res
+					} else if res != first {
+						t.Errorf("%s %+v: compacted %+v at K=%d workers=%d, %+v at K=1 workers=1",
+							tg.t.Name, m, res.Bernoulli, words, workers, first.Bernoulli)
+					}
 				}
+			}
+		}
+	}
+}
+
+// TestCompactedAgreesWithWalkAll: compacted estimates agree with
+// walk-every-lane estimates of the same target and model, 2^17 trials
+// each, within |z| ≤ 4 on the two-sample binomial statistic (two-sided
+// tail 6.3e-5 per pair, about 1.5e-3 over the 24 pairs).
+func TestCompactedAgreesWithWalkAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 estimates of 2^17 trials")
+	}
+	const trials = 1 << 17
+	for _, tg := range compactTargets() {
+		for _, m := range compactModels {
+			all := estimate(t, tg.t, tg.in, m, false, 8, 2, 0, trials)
+			compact := estimate(t, tg.t, tg.in, m, true, 8, 2, 0, trials)
+			a, c := float64(all.Successes), float64(compact.Successes)
+			pool := (a + c) / (2 * trials)
+			z := 0.0
+			if pool > 0 && pool < 1 {
+				z = (c - a) / trials / math.Sqrt(pool*(1-pool)*2/trials)
+			}
+			t.Logf("%s %+v: compacted %v, walking every lane %v: z = %.2f", tg.t.Name, m, compact.Bernoulli, all.Bernoulli, z)
+			if math.Abs(z) > 4 {
+				t.Errorf("%s %+v: compacted %v, walking every lane %v: z = %.2f", tg.t.Name, m, compact.Bernoulli, all.Bernoulli, z)
 			}
 		}
 	}
@@ -288,32 +350,42 @@ func TestCompactedAllocationsFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkCompactCrossover measures lanes512 ns/trial on the level-2
-// gadget walking every lane and compacting, across g around where the
-// two cross; walked/lane is the program's expected walked fraction at the
-// certified d (3), the quantity compaction is chosen by. Run it with
-// `go test ./internal/core -run '^$' -bench CompactCrossover -cpu 1`.
+// BenchmarkCompactCrossover measures lanes512 ns/trial walking every
+// lane and compacting, on the level-1 gadget (d = 2) and the level-2
+// gadget (d = 3) across g where the two paths cross; walked/lane is the
+// program's expected walked share at the certified d, the quantity
+// compaction is chosen by. Run it with `go test ./internal/core -run '^$'
+// -bench CompactCrossover -cpu 1`, each (g, path) in its own invocation
+// when comparing paths on a noisy host.
 func BenchmarkCompactCrossover(b *testing.B) {
-	g := core.NewGadget(gate.MAJ, 2)
-	d := core.Certify(g.Target, core.Uniform, core.PairBudget)
-	for _, p := range []float64{0.0024, 0.003, 0.0034, 0.0038, 0.0042, 0.0046, 0.005, 0.0056} {
-		m := noise.Uniform(p)
-		f := g.CompileWide(m, 8).WalkedFraction(d)
-		for _, mode := range []struct {
-			name  string
-			below float64
-		}{{"all", -1}, {"compact", 2}} {
-			b.Run(fmt.Sprintf("g=%g/%s", p, mode.name), func(b *testing.B) {
-				defer core.SetCompactBelow(core.SetCompactBelow(mode.below))
-				if _, err := g.Estimate(context.Background(), core.Uniform, core.Noisy(m), 8, 0, sim.BlockTrials, 1, 1); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				if _, err := g.Estimate(context.Background(), core.Uniform, core.Noisy(m), 8, 0, b.N, 1, 1); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(f, "walked/lane")
-			})
+	for _, c := range []struct {
+		level int
+		gs    []float64
+	}{
+		{1, []float64{0.01, 0.015, 0.02, 0.025, 0.03, 0.04, 0.05}},
+		{2, []float64{0.003, 0.004, 0.0045, 0.005, 0.0055, 0.006, 0.007}},
+	} {
+		g := core.NewGadget(gate.MAJ, c.level)
+		d := core.Certify(g.Target, core.Uniform, core.PairBudget)
+		for _, p := range c.gs {
+			m := noise.Uniform(p)
+			f := g.CompileWide(m, 8).WalkedFraction(d)
+			for _, mode := range []struct {
+				name  string
+				below float64
+			}{{"all", -1}, {"compact", 2}} {
+				b.Run(fmt.Sprintf("L%d/g=%g/%s", c.level, p, mode.name), func(b *testing.B) {
+					defer core.SetCompactBelow(core.SetCompactBelow(mode.below))
+					if _, err := g.Estimate(context.Background(), core.Uniform, core.Noisy(m), 8, 0, sim.BlockTrials, 1, 1); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					if _, err := g.Estimate(context.Background(), core.Uniform, core.Noisy(m), 8, 0, b.N, 1, 1); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(f, "walked/lane")
+				})
+			}
 		}
 	}
 }

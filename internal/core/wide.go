@@ -15,16 +15,17 @@ package core
 // fails: d = 2 when no single fault on a live point fails on any input
 // of the domain, and d = 3 when moreover no pair of such faults fails
 // (the pair stage, pairs.go); d = 1 when only the noiseless run is right
-// on every input, d = 0 otherwise. A batch draws its inputs and its whole
-// fault schedule as a walk-every-lane batch would, queues the lanes
-// holding at least d live faults and walks the queue 64·words lanes at a
-// time; the other lanes succeed. A lane's outcome depends only on its own input and
-// faults, so every count is the walk-every-lane count.
+// on every input, d = 0 otherwise. A compacting batch draws only the
+// lanes holding at least d live faults, with the program's count-first
+// producer (lanes.Tail), and their inputs, queues them and walks the
+// queue 64·words lanes at a time; the other lanes succeed. Its estimates
+// have the walk-every-lane batch's law, not its bytes.
 
 import (
 	"context"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"revft/internal/circuit"
 	"revft/internal/gate"
@@ -61,11 +62,14 @@ type laneCerts struct {
 // laneProgram is a compiled program of a target with what it was
 // compiled for: the fault probability of each gate kind (allKinds order,
 // as lanes.ClampProb clamps it) and the block width. The target's circuit
-// and decoded wires fix the rest.
+// and decoded wires fix the rest. tail is the program's count-first
+// producer for the latest d a compacting batch asked for, built on first
+// use, never at compile time.
 type laneProgram struct {
 	probs []float64
 	words int
 	prog  *lanes.WideProgram
+	tail  *lanes.Tail
 }
 
 // allKinds is gate.Kinds(), the order of a laneProgram's probabilities.
@@ -94,6 +98,25 @@ func (t Target) program(m noise.Model, words int) *lanes.WideProgram {
 	return lp.prog
 }
 
+// tail returns prog's count-first producer for d, kept with the target's
+// program when prog is it. A target built without a cache builds one on
+// every call.
+func (t Target) tail(prog *lanes.WideProgram, d int) *lanes.Tail {
+	if t.certs == nil {
+		return prog.Tail(d)
+	}
+	c := t.certs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.prog.prog != prog {
+		return prog.Tail(d)
+	}
+	if c.prog.tail == nil || c.prog.tail.D() != d {
+		c.prog.tail = prog.Tail(d)
+	}
+	return c.prog.tail
+}
+
 // matches reports whether lp was compiled for m at words.
 func (lp laneProgram) matches(m noise.Model, words int) bool {
 	if lp.words != words {
@@ -111,10 +134,9 @@ func (lp laneProgram) matches(m noise.Model, words int) bool {
 // faults on a program of points fault points. They hold nothing from one
 // batch to the next, so the chunk estimates of an adaptive sweep on one
 // target reuse one set per worker instead of allocating and collecting
-// one per estimate (67 KB for the level-2 gadget at 512 lanes).
+// one per estimate.
 type laneBuffers struct {
-	live   []lanes.Fault // the batch's faults on live points
-	buf    []lanes.Fault // ev's backing array, one spare slot past its capacity
+	ev     []lanes.Fault // queued faults, Lane the queue slot, in lane order
 	sorted []lanes.Fault // ev in point order
 	count  []int32       // by point: the counting sort's offsets
 }
@@ -126,14 +148,14 @@ func (c *laneCerts) buffers(n, points int) *laneBuffers {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		for i, b := range c.spare {
-			if len(b.buf) == n+1 && len(b.count) == points+1 {
+			if cap(b.ev) == n && len(b.count) == points+1 {
 				c.spare = append(c.spare[:i], c.spare[i+1:]...)
+				b.ev = b.ev[:0]
 				return b
 			}
 		}
 	}
-	return &laneBuffers{live: make([]lanes.Fault, 0, n), buf: make([]lanes.Fault, n+1),
-		sorted: make([]lanes.Fault, n), count: make([]int32, points+1)}
+	return &laneBuffers{ev: make([]lanes.Fault, 0, n), sorted: make([]lanes.Fault, n), count: make([]int32, points+1)}
 }
 
 // release keeps bs for the target's next estimates.
@@ -370,14 +392,13 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 // expected share of lanes holding d live faults is below compactBelow;
 // the target is not audited when even d = 3 would not compact.
 //
-// Every fault event is added to the context registry's "lanes.faults"
-// counter and every walked lane slot to "lanes.walked". The fault count
-// is per lane SLOT, not per counted trial: the engine draws faults for
-// every lane of a block, so faults in the excess slots of a partial final
-// block (which are never counted) are counted too. Per-trial fault rates
-// must therefore be normalized by "lanes.slots", never by "lanes.trials";
-// the two differ whenever trials is not a multiple of the block's lane
-// count.
+// Every fault drawn is added to the context registry's "lanes.faults"
+// counter and every walked lane slot to "lanes.walked". A batch that
+// walks every lane draws faults for every lane slot of a block, the
+// excess slots of a partial final block included, so its per-trial fault
+// rate must be normalized by "lanes.slots", never by "lanes.trials". A
+// compacting batch draws only the walked lanes' live faults, so there the
+// counter is E[K | K ≥ d] per walked lane, not a fault rate of the slots.
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (newBatch func() sim.WideBatch, done func()) {
 	prog := t.program(m, words)
 	d := 0
@@ -386,25 +407,19 @@ func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (
 			d = 0
 		}
 	}
+	var tail *lanes.Tail
+	if d > 0 {
+		tail = t.tail(prog, d)
+	}
 	reg := telemetry.Active(ctx)
 	faults, walked := reg.Counter("lanes.faults"), reg.Counter("lanes.walked")
 	var mu sync.Mutex
 	var used []*laneBuffers
 	newBatch = func() sim.WideBatch {
-		b := &laneBatch{prog: prog, in: in, d: d, chk: t.newLaneCheck(words), hit: make([]uint64, words),
+		b := &laneBatch{prog: prog, tail: tail, in: in, chk: t.newLaneCheck(words), hit: make([]uint64, words),
 			faults: faults, walked: walked, first: -1}
-		if d > 0 {
-			if !in.fixed {
-				b.draws = make([][]uint64, len(t.In))
-				for i := range b.draws {
-					b.draws[i] = make([]uint64, words)
-				}
-			}
-			for i := range b.slot {
-				b.slot[i] = noSlot
-			}
+		if tail != nil {
 			b.laneBuffers = t.certs.buffers(4*prog.Lanes()+prog.Points(), prog.Points())
-			b.ev = b.buf[:0]
 			mu.Lock()
 			used = append(used, b.laneBuffers)
 			mu.Unlock()
@@ -414,53 +429,51 @@ func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (
 	return newBatch, func() { t.certs.release(used) }
 }
 
-// laneBatch is one worker's lane batch of a target. With d = 0 it walks
-// every lane of every batch: draw or broadcast the logical inputs
-// lane-wise, encode, run the compiled program, evaluate the logical
-// circuit on the input words in place, and set each lane's hit bit when
-// any decoded output differs. With d ≥ 1 it queues the lanes holding at
-// least d faults on live points, with their inputs and those faults, and
-// walks the queue when it holds 64·K lanes or its fault buffer is full,
-// and on Flush.
+// laneBatch is one worker's lane batch of a target. Without a tail
+// producer it walks every lane of every batch: draw or broadcast the
+// logical inputs lane-wise, encode, run the compiled program, evaluate
+// the logical circuit on the input words in place, and set each lane's
+// hit bit when any decoded output differs. With one it queues the lanes
+// the producer draws, those holding at least d live faults, with their
+// inputs and faults, and walks the queue when it holds 64·K lanes or its
+// fault buffer could not take the next lane's faults, and on Flush.
 type laneBatch struct {
 	prog           *lanes.WideProgram
+	tail           *lanes.Tail // nil: walk every lane
 	in             Input
-	d              int
-	chk            *laneCheck // with d ≥ 1, chk.vals holds the queued lanes' operands
+	chk            *laneCheck // with a tail, chk.vals holds the queued lanes' operands
 	hit            []uint64
 	faults, walked *telemetry.Counter
 
-	*laneBuffers // with d ≥ 1: the fault buffers
+	*laneBuffers // with a tail: the fault buffers
 
-	draws  [][]uint64                   // the batch's drawn operand words
-	cnt    [sim.BlockTrials]uint32      // by batch lane: its live faults
-	slot   [sim.BlockTrials]uint16      // by batch lane: its queue slot, noSlot if not queued
-	queued [sim.BlockTrials / 64]uint64 // the batch's queued lanes
-
-	n, reserved int           // queued lanes; their faults, appended to ev or not
-	ev          []lanes.Fault // queued faults, Lane the queue slot; sorted runs
-	unsorted    bool          // ev is out of point order
-	first       int           // the lowest block with a queued lane, -1 when none is
-	nWalked     int64         // lane slots walked since the last Flush
+	n       int                          // queued lanes
+	first   int                          // the lowest block with a queued lane, -1 when none is
+	nWalked int64                        // lane slots walked since the last Flush
+	skipped [sim.BlockTrials / 64]uint64 // queue slots holding skipped lanes (skippedHook)
 }
 
-// laneMask bounds a batch's lane indices: the harness runs at most
-// BlockTrials lanes per batch.
-const laneMask = sim.BlockTrials - 1
+// skippedHook, set only by tests, makes compacting batches also draw
+// every lane the producer skips, from the law of its live-fault count
+// given fewer than d, on a generator of their own, and walk it with the
+// queued lanes: the certificate says none of them fails. Their hits go to
+// the hook, not to the estimate, which is the estimate without the hook.
+var skippedHook *skippedLanes
 
-const noSlot = 0xffff
+// skippedLanes counts the lanes skippedHook made batches draw, their
+// faults and the ones that failed.
+type skippedLanes struct{ lanes, faults, hits atomic.Int64 }
 
 func (b *laneBatch) Pending() int { return b.first }
 
 func (b *laneBatch) Block(r *rng.RNG, block, n int) (hits, batches int) {
 	unit := b.prog.Lanes()
+	batches = (n + unit - 1) / unit
+	if b.tail != nil {
+		return b.enqueue(r, block, n), batches
+	}
 	for ran := 0; ran < n; ran += unit {
-		if b.d == 0 {
-			hits += b.walkAll(r, min(unit, n-ran))
-		} else {
-			hits += b.enqueue(r, block, min(unit, n-ran))
-		}
-		batches++
+		hits += b.walkAll(r, min(unit, n-ran))
 	}
 	return hits, batches
 }
@@ -496,90 +509,71 @@ func popcount(w []uint64) int {
 	return n
 }
 
-// enqueue draws one batch with walkAll's randomness and queues its first
-// n lanes that hold at least d live faults, walking the queue whenever it
-// fills; it returns the hits of those walks.
+// enqueue draws the lanes among the block's first n that hold at least d
+// live faults, with the tail producer, and queues each with its faults
+// and input, walking the queue whenever it fills; it returns the hits of
+// those walks.
 func (b *laneBatch) enqueue(r *rng.RNG, block, n int) (hits int) {
-	if !b.in.fixed {
-		for i := range b.draws {
-			for k := range b.draws[i] {
-				b.draws[i][k] = r.Uint64()
-			}
+	h := skippedHook
+	var hr rng.RNG
+	if h != nil {
+		hr.Seed(rng.SplitMix(0x5c1bbed, uint64(block)))
+	}
+	drawn, next := 0, int64(0) // next: the first lane not drawn yet
+	for lane := b.tail.Gap(r); lane < int64(n); lane += 1 + b.tail.Gap(r) {
+		if h != nil {
+			hits += b.skip(h, &hr, block, lane-next)
 		}
+		k := b.tail.Count(r)
+		hits += b.queue(r, block, k)
+		drawn += k
+		next = lane + 1
 	}
-	live, f := b.prog.Draw(r, b.live[:0])
-	b.live = live
-	if f > 0 {
-		b.faults.Add(int64(f))
+	if h != nil {
+		hits += b.skip(h, &hr, block, int64(n)-next)
 	}
-	d := uint32(b.d)
-	for _, e := range live {
-		l := e.Lane & laneMask
-		c := b.cnt[l] + 1
-		b.cnt[l] = c
-		// Branch-free: set lane l's bit when its count reaches d.
-		b.queued[l>>6] |= uint64((c^d)-1) >> 31 & 1 << (l & 63)
-	}
-	queued := b.queued[:b.prog.Words()]
-	sim.MaskLanes(queued, n)
-	lo := 0 // the batch's lanes below lo are in ev
-	for k, w := range queued {
-		for ; w != 0; w &= w - 1 {
-			lane := 64*k + bits.TrailingZeros64(w)
-			if b.n == b.prog.Lanes() || b.reserved+int(b.cnt[lane]) >= len(b.buf) {
-				b.append(lo, lane)
-				hits += b.Flush()
-				lo = lane
-			}
-			s := b.n
-			b.slot[lane], b.n, b.reserved = uint16(s), s+1, b.reserved+int(b.cnt[lane])
-			for i, dw := range b.draws {
-				b.chk.vals[i][s>>6] |= (dw[k] >> uint(lane&63) & 1) << uint(s&63)
-			}
-			if b.first < 0 {
-				b.first = block
-			}
-		}
-	}
-	b.append(lo, b.prog.Lanes())
-	for _, e := range live {
-		b.cnt[e.Lane&laneMask] = 0
-	}
-	for k, w := range queued {
-		for ; w != 0; w &= w - 1 {
-			b.slot[64*k+bits.TrailingZeros64(w)] = noSlot
-		}
-		queued[k] = 0
+	if drawn > 0 {
+		b.faults.Add(int64(drawn))
 	}
 	return hits
 }
 
-// append adds the live faults of the batch's queued lanes in [lo, hi) to
-// ev, each on its lane's queue slot.
-func (b *laneBatch) append(lo, hi int) {
-	ev, from := b.ev, len(b.ev)
-	if lo == 0 && hi == b.prog.Lanes() {
-		// Branch-free: write every fault past the end and keep those of
-		// queued lanes, the last write landing at most on the spare slot.
-		buf, n := b.buf, from
-		for _, e := range b.live {
-			s := b.slot[e.Lane&laneMask]
-			buf[n] = lanes.Fault{Point: e.Point, Lane: s, Bits: e.Bits}
-			n += int((uint32(s) - noSlot) >> 31)
-		}
-		ev = buf[:n]
-	} else {
-		for _, e := range b.live {
-			l := e.Lane & laneMask
-			if s := b.slot[l]; s != noSlot && int(l) >= lo && int(l) < hi {
-				ev = append(ev, lanes.Fault{Point: e.Point, Lane: s, Bits: e.Bits})
+// queue queues one lane holding k live faults, drawing its faults and
+// input from r, after walking the queue if it is full or its fault buffer
+// could not take k more; it returns the hits of that walk.
+func (b *laneBatch) queue(r *rng.RNG, block, k int) (hits int) {
+	if b.n == b.prog.Lanes() || len(b.ev)+k > cap(b.ev) {
+		hits = b.Flush()
+	}
+	s := b.n
+	b.n++
+	b.ev = b.tail.Faults(r, k, uint16(s), b.ev)
+	if !b.in.fixed {
+		var x uint64
+		for i, v := range b.chk.vals {
+			if i&63 == 0 {
+				x = r.Uint64()
 			}
+			v[s>>6] |= (x >> uint(i&63) & 1) << uint(s&63)
 		}
 	}
-	if from > 0 && len(ev) > from && ev[from].Point < ev[from-1].Point {
-		b.unsorted = true
+	if b.first < 0 {
+		b.first = block
 	}
-	b.ev = ev
+	return hits
+}
+
+// skip queues m lanes the producer skipped, for skippedHook, each with a
+// live-fault count below d drawn from hr.
+func (b *laneBatch) skip(h *skippedLanes, hr *rng.RNG, block int, m int64) (hits int) {
+	for ; m > 0; m-- {
+		k := b.tail.Head(hr)
+		hits += b.queue(hr, block, k)
+		b.skipped[(b.n-1)>>6] |= 1 << uint((b.n-1)&63)
+		h.lanes.Add(1)
+		h.faults.Add(int64(k))
+	}
+	return hits
 }
 
 // Flush walks the queued lanes, adds the lane slots walked since the
@@ -594,38 +588,41 @@ func (b *laneBatch) Flush() (hits int) {
 	return hits
 }
 
-// walkQueue walks the queued lanes, empties the queue and returns their
-// hits.
+// walkQueue walks the queued lanes, their faults counting-sorted into
+// point order, empties the queue and returns their hits.
 func (b *laneBatch) walkQueue() int {
-	plan := b.ev
-	if b.unsorted {
-		cnt := b.count
-		clear(cnt)
-		for _, e := range b.ev {
-			cnt[e.Point+1]++
-		}
-		for i := 1; i < len(cnt); i++ {
-			cnt[i] += cnt[i-1]
-		}
-		for _, e := range b.ev {
-			b.sorted[cnt[e.Point]] = e
-			cnt[e.Point]++
-		}
-		plan = b.sorted[:len(b.ev)]
+	cnt := b.count
+	clear(cnt)
+	for _, e := range b.ev {
+		cnt[e.Point+1]++
+	}
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for _, e := range b.ev {
+		b.sorted[cnt[e.Point]] = e
+		cnt[e.Point]++
 	}
 	c, nw := b.chk, (b.n+63)/64
 	if b.in.fixed {
 		c.broadcast(b.in.in)
 	}
 	c.encode()
-	b.prog.RunPlan(c.st, plan)
+	b.prog.RunPlan(c.st, b.sorted[:len(b.ev)])
 	b.nWalked += int64(b.prog.Lanes())
 	hit := b.hit[:nw]
 	c.wrong(hit)
 	sim.MaskLanes(hit, b.n)
+	if skippedHook != nil {
+		for k, w := range hit {
+			skippedHook.hits.Add(int64(bits.OnesCount64(w & b.skipped[k])))
+			hit[k] &^= b.skipped[k]
+		}
+		clear(b.skipped[:])
+	}
 	for i := range c.vals {
 		clear(c.vals[i])
 	}
-	b.n, b.reserved, b.ev, b.unsorted, b.first = 0, 0, b.ev[:0], false, -1
+	b.n, b.ev, b.first = 0, b.ev[:0], -1
 	return popcount(hit)
 }

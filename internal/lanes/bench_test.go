@@ -13,9 +13,11 @@ import (
 
 // BenchmarkBatch times one 512-lane batch of each layer of the engine on
 // the level-2 gadget's program at the threshold sweep's ρ/10 and ρ/2:
-// Draw (the fault schedule alone), Run (schedule and walk), RunPlan (the
-// walk of Draw's live faults) and RunNoiseless (the walk with no fault).
-// ns/op is per batch; faults/batch is the fault count Draw and Run
+// Draw (the geometric fault schedule alone), Tail (the count-first
+// producer's draw of the batch's lanes holding ≥ 3 live faults, the
+// compacted batches' draw), Run (schedule and walk), RunPlan (the walk of
+// Draw's live faults) and RunNoiseless (the walk with no fault). ns/op
+// is per batch; faults/batch is the fault count Draw, Tail and Run
 // return and the plan length RunPlan walks. Run it with
 // `go test ./internal/lanes -run '^$' -bench Batch -cpu 1`.
 func BenchmarkBatch(b *testing.B) {
@@ -35,6 +37,18 @@ func BenchmarkBatch(b *testing.B) {
 				var f int
 				live, f = prog.Draw(r, live[:0])
 				n += f
+			}
+			b.ReportMetric(float64(n)/float64(b.N), "faults/batch")
+		})
+		b.Run(fmt.Sprintf("g=%g/Tail", p), func(b *testing.B) {
+			tl := prog.Tail(3)
+			r, buf, n := rng.New(2), []lanes.Fault(nil), 0
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for lane := tl.Gap(r); lane < int64(prog.Lanes()); lane += 1 + tl.Gap(r) {
+					buf = tl.Faults(r, tl.Count(r), uint16(lane), buf)
+				}
+				n += len(buf)
 			}
 			b.ReportMetric(float64(n)/float64(b.N), "faults/batch")
 		})

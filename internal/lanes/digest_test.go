@@ -16,7 +16,7 @@ import (
 )
 
 // The producer pins: digests of everything Draw, Run and RunPlan return
-// or leave behind — each batch's live fault list, fault counts, final
+// or leave behind, and of the count-first producer's draws — each batch's live fault list, fault counts, final
 // states and the generator's next draw — on the circuits and noise
 // models the threshold sweep and the golden sweeps run. A rewrite of the
 // sampler, the walk or the generator that moves any random bit, any
@@ -133,6 +133,66 @@ func TestProducerDigestPinned(t *testing.T) {
 				if got := producerDigest(prog, pg.c.Width(), 4, 2026); got != want[key] {
 					t.Errorf("%s: digest %#016x, want %#016x", key, got, want[key])
 				}
+			}
+		}
+	}
+}
+
+// tailDigest draws blocks 512-lane blocks of the count-first producer
+// from seed, d live faults and up, the way a compacting batch does — the
+// gaps, each selected lane's count and faults — and hashes them with the
+// generator's next draw.
+func tailDigest(prog *lanes.WideProgram, d, blocks int, seed uint64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	tl := prog.Tail(d)
+	r := rng.New(seed)
+	var faults []lanes.Fault
+	for block := 0; block < blocks; block++ {
+		for lane := tl.Gap(r); lane < 512; lane += 1 + tl.Gap(r) {
+			k := tl.Count(r)
+			put(uint64(lane)<<32 | uint64(k))
+			faults = tl.Faults(r, k, uint16(lane), faults[:0])
+			for _, f := range faults {
+				put(uint64(f.Point)<<32 | uint64(f.Lane)<<8 | uint64(f.Bits))
+			}
+		}
+	}
+	put(r.Uint64())
+	return h.Sum64()
+}
+
+// TestTailDigestPinned pins the count-first producer's draws, four blocks
+// at seed 2026, on the producer pins' programs and models, at the d each
+// program's target certifies (level-1 gadget 2, level-2 gadget 3, bare
+// adder 1). A rewrite of the producer that moves any random bit, count or
+// fault of a compacted estimate fails here.
+func TestTailDigestPinned(t *testing.T) {
+	d := map[string]int{"gadget1": 2, "gadget2": 3, "adder": 1}
+	want := map[string]uint64{
+		"gadget1/rho/10": 0xd766a0688eb998de,
+		"gadget1/rho/2":  0x4ac7b47c1530d22e,
+		"gadget1/iid":    0x2df863a68363c3ff,
+		"gadget1/p=1":    0x764e66f05ba499a5,
+		"gadget2/rho/10": 0x45f18ad69bf2760d,
+		"gadget2/rho/2":  0x902400ee175ff61f,
+		"gadget2/iid":    0x6001bf0df8e00908,
+		"gadget2/p=1":    0x22de3a7daeb3b50f,
+		"adder/rho/10":   0x6ae7083609dcb9db,
+		"adder/rho/2":    0xf128ed50f4754d5b,
+		"adder/iid":      0x5d0a19ffb3eaaa96,
+		"adder/p=1":      0xdd3a96041c08c863,
+	}
+	for _, pg := range digestPrograms() {
+		for _, dm := range digestModels {
+			key := fmt.Sprintf("%s/%s", pg.name, dm.name)
+			prog := lanes.CompileWideFor(pg.c, dm.m, 8, pg.outs)
+			if got := tailDigest(prog, d[pg.name], 4, 2026); got != want[key] {
+				t.Errorf("%s: digest %#016x, want %#016x", key, got, want[key])
 			}
 		}
 	}

@@ -22,6 +22,8 @@
 // its replacement bits. Run takes each batch in two passes: it draws the
 // batch's faults as a schedule of (fault point, lane, bits) events, then
 // walks the ops, running every op before the next event as one kernel.
+// A caller that walks only the lanes holding at least d live faults draws
+// them count first with Tail (tail.go) and walks them with RunPlan.
 //
 // A caller that decodes only some wires names them to CompileWideFor,
 // and the ops whose results reach none of them are not run: the faults

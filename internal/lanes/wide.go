@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"revft/internal/circuit"
 	"revft/internal/code"
@@ -370,16 +369,20 @@ func (p *WideProgram) FaultBits(pt int, v uint64) uint8 {
 
 // WalkedFraction returns the probability that a lane of a batch holds at
 // least d faults on live points, by the compiled fault probabilities: the
-// share of lanes a caller that walks only those lanes walks.
+// share of lanes a caller that walks only those lanes walks. It sums the
+// mass that reaches d faults point by point rather than subtracting the
+// mass below d from 1, so a share of 1e-12 keeps its digits.
 func (p *WideProgram) WalkedFraction(d int) float64 {
 	if d <= 0 {
 		return 1
 	}
 	q := make([]float64, d) // q[k]: P(exactly k live faults) so far
 	q[0] = 1
+	f := 0.0 // P(at least d) so far
 	for _, s := range p.samplers {
 		for _, pt := range s.points {
 			if pt&liveBit != 0 {
+				f += q[d-1] * s.p
 				for k := d - 1; k > 0; k-- {
 					q[k] = q[k]*(1-s.p) + q[k-1]*s.p
 				}
@@ -387,11 +390,7 @@ func (p *WideProgram) WalkedFraction(d int) float64 {
 			}
 		}
 	}
-	f := 1.0
-	for _, x := range q {
-		f -= x
-	}
-	return max(0, f)
+	return f
 }
 
 // sampler returns the index of the sampler of fault probability pr,
@@ -608,30 +607,10 @@ func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	return sc.gen.faults
 }
 
-// Draw draws a batch's fault schedule with exactly Run's randomness and
-// returns it without walking: it appends the faults on live points to
-// live, in point order, and returns the extended slice with the count of
-// every fault, as Run would. Walking the appended faults with RunPlan
-// leaves the wires the program was compiled for as Run leaves them.
-func (p *WideProgram) Draw(r *rng.RNG, live []Fault) ([]Fault, int) {
-	gen := stream{p: p, r: r}
-	gen.start()
-	for {
-		if len(live) == cap(live) {
-			live = slices.Grow(live, chunk)
-		}
-		n := gen.fill(live[len(live):cap(live)])
-		live = live[:len(live)+n]
-		if gen.g >= int64(p.points) {
-			return live, gen.faults
-		}
-	}
-}
-
 // RunPlan executes the program on st with exactly the faults of plan,
 // in point order (ascending Point; any lane order within a point), and no
 // other: the plan producer feeding the walk. A fault's Bits come from the
-// geometric producer (Draw) or FaultBits. It panics when plan is out of
+// count-first producer (Tail) or FaultBits. It panics when plan is out of
 // order or names a point or lane outside the program.
 func (p *WideProgram) RunPlan(st WideState, plan []Fault) {
 	p.check(st)

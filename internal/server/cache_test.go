@@ -330,12 +330,11 @@ func TestReplayReusedRecord(t *testing.T) {
 }
 
 // formatDigest is spec's digest under the legacy sweep format v ∈
-// {1, …, 4}: the SHA-256 of its normalized canonical JSON — which under
+// {1, …, 5}: the SHA-256 of its normalized canonical JSON — which under
 // formats 1 and 2 still held shards and workers — bare under format 1
 // and behind a "v<v>" line since. It is what a server before the
-// format-2, format-3, format-4 or format-5 migration keyed jobs and cache
-// entries by. Those servers normalized shards to at least 1; normalize now
-// clears the field.
+// format-(v+1) migration keyed jobs and cache entries by. Those servers
+// normalized shards to at least 1; normalize now clears the field.
 func formatDigest(t *testing.T, spec JobSpec, v int) string {
 	t.Helper()
 	shards := max(spec.Shards, 1)
@@ -357,8 +356,8 @@ func formatDigest(t *testing.T, spec JobSpec, v int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCacheIgnoresFormatV1Entries: results stored before the format-2,
-// format-3, format-4 and format-5 migrations — under their old digests and
+// TestCacheIgnoresFormatV1Entries: results stored before the format-2
+// to format-6 migrations — under their old digests and
 // families — were computed by engines that consumed randomness
 // differently. They must be
 // neither served as an exact hit for the same spec nor grafted as a near
@@ -379,7 +378,7 @@ func TestCacheIgnoresFormatV1Entries(t *testing.T) {
 	_, data := runToResult(t, plain, super)
 	fam := super
 	fam.GMin, fam.GMax, fam.Points = 0, 0, 0
-	for _, v := range []int{1, 2, 3, 4} {
+	for _, v := range []int{1, 2, 3, 4, 5} {
 		var old Result
 		if err := json.Unmarshal(data, &old); err != nil {
 			t.Fatal(err)

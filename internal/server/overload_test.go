@@ -501,11 +501,11 @@ func TestGarbagePriorityRejectedBeforeMetrics(t *testing.T) {
 // makes preemption and weighted scheduling safe. The digest agrees:
 // priority is excluded, so all classes share one cache/checkpoint
 // identity, and the zero-priority digest is pinned against drift — and
-// against its format-1 to format-4 values, which pre-migration entries
+// against its format-1 to format-5 values, which pre-migration entries
 // carry.
 func TestPrioritySchedulingSeedStable(t *testing.T) {
 	base := testSpec()
-	const golden = "58a9459a4c3fcd95520bd18fa4ae2042ef641b5056986449f724768e875629a3"
+	const golden = "3eeadc28052dbee5117f07b72a60bf943b2134fda197d03cceeb032acc57536b"
 	if d := base.Digest(); d != golden {
 		t.Errorf("baseline spec digest = %s, want pinned %s (digests are identities: checkpoints and cache entries churn on drift)", d, golden)
 	}
@@ -514,6 +514,7 @@ func TestPrioritySchedulingSeedStable(t *testing.T) {
 		2: "8f0b6ae8e70d95c5361dd74e81f1eba49c99c01917266672ba5e23d0f0754167",
 		3: "b907a0970cd9daad2f2f6bda3b3ea50f89b60c307cd1e015b47dd00a034c71b5",
 		4: "110bb64b481198afe63b171eef546a8dc2952a2c7e2273a121799f68670d3bf5",
+		5: "58a9459a4c3fcd95520bd18fa4ae2042ef641b5056986449f724768e875629a3",
 	} {
 		if d := formatDigest(t, base, v); d != old || d == golden {
 			t.Errorf("format-%d digest = %s, want pinned %s, distinct from the current %s", v, d, old, golden)

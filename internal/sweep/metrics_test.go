@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -319,14 +320,16 @@ func TestResumeCheckpointWithVecs(t *testing.T) {
 	}
 }
 
-// ledgerPoint is fakePoint reporting into the lane counters too, as a
-// lane engine does; on interruption it moves lanes.walked before failing.
+// ledgerPoint is fakePoint reporting into the lane counters and two
+// workers' busy nanoseconds too, as a lane engine does; on interruption
+// it moves lanes.walked and a worker's nanoseconds before failing.
 func ledgerPoint(seed uint64, interruptAt int, cancel context.CancelFunc) PointFunc {
 	point := fakePoint(seed)
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		reg := telemetry.Active(ctx)
 		if pt == interruptAt && cancel != nil {
 			reg.Counter("lanes.walked").Add(13)
+			reg.Counter("sim.worker.00.nanos").Add(17)
 			cancel()
 			return nil, context.Canceled
 		}
@@ -334,17 +337,22 @@ func ledgerPoint(seed uint64, interruptAt int, cancel context.CancelFunc) PointF
 		reg.Counter("lanes.slots").Add(int64(trials))
 		reg.Counter("lanes.walked").Add(int64(trials / (pt + 2)))
 		reg.Counter("lanes.faults").Add(int64(3*pt + 1))
+		reg.Counter("sim.worker.00.nanos").Add(int64(1000*trials + pt))
+		reg.Counter("sim.worker.01.nanos").Add(int64(7 * trials))
 		return ests, err
 	}
 }
 
 // checkLedger checks a run's trace against its metrics: every completed
 // point_done event carries the ledger counters, its sim.trials delta is
-// its trials, and the deltas sum to the final snapshot minus the
-// baseline; a partial point carries none.
+// its trials, its engine nanoseconds and each estimate's relative
+// half-width and variance-time product; the counter and nanosecond
+// deltas sum to the final snapshot minus the baseline; a partial point
+// carries none of them.
 func checkLedger(t *testing.T, name string, trace []byte, base, final *telemetry.Snapshot, points int) {
 	t.Helper()
 	sum := map[string]int64{}
+	var sumNanos int64
 	done := 0
 	sc := bufio.NewScanner(bytes.NewReader(trace))
 	for sc.Scan() {
@@ -361,15 +369,28 @@ func checkLedger(t *testing.T, name string, trace []byte, base, final *telemetry
 			Trials   []int64          `json:"trials"`
 			Partial  bool             `json:"partial"`
 			Counters map[string]int64 `json:"counters"`
+			Timing   map[string]int64 `json:"timing"`
+			Rel      []*float64       `json:"rel_halfwidth"`
+			VT       []*float64       `json:"variance_time"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatal(err)
 		}
 		if ev.Partial {
-			if ev.Counters != nil {
-				t.Errorf("%s: partial point carries counters %v", name, ev.Counters)
+			if ev.Counters != nil || ev.Timing != nil || ev.Rel != nil {
+				t.Errorf("%s: partial point carries counters %v, timing %v or half-widths %v", name, ev.Counters, ev.Timing, ev.Rel)
 			}
 			continue
+		}
+		nanos := ev.Timing["engine_nanos"]
+		sumNanos += nanos
+		if len(ev.Rel) != len(ev.Trials) || len(ev.VT) != len(ev.Trials) {
+			t.Errorf("%s: %d half-widths and %d variance-time products for %d estimates", name, len(ev.Rel), len(ev.VT), len(ev.Trials))
+		}
+		for i := range ev.Rel {
+			if ev.Rel[i] == nil || ev.VT[i] == nil || math.Abs(*ev.VT[i]-float64(nanos)/1e9**ev.Rel[i]**ev.Rel[i]) > 1e-12 {
+				t.Errorf("%s: estimate %d half-width %v, variance-time %v at %d ns", name, i, ev.Rel[i], ev.VT[i], nanos)
+			}
 		}
 		done++
 		if len(ev.Counters) != len(ledgerCounters) || ev.Counters["sim.trials"] != ev.Trials[0] {
@@ -386,6 +407,9 @@ func checkLedger(t *testing.T, name string, trace []byte, base, final *telemetry
 		if want := final.Counters[k] - base.Counters[k]; sum[k] != want || want == 0 {
 			t.Errorf("%s: %s deltas sum to %d, final snapshot minus baseline is %d", name, k, sum[k], want)
 		}
+	}
+	if want := engineNanos(final.Counters) - engineNanos(base.Counters); sumNanos != want || want == 0 {
+		t.Errorf("%s: engine nanoseconds sum to %d, final snapshot minus baseline is %d", name, sumNanos, want)
 	}
 }
 

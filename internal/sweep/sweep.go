@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"revft/internal/chaos"
@@ -105,35 +106,41 @@ func (s StopRule) ConvergedBranch(ests []stats.Bernoulli) (bool, string) {
 	return true, branch
 }
 
-// MaxRelHalfWidth returns the loosest estimate's ratio of 95% Wilson
-// half-width to rate — the quantity Converged compares against RelTol,
-// reported in telemetry so every early-stop decision records the width
-// that triggered it. A zero-success estimate contributes its Wilson upper
-// bound divided by ZeroScale (the quantity the fallback branch compares
-// against RelTol) when ZeroScale is set, and math.Inf(1) otherwise; an
-// empty slice yields math.Inf(1).
+// MaxRelHalfWidth returns the loosest estimate's RelHalfWidth — the
+// quantity Converged compares against RelTol, reported in telemetry so
+// every early-stop decision records the width that triggered it — and
+// math.Inf(1) when an estimate has none or the slice is empty.
 func (s StopRule) MaxRelHalfWidth(ests []stats.Bernoulli) float64 {
 	if len(ests) == 0 {
 		return math.Inf(1)
 	}
 	max := 0.0
 	for _, e := range ests {
-		var rel float64
-		if e.Successes == 0 {
-			if s.ZeroScale <= 0 {
-				return math.Inf(1)
-			}
-			_, hi := e.Wilson(1.96)
-			rel = hi / s.ZeroScale
-		} else {
-			lo, hi := e.Wilson(1.96)
-			rel = (hi - lo) / 2 / e.Rate()
+		rel, ok := s.RelHalfWidth(e)
+		if !ok {
+			return math.Inf(1)
 		}
 		if rel > max {
 			max = rel
 		}
 	}
 	return max
+}
+
+// RelHalfWidth returns e's ratio of 95% Wilson half-width to rate. A
+// zero-success estimate has no such ratio: it contributes its Wilson
+// upper bound divided by ZeroScale (the quantity the fallback branch
+// compares against RelTol) when ZeroScale is set, and ok = false
+// otherwise.
+func (s StopRule) RelHalfWidth(e stats.Bernoulli) (rel float64, ok bool) {
+	lo, hi := e.Wilson(1.96)
+	if e.Successes > 0 {
+		return (hi - lo) / 2 / e.Rate(), true
+	}
+	if s.ZeroScale <= 0 {
+		return 0, false
+	}
+	return hi / s.ZeroScale, true
 }
 
 // Spec identifies a sweep for checkpoint compatibility. The digest covers
@@ -169,7 +176,10 @@ type Spec struct {
 // compiles each source op to its own lane op with one fault point, which
 // moves the bare adder's lane results: its UMA triples, once fused into
 // one kernel, had mapped replacement bits onto their wires differently.
-const FormatVersion = 5
+// Version 6 draws a compacting lane batch's lanes count first
+// (lanes.Tail): only the lanes holding at least d live faults, with the
+// same law, so every compacted estimate's bytes move.
+const FormatVersion = 6
 
 // DigestBytes returns the hex SHA-256 of "revft spec v<FormatVersion>\n"
 // followed by canonical, a spec's canonical JSON encoding.
@@ -605,6 +615,9 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		if err == nil && r.Metrics != nil {
 			now = r.Metrics.Snapshot()
 			fields["counters"] = ledgerDeltas(last, now.Counters)
+			nanos := engineNanos(now.Counters) - engineNanos(last)
+			fields["timing"] = map[string]int64{"engine_nanos": nanos}
+			fields["rel_halfwidth"], fields["variance_time"] = r.Spec.Stop.precision(p.Ests, float64(nanos)/1e9)
 			last = now.Counters
 		}
 		r.Trace.EmitSpan("point_done", pspan, fields)
@@ -644,6 +657,36 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 // walked/slots is the point's walked share. Summed over a run's completed
 // points they equal the run's final snapshot minus its baseline.
 var ledgerCounters = []string{"sim.trials", "lanes.slots", "lanes.walked", "lanes.faults"}
+
+// engineNanos is the engine time in counters: the sum of every worker's
+// busy nanoseconds, sim.worker.NN.nanos. A completed point's point_done
+// event carries its change under "timing", apart from the deterministic
+// counters, since it is a timing.
+func engineNanos(counters map[string]int64) int64 {
+	var n int64
+	for name, v := range counters {
+		if strings.HasPrefix(name, "sim.worker.") && strings.HasSuffix(name, ".nanos") {
+			n += v
+		}
+	}
+	return n
+}
+
+// precision returns, for each estimate of a completed point, its
+// RelHalfWidth and its variance-time product: the point's engine seconds
+// times the relative half-width squared, which for a fixed estimator does
+// not depend on the trial count, lower being better. An estimate with no
+// RelHalfWidth reports nil for both.
+func (s StopRule) precision(ests []stats.Bernoulli, seconds float64) (rel, vt []any) {
+	for _, e := range ests {
+		if w, ok := s.RelHalfWidth(e); ok {
+			rel, vt = append(rel, w), append(vt, seconds*w*w)
+		} else {
+			rel, vt = append(rel, nil), append(vt, nil)
+		}
+	}
+	return rel, vt
+}
 
 // ledgerDeltas returns each ledger counter's change from from to to.
 func ledgerDeltas(from, to map[string]int64) map[string]int64 {
