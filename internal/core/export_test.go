@@ -30,6 +30,10 @@ func (h *SkippedLanes) Skipped() (lanes, faults, hits int64) {
 	return h.lanes.Load(), h.faults.Load(), h.hits.Load()
 }
 
+// Absorbed returns the drawn lanes the absorption windows certified,
+// which the hook walked with all their faults.
+func (h *SkippedLanes) Absorbed() int64 { return h.absorbed.Load() }
+
 // SetSkippedHook makes compacting batches also draw every lane their
 // producer skips and walk it beside the queued ones, counting in h (nil
 // turns it off), and returns the old hook.
@@ -104,5 +108,17 @@ func PairFailures(t Target) map[[2]int]int {
 // Certify is the d the lane audit certifies for t on in, with the given
 // pair-stage budget.
 func Certify(t Target, in Input, pairs int) int {
-	return t.audit(t.CompileWide(noise.Uniform(0), 8), in, pairs)
+	return t.audit(t.CompileWide(noise.Uniform(0), 8), in, pairs).d
+}
+
+// Windows runs t's pair stage for in, counting over every chunk, and
+// returns its absorption windows: the window of a fault on pt with
+// replacement bits b (as FaultBits writes them) on the input of index x
+// in the domain. ok is false when the stage kept none.
+func Windows(t Target, in Input) (window func(pt int, b uint8, x uint64) int, ok bool) {
+	w := t.auditPairs(in, 1<<40, true).win
+	if w == nil {
+		return nil, false
+	}
+	return func(pt int, b uint8, x uint64) int { return int(w.at[(pt<<3|int(b))<<w.shift|int(x)]) }, true
 }

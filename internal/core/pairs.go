@@ -33,8 +33,16 @@ package core
 //
 // Inputs beyond eight run in chunks of eight; the stage's noiseless
 // tables are rebuilt per chunk.
+//
+// The single-fault walks also yield each fault's absorption window, lane
+// by lane: the op after which no live wire differs from the noiseless
+// run. A certificate of d = 3 keeps them (windows), and compacting
+// batches drop a lane's leading fault when its next fault lies at or
+// past that op, since the lane then fails exactly when its other faults
+// alone do.
 
 import (
+	"math"
 	"math/bits"
 
 	"revft/internal/gate"
@@ -66,6 +74,35 @@ var valueBits = func() (vb [3]uint64) {
 	}
 	return vb
 }()
+
+// maxWindows bounds the entries of a windows table (2 bytes each); a
+// target whose table would be larger keeps none.
+const maxWindows = 1 << 22
+
+// windows are the absorption windows of every single fault on a live
+// point of a target, for one input domain: the op after which no live
+// wire differs from the noiseless run any more, len(ops) when a
+// difference reaches the end of the circuit, and the fault's own op when
+// it changes no live wire. They are indexed by the fault's point, its
+// replacement bits as FaultBits writes them (bits of targets the op does
+// not have are ignored) and the input's index in the domain. A fault
+// after the window meets the noiseless state on every live wire, so a
+// lane whose next fault lies at or past its first fault's window fails
+// exactly when the lane without that first fault does.
+type windows struct {
+	at    []int16 // by (point<<3 | bits)<<shift | input
+	shift uint    // log2 of the domain's inputs
+}
+
+// newWindows returns an empty table for a stage of n ops over a domain of
+// 1<<shift inputs, or nil when op indices do not fit an int16 or the
+// table would exceed maxWindows entries.
+func newWindows(n int, shift uint) *windows {
+	if n > math.MaxInt16 || shift > 18 || n<<3<<shift > maxWindows {
+		return nil
+	}
+	return &windows{at: make([]int16, n<<3<<shift), shift: shift}
+}
 
 // pairOp is one source op as the pair stage walks it.
 type pairOp struct {
@@ -285,6 +322,10 @@ type pairAudit struct {
 	// pairs is how many pairs inside a window were looked at, met how
 	// many of them were walked, and work the budget's units spent.
 	pairs, met, work int
+	// win holds every live point's absorption windows over the domain
+	// when the stage covered every chunk, as it has when clean (nil when
+	// the table would be too large).
+	win *windows
 }
 
 // pairWalker is the pair stage's scratch state for one target and input
@@ -311,6 +352,12 @@ type pairWalker struct {
 	seen      []int32         // by Out operand: the decode that last decoded it
 	decodes   int32
 	met, work int
+	// the absorption windows: by lane of the last single walk, the op
+	// that absorbed it; the table the chunk's walks are logged into (nil:
+	// none), and the chunk's first input
+	window [64]int32
+	win    *windows
+	base   int
 }
 
 // walkLog is a chunk's single-fault walks, flat: point j's visited ops
@@ -347,6 +394,7 @@ func (p *pairWalker) logWalks() {
 	for j := range p.s.ops {
 		if p.s.livePoint(j) {
 			p.single(j)
+			p.record(j)
 			l.ops = append(l.ops, p.visited...)
 			if p.reachedEnd {
 				for _, w := range p.ds.wires {
@@ -360,8 +408,8 @@ func (p *pairWalker) logWalks() {
 
 // single walks fault i's trajectory, every value and input of the chunk,
 // until it is absorbed or reaches the end, recording each visited op's
-// values, and returns the op past its window: the op that absorbed it, or
-// len(ops).
+// values and each lane's window, and returns the op past its window: the
+// op that absorbed it, or len(ops).
 func (p *pairWalker) single(i int) int {
 	ops, ch := p.s.ops, &p.ch
 	end := int32(len(ops))
@@ -375,11 +423,14 @@ func (p *pairWalker) single(i int) int {
 			p.ds.put(w, o.next[k])
 		}
 	}
+	alive := p.differing()
+	p.absorb(^alive, int32(i))
 	var vals [3]uint64
 	var ws [3][]uint64
 	m := int32(i)
 	for len(p.ds.wires) > 0 {
 		if m = p.ds.first(end); m == end {
+			p.absorb(alive, end)
 			p.reachedEnd = true
 			return int(end)
 		}
@@ -407,9 +458,49 @@ func (p *pairWalker) single(i int) int {
 		if p.covered(o) {
 			p.skip[m] = p.stamp
 		}
+		now := p.differing()
+		p.absorb(alive&^now, m)
+		alive = now
 	}
 	p.reachedEnd = false
 	return int(m)
+}
+
+// differing returns the lanes on which the trajectory differs from the
+// noiseless run on some live wire.
+func (p *pairWalker) differing() uint64 {
+	var m uint64
+	for _, w := range p.ds.wires {
+		m |= p.d[w]
+	}
+	return m
+}
+
+// absorb sets the window of the lanes in m to op.
+func (p *pairWalker) absorb(m uint64, op int32) {
+	for ; m != 0; m &= m - 1 {
+		p.window[bits.TrailingZeros64(m)] = op
+	}
+}
+
+// record logs the windows of point j's walk, as single last walked it,
+// into the table, for every replacement bits and every input of the
+// chunk: bits b leave target k the value's bit 2−k, as FaultBits.
+func (p *pairWalker) record(j int) {
+	if p.win == nil {
+		return
+	}
+	n := p.s.ops[j].n
+	for b := 0; b < 8; b++ {
+		v := 0
+		for k := 0; k < n; k++ {
+			v |= b >> (2 - k) & 1 << k
+		}
+		row := (j<<3|b)<<p.win.shift + p.base
+		for c := 0; c < p.ch.nx; c++ {
+			p.win.at[row+c] = int16(p.window[8*v+c])
+		}
+	}
 }
 
 // covered reports whether every wire of the trajectory's difference is a
@@ -612,9 +703,11 @@ func (t Target) auditPairs(in Input, budget int, count bool) pairAudit {
 		a.malignant = make(map[[2]int]int)
 	}
 	n := len(s.ops)
+	p.win = newWindows(n, uint(bits.TrailingZeros64(nin)))
 	var ins []uint64
 	var singles []uint64 // counting: by op, its single fault's failing lanes
 	for c := uint64(0); c < nin && p.work <= budget; c += chunkInputs {
+		p.base = int(c)
 		ins = ins[:0]
 		for x := c; x < min(c+chunkInputs, nin); x++ {
 			if in.fixed {
@@ -673,7 +766,7 @@ func (t Target) auditPairs(in Input, budget int, count bool) pairAudit {
 			}
 		}
 	}
-	a.met, a.work = p.met, p.work
+	a.met, a.work, a.win = p.met, p.work, p.win
 	if p.work > budget {
 		a.clean = false
 		return a

@@ -19,7 +19,12 @@ package core
 // lanes holding at least d live faults, with the program's count-first
 // producer (lanes.Tail), and their inputs, queues them and walks the
 // queue 64·words lanes at a time; the other lanes succeed. Its estimates
-// have the walk-every-lane batch's law, not its bytes.
+// have the walk-every-lane batch's law, not its bytes. At d = 3 the pair
+// stage's absorption windows (pairs.go) also certify the drawn lanes
+// whose faults cannot meet: a lane's leading fault is dropped while its
+// next fault lies at or past the leading one's window, and a lane left
+// with fewer than d faults succeeds unwalked. That changes which lanes
+// are walked, never a lane's outcome or a draw.
 
 import (
 	"context"
@@ -53,10 +58,18 @@ const auditBudget = 1 << 18
 // buffers its finished estimates' compacting batches left for the next
 // estimate.
 type laneCerts struct {
-	mu    sync.Mutex
-	d     map[Input]int // nil until the first audit
-	prog  laneProgram   // prog.prog is nil until the first lane estimate
-	spare []*laneBuffers
+	mu     sync.Mutex
+	audits map[Input]laneCert // nil until the first audit
+	prog   laneProgram        // prog.prog is nil until the first lane estimate
+	spare  []*laneBuffers
+}
+
+// laneCert is a lane audit's outcome for one input domain: the certified
+// d and, at d = 3, the pair stage's absorption windows (nil when the
+// table would be too large).
+type laneCert struct {
+	d   int
+	win *windows
 }
 
 // laneProgram is a compiled program of a target with what it was
@@ -168,34 +181,38 @@ func (c *laneCerts) release(bs []*laneBuffers) {
 	c.mu.Unlock()
 }
 
-// certify returns the target's audited d for in, auditing on prog when
+// certify returns the target's lane audit for in, auditing on prog when
 // the target has not been audited for in before. A target built without
 // a cache (a struct literal) audits on every call.
-func (t Target) certify(prog *lanes.WideProgram, in Input) int {
+func (t Target) certify(prog *lanes.WideProgram, in Input) laneCert {
 	if t.certs == nil {
 		return t.audit(prog, in, pairBudget)
 	}
 	t.certs.mu.Lock()
 	defer t.certs.mu.Unlock()
-	d, ok := t.certs.d[in]
+	c, ok := t.certs.audits[in]
 	if !ok {
-		d = t.audit(prog, in, pairBudget)
-		if t.certs.d == nil {
-			t.certs.d = make(map[Input]int)
+		c = t.audit(prog, in, pairBudget)
+		if t.certs.audits == nil {
+			t.certs.audits = make(map[Input]laneCert)
 		}
-		t.certs.d[in] = d
+		t.certs.audits[in] = c
 	}
-	return d
+	return c
 }
 
 // audit runs the lane audit for in on prog: the single-fault stage and,
-// when it certifies d = 2, the pair stage within pairs units of work.
-func (t Target) audit(prog *lanes.WideProgram, in Input, pairs int) int {
+// when it certifies d = 2, the pair stage within pairs units of work,
+// whose windows a certificate of d = 3 keeps.
+func (t Target) audit(prog *lanes.WideProgram, in Input, pairs int) laneCert {
 	d := t.auditLanes(prog, in, auditBudget).d
-	if d == 2 && t.auditPairs(in, pairs, false).clean {
-		d = 3
+	if d != 2 {
+		return laneCert{d: d}
 	}
-	return d
+	if a := t.auditPairs(in, pairs, false); a.clean {
+		return laneCert{d: 3, win: a.win}
+	}
+	return laneCert{d: 2}
 }
 
 // CompileWide compiles the target's circuit under m for words-wide lane
@@ -390,34 +407,38 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 // worker's batch owns its lane state and buffers, so a steady-state batch
 // allocates nothing. The batch compacts when the audit certifies d ≥ 1 and the program's
 // expected share of lanes holding d live faults is below compactBelow;
-// the target is not audited when even d = 3 would not compact.
+// the target is not audited when even d = 3 would not compact. At d = 3
+// it also drops the drawn lanes the audit's absorption windows certify.
 //
 // Every fault drawn is added to the context registry's "lanes.faults"
-// counter and every walked lane slot to "lanes.walked". A batch that
+// counter, every walked lane slot to "lanes.walked" and every drawn lane
+// the windows certify to "lanes.absorbed". A batch that
 // walks every lane draws faults for every lane slot of a block, the
 // excess slots of a partial final block included, so its per-trial fault
 // rate must be normalized by "lanes.slots", never by "lanes.trials". A
-// compacting batch draws only the walked lanes' live faults, so there the
-// counter is E[K | K ≥ d] per walked lane, not a fault rate of the slots.
+// compacting batch draws only the live faults of the lanes holding at
+// least d of them, so there the counter is E[K | K ≥ d] per drawn lane,
+// not a fault rate of the slots; the drawn lanes are the walked ones and
+// the absorbed ones.
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (newBatch func() sim.WideBatch, done func()) {
 	prog := t.program(m, words)
-	d := 0
+	var cert laneCert
 	if prog.WalkedFraction(3) < compactBelow {
-		if d = t.certify(prog, in); prog.WalkedFraction(d) >= compactBelow {
-			d = 0
+		if cert = t.certify(prog, in); prog.WalkedFraction(cert.d) >= compactBelow {
+			cert = laneCert{}
 		}
 	}
 	var tail *lanes.Tail
-	if d > 0 {
-		tail = t.tail(prog, d)
+	if cert.d > 0 {
+		tail = t.tail(prog, cert.d)
 	}
 	reg := telemetry.Active(ctx)
-	faults, walked := reg.Counter("lanes.faults"), reg.Counter("lanes.walked")
+	faults, walked, absorbed := reg.Counter("lanes.faults"), reg.Counter("lanes.walked"), reg.Counter("lanes.absorbed")
 	var mu sync.Mutex
 	var used []*laneBuffers
 	newBatch = func() sim.WideBatch {
-		b := &laneBatch{prog: prog, tail: tail, in: in, chk: t.newLaneCheck(words), hit: make([]uint64, words),
-			faults: faults, walked: walked, first: -1}
+		b := &laneBatch{prog: prog, tail: tail, win: cert.win, in: in, chk: t.newLaneCheck(words), hit: make([]uint64, words),
+			faults: faults, walked: walked, absorbed: absorbed, first: -1}
 		if tail != nil {
 			b.laneBuffers = t.certs.buffers(4*prog.Lanes()+prog.Points(), prog.Points())
 			mu.Lock()
@@ -433,19 +454,22 @@ func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (
 // producer it walks every lane of every batch: draw or broadcast the
 // logical inputs lane-wise, encode, run the compiled program, evaluate
 // the logical circuit on the input words in place, and set each lane's
-// hit bit when any decoded output differs. With one it queues the lanes
-// the producer draws, those holding at least d live faults, with their
-// inputs and faults, and walks the queue when it holds 64·K lanes or its
-// fault buffer could not take the next lane's faults, and on Flush.
+// hit bit when any decoded output differs. With one it draws the lanes
+// holding at least d live faults, with their inputs and faults, drops
+// the leading faults the windows (if any) certify, queues the lanes left
+// with at least d faults, and walks the queue when it holds 64·K lanes or
+// its fault buffer could not take the next lane's faults, and on Flush.
 type laneBatch struct {
-	prog           *lanes.WideProgram
-	tail           *lanes.Tail // nil: walk every lane
-	in             Input
-	chk            *laneCheck // with a tail, chk.vals holds the queued lanes' operands
-	hit            []uint64
-	faults, walked *telemetry.Counter
+	prog                     *lanes.WideProgram
+	tail                     *lanes.Tail // nil: walk every lane
+	win                      *windows    // with a tail at d = 3: the absorption windows, or nil
+	in                       Input
+	chk                      *laneCheck // with a tail, chk.vals holds the queued lanes' operands
+	hit                      []uint64
+	faults, walked, absorbed *telemetry.Counter
 
-	*laneBuffers // with a tail: the fault buffers
+	*laneBuffers          // with a tail: the fault buffers
+	keys         []uint64 // with windows: the drawn lane's fault keys, point<<3 | bits
 
 	n       int                          // queued lanes
 	first   int                          // the lowest block with a queued lane, -1 when none is
@@ -456,13 +480,16 @@ type laneBatch struct {
 // skippedHook, set only by tests, makes compacting batches also draw
 // every lane the producer skips, from the law of its live-fault count
 // given fewer than d, on a generator of their own, and walk it with the
-// queued lanes: the certificate says none of them fails. Their hits go to
+// queued lanes, and walk every drawn lane the windows certify with all
+// its faults: the certificate says none of them fails. Their hits go to
 // the hook, not to the estimate, which is the estimate without the hook.
+// The skipped lanes are never window-filtered.
 var skippedHook *skippedLanes
 
 // skippedLanes counts the lanes skippedHook made batches draw, their
-// faults and the ones that failed.
-type skippedLanes struct{ lanes, faults, hits atomic.Int64 }
+// faults, the drawn lanes the windows certified, and the lanes of either
+// kind that failed.
+type skippedLanes struct{ lanes, faults, absorbed, hits atomic.Int64 }
 
 func (b *laneBatch) Pending() int { return b.first }
 
@@ -511,21 +538,25 @@ func popcount(w []uint64) int {
 
 // enqueue draws the lanes among the block's first n that hold at least d
 // live faults, with the tail producer, and queues each with its faults
-// and input, walking the queue whenever it fills; it returns the hits of
-// those walks.
+// and input unless the windows certify it, walking the queue whenever it
+// fills; it returns the hits of those walks.
 func (b *laneBatch) enqueue(r *rng.RNG, block, n int) (hits int) {
 	h := skippedHook
 	var hr rng.RNG
 	if h != nil {
 		hr.Seed(rng.SplitMix(0x5c1bbed, uint64(block)))
 	}
-	drawn, next := 0, int64(0) // next: the first lane not drawn yet
+	drawn, absorbed, next := 0, 0, int64(0) // next: the first lane not drawn yet
 	for lane := b.tail.Gap(r); lane < int64(n); lane += 1 + b.tail.Gap(r) {
 		if h != nil {
 			hits += b.skip(h, &hr, block, lane-next)
 		}
 		k := b.tail.Count(r)
-		hits += b.queue(r, block, k)
+		q, kept := b.queue(r, block, k, b.win)
+		hits += q
+		if !kept {
+			absorbed++
+		}
 		drawn += k
 		next = lane + 1
 	}
@@ -535,23 +566,56 @@ func (b *laneBatch) enqueue(r *rng.RNG, block, n int) (hits int) {
 	if drawn > 0 {
 		b.faults.Add(int64(drawn))
 	}
+	if absorbed > 0 {
+		b.absorbed.Add(int64(absorbed))
+	}
 	return hits
 }
 
-// queue queues one lane holding k live faults, drawing its faults and
-// input from r, after walking the queue if it is full or its fault buffer
-// could not take k more; it returns the hits of that walk.
-func (b *laneBatch) queue(r *rng.RNG, block, k int) (hits int) {
+// queue draws one lane holding k live faults, its faults and input from
+// r, after walking the queue if it is full or its fault buffer could not
+// take k more, and returns the hits of that walk. With windows it sorts
+// the lane's faults by point and drops the leading ones they certify
+// (windows.meet): a lane left with fewer than d faults is not queued
+// (kept false) and its input bits are not written. skippedHook walks such
+// a lane anyway, with all its faults, as a skipped lane.
+func (b *laneBatch) queue(r *rng.RNG, block, k int, win *windows) (hits int, kept bool) {
 	if b.n == b.prog.Lanes() || len(b.ev)+k > cap(b.ev) {
 		hits = b.Flush()
 	}
-	s := b.n
-	b.n++
+	s, from := b.n, len(b.ev)
 	b.ev = b.tail.Faults(r, k, uint16(s), b.ev)
+	var x uint64 // the lane's first input word, drawn as the write below would
+	if !b.in.fixed && len(b.chk.vals) > 0 {
+		x = r.Uint64()
+	}
+	kept = true
+	if win != nil {
+		keys := b.keys[:0]
+		for _, f := range b.ev[from:] {
+			keys = append(keys, uint64(f.Point)<<3|uint64(f.Bits))
+		}
+		b.keys = keys
+		d := b.tail.D()
+		if drop := win.meet(keys, x, d); k-drop < d {
+			kept = false
+			if skippedHook == nil {
+				b.ev = b.ev[:from]
+				return hits, false
+			}
+			b.skipped[s>>6] |= 1 << uint(s&63)
+			skippedHook.absorbed.Add(1)
+		} else if drop > 0 {
+			b.ev = b.ev[:from]
+			for _, key := range keys[drop:] {
+				b.ev = append(b.ev, lanes.Fault{Point: int32(key >> 3), Lane: uint16(s), Bits: uint8(key & 7)})
+			}
+		}
+	}
+	b.n++
 	if !b.in.fixed {
-		var x uint64
 		for i, v := range b.chk.vals {
-			if i&63 == 0 {
+			if i&63 == 0 && i > 0 {
 				x = r.Uint64()
 			}
 			v[s>>6] |= (x >> uint(i&63) & 1) << uint(s&63)
@@ -560,15 +624,61 @@ func (b *laneBatch) queue(r *rng.RNG, block, k int) (hits int) {
 	if b.first < 0 {
 		b.first = block
 	}
-	return hits
+	return hits, kept
+}
+
+// meet sorts the keys of one lane's faults, point<<3 | bits (at least
+// d ≥ 2 of them, on distinct points), and returns how many leading ones
+// the windows certify for the lane's drawn input word x: while at least d
+// are left and the next fault lies at or past the leading one's window,
+// the leading one is dropped, since the lane then fails exactly as the
+// lane without it.
+func (w *windows) meet(keys []uint64, x uint64, d int) int {
+	sortKeys(keys)
+	in := x & (1<<w.shift - 1)
+	i := 0
+	for len(keys)-i >= d && keys[i+1]>>3 >= uint64(w.at[keys[i]<<w.shift|in]) {
+		i++
+	}
+	return i
+}
+
+// sortKeys sorts a lane's few fault keys: by min/max networks, which
+// compile without branches, for three or four, by insertion otherwise.
+func sortKeys(k []uint64) {
+	switch len(k) {
+	case 3:
+		a, b, c := k[0], k[1], k[2]
+		a, b = min(a, b), max(a, b)
+		b, c = min(b, c), max(b, c)
+		a, b = min(a, b), max(a, b)
+		k[0], k[1], k[2] = a, b, c
+	case 4:
+		a, b, c, d := k[0], k[1], k[2], k[3]
+		a, b = min(a, b), max(a, b)
+		c, d = min(c, d), max(c, d)
+		a, c = min(a, c), max(a, c)
+		b, d = min(b, d), max(b, d)
+		b, c = min(b, c), max(b, c)
+		k[0], k[1], k[2], k[3] = a, b, c, d
+	default:
+		for i := 1; i < len(k); i++ {
+			v, j := k[i], i
+			for ; j > 0 && k[j-1] > v; j-- {
+				k[j] = k[j-1]
+			}
+			k[j] = v
+		}
+	}
 }
 
 // skip queues m lanes the producer skipped, for skippedHook, each with a
-// live-fault count below d drawn from hr.
+// live-fault count below d drawn from hr, never window-filtered.
 func (b *laneBatch) skip(h *skippedLanes, hr *rng.RNG, block int, m int64) (hits int) {
 	for ; m > 0; m-- {
 		k := b.tail.Head(hr)
-		hits += b.queue(hr, block, k)
+		q, _ := b.queue(hr, block, k, nil)
+		hits += q
 		b.skipped[(b.n-1)>>6] |= 1 << uint((b.n-1)&63)
 		h.lanes.Add(1)
 		h.faults.Add(int64(k))

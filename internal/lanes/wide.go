@@ -33,12 +33,21 @@ package lanes
 // faster.
 //
 // Where a batch's time goes, on the level-2 gadget at the threshold
-// sweep's ρ/2 with K = 8 (1,131 faults, 910 of them live, on 462 of 585
-// walked ops; DESIGN.md, the lane engine's per-fault cost): about a
-// quarter drawing the faults, about 1.6× the RNG draws alone since
-// the draw loop keeps the generator in registers; a quarter in the
-// kernels, as a noiseless walk; and the rest applying the faults, most
-// of it in mispredicted branches on where the next fault falls.
+// sweep's ρ/2 with K = 8, compacted as every point of that sweep is: the
+// caller draws with Tail only the lanes holding at least three live
+// faults (26% of them) and walks those whose faults can meet, 6.6% of
+// the lane slots, after dropping the faults the pair audit's absorption
+// windows certify (package core). A CPU profile of the root package's
+// BenchmarkLanes512Levels (2-vCPU Xeon, go1.24.0) puts about half of it
+// in the draw (Tail's gaps, counts, points and bits, a third on their
+// own, and each drawn lane's input), about a fifth in sorting each
+// drawn lane's faults and looking up their windows, and about a sixth
+// in walking the queue with RunPlan, its counting sort included. A batch
+// that walks every lane with Run (1,131 faults, 910 of them live, on
+// 462 of 585 walked ops) spends about a quarter drawing, a quarter in
+// the kernels, as a noiseless walk, and the rest applying the faults,
+// most of it in mispredicted branches on where the next fault falls
+// (DESIGN.md, the lane engine's per-fault cost).
 
 import (
 	"fmt"

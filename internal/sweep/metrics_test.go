@@ -320,15 +320,17 @@ func TestResumeCheckpointWithVecs(t *testing.T) {
 	}
 }
 
-// ledgerPoint is fakePoint reporting into the lane counters and two
-// workers' busy nanoseconds too, as a lane engine does; on interruption
-// it moves lanes.walked and a worker's nanoseconds before failing.
+// ledgerPoint is fakePoint reporting into the lane counters (absorbed
+// lanes included) and two workers' busy nanoseconds too, as a lane engine
+// does; on interruption it moves lanes.walked, lanes.absorbed and a
+// worker's nanoseconds before failing.
 func ledgerPoint(seed uint64, interruptAt int, cancel context.CancelFunc) PointFunc {
 	point := fakePoint(seed)
 	return func(ctx context.Context, pt, start, trials int) ([]stats.Bernoulli, error) {
 		reg := telemetry.Active(ctx)
 		if pt == interruptAt && cancel != nil {
 			reg.Counter("lanes.walked").Add(13)
+			reg.Counter("lanes.absorbed").Add(11)
 			reg.Counter("sim.worker.00.nanos").Add(17)
 			cancel()
 			return nil, context.Canceled
@@ -337,6 +339,7 @@ func ledgerPoint(seed uint64, interruptAt int, cancel context.CancelFunc) PointF
 		reg.Counter("lanes.slots").Add(int64(trials))
 		reg.Counter("lanes.walked").Add(int64(trials / (pt + 2)))
 		reg.Counter("lanes.faults").Add(int64(3*pt + 1))
+		reg.Counter("lanes.absorbed").Add(int64(trials / (2*pt + 5)))
 		reg.Counter("sim.worker.00.nanos").Add(int64(1000*trials + pt))
 		reg.Counter("sim.worker.01.nanos").Add(int64(7 * trials))
 		return ests, err

@@ -653,10 +653,11 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 
 // ledgerCounters are the counters whose per-point share a completed
 // point's point_done event carries under "counters": its trials, and on
-// the lane engine its lane slots, walked lane slots and fault events;
+// the lane engine its lane slots, walked lane slots, fault events and
+// the drawn lanes the absorption windows certified unwalked;
 // walked/slots is the point's walked share. Summed over a run's completed
 // points they equal the run's final snapshot minus its baseline.
-var ledgerCounters = []string{"sim.trials", "lanes.slots", "lanes.walked", "lanes.faults"}
+var ledgerCounters = []string{"sim.trials", "lanes.slots", "lanes.walked", "lanes.faults", "lanes.absorbed"}
 
 // engineNanos is the engine time in counters: the sum of every worker's
 // busy nanoseconds, sim.worker.NN.nanos. A completed point's point_done
