@@ -5,11 +5,33 @@ import (
 	"revft/internal/noise"
 )
 
-// LaneAudit runs the lane audit of t for in on its 8-word program with
-// the given plan budget and returns its d and failing single faults.
+// LaneAudit runs the lane audit of t for in with the given budget and
+// returns its d, and the failing single faults on live points the
+// counting audit walked, in (input, op, value) order.
 func LaneAudit(t Target, in Input, budget int) (int, []FaultCase) {
-	a := t.auditLanes(t.CompileWide(noise.Uniform(0), 8), in, budget)
-	return a.d, a.fails
+	a := t.auditPairs(in, 1<<40, true)
+	n := t.Circuit.Len()
+	var fails []FaultCase
+	for k := 0; k < len(a.singles)/n; k++ {
+		nx := min(chunkInputs, 1<<len(t.In)-chunkInputs*k)
+		if in.fixed {
+			nx = 1
+		}
+		for c := 0; c < nx; c++ {
+			x := in.in
+			if !in.fixed {
+				x = uint64(chunkInputs*k + c)
+			}
+			for op, f := range a.singles[k*n : (k+1)*n] {
+				for v := range 1 << t.Circuit.Op(op).Kind.Arity() {
+					if f>>(8*v+c)&1 != 0 {
+						fails = append(fails, FaultCase{Input: x, OpIndex: op, Value: uint64(v)})
+					}
+				}
+			}
+		}
+	}
+	return t.auditPairs(in, budget, false).d, fails
 }
 
 // SetCompactBelow sets the walked-fraction crossover below which lane
@@ -43,9 +65,6 @@ func SetSkippedHook(h *SkippedLanes) *SkippedLanes {
 	return old
 }
 
-// AuditBudget is the lane audit's plan budget.
-const AuditBudget = auditBudget
-
 // SpareLaneBuffers is how many compacting batches' fault buffers t keeps
 // for its next estimates.
 func SpareLaneBuffers(t Target) int {
@@ -67,14 +86,14 @@ func LaneProgram(t Target, m noise.Model, words int) *lanes.WideProgram {
 	return t.program(m, words)
 }
 
-// PairAudit runs t's pair stage for in with the given op budget,
-// certifying or counting (see auditPairs).
+// PairAudit runs t's lane audit for in with the given budget, certifying
+// or counting (see auditPairs); clean is a certificate of d = 3.
 func PairAudit(t Target, in Input, budget int, count bool) (clean bool, fails int, malignant map[[2]int]int, pairs, met, work int) {
 	a := t.auditPairs(in, budget, count)
-	return a.clean, a.fails, a.malignant, a.pairs, a.met, a.work
+	return a.d == 3, a.fails, a.malignant, a.pairs, a.met, a.work
 }
 
-// PairBudget is the pair stage's op budget.
+// PairBudget is the lane audit's budget.
 const PairBudget = pairBudget
 
 // PairLive reports, by op, whether the pair stage counts a fault on it as
@@ -106,15 +125,15 @@ func PairFailures(t Target) map[[2]int]int {
 }
 
 // Certify is the d the lane audit certifies for t on in, with the given
-// pair-stage budget.
-func Certify(t Target, in Input, pairs int) int {
-	return t.audit(t.CompileWide(noise.Uniform(0), 8), in, pairs).d
+// budget.
+func Certify(t Target, in Input, budget int) int {
+	return t.auditPairs(in, budget, false).d
 }
 
-// Windows runs t's pair stage for in, counting over every chunk, and
+// Windows runs t's lane audit for in, counting over every chunk, and
 // returns its absorption windows: the window of a fault on pt with
 // replacement bits b (as FaultBits writes them) on the input of index x
-// in the domain. ok is false when the stage kept none.
+// in the domain. ok is false when the audit kept none.
 func Windows(t Target, in Input) (window func(pt int, b uint8, x uint64) int, ok bool) {
 	w := t.auditPairs(in, 1<<40, true).win
 	if w == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -127,69 +128,203 @@ func TestInjectedWideMatchesInjected(t *testing.T) {
 	}
 }
 
-// TestLaneAuditMatchesAuditSingleFaults: the lane audit must report
-// exactly the failing (input, op, value) triples of the scalar
-// AuditSingleFaults, on clean targets and on the literal 1D cycle, which
-// fails, and certify d = 2 on clean ones and d = 1 on the cycle.
-func TestLaneAuditMatchesAuditSingleFaults(t *testing.T) {
+// auditCase is a target of the lane audit's checks, on an input domain,
+// with the d measured for it.
+type auditCase struct {
+	t  core.Target
+	in core.Input
+	d  int
+}
+
+// auditTargets are the targets the drivers and revft-verify build: the
+// recovery as a bare circuit and as a storage target, the seven gate
+// gadgets at levels 0 and 1 and MAJ at level 2, the memory, the three
+// cycles, and the bare and level-1 adders under the adder driver's
+// operands.
+func auditTargets() []auditCase {
 	adderT, adderIn := adderTarget()
-	cases := []struct {
-		t  core.Target
-		in core.Input
-		d  int
-	}{
+	bare, _ := adder.New(4)
+	cases := []auditCase{
+		{core.Plain("recovery.plain", core.Recovery()), core.Uniform, 1},
 		{recoveryTarget(), core.Uniform, 2},
-		{core.NewGadget(gate.MAJ, 1).Target, core.Uniform, 2},
-		{core.NewGadget(gate.MAJ, 2).Target, core.Uniform, 2},
-		{lattice.NewCycle2D(gate.MAJ).Target, core.Uniform, 2},
+		{core.NewGadget(gate.MAJ, 2).Target, core.Uniform, 3},
+		{core.NewMemory(1, 3).Target(), core.Uniform, 2},
 		{lattice.NewCycle1D(gate.MAJ).Target, core.Uniform, 1},
+		{lattice.NewCycle2D(gate.MAJ).Target, core.Uniform, 2},
+		{lattice.NewCycle2DParallel(gate.MAJ).Target, core.Uniform, 1},
+		{core.Plain("adder", bare), adderIn, 1},
 		{adderT, adderIn, 2},
 	}
-	for _, tc := range cases {
-		d, fails := core.LaneAudit(tc.t, tc.in, core.AuditBudget)
-		if d != tc.d {
-			t.Errorf("%s: d = %d, want %d", tc.t.Name, d, tc.d)
+	for _, k := range []gate.Kind{gate.MAJ, gate.MAJInv, gate.Toffoli, gate.CNOT, gate.NOT, gate.Fredkin, gate.SWAP} {
+		for level := 0; level <= 1; level++ {
+			cases = append(cases, auditCase{core.NewGadget(k, level).Target, core.Uniform, 1 + level})
 		}
-		want := map[core.FaultCase]bool{}
-		if tc.in == core.Uniform {
-			for _, f := range tc.t.AuditSingleFaults().Failures {
-				want[f] = true
+	}
+	return cases
+}
+
+// domain is the packed logical inputs of in for tg.
+func domain(tg core.Target, in core.Input, fixed uint64) []uint64 {
+	if in != core.Uniform {
+		return []uint64{fixed}
+	}
+	xs := make([]uint64, 1<<len(tg.In))
+	for x := range xs {
+		xs[x] = uint64(x)
+	}
+	return xs
+}
+
+// scalarSingles is AuditSingleFaults on the inputs xs: the failing
+// single faults, in (input, op, value) order.
+func scalarSingles(tg core.Target, xs []uint64) []core.FaultCase {
+	run := tg.Injected()
+	var fails []core.FaultCase
+	for _, x := range xs {
+		sim.ForEachSingleFault(tg.Circuit, func(op int, v uint64) {
+			if run(x, []int{op}, []uint64{v}) {
+				fails = append(fails, core.FaultCase{Input: x, OpIndex: op, Value: v})
 			}
-		} else {
-			// AuditSingleFaults restricted to the one fixed input.
-			x := adderX
-			run := tc.t.Injected()
-			sim.ForEachSingleFault(tc.t.Circuit, func(op int, v uint64) {
-				if run(x, []int{op}, []uint64{v}) {
-					want[core.FaultCase{Input: x, OpIndex: op, Value: v}] = true
+		})
+	}
+	return fails
+}
+
+// scalarPairFails reports whether some pair of faults fails tg on some
+// values and input of xs: forEachPair's walk, stopped at the first
+// failing case.
+func scalarPairFails(tg core.Target, xs []uint64) bool {
+	run := tg.Injected()
+	n := tg.Circuit.Len()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			vi, vj := uint64(1)<<tg.Circuit.Op(i).Kind.Arity(), uint64(1)<<tg.Circuit.Op(j).Kind.Arity()
+			for _, x := range xs {
+				for a := uint64(0); a < vi; a++ {
+					for b := uint64(0); b < vj; b++ {
+						if run(x, []int{i, j}, []uint64{a, b}) {
+							return true
+						}
+					}
 				}
-			})
-		}
-		got := map[core.FaultCase]bool{}
-		for _, f := range fails {
-			got[f] = true
-			if !want[f] {
-				t.Errorf("%s: lane audit fails %+v, the scalar audit does not", tc.t.Name, f)
 			}
 		}
-		for f := range want {
-			if !got[f] {
-				t.Errorf("%s: scalar audit fails %+v, the lane audit does not", tc.t.Name, f)
+	}
+	return false
+}
+
+// laterChunkTarget is a level-1 module of a Toffoli on four logical
+// wires (16 inputs, two chunks of the audit) with one physical op
+// deleted: the first deletion, in op order, after which the noiseless
+// run is right on every input and a pair of faults fails on an input of
+// the first chunk, but the first failing single fault lies on an input of
+// the second. An audit that settled d at its first failing pair would
+// certify d = 2 for it, not 1.
+func laterChunkTarget(t *testing.T) core.Target {
+	t.Helper()
+	logical := circuit.New(4).Toffoli(2, 3, 0)
+	ft := core.CompileModule(logical, 1).Target()
+	ops := ft.Circuit.Ops()
+	all := domain(ft, core.Uniform, 0)
+	for del := range ops {
+		c := circuit.New(ft.Circuit.Width())
+		for i, op := range ops {
+			if i != del {
+				c.Append(op.Kind, op.Targets...)
 			}
 		}
-		if tc.d == 1 && len(got) == 0 {
-			t.Errorf("%s: no failing single fault; the check cannot fail", tc.t.Name)
+		tg := core.Target{Name: fmt.Sprintf("module.L1 without op %d", del), Circuit: c, In: ft.In, Out: ft.Out, Logical: logical}
+		run := tg.Injected()
+		right := true
+		for _, x := range all {
+			right = right && !run(x, nil, nil)
+		}
+		if fails := scalarSingles(tg, all); right && len(fails) > 0 && fails[0].Input >= 8 && scalarPairFails(tg, all[:8]) {
+			return tg
+		}
+	}
+	t.Fatal("no deletion fails a single fault only on the second chunk")
+	return core.Target{}
+}
+
+// TestLaneAuditMatchesAuditSingleFaults: the lane audit's d must be the
+// scalar references' verdict on every target the drivers build and on a
+// target whose first failing single fault lies in a later chunk than a
+// failing pair: 0 when Injected without faults is wrong on some input of
+// the domain, 1 when a single fault fails (AuditSingleFaults on the
+// domain), 2 when a pair does (forEachPair's walk), 3 otherwise. On the
+// level-2 gadget the scalar pair walk takes minutes, so there the
+// reference is the counting audit, which TestPairStageMatchesPairWalk
+// checks against it pair by pair. The counting audit's failing single
+// faults must be the scalar ones, location by location.
+func TestLaneAuditMatchesAuditSingleFaults(t *testing.T) {
+	cases := append(auditTargets(), auditCase{laterChunkTarget(t), core.Uniform, 1})
+	for _, tc := range cases {
+		xs := domain(tc.t, tc.in, adderX)
+		run := tc.t.Injected()
+		ref := 3
+		for _, x := range xs {
+			if run(x, nil, nil) {
+				ref = 0
+			}
+		}
+		var want []core.FaultCase // AuditSingleFaults on the domain
+		if tc.in == core.Uniform {
+			want = tc.t.AuditSingleFaults().Failures
+		} else {
+			want = scalarSingles(tc.t, xs)
+		}
+		switch {
+		case ref == 0:
+		case len(want) > 0:
+			ref = 1
+		case tc.t.Circuit.Len() > 500: // the level-2 gadget
+			if _, fails, _, _, _, _ := core.PairAudit(tc.t, tc.in, 1<<40, true); fails > 0 {
+				ref = 2
+			}
+		case scalarPairFails(tc.t, xs):
+			ref = 2
+		}
+		d, fails := core.LaneAudit(tc.t, tc.in, core.PairBudget)
+		if d != ref || d != tc.d {
+			t.Errorf("%s: d = %d, the scalar references' %d, measured %d", tc.t.Name, d, ref, tc.d)
+		}
+		if ref == 0 {
+			continue
+		}
+		if !slices.Equal(fails, want) {
+			i := 0
+			for i < min(len(fails), len(want)) && fails[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s: the lane audit fails %d single faults, the scalar audit %d; the lists part at %d: %v against %v",
+				tc.t.Name, len(fails), len(want), i, fails[i:min(i+1, len(fails))], want[i:min(i+1, len(want))])
 		}
 	}
 }
 
-// TestLaneAuditBudget: past its plan budget the audit settles for d = 1,
-// and for d = 0 when even the noiseless runs exceed it.
+// TestLaneAuditBudget: the audit's d never falls as its budget grows and
+// never exceeds the unbounded audit's. The level-3 gadget's single faults
+// exceed the audit's cut-off, so it certifies d = 1 at any budget. The
+// level-2 gadget's rows are TestPairStageBudget's.
 func TestLaneAuditBudget(t *testing.T) {
-	g := core.NewGadget(gate.MAJ, 1).Target
-	for budget, want := range map[int]int{core.AuditBudget: 2, 100: 1, 4: 0} {
-		if d, _ := core.LaneAudit(g, core.Uniform, budget); d != want {
-			t.Errorf("budget %d: d = %d, want %d", budget, d, want)
+	g2 := core.NewGadget(gate.MAJ, 2).Target
+	g3 := core.NewGadget(gate.MAJ, 3).Target
+	for _, budget := range []int{core.PairBudget, 1 << 40} {
+		if d := core.Certify(g3, core.Uniform, budget); d != 1 {
+			t.Errorf("level-3 gadget, budget %d: d = %d, want 1", budget, d)
+		}
+	}
+	targets := []core.Target{recoveryTarget(), core.NewGadget(gate.MAJ, 1).Target, g2, lattice.NewCycle2D(gate.MAJ).Target, laterChunkTarget(t)}
+	for _, tg := range targets {
+		top := core.Certify(tg, core.Uniform, 1<<40)
+		prev := 0
+		for _, budget := range []int{0, 1, 10, 100, 1000, 10000, 20000, 100000, core.PairBudget, 1 << 40} {
+			d := core.Certify(tg, core.Uniform, budget)
+			if d < prev || d > top {
+				t.Errorf("%s, budget %d: d = %d after %d at a smaller budget, %d unbounded", tg.Name, budget, d, prev, top)
+			}
+			prev = d
 		}
 	}
 }
@@ -207,7 +342,7 @@ func TestMutatedGadgetLosesCertificate(t *testing.T) {
 		}
 	}
 	mut := core.Target{Name: "mutated", Circuit: c, In: g.In, Out: g.Out, Logical: g.Logical}
-	if d, fails := core.LaneAudit(mut, core.Uniform, core.AuditBudget); d > 1 || len(fails) == 0 {
+	if d, fails := core.LaneAudit(mut, core.Uniform, core.PairBudget); d > 1 || len(fails) == 0 {
 		t.Fatalf("mutated gadget: d = %d with %d failing single faults, want d ≤ 1", d, len(fails))
 	}
 	checkSkippedLanes(t, mut, core.Uniform, noise.Uniform(0.01), 8, 1, 0, 4*sim.BlockTrials)

@@ -1,11 +1,16 @@
 package core
 
-// The lane audit's pair stage: it certifies d = 3, that no lane holding
-// two faults on live points fails, for every value of both faults and
-// every input of the domain. A pair needs simulating only while its first
-// fault is still observable downstream, and then only where it differs
-// from that fault alone, so the stage re-simulates a few ops per pair
-// instead of walking every pair through the whole circuit.
+// The lane audit: it certifies, once per target and input domain, a fault
+// count d below which no lane fails: 3 when no single fault or pair of
+// faults on live points fails on any values and input, 2 when only the
+// single faults pass, 1 when only the noiseless run is right, 0
+// otherwise. It walks the inputs in chunks of eight and only lowers d:
+// every chunk runs noiselessly, while d ≥ 2 is possible every live
+// point's single fault, and while d = 3 is possible the pairs. A pair
+// needs simulating only while its first fault is still observable
+// downstream, and then only where it differs from that fault alone, so
+// the audit re-simulates a few ops per pair instead of walking every pair
+// through the whole circuit.
 //
 //   - Absorption. Fault i's trajectory, 64 lanes of (value, input) in one
 //     word per wire, is walked only through the ops that touch a wire on
@@ -14,9 +19,9 @@ package core
 //     liveness CompileWideFor prunes by). Once no live wire differs, the
 //     fault is absorbed: a second fault after that point meets the
 //     noiseless state on every live wire and fails exactly when it fails
-//     alone, which the single-fault stage has cleared. A second fault
-//     whose targets cover every wire on which fault i still differs
-//     overwrites the difference and is cleared the same way.
+//     alone, which its own single walk settles. A second fault whose
+//     targets cover every wire on which fault i still differs overwrites
+//     the difference and is settled the same way.
 //   - Pairs apart. Fault j's own walk, recorded once per chunk, is what
 //     a pair (i, j) walks as long as it visits no op fault i's walk
 //     visited: on those ops fault i's trajectory is the noiseless run. A
@@ -30,9 +35,6 @@ package core
 //     left, since the pair then fails exactly when fault i alone does.
 //     The outputs are decoded only when a difference reaches the end of
 //     the circuit, and only the codewords it reached.
-//
-// Inputs beyond eight run in chunks of eight; the stage's noiseless
-// tables are rebuilt per chunk.
 //
 // The single-fault walks also yield each fault's absorption window, lane
 // by lane: the op after which no live wire differs from the noiseless
@@ -49,13 +51,20 @@ import (
 	"revft/internal/lanes"
 )
 
-// pairBudget bounds the pair stage's work, summed over its input chunks:
+// auditBudget is the lane audit's cut-off, checked before any walk: a
+// domain of more inputs certifies d = 0, and one whose single faults on
+// live points, every value of each on every input, are more d = 1. The
+// level-2 gadget has 37,440 such faults; the level-3 gadget's exceed it.
+const auditBudget = 1 << 18
+
+// pairBudget bounds the lane audit's work, summed over its input chunks:
 // one unit per op a single-fault or pair walk re-simulates and per pair
-// looked at. Past it the stage gives up and the certificate stays at
-// d = 2. The level-2 gadget's stage takes about 8e4.
+// looked at. A chunk whose single walks end past it certifies at most
+// d = 1, and pairs past it at most d = 2. The level-2 gadget's audit
+// takes about 8e4.
 const pairBudget = 1 << 20
 
-// chunkInputs is how many logical inputs one pass of the stage covers:
+// chunkInputs is how many logical inputs one pass of the audit covers:
 // the input is the low three bits of a lane index.
 const chunkInputs = 8
 
@@ -183,23 +192,25 @@ type pairChunk struct {
 // noiseless runs the chunk of inputs ins (at most chunkInputs) into p.ch
 // and reports whether every output decodes right.
 func (p *pairWalker) noiseless(ins []uint64) bool {
-	rep := func(f func(x uint64) bool) uint64 {
+	s, ch, t := p.s, &p.ch, p.s.t
+	var xs, ys [chunkInputs]uint64 // by lane: the input and its logical output
+	for c := range xs {
+		xs[c] = ins[0]
+		if c < len(ins) {
+			xs[c] = ins[c]
+		}
+		ys[c] = t.Logical.Eval(xs[c])
+	}
+	rep := func(vs *[chunkInputs]uint64, o int) uint64 { // bit o of each lane's value
 		var b uint64
-		for c := 0; c < chunkInputs; c++ {
-			x := ins[0]
-			if c < len(ins) {
-				x = ins[c]
-			}
-			if f(x) {
-				b |= 1 << c
-			}
+		for c, v := range vs {
+			b |= (v >> uint(o) & 1) << c
 		}
 		return b * 0x0101010101010101
 	}
-	s, ch, t := p.s, &p.ch, p.s.t
 	st := make([]uint64, t.Circuit.Width())
 	for o, wires := range t.In {
-		v := rep(func(x uint64) bool { return x>>uint(o)&1 == 1 })
+		v := rep(&xs, o)
 		for _, w := range wires {
 			st[w] = v
 		}
@@ -223,7 +234,7 @@ func (p *pairWalker) noiseless(ins []uint64) bool {
 	}
 	ch.fin = st
 	for o, wires := range t.Out {
-		ch.want[o] = rep(func(x uint64) bool { return t.Logical.Eval(x)>>uint(o)&1 == 1 })
+		ch.want[o] = rep(&ys, o)
 		for k, w := range wires {
 			p.blk.Wire(k)[0] = st[w]
 		}
@@ -308,27 +319,29 @@ func (s *wireSet) first(end int32) int32 {
 	return m
 }
 
-// pairAudit is the pair stage's result for one input domain.
+// pairAudit is the lane audit's result for one input domain.
 type pairAudit struct {
-	// clean is set when no lane with two faults on live points fails:
-	// with the single-fault stage's d = 2 it certifies d = 3. It is false
-	// when the stage stopped at a failing pair or at its budget.
-	clean bool
+	// d is the certified fault count: a lane with fewer than d faults on
+	// live points cannot fail.
+	d int
 	// fails counts the failing (pair, values, input) cases over every
-	// pair of ops, live or not, and malignant each failing pair's cases,
-	// when the stage counted (see auditPairs).
+	// pair of ops, live or not, and malignant each failing pair's cases;
+	// singles is, by chunk and op, the failing lanes of the op's single
+	// fault (zero when it is not live). All three are kept only when the
+	// audit counted (see auditPairs).
 	fails     int
 	malignant map[[2]int]int
+	singles   []uint64
 	// pairs is how many pairs inside a window were looked at, met how
 	// many of them were walked, and work the budget's units spent.
 	pairs, met, work int
 	// win holds every live point's absorption windows over the domain
-	// when the stage covered every chunk, as it has when clean (nil when
-	// the table would be too large).
+	// when the audit certified d = 3 or counted (nil when the table would
+	// be too large).
 	win *windows
 }
 
-// pairWalker is the pair stage's scratch state for one target and input
+// pairWalker is the lane audit's scratch state for one target and input
 // domain.
 type pairWalker struct {
 	s  *pairStage
@@ -341,8 +354,8 @@ type pairWalker struct {
 	stamp      int32
 	reachedEnd bool    // the walk's difference reached the end of the circuit
 	visited    []int32 // the ops the walk visited, its faulted op first
-	// every live point's own walk in the chunk: the ops it visited, and
-	// the difference it reached the end with, by point
+	// every live point's own walk in the chunk: the ops it visited, the
+	// difference it reached the end with and its failing lanes, by point
 	walks walkLog
 	// the pair's difference from fault i's trajectory
 	e         [][8]uint64
@@ -361,13 +374,15 @@ type pairWalker struct {
 }
 
 // walkLog is a chunk's single-fault walks, flat: point j's visited ops
-// are ops[at[j]:at[j+1]] and its difference at the end is wires and
-// diffs [fin[j]:fin[j+1]], empty when it was absorbed.
+// are ops[at[j]:at[j+1]], its difference at the end is wires and diffs
+// [fin[j]:fin[j+1]], empty when it was absorbed, and fails[j] its failing
+// lanes.
 type walkLog struct {
 	at, fin []int32
 	ops     []int32
 	wires   []int32
 	diffs   []uint64
+	fails   []uint64
 }
 
 func (s *pairStage) newWalker() *pairWalker {
@@ -381,29 +396,33 @@ func (s *pairStage) newWalker() *pairWalker {
 	return &pairWalker{
 		s: s, d: make([]uint64, width), ds: newWireSet(width),
 		sb: make([][3]uint64, n), sa: make([][3]uint64, n), rec: make([]int32, n), skip: make([]int32, n),
-		walks: walkLog{at: make([]int32, n+1), fin: make([]int32, n+1)},
+		walks: walkLog{at: make([]int32, n+1), fin: make([]int32, n+1), fails: make([]uint64, n)},
 		e:     make([][8]uint64, width), es: newWireSet(width),
 		blk: lanes.NewWideState(max(1, len(ident)), 8), ident: ident, seen: make([]int32, len(s.t.Out)),
 	}
 }
 
-// logWalks walks every live point's fault alone and logs the walks.
-func (p *pairWalker) logWalks() {
+// logWalks walks every live point's fault alone, logs the walks and
+// reports whether a lane of any of them fails.
+func (p *pairWalker) logWalks() (failed bool) {
 	l := &p.walks
 	l.ops, l.wires, l.diffs = l.ops[:0], l.wires[:0], l.diffs[:0]
 	for j := range p.s.ops {
+		l.fails[j] = 0
 		if p.s.livePoint(j) {
 			p.single(j)
-			p.record(j)
 			l.ops = append(l.ops, p.visited...)
 			if p.reachedEnd {
 				for _, w := range p.ds.wires {
 					l.wires, l.diffs = append(l.wires, w), append(l.diffs, p.d[w])
 				}
+				l.fails[j] = p.singleFails()
+				failed = failed || l.fails[j] != 0
 			}
 		}
 		l.at[j+1], l.fin[j+1] = int32(len(l.ops)), int32(len(l.wires))
 	}
+	return failed
 }
 
 // single walks fault i's trajectory, every value and input of the chunk,
@@ -683,12 +702,14 @@ func (p *pairWalker) singleFails() uint64 {
 	return fail
 }
 
-// auditPairs runs the pair stage on the inputs of in within budget units
-// of work (see pairBudget). Certifying (count false), it assumes the
-// single-fault stage's d = 2, walks only the pairs inside each first
-// fault's window and stops at the first failing lane. Counting, it walks
-// every pair of every chunk and counts the failing cases of every pair of
-// ops, the pairs outside a window or of a point that is not live from the
+// auditPairs runs the lane audit on the inputs of in — every input under
+// Uniform, one under Fixed — within budget units of work (see
+// pairBudget) and returns the d it certifies. Certifying (count false),
+// it walks a chunk's single faults only while d ≥ 2 is possible, and the
+// pairs inside each first fault's window only while d = 3 is, up to the
+// first failing lane. Counting, it walks every single fault and every
+// pair of every chunk and counts the failing cases of every pair of ops,
+// the pairs outside a window or of a point that is not live from the
 // single faults' own outcomes, as Target.forEachPair enumerates them; it
 // needs only a right noiseless run.
 func (t Target) auditPairs(in Input, budget int, count bool) pairAudit {
@@ -696,17 +717,27 @@ func (t Target) auditPairs(in Input, budget int, count bool) pairAudit {
 	if !in.fixed {
 		nin <<= uint(len(t.In))
 	}
+	if nin > auditBudget {
+		return pairAudit{}
+	}
 	s := newPairStage(t)
-	p := s.newWalker()
-	a := pairAudit{clean: true}
+	n := len(s.ops)
+	a := pairAudit{d: 3}
+	faults := uint64(0)
+	for i := range s.ops {
+		if s.livePoint(i) {
+			faults += nin << uint(s.ops[i].n)
+		}
+	}
+	if faults > auditBudget {
+		a.d = 1
+	}
 	if count {
 		a.malignant = make(map[[2]int]int)
 	}
-	n := len(s.ops)
-	p.win = newWindows(n, uint(bits.TrailingZeros64(nin)))
+	p := s.newWalker()
 	var ins []uint64
-	var singles []uint64 // counting: by op, its single fault's failing lanes
-	for c := uint64(0); c < nin && p.work <= budget; c += chunkInputs {
+	for c := uint64(0); c < nin; c += chunkInputs {
 		p.base = int(c)
 		ins = ins[:0]
 		for x := c; x < min(c+chunkInputs, nin); x++ {
@@ -717,27 +748,33 @@ func (t Target) auditPairs(in Input, budget int, count bool) pairAudit {
 			}
 		}
 		if !p.noiseless(ins) {
-			a.clean = false
-			return a
+			return pairAudit{met: p.met, work: p.work}
+		}
+		if a.d < 2 && !count {
+			continue
+		}
+		// Single walks that end past the budget certify nothing.
+		if p.work > budget || p.logWalks() || p.work > budget {
+			a.d = 1
 		}
 		if count {
-			singles = make([]uint64, n)
-			for i := range s.ops {
-				if s.livePoint(i) {
-					p.single(i)
-					singles[i] = p.singleFails()
-				}
-			}
+			a.singles = append(a.singles, p.walks.fails...)
+		} else if a.d < 3 {
+			continue
 		}
-		p.logWalks()
+		if c == 0 {
+			p.win = newWindows(n, uint(bits.TrailingZeros64(nin)))
+		}
+	pairs:
 		for i := 0; i < n && p.work <= budget; i++ {
 			if !s.livePoint(i) {
 				if count {
-					a.countPairs(s, p.ch.nx, i, singles, nil)
+					a.countPairs(s, p.ch.nx, i, p.walks.fails, nil)
 				}
 				continue
 			}
 			end := p.single(i)
+			p.record(i)
 			var walked map[int][8]uint64 // counting: the pairs that reached the end, by j
 			if count {
 				walked = make(map[int][8]uint64)
@@ -754,28 +791,30 @@ func (t Target) auditPairs(in Input, budget int, count bool) pairAudit {
 				if count {
 					walked[j] = fail
 				} else if fail != [8]uint64{} {
-					a.clean, a.met, a.work = false, p.met, p.work
-					return a
+					a.d = 2
+					break pairs
 				}
 			}
 			if count {
-				a.countPairs(s, p.ch.nx, i, singles, func(j int) ([8]uint64, bool, bool) {
+				a.countPairs(s, p.ch.nx, i, p.walks.fails, func(j int) ([8]uint64, bool, bool) {
 					fail, ok := walked[j]
 					return fail, ok, j < end && s.livePoint(j) && p.skip[j] != p.stamp
 				})
 			}
 		}
+		if p.work > budget {
+			a.d = min(a.d, 2)
+		}
 	}
-	a.met, a.work, a.win = p.met, p.work, p.win
-	if p.work > budget {
-		a.clean = false
-		return a
-	}
+	a.met, a.work = p.met, p.work
 	for _, f := range a.malignant {
 		a.fails += f
 	}
-	if count {
-		a.clean = a.fails == 0
+	if a.fails > 0 {
+		a.d = min(a.d, 2)
+	}
+	if a.d == 3 || count {
+		a.win = p.win
 	}
 	return a
 }

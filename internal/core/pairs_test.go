@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,28 +177,36 @@ func TestMutatedLevel2LosesPairCertificate(t *testing.T) {
 	checkSkippedLanes(t, mut, core.Uniform, noise.Uniform(0.00303), 8, 1, 0, 4*sim.BlockTrials)
 }
 
-// TestPairStageBudget: past its budget the pair stage gives up, and the
-// level-2 gadget's certificate falls back to d = 2.
+// TestPairStageBudget: past its budget the audit gives up. On the
+// level-2 gadget a tiny budget certifies at most d = 1 (its single walks
+// end past it), 20,000 units d = 2 (its pairs stop just past it) and
+// PairBudget d = 3.
 func TestPairStageBudget(t *testing.T) {
 	g := core.NewGadget(gate.MAJ, 2).Target
-	const budget = 20000
-	if d := core.Certify(g, core.Uniform, budget); d != 2 {
-		t.Errorf("budget %d: d = %d, want 2", budget, d)
+	rows := []struct {
+		budget int
+		want   []int
+	}{{10, []int{0, 1}}, {20000, []int{2}}, {core.PairBudget, []int{3}}}
+	for _, r := range rows {
+		if d := core.Certify(g, core.Uniform, r.budget); !slices.Contains(r.want, d) {
+			t.Errorf("budget %d: d = %d, want one of %v", r.budget, d, r.want)
+		}
 	}
+	const budget = 20000
 	clean, _, _, _, _, work := core.PairAudit(g, core.Uniform, budget, false)
 	if clean || work <= budget || work > budget+1000 {
 		t.Errorf("budget %d: clean %v after %d units of work, want a stop just past the budget", budget, clean, work)
 	}
 }
 
-// BenchmarkPairAudit times the level-2 gadget's pair stage (ns/op per
-// audit). Run it with `go test ./internal/core -run '^$' -bench
-// PairAudit -cpu 1`.
-func BenchmarkPairAudit(b *testing.B) {
+// BenchmarkLaneAudit times the level-2 gadget's whole lane audit (ns/op
+// per audit). Run it with `go test ./internal/core -run '^$' -bench
+// LaneAudit -cpu 1`.
+func BenchmarkLaneAudit(b *testing.B) {
 	g := core.NewGadget(gate.MAJ, 2).Target
 	for i := 0; i < b.N; i++ {
-		if clean, _, _, _, _, _ := core.PairAudit(g, core.Uniform, core.PairBudget, false); !clean {
-			b.Fatal("level-2 gadget: pair stage not clean")
+		if d := core.Certify(g, core.Uniform, core.PairBudget); d != 3 {
+			b.Fatalf("level-2 gadget: d = %d, want 3", d)
 		}
 	}
 }

@@ -34,7 +34,7 @@ type Target struct {
 	// action on the input.
 	Logical *circuit.Circuit
 
-	// certs caches the lane audits (see auditLanes) of a target built by
+	// certs caches the lane audits (see auditPairs) of a target built by
 	// a constructor, shared by its copies; nil audits on every estimate.
 	certs *laneCerts
 }

@@ -10,21 +10,18 @@ package core
 // blocks) but not bit-identical to it, nor across batch widths, since
 // each consumes a block's randomness in its own order.
 //
-// A batch walks only the lanes that can fail. The lane audit certifies,
-// once per target and input domain, a fault count d below which no lane
-// fails: d = 2 when no single fault on a live point fails on any input
-// of the domain, and d = 3 when moreover no pair of such faults fails
-// (the pair stage, pairs.go); d = 1 when only the noiseless run is right
-// on every input, d = 0 otherwise. A compacting batch draws only the
-// lanes holding at least d live faults, with the program's count-first
-// producer (lanes.Tail), and their inputs, queues them and walks the
-// queue 64·words lanes at a time; the other lanes succeed. Its estimates
-// have the walk-every-lane batch's law, not its bytes. At d = 3 the pair
-// stage's absorption windows (pairs.go) also certify the drawn lanes
-// whose faults cannot meet: a lane's leading fault is dropped while its
-// next fault lies at or past the leading one's window, and a lane left
-// with fewer than d faults succeeds unwalked. That changes which lanes
-// are walked, never a lane's outcome or a draw.
+// A batch walks only the lanes that can fail. The lane audit (pairs.go)
+// certifies, once per target and input domain, a fault count d below
+// which no lane fails. A compacting batch draws only the lanes holding
+// at least d live faults, with the program's count-first producer
+// (lanes.Tail), and their inputs, queues them and walks the queue
+// 64·words lanes at a time; the other lanes succeed. Its estimates have
+// the walk-every-lane batch's law, not its bytes. At d = 3 the audit's
+// absorption windows also certify the drawn lanes whose faults cannot
+// meet: a lane's leading fault is dropped while its next fault lies at
+// or past the leading one's window, and a lane left with fewer than d
+// faults succeeds unwalked. That changes which lanes are walked, never a
+// lane's outcome or a draw.
 
 import (
 	"context"
@@ -46,12 +43,6 @@ import (
 // (DESIGN.md, the lane engine). Tests set it to force either path.
 var compactBelow = 0.375
 
-// auditBudget bounds the plans a lane audit walks: the noiseless run of
-// every input of the domain for d = 1, then every single fault on a live
-// point on every input for d = 2. Past it the audit settles for the lower
-// d. The level-2 gadget's audit walks 37,440 plans.
-const auditBudget = 1 << 18
-
 // laneCerts is a target's lane state shared by every copy of the
 // target: its lane audits, by input domain, computed on the domain's
 // first lane estimate; its most recently compiled program; and the fault
@@ -59,17 +50,9 @@ const auditBudget = 1 << 18
 // estimate.
 type laneCerts struct {
 	mu     sync.Mutex
-	audits map[Input]laneCert // nil until the first audit
-	prog   laneProgram        // prog.prog is nil until the first lane estimate
+	audits map[Input]pairAudit // nil until the first audit
+	prog   laneProgram         // prog.prog is nil until the first lane estimate
 	spare  []*laneBuffers
-}
-
-// laneCert is a lane audit's outcome for one input domain: the certified
-// d and, at d = 3, the pair stage's absorption windows (nil when the
-// table would be too large).
-type laneCert struct {
-	d   int
-	win *windows
 }
 
 // laneProgram is a compiled program of a target with what it was
@@ -181,38 +164,24 @@ func (c *laneCerts) release(bs []*laneBuffers) {
 	c.mu.Unlock()
 }
 
-// certify returns the target's lane audit for in, auditing on prog when
-// the target has not been audited for in before. A target built without
-// a cache (a struct literal) audits on every call.
-func (t Target) certify(prog *lanes.WideProgram, in Input) laneCert {
+// certify returns the target's lane audit for in (pairs.go), auditing
+// when the target has not been audited for in before. A target built
+// without a cache (a struct literal) audits on every call.
+func (t Target) certify(in Input) pairAudit {
 	if t.certs == nil {
-		return t.audit(prog, in, pairBudget)
+		return t.auditPairs(in, pairBudget, false)
 	}
 	t.certs.mu.Lock()
 	defer t.certs.mu.Unlock()
 	c, ok := t.certs.audits[in]
 	if !ok {
-		c = t.audit(prog, in, pairBudget)
+		c = t.auditPairs(in, pairBudget, false)
 		if t.certs.audits == nil {
-			t.certs.audits = make(map[Input]laneCert)
+			t.certs.audits = make(map[Input]pairAudit)
 		}
 		t.certs.audits[in] = c
 	}
 	return c
-}
-
-// audit runs the lane audit for in on prog: the single-fault stage and,
-// when it certifies d = 2, the pair stage within pairs units of work,
-// whose windows a certificate of d = 3 keeps.
-func (t Target) audit(prog *lanes.WideProgram, in Input, pairs int) laneCert {
-	d := t.auditLanes(prog, in, auditBudget).d
-	if d != 2 {
-		return laneCert{d: d}
-	}
-	if a := t.auditPairs(in, pairs, false); a.clean {
-		return laneCert{d: 3, win: a.win}
-	}
-	return laneCert{d: 2}
 }
 
 // CompileWide compiles the target's circuit under m for words-wide lane
@@ -312,94 +281,6 @@ func (t Target) InjectedWide(prog *lanes.WideProgram) func(in []uint64, plan []l
 	}
 }
 
-// laneAudit is a target's single-fault audit on the lane engine for one
-// input domain.
-type laneAudit struct {
-	// d is the certified fault count: a lane with fewer than d faults on
-	// live points cannot fail.
-	d int
-	// fails lists the single faults on live points that fail, in
-	// (op, value, input) order, when the noiseless run is right on the
-	// whole domain and the budget reached them.
-	fails []FaultCase
-}
-
-// auditLanes audits the target on prog for the inputs of in — every
-// input under Uniform, one under Fixed — walking at most budget plans:
-// first each input noiselessly, then every single fault on every live
-// point, every value of it and every input, 64·K plans per walk, against
-// Injected's semantics (a fault on a point that is not live cannot reach
-// a decoded output).
-func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAudit {
-	nin := uint64(1)
-	if !in.fixed {
-		nin <<= uint(len(t.In))
-	}
-	input := func(x uint64) uint64 {
-		if in.fixed {
-			return in.in
-		}
-		return x
-	}
-	if nin > uint64(budget) {
-		return laneAudit{}
-	}
-	run := t.InjectedWide(prog)
-	ins := make([]uint64, 0, prog.Lanes())
-	for x := uint64(0); x < nin; x++ {
-		ins = append(ins, input(x))
-		if len(ins) == cap(ins) || x == nin-1 {
-			for _, w := range run(ins, nil) {
-				if w != 0 {
-					return laneAudit{}
-				}
-			}
-			ins = ins[:0]
-		}
-	}
-	plans := uint64(0)
-	for pt := 0; pt < prog.Points(); pt++ {
-		if prog.Live(pt) {
-			plans += nin << uint(t.Circuit.Op(pt).Kind.Arity())
-		}
-	}
-	if plans > uint64(budget) {
-		return laneAudit{d: 1}
-	}
-	a := laneAudit{d: 2}
-	plan := make([]lanes.Fault, 0, prog.Lanes())
-	cases := make([]FaultCase, 0, prog.Lanes())
-	flush := func() {
-		for k, w := range run(ins, plan) {
-			for ; w != 0; w &= w - 1 {
-				a.fails = append(a.fails, cases[64*k+bits.TrailingZeros64(w)])
-				a.d = 1
-			}
-		}
-		ins, plan, cases = ins[:0], plan[:0], cases[:0]
-	}
-	for pt := 0; pt < prog.Points(); pt++ {
-		if !prog.Live(pt) {
-			continue
-		}
-		for v := uint64(0); v < 1<<uint(t.Circuit.Op(pt).Kind.Arity()); v++ {
-			b := prog.FaultBits(pt, v)
-			for x := uint64(0); x < nin; x++ {
-				plan = append(plan, lanes.Fault{Point: int32(pt), Lane: uint16(len(ins)), Bits: b})
-				ins = append(ins, input(x))
-				cases = append(cases, FaultCase{Input: input(x), OpIndex: pt, Value: v})
-				if len(ins) == cap(ins) {
-					flush()
-				}
-			}
-		}
-	}
-	if len(ins) > 0 {
-		flush()
-	}
-	return a
-}
-
 // batch takes the target's program for a words-wide lane block (compiled
 // once per model and width, see program) and returns the factory of its
 // per-worker lane batches, and the function that hands their fault
@@ -422,10 +303,10 @@ func (t Target) auditLanes(prog *lanes.WideProgram, in Input, budget int) laneAu
 // the absorbed ones.
 func (t Target) batch(ctx context.Context, in Input, m noise.Model, words int) (newBatch func() sim.WideBatch, done func()) {
 	prog := t.program(m, words)
-	var cert laneCert
+	var cert pairAudit
 	if prog.WalkedFraction(3) < compactBelow {
-		if cert = t.certify(prog, in); prog.WalkedFraction(cert.d) >= compactBelow {
-			cert = laneCert{}
+		if cert = t.certify(in); prog.WalkedFraction(cert.d) >= compactBelow {
+			cert = pairAudit{}
 		}
 	}
 	var tail *lanes.Tail
